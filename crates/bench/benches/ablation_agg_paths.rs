@@ -1,15 +1,19 @@
 //! Ablation: the three aggregation implementations.
 //!
-//! * `direct` — hash aggregation over the presence matrices (our default);
+//! * `masked` — cached group ids counted into dense accumulators under the
+//!   whole-graph event mask (what `agg` runs; with all-static attributes it
+//!   is the paper's §4.2 one-id-per-node shortcut);
+//! * `direct` — hash aggregation of value tuples over the presence matrices
+//!   (the oracle);
 //! * `frames` — the paper's Algorithm 2 verbatim on the columnar engine
-//!   (unpivot → merge → dedup → group-count), the authors' pandas shape;
-//! * `static_fast` — the §4.2 shortcut valid when all attributes are static.
+//!   (unpivot → merge → dedup → group-count), the authors' pandas shape.
 //!
-//! Quantifies what the paper's static-attribute optimization buys and what
-//! the dataframe formulation costs relative to direct hashing.
+//! Quantifies what interned group ids buy over hashing tuples and what the
+//! dataframe formulation costs relative to direct hashing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use graphtempo::aggregate::{aggregate, aggregate_static_fast, aggregate_via_frames, AggMode};
+use graphtempo::aggregate::{aggregate, aggregate_via_frames, AggMode, GroupTable};
+use graphtempo::ops::{event_mask, Event, SideTest};
 use std::sync::OnceLock;
 use tempo_bench::datasets::{attrs, dblp};
 use tempo_graph::TemporalGraph;
@@ -26,6 +30,16 @@ fn bench(c: &mut Criterion) {
 
     let gender = attrs(g, &["gender"]);
     let mixed = attrs(g, &["gender", "publications"]);
+    let all = g.domain().all();
+    let whole = event_mask(
+        g,
+        Event::Stability,
+        &all,
+        &all,
+        SideTest::Any,
+        SideTest::Any,
+    )
+    .expect("the domain is never empty");
     for mode in [AggMode::Distinct, AggMode::All] {
         let tag = match mode {
             AggMode::Distinct => "DIST",
@@ -34,11 +48,14 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("direct/gender/{tag}"), |b| {
             b.iter(|| aggregate(g, &gender, mode))
         });
-        group.bench_function(format!("static_fast/gender/{tag}"), |b| {
-            b.iter(|| aggregate_static_fast(g, &gender, mode).expect("static attrs"))
+        group.bench_function(format!("masked/gender/{tag}"), |b| {
+            b.iter(|| GroupTable::cached(g, &gender).aggregate_masked(g, &whole, mode))
         });
         group.bench_function(format!("frames/gender/{tag}"), |b| {
             b.iter(|| aggregate_via_frames(g, &gender, mode).expect("valid graph"))
+        });
+        group.bench_function(format!("masked/gender+pubs/{tag}"), |b| {
+            b.iter(|| GroupTable::cached(g, &mixed).aggregate_masked(g, &whole, mode))
         });
         group.bench_function(format!("direct/gender+pubs/{tag}"), |b| {
             b.iter(|| aggregate(g, &mixed, mode))

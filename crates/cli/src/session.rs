@@ -2,21 +2,21 @@
 
 use crate::error::CliError;
 use crate::parser::{kwarg, parse_interval, split_kwargs, tokenize};
-use graphtempo::aggregate::{aggregate, AggMode, AggregateGraph};
+use graphtempo::aggregate::{AggMode, AggregateGraph, GroupTable};
 use graphtempo::evolution::{evolution_aggregate, EvolutionAggregate};
 use graphtempo::explore::{
     explore_budgeted, explore_sharded_budgeted, suggest_k, Budget, ExploreConfig, ExtendSide,
     Selector, Semantics,
 };
 use graphtempo::export::{aggregate_edges_frame, aggregate_nodes_frame, aggregate_to_dot};
-use graphtempo::ops::{difference, intersection, project, union, Event, SideTest};
+use graphtempo::ops::{event_mask, Event, EventMask, SideTest};
 use graphtempo::zoom::{zoom_out, Granularity};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use tempo_columnar::{SparseMode, Value, ValueTuple};
 use tempo_datagen::{DblpConfig, MovieLensConfig, RandomGraphConfig, SchoolConfig};
-use tempo_graph::{AttrId, GraphStats, NodeId, TemporalGraph, TimePoint};
+use tempo_graph::{AttrId, GraphStats, NodeId, TemporalGraph, TimePoint, TimeSet};
 
 /// Text shown by `help`.
 pub const HELP: &str = "\
@@ -283,31 +283,24 @@ impl Session {
 
     fn cmd_operator(&self, cmd: &str, args: &[String]) -> Result<String, CliError> {
         let g = self.graph()?;
-        let result = match cmd {
-            "project" => {
-                let iv = args
-                    .first()
-                    .ok_or_else(|| CliError::Usage("project <interval>".into()))?;
-                project(g, &parse_interval(g.domain(), iv)?)?
-            }
-            _ => {
-                let (Some(a), Some(b)) = (args.first(), args.get(1)) else {
-                    return Err(CliError::Usage(format!("{cmd} <interval> <interval>")));
-                };
-                let t1 = parse_interval(g.domain(), a)?;
-                let t2 = parse_interval(g.domain(), b)?;
-                match cmd {
-                    "union" => union(g, &t1, &t2)?,
-                    "intersect" => intersection(g, &t1, &t2)?,
-                    "diff" => difference(g, &t1, &t2)?,
-                    _ => unreachable!("dispatch covers all operator commands"),
-                }
-            }
+        let mask = if cmd == "project" {
+            let iv = args
+                .first()
+                .ok_or_else(|| CliError::Usage("project <interval>".into()))?;
+            let t1 = parse_interval(g.domain(), iv)?;
+            event_mask(g, Event::Stability, &t1, &t1, SideTest::All, SideTest::All)?
+        } else {
+            let (Some(a), Some(b)) = (args.first(), args.get(1)) else {
+                return Err(CliError::Usage(format!("{cmd} <interval> <interval>")));
+            };
+            let t1 = parse_interval(g.domain(), a)?;
+            let t2 = parse_interval(g.domain(), b)?;
+            set_operator_mask(g, cmd, &t1, &t2)?
         };
         Ok(format!(
             "{cmd}: {} nodes, {} edges",
-            result.n_nodes(),
-            result.n_edges()
+            mask.n_nodes(),
+            mask.n_edges()
         ))
     }
 
@@ -371,8 +364,19 @@ impl Session {
             .transpose()?
             .unwrap_or(10);
 
-        let target: TemporalGraph = match kwarg(&kw, "op") {
-            None => g.clone(),
+        let mask = match kwarg(&kw, "op") {
+            // the whole graph: everything that exists at some point
+            None => {
+                let all = g.domain().all();
+                event_mask(
+                    g,
+                    Event::Stability,
+                    &all,
+                    &all,
+                    SideTest::Any,
+                    SideTest::Any,
+                )?
+            }
             Some(op) => {
                 let t1 = parse_interval(
                     g.domain(),
@@ -382,15 +386,10 @@ impl Session {
                     g.domain(),
                     kwarg(&kw, "t2").ok_or_else(|| CliError::Usage(usage.into()))?,
                 )?;
-                match op {
-                    "union" => union(g, &t1, &t2)?,
-                    "intersect" => intersection(g, &t1, &t2)?,
-                    "diff" => difference(g, &t1, &t2)?,
-                    other => return Err(CliError::Unknown(format!("operator {other:?}"))),
-                }
+                set_operator_mask(g, op, &t1, &t2)?
             }
         };
-        let agg = aggregate(&target, &attrs, mode);
+        let agg = GroupTable::cached(g, &attrs).aggregate_masked(g, &mask, mode);
         let mut out = format!(
             "aggregate: {} nodes, {} edges (node weight {}, edge weight {})\n",
             agg.n_nodes(),
@@ -813,6 +812,28 @@ impl Session {
         }
         Ok(format!("wrote {path}"))
     }
+}
+
+/// The binary operators of Definitions 2.3–2.5 as a selection over `g`'s own
+/// rows: which nodes and edges the operator's graph contains and the scope
+/// their timestamps are restricted to, with no graph built.
+fn set_operator_mask(
+    g: &TemporalGraph,
+    op: &str,
+    t1: &TimeSet,
+    t2: &TimeSet,
+) -> Result<EventMask, CliError> {
+    let any = SideTest::Any;
+    Ok(match op {
+        // in 𝒯₁ or 𝒯₂ = intersects 𝒯₁ ∪ 𝒯₂
+        "union" => {
+            let scope = t1.union(t2);
+            event_mask(g, Event::Stability, &scope, &scope, any, any)?
+        }
+        "intersect" => event_mask(g, Event::Stability, t1, t2, any, any)?,
+        "diff" => event_mask(g, Event::Shrinkage, t1, t2, any, any)?,
+        other => return Err(CliError::Unknown(format!("operator {other:?}"))),
+    })
 }
 
 /// Comparison operator of an evolution filter.

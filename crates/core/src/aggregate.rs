@@ -9,16 +9,21 @@
 //!   counts.
 //!
 //! Three implementations are provided and tested equivalent:
-//! [`aggregate`] (direct hash aggregation over the presence matrices),
-//! [`aggregate_via_frames`] (the paper's Algorithm 2 verbatim on the
-//! columnar engine: unpivot → merge → deduplicate → group-count), and
-//! [`aggregate_static_fast`] (the §4.2 optimization when every aggregation
-//! attribute is static).
+//! [`GroupTable::aggregate_masked`] (what every read query runs: group ids
+//! counted into dense accumulators under an [`EventMask`]; the paper's §4.2
+//! static fast path is its one-id-per-node layout), [`aggregate`] (direct
+//! hash aggregation over the presence matrices of a materialized graph —
+//! the oracle), and [`aggregate_via_frames`] (the paper's Algorithm 2
+//! verbatim on the columnar engine: unpivot → merge → deduplicate →
+//! group-count).
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use tempo_columnar::{Frame, Value, ValueTuple};
-use tempo_graph::{AttrId, GraphError, NodeId, TemporalGraph, Temporality, TimePoint};
+use tempo_graph::{
+    AttrId, GraphError, GroupColumns, NodeId, TemporalGraph, Temporality, TimePoint,
+};
 
 use crate::ops::EventMask;
 
@@ -365,81 +370,6 @@ pub fn aggregate_filtered(
     agg
 }
 
-/// The §4.2 fast path: aggregation when **every** attribute in `attrs` is
-/// static. No unpivoting or per-time tuple construction is needed — DIST
-/// counts entities once, ALL weighs them by the size of their timestamp.
-///
-/// # Errors
-/// Returns an error if any attribute is time-varying.
-pub fn aggregate_static_fast(
-    g: &TemporalGraph,
-    attrs: &[AttrId],
-    mode: AggMode,
-) -> Result<AggregateGraph, GraphError> {
-    let mut slots = Vec::with_capacity(attrs.len());
-    let mut names = Vec::with_capacity(attrs.len());
-    for &a in attrs {
-        let def = g.schema().def(a);
-        names.push(def.name().to_owned());
-        slots.push(
-            g.schema()
-                .static_slot(a)
-                .ok_or_else(|| GraphError::AttributeKindMismatch {
-                    name: def.name().to_owned(),
-                    expected: "static",
-                })?,
-        );
-    }
-    let mut agg = AggregateGraph::new(names);
-    // Resolve every node's tuple once up front: endpoint tuples are reused
-    // across all incident edges instead of being rebuilt per edge.
-    let node_tuples: Vec<ValueTuple> = (0..g.n_nodes())
-        .map(|n| {
-            slots
-                .iter()
-                .map(|&s| g.static_table().get(n, s).clone())
-                .collect()
-        })
-        .collect();
-    let full = tempo_columnar::BitVec::ones(g.domain().len());
-    // One popcount buffer serves both passes; the node counts are consumed
-    // before the edge counts overwrite them.
-    let mut counts: Vec<u32> = Vec::new();
-    g.node_presence_matrix()
-        .masked_popcounts_into(&full, &mut counts);
-
-    for (n, tuple) in node_tuples.iter().enumerate() {
-        let appearances = u64::from(counts[n]);
-        if appearances == 0 {
-            continue;
-        }
-        let w = match mode {
-            AggMode::Distinct => 1,
-            AggMode::All => appearances,
-        };
-        agg.add_node_weight(tuple.clone(), w);
-    }
-    g.edge_presence_matrix()
-        .masked_popcounts_into(&full, &mut counts);
-    for (e, &count) in counts.iter().enumerate() {
-        let appearances = u64::from(count);
-        if appearances == 0 {
-            continue;
-        }
-        let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-        let w = match mode {
-            AggMode::Distinct => 1,
-            AggMode::All => appearances,
-        };
-        agg.add_edge_weight(
-            node_tuples[u.index()].clone(),
-            node_tuples[v.index()].clone(),
-            w,
-        );
-    }
-    Ok(agg)
-}
-
 /// Algorithm 2 verbatim, expressed on the columnar engine: unpivot every
 /// time-varying attribute array, merge with the static table, deduplicate
 /// on `(u, a')` (DIST only), group-count for node weights; then resolve edge
@@ -624,275 +554,174 @@ pub fn rollup(agg: &AggregateGraph, keep: &[&str]) -> Result<AggregateGraph, Gra
     Ok(out)
 }
 
-/// Sentinel group id: the node is absent at that time point.
-pub const NO_GROUP: u32 = u32::MAX;
+/// Group-pair grids up to this many cells are accumulated densely.
+const DENSE_PAIR_CELLS: usize = 1 << 16;
+
+/// Weights per ordered group-id pair `(src, dst)` — the edge side of the
+/// dense node accumulators. A `n_groups²` grid indexed `src * n_groups +
+/// dst` while that is small (one add per kept edge appearance, no hashing);
+/// a hash map keyed by the pair for attribute lists with many groups, where
+/// zeroing the grid would cost more than the edges it saves.
+pub(crate) enum PairAccumulator<W> {
+    Dense { n_groups: usize, cells: Vec<W> },
+    Sparse(HashMap<(u32, u32), W>),
+}
+
+impl<W: Clone + Default + PartialEq> PairAccumulator<W> {
+    pub(crate) fn new(n_groups: usize) -> Self {
+        match n_groups.checked_mul(n_groups) {
+            Some(cells) if cells <= DENSE_PAIR_CELLS => PairAccumulator::Dense {
+                n_groups,
+                cells: vec![W::default(); cells],
+            },
+            _ => PairAccumulator::Sparse(HashMap::new()),
+        }
+    }
+
+    /// The weight slot of pair `(src, dst)`.
+    #[inline]
+    pub(crate) fn slot(&mut self, src: u32, dst: u32) -> &mut W {
+        match self {
+            PairAccumulator::Dense { n_groups, cells } => {
+                &mut cells[src as usize * *n_groups + dst as usize]
+            }
+            PairAccumulator::Sparse(map) => map.entry((src, dst)).or_default(),
+        }
+    }
+
+    /// Visits every pair whose weight differs from `W::default()`.
+    pub(crate) fn for_each_nonzero(&self, mut f: impl FnMut(u32, u32, &W)) {
+        let zero = W::default();
+        match self {
+            PairAccumulator::Dense { n_groups, cells } => {
+                for (i, w) in cells.iter().enumerate().filter(|(_, w)| **w != zero) {
+                    f((i / n_groups) as u32, (i % n_groups) as u32, w);
+                }
+            }
+            PairAccumulator::Sparse(map) => {
+                for (&(s, d), w) in map.iter().filter(|(_, w)| **w != zero) {
+                    f(s, d, w);
+                }
+            }
+        }
+    }
+}
+
+pub use tempo_graph::NO_GROUP;
 
 /// Interned attribute-tuple groups for one `(graph, attrs)` pair — the
-/// aggregation half of the zero-materialization exploration kernel.
+/// aggregation half of the mask → group-id evaluation path.
 ///
 /// Each node's aggregation tuple is resolved and interned into a dense
-/// `u32` group id **once**: per node when every attribute is static, else
-/// per (node, present time point), with static components resolved once per
-/// node and only time-varying cells read per point. Aggregating an event
-/// ([`EventMask`]) then counts group ids into dense accumulators —
+/// `u32` group id **once** (the [`GroupColumns`] of `tempo-graph`, which
+/// this type wraps): per node when every attribute is static, else per
+/// (node, present time point). Aggregating an event ([`EventMask`]) then
+/// counts group ids into dense accumulators —
 /// [`aggregate_masked`](Self::aggregate_masked) — or, for exploration,
 /// short-circuits into a bare count with no accumulator at all
 /// ([`count_distinct`](Self::count_distinct)) — instead of re-building
 /// heap-allocated [`ValueTuple`] hash keys per entity per interval pair.
 ///
 /// The table is immutable after construction and `Sync`, so one instance is
-/// shared across all pairs (and worker threads) of an exploration run.
+/// shared across all pairs (and worker threads) of an exploration run, and
+/// the columns behind [`cached`](Self::cached) across every request on one
+/// snapshot.
 pub struct GroupTable {
-    attr_names: Vec<String>,
-    /// Group id → attribute tuple.
-    tuples: Vec<ValueTuple>,
-    /// Attribute tuple → group id (for resolving selector targets).
-    index: HashMap<ValueTuple, u32>,
-    nt: usize,
-    /// One gid per node when every aggregation attribute is static.
-    static_gids: Option<Vec<u32>>,
-    /// One gid per (node, time) — `n * nt + t` — otherwise; [`NO_GROUP`]
-    /// where the node is absent.
-    time_gids: Option<Vec<u32>>,
+    cols: Arc<GroupColumns>,
     /// Cached instrumentation handles: `count_distinct` runs once per
     /// interval pair across worker threads, so the registry lock is taken
     /// only at build time.
-    ins_calls: std::sync::Arc<tempo_instrument::Counter>,
-    ins_unknown_target: std::sync::Arc<tempo_instrument::Counter>,
-    ins_bitmask_fast: std::sync::Arc<tempo_instrument::Counter>,
-}
-
-fn intern_tuple(
-    index: &mut HashMap<ValueTuple, u32>,
-    tuples: &mut Vec<ValueTuple>,
-    tuple: ValueTuple,
-) -> u32 {
-    if let Some(&gid) = index.get(&tuple) {
-        return gid;
-    }
-    let gid = u32::try_from(tuples.len())
-        .expect("invariant: fewer than u32::MAX distinct tuples (gid is u32)");
-    tuples.push(tuple.clone());
-    index.insert(tuple, gid);
-    gid
+    ins_calls: Arc<tempo_instrument::Counter>,
+    ins_unknown_target: Arc<tempo_instrument::Counter>,
+    ins_bitmask_fast: Arc<tempo_instrument::Counter>,
 }
 
 impl GroupTable {
-    /// Builds the group table of `g` for the aggregation attributes `attrs`.
+    /// Builds the group table of `g` for the aggregation attributes `attrs`
+    /// from scratch, bypassing the snapshot's cache.
     ///
     /// # Panics
     /// Panics if any id is not from `g`'s schema.
     #[must_use]
     pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> GroupTable {
+        Self::over(Arc::new(GroupColumns::build(g, attrs)))
+    }
+
+    /// The group table of `g` for `attrs` over the columns cached on the
+    /// snapshot ([`TemporalGraph::group_columns`]): the first request per
+    /// attribute list and snapshot version builds them, later ones share
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if any id is not from `g`'s schema.
+    #[must_use]
+    pub fn cached(g: &TemporalGraph, attrs: &[AttrId]) -> GroupTable {
+        Self::over(g.group_columns(attrs))
+    }
+
+    fn over(cols: Arc<GroupColumns>) -> GroupTable {
         let ins = tempo_instrument::global();
-        let _span = ins.histogram("aggregate.group_table_build_ns").span();
-        let attr_names: Vec<String> = attrs
-            .iter()
-            .map(|&a| g.schema().def(a).name().to_owned())
-            .collect();
-        let resolved = resolve_attrs(g, attrs);
-        let nt = g.domain().len();
-        let mut index = HashMap::new();
-        let mut tuples = Vec::new();
-
-        let all_static = resolved.iter().all(|r| matches!(r, Resolved::Static(_)));
-        let (static_gids, time_gids) = if all_static {
-            // Group ids are assigned in first-occurrence order either way,
-            // so both fast paths below produce the table the naive per-node
-            // intern loop would.
-            let gids = if let [Resolved::Static(slot)] = resolved.as_slice() {
-                // Single static attribute: categorical codes are already
-                // dense interner indexes, so a code-indexed table resolves
-                // each node with one load — no hashing, no tuple allocation
-                // (dominant in exploration kernel builds on large graphs).
-                let mut cat_gids: Vec<u32> = Vec::new();
-                (0..g.n_nodes())
-                    .map(|n| match g.static_table().get(n, *slot) {
-                        Value::Cat(code) => {
-                            let c = *code as usize;
-                            if c >= cat_gids.len() {
-                                cat_gids.resize(c + 1, NO_GROUP);
-                            }
-                            if cat_gids[c] == NO_GROUP {
-                                cat_gids[c] =
-                                    intern_tuple(&mut index, &mut tuples, vec![Value::Cat(*code)]);
-                            }
-                            cat_gids[c]
-                        }
-                        v => intern_tuple(&mut index, &mut tuples, vec![v.clone()]),
-                    })
-                    .collect()
-            } else {
-                // Multi-attribute: probe with a reused scratch tuple
-                // (`Vec<Value>: Borrow<[Value]>`), allocating only on the
-                // first occurrence of a tuple.
-                let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
-                (0..g.n_nodes())
-                    .map(|n| {
-                        scratch.clear();
-                        for r in &resolved {
-                            match r {
-                                Resolved::Static(slot) => {
-                                    scratch.push(g.static_table().get(n, *slot).clone());
-                                }
-                                Resolved::TimeVarying(_) => {
-                                    unreachable!("all attrs static")
-                                }
-                            }
-                        }
-                        if let Some(&gid) = index.get(scratch.as_slice()) {
-                            gid
-                        } else {
-                            intern_tuple(&mut index, &mut tuples, scratch.clone())
-                        }
-                    })
-                    .collect()
-            };
-            (Some(gids), None)
-        } else {
-            let tv_tables: Vec<&tempo_columnar::ValueMatrix> = g
-                .schema()
-                .time_varying_ids()
-                .iter()
-                .map(|&a| {
-                    g.tv_table(a)
-                        .expect("invariant: every time-varying id has a table")
-                })
-                .collect();
-            let mut gids = vec![NO_GROUP; g.n_nodes() * nt];
-            for n in 0..g.n_nodes() {
-                // static components once per node, time-varying per point
-                let template: ValueTuple = resolved
-                    .iter()
-                    .map(|r| match r {
-                        Resolved::Static(slot) => g.static_table().get(n, *slot).clone(),
-                        Resolved::TimeVarying(_) => Value::Null,
-                    })
-                    .collect();
-                for t in g.node_presence_matrix().iter_row_ones(n) {
-                    let mut tuple = template.clone();
-                    for (i, r) in resolved.iter().enumerate() {
-                        if let Resolved::TimeVarying(slot) = r {
-                            tuple[i] = tv_tables[*slot].get(n, t).clone();
-                        }
-                    }
-                    gids[n * nt + t] = intern_tuple(&mut index, &mut tuples, tuple);
-                }
-            }
-            (None, Some(gids))
-        };
-
-        ins.counter("aggregate.group_tables_built").inc();
-        ins.counter("aggregate.groups_interned")
-            .add(tuples.len() as u64);
-        let table = GroupTable {
-            attr_names,
-            tuples,
-            index,
-            nt,
-            static_gids,
-            time_gids,
+        GroupTable {
+            cols,
             ins_calls: ins.counter("aggregate.count_distinct.calls"),
             ins_unknown_target: ins.counter("aggregate.count_distinct.unknown_target"),
             ins_bitmask_fast: ins.counter("aggregate.count_distinct.bitmask_fast"),
-        };
-        debug_assert_eq!(table.check_invariants(), Ok(()));
-        table
+        }
     }
 
-    /// Validates the interning bijection: `tuples[gid]` and the reverse
-    /// `index` map must agree in both directions, and every stored gid
-    /// (static or time-varying) must be `NO_GROUP` or a valid tuple index.
-    /// Checked via `debug_assert!` at the end of [`build`](Self::build);
-    /// compiled out of release builds.
+    /// Validates the interning bijection of the wrapped columns; see
+    /// [`GroupColumns::check_invariants`].
     ///
     /// # Errors
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.index.len() != self.tuples.len() {
-            return Err(format!(
-                "interning index holds {} tuples, dense table holds {}",
-                self.index.len(),
-                self.tuples.len()
-            ));
-        }
-        for (gid, tuple) in self.tuples.iter().enumerate() {
-            match self.index.get(tuple) {
-                Some(&g) if g as usize == gid => {}
-                Some(&g) => {
-                    return Err(format!(
-                        "tuple {tuple:?} stored at gid {gid} but indexed as {g}"
-                    ));
-                }
-                None => {
-                    return Err(format!("tuple {tuple:?} at gid {gid} missing from index"));
-                }
-            }
-        }
-        let n_groups = self.tuples.len() as u32;
-        let check_gids = |gids: &[u32], what: &str| -> Result<(), String> {
-            for (i, &g) in gids.iter().enumerate() {
-                if g != NO_GROUP && g >= n_groups {
-                    return Err(format!(
-                        "{what} slot {i} holds gid {g}, but only {n_groups} groups exist"
-                    ));
-                }
-            }
-            Ok(())
-        };
-        if let Some(gids) = &self.static_gids {
-            check_gids(gids, "static")?;
-        }
-        if let Some(gids) = &self.time_gids {
-            check_gids(gids, "time-varying")?;
-        }
-        Ok(())
+        self.cols.check_invariants()
     }
 
     /// Names of the aggregation attributes, in tuple order.
     pub fn attr_names(&self) -> &[String] {
-        &self.attr_names
+        self.cols.attr_names()
     }
 
     /// Number of distinct attribute tuples seen in the source graph.
     pub fn n_groups(&self) -> usize {
-        self.tuples.len()
+        self.cols.tuples().len()
     }
 
     /// True when every aggregation attribute is static (one gid per node).
     pub fn is_static(&self) -> bool {
-        self.static_gids.is_some()
+        self.cols.static_gids().is_some()
     }
 
     /// The attribute tuple of a group id.
     pub fn tuple(&self, gid: u32) -> &ValueTuple {
-        &self.tuples[gid as usize]
+        &self.cols.tuples()[gid as usize]
     }
 
     /// Group id of an attribute tuple, if it occurs anywhere in the graph.
     pub fn lookup(&self, tuple: &[Value]) -> Option<u32> {
-        self.index.get(tuple).copied()
+        self.cols.lookup(tuple)
     }
 
     /// Group id of node `n` at time `t`, or `None` when absent.
     pub fn gid_at(&self, n: usize, t: usize) -> Option<u32> {
-        match (&self.static_gids, &self.time_gids) {
-            (Some(gids), _) => Some(gids[n]),
-            (_, Some(gids)) => {
-                let gid = gids[n * self.nt + t];
+        match self.cols.static_gids() {
+            Some(gids) => Some(gids[n]),
+            None => {
+                let gid = self.cols.time_gid(n, t);
                 (gid != NO_GROUP).then_some(gid)
             }
-            _ => unreachable!("one of the gid tables is always present"),
         }
     }
 
+    /// One group id per node, when every aggregation attribute is static.
+    pub(crate) fn static_gids(&self) -> Option<&[u32]> {
+        self.cols.static_gids()
+    }
+
     #[inline]
-    fn time_gid(&self, n: usize, t: usize) -> u32 {
-        let gid = self
-            .time_gids
-            .as_ref()
-            .expect("invariant: time_gids built for schemas with time-varying attrs")
-            [n * self.nt + t];
+    pub(crate) fn time_gid(&self, n: usize, t: usize) -> u32 {
+        let gid = self.cols.time_gid(n, t);
         debug_assert_ne!(gid, NO_GROUP, "present entity must have a group id");
         gid
     }
@@ -933,8 +762,9 @@ impl GroupTable {
         debug_assert_eq!(self.check_invariants(), Ok(()));
         debug_assert_eq!(scope.check_invariants(), Ok(()));
         debug_assert_eq!(mask.keep_nodes().check_invariants(), Ok(()));
-        let mut node_acc = vec![0u64; self.tuples.len()];
-        match (&self.static_gids, mode) {
+        let static_gids = self.cols.static_gids();
+        let mut node_acc = vec![0u64; self.n_groups()];
+        match (static_gids, mode) {
             (Some(gids), AggMode::Distinct) => {
                 for n in mask.keep_nodes().iter_ones() {
                     debug_assert!(
@@ -973,8 +803,8 @@ impl GroupTable {
             }
         }
 
-        let mut edge_acc: HashMap<(u32, u32), u64> = HashMap::new();
-        match &self.static_gids {
+        let mut edge_acc: PairAccumulator<u64> = PairAccumulator::new(self.n_groups());
+        match static_gids {
             Some(gids) => {
                 let weighted = matches!(mode, AggMode::All);
                 if weighted {
@@ -984,9 +814,7 @@ impl GroupTable {
                 for e in mask.keep_edges().iter_ones() {
                     let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
                     let w = if weighted { u64::from(counts[e]) } else { 1 };
-                    *edge_acc
-                        .entry((gids[u.index()], gids[v.index()]))
-                        .or_insert(0) += w;
+                    *edge_acc.slot(gids[u.index()], gids[v.index()]) += w;
                 }
             }
             None => {
@@ -997,11 +825,11 @@ impl GroupTable {
                     for t in g.edge_presence_matrix().iter_row_ones_and(e, scope) {
                         let pair = (self.time_gid(u.index(), t), self.time_gid(v.index(), t));
                         match mode {
-                            AggMode::All => *edge_acc.entry(pair).or_insert(0) += 1,
+                            AggMode::All => *edge_acc.slot(pair.0, pair.1) += 1,
                             AggMode::Distinct => {
                                 if let Err(pos) = seen.binary_search(&pair) {
                                     seen.insert(pos, pair);
-                                    *edge_acc.entry(pair).or_insert(0) += 1;
+                                    *edge_acc.slot(pair.0, pair.1) += 1;
                                 }
                             }
                         }
@@ -1010,19 +838,16 @@ impl GroupTable {
             }
         }
 
-        let mut agg = AggregateGraph::new(self.attr_names.clone());
+        let tuples = self.cols.tuples();
+        let mut agg = AggregateGraph::new(self.attr_names().to_vec());
         for (gid, &w) in node_acc.iter().enumerate() {
             if w > 0 {
-                agg.add_node_weight(self.tuples[gid].clone(), w);
+                agg.add_node_weight(tuples[gid].clone(), w);
             }
         }
-        for (&(s, d), &w) in &edge_acc {
-            agg.add_edge_weight(
-                self.tuples[s as usize].clone(),
-                self.tuples[d as usize].clone(),
-                w,
-            );
-        }
+        edge_acc.for_each_nonzero(|s, d, &w| {
+            agg.add_edge_weight(tuples[s as usize].clone(), tuples[d as usize].clone(), w);
+        });
         agg
     }
 
@@ -1053,7 +878,7 @@ impl GroupTable {
     ) -> u64 {
         self.ins_calls.inc();
         let scope = mask.scope().bits();
-        match (target, &self.static_gids) {
+        match (target, self.cols.static_gids()) {
             // A tuple that occurs nowhere in the source graph can never
             // occur in an event graph of it.
             (CountTarget::Node(None), _) | (CountTarget::Edge(None), _) => {
@@ -1140,7 +965,7 @@ impl GroupTable {
     /// [`merge_accumulator`](Self::merge_accumulator).
     #[must_use]
     pub fn new_accumulator(&self) -> Vec<u64> {
-        vec![0; self.tuples.len()]
+        vec![0; self.n_groups()]
     }
 
     /// Merge-by-gid reduction: adds a shard's per-group accumulator into
@@ -1152,8 +977,8 @@ impl GroupTable {
     /// Panics if either accumulator was not sized by
     /// [`new_accumulator`](Self::new_accumulator).
     pub fn merge_accumulator(&self, dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), self.tuples.len(), "dst accumulator size");
-        assert_eq!(src.len(), self.tuples.len(), "src accumulator size");
+        assert_eq!(dst.len(), self.n_groups(), "dst accumulator size");
+        assert_eq!(src.len(), self.n_groups(), "src accumulator size");
         for (d, s) in dst.iter_mut().zip(src) {
             *d += s;
         }
@@ -1190,7 +1015,7 @@ impl GroupTable {
             !self.is_static(),
             "static group tables count by popcount, not accumulator"
         );
-        assert_eq!(acc.len(), self.tuples.len(), "accumulator size");
+        assert_eq!(acc.len(), self.n_groups(), "accumulator size");
         for ln in keep.iter_ones() {
             let n = node_base + ln;
             seen.clear();
@@ -1216,7 +1041,7 @@ impl GroupTable {
     /// `acc` was not sized by [`new_accumulator`](Self::new_accumulator).
     #[must_use]
     pub fn count_from_accumulator(&self, acc: &[u64], target: &CountTarget) -> u64 {
-        assert_eq!(acc.len(), self.tuples.len(), "accumulator size");
+        assert_eq!(acc.len(), self.n_groups(), "accumulator size");
         match target {
             CountTarget::AllNodes => acc.iter().sum(),
             CountTarget::Node(Some(gid)) => acc[*gid as usize],
@@ -1369,20 +1194,6 @@ mod tests {
         let all = aggregate(&u, &ga, AggMode::All);
         assert_eq!(dist.node_weight(&[f.clone(), Value::Int(1)]), 3);
         assert_eq!(all.node_weight(&[f.clone(), Value::Int(1)]), 4);
-    }
-
-    #[test]
-    fn static_fast_path_matches_general() {
-        let g = fig1();
-        let ga = attrs(&g, &["gender"]);
-        for mode in [AggMode::Distinct, AggMode::All] {
-            let fast = aggregate_static_fast(&g, &ga, mode).unwrap();
-            let slow = aggregate(&g, &ga, mode);
-            assert_eq!(fast, slow, "mode {mode:?}");
-        }
-        // time-varying attr rejected
-        let pubs = attrs(&g, &["publications"]);
-        assert!(aggregate_static_fast(&g, &pubs, AggMode::All).is_err());
     }
 
     #[test]
@@ -1596,6 +1407,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pair_accumulator_dense_and_sparse_agree() {
+        let collect = |acc: &PairAccumulator<u64>| {
+            let mut out = Vec::new();
+            acc.for_each_nonzero(|s, d, &w| out.push((s, d, w)));
+            out.sort_unstable();
+            out
+        };
+        // 300² cells exceed the dense cap, 3² do not
+        let mut sparse = PairAccumulator::<u64>::new(300);
+        let mut dense = PairAccumulator::<u64>::new(3);
+        assert!(matches!(sparse, PairAccumulator::Sparse(_)));
+        assert!(matches!(dense, PairAccumulator::Dense { .. }));
+        for (s, d, w) in [(0, 2, 5), (2, 1, 1), (0, 2, 2)] {
+            *sparse.slot(s, d) += w;
+            *dense.slot(s, d) += w;
+        }
+        // a touched slot left at zero is not reported
+        *sparse.slot(1, 1) += 0;
+        assert_eq!(collect(&sparse), vec![(0, 2, 7), (2, 1, 1)]);
+        assert_eq!(collect(&dense), collect(&sparse));
     }
 
     #[test]

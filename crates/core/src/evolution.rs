@@ -11,10 +11,16 @@
 //! contributes growth to `(f,1)` and shrinkage to `(f,2)` between `t0` and
 //! `t1` because its #publications changed, even though the node itself is
 //! stable.
+//!
+//! [`evolution_aggregate`] computes those weights on interned group ids
+//! (the snapshot's cached [`GroupTable`]) with dense accumulators;
+//! [`evolution_aggregate_naive`] is the tuple-hashing oracle it is tested
+//! against.
 
-use crate::aggregate::NodeTimeFilter;
+use crate::aggregate::{GroupTable, NodeTimeFilter, PairAccumulator};
+use crate::ops::{side_members, SideTest};
 use std::collections::HashMap;
-use tempo_columnar::{Value, ValueTuple};
+use tempo_columnar::{BitMatrix, BitVec, TransposedBitMatrix, Value, ValueTuple};
 use tempo_graph::{
     require_non_empty, AttrId, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet,
 };
@@ -246,6 +252,18 @@ impl EvolutionAggregate {
     }
 }
 
+impl EvolutionWeights {
+    /// Counts one (entity, tuple) that shows in 𝒯₁ (`in1`) and/or 𝒯₂ (`in2`).
+    fn record(&mut self, in1: bool, in2: bool) {
+        match (in1, in2) {
+            (true, true) => self.stability += 1,
+            (true, false) => self.shrinkage += 1,
+            (false, true) => self.growth += 1,
+            (false, false) => {}
+        }
+    }
+}
+
 fn add(mut acc: EvolutionWeights, w: &EvolutionWeights) -> EvolutionWeights {
     acc.stability += w.stability;
     acc.growth += w.growth;
@@ -287,6 +305,155 @@ fn add(mut acc: EvolutionWeights, w: &EvolutionWeights) -> EvolutionWeights {
 /// # Errors
 /// Returns an error if either interval is empty.
 pub fn evolution_aggregate(
+    g: &TemporalGraph,
+    t1: &TimeSet,
+    t2: &TimeSet,
+    attrs: &[AttrId],
+    filter: Option<&NodeTimeFilter<'_>>,
+) -> Result<EvolutionAggregate, GraphError> {
+    require_non_empty(t1, "𝒯₁")?;
+    require_non_empty(t2, "𝒯₂")?;
+    let table = GroupTable::cached(g, attrs);
+    let mut nodes = vec![EvolutionWeights::default(); table.n_groups()];
+    let mut edges: PairAccumulator<EvolutionWeights> = PairAccumulator::new(table.n_groups());
+    let (node_cols, edge_cols) = (g.node_presence_columns(), g.edge_presence_columns());
+
+    match (table.static_gids(), filter) {
+        // One tuple per entity and every appearance counts: an entity's
+        // class is plain membership in 𝒯₁ and 𝒯₂. (Not the Def. 2.5 event
+        // masks, which also keep the surviving endpoints of a deleted edge.)
+        (Some(gids), None) => {
+            for (members, in1, in2) in membership_classes(node_cols, t1, t2) {
+                for n in members.iter_ones() {
+                    nodes[gids[n] as usize].record(in1, in2);
+                }
+            }
+            for (members, in1, in2) in membership_classes(edge_cols, t1, t2) {
+                for e in members.iter_ones() {
+                    let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+                    edges
+                        .slot(gids[u.index()], gids[v.index()])
+                        .record(in1, in2);
+                }
+            }
+        }
+        // Tuples change over time or appearances are filtered: per entity,
+        // the distinct group ids it shows within 𝒯₁ ∪ 𝒯₂ and on which side.
+        (static_gids, _) => {
+            let scope = t1.union(t2);
+            let gid_at = |n: usize, t: usize| match static_gids {
+                Some(gids) => gids[n],
+                None => table.time_gid(n, t),
+            };
+            let side = |t: usize| {
+                let t = TimePoint(t as u32);
+                (t1.contains(t), t2.contains(t))
+            };
+            let pass = filter.map(|f| pass_bits(g, &scope, f));
+            let passes = |n: usize, t: usize| pass.as_ref().is_none_or(|p| p.get(n, t));
+
+            let mut seen: Vec<(u32, bool, bool)> = Vec::new();
+            for n in side_members(node_cols, &scope, SideTest::Any).iter_ones() {
+                seen.clear();
+                for t in g.node_presence_matrix().iter_row_ones_and(n, scope.bits()) {
+                    if passes(n, t) {
+                        merge_seen(&mut seen, gid_at(n, t), side(t));
+                    }
+                }
+                for &(gid, in1, in2) in &seen {
+                    nodes[gid as usize].record(in1, in2);
+                }
+            }
+            let mut seen: Vec<((u32, u32), bool, bool)> = Vec::new();
+            for e in side_members(edge_cols, &scope, SideTest::Any).iter_ones() {
+                let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+                let (u, v) = (u.index(), v.index());
+                seen.clear();
+                for t in g.edge_presence_matrix().iter_row_ones_and(e, scope.bits()) {
+                    if passes(u, t) && passes(v, t) {
+                        merge_seen(&mut seen, (gid_at(u, t), gid_at(v, t)), side(t));
+                    }
+                }
+                for &((s, d), in1, in2) in &seen {
+                    edges.slot(s, d).record(in1, in2);
+                }
+            }
+        }
+    }
+
+    let mut out = EvolutionAggregate {
+        attr_names: table.attr_names().to_vec(),
+        nodes: HashMap::new(),
+        edges: HashMap::new(),
+    };
+    for (gid, w) in nodes.iter().enumerate() {
+        if *w != EvolutionWeights::default() {
+            out.nodes.insert(table.tuple(gid as u32).clone(), *w);
+        }
+    }
+    edges.for_each_nonzero(|s, d, w| {
+        out.edges
+            .insert((table.tuple(s).clone(), table.tuple(d).clone()), *w);
+    });
+    Ok(out)
+}
+
+/// The entities present in 𝒯₁ and/or 𝒯₂, split by side: `(members, in 𝒯₁,
+/// in 𝒯₂)` for stability, shrinkage and growth.
+fn membership_classes(
+    cols: &TransposedBitMatrix,
+    t1: &TimeSet,
+    t2: &TimeSet,
+) -> [(BitVec, bool, bool); 3] {
+    let a = side_members(cols, t1, SideTest::Any);
+    let b = side_members(cols, t2, SideTest::Any);
+    let mut only_a = a.clone();
+    only_a.and_not_assign(&b);
+    let mut only_b = b.clone();
+    only_b.and_not_assign(&a);
+    [
+        (a.and(&b), true, true),
+        (only_a, true, false),
+        (only_b, false, true),
+    ]
+}
+
+/// Folds one appearance into an entity's sorted `(key, in 𝒯₁, in 𝒯₂)`
+/// scratch: an entity shows a handful of distinct tuples at most, so a
+/// sorted `Vec` beats a per-entity hash map.
+fn merge_seen<K: Ord + Copy>(seen: &mut Vec<(K, bool, bool)>, key: K, (in1, in2): (bool, bool)) {
+    match seen.binary_search_by_key(&key, |e| e.0) {
+        Ok(i) => {
+            seen[i].1 |= in1;
+            seen[i].2 |= in2;
+        }
+        Err(i) => seen.insert(i, (key, in1, in2)),
+    }
+}
+
+/// A [`NodeTimeFilter`] evaluated once per request: one bit per
+/// (node, time point of the scope at which the node exists). Edge
+/// appearances then test both endpoints' bits instead of calling the
+/// predicate twice per visit.
+fn pass_bits(g: &TemporalGraph, scope: &TimeSet, filter: &NodeTimeFilter<'_>) -> BitMatrix {
+    let mut pass = BitMatrix::zeros(g.n_nodes(), g.domain().len());
+    for n in 0..g.n_nodes() {
+        for t in g.node_presence_matrix().iter_row_ones_and(n, scope.bits()) {
+            if filter(g, NodeId(n as u32), TimePoint(t as u32)) {
+                pass.set(n, t, true);
+            }
+        }
+    }
+    pass
+}
+
+/// [`evolution_aggregate`] computed the direct way — a hash map of value
+/// tuples per node and per edge, the filter called on every visit. Kept as
+/// the oracle the group-id path is tested against.
+///
+/// # Errors
+/// Returns an error if either interval is empty.
+pub fn evolution_aggregate_naive(
     g: &TemporalGraph,
     t1: &TimeSet,
     t2: &TimeSet,
@@ -500,6 +667,31 @@ mod tests {
             e_totals.stability as usize,
             evo.count_edges(EvolutionClass::Stability)
         );
+    }
+
+    #[test]
+    fn group_id_path_matches_naive_on_fig1() {
+        let g = fig1();
+        let pubs = g.schema().id("publications").unwrap();
+        let gender = g.schema().id("gender").unwrap();
+        let filter = move |gr: &TemporalGraph, n: NodeId, t: TimePoint| {
+            gr.attr_value(n, pubs, t).as_int().unwrap_or(0) >= 2
+        };
+        let sides = [ts(&[0]), ts(&[1]), ts(&[2]), ts(&[0, 1]), ts(&[1, 2])];
+        for attrs in [vec![], vec![gender], vec![pubs], vec![gender, pubs]] {
+            for t1 in &sides {
+                for t2 in &sides {
+                    for f in [None, Some(&filter as &NodeTimeFilter<'_>)] {
+                        assert_eq!(
+                            evolution_aggregate(&g, t1, t2, &attrs, f).unwrap(),
+                            evolution_aggregate_naive(&g, t1, t2, &attrs, f).unwrap(),
+                            "attrs {attrs:?} t1 {t1:?} t2 {t2:?} filtered {}",
+                            f.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     // Regression: the epoch stamp must turn a post-append lookup into a

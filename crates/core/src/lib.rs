@@ -11,10 +11,11 @@
 //!   [`ops::intersection`], [`ops::difference`], plus the generalized
 //!   [`ops::event_graph`] parameterized by union/intersection membership
 //!   semantics;
-//! * **Attribute aggregation** (§2.2) — [`aggregate::aggregate`] with
-//!   distinct (DIST) and non-distinct (ALL) weights, the Algorithm-2
-//!   dataframe implementation [`aggregate::aggregate_via_frames`], and the
-//!   static-attribute fast path [`aggregate::aggregate_static_fast`];
+//! * **Attribute aggregation** (§2.2) — distinct (DIST) and non-distinct
+//!   (ALL) weights through [`aggregate::GroupTable::aggregate_masked`]
+//!   (interned group ids under an [`ops::EventMask`], no graph built), with
+//!   the tuple-hashing oracle [`aggregate::aggregate`] and the Algorithm-2
+//!   dataframe implementation [`aggregate::aggregate_via_frames`];
 //! * **Evolution graphs** (§2.3) — [`evolution::EvolutionGraph`]
 //!   classification and [`evolution::evolution_aggregate`] with
 //!   stability/growth/shrinkage weights;

@@ -12,7 +12,7 @@
 //! ([`SideTest::All`]). Definitions 2.3–2.5 are the [`SideTest::Any`]
 //! instances.
 
-use tempo_columnar::{BitMatrix, BitVec, Interner, Value, ValueMatrix};
+use tempo_columnar::{BitMatrix, BitVec, Interner, TransposedBitMatrix, Value, ValueMatrix};
 use tempo_graph::{require_non_empty, GraphError, NodeId, TemporalGraph, TimeSet};
 
 /// How an entity's timestamp is tested against one side interval.
@@ -121,20 +121,30 @@ impl EventMask {
     }
 }
 
-/// Tests one presence-matrix row against a side interval without copying
-/// the row out (word-level AND / superset checks on the packed storage).
-#[inline]
-fn row_member(m: &BitMatrix, r: usize, side: &TimeSet, test: SideTest) -> bool {
-    match test {
-        SideTest::Any => m.row_any(r, side.bits()),
-        SideTest::All => m.row_all(r, side.bits()),
+/// The entities that are members of `side` under `test`, over the
+/// transposed presence index: the OR (`Any`) or AND (`All`) of the side's
+/// time-point columns — one whole-vector pass per point instead of one
+/// row test per entity.
+pub(crate) fn side_members(cols: &TransposedBitMatrix, side: &TimeSet, test: SideTest) -> BitVec {
+    let mut members = BitVec::zeros(cols.source_rows());
+    let mut points = side.iter();
+    if let Some(first) = points.next() {
+        cols.col(first.index()).copy_into(&mut members);
     }
+    for t in points {
+        match test {
+            SideTest::Any => cols.col(t.index()).or_into(&mut members),
+            SideTest::All => cols.col(t.index()).and_assign_into(&mut members),
+        }
+    }
+    members
 }
 
 /// Computes the [`EventMask`] of the §3 event operators for a pair of
 /// intervals under explicit side semantics — the selection half of
 /// [`event_graph`] with no subgraph materialization: membership is decided
-/// row by row against the packed presence matrices.
+/// column-wise against the graph's transposed presence indexes
+/// ([`TemporalGraph::node_presence_columns`], built on first use).
 ///
 /// # Errors
 /// Returns an error if either interval is empty.
@@ -148,26 +158,18 @@ pub fn event_mask(
 ) -> Result<EventMask, GraphError> {
     require_non_empty(told, "𝒯old")?;
     require_non_empty(tnew, "𝒯new")?;
-    let nodes_m = g.node_presence_matrix();
-    let edges_m = g.edge_presence_matrix();
-
     let (keep_nodes, keep_edges, scope) = match event {
         Event::Stability => {
-            let mut keep_nodes = BitVec::zeros(g.n_nodes());
-            for r in 0..g.n_nodes() {
-                if row_member(nodes_m, r, told, old_test) && row_member(nodes_m, r, tnew, new_test)
-                {
-                    keep_nodes.set(r, true);
-                }
-            }
-            let mut keep_edges = BitVec::zeros(g.n_edges());
-            for r in 0..g.n_edges() {
-                if row_member(edges_m, r, told, old_test) && row_member(edges_m, r, tnew, new_test)
-                {
-                    keep_edges.set(r, true);
-                }
-            }
-            (keep_nodes, keep_edges, told.union(tnew))
+            let in_both = |cols: &TransposedBitMatrix| {
+                let mut keep = side_members(cols, told, old_test);
+                keep.and_assign(&side_members(cols, tnew, new_test));
+                keep
+            };
+            (
+                in_both(g.node_presence_columns()),
+                in_both(g.edge_presence_columns()),
+                told.union(tnew),
+            )
         }
         Event::Growth => {
             let (keep_nodes, keep_edges) = difference_masks(g, tnew, new_test, told, old_test);
@@ -195,28 +197,20 @@ fn difference_masks(
     drop_side: &TimeSet,
     drop_test: SideTest,
 ) -> (BitVec, BitVec) {
-    let nodes_m = g.node_presence_matrix();
-    let edges_m = g.edge_presence_matrix();
-    let mut keep_edges = BitVec::zeros(g.n_edges());
+    let (node_cols, edge_cols) = (g.node_presence_columns(), g.edge_presence_columns());
+    let mut keep_edges = side_members(edge_cols, keep_side, keep_test);
+    keep_edges.and_not_assign(&side_members(edge_cols, drop_side, drop_test));
     let mut incident = BitVec::zeros(g.n_nodes());
-    for r in 0..g.n_edges() {
-        if row_member(edges_m, r, keep_side, keep_test)
-            && !row_member(edges_m, r, drop_side, drop_test)
-        {
-            keep_edges.set(r, true);
-            let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(r as u32));
-            incident.set(u.index(), true);
-            incident.set(v.index(), true);
-        }
+    for r in keep_edges.iter_ones() {
+        let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(r as u32));
+        incident.set(u.index(), true);
+        incident.set(v.index(), true);
     }
-    let mut keep_nodes = BitVec::zeros(g.n_nodes());
-    for r in 0..g.n_nodes() {
-        if row_member(nodes_m, r, keep_side, keep_test)
-            && (!row_member(nodes_m, r, drop_side, drop_test) || incident.get(r))
-        {
-            keep_nodes.set(r, true);
-        }
-    }
+    // keep & (!drop | incident)  ==  (keep & !drop) | (keep & incident)
+    let in_keep = side_members(node_cols, keep_side, keep_test);
+    let mut keep_nodes = in_keep.clone();
+    keep_nodes.and_not_assign(&side_members(node_cols, drop_side, drop_test));
+    keep_nodes.or_and_assign(&in_keep, &incident);
     (keep_nodes, keep_edges)
 }
 

@@ -1,6 +1,7 @@
 //! Property-based equivalence of the zero-materialization exploration
 //! kernel with the materializing reference path, on random evolving
-//! graphs: `event_mask` vs `event_graph`, `GroupTable::aggregate_masked`
+//! graphs: the column-wise `event_mask` vs its row-wise oracle and vs
+//! `event_graph`, `GroupTable::aggregate_masked`
 //! vs `aggregate` of the materialized subgraph, `count_distinct` vs
 //! `Selector::count`, `ExploreKernel::evaluate` vs
 //! `evaluate_pair_materialized`, and full `explore` runs vs
@@ -13,9 +14,9 @@ use graphtempo::explore::{
 };
 use graphtempo::ops::{event_graph, event_mask, Event, SideTest};
 use proptest::prelude::*;
-use tempo_columnar::Value;
+use tempo_columnar::{BitMatrix, BitVec, SparseMode, Value};
 use tempo_datagen::RandomGraphConfig;
-use tempo_graph::{AttrId, NodeId, TemporalGraph, TimeSet};
+use tempo_graph::{AttrId, EdgeId, NodeId, TemporalGraph, TimeSet};
 
 /// Strategy: a random evolving graph (same shape as `tests/properties.rs`).
 fn graph_strategy() -> impl Strategy<Value = TemporalGraph> {
@@ -72,6 +73,60 @@ fn attr_sets(g: &TemporalGraph) -> [Vec<AttrId>; 3] {
 const EVENTS: [Event; 3] = [Event::Stability, Event::Growth, Event::Shrinkage];
 const TESTS: [SideTest; 2] = [SideTest::Any, SideTest::All];
 
+/// The row-wise oracle for `event_mask`: membership decided entity by
+/// entity against the row-major presence matrices (what `event_mask` did
+/// before it moved onto the transposed columns). Returns the kept node and
+/// edge rows.
+fn event_mask_rowwise(
+    g: &TemporalGraph,
+    event: Event,
+    told: &TimeSet,
+    tnew: &TimeSet,
+    old_test: SideTest,
+    new_test: SideTest,
+) -> (BitVec, BitVec) {
+    let member = |m: &BitMatrix, r: usize, side: &TimeSet, test: SideTest| match test {
+        SideTest::Any => m.row_any(r, side.bits()),
+        SideTest::All => m.row_all(r, side.bits()),
+    };
+    let (nodes_m, edges_m) = (g.node_presence_matrix(), g.edge_presence_matrix());
+    let mut keep_nodes = BitVec::zeros(g.n_nodes());
+    let mut keep_edges = BitVec::zeros(g.n_edges());
+    // stability keeps members of both sides; a difference keeps members of
+    // `keep` that are not members of `drop`, plus (nodes only) the endpoints
+    // of kept edges that are members of `keep`
+    let (keep, keep_test, drop, drop_test) = match event {
+        Event::Stability => {
+            for r in 0..g.n_nodes() {
+                let both = member(nodes_m, r, told, old_test) && member(nodes_m, r, tnew, new_test);
+                keep_nodes.set(r, both);
+            }
+            for r in 0..g.n_edges() {
+                let both = member(edges_m, r, told, old_test) && member(edges_m, r, tnew, new_test);
+                keep_edges.set(r, both);
+            }
+            return (keep_nodes, keep_edges);
+        }
+        Event::Growth => (tnew, new_test, told, old_test),
+        Event::Shrinkage => (told, old_test, tnew, new_test),
+    };
+    let mut incident = BitVec::zeros(g.n_nodes());
+    for r in 0..g.n_edges() {
+        if member(edges_m, r, keep, keep_test) && !member(edges_m, r, drop, drop_test) {
+            keep_edges.set(r, true);
+            let (u, v) = g.edge_endpoints(EdgeId(r as u32));
+            incident.set(u.index(), true);
+            incident.set(v.index(), true);
+        }
+    }
+    for r in 0..g.n_nodes() {
+        let kept = member(nodes_m, r, keep, keep_test)
+            && (!member(nodes_m, r, drop, drop_test) || incident.get(r));
+        keep_nodes.set(r, kept);
+    }
+    (keep_nodes, keep_edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -97,6 +152,57 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The column-wise mask equals the row-wise oracle bit for bit — every
+    /// event and side-test combination, whole-domain, single-point and
+    /// random sides, dense and sparse columns — and rejects empty sides.
+    #[test]
+    fn event_mask_columnwise_matches_rowwise(
+        g in graph_strategy(), s1 in any::<u64>(), s2 in any::<u64>()
+    ) {
+        let n = g.domain().len();
+        let point = |s: u64| TimeSet::range(n, s as usize % n, s as usize % n);
+        let sides = [interval(n, s1), interval(n, s2), point(s1), point(s2), g.domain().all()];
+        for mode in [SparseMode::ForceDense, SparseMode::ForceSparse] {
+            let mut g = g.clone();
+            g.set_sparse_mode(mode);
+            for event in EVENTS {
+                for told in &sides {
+                    for tnew in &sides {
+                        for old_test in TESTS {
+                            for new_test in TESTS {
+                                let mask =
+                                    event_mask(&g, event, told, tnew, old_test, new_test).unwrap();
+                                let (nodes, edges) =
+                                    event_mask_rowwise(&g, event, told, tnew, old_test, new_test);
+                                prop_assert_eq!(
+                                    mask.keep_nodes(), &nodes,
+                                    "{:?} {:?}/{:?} {:?}", event, old_test, new_test, mode
+                                );
+                                prop_assert_eq!(
+                                    mask.keep_edges(), &edges,
+                                    "{:?} {:?}/{:?} {:?}", event, old_test, new_test, mode
+                                );
+                                let scope = match event {
+                                    Event::Stability => told.union(tnew),
+                                    Event::Growth => tnew.clone(),
+                                    Event::Shrinkage => told.clone(),
+                                };
+                                prop_assert_eq!(mask.scope(), &scope);
+                            }
+                        }
+                    }
+                }
+                let empty = TimeSet::empty(n);
+                prop_assert!(
+                    event_mask(&g, event, &empty, &sides[0], SideTest::Any, SideTest::Any).is_err()
+                );
+                prop_assert!(
+                    event_mask(&g, event, &sides[0], &empty, SideTest::All, SideTest::All).is_err()
+                );
             }
         }
     }

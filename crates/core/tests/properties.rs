@@ -3,13 +3,11 @@
 //! (§4.3), equivalence of the three aggregation implementations, and
 //! equivalence of the pruned exploration strategies with naive enumeration.
 
-use graphtempo::aggregate::{
-    aggregate, aggregate_static_fast, aggregate_via_frames, rollup, AggMode,
-};
+use graphtempo::aggregate::{aggregate, aggregate_via_frames, rollup, AggMode, GroupTable};
 use graphtempo::explore::{explore, explore_naive, ExploreConfig, ExtendSide, Selector, Semantics};
 use graphtempo::materialize::{aggregate_at_point, TimepointStore};
 use graphtempo::ops::{
-    difference, event_graph, intersection, project_point, union, Event, SideTest,
+    difference, event_graph, event_mask, intersection, project_point, union, Event, SideTest,
 };
 use proptest::prelude::*;
 use tempo_datagen::RandomGraphConfig;
@@ -225,8 +223,11 @@ proptest! {
         let kind = kind_attr(&g);
         let level = level_attr(&g);
         for mode in [AggMode::Distinct, AggMode::All] {
-            // static fast path
-            let fast = aggregate_static_fast(&g, &[kind], mode).unwrap();
+            // group ids under the whole-graph mask (static: one id per node)
+            let all = g.domain().all();
+            let whole =
+                event_mask(&g, Event::Stability, &all, &all, SideTest::Any, SideTest::Any).unwrap();
+            let fast = GroupTable::build(&g, &[kind]).aggregate_masked(&g, &whole, mode);
             let slow = aggregate(&g, &[kind], mode);
             prop_assert_eq!(&fast, &slow);
             // Algorithm-2 frames path (mixed static + time-varying)

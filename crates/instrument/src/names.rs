@@ -11,6 +11,8 @@ pub const ALL: &[&str] = &[
     "aggregate.count_distinct.bitmask_fast",
     "aggregate.count_distinct.calls",
     "aggregate.count_distinct.unknown_target",
+    "aggregate.group_table.cache_hits",
+    "aggregate.group_table.cache_misses",
     "aggregate.group_table_build_ns",
     "aggregate.group_tables_built",
     "aggregate.groups_interned",
@@ -54,6 +56,32 @@ pub const ALL: &[&str] = &[
     "materialize.store_build_ns",
     "server.active_connections",
     "server.client_request_ns",
+    "server.cmd.agg_ns",
+    "server.cmd.append_ns",
+    "server.cmd.cube_ns",
+    "server.cmd.diff_ns",
+    "server.cmd.drop_ns",
+    "server.cmd.evolution_ns",
+    "server.cmd.explore_ns",
+    "server.cmd.export_ns",
+    "server.cmd.generate_ns",
+    "server.cmd.help_ns",
+    "server.cmd.intersect_ns",
+    "server.cmd.load_ns",
+    "server.cmd.measure_ns",
+    "server.cmd.metrics_ns",
+    "server.cmd.ping_ns",
+    "server.cmd.project_ns",
+    "server.cmd.save_ns",
+    "server.cmd.schema_ns",
+    "server.cmd.shutdown_ns",
+    "server.cmd.snapshots_ns",
+    "server.cmd.solve_ns",
+    "server.cmd.stats_ns",
+    "server.cmd.suggest_ns",
+    "server.cmd.union_ns",
+    "server.cmd.unknown_ns",
+    "server.cmd.zoom_ns",
     "server.connections",
     "server.errors",
     "server.request_ns",

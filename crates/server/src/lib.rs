@@ -10,7 +10,10 @@
 //!
 //! ## Protocol
 //!
-//! Requests are single lines, `\n`-terminated. Responses are
+//! Requests are single lines, `\n`-terminated, of at most
+//! [`MAX_REQUEST_BYTES`] bytes: a longer line is discarded up to its newline
+//! and answered `ERR too_long`, and the connection stays usable. Responses
+//! are
 //!
 //! ```text
 //! OK <n> [epoch=<e>]\n   followed by exactly n payload lines, or
@@ -52,7 +55,7 @@ use graphtempo_cli::error::CliError;
 use graphtempo_cli::parser::tokenize;
 use graphtempo_cli::patch::parse_patch;
 use graphtempo_cli::{QueryLimits, Session};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -63,6 +66,13 @@ use tempo_graph::{GraphError, GraphVersions};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Longest request line the server buffers, newline excluded. The longest
+/// line a well-behaved client sends is an `append` patch — a few hundred
+/// `edge=`/`tv=` tokens, under 16 KiB in the benchmark's ingest workload —
+/// so 1 MiB leaves two orders of magnitude of headroom while bounding what
+/// one newline-free client can make the server hold.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Ceiling on the per-request `shards=` kwarg. Fragments cost memory and
 /// a spinning worker each, so a hostile request must not be able to ask
@@ -220,6 +230,66 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServiceState>) {
     }
 }
 
+/// What [`RequestLines::next`] found on the wire.
+#[derive(Debug, PartialEq, Eq)]
+enum Incoming {
+    /// A complete line (or the unterminated tail before end of stream) is
+    /// in [`RequestLines::line`].
+    Line,
+    /// A line longer than [`MAX_REQUEST_BYTES`] ended; its bytes were
+    /// dropped as they arrived.
+    TooLong,
+    /// The client closed the connection.
+    Closed,
+}
+
+/// Splits a byte stream into request lines while buffering at most
+/// [`MAX_REQUEST_BYTES`] of any one line. State lives across calls, so a
+/// read that times out mid-line (the shutdown poll) resumes where it
+/// stopped instead of losing the bytes already received.
+#[derive(Debug, Default)]
+struct RequestLines {
+    line: Vec<u8>,
+    /// Inside an over-long line: drop bytes until its newline.
+    discarding: bool,
+}
+
+impl RequestLines {
+    /// Reads up to and including the next `\n`. The caller clears `line`
+    /// once it has handled it.
+    fn next(&mut self, reader: &mut impl BufRead) -> io::Result<Incoming> {
+        loop {
+            let available = reader.fill_buf()?;
+            if available.is_empty() {
+                return Ok(if self.discarding || self.line.is_empty() {
+                    Incoming::Closed
+                } else {
+                    Incoming::Line
+                });
+            }
+            let newline = available.iter().position(|&b| b == b'\n');
+            let chunk = &available[..newline.unwrap_or(available.len())];
+            if !self.discarding {
+                if self.line.len() + chunk.len() > MAX_REQUEST_BYTES {
+                    self.discarding = true;
+                    self.line = Vec::new();
+                } else {
+                    self.line.extend_from_slice(chunk);
+                }
+            }
+            let consumed = chunk.len() + usize::from(newline.is_some());
+            reader.consume(consumed);
+            if newline.is_some() {
+                return Ok(if std::mem::take(&mut self.discarding) {
+                    Incoming::TooLong
+                } else {
+                    Incoming::Line
+                });
+            }
+        }
+    }
+}
+
 fn handle_connection(stream: TcpStream, state: &Arc<ServiceState>) {
     // A short read timeout turns the blocking read loop into a poll so the
     // handler notices shutdown even while a client sits idle.
@@ -229,28 +299,37 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServiceState>) {
     };
     let mut writer = write_half;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut lines = RequestLines::default();
     loop {
         if state.shutting_down() {
             break;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // client closed
-            Ok(_) => {}
+        let (response, shutdown_after) = match lines.next(&mut reader) {
+            Ok(Incoming::Closed) => break,
+            Ok(Incoming::TooLong) => {
+                tempo_instrument::global().counter("server.errors").inc();
+                let msg = format!("too_long: request line exceeds {MAX_REQUEST_BYTES} bytes");
+                (err(&msg), false)
+            }
+            Ok(Incoming::Line) => {
+                let answered = {
+                    let text = String::from_utf8_lossy(&lines.line);
+                    let request = text.trim();
+                    (!request.is_empty()).then(|| handle_request(state, request))
+                };
+                lines.line.clear();
+                match answered {
+                    Some(out) => out,
+                    None => continue,
+                }
+            }
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue;
             }
             Err(_) => break,
-        }
-        let request = line.trim();
-        if request.is_empty() {
-            continue;
-        }
-        let (response, shutdown_after) = handle_request(state, request);
+        };
         if writer.write_all(response.as_bytes()).is_err() {
             break;
         }
@@ -294,6 +373,20 @@ fn payload_lines(text: &str) -> Vec<String> {
     }
 }
 
+/// Commands the server answers itself.
+const SERVER_COMMANDS: &[&str] = &[
+    "ping",
+    "help",
+    "snapshots",
+    "generate",
+    "load",
+    "drop",
+    "zoom",
+    "append",
+    "metrics",
+    "shutdown",
+];
+
 /// Commands the server forwards verbatim to a snapshot-scoped session.
 const SNAPSHOT_COMMANDS: &[&str] = &[
     "stats",
@@ -324,9 +417,15 @@ fn handle_request(state: &Arc<ServiceState>, request: &str) -> (String, bool) {
     let Some(cmd) = tokens.first().map(String::as_str) else {
         return (err("empty request"), false);
     };
-    let _cmd_span = tempo_instrument::global()
-        .histogram(&format!("server.cmd.{cmd}_ns"))
-        .span();
+    // The first token is the client's: only a known command names its own
+    // histogram, so junk tokens cannot grow the process-wide registry.
+    let known = SERVER_COMMANDS.contains(&cmd) || SNAPSHOT_COMMANDS.contains(&cmd);
+    let _cmd_span = if known {
+        tempo_instrument::global().histogram(&format!("server.cmd.{cmd}_ns"))
+    } else {
+        tempo_instrument::global().histogram("server.cmd.unknown_ns")
+    }
+    .span();
     let rest = &tokens[1..];
     let result: Result<(Vec<String>, Option<u64>), CliError> = match cmd {
         "ping" => Ok((vec!["pong".to_owned()], None)),
@@ -614,6 +713,54 @@ mod tests {
         assert_eq!(ok(&["a".into(), "b".into()], None), "OK 2\na\nb\n");
         assert_eq!(ok(&["a".into()], Some(3)), "OK 1 epoch=3\na\n");
         assert_eq!(err("boom\nsecond"), "ERR boom second\n");
+    }
+
+    #[test]
+    fn request_lines_bound_what_they_buffer() {
+        let mut wire = b"ping\r\n".to_vec();
+        wire.extend(std::iter::repeat(b'x').take(MAX_REQUEST_BYTES + 1));
+        wire.extend(b"\nstats g\n");
+        wire.extend(std::iter::repeat(b'y').take(MAX_REQUEST_BYTES));
+        wire.extend(b"\ntail");
+        // a small BufReader forces every line across many fill_buf calls
+        let mut reader = BufReader::with_capacity(64, io::Cursor::new(wire));
+        let mut lines = RequestLines::default();
+        let mut next = |lines: &mut RequestLines| lines.next(&mut reader).expect("cursor reads");
+
+        assert_eq!(next(&mut lines), Incoming::Line);
+        assert_eq!(lines.line, b"ping\r");
+        lines.line.clear();
+        // one byte over the cap: dropped, and nothing of it is retained
+        assert_eq!(next(&mut lines), Incoming::TooLong);
+        assert!(lines.line.is_empty() && lines.line.capacity() == 0);
+        // the stream stays in frame
+        assert_eq!(next(&mut lines), Incoming::Line);
+        assert_eq!(lines.line, b"stats g");
+        lines.line.clear();
+        // exactly the cap is still a line
+        assert_eq!(next(&mut lines), Incoming::Line);
+        assert_eq!(lines.line.len(), MAX_REQUEST_BYTES);
+        lines.line.clear();
+        // an unterminated tail is served before the close
+        assert_eq!(next(&mut lines), Incoming::Line);
+        assert_eq!(lines.line, b"tail");
+        lines.line.clear();
+        assert_eq!(next(&mut lines), Incoming::Closed);
+    }
+
+    #[test]
+    fn every_command_histogram_is_a_registered_name() {
+        for cmd in SERVER_COMMANDS
+            .iter()
+            .chain(SNAPSHOT_COMMANDS)
+            .chain(&["unknown"])
+        {
+            let name = format!("server.cmd.{cmd}_ns");
+            assert!(
+                tempo_instrument::names::is_registered(&name),
+                "{name} missing from names::ALL"
+            );
+        }
     }
 
     #[test]

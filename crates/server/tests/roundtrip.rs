@@ -150,6 +150,29 @@ fn protocol_roundtrip_and_graceful_shutdown() {
     server.join();
 }
 
+/// A newline-free flood must not grow server memory with the line: past
+/// `MAX_REQUEST_BYTES` the bytes are dropped as they arrive, the line is
+/// refused once its newline comes, and the next request is served.
+#[test]
+fn oversized_request_line_is_refused_and_the_connection_survives() {
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+
+    let flood = "x".repeat(4 << 20);
+    assert!(flood.len() > tempo_server::MAX_REQUEST_BYTES);
+    let (status, payload) = c.request(&flood);
+    assert!(status.starts_with("ERR too_long"), "got {status}");
+    assert!(payload.is_empty());
+
+    let (status, payload) = c.request("ping");
+    assert_eq!(
+        (status.as_str(), payload),
+        ("OK 1", vec!["pong".to_owned()])
+    );
+
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_clients_get_identical_answers() {
     let server = spawn(test_config()).expect("spawn server");

@@ -176,13 +176,26 @@ impl AttributeSchema {
     /// Position of a time-varying attribute among the time-varying ones
     /// (used to index per-attribute value matrices).
     pub fn time_varying_slot(&self, id: AttrId) -> Option<usize> {
-        self.time_varying_ids().iter().position(|&i| i == id)
+        self.slot(id, Temporality::TimeVarying)
     }
 
     /// Position of a static attribute among the static ones (used to index
     /// the static table's columns).
     pub fn static_slot(&self, id: AttrId) -> Option<usize> {
-        self.static_ids().iter().position(|&i| i == id)
+        self.slot(id, Temporality::Static)
+    }
+
+    /// How many attributes of `kind` are declared before `id`, when `id` is
+    /// itself of that kind. Allocation-free: `attr_value` resolves a slot
+    /// per call.
+    fn slot(&self, id: AttrId, kind: Temporality) -> Option<usize> {
+        let at = id.0 as usize;
+        (self.attrs.get(at)?.temporality() == kind).then(|| {
+            self.attrs[..at]
+                .iter()
+                .filter(|d| d.temporality() == kind)
+                .count()
+        })
     }
 }
 

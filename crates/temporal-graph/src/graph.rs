@@ -13,6 +13,7 @@
 
 use crate::attrs::{AttrId, AttributeSchema, Temporality};
 use crate::error::GraphError;
+use crate::groups::{GroupColumns, GroupColumnsCache};
 use crate::shards::PresenceShards;
 use crate::time::{TimeDomain, TimePoint, TimeSet};
 use std::collections::HashMap;
@@ -74,6 +75,9 @@ pub struct TemporalGraph {
     /// Lazily built entity-space shard fragments, keyed by shard count and
     /// cached alongside the whole-graph columns (clones share the cache).
     pub(crate) shard_cols: Arc<Mutex<HashMap<usize, Arc<PresenceShards>>>>,
+    /// Lazily built group-id columns, keyed by the ordered attribute list
+    /// (clones share the cache; see [`TemporalGraph::group_columns`]).
+    pub(crate) group_cols: Arc<Mutex<GroupColumnsCache>>,
     /// Monotonic version stamp: `0` for a freshly built graph, bumped by
     /// [`crate::GraphVersions::append_timepoint`] for every published
     /// epoch. Epoch-aware caches downstream compare this on lookup.
@@ -209,6 +213,7 @@ impl TemporalGraph {
             node_cols: OnceLock::new(),
             edge_cols: OnceLock::new(),
             shard_cols: Arc::new(Mutex::new(HashMap::new())),
+            group_cols: Arc::default(),
             epoch: 0,
         };
         g.validate()?;
@@ -514,20 +519,58 @@ impl TemporalGraph {
     }
 
     /// Drops — and, crucially, *un-shares* — every lazily built index
-    /// cache: the `node_cols`/`edge_cols` transposed-presence locks and the
-    /// shard-fragment cache, exactly as
+    /// cache: the `node_cols`/`edge_cols` transposed-presence locks, the
+    /// shard-fragment cache and the group-id columns, exactly as
     /// [`set_sparse_mode`](Self::set_sparse_mode) does on a policy change.
     ///
-    /// A clone shares `shard_cols` through its `Arc`, so every mutation
-    /// seam (the builder and append paths) must call this — or install
-    /// freshly built indexes into fresh locks — before publishing mutated
-    /// matrices; otherwise a mutated clone keeps serving fragments built
-    /// from the pre-mutation data, and inserting new fragments would
-    /// poison the pristine original's cache too.
+    /// A clone shares `shard_cols` and `group_cols` through their `Arc`s,
+    /// so every mutation seam (the builder and append paths) must call
+    /// this — or install freshly built indexes into fresh locks — before
+    /// publishing mutated matrices or attribute tables; otherwise a mutated
+    /// clone keeps serving fragments and group ids built from the
+    /// pre-mutation data, and inserting new ones would poison the pristine
+    /// original's cache too.
     pub(crate) fn invalidate_index_caches(&mut self) {
         self.node_cols = OnceLock::new();
         self.edge_cols = OnceLock::new();
         self.shard_cols = Arc::new(Mutex::new(HashMap::new()));
+        self.group_cols = Arc::default();
+    }
+
+    /// The group-id columns of this snapshot for the ordered attribute list
+    /// `attrs`: built on first use, then shared by every later request on
+    /// the same snapshot (and its clones) until a mutation seam or a new
+    /// [`crate::GraphVersions`] epoch starts from an empty cache.
+    ///
+    /// At most a fixed small number of attribute lists stay cached (least
+    /// recently used evicted), which bounds what permuting `attrs` can pin.
+    /// The build runs outside the cache lock; when two threads miss on the
+    /// same list the first insert wins and both return that entry.
+    ///
+    /// # Panics
+    /// Panics if any id is not from this graph's schema.
+    pub fn group_columns(&self, attrs: &[AttrId]) -> Arc<GroupColumns> {
+        let ins = tempo_instrument::global();
+        let hit = self
+            .group_cols
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(attrs);
+        if let Some(cols) = hit {
+            ins.counter("aggregate.group_table.cache_hits").inc();
+            return cols;
+        }
+        ins.counter("aggregate.group_table.cache_misses").inc();
+        let built = Arc::new(GroupColumns::build(self, attrs));
+        let mut cache = self
+            .group_cols
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(first) = cache.get(attrs) {
+            return first;
+        }
+        cache.insert(attrs, Arc::clone(&built));
+        built
     }
 
     fn build_transposed(&self, m: &BitMatrix) -> TransposedBitMatrix {

@@ -1,0 +1,418 @@
+//! Group-id columns: each node's aggregation tuple interned to a dense
+//! `u32`, per `(graph, ordered attribute list)`.
+//!
+//! This is the third lazily built index on a [`TemporalGraph`], next to the
+//! transposed presence columns and the shard fragments: read queries
+//! (aggregation, evolution, exploration) count group ids into dense
+//! accumulators instead of hashing a heap-allocated [`ValueTuple`] per
+//! appearance. The columns are derived from the attribute tables only, so
+//! they stay valid for as long as the snapshot is immutable; every seam that
+//! publishes changed attribute cells starts from an empty
+//! [`GroupColumnsCache`] (see `seams.rs`).
+
+use crate::attrs::{AttrId, Temporality};
+use crate::graph::TemporalGraph;
+use std::collections::HashMap;
+use std::sync::Arc;
+use tempo_columnar::{Value, ValueMatrix, ValueTuple};
+
+/// Sentinel group id: the node is absent at that time point.
+pub const NO_GROUP: u32 = u32::MAX;
+
+/// Interned attribute-tuple group ids of one `(graph, attrs)` pair.
+///
+/// Group ids are assigned in first-occurrence order (nodes ascending, time
+/// points ascending within a node). When every attribute is static a node
+/// has one id for the whole domain; otherwise one id per present
+/// `(node, time)` cell, laid out `n * nt + t`, with static components
+/// resolved once per node and only time-varying cells read per point.
+///
+/// Immutable after construction and `Sync`: one instance is shared by every
+/// request (and worker thread) that aggregates the snapshot on `attrs`.
+#[derive(Debug)]
+pub struct GroupColumns {
+    attr_names: Vec<String>,
+    /// Group id → attribute tuple.
+    tuples: Vec<ValueTuple>,
+    /// Attribute tuple → group id (for resolving selector targets).
+    index: HashMap<ValueTuple, u32>,
+    nt: usize,
+    /// One gid per node when every aggregation attribute is static.
+    static_gids: Option<Vec<u32>>,
+    /// One gid per (node, time) — `n * nt + t` — otherwise; [`NO_GROUP`]
+    /// where the node is absent.
+    time_gids: Option<Vec<u32>>,
+}
+
+/// Resolved attribute accessor avoiding schema lookups in inner loops.
+enum Resolved<'g> {
+    Static(usize),
+    TimeVarying(&'g ValueMatrix),
+}
+
+fn intern_tuple(
+    index: &mut HashMap<ValueTuple, u32>,
+    tuples: &mut Vec<ValueTuple>,
+    tuple: ValueTuple,
+) -> u32 {
+    if let Some(&gid) = index.get(&tuple) {
+        return gid;
+    }
+    let gid = u32::try_from(tuples.len())
+        .expect("invariant: fewer than u32::MAX distinct tuples (gid is u32)");
+    tuples.push(tuple.clone());
+    index.insert(tuple, gid);
+    gid
+}
+
+impl GroupColumns {
+    /// Builds the group-id columns of `g` for the aggregation attributes
+    /// `attrs`, bypassing the graph's cache (see
+    /// [`TemporalGraph::group_columns`] for the cached form).
+    ///
+    /// # Panics
+    /// Panics if any id is not from `g`'s schema.
+    #[must_use]
+    pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
+        let ins = tempo_instrument::global();
+        let _span = ins.histogram("aggregate.group_table_build_ns").span();
+        let schema = g.schema();
+        let attr_names: Vec<String> = attrs
+            .iter()
+            .map(|&a| schema.def(a).name().to_owned())
+            .collect();
+        let resolved: Vec<Resolved<'_>> = attrs
+            .iter()
+            .map(|&a| match schema.def(a).temporality() {
+                Temporality::Static => Resolved::Static(
+                    schema
+                        .static_slot(a)
+                        .expect("invariant: static attrs have a static slot"),
+                ),
+                Temporality::TimeVarying => Resolved::TimeVarying(
+                    g.tv_table(a)
+                        .expect("invariant: time-varying attrs have a table"),
+                ),
+            })
+            .collect();
+        let nt = g.domain().len();
+        let mut index = HashMap::new();
+        let mut tuples: Vec<ValueTuple> = Vec::new();
+        let statics = g.static_table();
+
+        let all_static = resolved.iter().all(|r| matches!(r, Resolved::Static(_)));
+        let (static_gids, time_gids) = if all_static {
+            // Group ids are assigned in first-occurrence order either way,
+            // so both fast paths below produce the table the naive per-node
+            // intern loop would.
+            let gids = if let [Resolved::Static(slot)] = resolved.as_slice() {
+                // Single static attribute: categorical codes are already
+                // dense interner indexes, so a code-indexed table resolves
+                // each node with one load — no hashing, no tuple allocation
+                // (dominant in exploration kernel builds on large graphs).
+                let mut cat_gids: Vec<u32> = Vec::new();
+                (0..g.n_nodes())
+                    .map(|n| match statics.get(n, *slot) {
+                        Value::Cat(code) => {
+                            let c = *code as usize;
+                            if c >= cat_gids.len() {
+                                cat_gids.resize(c + 1, NO_GROUP);
+                            }
+                            if cat_gids[c] == NO_GROUP {
+                                cat_gids[c] =
+                                    intern_tuple(&mut index, &mut tuples, vec![Value::Cat(*code)]);
+                            }
+                            cat_gids[c]
+                        }
+                        v => intern_tuple(&mut index, &mut tuples, vec![v.clone()]),
+                    })
+                    .collect()
+            } else {
+                // Multi-attribute: probe with a reused scratch tuple
+                // (`Vec<Value>: Borrow<[Value]>`), allocating only on the
+                // first occurrence of a tuple.
+                let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
+                (0..g.n_nodes())
+                    .map(|n| {
+                        scratch.clear();
+                        for r in &resolved {
+                            match r {
+                                Resolved::Static(slot) => {
+                                    scratch.push(statics.get(n, *slot).clone());
+                                }
+                                Resolved::TimeVarying(_) => {
+                                    unreachable!("all attrs static")
+                                }
+                            }
+                        }
+                        if let Some(&gid) = index.get(scratch.as_slice()) {
+                            gid
+                        } else {
+                            intern_tuple(&mut index, &mut tuples, scratch.clone())
+                        }
+                    })
+                    .collect()
+            };
+            (Some(gids), None)
+        } else {
+            let mut gids = vec![NO_GROUP; g.n_nodes() * nt];
+            for n in 0..g.n_nodes() {
+                // static components once per node, time-varying per point
+                let template: ValueTuple = resolved
+                    .iter()
+                    .map(|r| match r {
+                        Resolved::Static(slot) => statics.get(n, *slot).clone(),
+                        Resolved::TimeVarying(_) => Value::Null,
+                    })
+                    .collect();
+                for t in g.node_presence_matrix().iter_row_ones(n) {
+                    let mut tuple = template.clone();
+                    for (cell, r) in tuple.iter_mut().zip(&resolved) {
+                        if let Resolved::TimeVarying(tbl) = r {
+                            *cell = tbl.get(n, t).clone();
+                        }
+                    }
+                    gids[n * nt + t] = intern_tuple(&mut index, &mut tuples, tuple);
+                }
+            }
+            (None, Some(gids))
+        };
+
+        ins.counter("aggregate.group_tables_built").inc();
+        ins.counter("aggregate.groups_interned")
+            .add(tuples.len() as u64);
+        let cols = GroupColumns {
+            attr_names,
+            tuples,
+            index,
+            nt,
+            static_gids,
+            time_gids,
+        };
+        debug_assert_eq!(cols.check_invariants(), Ok(()));
+        cols
+    }
+
+    /// Validates the interning bijection: `tuples[gid]` and the reverse
+    /// `index` map must agree in both directions, and every stored gid
+    /// (static or time-varying) must be [`NO_GROUP`] or a valid tuple index.
+    /// Checked via `debug_assert!` at the end of [`build`](Self::build);
+    /// compiled out of release builds.
+    ///
+    /// # Errors
+    /// Returns a description of the first violated invariant.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.index.len() != self.tuples.len() {
+            return Err(format!(
+                "interning index holds {} tuples, dense table holds {}",
+                self.index.len(),
+                self.tuples.len()
+            ));
+        }
+        for (gid, tuple) in self.tuples.iter().enumerate() {
+            match self.index.get(tuple) {
+                Some(&g) if g as usize == gid => {}
+                Some(&g) => {
+                    return Err(format!(
+                        "tuple {tuple:?} stored at gid {gid} but indexed as {g}"
+                    ));
+                }
+                None => {
+                    return Err(format!("tuple {tuple:?} at gid {gid} missing from index"));
+                }
+            }
+        }
+        let n_groups = self.tuples.len() as u32;
+        let check_gids = |gids: &[u32], what: &str| -> Result<(), String> {
+            for (i, &g) in gids.iter().enumerate() {
+                if g != NO_GROUP && g >= n_groups {
+                    return Err(format!(
+                        "{what} slot {i} holds gid {g}, but only {n_groups} groups exist"
+                    ));
+                }
+            }
+            Ok(())
+        };
+        if let Some(gids) = &self.static_gids {
+            check_gids(gids, "static")?;
+        }
+        if let Some(gids) = &self.time_gids {
+            check_gids(gids, "time-varying")?;
+        }
+        Ok(())
+    }
+
+    /// Names of the aggregation attributes, in tuple order.
+    pub fn attr_names(&self) -> &[String] {
+        &self.attr_names
+    }
+
+    /// The attribute tuples, indexed by group id.
+    pub fn tuples(&self) -> &[ValueTuple] {
+        &self.tuples
+    }
+
+    /// Group id of an attribute tuple, if it occurs anywhere in the graph.
+    pub fn lookup(&self, tuple: &[Value]) -> Option<u32> {
+        self.index.get(tuple).copied()
+    }
+
+    /// One group id per node, when every aggregation attribute is static.
+    #[inline]
+    pub fn static_gids(&self) -> Option<&[u32]> {
+        self.static_gids.as_deref()
+    }
+
+    /// Group id of node `n` at time `t` in the time-varying layout
+    /// ([`NO_GROUP`] where the node is absent).
+    ///
+    /// # Panics
+    /// Panics if every attribute is static (use
+    /// [`static_gids`](Self::static_gids)) or the cell is out of range.
+    #[inline]
+    pub fn time_gid(&self, n: usize, t: usize) -> u32 {
+        self.time_gids
+            .as_ref()
+            .expect("invariant: time_gids built for schemas with time-varying attrs")
+            [n * self.nt + t]
+    }
+}
+
+/// How many attribute lists a graph keeps group-id columns for. Ordered
+/// lists are `k!` many and a time-varying entry holds `nodes × points × 4`
+/// bytes, so the cap is what bounds the memory a client can pin on a
+/// snapshot by permuting `attrs=`.
+pub(crate) const GROUP_CACHE_CAP: usize = 8;
+
+/// The per-graph cache behind [`TemporalGraph::group_columns`]: at most
+/// [`GROUP_CACHE_CAP`] entries keyed by the ordered attribute list, most
+/// recently used first.
+#[derive(Debug, Default)]
+pub(crate) struct GroupColumnsCache {
+    entries: Vec<(Vec<AttrId>, Arc<GroupColumns>)>,
+}
+
+impl GroupColumnsCache {
+    /// The entry for `attrs`, moved to the front.
+    pub(crate) fn get(&mut self, attrs: &[AttrId]) -> Option<Arc<GroupColumns>> {
+        let i = self.entries.iter().position(|(k, _)| k == attrs)?;
+        self.entries[..=i].rotate_right(1);
+        Some(Arc::clone(&self.entries[0].1))
+    }
+
+    /// Inserts `cols` at the front, evicting the least recently used entry
+    /// beyond the cap.
+    pub(crate) fn insert(&mut self, attrs: &[AttrId], cols: Arc<GroupColumns>) {
+        self.entries.insert(0, (attrs.to_vec(), cols));
+        self.entries.truncate(GROUP_CACHE_CAP);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::fig1;
+    use crate::{GraphVersions, TimepointPatch};
+
+    fn attrs(g: &TemporalGraph) -> (AttrId, AttrId) {
+        (
+            g.schema().id("gender").unwrap(),
+            g.schema().id("publications").unwrap(),
+        )
+    }
+
+    #[test]
+    fn layouts_follow_attribute_temporality() {
+        let g = fig1();
+        let (gender, pubs) = attrs(&g);
+        let by_gender = GroupColumns::build(&g, &[gender]);
+        assert_eq!(by_gender.static_gids().map(<[u32]>::len), Some(g.n_nodes()));
+        assert_eq!(by_gender.tuples().len(), 2); // m, f
+        let mixed = GroupColumns::build(&g, &[gender, pubs]);
+        assert!(mixed.static_gids().is_none());
+        // u1 is male with 3 publications at t0, and absent at t2
+        let u1 = g.node_id("u1").unwrap().index();
+        let m = g.schema().category(gender, "m").unwrap();
+        let gid = mixed.time_gid(u1, 0);
+        assert_eq!(mixed.tuples()[gid as usize], vec![m.clone(), Value::Int(3)]);
+        assert_eq!(mixed.lookup(&[m, Value::Int(3)]), Some(gid));
+        assert_eq!(mixed.time_gid(u1, 2), NO_GROUP);
+        assert_eq!(mixed.attr_names(), ["gender", "publications"]);
+    }
+
+    #[test]
+    fn cache_hit_returns_the_same_arc() {
+        let g = fig1();
+        let (gender, pubs) = attrs(&g);
+        let first = g.group_columns(&[gender, pubs]);
+        assert!(Arc::ptr_eq(&first, &g.group_columns(&[gender, pubs])));
+        // the key is the ordered list: tuples come out in another order
+        let swapped = g.group_columns(&[pubs, gender]);
+        assert!(!Arc::ptr_eq(&first, &swapped));
+        assert_eq!(swapped.attr_names(), ["publications", "gender"]);
+        // an untouched clone carries the snapshot's data, so it shares
+        assert!(Arc::ptr_eq(
+            &first,
+            &g.clone().group_columns(&[gender, pubs])
+        ));
+    }
+
+    #[test]
+    fn mutated_clone_and_new_epoch_miss() {
+        let g = fig1();
+        let (gender, pubs) = attrs(&g);
+        let warm = g.group_columns(&[gender]);
+
+        let mut c = g.clone();
+        c.invalidate_index_caches();
+        assert!(!Arc::ptr_eq(&warm, &c.group_columns(&[gender])));
+        let _ = c.group_columns(&[pubs]);
+        // the clone's builds did not reach the original's cache
+        assert!(Arc::ptr_eq(&warm, &g.group_columns(&[gender])));
+        assert_eq!(g.group_cols.lock().unwrap().len(), 1);
+
+        // a new epoch starts empty, and sees the cell the patch rewrote
+        let u1 = g.node_id("u1").unwrap().index();
+        let f = g.schema().category(gender, "f").unwrap();
+        let mut versions = GraphVersions::new(g);
+        let mut patch = TimepointPatch::new("t3");
+        patch.set_static("u1", gender, f.clone());
+        let next = versions.append_timepoint(&patch).unwrap();
+        assert_eq!(next.group_cols.lock().unwrap().len(), 0);
+        let fresh = next.group_columns(&[gender]);
+        assert!(!Arc::ptr_eq(&warm, &fresh));
+        let gid = |cols: &GroupColumns| cols.static_gids().unwrap()[u1];
+        assert_ne!(warm.lookup(std::slice::from_ref(&f)), Some(gid(&warm)));
+        assert_eq!(fresh.lookup(&[f]), Some(gid(&fresh)));
+    }
+
+    #[test]
+    fn cache_is_capped_and_evicts_the_least_recently_used() {
+        let g = fig1();
+        let (gender, pubs) = attrs(&g);
+        // distinct ordered lists: gender, then 1..=CAP publications
+        let list = |k: usize| {
+            let mut l = vec![gender];
+            l.extend(std::iter::repeat(pubs).take(k));
+            l
+        };
+        let oldest = g.group_columns(&list(1));
+        let kept = g.group_columns(&list(2));
+        for k in 3..=GROUP_CACHE_CAP {
+            let _ = g.group_columns(&list(k));
+        }
+        assert_eq!(g.group_cols.lock().unwrap().len(), GROUP_CACHE_CAP);
+        // touch `oldest`, so `kept` is now the least recently used …
+        assert!(Arc::ptr_eq(&oldest, &g.group_columns(&list(1))));
+        // … and one more list evicts it
+        let _ = g.group_columns(&list(GROUP_CACHE_CAP + 1));
+        assert_eq!(g.group_cols.lock().unwrap().len(), GROUP_CACHE_CAP);
+        assert!(Arc::ptr_eq(&oldest, &g.group_columns(&list(1))));
+        assert!(!Arc::ptr_eq(&kept, &g.group_columns(&list(2))));
+    }
+}

@@ -38,6 +38,7 @@ mod builder;
 mod error;
 pub mod fixtures;
 mod graph;
+mod groups;
 pub mod io;
 pub mod metrics;
 pub mod seams;
@@ -50,6 +51,7 @@ pub use attrs::{AttrDef, AttrId, AttributeSchema, Temporality};
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{EdgeId, NodeId, TemporalGraph};
+pub use groups::{GroupColumns, NO_GROUP};
 pub use shards::PresenceShards;
 pub use stats::{attr_domain_size_at, GraphStats};
 pub use time::{require_non_empty, Interval, TimeDomain, TimePoint, TimeSet};

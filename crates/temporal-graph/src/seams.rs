@@ -1,6 +1,12 @@
 //! Cache-seam registry: the closed list of functions allowed to mutate
 //! presence matrices without calling `invalidate_index_caches()`.
 //!
+//! A [`crate::TemporalGraph`] carries three lazily built indexes derived
+//! from its data: the transposed presence columns, the shard fragments, and
+//! the group-id columns (`groups.rs`, derived from the *attribute tables*
+//! and keyed by the ordered attribute list). `invalidate_index_caches()`
+//! drops and un-shares all three.
+//!
 //! The workspace `cache-seam` lint (`tempo-lint`) flags any function in
 //! this crate that touches `node_presence`/`edge_presence` mutators
 //! (`set`, `push_empty_row`, `push_col`, `widen`) without invalidating the
@@ -10,6 +16,13 @@
 //! append path carries caches forward explicitly. The lint reads this file
 //! as data: it extracts the string literals below, so every exempt function
 //! must be named here *and* the list stays reviewable in one place.
+//!
+//! Attribute cells have the same two seams and no others, because the
+//! tables are `pub(crate)` and nothing mutates them in place on a built
+//! graph: the builder (`from_graph` consumes the graph, `build` assembles a
+//! new one with empty caches) and `append_timepoint`, which may rewrite
+//! static cells and so gives the next epoch an *empty* group-id cache
+//! rather than carrying one forward.
 
 /// Functions exempt from the `cache-seam` lint, with why each is safe.
 ///

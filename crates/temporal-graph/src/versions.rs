@@ -23,9 +23,9 @@
 //!   per-column dense/sparse re-selection under the graph's
 //!   [`SparseMode`] — instead of re-transposing all `T` columns;
 //! * every lazily built cache that cannot be carried forward (the
-//!   entity-space shard fragments) is un-shared, so no reader of an older
-//!   epoch ever observes post-append data and no stale fragment survives
-//!   into the new epoch.
+//!   entity-space shard fragments and the group-id columns) is un-shared,
+//!   so no reader of an older epoch ever observes post-append data and no
+//!   stale fragment or group id survives into the new epoch.
 //!
 //! Total per-append cost is `O(V + E + Δ)` — independent of `T` — where
 //! `Δ` is the patch size; `exp_ingest` benches exactly this.
@@ -425,6 +425,10 @@ impl GraphVersions {
             // epoch's builds invisible to them (the clone-shared-cache
             // bug `invalidate_index_caches` exists for).
             shard_cols: Arc::new(Mutex::new(HashMap::new())),
+            // Group ids cannot be carried forward either: the patch may
+            // rewrite static cells, and the `n * nt + t` layout of the
+            // time-varying columns does not extend by a point.
+            group_cols: Arc::default(),
             epoch: g.epoch.wrapping_add(1),
         };
         debug_assert_eq!(next.validate().map_err(|e| e.to_string()), Ok(()));

@@ -20,8 +20,7 @@ pub use tempo_graph;
 pub mod prelude {
     pub use graphtempo::{
         aggregate::{
-            aggregate, aggregate_filtered, aggregate_static_fast, aggregate_via_frames, rollup,
-            AggMode, AggregateGraph,
+            aggregate, aggregate_filtered, aggregate_via_frames, rollup, AggMode, AggregateGraph,
         },
         cube::{GraphCube, Level},
         evolution::{evolution_aggregate, EvolutionClass, EvolutionGraph},
