@@ -11,9 +11,11 @@ pub const ALL: &[&str] = &[
     "aggregate.count_distinct.bitmask_fast",
     "aggregate.count_distinct.calls",
     "aggregate.count_distinct.unknown_target",
+    "aggregate.group_table.cache_extends",
     "aggregate.group_table.cache_hits",
     "aggregate.group_table.cache_misses",
     "aggregate.group_table_build_ns",
+    "aggregate.group_table_extend_ns",
     "aggregate.group_tables_built",
     "aggregate.groups_interned",
     "columnar.presence.dense_cols",

@@ -718,9 +718,9 @@ mod tests {
     #[test]
     fn request_lines_bound_what_they_buffer() {
         let mut wire = b"ping\r\n".to_vec();
-        wire.extend(std::iter::repeat(b'x').take(MAX_REQUEST_BYTES + 1));
+        wire.extend(std::iter::repeat_n(b'x', MAX_REQUEST_BYTES + 1));
         wire.extend(b"\nstats g\n");
-        wire.extend(std::iter::repeat(b'y').take(MAX_REQUEST_BYTES));
+        wire.extend(std::iter::repeat_n(b'y', MAX_REQUEST_BYTES));
         wire.extend(b"\ntail");
         // a small BufReader forces every line across many fill_buf calls
         let mut reader = BufReader::with_capacity(64, io::Cursor::new(wire));

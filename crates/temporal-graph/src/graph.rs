@@ -13,7 +13,7 @@
 
 use crate::attrs::{AttrId, AttributeSchema, Temporality};
 use crate::error::GraphError;
-use crate::groups::{GroupColumns, GroupColumnsCache};
+use crate::groups::{CachedColumns, GroupColumns, GroupColumnsCache};
 use crate::shards::PresenceShards;
 use crate::time::{TimeDomain, TimePoint, TimeSet};
 use std::collections::HashMap;
@@ -539,8 +539,11 @@ impl TemporalGraph {
 
     /// The group-id columns of this snapshot for the ordered attribute list
     /// `attrs`: built on first use, then shared by every later request on
-    /// the same snapshot (and its clones) until a mutation seam or a new
-    /// [`crate::GraphVersions`] epoch starts from an empty cache.
+    /// the same snapshot (and its clones) until a mutation seam starts from
+    /// an empty cache. A [`crate::GraphVersions`] epoch inherits the lists
+    /// of the epoch before it and extends each by the appended cells on
+    /// first use, unless the patch rewrote a static cell of an existing
+    /// node, in which case it starts empty as well.
     ///
     /// At most a fixed small number of attribute lists stay cached (least
     /// recently used evicted), which bounds what permuting `attrs` can pin.
@@ -551,22 +554,30 @@ impl TemporalGraph {
     /// Panics if any id is not from this graph's schema.
     pub fn group_columns(&self, attrs: &[AttrId]) -> Arc<GroupColumns> {
         let ins = tempo_instrument::global();
-        let hit = self
+        let found = self
             .group_cols
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get(attrs);
-        if let Some(cols) = hit {
-            ins.counter("aggregate.group_table.cache_hits").inc();
-            return cols;
-        }
-        ins.counter("aggregate.group_table.cache_misses").inc();
-        let built = Arc::new(GroupColumns::build(self, attrs));
+        let built = match found {
+            Some(CachedColumns::Ready(cols)) => {
+                ins.counter("aggregate.group_table.cache_hits").inc();
+                return cols;
+            }
+            Some(CachedColumns::Earlier(base)) => {
+                ins.counter("aggregate.group_table.cache_extends").inc();
+                Arc::new(base.extended(self, attrs))
+            }
+            None => {
+                ins.counter("aggregate.group_table.cache_misses").inc();
+                Arc::new(GroupColumns::build(self, attrs))
+            }
+        };
         let mut cache = self
             .group_cols
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(first) = cache.get(attrs) {
+        if let Some(CachedColumns::Ready(first)) = cache.get(attrs) {
             return first;
         }
         cache.insert(attrs, Arc::clone(&built));

@@ -50,6 +50,24 @@ enum Resolved<'g> {
     TimeVarying(&'g ValueMatrix),
 }
 
+fn resolve<'g>(g: &'g TemporalGraph, attrs: &[AttrId]) -> Vec<Resolved<'g>> {
+    let schema = g.schema();
+    attrs
+        .iter()
+        .map(|&a| match schema.def(a).temporality() {
+            Temporality::Static => Resolved::Static(
+                schema
+                    .static_slot(a)
+                    .expect("invariant: static attrs have a static slot"),
+            ),
+            Temporality::TimeVarying => Resolved::TimeVarying(
+                g.tv_table(a)
+                    .expect("invariant: time-varying attrs have a table"),
+            ),
+        })
+        .collect()
+}
+
 fn intern_tuple(
     index: &mut HashMap<ValueTuple, u32>,
     tuples: &mut Vec<ValueTuple>,
@@ -81,20 +99,7 @@ impl GroupColumns {
             .iter()
             .map(|&a| schema.def(a).name().to_owned())
             .collect();
-        let resolved: Vec<Resolved<'_>> = attrs
-            .iter()
-            .map(|&a| match schema.def(a).temporality() {
-                Temporality::Static => Resolved::Static(
-                    schema
-                        .static_slot(a)
-                        .expect("invariant: static attrs have a static slot"),
-                ),
-                Temporality::TimeVarying => Resolved::TimeVarying(
-                    g.tv_table(a)
-                        .expect("invariant: time-varying attrs have a table"),
-                ),
-            })
-            .collect();
+        let resolved = resolve(g, attrs);
         let nt = g.domain().len();
         let mut index = HashMap::new();
         let mut tuples: Vec<ValueTuple> = Vec::new();
@@ -183,6 +188,75 @@ impl GroupColumns {
             .add(tuples.len() as u64);
         let cols = GroupColumns {
             attr_names,
+            tuples,
+            index,
+            nt,
+            static_gids,
+            time_gids,
+        };
+        debug_assert_eq!(cols.check_invariants(), Ok(()));
+        cols
+    }
+
+    /// Carries columns built on an earlier epoch of `g`'s history forward
+    /// to `g`: the old cells are copied into the wider `n * nt + t` layout
+    /// (group ids are kept, so the copy is plain `u32`s) and only the cells
+    /// of the appended time points and nodes are interned.
+    ///
+    /// Sound only while every cell the old columns were derived from is
+    /// unchanged in `g`: appends add points and nodes, and
+    /// `append_timepoint` drops the cache instead of carrying it when a
+    /// patch rewrites a static cell of an existing node. New tuples take
+    /// the next free ids, so ids need not match a from-scratch
+    /// [`build`](Self::build) — no consumer depends on their order.
+    pub(crate) fn extended(&self, g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
+        let ins = tempo_instrument::global();
+        let _span = ins.histogram("aggregate.group_table_extend_ns").span();
+        let resolved = resolve(g, attrs);
+        let statics = g.static_table();
+        let (nt_old, nt) = (self.nt, g.domain().len());
+        let n_nodes = g.n_nodes();
+        debug_assert!(nt_old <= nt);
+        let mut index = self.index.clone();
+        let mut tuples = self.tuples.clone();
+        let mut cell = |n: usize, t: usize| {
+            let tuple: ValueTuple = resolved
+                .iter()
+                .map(|r| match r {
+                    Resolved::Static(slot) => statics.get(n, *slot).clone(),
+                    Resolved::TimeVarying(tbl) => tbl.get(n, t).clone(),
+                })
+                .collect();
+            intern_tuple(&mut index, &mut tuples, tuple)
+        };
+        let static_gids = self.static_gids.as_ref().map(|old| {
+            debug_assert!(old.len() <= n_nodes);
+            let mut gids = old.clone();
+            gids.extend((old.len()..n_nodes).map(|n| cell(n, 0)));
+            gids
+        });
+        let time_gids = self.time_gids.as_ref().map(|old| {
+            let mut gids = Vec::with_capacity(n_nodes * nt);
+            if nt_old > 0 {
+                for old_row in old.chunks_exact(nt_old) {
+                    gids.extend_from_slice(old_row);
+                    gids.resize(gids.len() + (nt - nt_old), NO_GROUP);
+                }
+            }
+            // a node added since is absent at every old point
+            gids.resize(n_nodes * nt, NO_GROUP);
+            let presence = g.node_presence_matrix();
+            for t in nt_old..nt {
+                for n in 0..n_nodes {
+                    if presence.get(n, t) {
+                        gids[n * nt + t] = cell(n, t);
+                    }
+                }
+            }
+            gids
+        });
+        let cols = GroupColumns {
+            attr_names: self.attr_names.clone(),
             tuples,
             index,
             nt,
@@ -284,27 +358,53 @@ impl GroupColumns {
 /// snapshot by permuting `attrs=`.
 pub(crate) const GROUP_CACHE_CAP: usize = 8;
 
+/// What the cache holds for one attribute list.
+#[derive(Clone, Debug)]
+pub(crate) enum CachedColumns {
+    /// Columns of this snapshot.
+    Ready(Arc<GroupColumns>),
+    /// Columns of an earlier epoch, to be [`GroupColumns::extended`] to
+    /// this snapshot on first use.
+    Earlier(Arc<GroupColumns>),
+}
+
 /// The per-graph cache behind [`TemporalGraph::group_columns`]: at most
 /// [`GROUP_CACHE_CAP`] entries keyed by the ordered attribute list, most
 /// recently used first.
 #[derive(Debug, Default)]
 pub(crate) struct GroupColumnsCache {
-    entries: Vec<(Vec<AttrId>, Arc<GroupColumns>)>,
+    entries: Vec<(Vec<AttrId>, CachedColumns)>,
 }
 
 impl GroupColumnsCache {
     /// The entry for `attrs`, moved to the front.
-    pub(crate) fn get(&mut self, attrs: &[AttrId]) -> Option<Arc<GroupColumns>> {
+    pub(crate) fn get(&mut self, attrs: &[AttrId]) -> Option<CachedColumns> {
         let i = self.entries.iter().position(|(k, _)| k == attrs)?;
         self.entries[..=i].rotate_right(1);
-        Some(Arc::clone(&self.entries[0].1))
+        Some(self.entries[0].1.clone())
     }
 
-    /// Inserts `cols` at the front, evicting the least recently used entry
-    /// beyond the cap.
+    /// Puts `cols` at the front as the entry for `attrs`, evicting the
+    /// least recently used entry beyond the cap.
     pub(crate) fn insert(&mut self, attrs: &[AttrId], cols: Arc<GroupColumns>) {
-        self.entries.insert(0, (attrs.to_vec(), cols));
+        self.entries.retain(|(k, _)| k != attrs);
+        self.entries
+            .insert(0, (attrs.to_vec(), CachedColumns::Ready(cols)));
         self.entries.truncate(GROUP_CACHE_CAP);
+    }
+
+    /// The cache the next epoch starts from when the append left every old
+    /// cell as it was: the same lists in the same order, each to be
+    /// extended on first use.
+    pub(crate) fn carried_forward(&self) -> GroupColumnsCache {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(k, CachedColumns::Ready(c) | CachedColumns::Earlier(c))| {
+                (k.clone(), CachedColumns::Earlier(Arc::clone(c)))
+            })
+            .collect();
+        GroupColumnsCache { entries }
     }
 
     #[cfg(test)]
@@ -318,6 +418,7 @@ mod tests {
     use super::*;
     use crate::fixtures::fig1;
     use crate::{GraphVersions, TimepointPatch};
+    use std::collections::HashSet;
 
     fn attrs(g: &TemporalGraph) -> (AttrId, AttrId) {
         (
@@ -376,7 +477,8 @@ mod tests {
         assert!(Arc::ptr_eq(&warm, &g.group_columns(&[gender])));
         assert_eq!(g.group_cols.lock().unwrap().len(), 1);
 
-        // a new epoch starts empty, and sees the cell the patch rewrote
+        // a patch that rewrites a static cell of an existing node starts the
+        // next epoch empty, so it sees the new cell
         let u1 = g.node_id("u1").unwrap().index();
         let f = g.schema().category(gender, "f").unwrap();
         let mut versions = GraphVersions::new(g);
@@ -391,6 +493,63 @@ mod tests {
         assert_eq!(fresh.lookup(&[f]), Some(gid(&fresh)));
     }
 
+    /// The tuple of every (node, point) cell, `None` where absent.
+    fn decoded(g: &TemporalGraph, cols: &GroupColumns) -> Vec<Option<ValueTuple>> {
+        let nt = g.domain().len();
+        (0..g.n_nodes() * nt)
+            .map(|i| {
+                let gid = match cols.static_gids() {
+                    Some(gids) => gids[i / nt],
+                    None => cols.time_gid(i / nt, i % nt),
+                };
+                (gid != NO_GROUP).then(|| cols.tuples()[gid as usize].clone())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_append_extends_the_previous_epochs_columns() {
+        let g = fig1();
+        let (gender, pubs) = attrs(&g);
+        let lists: [&[AttrId]; 3] = [&[gender], &[pubs], &[gender, pubs]];
+        let warm: Vec<_> = lists.iter().map(|l| g.group_columns(l)).collect();
+        let f = g.schema().category(gender, "f").unwrap();
+
+        let first = Arc::new(g);
+        let mut versions = GraphVersions::from_arc(Arc::clone(&first));
+        // a new node, a new (gender, publications) tuple for an old one
+        let mut patch = TimepointPatch::new("t3");
+        patch.set_static("u9", gender, f);
+        patch.set_time_varying("u9", pubs, Value::Int(7));
+        patch.set_time_varying("u1", pubs, Value::Int(41));
+        patch.add_edge("u1", "u9");
+        let second = versions.append_timepoint(&patch).unwrap();
+        // nothing is read at the second epoch: the third extends by two points
+        let mut patch = TimepointPatch::new("t4");
+        patch.set_time_varying("u2", pubs, Value::Int(7));
+        let third = versions.append_timepoint(&patch).unwrap();
+
+        for next in [&third, &second] {
+            assert_eq!(next.group_cols.lock().unwrap().len(), lists.len());
+            for (list, old) in lists.iter().zip(&warm) {
+                let cols = next.group_columns(list);
+                assert!(!Arc::ptr_eq(&cols, old));
+                assert!(Arc::ptr_eq(&cols, &next.group_columns(list)));
+                assert_eq!(cols.check_invariants(), Ok(()));
+                let fresh = GroupColumns::build(next, list);
+                assert_eq!(decoded(next, &cols), decoded(next, &fresh));
+                let set = |c: &GroupColumns| -> HashSet<ValueTuple> {
+                    c.tuples().iter().cloned().collect()
+                };
+                assert_eq!(set(&cols), set(&fresh));
+            }
+        }
+        // the first epoch still serves its own columns
+        for (list, old) in lists.iter().zip(&warm) {
+            assert!(Arc::ptr_eq(old, &first.group_columns(list)));
+        }
+    }
+
     #[test]
     fn cache_is_capped_and_evicts_the_least_recently_used() {
         let g = fig1();
@@ -398,7 +557,7 @@ mod tests {
         // distinct ordered lists: gender, then 1..=CAP publications
         let list = |k: usize| {
             let mut l = vec![gender];
-            l.extend(std::iter::repeat(pubs).take(k));
+            l.extend(std::iter::repeat_n(pubs, k));
             l
         };
         let oldest = g.group_columns(&list(1));

@@ -20,9 +20,12 @@
 //! Attribute cells have the same two seams and no others, because the
 //! tables are `pub(crate)` and nothing mutates them in place on a built
 //! graph: the builder (`from_graph` consumes the graph, `build` assembles a
-//! new one with empty caches) and `append_timepoint`, which may rewrite
-//! static cells and so gives the next epoch an *empty* group-id cache
-//! rather than carrying one forward.
+//! new one with empty caches) and `append_timepoint`. An append leaves
+//! every old cell as it was unless its patch sets a static value of a node
+//! the previous epoch already had, so the next epoch gets a group-id cache
+//! of its own holding the previous epoch's columns as bases to extend by
+//! the appended cells — and an *empty* one when a static cell was
+//! rewritten.
 
 /// Functions exempt from the `cache-seam` lint, with why each is safe.
 ///

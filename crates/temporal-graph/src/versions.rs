@@ -22,10 +22,16 @@
 //!   [`TransposedBitMatrix::push_col`] for the new timepoint — with
 //!   per-column dense/sparse re-selection under the graph's
 //!   [`SparseMode`] — instead of re-transposing all `T` columns;
-//! * every lazily built cache that cannot be carried forward (the
-//!   entity-space shard fragments and the group-id columns) is un-shared,
-//!   so no reader of an older epoch ever observes post-append data and no
-//!   stale fragment or group id survives into the new epoch.
+//! * the group-id columns are carried forward as *bases*: the new epoch's
+//!   cache (un-shared from the old one) names the previous epoch's columns,
+//!   and the first request per attribute list extends them by the appended
+//!   cells instead of re-interning the whole history — unless the patch
+//!   rewrote a static cell of an existing node, which starts the cache
+//!   empty;
+//! * the entity-space shard fragments cannot be carried forward and start
+//!   from a fresh, un-shared cache, so no reader of an older epoch ever
+//!   observes post-append data and no stale fragment survives into the new
+//!   epoch.
 //!
 //! Total per-append cost is `O(V + E + Δ)` — independent of `T` — where
 //! `Δ` is the patch size; `exp_ingest` benches exactly this.
@@ -268,6 +274,9 @@ impl GraphVersions {
                 &mut tv_tables,
             ));
         }
+        // A static cell of a node the previous epoch already had: group
+        // ids derived from the old cells no longer hold.
+        let mut rewrote_static = false;
         for (name, attr, value) in &patch.statics {
             let slot =
                 schema
@@ -283,6 +292,7 @@ impl GraphVersions {
                 &mut static_table,
                 &mut tv_tables,
             );
+            rewrote_static |= (row as usize) < g.n_nodes();
             static_table.set(row as usize, slot, value.clone());
         }
         for (name, attr, value) in &patch.tv_values {
@@ -425,10 +435,18 @@ impl GraphVersions {
             // epoch's builds invisible to them (the clone-shared-cache
             // bug `invalidate_index_caches` exists for).
             shard_cols: Arc::new(Mutex::new(HashMap::new())),
-            // Group ids cannot be carried forward either: the patch may
-            // rewrite static cells, and the `n * nt + t` layout of the
-            // time-varying columns does not extend by a point.
-            group_cols: Arc::default(),
+            // Group ids of old cells stay valid unless the patch rewrote
+            // one of the static cells they were derived from; the new
+            // epoch's own cache names the old columns as bases to extend.
+            group_cols: if rewrote_static {
+                Arc::default()
+            } else {
+                let prev = g
+                    .group_cols
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                Arc::new(Mutex::new(prev.carried_forward()))
+            },
             epoch: g.epoch.wrapping_add(1),
         };
         debug_assert_eq!(next.validate().map_err(|e| e.to_string()), Ok(()));
