@@ -2,9 +2,7 @@
 //! U-/I-Explore vs naive enumeration of every interval pair.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use graphtempo::explore::{
-    explore, explore_naive, explore_parallel, ExploreConfig, ExtendSide, Selector, Semantics,
-};
+use graphtempo::explore::{explore, explore_naive, ExploreConfig, ExtendSide, Selector, Semantics};
 use graphtempo::ops::Event;
 use std::sync::OnceLock;
 use tempo_bench::datasets::{attrs, dblp};
@@ -64,9 +62,6 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(format!("naive/{name}"), |b| {
             b.iter(|| explore_naive(g, &cfg).expect("naive"))
-        });
-        group.bench_function(format!("parallel4/{name}"), |b| {
-            b.iter(|| explore_parallel(g, &cfg, 4).expect("parallel explore"))
         });
     }
     group.finish();

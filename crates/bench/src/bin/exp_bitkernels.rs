@@ -1,19 +1,19 @@
 //! Bit-kernel raw-speed study: per-primitive microbenchmarks of the
 //! word-parallel kernels and sparse-column folds, plus the end-to-end
-//! chain-exploration ablation of the hybrid dense/sparse presence columns
+//! exploration ablation of the hybrid dense/sparse presence columns
 //! against the all-dense layout, on the million-node `large` preset across
 //! a density sweep. Writes `BENCH_bitkernels.json`.
 //!
-//! The PR 5 baseline arm forces all-dense presence columns (the pre-hybrid
-//! column layout) driving the mask-materializing cursor (the pre-fusion
-//! evaluation path), so `geomean_vs_pr5_baseline` is the per-evaluation
-//! speedup of this PR's tentpole with pruning, dataset and kernel build
-//! held fixed. A tiny-pool oracle pass additionally checks both column
-//! modes bit-for-bit against the materializing evaluator.
+//! Both arms run [`explore`] — the one production path — and differ only
+//! in the graph's [`SparseMode`], so `geomean_hybrid_over_dense` is the
+//! contribution of the column layout with pruning and dataset held fixed.
+//! A tiny-pool oracle pass additionally checks both column modes
+//! bit-for-bit against naive enumeration through the materializing
+//! evaluator.
 
 use graphtempo::explore::{
-    explore, explore_materializing, explore_prepared, explore_prepared_masked, suggest_k,
-    ExploreConfig, ExploreKernel, ExploreOutcome, ExtendSide, Selector, Semantics,
+    explore, explore_naive, suggest_k, ExploreConfig, ExploreOutcome, ExtendSide, Selector,
+    Semantics,
 };
 use graphtempo::ops::Event;
 use tempo_bench::datasets::{attrs, scale};
@@ -162,48 +162,29 @@ fn all_cases(g: &TemporalGraph) -> Vec<ExploreConfig> {
     out
 }
 
-/// Per-case measurement of one column mode: exploration outcome plus the
-/// fused (counting-cursor) and masked (mask-materializing cursor, the
-/// pre-fusion evaluation path) wall times.
+/// Per-case measurement of one column mode.
 struct CaseRun {
     cfg: ExploreConfig,
     outcome: ExploreOutcome,
-    fused_s: f64,
-    masked_s: f64,
+    explore_s: f64,
 }
 
 /// Generates the `large` graph with the given column representation forced
 /// explicitly on the graph (per-graph state, no environment involved),
-/// then runs every case through both evaluation paths over a kernel built
-/// once outside the timed region — so the times measure chain exploration
-/// itself, not group-table interning.
+/// then runs every case through [`explore`].
 fn run_mode(density: f64, force: SparseMode) -> (TemporalGraph, Vec<CaseRun>) {
     let mut g = LargeConfig::scaled(scale())
         .with_density(density)
         .generate()
         .expect("large generator produces a valid graph");
     g.set_sparse_mode(force);
-    let cases = all_cases(&g);
-    let mut out = Vec::with_capacity(cases.len());
-    for cfg in cases {
-        let kernel = ExploreKernel::new(&g, &cfg);
-        let (outcome, fused_t) =
-            timed_min(REPS, || explore_prepared(&kernel).expect("fused explore"));
-        let (masked, masked_t) = timed_min(REPS, || {
-            explore_prepared_masked(&kernel).expect("masked explore")
-        });
-        assert_eq!(
-            outcome.pairs,
-            masked.pairs,
-            "fused and masked evaluation must be bit-identical ({})",
-            case_label(&cfg)
-        );
-        assert_eq!(outcome.evaluations, masked.evaluations);
+    let mut out = Vec::new();
+    for cfg in all_cases(&g) {
+        let (outcome, t) = timed_min(REPS, || explore(&g, &cfg).expect("explore"));
         out.push(CaseRun {
             cfg,
             outcome,
-            fused_s: secs(fused_t),
-            masked_s: secs(masked_t),
+            explore_s: secs(t),
         });
     }
     (g, out)
@@ -221,16 +202,10 @@ fn case_label(cfg: &ExploreConfig) -> String {
     )
 }
 
-/// End-to-end chain-exploration ablation at one density. The PR 5 baseline
-/// arm is all-dense columns driving the mask-materializing cursor — the
-/// exact per-evaluation path before this PR (the group-table build is
-/// excluded from every arm alike, so the comparison is conservative). The
-/// two intermediate arms isolate each contribution: fused counting with
-/// dense columns (kernel fusion alone) and the hybrid column pick with
-/// fused counting (column layout on top). All arms are asserted
-/// bit-identical.
+/// End-to-end exploration ablation at one density: all-dense presence
+/// columns against the hybrid per-column pick, asserted bit-identical.
 fn end_to_end(density: f64) -> (Json, f64) {
-    println!("\n== end-to-end chain exploration, density {density} ==");
+    println!("\n== end-to-end exploration, density {density} ==");
     let (gd, dense) = run_mode(density, SparseMode::ForceDense);
     let (gh, hybrid) = run_mode(density, SparseMode::Auto);
     assert_eq!(
@@ -254,13 +229,11 @@ fn end_to_end(density: f64) -> (Json, f64) {
         gh.edge_presence_columns().n_cols()
     );
     println!(
-        "   {:<34} {:>6} {:>9} {:>9} {:>9} {:>8} {:>8}",
-        "case", "evals", "pr5(s)", "fused(s)", "hybrid(s)", "fuse", "total"
+        "   {:<34} {:>6} {:>9} {:>9} {:>8}",
+        "case", "evals", "dense(s)", "hybrid(s)", "hyb/den"
     );
     let mut entries = Vec::new();
-    let mut logs_total = Vec::new();
-    let mut logs_fuse = Vec::new();
-    let mut logs_cols = Vec::new();
+    let mut logs = Vec::new();
     for (d, h) in dense.iter().zip(&hybrid) {
         assert_eq!(d.cfg.k, h.cfg.k, "modes must run identical configurations");
         assert_eq!(
@@ -270,22 +243,15 @@ fn end_to_end(density: f64) -> (Json, f64) {
             case_label(&d.cfg)
         );
         assert_eq!(d.outcome.evaluations, h.outcome.evaluations);
-        let clamp = f64::EPSILON;
-        let fuse = d.masked_s / d.fused_s.max(clamp); // fused kernels, columns fixed
-        let cols = d.fused_s / h.fused_s.max(clamp); // hybrid columns, fusion fixed
-        let total = d.masked_s / h.fused_s.max(clamp); // this PR vs PR 5 path
-        logs_fuse.push(fuse.ln());
-        logs_cols.push(cols.ln());
-        logs_total.push(total.ln());
+        let speedup = d.explore_s / h.explore_s.max(f64::EPSILON);
+        logs.push(speedup.ln());
         println!(
-            "   {:<34} {:>6} {:>9.4} {:>9.4} {:>9.4} {:>7.2}x {:>7.2}x",
+            "   {:<34} {:>6} {:>9.4} {:>9.4} {:>7.2}x",
             case_label(&d.cfg),
             d.outcome.evaluations,
-            d.masked_s,
-            d.fused_s,
-            h.fused_s,
-            fuse,
-            total
+            d.explore_s,
+            h.explore_s,
+            speedup
         );
         entries.push(Json::Obj(vec![
             ("case".into(), Json::str(case_label(&d.cfg))),
@@ -295,23 +261,13 @@ fn end_to_end(density: f64) -> (Json, f64) {
                 Json::Int(d.outcome.evaluations as u64),
             ),
             ("pairs".into(), Json::Int(d.outcome.pairs.len() as u64)),
-            ("pr5_dense_masked_s".into(), Json::Num(d.masked_s)),
-            ("dense_fused_s".into(), Json::Num(d.fused_s)),
-            ("hybrid_fused_s".into(), Json::Num(h.fused_s)),
-            ("hybrid_masked_s".into(), Json::Num(h.masked_s)),
-            ("speedup_fused_over_masked".into(), Json::Num(fuse)),
-            ("speedup_hybrid_over_dense".into(), Json::Num(cols)),
-            ("speedup_vs_pr5_baseline".into(), Json::Num(total)),
+            ("dense_s".into(), Json::Num(d.explore_s)),
+            ("hybrid_s".into(), Json::Num(h.explore_s)),
+            ("speedup_hybrid_over_dense".into(), Json::Num(speedup)),
         ]));
     }
-    let geomean = |logs: &[f64]| (logs.iter().sum::<f64>() / logs.len().max(1) as f64).exp();
-    let gm_total = geomean(&logs_total);
-    let gm_fuse = geomean(&logs_fuse);
-    let gm_cols = geomean(&logs_cols);
-    println!(
-        "   density {density} geomeans: fused/masked {gm_fuse:.2}x, hybrid/dense {gm_cols:.2}x, \
-         vs PR5 baseline {gm_total:.2}x"
-    );
+    let geomean = (logs.iter().sum::<f64>() / logs.len().max(1) as f64).exp();
+    println!("   density {density} geomean hybrid/dense {geomean:.2}x");
     (
         Json::Obj(vec![
             ("density".into(), Json::Num(density)),
@@ -326,17 +282,15 @@ fn end_to_end(density: f64) -> (Json, f64) {
                 "sparse_edge_cols".into(),
                 Json::Int(sparse_edge_cols as u64),
             ),
-            ("geomean_fused_over_masked".into(), Json::Num(gm_fuse)),
-            ("geomean_hybrid_over_dense".into(), Json::Num(gm_cols)),
-            ("geomean_vs_pr5_baseline".into(), Json::Num(gm_total)),
+            ("geomean_hybrid_over_dense".into(), Json::Num(geomean)),
             ("cases".into(), Json::Arr(entries)),
         ]),
-        gm_total,
+        geomean,
     )
 }
 
-/// Tiny-pool oracle pass: both column modes must agree with the
-/// materializing evaluator pair-for-pair (the oracle is O(rows) per
+/// Tiny-pool oracle pass: both column modes must agree with naive
+/// enumeration pair-for-pair (the oracle materializes an event graph per
 /// evaluation, so it only runs at a pool size where that is affordable).
 fn oracle_check() -> Json {
     println!("\n== oracle check (tiny pool) ==");
@@ -347,11 +301,11 @@ fn oracle_check() -> Json {
         g.set_sparse_mode(force);
         for cfg in all_cases(&g) {
             let fast = explore(&g, &cfg).expect("explore");
-            let oracle = explore_materializing(&g, &cfg).expect("materializing explore");
+            let oracle = explore_naive(&g, &cfg).expect("naive explore");
             assert_eq!(
                 fast.pairs,
                 oracle.pairs,
-                "{force:?} mode must match the materializing oracle ({})",
+                "{force:?} mode must match the naive oracle ({})",
                 case_label(&cfg)
             );
             checked += 1;
@@ -375,24 +329,16 @@ fn main() {
         sweeps.push(entry);
     }
     let oracle = oracle_check();
-    println!("\nbest geomean speedup vs the PR 5 baseline across densities: {best_gm:.2}x");
+    println!("\nbest geomean hybrid-over-dense speedup across densities: {best_gm:.2}x");
 
     let report = Json::Obj(vec![
         ("experiment".into(), Json::str("bitkernels")),
         ("dataset".into(), Json::str("large_synthetic")),
         ("scale".into(), Json::Num(scale())),
         ("reps".into(), Json::Int(REPS as u64)),
-        (
-            "pr5_baseline".into(),
-            Json::str(
-                "all-dense presence columns driving the mask-materializing chain cursor \
-                 (the per-evaluation path before this PR), kernel build excluded from \
-                 every arm",
-            ),
-        ),
         ("microbench".into(), micro),
         ("end_to_end".into(), Json::Arr(sweeps)),
-        ("best_geomean_vs_pr5_baseline".into(), Json::Num(best_gm)),
+        ("best_geomean_hybrid_over_dense".into(), Json::Num(best_gm)),
         ("oracle_check".into(), oracle),
         (
             "metrics".into(),

@@ -1,19 +1,14 @@
 //! Exploration pruning study (§3, implicit in the paper): evaluations and
 //! wall-clock time of the monotonicity-pruned strategies versus naive
-//! enumeration of every interval pair, across all twelve Table-1 cases —
-//! plus the three-way ablation of the evaluation paths (chain-incremental
-//! cursor vs per-pair kernel vs materializing oracle) and the entity-space
-//! sharding arm (sharded vs chain-parallel at an equal thread budget,
-//! `GRAPHTEMPO_SHARDS` shards, asserted bit-identical), written to
-//! `BENCH_explore_kernel.json`.
+//! enumeration of every interval pair, across all twelve Table-1 cases.
+//! Every case asserts that the pruned answer equals the naive one.
 
 use graphtempo::explore::{
-    explore, explore_materializing, explore_naive, explore_pairwise, explore_parallel,
-    explore_sharded_parallel, suggest_k, ExploreConfig, ExtendSide, Selector, Semantics,
+    explore, explore_naive, suggest_k, ExploreConfig, ExtendSide, Selector, Semantics,
 };
 use graphtempo::ops::Event;
-use tempo_bench::datasets::{attrs, dblp, scale};
-use tempo_bench::report::{metrics_json, secs, timed, timed_min, Json};
+use tempo_bench::datasets::{attrs, dblp};
+use tempo_bench::report::{secs, timed};
 use tempo_graph::TemporalGraph;
 
 fn all_cases(g: &TemporalGraph, selector: &Selector) -> Vec<ExploreConfig> {
@@ -41,38 +36,26 @@ fn all_cases(g: &TemporalGraph, selector: &Selector) -> Vec<ExploreConfig> {
     out
 }
 
-fn case_name(cfg: &ExploreConfig) -> (String, String, &'static str) {
-    (
-        format!("{:?}", cfg.event),
-        format!("{:?}", cfg.extend),
-        match cfg.semantics {
-            Semantics::Union => "union",
-            Semantics::Intersection => "intersection",
-        },
-    )
-}
-
 fn pruning_study(g: &TemporalGraph, cases: &[ExploreConfig]) {
     println!(
-        "{:<12} {:<6} {:<4} {:>4} {:>8} {:>8} {:>9} {:>9} {:>9} {:>6}",
-        "event", "extend", "sem", "k", "evals", "naive", "time(s)", "par4(s)", "naive(s)", "same"
+        "{:<12} {:<6} {:<4} {:>4} {:>8} {:>8} {:>9} {:>9} {:>6}",
+        "event", "extend", "sem", "k", "evals", "naive", "time(s)", "naive(s)", "same"
     );
     for cfg in cases {
-        let (event, extend, sem) = case_name(cfg);
         let (fast, fast_t) = timed(|| explore(g, cfg).expect("explore"));
-        let (par, par_t) = timed(|| explore_parallel(g, cfg, 4).expect("parallel"));
-        assert_eq!(par.pairs, fast.pairs, "parallel must match sequential");
         let (slow, slow_t) = timed(|| explore_naive(g, cfg).expect("naive"));
         println!(
-            "{:<12} {:<6} {:<4} {:>4} {:>8} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>6}",
-            event,
-            extend,
-            if sem == "union" { "∪" } else { "∩" },
+            "{:<12} {:<6} {:<4} {:>4} {:>8} {:>8} {:>9.3} {:>9.3} {:>6}",
+            format!("{:?}", cfg.event),
+            format!("{:?}", cfg.extend),
+            match cfg.semantics {
+                Semantics::Union => "∪",
+                Semantics::Intersection => "∩",
+            },
             cfg.k,
             fast.evaluations,
             slow.evaluations,
             secs(fast_t),
-            secs(par_t),
             secs(slow_t),
             fast.pairs == slow.pairs
         );
@@ -80,214 +63,10 @@ fn pruning_study(g: &TemporalGraph, cases: &[ExploreConfig]) {
     }
 }
 
-/// Ablates the three evaluation paths with pruning behavior held fixed
-/// (identical pair enumeration, identical `evaluations` counts): the
-/// chain-incremental cursor (`explore`), the per-pair kernel
-/// (`explore_pairwise`), and the materializing oracle
-/// (`explore_materializing`). Returns the report.
-fn kernel_ablation(g: &TemporalGraph, cases: &[ExploreConfig]) -> Json {
-    const REPS: usize = 3;
-    println!(
-        "\n{:<12} {:<6} {:<13} {:>4} {:>8} {:>10} {:>10} {:>10} {:>8} {:>8}",
-        "event",
-        "extend",
-        "semantics",
-        "k",
-        "evals",
-        "chain(s)",
-        "kernel(s)",
-        "mater.(s)",
-        "ch/kern",
-        "ch/mat"
-    );
-    let mut entries = Vec::new();
-    let mut log_vs_pairwise = Vec::new();
-    let mut log_vs_materializing = Vec::new();
-    for cfg in cases {
-        let (event, extend, sem) = case_name(cfg);
-        let (chained, chain_t) = timed_min(REPS, || explore(g, cfg).expect("chain explore"));
-        let (pairwise, pair_t) =
-            timed_min(REPS, || explore_pairwise(g, cfg).expect("pairwise explore"));
-        let (slow, slow_t) = timed_min(REPS, || {
-            explore_materializing(g, cfg).expect("materializing explore")
-        });
-        assert_eq!(chained.pairs, pairwise.pairs, "cursor must match kernel");
-        assert_eq!(chained.pairs, slow.pairs, "cursor must match materializing");
-        assert_eq!(
-            chained.evaluations, pairwise.evaluations,
-            "all evaluators share the pruning strategies, so the number of \
-             pair evaluations must be identical"
-        );
-        assert_eq!(chained.evaluations, slow.evaluations);
-        let evals = chained.evaluations.max(1) as f64;
-        let chain_us = secs(chain_t) * 1e6 / evals;
-        let kernel_us = secs(pair_t) * 1e6 / evals;
-        let mater_us = secs(slow_t) * 1e6 / evals;
-        let vs_pairwise = secs(pair_t) / secs(chain_t).max(f64::EPSILON);
-        let vs_materializing = secs(slow_t) / secs(chain_t).max(f64::EPSILON);
-        log_vs_pairwise.push(vs_pairwise.ln());
-        log_vs_materializing.push(vs_materializing.ln());
-        println!(
-            "{:<12} {:<6} {:<13} {:>4} {:>8} {:>10.4} {:>10.4} {:>10.4} {:>7.2}x {:>7.2}x",
-            event,
-            extend,
-            sem,
-            cfg.k,
-            chained.evaluations,
-            secs(chain_t),
-            secs(pair_t),
-            secs(slow_t),
-            vs_pairwise,
-            vs_materializing
-        );
-        entries.push(Json::Obj(vec![
-            ("event".into(), Json::str(&event)),
-            ("extend".into(), Json::str(&extend)),
-            ("semantics".into(), Json::str(sem)),
-            ("k".into(), Json::Int(cfg.k)),
-            ("evaluations".into(), Json::Int(chained.evaluations as u64)),
-            ("pairs".into(), Json::Int(chained.pairs.len() as u64)),
-            ("chain_s".into(), Json::Num(secs(chain_t))),
-            ("pairwise_s".into(), Json::Num(secs(pair_t))),
-            ("materializing_s".into(), Json::Num(secs(slow_t))),
-            ("chain_us_per_eval".into(), Json::Num(chain_us)),
-            ("pairwise_us_per_eval".into(), Json::Num(kernel_us)),
-            ("materializing_us_per_eval".into(), Json::Num(mater_us)),
-            ("speedup_chain_vs_pairwise".into(), Json::Num(vs_pairwise)),
-            (
-                "speedup_chain_vs_materializing".into(),
-                Json::Num(vs_materializing),
-            ),
-        ]));
-    }
-    let geomean = |logs: &[f64]| (logs.iter().sum::<f64>() / logs.len().max(1) as f64).exp();
-    let gm_pairwise = geomean(&log_vs_pairwise);
-    let gm_materializing = geomean(&log_vs_materializing);
-    println!("\ngeomean chain-incremental speedup over per-pair kernel: {gm_pairwise:.2}x");
-    println!("geomean chain-incremental speedup over materializing path: {gm_materializing:.2}x");
-    Json::Obj(vec![
-        ("experiment".into(), Json::str("explore_kernel_ablation")),
-        ("dataset".into(), Json::str("dblp_synthetic")),
-        ("scale".into(), Json::Num(scale())),
-        ("reps".into(), Json::Int(REPS as u64)),
-        ("timepoints".into(), Json::Int(g.domain().len() as u64)),
-        ("nodes".into(), Json::Int(g.n_nodes() as u64)),
-        ("edges".into(), Json::Int(g.n_edges() as u64)),
-        ("geomean_chain_vs_pairwise".into(), Json::Num(gm_pairwise)),
-        (
-            "geomean_chain_vs_materializing".into(),
-            Json::Num(gm_materializing),
-        ),
-        ("cases".into(), Json::Arr(entries)),
-    ])
-}
-
-/// Shard count for the sharded arm (`GRAPHTEMPO_SHARDS`, default 4;
-/// 1 forces the degenerate unsharded delegate for ablation).
-fn shard_count() -> usize {
-    std::env::var("GRAPHTEMPO_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-        .max(1)
-}
-
-/// Ablates entity-space sharding against chain-only parallelism at an
-/// equal thread budget: `explore_sharded_parallel` (shards × chain
-/// groups) versus `explore_parallel` (chains only), both asserted
-/// bit-identical to the sequential chain path. Returns the report
-/// section.
-fn sharded_ablation(g: &TemporalGraph, cases: &[ExploreConfig]) -> Json {
-    const REPS: usize = 3;
-    let shards = shard_count();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let threads = cores.max(shards);
-    println!(
-        "\nsharded arm: {shards} shards, {threads} threads, {cores} cores\n\
-         {:<12} {:<6} {:<13} {:>4} {:>8} {:>10} {:>10} {:>8}",
-        "event", "extend", "semantics", "k", "evals", "chainpar(s)", "sharded(s)", "sh/cp"
-    );
-    let mut entries = Vec::new();
-    let mut log_speedups = Vec::new();
-    for cfg in cases {
-        let (event, extend, sem) = case_name(cfg);
-        let seq = explore(g, cfg).expect("chain explore");
-        let (par, par_t) = timed_min(REPS, || {
-            explore_parallel(g, cfg, threads).expect("chain-parallel explore")
-        });
-        let (sh, sh_t) = timed_min(REPS, || {
-            explore_sharded_parallel(g, cfg, shards, threads).expect("sharded explore")
-        });
-        assert_eq!(par.pairs, seq.pairs, "chain-parallel must match chain");
-        assert_eq!(sh.pairs, seq.pairs, "sharded must match chain");
-        assert_eq!(sh.evaluations, seq.evaluations);
-        let speedup = secs(par_t) / secs(sh_t).max(f64::EPSILON);
-        log_speedups.push(speedup.ln());
-        println!(
-            "{:<12} {:<6} {:<13} {:>4} {:>8} {:>10.4} {:>10.4} {:>7.2}x",
-            event,
-            extend,
-            sem,
-            cfg.k,
-            sh.evaluations,
-            secs(par_t),
-            secs(sh_t),
-            speedup
-        );
-        entries.push(Json::Obj(vec![
-            ("event".into(), Json::str(&event)),
-            ("extend".into(), Json::str(&extend)),
-            ("semantics".into(), Json::str(sem)),
-            ("k".into(), Json::Int(cfg.k)),
-            ("evaluations".into(), Json::Int(sh.evaluations as u64)),
-            ("pairs".into(), Json::Int(sh.pairs.len() as u64)),
-            ("chain_parallel_s".into(), Json::Num(secs(par_t))),
-            ("sharded_s".into(), Json::Num(secs(sh_t))),
-            (
-                "speedup_sharded_vs_chain_parallel".into(),
-                Json::Num(speedup),
-            ),
-        ]));
-    }
-    let geomean = (log_speedups.iter().sum::<f64>() / log_speedups.len().max(1) as f64).exp();
-    println!("geomean sharded speedup over chain-parallel: {geomean:.2}x");
-    Json::Obj(vec![
-        ("shards".into(), Json::Int(shards as u64)),
-        ("threads".into(), Json::Int(threads as u64)),
-        ("cores".into(), Json::Int(cores as u64)),
-        ("reps".into(), Json::Int(REPS as u64)),
-        (
-            "geomean_sharded_vs_chain_parallel".into(),
-            Json::Num(geomean),
-        ),
-        ("cases".into(), Json::Arr(entries)),
-    ])
-}
-
 fn main() {
     let g = dblp();
     let gender = attrs(&g, &["gender"])[0];
     let f = g.schema().category(gender, "f").expect("category");
     let selector = Selector::edge_1attr(f.clone(), f);
-    let cases = all_cases(&g, &selector);
-
-    pruning_study(&g, &cases);
-    // reset so the report's `metrics` section covers exactly the ablation
-    tempo_instrument::global().reset();
-    let report = kernel_ablation(&g, &cases);
-    let Json::Obj(mut fields) = report else {
-        unreachable!("kernel_ablation returns an object")
-    };
-    fields.push(("sharded".into(), sharded_ablation(&g, &cases)));
-    fields.push((
-        "metrics".into(),
-        metrics_json(&tempo_instrument::global().snapshot()),
-    ));
-    let report = Json::Obj(fields);
-
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_explore_kernel.json".to_owned());
-    std::fs::write(&path, report.render()).expect("write ablation report");
-    println!("wrote {path}");
+    pruning_study(&g, &all_cases(&g, &selector));
 }

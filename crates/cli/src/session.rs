@@ -5,8 +5,7 @@ use crate::parser::{kwarg, parse_interval, split_kwargs, tokenize};
 use graphtempo::aggregate::{AggMode, AggregateGraph, GroupTable};
 use graphtempo::evolution::{evolution_aggregate, EvolutionAggregate};
 use graphtempo::explore::{
-    explore_budgeted, explore_sharded_budgeted, suggest_k, Budget, ExploreConfig, ExtendSide,
-    Selector, Semantics,
+    explore_budgeted, suggest_k, Budget, ExploreConfig, ExtendSide, Selector, Semantics,
 };
 use graphtempo::export::{aggregate_edges_frame, aggregate_nodes_frame, aggregate_to_dot};
 use graphtempo::ops::{event_mask, Event, EventMask, SideTest};
@@ -58,9 +57,10 @@ pub struct QueryLimits {
     /// are truncated with a trailing note (and counted in the
     /// `server.rows_truncated` metric).
     pub max_rows: Option<usize>,
-    /// Entity-space shard count for `explore`: values above 1 route the
-    /// run through the sharded evaluator (bit-identical to the unsharded
-    /// path); `None` or `Some(1)` keep the plain chain engine.
+    /// Inert: nothing reads it. The sharded evaluator it used to select
+    /// is gone, but the frozen `benchmark/src/layers.rs` names the field in
+    /// a struct literal, so it stays until the next `[benchmark]` issue
+    /// removes it together with that literal.
     pub shards: Option<usize>,
 }
 
@@ -531,10 +531,7 @@ impl Session {
             Some(ms) => Budget::unlimited().with_deadline_ms(ms),
             None => Budget::unlimited(),
         };
-        let out = match self.limits.shards {
-            Some(s) if s > 1 => explore_sharded_budgeted(g, &cfg, s, &budget)?,
-            _ => explore_budgeted(g, &cfg, &budget)?,
-        };
+        let out = explore_budgeted(g, &cfg, &budget)?;
         let kind = match semantics {
             Semantics::Union => "minimal",
             Semantics::Intersection => "maximal",
@@ -1181,43 +1178,6 @@ mod tests {
             .exec("explore event=stability semantics=union extend=new k=1 attrs=kind")
             .unwrap();
         assert!(!out.contains("more rows"));
-    }
-
-    #[test]
-    fn snapshot_session_shard_limit_routes_sharded_explore() {
-        let base = ready();
-        let snap = base.graph_arc().unwrap();
-        let line = "explore event=stability semantics=union extend=new k=1 attrs=kind";
-        let mut plain = Session::for_snapshot(Arc::clone(&snap), QueryLimits::default());
-        let expected = plain.exec(line).unwrap();
-        // the sharded route is bit-identical, so the rendering matches too
-        let mut sharded = Session::for_snapshot(
-            Arc::clone(&snap),
-            QueryLimits {
-                shards: Some(4),
-                ..QueryLimits::default()
-            },
-        );
-        assert_eq!(sharded.exec(line).unwrap(), expected);
-        // shards=1 keeps the plain engine and agrees as well
-        sharded.set_limits(QueryLimits {
-            shards: Some(1),
-            ..QueryLimits::default()
-        });
-        assert_eq!(sharded.exec(line).unwrap(), expected);
-        // budget checkpoints still fire inside sharded evaluation
-        let mut timed = Session::for_snapshot(
-            snap,
-            QueryLimits {
-                timeout_ms: Some(0),
-                shards: Some(4),
-                ..QueryLimits::default()
-            },
-        );
-        assert!(matches!(
-            timed.exec(line),
-            Err(CliError::Graph(tempo_graph::GraphError::Cancelled(_)))
-        ));
     }
 
     #[test]

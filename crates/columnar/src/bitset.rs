@@ -18,29 +18,6 @@ fn words_for(bits: usize) -> usize {
     bits.div_ceil(WORD_BITS)
 }
 
-/// Partitions `0..len` into exactly `shards` contiguous ranges whose
-/// interior boundaries are multiples of 64, so each range covers whole
-/// packed words and a per-shard [`BitVec`] fragment can be sliced without
-/// any bit shifting ([`BitVec::slice_aligned`],
-/// [`BitMatrix::transposed_rows_with`]).
-///
-/// The first shards each span `ceil(len / shards)` rounded up to a word
-/// boundary; trailing shards may be empty when `shards` exceeds
-/// `len / 64` (legal: an empty fragment contributes zero to every count).
-/// Ranges are returned as half-open `(lo, hi)` pairs covering `0..len`
-/// exactly, in order.
-///
-/// # Panics
-/// Panics if `shards` is zero.
-#[must_use]
-pub fn shard_ranges(len: usize, shards: usize) -> Vec<(usize, usize)> {
-    assert!(shards > 0, "shard_ranges requires at least one shard");
-    let per = len.div_ceil(shards).div_ceil(WORD_BITS).max(1) * WORD_BITS;
-    (0..shards)
-        .map(|s| ((s * per).min(len), ((s + 1) * per).min(len)))
-        .collect()
-}
-
 /// Unrolled word-parallel kernels shared by [`BitVec`] and [`BitMatrix`].
 ///
 /// Every hot ternary primitive routes through these loops, which process
@@ -423,52 +400,6 @@ impl BitVec {
             }
         }
         v
-    }
-
-    /// Copies the bit range `lo..hi` into a new vector of `hi - lo` bits.
-    ///
-    /// `lo` must be word-aligned (a multiple of 64) so the copy is a plain
-    /// word-range `memcpy` with a tail mask — the form produced by
-    /// [`shard_ranges`], used to slice whole-entity-space target masks into
-    /// per-shard fragments.
-    ///
-    /// # Panics
-    /// Panics if `lo` is not a multiple of 64 or `lo..hi` is not a valid
-    /// subrange of `0..len()`.
-    #[must_use]
-    pub fn slice_aligned(&self, lo: usize, hi: usize) -> BitVec {
-        assert!(
-            (lo.is_multiple_of(WORD_BITS) || lo == hi) && lo <= hi && hi <= self.nbits,
-            "slice_aligned range {lo}..{hi} invalid for {} bits",
-            self.nbits
-        );
-        let w0 = lo / WORD_BITS;
-        let mut out = BitVec {
-            nbits: hi - lo,
-            words: self.words[w0..w0 + words_for(hi - lo)].to_vec(),
-        };
-        out.clear_tail();
-        out.debug_validate();
-        out
-    }
-
-    /// Overwrites this vector's contents from pre-packed words (one `u64`
-    /// per 64 bits, little-endian bit order, exactly `len().div_ceil(64)`
-    /// entries). Bits beyond `len()` in the final word are masked off, so
-    /// callers may hand over raw gather buffers without tail hygiene.
-    ///
-    /// # Panics
-    /// Panics if `words` does not hold exactly the backing word count.
-    pub fn copy_from_words(&mut self, words: &[u64]) {
-        assert_eq!(
-            words.len(),
-            self.words.len(),
-            "word count mismatch for {} bits",
-            self.nbits
-        );
-        self.words.copy_from_slice(words);
-        self.clear_tail();
-        self.debug_validate();
     }
 
     /// Crate-internal view of the packed words, for the sparse-column
@@ -1268,39 +1199,7 @@ impl BitMatrix {
     /// (see `TemporalGraph::node_presence_columns`).
     #[must_use]
     pub fn transposed_with(&self, mode: SparseMode) -> TransposedBitMatrix {
-        self.transposed_rows_with(0, self.nrows, mode)
-    }
-
-    /// Builds the column-major companion of the row range `lo..hi` only:
-    /// every resulting column spans `hi - lo` bits, with source row
-    /// `lo + i` at bit `i`. This is the fragment builder behind
-    /// entity-space sharding — each shard transposes just its own slice of
-    /// the presence matrix through the same cache-blocked tile loop as
-    /// [`transposed_with`](Self::transposed_with) (which is the `0..nrows`
-    /// special case).
-    ///
-    /// `lo` must be word-aligned (a multiple of 64, the form produced by
-    /// [`shard_ranges`]) so tiles gather whole source rows without bit
-    /// shifting. Empty ranges (`lo == hi`) are legal and yield zero-width
-    /// columns.
-    ///
-    /// # Panics
-    /// Panics if `lo` is not a multiple of 64 or `lo..hi` is not a valid
-    /// subrange of `0..nrows()`.
-    #[must_use]
-    pub fn transposed_rows_with(
-        &self,
-        lo: usize,
-        hi: usize,
-        mode: SparseMode,
-    ) -> TransposedBitMatrix {
-        assert!(
-            (lo.is_multiple_of(WORD_BITS) || lo == hi) && lo <= hi && hi <= self.nrows,
-            "transposed_rows_with range {lo}..{hi} invalid for {} rows",
-            self.nrows
-        );
-        let frag_rows = hi - lo;
-        let col_words = words_for(frag_rows);
+        let col_words = words_for(self.nrows);
         let mut col_data: Vec<Vec<u64>> = vec![vec![0u64; col_words]; self.ncols];
         let mut tile = [0u64; WORD_BITS];
         // Band-major: each band is one contiguous word stream covering 64
@@ -1312,13 +1211,13 @@ impl BitMatrix {
             // with an early break past the band's materialized length
             #[allow(clippy::needless_range_loop)]
             for rb in 0..col_words {
-                let r0 = lo + rb * WORD_BITS;
+                let r0 = rb * WORD_BITS;
                 if r0 >= band.len() {
                     // rows past the band's materialized length are all
                     // zero, and `rb` only increases from here
                     break;
                 }
-                let rows = (hi - r0).min(WORD_BITS);
+                let rows = (self.nrows - r0).min(WORD_BITS);
                 // Gather: word `wb` of 64 consecutive rows.
                 let mut nonzero = 0u64;
                 for (i, t) in tile.iter_mut().take(rows).enumerate() {
@@ -1344,22 +1243,22 @@ impl BitMatrix {
         }
         let cols: Vec<Arc<PresenceColumn>> = col_data
             .into_iter()
-            .map(|words| Arc::new(PresenceColumn::from_raw_words(frag_rows, words, mode)))
+            .map(|words| Arc::new(PresenceColumn::from_raw_words(self.nrows, words, mode)))
             .collect();
         let t = TransposedBitMatrix {
-            source_rows: frag_rows,
+            source_rows: self.nrows,
             cols,
         };
         debug_assert_eq!(t.check_invariants(), Ok(()));
         // Round-trip sampling: corner and center cells must agree with the
         // row-major source (full verification would double the build cost).
         #[cfg(debug_assertions)]
-        if frag_rows > 0 && self.ncols > 0 {
-            for r in [lo, lo + frag_rows / 2, hi - 1] {
+        if self.nrows > 0 && self.ncols > 0 {
+            for r in [0, self.nrows / 2, self.nrows - 1] {
                 for c in [0, self.ncols / 2, self.ncols - 1] {
                     debug_assert_eq!(
                         self.get(r, c),
-                        t.cols[c].get(r - lo),
+                        t.cols[c].get(r),
                         "transpose round-trip mismatch at ({r}, {c})"
                     );
                 }
@@ -1547,94 +1446,6 @@ impl TransposedBitMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_ranges_cover_and_align() {
-        for (len, shards) in [
-            (0, 1),
-            (1, 1),
-            (1, 4),
-            (63, 2),
-            (64, 2),
-            (65, 2),
-            (1000, 7),
-            (100, 64),
-            (12_345, 3),
-        ] {
-            let ranges = shard_ranges(len, shards);
-            assert_eq!(ranges.len(), shards, "len={len} shards={shards}");
-            assert_eq!(ranges[0].0, 0);
-            assert_eq!(ranges[shards - 1].1, len);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "ranges must tile contiguously");
-            }
-            for &(lo, hi) in &ranges {
-                // empty trailing shards may sit at an unaligned `len`
-                assert!(
-                    lo.is_multiple_of(WORD_BITS) || lo == hi,
-                    "lo {lo} not word aligned"
-                );
-                assert!(lo <= hi && hi <= len);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn shard_ranges_zero_shards_panics() {
-        shard_ranges(10, 0);
-    }
-
-    #[test]
-    fn slice_aligned_matches_bitwise() {
-        let v = BitVec::from_indices(200, [0, 5, 63, 64, 100, 127, 128, 150, 199]);
-        for (lo, hi) in [
-            (0, 200),
-            (0, 64),
-            (64, 128),
-            (64, 200),
-            (128, 130),
-            (192, 192),
-        ] {
-            let s = v.slice_aligned(lo, hi);
-            assert_eq!(s.len(), hi - lo);
-            assert_eq!(s.check_invariants(), Ok(()));
-            for i in lo..hi {
-                assert_eq!(s.get(i - lo), v.get(i), "bit {i} in slice {lo}..{hi}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid")]
-    fn slice_aligned_rejects_unaligned_lo() {
-        BitVec::zeros(128).slice_aligned(1, 64);
-    }
-
-    #[test]
-    fn transposed_rows_matches_whole_transpose() {
-        let mut m = BitMatrix::new(5);
-        for r in 0..300 {
-            let row = BitVec::from_indices(5, (0..5).filter(|c| (r * 7 + c * 3) % 4 == 0));
-            m.push_row(&row);
-        }
-        let whole = m.transposed();
-        for (lo, hi) in [(0, 300), (0, 64), (64, 192), (256, 300), (128, 128)] {
-            let frag = m.transposed_rows_with(lo, hi, SparseMode::Auto);
-            assert_eq!(frag.source_rows(), hi - lo);
-            assert_eq!(frag.n_cols(), 5);
-            assert_eq!(frag.check_invariants(), Ok(()));
-            for c in 0..5 {
-                for r in lo..hi {
-                    assert_eq!(
-                        frag.col(c).get(r - lo),
-                        whole.col(c).get(r),
-                        "cell ({r}, {c}) in fragment {lo}..{hi}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn zeros_and_ones() {

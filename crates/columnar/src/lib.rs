@@ -44,7 +44,7 @@ mod matrix;
 mod sparse;
 mod value;
 
-pub use bitset::{shard_ranges, BitMatrix, BitVec, TransposedBitMatrix};
+pub use bitset::{BitMatrix, BitVec, TransposedBitMatrix};
 pub use csv::{read_frame, write_frame};
 pub use error::ColumnarError;
 pub use frame::Frame;

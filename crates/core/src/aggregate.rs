@@ -623,14 +623,12 @@ pub use tempo_graph::NO_GROUP;
 /// heap-allocated [`ValueTuple`] hash keys per entity per interval pair.
 ///
 /// The table is immutable after construction and `Sync`, so one instance is
-/// shared across all pairs (and worker threads) of an exploration run, and
-/// the columns behind [`cached`](Self::cached) across every request on one
-/// snapshot.
+/// shared across all pairs of an exploration run, and the columns behind
+/// [`cached`](Self::cached) across every request on one snapshot.
 pub struct GroupTable {
     cols: Arc<GroupColumns>,
     /// Cached instrumentation handles: `count_distinct` runs once per
-    /// interval pair across worker threads, so the registry lock is taken
-    /// only at build time.
+    /// interval pair, so the registry lock is taken only at build time.
     ins_calls: Arc<tempo_instrument::Counter>,
     ins_unknown_target: Arc<tempo_instrument::Counter>,
     ins_bitmask_fast: Arc<tempo_instrument::Counter>,
@@ -747,8 +745,8 @@ impl GroupTable {
     /// Buffer-reusing form of [`aggregate_masked`](Self::aggregate_masked):
     /// `counts` is the popcount scratch handed to
     /// [`masked_popcounts_into`], overwritten in place, so callers that
-    /// aggregate in a loop (the threshold scan, per-worker batches) hoist
-    /// the allocation out of it.
+    /// aggregate in a loop (the threshold scan) hoist the allocation out of
+    /// it.
     ///
     /// [`masked_popcounts_into`]: tempo_columnar::BitMatrix::masked_popcounts_into
     pub fn aggregate_masked_with(
@@ -865,9 +863,8 @@ impl GroupTable {
 
     /// Buffer-reusing form of [`count_distinct`](Self::count_distinct):
     /// the per-entity dedup scratches are the caller's, cleared per entity
-    /// rather than reallocated per call, so evaluators counting in a loop
-    /// (one cursor per parallel worker) hoist the allocation across their
-    /// whole chain batch.
+    /// rather than reallocated per call, so a cursor counting in a loop
+    /// hoists the allocation across its whole run.
     pub fn count_distinct_with_scratch(
         &self,
         g: &TemporalGraph,
@@ -958,158 +955,6 @@ impl GroupTable {
                 })
                 .count() as u64,
         }
-    }
-
-    /// A zeroed dense per-group accumulator (one slot per group id), the
-    /// unit the sharded exploration path reduces with
-    /// [`merge_accumulator`](Self::merge_accumulator).
-    #[must_use]
-    pub fn new_accumulator(&self) -> Vec<u64> {
-        vec![0; self.n_groups()]
-    }
-
-    /// Merge-by-gid reduction: adds a shard's per-group accumulator into
-    /// `dst` slot by slot. Because both sides are dense `Vec`s indexed by
-    /// group id, the merge is a plain vector add — one pass per shard, no
-    /// keys, no hashing.
-    ///
-    /// # Panics
-    /// Panics if either accumulator was not sized by
-    /// [`new_accumulator`](Self::new_accumulator).
-    pub fn merge_accumulator(&self, dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), self.n_groups(), "dst accumulator size");
-        assert_eq!(src.len(), self.n_groups(), "src accumulator size");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
-    }
-
-    /// Accumulates the distinct-group contributions of a shard's kept
-    /// nodes: for each set bit `ln` of `keep` (node id `node_base + ln` in
-    /// the source graph), every group id the node takes within `scope`
-    /// adds 1 to `acc[gid]`, deduplicated per node via the sorted `seen`
-    /// scratch.
-    ///
-    /// This is [`count_distinct`](Self::count_distinct)'s time-varying
-    /// node scan restricted to one shard, decomposed per group id so shard
-    /// results reduce by [`merge_accumulator`](Self::merge_accumulator):
-    /// summing the merged accumulator gives the `AllNodes` count, and
-    /// `acc[gid]` gives the `Node(gid)` count (a node's distinct-group set
-    /// contains `gid` exactly when some scope point matches).
-    ///
-    /// # Panics
-    /// Panics if the table is static (static tables take the popcount fast
-    /// paths and never accumulate), if `acc` was not sized by
-    /// [`new_accumulator`](Self::new_accumulator), or if any id is out of
-    /// range for `g`.
-    pub fn accumulate_distinct_nodes(
-        &self,
-        g: &TemporalGraph,
-        keep: &tempo_columnar::BitVec,
-        node_base: usize,
-        scope: &tempo_columnar::BitVec,
-        seen: &mut Vec<u32>,
-        acc: &mut [u64],
-    ) {
-        assert!(
-            !self.is_static(),
-            "static group tables count by popcount, not accumulator"
-        );
-        assert_eq!(acc.len(), self.n_groups(), "accumulator size");
-        for ln in keep.iter_ones() {
-            let n = node_base + ln;
-            seen.clear();
-            for t in g.node_presence_matrix().iter_row_ones_and(n, scope) {
-                let gid = self.time_gid(n, t);
-                if let Err(pos) = seen.binary_search(&gid) {
-                    seen.insert(pos, gid);
-                }
-            }
-            for &gid in seen.iter() {
-                acc[gid as usize] += 1;
-            }
-        }
-    }
-
-    /// Resolves a node-target count from a merged per-group accumulator:
-    /// the sum of all slots for [`CountTarget::AllNodes`], one slot for
-    /// [`CountTarget::Node`].
-    ///
-    /// # Panics
-    /// Panics if `target` is an edge target (edge counts decompose per
-    /// edge and reduce as plain sums, never through an accumulator) or if
-    /// `acc` was not sized by [`new_accumulator`](Self::new_accumulator).
-    #[must_use]
-    pub fn count_from_accumulator(&self, acc: &[u64], target: &CountTarget) -> u64 {
-        assert_eq!(acc.len(), self.n_groups(), "accumulator size");
-        match target {
-            CountTarget::AllNodes => acc.iter().sum(),
-            CountTarget::Node(Some(gid)) => acc[*gid as usize],
-            CountTarget::Node(None) => 0,
-            CountTarget::AllEdges | CountTarget::Edge(_) => {
-                unreachable!("edge targets reduce as scalar sums, not accumulators")
-            }
-        }
-    }
-
-    /// Counts a shard's kept edges under distinct semantics: for each set
-    /// bit `le` of `keep` (edge id `edge_base + le` in the source graph),
-    /// the distinct endpoint-group pairs within `scope` (for
-    /// [`CountTarget::AllEdges`]) or a match test against one pair (for
-    /// [`CountTarget::Edge`]). Edge counts decompose per edge, so shard
-    /// results reduce as a plain sum.
-    ///
-    /// This is [`count_distinct`](Self::count_distinct)'s time-varying
-    /// edge scan restricted to one shard.
-    ///
-    /// # Panics
-    /// Panics if the table is static, if `target` is a node target, or if
-    /// any id is out of range for `g`.
-    pub fn count_distinct_edges_range(
-        &self,
-        g: &TemporalGraph,
-        keep: &tempo_columnar::BitVec,
-        edge_base: usize,
-        scope: &tempo_columnar::BitVec,
-        target: &CountTarget,
-        seen: &mut Vec<(u32, u32)>,
-    ) -> u64 {
-        assert!(
-            !self.is_static(),
-            "static group tables count by popcount, not range scans"
-        );
-        let mut total = 0u64;
-        for le in keep.iter_ones() {
-            let e = edge_base + le;
-            let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-            match target {
-                CountTarget::AllEdges => {
-                    seen.clear();
-                    for t in g.edge_presence_matrix().iter_row_ones_and(e, scope) {
-                        let pair = (self.time_gid(u.index(), t), self.time_gid(v.index(), t));
-                        if let Err(pos) = seen.binary_search(&pair) {
-                            seen.insert(pos, pair);
-                        }
-                    }
-                    total += seen.len() as u64;
-                }
-                CountTarget::Edge(Some((gs, gd))) => {
-                    if g.edge_presence_matrix()
-                        .iter_row_ones_and(e, scope)
-                        .any(|t| {
-                            self.time_gid(u.index(), t) == *gs && self.time_gid(v.index(), t) == *gd
-                        })
-                    {
-                        total += 1;
-                    }
-                }
-                CountTarget::Edge(None) => {}
-                CountTarget::AllNodes | CountTarget::Node(_) => {
-                    unreachable!("node targets count nodes, not edges")
-                }
-            }
-        }
-        total
     }
 }
 

@@ -1,11 +1,11 @@
 //! Chain-incremental pair evaluation over the transposed presence index.
 //!
-//! The per-pair kernel re-derives both sides' memberships from scratch for
-//! every interval pair: each evaluation walks every node and edge row and
-//! tests it against 𝒯old and 𝒯new (`O(rows × interval-words)`). But
-//! exploration never evaluates arbitrary pairs — it walks *chains*. Within
-//! the chain of reference `i`, one side is the fixed point `i` (or `i+1`)
-//! and the other grows by exactly one time point per step. Membership under
+//! Deriving both sides' memberships from scratch for an interval pair
+//! walks every node and edge row and tests it against 𝒯old and 𝒯new
+//! (`O(rows × interval-words)`). But exploration never evaluates arbitrary
+//! pairs — it walks *chains*. Within the chain of reference `i`, one side
+//! is the fixed point `i` (or `i+1`) and the other grows by exactly one
+//! time point per step. Membership under
 //! union semantics therefore evolves as `acc |= column[t]`; under
 //! intersection as `acc &= column[t]` — a whole-vector OR/AND against one
 //! column of the transposed presence index
@@ -22,17 +22,16 @@
 //! further and fuses the membership test into the count: a stability
 //! evaluation is one `popcount(ref & ext [& target])` sweep and a difference
 //! evaluation one `popcount(keep & (!drop | incident) [& target])` sweep,
-//! with no node keep-mask write at all. Results are bit-identical to the
-//! per-pair kernel and the materializing oracle (property-tested in
-//! `tests/chain_cursor.rs`).
+//! with no node keep-mask write at all. Both cursor modes are bit-identical
+//! to the materializing oracle at every chain coordinate (property-tested
+//! in `tests/kernel_equivalence.rs`).
 
-use super::engine::{ChainEvaluator, IntervalPair};
 use super::kernel::ExploreKernel;
 use super::{ExtendSide, Semantics};
 use crate::aggregate::CountTarget;
 use crate::ops::{Event, EventMask};
 use tempo_columnar::{BitVec, TransposedBitMatrix};
-use tempo_graph::{EdgeId, GraphError, TimePoint};
+use tempo_graph::{EdgeId, TimePoint};
 
 /// How the cursor turns a finished [`EventMask`] into `result(G)`.
 ///
@@ -43,7 +42,7 @@ use tempo_graph::{EdgeId, GraphError, TimePoint};
 /// (`Table`), which scans kept entities.
 ///
 /// [`GroupTable::count_distinct`]: crate::aggregate::GroupTable::count_distinct
-pub(super) enum FastCount {
+enum FastCount {
     /// Selector tuple occurs nowhere in the source graph — always 0.
     Zero,
     /// Static table + all-nodes selector: popcount of kept nodes.
@@ -59,7 +58,7 @@ pub(super) enum FastCount {
 }
 
 impl FastCount {
-    pub(super) fn resolve(kernel: &ExploreKernel<'_>) -> FastCount {
+    fn resolve(kernel: &ExploreKernel<'_>) -> FastCount {
         let g = kernel.g;
         match (&kernel.target, kernel.table.is_static()) {
             // A tuple absent from the source graph can never appear in an
@@ -95,12 +94,10 @@ impl FastCount {
 
 /// Incremental evaluator for the pairs of one reference chain at a time.
 ///
-/// Built once per exploration run (or per worker thread — cursors over the
-/// same shared [`ExploreKernel`] are independent) and driven forward through
-/// `(i, j)` chain coordinates by [`ChainCursor::evaluate_chain_pair`]. The
-/// cursor records into the kernel's evaluation instruments, so
-/// `explore.evaluations` / `eval_ns` / `mask_ns` / `count_ns` mean the same
-/// thing whichever evaluator runs.
+/// Built once per exploration run and driven forward through `(i, j)`
+/// chain coordinates by [`ChainCursor::evaluate_chain_pair`]. Every
+/// evaluation is recorded in `explore.evaluations` / `eval_ns`; the
+/// masking cursor also splits it into `mask_ns` / `count_ns`.
 pub struct ChainCursor<'k, 'g> {
     kernel: &'k ExploreKernel<'g>,
     node_cols: &'g TransposedBitMatrix,
@@ -125,8 +122,8 @@ pub struct ChainCursor<'k, 'g> {
     /// Node ids currently set in `incident`, so the next evaluation clears
     /// only those bits (`O(kept edges)`) instead of the whole vector.
     incident_touched: Vec<u32>,
-    /// Dedup scratches for the time-varying distinct count, hoisted so a
-    /// worker's whole chain batch reuses one pair of buffers.
+    /// Dedup scratches for the time-varying distinct count, hoisted so
+    /// the whole run reuses one pair of buffers.
     seen_gids: Vec<u32>,
     seen_pairs: Vec<(u32, u32)>,
     /// Count-only mode ([`new_counting`](Self::new_counting)): popcount
@@ -445,65 +442,18 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     }
 }
 
-impl ChainEvaluator for ChainCursor<'_, '_> {
-    fn evaluate(&mut self, i: usize, j: usize, _pair: &IntervalPair) -> Result<u64, GraphError> {
-        Ok(self.evaluate_chain_pair(i, j))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::engine::chain;
+    use super::super::kernel::evaluate_pair_materialized;
     use super::*;
     use crate::explore::{ExploreConfig, Selector};
     use tempo_graph::fixtures::fig1;
 
-    /// Every chain coordinate of every strategy combination agrees with the
-    /// per-pair kernel on the fig. 1 fixture (the broad randomized version
-    /// lives in `tests/chain_cursor.rs`).
-    #[test]
-    fn cursor_matches_kernel_on_fig1() {
-        let g = fig1();
-        let gender = g.schema().id("gender").unwrap();
-        let f = g.schema().category(gender, "f").unwrap();
-        let selectors = [
-            Selector::AllNodes,
-            Selector::AllEdges,
-            Selector::NodeTuple(vec![f.clone()]),
-            Selector::edge_1attr(f.clone(), f.clone()),
-        ];
-        let n = g.domain().len();
-        for event in [Event::Stability, Event::Growth, Event::Shrinkage] {
-            for extend in [ExtendSide::Old, ExtendSide::New] {
-                for semantics in [Semantics::Union, Semantics::Intersection] {
-                    for selector in &selectors {
-                        let cfg = ExploreConfig {
-                            event,
-                            extend,
-                            semantics,
-                            k: 1,
-                            attrs: vec![gender],
-                            selector: selector.clone(),
-                        };
-                        let kernel = ExploreKernel::new(&g, &cfg);
-                        let mut cursor = ChainCursor::new(&kernel);
-                        for i in 0..n - 1 {
-                            for (j, pair) in chain(n, i, extend).iter().enumerate() {
-                                assert_eq!(
-                                    cursor.evaluate_chain_pair(i, j),
-                                    kernel.evaluate(&pair.told, &pair.tnew).unwrap(),
-                                    "{event:?}/{extend:?}/{semantics:?}/{selector:?} i={i} j={j}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Jumping straight to the deepest pair (the intersection-increasing
     /// strategy) and jumping backward (chain reload) both stay correct.
+    /// Every coordinate of every strategy row is checked against the oracle
+    /// on random graphs in `tests/kernel_equivalence.rs`.
     #[test]
     fn cursor_random_access_reloads() {
         let g = fig1();
@@ -521,10 +471,12 @@ mod tests {
         let mut cursor = ChainCursor::new(&kernel);
         let pairs = chain(n, 0, cfg.extend);
         let deep = pairs.len() - 1;
-        let expect = |p: &IntervalPair| kernel.evaluate(&p.told, &p.tnew).unwrap();
+        let expect = |j: usize| {
+            evaluate_pair_materialized(&g, &cfg, &pairs[j].told, &pairs[j].tnew).unwrap()
+        };
         // jump straight to the deepest pair, then back to the base pair
-        assert_eq!(cursor.evaluate_chain_pair(0, deep), expect(&pairs[deep]));
-        assert_eq!(cursor.evaluate_chain_pair(0, 0), expect(&pairs[0]));
+        assert_eq!(cursor.evaluate_chain_pair(0, deep), expect(deep));
+        assert_eq!(cursor.evaluate_chain_pair(0, 0), expect(0));
         // and the last mask's scope matches the reloaded pair
         assert_eq!(
             cursor.last_mask().scope(),

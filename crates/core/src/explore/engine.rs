@@ -1,33 +1,13 @@
 //! The exploration strategies: U-Explore, I-Explore, and the two
-//! monotonicity shortcuts (§3.2–§3.4).
+//! monotonicity shortcuts (§3.2–§3.4), walked one reference chain at a
+//! time over a counting [`ChainCursor`].
 
 use super::budget::Budget;
 use super::cursor::ChainCursor;
-use super::kernel::{evaluate_pair_materialized, ExploreKernel};
+use super::kernel::ExploreKernel;
 use super::{direction, ExploreConfig, ExtendSide};
 use std::sync::{Arc, OnceLock};
-use tempo_graph::{GraphError, TemporalGraph, TimeSet};
-
-/// One pair evaluation, addressed both by chain coordinates (`i` =
-/// reference index, `j` = steps from the base pair) and by the explicit
-/// interval pair. The chain-incremental cursor consumes the coordinates;
-/// the per-pair baselines consume the intervals. The strategies call this
-/// exactly once per counted evaluation, so pruning behavior and evaluation
-/// counts are evaluator-independent.
-pub(super) trait ChainEvaluator {
-    /// Evaluates `result(G)` for chain pair `(i, j)`.
-    fn evaluate(&mut self, i: usize, j: usize, pair: &IntervalPair) -> Result<u64, GraphError>;
-}
-
-/// Adapts a plain `(told, tnew)` closure — the per-pair kernel or the
-/// materializing oracle — to the chain-coordinate interface.
-pub(super) struct PairEvaluator<F>(pub(super) F);
-
-impl<F: FnMut(&TimeSet, &TimeSet) -> Result<u64, GraphError>> ChainEvaluator for PairEvaluator<F> {
-    fn evaluate(&mut self, _i: usize, _j: usize, pair: &IntervalPair) -> Result<u64, GraphError> {
-        (self.0)(&pair.told, &pair.tnew)
-    }
-}
+use tempo_graph::{GraphError, TemporalGraph, TimePoint, TimeSet};
 
 /// One explored pair of intervals. For [`ExtendSide::Old`] the reference
 /// point is `tnew`; for [`ExtendSide::New`] it is `told`.
@@ -60,32 +40,36 @@ pub struct ExploreOutcome {
     pub evaluations: usize,
 }
 
-/// The chain of pairs for reference index `i`: the base pair
-/// `(𝒯ᵢ, 𝒯ᵢ₊₁)` followed by each one-step extension of the configured side
-/// (𝒯old grows backward, 𝒯new grows forward).
-pub(super) fn chain(n: usize, i: usize, extend: ExtendSide) -> Vec<IntervalPair> {
-    let mut out = Vec::new();
+/// Number of pairs in the chain of reference `i`: the new side extends to
+/// the domain end, the old side back to its start.
+fn chain_len(n: usize, i: usize, extend: ExtendSide) -> usize {
     match extend {
-        ExtendSide::New => {
-            let told = TimeSet::point(n, tempo_graph::TimePoint(i as u32));
-            for end in (i + 1)..n {
-                out.push(IntervalPair {
-                    told: told.clone(),
-                    tnew: TimeSet::range(n, i + 1, end),
-                });
-            }
-        }
-        ExtendSide::Old => {
-            let tnew = TimeSet::point(n, tempo_graph::TimePoint((i + 1) as u32));
-            for start in (0..=i).rev() {
-                out.push(IntervalPair {
-                    told: TimeSet::range(n, start, i),
-                    tnew: tnew.clone(),
-                });
-            }
-        }
+        ExtendSide::New => n - 1 - i,
+        ExtendSide::Old => i + 1,
     }
-    out
+}
+
+/// The pair at chain coordinate `(i, j)`: the base pair `(𝒯ᵢ, 𝒯ᵢ₊₁)` with
+/// the configured side extended by `j` steps (𝒯old grows backward, 𝒯new
+/// grows forward).
+fn pair_at(n: usize, i: usize, j: usize, extend: ExtendSide) -> IntervalPair {
+    match extend {
+        ExtendSide::New => IntervalPair {
+            told: TimeSet::point(n, TimePoint(i as u32)),
+            tnew: TimeSet::range(n, i + 1, i + 1 + j),
+        },
+        ExtendSide::Old => IntervalPair {
+            told: TimeSet::range(n, i - j, i),
+            tnew: TimeSet::point(n, TimePoint((i + 1) as u32)),
+        },
+    }
+}
+
+/// The whole chain of reference index `i`, base pair first.
+pub(super) fn chain(n: usize, i: usize, extend: ExtendSide) -> Vec<IntervalPair> {
+    (0..chain_len(n, i, extend))
+        .map(|j| pair_at(n, i, j, extend))
+        .collect()
 }
 
 /// Runs the exploration strategy appropriate for the config (see the module
@@ -132,106 +116,17 @@ pub fn explore_budgeted(
     cfg: &ExploreConfig,
     budget: &Budget,
 ) -> Result<ExploreOutcome, GraphError> {
-    let kernel = ExploreKernel::new(g, cfg);
-    explore_prepared_budgeted(&kernel, budget)
-}
-
-/// [`explore`] over a caller-built [`ExploreKernel`]: repeated runs over
-/// the same graph and attribute set reuse the interned group table instead
-/// of rebuilding it per call (the same sharing [`explore_parallel`] uses
-/// across its workers), and benchmarks can time exploration separately
-/// from kernel construction.
-///
-/// # Errors
-/// Returns an error if the graph has fewer than two time points or an
-/// operator fails.
-pub fn explore_prepared(kernel: &ExploreKernel<'_>) -> Result<ExploreOutcome, GraphError> {
-    explore_prepared_budgeted(kernel, &Budget::unlimited())
-}
-
-/// [`explore_prepared`] under a request-scoped [`Budget`]; see
-/// [`explore_budgeted`].
-///
-/// # Errors
-/// Returns [`GraphError::Cancelled`] when the budget trips, or any error
-/// [`explore_prepared`] can return.
-pub fn explore_prepared_budgeted(
-    kernel: &ExploreKernel<'_>,
-    budget: &Budget,
-) -> Result<ExploreOutcome, GraphError> {
-    let n = check_domain(kernel.g)?;
-    explore_sequential(
-        &mut ChainCursor::new_counting(kernel),
-        kernel.cfg,
-        n,
-        budget,
-    )
-}
-
-/// [`explore_prepared`] driving the mask-materializing cursor
-/// ([`ChainCursor::new`]) instead of the fused counting cursor: every
-/// evaluation writes the full node and edge keep masks and then counts
-/// them — the pre-fusion evaluation path. Identical outcome
-/// (property-tested); exists so benchmarks can ablate the fused
-/// membership-and-count kernels with pruning and column layout held fixed.
-///
-/// # Errors
-/// Returns an error if the graph has fewer than two time points or an
-/// operator fails.
-pub fn explore_prepared_masked(kernel: &ExploreKernel<'_>) -> Result<ExploreOutcome, GraphError> {
-    let n = check_domain(kernel.g)?;
-    explore_sequential(
-        &mut ChainCursor::new(kernel),
-        kernel.cfg,
-        n,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`explore`] evaluating every pair through the per-pair kernel
-/// ([`ExploreKernel::evaluate`]) instead of the chain-incremental cursor:
-/// each pair re-derives both sides' memberships from scratch. Identical
-/// outcome (property-tested); exists so benchmarks can ablate the cursor's
-/// speedup with pruning behavior held fixed.
-///
-/// # Errors
-/// Returns an error if the graph has fewer than two time points or an
-/// operator fails.
-pub fn explore_pairwise(
-    g: &TemporalGraph,
-    cfg: &ExploreConfig,
-) -> Result<ExploreOutcome, GraphError> {
     let n = check_domain(g)?;
     let kernel = ExploreKernel::new(g, cfg);
-    explore_sequential(
-        &mut PairEvaluator(|told: &TimeSet, tnew: &TimeSet| kernel.evaluate(told, tnew)),
-        cfg,
-        n,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`explore`] evaluating every pair through the materializing reference
-/// path ([`evaluate_pair_materialized`]). Identical outcome
-/// (property-tested); exists so benchmarks can ablate the zero-
-/// materialization speedup with pruning behavior held fixed.
-///
-/// # Errors
-/// Returns an error if the graph has fewer than two time points or an
-/// operator fails.
-pub fn explore_materializing(
-    g: &TemporalGraph,
-    cfg: &ExploreConfig,
-) -> Result<ExploreOutcome, GraphError> {
-    let n = check_domain(g)?;
-    explore_sequential(
-        &mut PairEvaluator(|told: &TimeSet, tnew: &TimeSet| {
-            evaluate_pair_materialized(g, cfg, told, tnew)
-        }),
-        cfg,
-        n,
-        &Budget::unlimited(),
-    )
+    let mut cursor = ChainCursor::new_counting(&kernel);
+    let mut out = ExploreOutcome {
+        pairs: Vec::new(),
+        evaluations: 0,
+    };
+    for i in 0..n - 1 {
+        explore_reference(&mut cursor, cfg, n, i, budget, &mut out)?;
+    }
+    Ok(out)
 }
 
 pub(super) fn check_domain(g: &TemporalGraph) -> Result<usize, GraphError> {
@@ -244,91 +139,10 @@ pub(super) fn check_domain(g: &TemporalGraph) -> Result<usize, GraphError> {
     Ok(n)
 }
 
-fn explore_sequential(
-    eval: &mut dyn ChainEvaluator,
-    cfg: &ExploreConfig,
-    n: usize,
-    budget: &Budget,
-) -> Result<ExploreOutcome, GraphError> {
-    let mut pairs = Vec::new();
-    let mut evaluations = 0;
-    for i in 0..n - 1 {
-        let outcome = explore_reference(eval, cfg, n, i, budget)?;
-        evaluations += outcome.evaluations;
-        pairs.extend(outcome.pairs);
-    }
-    Ok(ExploreOutcome { pairs, evaluations })
-}
-
-/// [`explore`] with the per-reference-point chains fanned out over up to
-/// `threads` crossbeam workers. Chains are independent, so the outcome is
-/// identical to the sequential strategy (pairs are returned in reference
-/// order); evaluation counts are summed across workers.
-///
-/// # Errors
-/// Returns an error if the graph has fewer than two time points or an
-/// operator fails.
-///
-/// # Panics
-/// Panics if a worker thread panics.
-pub fn explore_parallel(
-    g: &TemporalGraph,
-    cfg: &ExploreConfig,
-    threads: usize,
-) -> Result<ExploreOutcome, GraphError> {
-    let n = check_domain(g)?;
-    let threads = threads.clamp(1, n - 1);
-    if threads == 1 {
-        return explore(g, cfg);
-    }
-    // One kernel for the whole run (the group table is interned once and
-    // shared by reference); each reference point i is one independent
-    // sub-problem running the sequential strategy on its chain. The
-    // transposed presence indexes are forced here so workers share the
-    // cached build instead of racing to construct it.
-    let kernel = ExploreKernel::new(g, cfg);
-    let kernel = &kernel;
-    g.node_presence_columns();
-    g.edge_presence_columns();
-    type RefSlot<'a> = (usize, &'a mut Option<Result<ExploreOutcome, GraphError>>);
-    let mut slots: Vec<Option<Result<ExploreOutcome, GraphError>>> = vec![None; n - 1];
-    // Chain length is linear in the reference index (longest chains sit at
-    // one end), so contiguous batches would give one worker nearly all the
-    // work. Deal references round-robin instead; the slots restore
-    // reference order afterwards.
-    let mut buckets: Vec<Vec<RefSlot<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, slot) in slots.iter_mut().enumerate() {
-        buckets[i % threads].push((i, slot));
-    }
-    let unlimited = Budget::unlimited();
-    let unlimited = &unlimited;
-    crossbeam::thread::scope(|scope| {
-        for bucket in buckets {
-            scope.spawn(move |_| {
-                let mut cursor = ChainCursor::new_counting(kernel);
-                for (i, slot) in bucket {
-                    *slot = Some(explore_reference(&mut cursor, cfg, n, i, unlimited));
-                }
-            });
-        }
-    })
-    .expect("invariant: exploration workers propagate errors instead of panicking");
-
-    let mut pairs = Vec::new();
-    let mut evaluations = 0;
-    for slot in slots {
-        let outcome = slot.expect("invariant: the scoped loop fills every reference slot")?;
-        evaluations += outcome.evaluations;
-        pairs.extend(outcome.pairs);
-    }
-    Ok(ExploreOutcome { pairs, evaluations })
-}
-
-/// Pruned-pair counters, resolved once per process. Parallel runs hit this
-/// from every worker for every chain, so the name-keyed registry lookup
-/// (and its `format!` key) is hoisted out of the per-chain path. The
-/// registry resets metrics in place — the `Arc` handles stay wired to the
-/// live registry across `Registry::reset`.
+/// Pruned-pair counters, resolved once per process so the name-keyed
+/// registry lookup stays out of the per-chain path. The registry resets
+/// metrics in place — the `Arc` handles stay wired to the live registry
+/// across `Registry::reset`.
 struct PrunedCounters {
     total: Arc<tempo_instrument::Counter>,
     union_increasing: Arc<tempo_instrument::Counter>,
@@ -352,76 +166,72 @@ fn pruned_counters() -> &'static PrunedCounters {
 }
 
 /// Runs the configured strategy on the single chain of reference `i`,
-/// counting one evaluation per `eval` call (the pruning metric is therefore
-/// identical whichever evaluator — cursor, kernel or materializing — is
-/// plugged in). The budget is polled before every evaluation — the engine's
-/// cancellation checkpoints.
-pub(super) fn explore_reference(
-    eval: &mut dyn ChainEvaluator,
+/// appending its qualifying pair (if any) and its evaluation count to
+/// `out`. The cursor is addressed by chain coordinates alone; an
+/// [`IntervalPair`] is built only for a coordinate that is reported. The
+/// budget is polled before every evaluation — the engine's cancellation
+/// checkpoints.
+fn explore_reference(
+    cursor: &mut ChainCursor<'_, '_>,
     cfg: &ExploreConfig,
     n: usize,
     i: usize,
     budget: &Budget,
-) -> Result<ExploreOutcome, GraphError> {
+    out: &mut ExploreOutcome,
+) -> Result<(), GraphError> {
     use super::{Direction, Semantics};
     let dir = direction(cfg.event, cfg.extend, cfg.semantics);
-    let chain_pairs = chain(n, i, cfg.extend);
-    let chain_len = chain_pairs.len();
-    let mut pairs = Vec::new();
+    let len = chain_len(n, i, cfg.extend);
     let mut evaluations = 0;
+    let mut evaluate = |j: usize| -> Result<u64, GraphError> {
+        budget.check()?;
+        evaluations += 1;
+        Ok(cursor.evaluate_chain_pair(i, j))
+    };
+    // The chain coordinate to report, with its count.
+    let mut found: Option<(usize, u64)> = None;
     match (cfg.semantics, dir) {
+        // Minimal pair: the first coordinate that qualifies.
         (Semantics::Union, Direction::Increasing) => {
-            for (j, pair) in chain_pairs.into_iter().enumerate() {
-                budget.check()?;
-                let r = eval.evaluate(i, j, &pair)?;
-                evaluations += 1;
+            for j in 0..len {
+                let r = evaluate(j)?;
                 if r >= cfg.k {
-                    pairs.push((pair, r));
+                    found = Some((j, r));
                     break;
                 }
             }
         }
-        (Semantics::Union, Direction::Decreasing) => {
-            let pair = chain_pairs
-                .into_iter()
-                .next()
-                .expect("invariant: chain_len >= 1, so chain_pairs is non-empty");
-            budget.check()?;
-            let r = eval.evaluate(i, 0, &pair)?;
-            evaluations += 1;
-            if r >= cfg.k {
-                pairs.push((pair, r));
-            }
-        }
+        // Maximal pair: the last coordinate before the count drops below k.
         (Semantics::Intersection, Direction::Decreasing) => {
-            let mut last_good = None;
-            for (j, pair) in chain_pairs.into_iter().enumerate() {
-                budget.check()?;
-                let r = eval.evaluate(i, j, &pair)?;
-                evaluations += 1;
-                if r >= cfg.k {
-                    last_good = Some((pair, r));
-                } else {
+            for j in 0..len {
+                let r = evaluate(j)?;
+                if r < cfg.k {
                     break;
                 }
+                found = Some((j, r));
             }
-            pairs.extend(last_good);
         }
-        (Semantics::Intersection, Direction::Increasing) => {
-            let pair = chain_pairs
-                .into_iter()
-                .next_back()
-                .expect("invariant: chain_len >= 1, so chain_pairs is non-empty");
-            budget.check()?;
-            let r = eval.evaluate(i, chain_len - 1, &pair)?;
-            evaluations += 1;
+        // Only the base pair can be minimal.
+        (Semantics::Union, Direction::Decreasing) => {
+            let r = evaluate(0)?;
             if r >= cfg.k {
-                pairs.push((pair, r));
+                found = Some((0, r));
+            }
+        }
+        // Only the longest pair can be maximal.
+        (Semantics::Intersection, Direction::Increasing) => {
+            let r = evaluate(len - 1)?;
+            if r >= cfg.k {
+                found = Some((len - 1, r));
             }
         }
     }
+    if let Some((j, r)) = found {
+        out.pairs.push((pair_at(n, i, j, cfg.extend), r));
+    }
+    out.evaluations += evaluations;
     // Pairs skipped thanks to the monotonicity shortcut of this strategy row.
-    let pruned = (chain_len - evaluations) as u64;
+    let pruned = (len - evaluations) as u64;
     let pc = pruned_counters();
     pc.total.add(pruned);
     match (cfg.semantics, dir) {
@@ -431,7 +241,7 @@ pub(super) fn explore_reference(
         (Semantics::Intersection, Direction::Increasing) => &pc.intersection_increasing,
     }
     .add(pruned);
-    Ok(ExploreOutcome { pairs, evaluations })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -562,74 +372,6 @@ mod tests {
             // each pair's tnew is the longest suffix after the reference
             assert_eq!(pair.tnew.max(), Some(TimePoint(2)));
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = fig1();
-        for event in [Event::Stability, Event::Growth, Event::Shrinkage] {
-            for semantics in [Semantics::Union, Semantics::Intersection] {
-                let c = cfg(event, ExtendSide::New, semantics, 1);
-                let seq = explore(&g, &c).unwrap();
-                for threads in [1, 2, 4] {
-                    let par = super::explore_parallel(&g, &c, threads).unwrap();
-                    assert_eq!(par.pairs, seq.pairs, "{event:?}/{semantics:?}/{threads}");
-                    assert_eq!(par.evaluations, seq.evaluations);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn baseline_variants_match_cursor_explore() {
-        let g = fig1();
-        for event in [Event::Stability, Event::Growth, Event::Shrinkage] {
-            for extend in [ExtendSide::Old, ExtendSide::New] {
-                for semantics in [Semantics::Union, Semantics::Intersection] {
-                    for k in [1, 2] {
-                        let c = cfg(event, extend, semantics, k);
-                        let fast = explore(&g, &c).unwrap();
-                        let kernel = ExploreKernel::new(&g, &c);
-                        for (name, slow) in [
-                            ("pairwise", explore_pairwise(&g, &c).unwrap()),
-                            ("materializing", explore_materializing(&g, &c).unwrap()),
-                            ("masked", explore_prepared_masked(&kernel).unwrap()),
-                        ] {
-                            assert_eq!(
-                                fast.pairs, slow.pairs,
-                                "{name}: {event:?}/{extend:?}/{semantics:?}/{k}"
-                            );
-                            assert_eq!(fast.evaluations, slow.evaluations, "{name}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn budget_checkpoints_cancel_exploration() {
-        use std::sync::atomic::AtomicBool;
-        let g = fig1();
-        let c = cfg(Event::Stability, ExtendSide::New, Semantics::Union, 1);
-        // a zero deadline trips the very first checkpoint
-        let b = Budget::unlimited().with_deadline_ms(0);
-        assert!(matches!(
-            explore_budgeted(&g, &c, &b),
-            Err(GraphError::Cancelled(_))
-        ));
-        // a pre-raised cancel flag does too
-        let flag = Arc::new(AtomicBool::new(true));
-        let b = Budget::unlimited().with_cancel_flag(flag);
-        assert!(matches!(
-            explore_budgeted(&g, &c, &b),
-            Err(GraphError::Cancelled(_))
-        ));
-        // an unlimited budget changes nothing
-        let free = explore_budgeted(&g, &c, &Budget::unlimited()).unwrap();
-        let plain = explore(&g, &c).unwrap();
-        assert_eq!(free.pairs, plain.pairs);
-        assert_eq!(free.evaluations, plain.evaluations);
     }
 
     #[test]

@@ -1,38 +1,29 @@
-//! The zero-materialization evaluation kernel.
+//! Per-run exploration state, and the materializing reference evaluation.
 //!
 //! Exploration evaluates `result(G)` for many interval pairs over the same
-//! source graph. The original path builds a full [`TemporalGraph`] per pair
-//! ([`evaluate_pair_materialized`], kept as the reference implementation and
-//! ablation baseline): every node name is re-interned, static rows are
-//! copied, time-varying cells are cloned — only for most of that structure
-//! to be discarded after one selector count.
+//! source graph. The reference path builds a full [`TemporalGraph`] per pair
+//! ([`evaluate_pair_materialized`], kept as the oracle): every node name is
+//! re-interned, static rows are copied, time-varying cells are cloned —
+//! only for most of that structure to be discarded after one selector
+//! count.
 //!
-//! [`ExploreKernel`] removes the materialization entirely. Per run it builds
-//! one [`GroupTable`] (each node's attribute tuple interned to a dense group
-//! id once) and resolves the selector to a [`CountTarget`] (group ids, not
-//! tuples). Per pair it computes an [`EventMask`](crate::ops::EventMask) —
-//! word-level AND/ANDNOT membership against the source presence matrices —
-//! and counts matching group ids directly. No subgraph, no row clones, no
-//! per-pair hash keys.
+//! [`ExploreKernel`] holds what the production path needs instead: one
+//! [`GroupTable`] per run (each node's attribute tuple interned to a dense
+//! group id once) and the selector resolved to a [`CountTarget`] (group
+//! ids, not tuples). The [`ChainCursor`](super::ChainCursor) built over it
+//! computes each pair's membership with whole-vector AND/ANDNOT against
+//! the transposed presence columns and counts matching group ids directly.
+//! No subgraph, no row clones, no per-pair hash keys.
 
 use super::{ExploreConfig, ExtendSide, Selector};
 use crate::aggregate::{aggregate, AggMode, CountTarget, GroupTable};
-use crate::ops::{event_graph, event_mask, SideTest};
+use crate::ops::{event_graph, SideTest};
 use tempo_graph::{GraphError, TemporalGraph, TimeSet};
-
-/// The membership tests implied by the config: the extended side uses the
-/// chosen semantics, the fixed reference side is a single point (Any ≡ All).
-pub(super) fn side_tests(cfg: &ExploreConfig) -> (SideTest, SideTest) {
-    match cfg.extend {
-        ExtendSide::Old => (cfg.semantics.side_test(), SideTest::Any),
-        ExtendSide::New => (SideTest::Any, cfg.semantics.side_test()),
-    }
-}
 
 /// Reference implementation of one pair evaluation: materializes the event
 /// graph with [`event_graph`] and aggregates it from scratch. Used by the
-/// naive oracle (so the pruned/kernel path is continuously cross-validated
-/// against an independent implementation) and by the ablation benchmarks.
+/// naive oracle, so the pruned cursor path is continuously cross-validated
+/// against an independent implementation.
 ///
 /// # Errors
 /// Returns an error if either interval is empty or an operator fails.
@@ -42,28 +33,27 @@ pub fn evaluate_pair_materialized(
     told: &TimeSet,
     tnew: &TimeSet,
 ) -> Result<u64, GraphError> {
-    let (old_test, new_test) = side_tests(cfg);
+    // The extended side uses the chosen semantics; the fixed reference
+    // side is a single point (Any ≡ All).
+    let (old_test, new_test) = match cfg.extend {
+        ExtendSide::Old => (cfg.semantics.side_test(), SideTest::Any),
+        ExtendSide::New => (SideTest::Any, cfg.semantics.side_test()),
+    };
     let ev = event_graph(g, cfg.event, told, tnew, old_test, new_test)?;
     let agg = aggregate(&ev, &cfg.attrs, AggMode::Distinct);
     Ok(cfg.selector.count(&agg))
 }
 
-/// Shared per-run state of the zero-materialization evaluation kernel.
-///
-/// Immutable after construction and `Sync`: one kernel is built per
-/// exploration run and shared by reference across all interval pairs and
-/// worker threads.
+/// Per-run state of an exploration: the graph, the config, the interned
+/// group table and the resolved count target. Immutable after
+/// construction; a [`ChainCursor`](super::ChainCursor) borrows it.
 pub struct ExploreKernel<'g> {
     pub(super) g: &'g TemporalGraph,
     pub(super) cfg: &'g ExploreConfig,
     pub(super) table: GroupTable,
     pub(super) target: CountTarget,
-    old_test: SideTest,
-    new_test: SideTest,
     /// Instrumentation handles, resolved once so per-pair recording never
-    /// touches the registry lock (the kernel is shared across threads, and
-    /// the chain cursor records into the same handles so the evaluation
-    /// metrics are path-independent).
+    /// touches the registry lock.
     pub(super) ins_evals: std::sync::Arc<tempo_instrument::Counter>,
     pub(super) ins_eval_ns: std::sync::Arc<tempo_instrument::Histogram>,
     pub(super) ins_mask_ns: std::sync::Arc<tempo_instrument::Histogram>,
@@ -86,15 +76,12 @@ impl<'g> ExploreKernel<'g> {
             Selector::NodeTuple(t) => CountTarget::node(&table, t),
             Selector::EdgeTuple(s, d) => CountTarget::edge(&table, s, d),
         };
-        let (old_test, new_test) = side_tests(cfg);
         drop(build_span);
         ExploreKernel {
             g,
             cfg,
             table,
             target,
-            old_test,
-            new_test,
             ins_evals: ins.counter("explore.evaluations"),
             ins_eval_ns: ins.histogram("explore.eval_ns"),
             ins_mask_ns: ins.histogram("explore.mask_ns"),
@@ -102,105 +89,8 @@ impl<'g> ExploreKernel<'g> {
         }
     }
 
-    /// Evaluates `result(G)` for one interval pair: event mask + group-id
-    /// count, no materialization.
-    ///
-    /// # Errors
-    /// Returns an error if either interval is empty.
-    pub fn evaluate(&self, told: &TimeSet, tnew: &TimeSet) -> Result<u64, GraphError> {
-        let _eval_span = self.ins_eval_ns.span();
-        self.ins_evals.inc();
-        let mask = {
-            let _s = self.ins_mask_ns.span();
-            event_mask(
-                self.g,
-                self.cfg.event,
-                told,
-                tnew,
-                self.old_test,
-                self.new_test,
-            )?
-        };
-        debug_assert_eq!(mask.keep_nodes().check_invariants(), Ok(()));
-        debug_assert_eq!(mask.keep_edges().check_invariants(), Ok(()));
-        let _s = self.ins_count_ns.span();
-        Ok(self.table.count_distinct(self.g, &mask, &self.target))
-    }
-
     /// The interned group table backing this kernel.
     pub fn group_table(&self) -> &GroupTable {
         &self.table
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::explore::{Selector, Semantics};
-    use crate::ops::Event;
-    use tempo_graph::fixtures::fig1;
-    use tempo_graph::TimePoint;
-
-    #[test]
-    fn kernel_matches_materialized_on_fig1() {
-        let g = fig1();
-        let gender = g.schema().id("gender").unwrap();
-        let f = g.schema().category(gender, "f").unwrap();
-        let selectors = [
-            Selector::AllNodes,
-            Selector::AllEdges,
-            Selector::NodeTuple(vec![f.clone()]),
-            Selector::edge_1attr(f.clone(), f.clone()),
-        ];
-        for event in [Event::Stability, Event::Growth, Event::Shrinkage] {
-            for extend in [ExtendSide::Old, ExtendSide::New] {
-                for semantics in [Semantics::Union, Semantics::Intersection] {
-                    for selector in &selectors {
-                        let cfg = ExploreConfig {
-                            event,
-                            extend,
-                            semantics,
-                            k: 1,
-                            attrs: vec![gender],
-                            selector: selector.clone(),
-                        };
-                        let kernel = ExploreKernel::new(&g, &cfg);
-                        for i in 0..2usize {
-                            for j in 0..2usize {
-                                let told = TimeSet::range(3, i.min(j), i.max(j));
-                                let tnew = TimeSet::point(3, TimePoint(2));
-                                assert_eq!(
-                                    kernel.evaluate(&told, &tnew).unwrap(),
-                                    evaluate_pair_materialized(&g, &cfg, &told, &tnew).unwrap(),
-                                    "{event:?}/{extend:?}/{semantics:?}/{selector:?}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_selector_tuple_counts_zero() {
-        let g = fig1();
-        let gender = g.schema().id("gender").unwrap();
-        let cfg = ExploreConfig {
-            event: Event::Stability,
-            extend: ExtendSide::New,
-            semantics: Semantics::Union,
-            k: 1,
-            attrs: vec![gender],
-            selector: Selector::NodeTuple(vec![tempo_columnar::Value::Int(77)]),
-        };
-        let kernel = ExploreKernel::new(&g, &cfg);
-        let told = TimeSet::point(3, TimePoint(0));
-        let tnew = TimeSet::point(3, TimePoint(1));
-        assert_eq!(kernel.evaluate(&told, &tnew).unwrap(), 0);
-        assert_eq!(
-            evaluate_pair_materialized(&g, &cfg, &told, &tnew).unwrap(),
-            0
-        );
     }
 }

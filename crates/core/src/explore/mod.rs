@@ -25,23 +25,14 @@ mod cursor;
 mod engine;
 mod kernel;
 mod naive;
-mod shard;
 mod solve;
 mod threshold;
 
 pub use budget::Budget;
 pub use cursor::ChainCursor;
-pub use engine::{
-    explore, explore_budgeted, explore_materializing, explore_pairwise, explore_parallel,
-    explore_prepared, explore_prepared_budgeted, explore_prepared_masked, ExploreOutcome,
-    IntervalPair,
-};
+pub use engine::{explore, explore_budgeted, ExploreOutcome, IntervalPair};
 pub use kernel::{evaluate_pair_materialized, ExploreKernel};
 pub use naive::explore_naive;
-pub use shard::{
-    explore_sharded, explore_sharded_budgeted, explore_sharded_parallel, explore_sharded_prepared,
-    ShardPlan,
-};
 pub use solve::{solve_problem, EventReport, ProblemReport};
 pub use threshold::{initial_threshold, suggest_k, ThresholdStat};
 

@@ -5,10 +5,10 @@
 //! assuming monotonicity. Serves as the correctness oracle for the pruned
 //! strategies and as the baseline their evaluation savings are measured
 //! against. Deliberately evaluates through the materializing reference path
-//! rather than the kernel, so oracle comparisons also cross-validate the
-//! kernel's counts against an independent implementation.
+//! rather than the chain cursor, so oracle comparisons also cross-validate
+//! the cursor's counts against an independent implementation.
 
-use super::engine::{chain, ExploreOutcome, IntervalPair};
+use super::engine::{chain, check_domain, ExploreOutcome, IntervalPair};
 use super::kernel::evaluate_pair_materialized;
 use super::{ExploreConfig, Semantics};
 use tempo_graph::{GraphError, TemporalGraph};
@@ -21,12 +21,7 @@ use tempo_graph::{GraphError, TemporalGraph};
 /// Returns an error if the graph has fewer than two time points or an
 /// operator fails.
 pub fn explore_naive(g: &TemporalGraph, cfg: &ExploreConfig) -> Result<ExploreOutcome, GraphError> {
-    let n = g.domain().len();
-    if n < 2 {
-        return Err(GraphError::EmptyInterval(
-            "exploration needs at least two time points".to_owned(),
-        ));
-    }
+    let n = check_domain(g)?;
     let mut pairs = Vec::new();
     let mut evaluations = 0;
     for i in 0..n - 1 {

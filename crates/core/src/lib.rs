@@ -69,8 +69,8 @@ pub use evolution::{
     EvolutionAggregate, EvolutionCache, EvolutionClass, EvolutionGraph, EvolutionWeights,
 };
 pub use explore::{
-    explore, explore_materializing, explore_naive, suggest_k, Direction, ExploreConfig,
-    ExploreKernel, ExploreOutcome, ExtendSide, IntervalPair, Selector, Semantics, ThresholdStat,
+    explore, explore_naive, suggest_k, Direction, ExploreConfig, ExploreKernel, ExploreOutcome,
+    ExtendSide, IntervalPair, Selector, Semantics, ThresholdStat,
 };
 pub use measures::{aggregate_measure, EdgeMeasure, MeasureAggregate, NodeMeasure};
 pub use ops::{

@@ -1,22 +1,29 @@
-//! Property-based equivalence of the zero-materialization exploration
-//! kernel with the materializing reference path, on random evolving
-//! graphs: the column-wise `event_mask` vs its row-wise oracle and vs
-//! `event_graph`, `GroupTable::aggregate_masked`
-//! vs `aggregate` of the materialized subgraph, `count_distinct` vs
-//! `Selector::count`, `ExploreKernel::evaluate` vs
-//! `evaluate_pair_materialized`, and full `explore` runs vs
-//! `explore_materializing` / `explore_naive`.
+//! The one oracle file for the bit-kernel read path, on random evolving
+//! graphs. Every production kernel is held to the materializing reference
+//! implementation it replaced:
+//!
+//! * the column-wise `event_mask` vs its row-wise oracle and vs
+//!   `event_graph`;
+//! * `GroupTable::aggregate_masked` vs `aggregate` of the materialized
+//!   subgraph, `count_distinct` vs `Selector::count`;
+//! * both `ChainCursor` modes (`new`, `new_counting`) vs
+//!   `evaluate_pair_materialized` at every chain coordinate of every
+//!   Table-1 row, selector shape, group-table layout and column layout;
+//! * `explore` vs `explore_naive`, and budget cancellation;
+//! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
+//!   consecutive pairs' materialized aggregates.
 
 use graphtempo::aggregate::{aggregate, AggMode, CountTarget, GroupTable};
 use graphtempo::explore::{
-    evaluate_pair_materialized, explore, explore_materializing, explore_naive, ExploreConfig,
-    ExploreKernel, ExtendSide, Selector, Semantics,
+    evaluate_pair_materialized, explore, explore_budgeted, explore_naive, initial_threshold,
+    suggest_k, Budget, ChainCursor, ExploreConfig, ExploreKernel, ExtendSide, Selector, Semantics,
+    ThresholdStat,
 };
 use graphtempo::ops::{event_graph, event_mask, Event, SideTest};
 use proptest::prelude::*;
 use tempo_columnar::{BitMatrix, BitVec, SparseMode, Value};
 use tempo_datagen::RandomGraphConfig;
-use tempo_graph::{AttrId, EdgeId, NodeId, TemporalGraph, TimeSet};
+use tempo_graph::{AttrId, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet};
 
 /// Strategy: a random evolving graph (same shape as `tests/properties.rs`).
 fn graph_strategy() -> impl Strategy<Value = TemporalGraph> {
@@ -71,7 +78,172 @@ fn attr_sets(g: &TemporalGraph) -> [Vec<AttrId>; 3] {
 }
 
 const EVENTS: [Event; 3] = [Event::Stability, Event::Growth, Event::Shrinkage];
+const EXTENDS: [ExtendSide; 2] = [ExtendSide::Old, ExtendSide::New];
+const SEMANTICS: [Semantics; 2] = [Semantics::Union, Semantics::Intersection];
 const TESTS: [SideTest; 2] = [SideTest::Any, SideTest::All];
+const MODES: [SparseMode; 2] = [SparseMode::ForceDense, SparseMode::ForceSparse];
+
+/// The selector shapes: both All selectors, a node tuple and an edge tuple
+/// that exist (`kind` categories and `level` values start at 0 and 1), and
+/// a node and an edge tuple that occur nowhere in the graph.
+fn selectors(attrs: &[AttrId], g: &TemporalGraph) -> Vec<Selector> {
+    let kind = kind_attr(g);
+    let known: Vec<Value> = attrs
+        .iter()
+        .map(|&a| {
+            if a == kind {
+                Value::Cat(0)
+            } else {
+                Value::Int(1)
+            }
+        })
+        .collect();
+    let absent = vec![Value::Cat(u32::MAX); attrs.len()];
+    vec![
+        Selector::AllNodes,
+        Selector::AllEdges,
+        Selector::NodeTuple(known.clone()),
+        Selector::EdgeTuple(known.clone(), known),
+        Selector::NodeTuple(absent.clone()),
+        Selector::EdgeTuple(absent.clone(), absent),
+    ]
+}
+
+/// All twelve Table-1 rows × every selector shape, over each of the given
+/// attribute lists, at threshold `k`.
+fn table1_configs(g: &TemporalGraph, attr_lists: &[Vec<AttrId>], k: u64) -> Vec<ExploreConfig> {
+    let mut out = Vec::new();
+    for attrs in attr_lists {
+        for selector in selectors(attrs, g) {
+            for event in EVENTS {
+                for extend in EXTENDS {
+                    for semantics in SEMANTICS {
+                        out.push(ExploreConfig {
+                            event,
+                            extend,
+                            semantics,
+                            k,
+                            attrs: attrs.clone(),
+                            selector: selector.clone(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The graph under each forced column layout.
+fn both_layouts(g: &TemporalGraph) -> Vec<TemporalGraph> {
+    MODES
+        .iter()
+        .map(|&mode| {
+            let mut g = g.clone();
+            g.set_sparse_mode(mode);
+            g
+        })
+        .collect()
+}
+
+/// The interval pair at chain coordinate `(i, j)`, derived independently
+/// of the engine's chain table.
+fn chain_pair(n: usize, i: usize, j: usize, extend: ExtendSide) -> (TimeSet, TimeSet) {
+    match extend {
+        ExtendSide::New => (
+            TimeSet::point(n, TimePoint(i as u32)),
+            TimeSet::range(n, i + 1, i + 1 + j),
+        ),
+        ExtendSide::Old => (
+            TimeSet::range(n, i - j, i),
+            TimeSet::point(n, TimePoint((i + 1) as u32)),
+        ),
+    }
+}
+
+/// Number of pairs in reference `i`'s chain.
+fn chain_len(n: usize, i: usize, extend: ExtendSide) -> usize {
+    match extend {
+        ExtendSide::New => n - 1 - i,
+        ExtendSide::Old => i + 1,
+    }
+}
+
+/// Drives a masking and a counting cursor over each column layout through
+/// every chain coordinate and checks each count against the materializing
+/// oracle (computed once per coordinate: it does not depend on the layout).
+fn assert_cursors_match_oracle(
+    layouts: &[TemporalGraph],
+    cfg: &ExploreConfig,
+) -> Result<(), TestCaseError> {
+    let g = &layouts[0];
+    let n = g.domain().len();
+    let mut expected = Vec::new();
+    for i in 0..n - 1 {
+        for j in 0..chain_len(n, i, cfg.extend) {
+            let (told, tnew) = chain_pair(n, i, j, cfg.extend);
+            let want = evaluate_pair_materialized(g, cfg, &told, &tnew).unwrap();
+            expected.push((i, j, want));
+        }
+    }
+    for g in layouts {
+        let kernel = ExploreKernel::new(g, cfg);
+        let mut masking = ChainCursor::new(&kernel);
+        let mut counting = ChainCursor::new_counting(&kernel);
+        for &(i, j, want) in &expected {
+            for (name, cursor) in [("masking", &mut masking), ("counting", &mut counting)] {
+                prop_assert_eq!(
+                    cursor.evaluate_chain_pair(i, j),
+                    want,
+                    "{} cursor vs oracle: {:?}/{:?}/{:?} selector={:?} attrs={:?} {:?} i={} j={}",
+                    name,
+                    cfg.event,
+                    cfg.extend,
+                    cfg.semantics,
+                    cfg.selector,
+                    cfg.attrs,
+                    g.sparse_mode(),
+                    i,
+                    j
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// §3.5 by definition: over the consecutive pairs, the min or max of the
+/// selected tuple's weight (tuple selectors) or of the individual entity
+/// weights of the event graph's distinct aggregate (All selectors);
+/// pairs without events are skipped.
+fn naive_threshold(g: &TemporalGraph, cfg: &ExploreConfig, stat: ThresholdStat) -> Option<u64> {
+    let n = g.domain().len();
+    let pick = |ws: Vec<u64>| match stat {
+        ThresholdStat::Min => ws.into_iter().min(),
+        ThresholdStat::Max => ws.into_iter().max(),
+    };
+    let per_pair = (0..n - 1).filter_map(|i| {
+        let told = TimeSet::point(n, TimePoint(i as u32));
+        let tnew = TimeSet::point(n, TimePoint((i + 1) as u32));
+        match &cfg.selector {
+            Selector::NodeTuple(_) | Selector::EdgeTuple(..) => {
+                let r = evaluate_pair_materialized(g, cfg, &told, &tnew).unwrap();
+                (r > 0).then_some(r)
+            }
+            all => {
+                let ev =
+                    event_graph(g, cfg.event, &told, &tnew, SideTest::Any, SideTest::Any).unwrap();
+                let agg = aggregate(&ev, &cfg.attrs, AggMode::Distinct);
+                pick(if all.is_edge() {
+                    agg.iter_edges().into_iter().map(|(_, w)| w).collect()
+                } else {
+                    agg.iter_nodes().into_iter().map(|(_, w)| w).collect()
+                })
+            }
+        }
+    });
+    pick(per_pair.collect())
+}
 
 /// The row-wise oracle for `event_mask`: membership decided entity by
 /// entity against the row-major presence matrices (what `event_mask` did
@@ -271,100 +443,198 @@ proptest! {
         }
     }
 
-    /// The kernel evaluates every interval pair to the same count as the
-    /// materializing reference path, over all twelve Table-1 cases and all
-    /// four selector shapes.
+    /// Both cursor modes evaluate every chain coordinate to the oracle's
+    /// count — across all twelve Table-1 rows, every selector shape
+    /// (present and absent tuples), the three group-table layouts (static
+    /// `kind` runs the popcount counts, time-varying `level` and the mixed
+    /// list the distinct scan) and both column layouts.
     #[test]
-    fn kernel_evaluation_matches_materialized(
-        g in graph_strategy(), s1 in any::<u64>(), s2 in any::<u64>()
-    ) {
-        let n = g.domain().len();
-        let (told, tnew) = (interval(n, s1), interval(n, s2));
-        let kind = kind_attr(&g);
-        // A tuple that exists plus one that cannot: kind categories are
-        // interned from 0, so a large category id is never used.
-        let known = vec![Value::Cat(0)];
-        let unknown = vec![Value::Cat(u32::MAX)];
-        let selectors = [
-            Selector::AllNodes,
-            Selector::AllEdges,
-            Selector::NodeTuple(known.clone()),
-            Selector::EdgeTuple(known.clone(), known),
-            Selector::NodeTuple(unknown.clone()),
-            Selector::EdgeTuple(unknown.clone(), unknown),
-        ];
-        for event in EVENTS {
-            for extend in [ExtendSide::Old, ExtendSide::New] {
-                for semantics in [Semantics::Union, Semantics::Intersection] {
-                    for selector in &selectors {
-                        let cfg = ExploreConfig {
-                            event,
-                            extend,
-                            semantics,
-                            k: 1,
-                            attrs: vec![kind],
-                            selector: selector.clone(),
-                        };
-                        let kernel = ExploreKernel::new(&g, &cfg);
-                        let fast = kernel.evaluate(&told, &tnew).unwrap();
-                        let slow = evaluate_pair_materialized(&g, &cfg, &told, &tnew).unwrap();
-                        prop_assert_eq!(
-                            fast, slow,
-                            "{:?}/{:?}/{:?} selector={:?}", event, extend, semantics, selector
-                        );
-                    }
-                }
-            }
+    fn cursors_match_oracle_at_every_coordinate(g in graph_strategy()) {
+        let layouts = both_layouts(&g);
+        for cfg in table1_configs(&g, &attr_sets(&g), 1) {
+            assert_cursors_match_oracle(&layouts, &cfg)?;
         }
     }
 
-    /// Full exploration runs agree between the kernel and the materializing
-    /// variant — identical pairs AND identical evaluation counts, since both
-    /// share the pruning strategies. Mixed static/time-varying attributes
-    /// exercise the time-indexed group-table layout.
+    /// Two-timepoint graphs have length-1 chains: the base pair is also the
+    /// deepest pair, so every strategy degenerates to a single evaluation.
     #[test]
-    fn explore_matches_materializing_variant(g in graph_strategy(), k in 1u64..30) {
-        let attrs = vec![kind_attr(&g), level_attr(&g)];
+    fn length_one_chains_agree(seed in any::<u64>()) {
+        let g = RandomGraphConfig {
+            pool: 15,
+            timepoints: 2,
+            active_per_tp: 8,
+            edges_per_tp: 12,
+            node_persistence: 0.5,
+            edge_persistence: 0.5,
+            kinds: 2,
+            levels: 2,
+            seed,
+        }
+        .generate()
+        .expect("two-timepoint graph");
+        let layouts = both_layouts(&g);
         for event in EVENTS {
-            for extend in [ExtendSide::Old, ExtendSide::New] {
-                for semantics in [Semantics::Union, Semantics::Intersection] {
+            for extend in EXTENDS {
+                for semantics in SEMANTICS {
                     let cfg = ExploreConfig {
                         event,
                         extend,
                         semantics,
-                        k,
-                        attrs: attrs.clone(),
+                        k: 1,
+                        attrs: vec![kind_attr(&g)],
                         selector: Selector::AllEdges,
                     };
+                    assert_cursors_match_oracle(&layouts, &cfg)?;
                     let fast = explore(&g, &cfg).unwrap();
-                    let slow = explore_materializing(&g, &cfg).unwrap();
-                    prop_assert_eq!(
-                        &fast.pairs, &slow.pairs,
-                        "k={} case={:?}/{:?}/{:?}", k, event, extend, semantics
-                    );
-                    prop_assert_eq!(fast.evaluations, slow.evaluations);
+                    let slow = explore_naive(&g, &cfg).unwrap();
+                    prop_assert_eq!(&fast.pairs, &slow.pairs);
+                    prop_assert_eq!(fast.evaluations, 1, "one chain of one pair");
                 }
             }
         }
     }
 
-    /// With an impossible threshold the kernel and the naive oracle both
-    /// return no pairs (empty-result edge case).
+    /// All twelve Table-1 exploration cases match naive enumeration (with a
+    /// static aggregation attribute, where the monotonicity lemmas hold),
+    /// for every selector shape and including a threshold nothing reaches.
     #[test]
-    fn impossible_threshold_yields_empty(g in graph_strategy()) {
+    fn explore_matches_naive(g in graph_strategy(), k in 1u64..30) {
+        let attrs = [vec![kind_attr(&g)]];
+        for k in [k, u64::MAX] {
+            for cfg in table1_configs(&g, &attrs, k) {
+                let fast = explore(&g, &cfg).unwrap();
+                let slow = explore_naive(&g, &cfg).unwrap();
+                prop_assert_eq!(
+                    &fast.pairs, &slow.pairs,
+                    "k={} case={:?}/{:?}/{:?} selector={:?}",
+                    k, cfg.event, cfg.extend, cfg.semantics, cfg.selector
+                );
+                prop_assert!(fast.evaluations <= slow.evaluations);
+            }
+        }
+    }
+
+    /// An already-expired deadline and a pre-raised cancel flag both stop
+    /// the run at its first checkpoint; an unlimited budget changes nothing.
+    #[test]
+    fn budget_cancels_exploration(g in graph_strategy()) {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
         let cfg = ExploreConfig {
             event: Event::Stability,
             extend: ExtendSide::New,
             semantics: Semantics::Union,
-            k: u64::MAX,
+            k: 1,
             attrs: vec![kind_attr(&g)],
             selector: Selector::AllNodes,
         };
-        let fast = explore(&g, &cfg).unwrap();
-        let slow = explore_naive(&g, &cfg).unwrap();
-        prop_assert!(fast.pairs.is_empty());
-        prop_assert!(slow.pairs.is_empty());
+        let expired = Budget::unlimited().with_deadline_ms(0);
+        prop_assert!(matches!(
+            explore_budgeted(&g, &cfg, &expired),
+            Err(GraphError::Cancelled(_))
+        ));
+        let raised = Budget::unlimited().with_cancel_flag(Arc::new(AtomicBool::new(true)));
+        prop_assert!(matches!(
+            explore_budgeted(&g, &cfg, &raised),
+            Err(GraphError::Cancelled(_))
+        ));
+        let free = explore_budgeted(&g, &cfg, &Budget::unlimited()).unwrap();
+        let plain = explore(&g, &cfg).unwrap();
+        prop_assert_eq!(&free.pairs, &plain.pairs);
+        prop_assert_eq!(free.evaluations, plain.evaluations);
     }
+
+    /// `initial_threshold` — the masking cursor plus `aggregate_masked_with`
+    /// — equals the naive scan for both statistics, every event, extend
+    /// side, semantics, selector shape, group-table layout and column
+    /// layout; `suggest_k` picks the statistic the direction table names.
+    #[test]
+    fn initial_threshold_matches_naive(g in graph_strategy()) {
+        let layouts = both_layouts(&g);
+        for cfg in table1_configs(&g, &attr_sets(&g), 0) {
+            let min = naive_threshold(&g, &cfg, ThresholdStat::Min);
+            let max = naive_threshold(&g, &cfg, ThresholdStat::Max);
+            for g in &layouts {
+                for (stat, want) in [(ThresholdStat::Min, min), (ThresholdStat::Max, max)] {
+                    prop_assert_eq!(
+                        initial_threshold(g, &cfg, stat).unwrap(),
+                        want,
+                        "{:?} {:?}/{:?}/{:?} selector={:?} attrs={:?} {:?}",
+                        stat, cfg.event, cfg.extend, cfg.semantics, cfg.selector, cfg.attrs,
+                        g.sparse_mode()
+                    );
+                }
+                let suggested = suggest_k(g, &cfg).unwrap();
+                prop_assert!(suggested == min || suggested == max);
+            }
+        }
+    }
+}
+
+/// A graph whose later time points are empty produces empty event masks:
+/// stability across (t0, t1) keeps nothing, growth and shrinkage likewise
+/// on at least one side. The cursors must agree with the oracle on zeros.
+#[test]
+fn empty_masks_agree() {
+    use tempo_graph::{AttributeSchema, GraphBuilder, Temporality, TimeDomain};
+
+    let domain = TimeDomain::new(vec!["t0", "t1", "t2"]).unwrap();
+    let mut schema = AttributeSchema::new();
+    let kind = schema.declare("kind", Temporality::Static).unwrap();
+    let mut b = GraphBuilder::new(domain, schema);
+    let a = b.add_node("a").unwrap();
+    let c = b.add_node("c").unwrap();
+    let v = b.intern_category(kind, "k0");
+    b.set_static(a, kind, v.clone()).unwrap();
+    b.set_static(c, kind, v).unwrap();
+    // all presence at t0 only — t1 and t2 are empty time points
+    b.set_presence(a, TimePoint(0)).unwrap();
+    b.set_presence(c, TimePoint(0)).unwrap();
+    b.add_edge_at(a, c, TimePoint(0)).unwrap();
+    let g = b.build().unwrap();
+    let layouts = both_layouts(&g);
+
+    for event in EVENTS {
+        for extend in EXTENDS {
+            for semantics in SEMANTICS {
+                for selector in [Selector::AllNodes, Selector::AllEdges] {
+                    let cfg = ExploreConfig {
+                        event,
+                        extend,
+                        semantics,
+                        k: 1,
+                        attrs: vec![kind],
+                        selector,
+                    };
+                    assert_cursors_match_oracle(&layouts, &cfg).unwrap();
+                }
+            }
+        }
+    }
+    // and shrinkage from the populated point is the only non-empty event
+    let cfg = ExploreConfig {
+        event: Event::Shrinkage,
+        extend: ExtendSide::New,
+        semantics: Semantics::Union,
+        k: 1,
+        attrs: vec![kind],
+        selector: Selector::AllNodes,
+    };
+    let kernel = ExploreKernel::new(&g, &cfg);
+    let mut cursor = ChainCursor::new(&kernel);
+    assert_eq!(
+        cursor.evaluate_chain_pair(0, 0),
+        2,
+        "a and c vanish after t0"
+    );
+    assert!(cursor.last_mask().keep_edges().count_ones() > 0);
+    assert_eq!(
+        cursor.evaluate_chain_pair(1, 0),
+        0,
+        "t1 and t2 are both empty"
+    );
+    assert!(cursor.last_mask().keep_nodes().is_zero());
 }
 
 /// A single-timepoint graph is rejected identically by every exploration
@@ -397,6 +667,6 @@ fn single_timepoint_domain_errors_everywhere() {
         selector: Selector::AllNodes,
     };
     assert!(explore(&g, &cfg).is_err());
-    assert!(explore_materializing(&g, &cfg).is_err());
     assert!(explore_naive(&g, &cfg).is_err());
+    assert!(suggest_k(&g, &cfg).is_err());
 }

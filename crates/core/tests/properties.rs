@@ -4,7 +4,7 @@
 //! equivalence of the pruned exploration strategies with naive enumeration.
 
 use graphtempo::aggregate::{aggregate, aggregate_via_frames, rollup, AggMode, GroupTable};
-use graphtempo::explore::{explore, explore_naive, ExploreConfig, ExtendSide, Selector, Semantics};
+use graphtempo::explore::{explore, ExploreConfig, ExtendSide, Selector, Semantics};
 use graphtempo::materialize::{aggregate_at_point, TimepointStore};
 use graphtempo::ops::{
     difference, event_graph, event_mask, intersection, project_point, union, Event, SideTest,
@@ -277,34 +277,6 @@ proptest! {
         let p = project_point(&g, t).unwrap();
         let slow = aggregate(&p, &[kind_attr(&p)], AggMode::All);
         prop_assert_eq!(fast, slow);
-    }
-
-    /// All twelve Table-1 exploration cases match naive enumeration (with a
-    /// static aggregation attribute, where the monotonicity lemmas hold).
-    #[test]
-    fn explore_matches_naive(g in graph_strategy(), k in 1u64..30) {
-        let kind = kind_attr(&g);
-        for event in [Event::Stability, Event::Growth, Event::Shrinkage] {
-            for extend in [ExtendSide::Old, ExtendSide::New] {
-                for semantics in [Semantics::Union, Semantics::Intersection] {
-                    let cfg = ExploreConfig {
-                        event,
-                        extend,
-                        semantics,
-                        k,
-                        attrs: vec![kind],
-                        selector: Selector::AllEdges,
-                    };
-                    let fast = explore(&g, &cfg).unwrap();
-                    let slow = explore_naive(&g, &cfg).unwrap();
-                    prop_assert_eq!(
-                        &fast.pairs, &slow.pairs,
-                        "k={} case={:?}/{:?}/{:?}", k, event, extend, semantics
-                    );
-                    prop_assert!(fast.evaluations <= slow.evaluations);
-                }
-            }
-        }
     }
 }
 

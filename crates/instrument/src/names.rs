@@ -37,10 +37,6 @@ pub const ALL: &[&str] = &[
     "explore.pruned.intersection_increasing",
     "explore.pruned.union_decreasing",
     "explore.pruned.union_increasing",
-    "explore.shard.builds",
-    "explore.shard.fragments",
-    "explore.shard.merge_ns",
-    "explore.shard.worker_idle_ns",
     "graph.index.append_cols",
     "graph.transpose_build_ns",
     "graph.transpose_builds",

@@ -1526,7 +1526,7 @@ mod tests {
         assert!(s.applies(RULE_METRIC_REGISTRY, "crates/bench/src/bin/exp_explore.rs"));
         // The race crate implements orderings under a virtual-atomics
         // abstraction; every other crate must justify each one.
-        assert!(s.applies(RULE_ATOMIC_ORDERING, "crates/core/src/explore/shard.rs"));
+        assert!(s.applies(RULE_ATOMIC_ORDERING, "crates/core/src/explore/budget.rs"));
         assert!(s.applies(RULE_ATOMIC_ORDERING, "crates/instrument/src/lib.rs"));
         assert!(!s.applies(RULE_ATOMIC_ORDERING, "crates/race/src/check.rs"));
         assert!(s.applies(RULE_LOCK_SCOPE, "crates/server/src/lib.rs"));

@@ -1,40 +1,33 @@
 //! `tempo-race`: exhaustive interleaving checker for GraphTempo's
 //! lock-free protocols.
 //!
-//! The workspace's concurrent core — the sense-reversing [`SpinBarrier`]
-//! and the [`RoundChannel`] sum/done handshake driving sharded
-//! exploration, and the [`EpochMap`] CAS + epoch publication behind the
-//! server's snapshot registry — lives here, written once against the
-//! [`Atomics`] abstraction:
+//! The workspace's one shared-state protocol — the [`EpochMap`] CAS +
+//! epoch publication behind the server's snapshot registry — lives here,
+//! written once against the [`Atomics`] abstraction:
 //!
-//! * production code instantiates the protocols with [`RealAtomics`]
-//!   (plain `std::sync::atomic`, fully inlined — the generics cost
-//!   nothing after monomorphization);
-//! * the checker instantiates them with [`VirtualAtomics`] and runs a
+//! * production code instantiates it with [`RealAtomics`] (plain
+//!   `std::sync` types, fully inlined — the generics cost nothing after
+//!   monomorphization);
+//! * the checker instantiates it with [`VirtualAtomics`] and runs a
 //!   bounded exhaustive DFS over every thread interleaving (sleep-set
 //!   pruned), validating happens-before with vector clocks: no data
 //!   race on the protected plain data, no deadlock or lost wakeup, no
 //!   torn `(value, epoch)` read, and linearizable CAS outcomes.
 //!
 //! Run `cargo run -p tempo-race --release` for the full sweep: the clean
-//! protocols must enumerate completely with zero violations, and every
-//! seeded mutation (e.g. the barrier's generation bump downgraded to
-//! `Relaxed`) must be reported. The same catalog runs in `cargo test`
-//! via `tests/protocols.rs`.
+//! protocol must enumerate completely with zero violations, and both
+//! seeded mutations (a torn `get`, a blind replace) must be reported. The
+//! same catalog runs in `cargo test` via `tests/protocols.rs`.
 
 #![warn(missing_docs)]
 
 pub mod atomics;
-pub mod barrier;
 pub mod check;
 pub mod epoch;
 pub mod real;
-pub mod round;
 pub mod scenarios;
 
 pub use atomics::{AtomicBoolT, AtomicU64T, AtomicUsizeT, Atomics, MutexT, Ordering};
-pub use barrier::{BarrierSpec, SpinBarrier};
 pub use check::{Checker, Report, Scenario, VCell, Violation, ViolationKind, VirtualAtomics};
 pub use epoch::{EpochMap, EpochSpec, Identity};
-pub use real::{backoff, RealAtomics};
-pub use round::{RoundChannel, RoundMsg, RoundSpec};
+pub use real::RealAtomics;

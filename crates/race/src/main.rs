@@ -1,6 +1,7 @@
-//! `tempo-race` driver: sweeps the clean protocol models (must enumerate
+//! `tempo-race` driver: sweeps the clean protocol model (must enumerate
 //! completely with zero violations) and the seeded mutation catalog
-//! (every mutation must be detected). Exit code 0 only when both hold.
+//! (every mutation must be detected). Exit code 0 only when both hold and
+//! the catalogue is exactly what is documented: 1 clean sweep, 2 mutations.
 
 use tempo_race::scenarios::{mutation_cases, protocol_cases};
 use tempo_race::Checker;
@@ -8,9 +9,18 @@ use tempo_race::Checker;
 fn main() {
     let checker = Checker::default();
     let mut failures = 0usize;
+    let (protocols, mutations) = (protocol_cases(), mutation_cases());
+    if (protocols.len(), mutations.len()) != (1, 2) {
+        eprintln!(
+            "tempo-race: catalogue is {} clean sweep(s) and {} mutation(s), expected 1 and 2",
+            protocols.len(),
+            mutations.len()
+        );
+        std::process::exit(1);
+    }
 
     println!("== protocol sweeps (must be clean and complete) ==");
-    for case in protocol_cases() {
+    for case in protocols {
         let report = case.run(&checker);
         let status = if report.passed() {
             "ok"
@@ -30,7 +40,7 @@ fn main() {
     }
 
     println!("== seeded mutations (must be detected) ==");
-    for case in mutation_cases() {
+    for case in mutations {
         let report = case.run(&checker);
         let detected = report.violation.is_some();
         let status = if detected {

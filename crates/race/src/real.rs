@@ -2,20 +2,18 @@
 //! `std::sync::atomic` types plus a spin-then-yield blocking wait.
 //!
 //! Everything is `#[inline]` and monomorphizes to exactly the code the
-//! protocols contained before extraction — the abstraction costs nothing
-//! on the hot paths (see `benches`/`exp_explore` ablations).
+//! protocol contained before extraction.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::atomics::{AtomicBoolT, AtomicU64T, AtomicUsizeT, Atomics, MutexT};
 
-/// Spin for short waits, yield to the OS once a wait turns long. Mirrors
-/// the backoff the sharded evaluator has always used: barrier waits are
-/// normally a few hundred nanoseconds, but an oversubscribed machine
-/// needs the scheduler's help to get the straggler running.
+/// Spin for short waits, yield to the OS once a wait turns long: an
+/// oversubscribed machine needs the scheduler's help to get the straggler
+/// running.
 #[inline]
-pub fn backoff(spins: &mut u32) {
+fn backoff(spins: &mut u32) {
     *spins = spins.saturating_add(1);
     if *spins < (1 << 10) {
         std::hint::spin_loop();

@@ -1,139 +1,17 @@
-//! Checker scenarios for the three extracted protocols, plus the seeded
-//! mutation catalog.
+//! The checker scenario for the extracted [`EpochMap`] protocol, plus the
+//! seeded mutation catalog.
 //!
-//! Each scenario models the protocol exactly as production drives it and
+//! The scenario models the protocol exactly as production drives it and
 //! surrounds it with *plain* [`VCell`] data whose safety depends on the
-//! protocol's happens-before edges — the same shape as the evaluator's
-//! shard payloads and the registry's graph snapshots. A weakened ordering
-//! therefore shows up as a detected data race (or a deadlock / failed
-//! invariant), not as a silent wrong answer.
+//! protocol's happens-before edges — the same shape as the registry's
+//! graph snapshots. A weakened protocol therefore shows up as a detected
+//! data race (or a deadlock / failed invariant), not as a silent wrong
+//! answer.
 
 use std::sync::Arc;
 
-use crate::atomics::Ordering;
-use crate::barrier::{BarrierSpec, SpinBarrier};
 use crate::check::{Checker, Report, Scenario, VCell, VirtualAtomics};
 use crate::epoch::{EpochMap, EpochSpec};
-use crate::round::{RoundChannel, RoundMsg, RoundSpec};
-
-/// `n` threads × `rounds` barrier rounds. Every thread writes its
-/// per-round slot before `wait()` and reads *all* slots after it; the
-/// reads are only race-free if the barrier provides the round edge.
-pub fn barrier_scenario(
-    n: usize,
-    rounds: usize,
-    spec: BarrierSpec,
-) -> impl Fn(&VirtualAtomics) -> Scenario {
-    move |env| {
-        let barrier = Arc::new(SpinBarrier::with(env, n, spec));
-        let slots: Arc<Vec<Vec<VCell<u64>>>> = Arc::new(
-            (0..n)
-                .map(|_| (0..rounds).map(|_| env.cell(0, "barrier.slot")).collect())
-                .collect(),
-        );
-        let threads = (0..n)
-            .map(|t| {
-                let barrier = Arc::clone(&barrier);
-                let slots = Arc::clone(&slots);
-                let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    for r in 0..rounds {
-                        slots[t][r].write(slot_value(t, r));
-                        barrier.wait();
-                        let got: u64 = (0..n).map(|u| slots[u][r].read()).sum();
-                        let want: u64 = (0..n).map(|u| slot_value(u, r)).sum();
-                        assert_eq!(got, want, "round {r} payload mismatch seen by t{t}");
-                    }
-                });
-                body
-            })
-            .collect();
-        Scenario {
-            threads,
-            finally: None,
-        }
-    }
-}
-
-fn slot_value(t: usize, r: usize) -> u64 {
-    (t as u64 + 1) * 100 + r as u64
-}
-
-/// One driver + `workers` workers × `rounds` rounds over a
-/// [`RoundChannel`], then a stop round. Operands and partials flow
-/// through plain cells on both sides of the handshake.
-pub fn round_scenario(
-    workers: usize,
-    rounds: usize,
-    spec: RoundSpec,
-) -> impl Fn(&VirtualAtomics) -> Scenario {
-    move |env| {
-        let chan = Arc::new(RoundChannel::with(env, spec));
-        let payload: Arc<Vec<Vec<VCell<u64>>>> = Arc::new(
-            (0..workers)
-                .map(|_| (0..rounds).map(|_| env.cell(0, "round.payload")).collect())
-                .collect(),
-        );
-        let results: Arc<Vec<Vec<VCell<u64>>>> = Arc::new(
-            (0..workers)
-                .map(|_| (0..rounds).map(|_| env.cell(0, "round.result")).collect())
-                .collect(),
-        );
-        let mut threads: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        {
-            let chan = Arc::clone(&chan);
-            let payload = Arc::clone(&payload);
-            let results = Arc::clone(&results);
-            threads.push(Box::new(move || {
-                for r in 0..rounds {
-                    let op = r as u64 + 1;
-                    for w in 0..workers {
-                        payload[w][r].write(payload_value(w, r));
-                    }
-                    chan.begin(op);
-                    let sum = chan.collect(workers);
-                    let want: u64 = (0..workers).map(|w| payload_value(w, r) + op).sum();
-                    assert_eq!(sum, want, "round {r} reduced sum mismatch");
-                    for w in 0..workers {
-                        assert_eq!(
-                            results[w][r].read(),
-                            payload_value(w, r) + op,
-                            "round {r} worker {w} result mismatch"
-                        );
-                    }
-                }
-                chan.publish_stop();
-            }));
-        }
-        for w in 0..workers {
-            let chan = Arc::clone(&chan);
-            let payload = Arc::clone(&payload);
-            let results = Arc::clone(&results);
-            threads.push(Box::new(move || {
-                let mut seen = 0u64;
-                let mut r = 0usize;
-                loop {
-                    match chan.next(&mut seen) {
-                        RoundMsg::Stop => break,
-                        RoundMsg::Op(op) => {
-                            let partial = payload[w][r].read() + op;
-                            results[w][r].write(partial);
-                            chan.finish(partial);
-                            r += 1;
-                        }
-                    }
-                }
-            }));
-        }
-        Scenario {
-            threads,
-            finally: None,
-        }
-    }
-}
-
-fn payload_value(w: usize, r: usize) -> u64 {
-    (w as u64 + 1) * 10 + r as u64
-}
 
 /// Two concurrent CAS writers over an [`EpochMap`] seeded at epoch 1.
 /// Every stored value is an `Arc<u64>` equal to the epoch it was stored
@@ -226,39 +104,13 @@ fn seeded(name: &'static str, run: impl Fn(&Checker) -> Report + 'static) -> Cas
     }
 }
 
-/// The clean protocol sweeps: production orderings, zero violations and
-/// complete enumeration required.
+/// The clean protocol sweep: the production protocol shape, zero
+/// violations and complete enumeration required.
 #[must_use]
 pub fn protocol_cases() -> Vec<Case> {
-    vec![
-        clean("barrier n=2 rounds=2", |c| {
-            c.check(
-                "barrier n=2 rounds=2",
-                barrier_scenario(2, 2, BarrierSpec::default()),
-            )
-        }),
-        clean("barrier n=3 rounds=1", |c| {
-            c.check(
-                "barrier n=3 rounds=1",
-                barrier_scenario(3, 1, BarrierSpec::default()),
-            )
-        }),
-        clean("round workers=1 rounds=2", |c| {
-            c.check(
-                "round workers=1 rounds=2",
-                round_scenario(1, 2, RoundSpec::default()),
-            )
-        }),
-        clean("round workers=2 rounds=1", |c| {
-            c.check(
-                "round workers=2 rounds=1",
-                round_scenario(2, 1, RoundSpec::default()),
-            )
-        }),
-        clean("epoch CAS writers=2", |c| {
-            c.check("epoch CAS writers=2", epoch_scenario(EpochSpec::default()))
-        }),
-    ]
+    vec![clean("epoch CAS writers=2", |c| {
+        c.check("epoch CAS writers=2", epoch_scenario(EpochSpec::default()))
+    })]
 }
 
 /// The seeded mutations: each deliberately weakens one protocol site and
@@ -266,55 +118,6 @@ pub fn protocol_cases() -> Vec<Case> {
 #[must_use]
 pub fn mutation_cases() -> Vec<Case> {
     vec![
-        seeded("barrier: generation publish downgraded to Relaxed", |c| {
-            let spec = BarrierSpec {
-                publish: Ordering::Relaxed,
-                ..BarrierSpec::default()
-            };
-            c.check("barrier publish=Relaxed", barrier_scenario(2, 1, spec))
-        }),
-        seeded("barrier: arrival fetch_add downgraded to Relaxed", |c| {
-            let spec = BarrierSpec {
-                arrive: Ordering::Relaxed,
-                ..BarrierSpec::default()
-            };
-            c.check("barrier arrive=Relaxed", barrier_scenario(2, 1, spec))
-        }),
-        seeded("barrier: generation spin downgraded to Relaxed", |c| {
-            let spec = BarrierSpec {
-                spin: Ordering::Relaxed,
-                ..BarrierSpec::default()
-            };
-            c.check("barrier spin=Relaxed", barrier_scenario(2, 1, spec))
-        }),
-        seeded("round: round publish downgraded to Relaxed", |c| {
-            let spec = RoundSpec {
-                publish: Ordering::Relaxed,
-                ..RoundSpec::default()
-            };
-            c.check("round publish=Relaxed", round_scenario(1, 1, spec))
-        }),
-        seeded("round: done increment downgraded to Relaxed", |c| {
-            let spec = RoundSpec {
-                finish: Ordering::Relaxed,
-                ..RoundSpec::default()
-            };
-            c.check("round finish=Relaxed", round_scenario(1, 1, spec))
-        }),
-        seeded("round: done collect downgraded to Relaxed", |c| {
-            let spec = RoundSpec {
-                collect: Ordering::Relaxed,
-                ..RoundSpec::default()
-            };
-            c.check("round collect=Relaxed", round_scenario(1, 1, spec))
-        }),
-        seeded("round: reduction reset moved after publication", |c| {
-            let spec = RoundSpec {
-                reset_before_publish: false,
-                ..RoundSpec::default()
-            };
-            c.check("round reset-after-publish", round_scenario(1, 1, spec))
-        }),
         seeded("epoch: get() splits value and epoch reads", |c| {
             let spec = EpochSpec {
                 coupled_get: false,

@@ -32,10 +32,8 @@
 //! `append <name> <label> …`, `metrics`, `shutdown`. Query commands are
 //! addressed to a snapshot: `<cmd> <snapshot> [args…]`, e.g. `stats g` or
 //! `explore g event=growth k=5 attrs=gender timeout_ms=500 limit=100`.
-//! The `timeout_ms=`, `limit=`, and `shards=` kwargs are request-scoped
-//! limits enforced by the server (they override the configured defaults);
-//! `shards=` routes `explore` through the entity-space sharded evaluator,
-//! clamped to [`MAX_SHARDS`].
+//! The `timeout_ms=` and `limit=` kwargs are request-scoped limits enforced
+//! by the server (they override the configured defaults).
 //!
 //! `append <name> <label> [node=N]… [edge=U,V]… [tv=N,ATTR,VAL]…
 //! [static=N,ATTR,VAL]… [edgeval=U,V,VAL]…` appends one timepoint to a
@@ -73,11 +71,6 @@ const READ_POLL: Duration = Duration::from_millis(200);
 /// so 1 MiB leaves two orders of magnitude of headroom while bounding what
 /// one newline-free client can make the server hold.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
-
-/// Ceiling on the per-request `shards=` kwarg. Fragments cost memory and
-/// a spinning worker each, so a hostile request must not be able to ask
-/// for thousands of them.
-pub const MAX_SHARDS: usize = 64;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -473,7 +466,7 @@ fn help_lines() -> Vec<String> {
         "  append <name> <label> [node=N] [edge=U,V] [tv=N,ATTR,VAL] [static=N,ATTR,VAL] \
          [edgeval=U,V,VAL]"
             .to_owned(),
-        "snapshot queries: <cmd> <snapshot> [args…] [timeout_ms=] [limit=] [shards=]".to_owned(),
+        "snapshot queries: <cmd> <snapshot> [args…] [timeout_ms=] [limit=]".to_owned(),
         "snapshot-scoped responses carry `epoch=<e>` on the OK line".to_owned(),
         String::new(),
     ];
@@ -631,7 +624,7 @@ fn query_snapshot(
     let mut limits = QueryLimits {
         timeout_ms: state.cfg.default_timeout_ms,
         max_rows: Some(state.cfg.default_max_rows),
-        shards: None,
+        ..QueryLimits::default()
     };
     let mut query_args = Vec::new();
     for a in args {
@@ -645,11 +638,6 @@ fn query_snapshot(
                 v.parse()
                     .map_err(|_| CliError::Usage("limit=<int>".into()))?,
             );
-        } else if let Some(v) = a.strip_prefix("shards=") {
-            let s: usize = v
-                .parse()
-                .map_err(|_| CliError::Usage("shards=<int>".into()))?;
-            limits.shards = Some(s.min(MAX_SHARDS));
         } else {
             query_args.push(a.clone());
         }
@@ -851,22 +839,6 @@ mod tests {
             &state,
             "explore g event=growth semantics=union extend=new k=2 attrs=grade timeout_ms=0",
         );
-        assert!(resp.starts_with("ERR timeout:"), "unexpected: {resp}");
-
-        // shards= routes through the sharded evaluator bit-identically
-        let explore = "explore g event=growth semantics=union extend=new k=2 attrs=grade";
-        let (plain, _) = handle_request(&state, explore);
-        assert!(plain.starts_with("OK "), "unexpected: {plain}");
-        let (sharded, _) = handle_request(&state, &format!("{explore} shards=4"));
-        assert_eq!(sharded, plain);
-        // an absurd shard count is clamped, not rejected
-        let (clamped, _) = handle_request(&state, &format!("{explore} shards=100000"));
-        assert_eq!(clamped, plain);
-        let (resp, _) = handle_request(&state, &format!("{explore} shards=x"));
-        assert!(resp.starts_with("ERR "), "unexpected: {resp}");
-
-        // budget checkpoints still fire inside sharded evaluation
-        let (resp, _) = handle_request(&state, &format!("{explore} shards=4 timeout_ms=0"));
         assert!(resp.starts_with("ERR timeout:"), "unexpected: {resp}");
 
         let (resp, _) = handle_request(&state, "nonsense g");

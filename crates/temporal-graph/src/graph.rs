@@ -14,13 +14,10 @@
 use crate::attrs::{AttrId, AttributeSchema, Temporality};
 use crate::error::GraphError;
 use crate::groups::{CachedColumns, GroupColumns, GroupColumnsCache};
-use crate::shards::PresenceShards;
 use crate::time::{TimeDomain, TimePoint, TimeSet};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use tempo_columnar::{
-    shard_ranges, BitMatrix, Interner, SparseMode, TransposedBitMatrix, Value, ValueMatrix,
-};
+use tempo_columnar::{BitMatrix, Interner, SparseMode, TransposedBitMatrix, Value, ValueMatrix};
 
 /// Dense node identifier (row in the node arrays).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -72,9 +69,6 @@ pub struct TemporalGraph {
     /// across threads. A clone of the graph carries the cached value along.
     pub(crate) node_cols: OnceLock<TransposedBitMatrix>,
     pub(crate) edge_cols: OnceLock<TransposedBitMatrix>,
-    /// Lazily built entity-space shard fragments, keyed by shard count and
-    /// cached alongside the whole-graph columns (clones share the cache).
-    pub(crate) shard_cols: Arc<Mutex<HashMap<usize, Arc<PresenceShards>>>>,
     /// Lazily built group-id columns, keyed by the ordered attribute list
     /// (clones share the cache; see [`TemporalGraph::group_columns`]).
     pub(crate) group_cols: Arc<Mutex<GroupColumnsCache>>,
@@ -212,7 +206,6 @@ impl TemporalGraph {
             sparse_mode: SparseMode::Auto,
             node_cols: OnceLock::new(),
             edge_cols: OnceLock::new(),
-            shard_cols: Arc::new(Mutex::new(HashMap::new())),
             group_cols: Arc::default(),
             epoch: 0,
         };
@@ -519,21 +512,19 @@ impl TemporalGraph {
     }
 
     /// Drops — and, crucially, *un-shares* — every lazily built index
-    /// cache: the `node_cols`/`edge_cols` transposed-presence locks, the
-    /// shard-fragment cache and the group-id columns, exactly as
+    /// cache: the `node_cols`/`edge_cols` transposed-presence locks and the
+    /// group-id columns, exactly as
     /// [`set_sparse_mode`](Self::set_sparse_mode) does on a policy change.
     ///
-    /// A clone shares `shard_cols` and `group_cols` through their `Arc`s,
-    /// so every mutation seam (the builder and append paths) must call
-    /// this — or install freshly built indexes into fresh locks — before
-    /// publishing mutated matrices or attribute tables; otherwise a mutated
-    /// clone keeps serving fragments and group ids built from the
-    /// pre-mutation data, and inserting new ones would poison the pristine
-    /// original's cache too.
+    /// A clone shares `group_cols` through its `Arc`, so every mutation
+    /// seam (the builder and append paths) must call this — or install
+    /// freshly built indexes into fresh locks — before publishing mutated
+    /// matrices or attribute tables; otherwise a mutated clone keeps
+    /// serving group ids built from the pre-mutation data, and inserting
+    /// new ones would poison the pristine original's cache too.
     pub(crate) fn invalidate_index_caches(&mut self) {
         self.node_cols = OnceLock::new();
         self.edge_cols = OnceLock::new();
-        self.shard_cols = Arc::new(Mutex::new(HashMap::new()));
         self.group_cols = Arc::default();
     }
 
@@ -585,66 +576,17 @@ impl TemporalGraph {
     }
 
     fn build_transposed(&self, m: &BitMatrix) -> TransposedBitMatrix {
-        self.build_transposed_rows(m, 0, m.nrows())
-    }
-
-    fn build_transposed_rows(&self, m: &BitMatrix, lo: usize, hi: usize) -> TransposedBitMatrix {
         let ins = tempo_instrument::global();
         let t = {
             let _span = ins.histogram("graph.transpose_build_ns").span();
             ins.counter("graph.transpose_builds").inc();
-            m.transposed_rows_with(lo, hi, self.sparse_mode)
+            m.transposed_with(self.sparse_mode)
         };
         ins.counter("columnar.presence.dense_cols")
             .add(t.n_dense_cols() as u64);
         ins.counter("columnar.presence.sparse_cols")
             .add(t.n_sparse_cols() as u64);
         t
-    }
-
-    /// Entity-space shard fragments of the presence indexes for the given
-    /// shard count: node and edge id spaces partitioned into `shards`
-    /// contiguous word-aligned ranges, with one transposed presence
-    /// fragment per shard and dimension (see [`PresenceShards`]).
-    ///
-    /// Built lazily on first use and cached per shard count for the
-    /// lifetime of the graph (clones share the cache); each fragment build
-    /// goes through the same cache-blocked transpose — and the same
-    /// `graph.transpose_build_ns` instrumentation — as the whole-graph
-    /// columns. The build itself is counted under `explore.shard.builds`
-    /// and `explore.shard.fragments`.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn presence_shards(&self, shards: usize) -> Arc<PresenceShards> {
-        let mut cache = self
-            .shard_cols
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(p) = cache.get(&shards) {
-            return Arc::clone(p);
-        }
-        let ins = tempo_instrument::global();
-        ins.counter("explore.shard.builds").inc();
-        ins.counter("explore.shard.fragments")
-            .add(2 * shards as u64);
-        let node_ranges = shard_ranges(self.n_nodes(), shards);
-        let edge_ranges = shard_ranges(self.n_edges(), shards);
-        let p = Arc::new(PresenceShards {
-            node_frags: node_ranges
-                .iter()
-                .map(|&(lo, hi)| self.build_transposed_rows(&self.node_presence, lo, hi))
-                .collect(),
-            edge_frags: edge_ranges
-                .iter()
-                .map(|&(lo, hi)| self.build_transposed_rows(&self.edge_presence, lo, hi))
-                .collect(),
-            node_ranges,
-            edge_ranges,
-        });
-        debug_assert_eq!(p.check_invariants(), Ok(()));
-        cache.insert(shards, Arc::clone(&p));
-        p
     }
 
     /// Raw static attribute table (the paper's array **S**).
@@ -729,29 +671,19 @@ mod tests {
         assert_eq!(g2.node_presence_columns(), nc);
     }
 
-    // Regression: the shard-fragment cache is shared through an `Arc`, so
-    // a clone that is about to mutate its matrices must un-share it (the
-    // same way `set_sparse_mode` does) or it keeps serving fragments built
-    // from the pre-mutation data.
+    // A clone that is about to mutate its matrices must drop the presence
+    // columns it carried along (the same way `set_sparse_mode` does) or it
+    // keeps serving columns built from the pre-mutation data. The group-id
+    // half of the seam is checked in `groups.rs`.
     #[test]
-    fn invalidated_clone_serves_fresh_fragments_and_columns() {
+    fn invalidated_clone_serves_fresh_columns() {
         let g = fig1_graph();
-        let warm = g.presence_shards(2);
         let warm_cols = g.node_presence_columns() as *const _;
         let mut c = g.clone();
         c.invalidate_index_caches();
-        let fresh = c.presence_shards(2);
-        assert!(
-            !Arc::ptr_eq(&warm, &fresh),
-            "mutation seam must not serve the shared pre-mutation fragments"
-        );
         assert!(!std::ptr::eq(warm_cols, c.node_presence_columns()));
-        // the pristine original keeps its own warm caches…
-        assert!(Arc::ptr_eq(&warm, &g.presence_shards(2)));
+        // the pristine original keeps its own warm cache
         assert!(std::ptr::eq(warm_cols, g.node_presence_columns()));
-        // …and the invalidated clone's inserts no longer reach it
-        let _ = c.presence_shards(4);
-        assert_eq!(g.shard_cols.lock().unwrap().len(), 1);
     }
 
     // Regression for the env-driven policy: building one graph used to

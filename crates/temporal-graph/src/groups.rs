@@ -1,8 +1,8 @@
 //! Group-id columns: each node's aggregation tuple interned to a dense
 //! `u32`, per `(graph, ordered attribute list)`.
 //!
-//! This is the third lazily built index on a [`TemporalGraph`], next to the
-//! transposed presence columns and the shard fragments: read queries
+//! This is the second lazily built index on a [`TemporalGraph`], next to
+//! the transposed presence columns: read queries
 //! (aggregation, evolution, exploration) count group ids into dense
 //! accumulators instead of hashing a heap-allocated [`ValueTuple`] per
 //! appearance. The columns are derived from the attribute tables only, so

@@ -42,7 +42,6 @@ mod groups;
 pub mod io;
 pub mod metrics;
 pub mod seams;
-mod shards;
 mod stats;
 mod time;
 mod versions;
@@ -52,7 +51,6 @@ pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{EdgeId, NodeId, TemporalGraph};
 pub use groups::{GroupColumns, NO_GROUP};
-pub use shards::PresenceShards;
 pub use stats::{attr_domain_size_at, GraphStats};
 pub use time::{require_non_empty, Interval, TimeDomain, TimePoint, TimeSet};
 pub use versions::{GraphVersions, TimepointPatch};

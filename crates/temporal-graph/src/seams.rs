@@ -1,11 +1,11 @@
 //! Cache-seam registry: the closed list of functions allowed to mutate
 //! presence matrices without calling `invalidate_index_caches()`.
 //!
-//! A [`crate::TemporalGraph`] carries three lazily built indexes derived
-//! from its data: the transposed presence columns, the shard fragments, and
-//! the group-id columns (`groups.rs`, derived from the *attribute tables*
-//! and keyed by the ordered attribute list). `invalidate_index_caches()`
-//! drops and un-shares all three.
+//! A [`crate::TemporalGraph`] carries two lazily built indexes derived
+//! from its data: the transposed presence columns and the group-id columns
+//! (`groups.rs`, derived from the *attribute tables* and keyed by the
+//! ordered attribute list). `invalidate_index_caches()` drops and
+//! un-shares both.
 //!
 //! The workspace `cache-seam` lint (`tempo-lint`) flags any function in
 //! this crate that touches `node_presence`/`edge_presence` mutators

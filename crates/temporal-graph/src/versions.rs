@@ -27,11 +27,7 @@
 //!   and the first request per attribute list extends them by the appended
 //!   cells instead of re-interning the whole history — unless the patch
 //!   rewrote a static cell of an existing node, which starts the cache
-//!   empty;
-//! * the entity-space shard fragments cannot be carried forward and start
-//!   from a fresh, un-shared cache, so no reader of an older epoch ever
-//!   observes post-append data and no stale fragment survives into the new
-//!   epoch.
+//!   empty.
 //!
 //! Total per-append cost is `O(V + E + Δ)` — independent of `T` — where
 //! `Δ` is the patch size; `exp_ingest` benches exactly this.
@@ -429,12 +425,6 @@ impl GraphVersions {
             sparse_mode: g.sparse_mode,
             node_cols,
             edge_cols,
-            // Shard fragments cannot be carried forward (their row ranges
-            // re-tile when entities grow); a *fresh* un-shared cache keeps
-            // the old epoch's fragments valid for its readers and this
-            // epoch's builds invisible to them (the clone-shared-cache
-            // bug `invalidate_index_caches` exists for).
-            shard_cols: Arc::new(Mutex::new(HashMap::new())),
             // Group ids of old cells stay valid unless the patch rewrote
             // one of the static cells they were derived from; the new
             // epoch's own cache names the old columns as bases to extend.
@@ -602,22 +592,6 @@ mod tests {
         let nc = new.node_presence_columns();
         assert_eq!(nc.n_cols(), 4);
         assert_eq!(nc.source_rows(), 6);
-    }
-
-    // The append seam of satellite bug #1: fragments built on an old epoch
-    // must neither leak into the new epoch nor be poisoned by it.
-    #[test]
-    fn append_unshares_the_shard_fragment_cache() {
-        let mut v = GraphVersions::new(fixtures::fig1());
-        let old = v.current();
-        let warm = old.presence_shards(2);
-        let new = v.append_timepoint(&pubs_patch()).unwrap();
-        let fresh = new.presence_shards(2);
-        assert!(!Arc::ptr_eq(&warm, &fresh));
-        assert_eq!(fresh.node_frag(0).n_cols(), 4);
-        assert_eq!(warm.node_frag(0).n_cols(), 3);
-        // the new epoch's build did not reach the old epoch's cache
-        assert!(Arc::ptr_eq(&warm, &old.presence_shards(2)));
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub mod prelude {
         cube::{GraphCube, Level},
         evolution::{evolution_aggregate, EvolutionClass, EvolutionGraph},
         explore::{
-            explore, explore_naive, explore_parallel, solve_problem, suggest_k, ExploreConfig,
-            ExtendSide, ProblemReport, Selector, Semantics, ThresholdStat,
+            explore, explore_naive, solve_problem, suggest_k, ExploreConfig, ExtendSide,
+            ProblemReport, Selector, Semantics, ThresholdStat,
         },
         export::{aggregate_to_dot, evolution_to_dot},
         materialize::{MaterializationCache, TimepointStore},
