@@ -1,18 +1,15 @@
-//! Ablation: the three aggregation implementations.
+//! Ablation: the production aggregation against its oracle.
 //!
 //! * `masked` — cached group ids counted into dense accumulators under the
 //!   whole-graph event mask (what `agg` runs; with all-static attributes it
 //!   is the paper's §4.2 one-id-per-node shortcut);
 //! * `direct` — hash aggregation of value tuples over the presence matrices
-//!   (the oracle);
-//! * `frames` — the paper's Algorithm 2 verbatim on the columnar engine
-//!   (unpivot → merge → dedup → group-count), the authors' pandas shape.
+//!   (the oracle).
 //!
-//! Quantifies what interned group ids buy over hashing tuples and what the
-//! dataframe formulation costs relative to direct hashing.
+//! Quantifies what interned group ids buy over hashing tuples.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use graphtempo::aggregate::{aggregate, aggregate_via_frames, AggMode, GroupTable};
+use graphtempo::aggregate::{aggregate, AggMode, GroupTable};
 use graphtempo::ops::{event_mask, Event, SideTest};
 use std::sync::OnceLock;
 use tempo_bench::datasets::{attrs, dblp};
@@ -51,17 +48,11 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("masked/gender/{tag}"), |b| {
             b.iter(|| GroupTable::cached(g, &gender).aggregate_masked(g, &whole, mode))
         });
-        group.bench_function(format!("frames/gender/{tag}"), |b| {
-            b.iter(|| aggregate_via_frames(g, &gender, mode).expect("valid graph"))
-        });
         group.bench_function(format!("masked/gender+pubs/{tag}"), |b| {
             b.iter(|| GroupTable::cached(g, &mixed).aggregate_masked(g, &whole, mode))
         });
         group.bench_function(format!("direct/gender+pubs/{tag}"), |b| {
             b.iter(|| aggregate(g, &mixed, mode))
-        });
-        group.bench_function(format!("frames/gender+pubs/{tag}"), |b| {
-            b.iter(|| aggregate_via_frames(g, &mixed, mode).expect("valid graph"))
         });
     }
     group.finish();

@@ -1,10 +1,11 @@
 //! Criterion bench for Fig. 10: from-scratch union + ALL aggregation vs
-//! the T-distributive combination of precomputed per-timepoint aggregates.
+//! the T-distributive combination of precomputed per-timepoint aggregates,
+//! and vs the masked evaluation on cached group ids the served queries run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use graphtempo::aggregate::{aggregate, AggMode};
+use graphtempo::aggregate::{aggregate, AggMode, GroupTable};
 use graphtempo::materialize::TimepointStore;
-use graphtempo::ops::union;
+use graphtempo::ops::{event_mask, union, Event, SideTest};
 use std::sync::OnceLock;
 use tempo_bench::datasets::{attrs, dblp};
 use tempo_graph::{TemporalGraph, TimePoint, TimeSet};
@@ -34,6 +35,14 @@ fn bench(c: &mut Criterion) {
             });
             group.bench_function(format!("precomputed/{name}/len{}", end + 1), |b| {
                 b.iter(|| store.union_all(&scope).expect("scope within domain"))
+            });
+            group.bench_function(format!("masked/{name}/len{}", end + 1), |b| {
+                b.iter(|| {
+                    let any = SideTest::Any;
+                    let mask = event_mask(g, Event::Stability, &scope, &scope, any, any)
+                        .expect("scope is non-empty");
+                    GroupTable::cached(g, &ids).aggregate_masked(g, &mask, AggMode::All)
+                })
             });
         }
     }

@@ -145,7 +145,16 @@ impl Session {
     /// Returns a [`CliError`] describing what went wrong; the session state
     /// is unchanged on error.
     pub fn exec(&mut self, line: &str) -> Result<String, CliError> {
-        let tokens = tokenize(line);
+        self.exec_tokens(&tokenize(line))
+    }
+
+    /// Executes one command already split into tokens (command first) —
+    /// what a caller that tokenized the line itself hands over, so that a
+    /// quoted argument stays one token however much whitespace it holds.
+    ///
+    /// # Errors
+    /// As [`exec`](Self::exec).
+    pub fn exec_tokens(&mut self, tokens: &[String]) -> Result<String, CliError> {
         let Some(cmd) = tokens.first() else {
             return Ok(String::new());
         };
@@ -621,7 +630,7 @@ impl Session {
             .split(',')
             .map(|s| s.trim().to_owned())
             .collect();
-        let cube = GraphCube::build(g, &attrs, 4);
+        let cube = GraphCube::build(g, &attrs, 1);
         let level = Level::new(level_names);
         let agg = if let Some(t) = kwarg(&kw, "t") {
             let p = crate::parser::parse_point(g.domain(), t)?;

@@ -1,18 +1,22 @@
-//! Differential test of the read-query path: every `agg`, `evolution` and
-//! operator-count answer of [`Session::exec`] — served from event masks,
-//! cached group ids and dense accumulators — must equal the naive oracle
-//! (`aggregate` over the *materialized* operator graph; the tuple-hashing
-//! `evolution_aggregate_naive`) on random graphs, at every epoch of a random
-//! append sequence, under both presence-column policies.
+//! Differential test of the read-query path: every `agg`, `evolution`,
+//! `cube`, `measure` and operator-count answer of [`Session::exec`] — served
+//! from event masks, cached group ids and dense accumulators — must equal
+//! the naive oracle (`aggregate` over the *materialized* operator graph,
+//! rolled up for `cube`; the tuple-hashing `evolution_aggregate_naive`; a
+//! scan over `attr_value` / `edge_value` for `measure`) on random graphs, at
+//! every epoch of a random append sequence, under both presence-column
+//! policies.
 //!
-//! The appends rewrite static cells and add nodes, so an answer computed
-//! from group ids cached on an earlier epoch would differ from the oracle.
+//! The appends rewrite static cells, add nodes and record edge values, so an
+//! answer computed from group ids cached on an earlier epoch would differ
+//! from the oracle.
 
-use graphtempo::aggregate::{aggregate, AggMode, AggregateGraph};
+use graphtempo::aggregate::{aggregate, rollup, AggMode, AggregateGraph};
 use graphtempo::evolution::{evolution_aggregate_naive, EvolutionAggregate};
-use graphtempo::ops::{difference, intersection, project, union};
+use graphtempo::ops::{difference, intersection, project, project_point, union};
 use graphtempo_cli::{QueryLimits, Session};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tempo_columnar::{SparseMode, ValueTuple};
@@ -48,15 +52,17 @@ fn graph_config() -> impl Strategy<Value = RandomGraphConfig> {
 
 /// One `append` line's tokens over node indexes `0..40` (the generator's
 /// pool is at most 30, so some of them are new nodes): marked nodes, edges,
-/// `level` values, and `kind` rewrites (`k0` always exists).
+/// `level` values, `kind` rewrites (`k0` always exists), and edge values
+/// (the generated graph has none until a patch records one).
 fn patch_tokens() -> impl Strategy<Value = String> {
     (
         proptest::collection::vec(0usize..40, 0..4),
         proptest::collection::vec((0usize..40, 0usize..40), 0..5),
         proptest::collection::vec((0usize..40, 1i64..5), 0..4),
         proptest::collection::vec(0usize..40, 0..3),
+        proptest::collection::vec((0usize..40, 0usize..40, -3i64..9), 0..3),
     )
-        .prop_map(|(nodes, edges, levels, kinds)| {
+        .prop_map(|(nodes, edges, levels, kinds, edge_values)| {
             let mut out = String::new();
             for n in nodes {
                 let _ = write!(out, " node=n{n}");
@@ -69,6 +75,9 @@ fn patch_tokens() -> impl Strategy<Value = String> {
             }
             for n in kinds {
                 let _ = write!(out, " static=n{n},kind,k0");
+            }
+            for (u, v, value) in edge_values {
+                let _ = write!(out, " edgeval=n{u},n{v},{value}");
             }
             out
         })
@@ -129,6 +138,101 @@ fn render_evolution(g: &TemporalGraph, attrs: &[AttrId], evo: &EvolutionAggregat
         "  edges total: St={} Gr={} Shr={}",
         e.stability, e.growth, e.shrinkage
     );
+    out.trim_end().to_owned()
+}
+
+/// An aggregate as `cube` prints it: the ten heaviest nodes.
+fn render_cube(g: &TemporalGraph, level: &str, agg: &AggregateGraph) -> String {
+    let ids: Vec<AttrId> = level
+        .split(',')
+        .map(|a| g.schema().id(a).expect("level names are schema names"))
+        .collect();
+    let mut out = format!(
+        "cube query at level ({level}): {} nodes, {} edges\n",
+        agg.n_nodes(),
+        agg.n_edges()
+    );
+    let mut nodes = agg.iter_nodes();
+    nodes.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+    for (tuple, w) in nodes.into_iter().take(10) {
+        let _ = writeln!(out, "  {} w={w}", render_tuple(g, &ids, tuple));
+    }
+    out.trim_end().to_owned()
+}
+
+/// What a measure reduces the observations of one group to.
+#[derive(Clone, Copy)]
+enum Reduce {
+    Count,
+    Sum,
+    Min,
+    Max,
+    Avg,
+}
+
+impl Reduce {
+    /// One entry per appearance; `None` where nothing numeric was recorded.
+    fn of(self, appearances: &[Option<i64>]) -> Option<f64> {
+        let observed: Vec<i64> = appearances.iter().flatten().copied().collect();
+        let sum = observed.iter().sum::<i64>() as f64;
+        match self {
+            Reduce::Count => Some(appearances.len() as f64),
+            Reduce::Sum => Some(sum),
+            Reduce::Min => observed.iter().min().map(|&v| v as f64),
+            Reduce::Max => observed.iter().max().map(|&v| v as f64),
+            Reduce::Avg => (!observed.is_empty()).then(|| sum / observed.len() as f64),
+        }
+    }
+}
+
+/// The `measure` oracle, as `measure` prints it: every appearance resolved
+/// through `attr_value` / `edge_value` and collected under its value tuple.
+fn naive_measure(
+    g: &TemporalGraph,
+    group: &[AttrId],
+    node_spec: &str,
+    (node, measured): (Reduce, Option<AttrId>),
+    edge: Reduce,
+) -> String {
+    let tuple_of = |n: NodeId, t: TimePoint| -> ValueTuple {
+        group.iter().map(|&a| g.attr_value(n, a, t)).collect()
+    };
+    let mut nodes: BTreeMap<ValueTuple, Vec<Option<i64>>> = BTreeMap::new();
+    for n in g.node_ids() {
+        for t in g.node_timestamp(n).iter() {
+            let seen = measured.and_then(|a| g.attr_value(n, a, t).as_int());
+            nodes.entry(tuple_of(n, t)).or_default().push(seen);
+        }
+    }
+    let mut edges: BTreeMap<(ValueTuple, ValueTuple), Vec<Option<i64>>> = BTreeMap::new();
+    for e in g.edge_ids() {
+        let (u, v) = g.edge_endpoints(e);
+        for t in g.edge_timestamp(e).iter() {
+            edges
+                .entry((tuple_of(u, t), tuple_of(v, t)))
+                .or_default()
+                .push(g.edge_value(e, t).as_int());
+        }
+    }
+
+    let names: Vec<&str> = group.iter().map(|&a| g.schema().def(a).name()).collect();
+    let mut out = format!("measure {node_spec} grouped by ({})\n", names.join(","));
+    for (tuple, appearances) in &nodes {
+        if let Some(v) = node.of(appearances) {
+            let _ = writeln!(out, "  node {} = {v:.3}", render_tuple(g, group, tuple));
+        }
+    }
+    let valued = edges
+        .iter()
+        .filter_map(|(pair, appearances)| edge.of(appearances).map(|v| (pair, v)));
+    for ((s, d), v) in valued.take(10) {
+        let _ = writeln!(
+            out,
+            "  edge {} -> {} = {v:.3}",
+            render_tuple(g, group, s),
+            render_tuple(g, group, d)
+        );
+    }
     out.trim_end().to_owned()
 }
 
@@ -221,6 +325,55 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
             )
             .unwrap();
             prop_assert_eq!(got, render_evolution(g, &attrs, &oracle), "{}", line);
+        }
+
+        // measure: each node reduction beside an edge reduction, grouped by
+        // this layout; `min:kind` reads a static cell that is never numeric
+        let kind = g.schema().id("kind").unwrap();
+        for (node_spec, node, edge_tok, edge) in [
+            ("count", (Reduce::Count, None), "count", Reduce::Count),
+            ("sum:level", (Reduce::Sum, Some(level)), "sum", Reduce::Sum),
+            ("min:level", (Reduce::Min, Some(level)), "min", Reduce::Min),
+            ("max:level", (Reduce::Max, Some(level)), "max", Reduce::Max),
+            ("avg:level", (Reduce::Avg, Some(level)), "avg", Reduce::Avg),
+            (
+                "min:kind",
+                (Reduce::Min, Some(kind)),
+                "count",
+                Reduce::Count,
+            ),
+        ] {
+            let line = format!("measure group={names} node={node_spec} edge={edge_tok}");
+            let got = session.exec(&line);
+            if edge_tok != "count" && !g.has_edge_values() {
+                prop_assert!(got.is_err(), "{}: no edge values to reduce", line);
+                continue;
+            }
+            let want = naive_measure(g, &attrs, node_spec, node, edge);
+            prop_assert_eq!(got.unwrap(), want, "{}", line);
+        }
+    }
+
+    // cube: every level of the (kind, level) cube — static, time-varying,
+    // mixed in both orders — at a point, over a scope and over everything
+    let point = TimePoint((seed >> 32) as u32 % n as u32);
+    let cube_attrs: Vec<AttrId> = ["kind", "level"]
+        .iter()
+        .map(|a| g.schema().id(a).unwrap())
+        .collect();
+    let all = g.domain().all();
+    for (operand, base) in [
+        (format!("t=#{}", point.index()), project_point(g, point)),
+        (format!("scope={tok1}"), union(g, &t1, &t1)),
+        (String::new(), union(g, &all, &all)),
+    ] {
+        let full = aggregate(&base.unwrap(), &cube_attrs, AggMode::All);
+        for level in ["kind", "level", "kind,level", "level,kind"] {
+            let line = format!("cube attrs=kind,level level={level} {operand}");
+            let got = session.exec(&line).unwrap();
+            let keep: Vec<&str> = level.split(',').collect();
+            let want = render_cube(g, level, &rollup(&full, &keep).unwrap());
+            prop_assert_eq!(got, want, "{}", line);
         }
     }
     Ok(())

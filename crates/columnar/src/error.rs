@@ -16,20 +16,6 @@ pub enum ColumnarError {
         /// Arity of the offending row.
         got: usize,
     },
-    /// Two frames with different schemas were combined.
-    SchemaMismatch {
-        /// Columns of the left frame.
-        left: String,
-        /// Columns of the right frame.
-        right: String,
-    },
-    /// An operation required a different value type.
-    TypeError {
-        /// Column containing the offending value.
-        column: String,
-        /// Debug rendering of the value found.
-        found: String,
-    },
     /// Malformed input encountered while parsing delimited text.
     Parse {
         /// 1-based line number.
@@ -51,12 +37,6 @@ impl fmt::Display for ColumnarError {
                     f,
                     "row arity mismatch: expected {expected} values, got {got}"
                 )
-            }
-            ColumnarError::SchemaMismatch { left, right } => {
-                write!(f, "schema mismatch: [{left}] vs [{right}]")
-            }
-            ColumnarError::TypeError { column, found } => {
-                write!(f, "type error in column {column:?}: found {found}")
             }
             ColumnarError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")

@@ -1,14 +1,12 @@
-//! Labeled row frames and the dataframe primitives of the paper's Alg. 2.
+//! Labeled row frames: the TSV row container.
 //!
-//! GraphTempo's aggregation algorithm is specified in dataframe vocabulary:
-//! *unpivot* an attribute array, *merge* the unpivoted arrays, *deduplicate*
-//! on a key, *group by* the attribute tuple and *count*. [`Frame`] provides
-//! exactly those operations over rows of [`Value`]s, so the algorithm
-//! translates line-for-line from the paper.
+//! A [`Frame`] is a small table of [`Value`] rows under named columns — the
+//! in-memory form of the paper's on-disk arrays (`io.rs` of `tempo-graph`
+//! writes and reads a graph as a directory of them) and of exported
+//! aggregates.
 
 use crate::error::ColumnarError;
-use crate::value::{Value, ValueTuple};
-use std::collections::HashMap;
+use crate::value::Value;
 
 /// A small row-oriented table with named columns.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,14 +64,6 @@ impl Frame {
             .ok_or_else(|| ColumnarError::UnknownColumn(name.to_owned()))
     }
 
-    /// Resolves a list of column names to indices.
-    ///
-    /// # Errors
-    /// Returns an error if any column does not exist.
-    pub fn col_indices(&self, names: &[&str]) -> Result<Vec<usize>, ColumnarError> {
-        names.iter().map(|n| self.col_index(n)).collect()
-    }
-
     /// Appends a row.
     ///
     /// # Errors
@@ -112,261 +102,6 @@ impl Frame {
     pub fn get(&self, r: usize, col: &str) -> Result<&Value, ColumnarError> {
         let c = self.col_index(col)?;
         Ok(&self.rows[r][c])
-    }
-
-    /// Returns a new frame keeping only the named columns, in that order.
-    ///
-    /// # Errors
-    /// Returns an error if any column does not exist.
-    pub fn select(&self, cols: &[&str]) -> Result<Frame, ColumnarError> {
-        let idx = self.col_indices(cols)?;
-        let mut out = Frame::new(cols.to_vec())?;
-        for row in &self.rows {
-            out.rows.push(idx.iter().map(|&i| row[i].clone()).collect());
-        }
-        Ok(out)
-    }
-
-    /// Returns a new frame keeping only rows satisfying `pred`.
-    pub fn filter<F: FnMut(&[Value]) -> bool>(&self, mut pred: F) -> Frame {
-        Frame {
-            columns: self.columns.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        }
-    }
-
-    /// Vertically concatenates another frame (the paper's *merge*).
-    ///
-    /// # Errors
-    /// Returns an error if the column sets differ.
-    pub fn vstack(&mut self, other: &Frame) -> Result<(), ColumnarError> {
-        if self.columns != other.columns {
-            return Err(ColumnarError::SchemaMismatch {
-                left: self.columns.join(","),
-                right: other.columns.join(","),
-            });
-        }
-        self.rows.extend(other.rows.iter().cloned());
-        Ok(())
-    }
-
-    /// Wide-to-long reshape (the paper's *unpivot*).
-    ///
-    /// Keeps `id_cols`, and for every other column `c` emits one row per
-    /// input row with two new columns: `var_name` holding the column label
-    /// `c` as a `Str` value and `value_name` holding the cell. Rows whose
-    /// cell is `Null` are dropped (an attribute simply has no value at a
-    /// time point where the node does not exist).
-    ///
-    /// # Errors
-    /// Returns an error if any id column does not exist.
-    pub fn unpivot(
-        &self,
-        id_cols: &[&str],
-        var_name: &str,
-        value_name: &str,
-    ) -> Result<Frame, ColumnarError> {
-        let id_idx = self.col_indices(id_cols)?;
-        let melt_idx: Vec<usize> = (0..self.columns.len())
-            .filter(|i| !id_idx.contains(i))
-            .collect();
-        let mut out_cols: Vec<String> = id_cols.iter().map(|s| (*s).to_owned()).collect();
-        out_cols.push(var_name.to_owned());
-        out_cols.push(value_name.to_owned());
-        let mut out = Frame::new(out_cols)?;
-        for row in &self.rows {
-            for &mi in &melt_idx {
-                if row[mi].is_null() {
-                    continue;
-                }
-                let mut new_row: Vec<Value> = id_idx.iter().map(|&i| row[i].clone()).collect();
-                new_row.push(Value::Str(self.columns[mi].clone()));
-                new_row.push(row[mi].clone());
-                out.rows.push(new_row);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Removes duplicate rows with respect to the named key columns,
-    /// keeping the first occurrence (the paper's *deduplicate*).
-    ///
-    /// # Errors
-    /// Returns an error if any key column does not exist.
-    pub fn dedup_by(&self, key_cols: &[&str]) -> Result<Frame, ColumnarError> {
-        let idx = self.col_indices(key_cols)?;
-        let mut seen: HashMap<ValueTuple, ()> = HashMap::with_capacity(self.rows.len());
-        let mut out = Frame {
-            columns: self.columns.clone(),
-            rows: Vec::new(),
-        };
-        for row in &self.rows {
-            let key: ValueTuple = idx.iter().map(|&i| row[i].clone()).collect();
-            if seen.insert(key, ()).is_none() {
-                out.rows.push(row.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Groups rows by the named key columns and counts group sizes
-    /// (the paper's *groupby(a').count()*).
-    ///
-    /// The result has the key columns plus a `count` column, sorted by key
-    /// for determinism.
-    ///
-    /// # Errors
-    /// Returns an error if any key column does not exist.
-    pub fn group_count(&self, key_cols: &[&str]) -> Result<Frame, ColumnarError> {
-        let idx = self.col_indices(key_cols)?;
-        let mut groups: HashMap<ValueTuple, i64> = HashMap::new();
-        for row in &self.rows {
-            let key: ValueTuple = idx.iter().map(|&i| row[i].clone()).collect();
-            *groups.entry(key).or_insert(0) += 1;
-        }
-        let mut out_cols: Vec<String> = key_cols.iter().map(|s| (*s).to_owned()).collect();
-        out_cols.push("count".to_owned());
-        let mut out = Frame::new(out_cols)?;
-        let mut entries: Vec<(ValueTuple, i64)> = groups.into_iter().collect();
-        entries.sort();
-        for (mut key, count) in entries {
-            key.push(Value::Int(count));
-            out.rows.push(key);
-        }
-        Ok(out)
-    }
-
-    /// Groups rows by the named key columns and sums an integer column
-    /// (used by the non-distinct static-attribute fast path of §4.2).
-    ///
-    /// # Errors
-    /// Returns an error if a column is missing or the summed column holds a
-    /// non-integer, non-null value.
-    pub fn group_sum(&self, key_cols: &[&str], sum_col: &str) -> Result<Frame, ColumnarError> {
-        let idx = self.col_indices(key_cols)?;
-        let sum_idx = self.col_index(sum_col)?;
-        let mut groups: HashMap<ValueTuple, i64> = HashMap::new();
-        for row in &self.rows {
-            let add = match &row[sum_idx] {
-                Value::Int(i) => *i,
-                Value::Null => 0,
-                other => {
-                    return Err(ColumnarError::TypeError {
-                        column: sum_col.to_owned(),
-                        found: format!("{other:?}"),
-                    })
-                }
-            };
-            let key: ValueTuple = idx.iter().map(|&i| row[i].clone()).collect();
-            *groups.entry(key).or_insert(0) += add;
-        }
-        let mut out_cols: Vec<String> = key_cols.iter().map(|s| (*s).to_owned()).collect();
-        out_cols.push(sum_col.to_owned());
-        let mut out = Frame::new(out_cols)?;
-        let mut entries: Vec<(ValueTuple, i64)> = groups.into_iter().collect();
-        entries.sort();
-        for (mut key, sum) in entries {
-            key.push(Value::Int(sum));
-            out.rows.push(key);
-        }
-        Ok(out)
-    }
-
-    /// Sorts rows lexicographically by the named columns (stable).
-    ///
-    /// # Errors
-    /// Returns an error if any column does not exist.
-    pub fn sort_by(&mut self, cols: &[&str]) -> Result<(), ColumnarError> {
-        let idx = self.col_indices(cols)?;
-        self.rows.sort_by(|a, b| {
-            for &i in &idx {
-                match a[i].cmp(&b[i]) {
-                    std::cmp::Ordering::Equal => continue,
-                    ord => return ord,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        Ok(())
-    }
-
-    /// Inner hash join: for every pair of rows whose `left_keys` tuple in
-    /// `self` equals the `right_keys` tuple in `other`, emits the left row
-    /// followed by the right row's non-key columns (the paper's "merge S
-    /// into A'" step of Algorithm 2).
-    ///
-    /// Right non-key columns that collide with a left column name are
-    /// prefixed with `right_`.
-    ///
-    /// # Errors
-    /// Returns an error if a key column is missing or the key lists differ
-    /// in length.
-    pub fn join_inner(
-        &self,
-        other: &Frame,
-        left_keys: &[&str],
-        right_keys: &[&str],
-    ) -> Result<Frame, ColumnarError> {
-        if left_keys.len() != right_keys.len() {
-            return Err(ColumnarError::ArityMismatch {
-                expected: left_keys.len(),
-                got: right_keys.len(),
-            });
-        }
-        let left_idx = self.col_indices(left_keys)?;
-        let right_idx = other.col_indices(right_keys)?;
-        let right_keep: Vec<usize> = (0..other.columns.len())
-            .filter(|i| !right_idx.contains(i))
-            .collect();
-
-        let mut out_cols = self.columns.clone();
-        for &i in &right_keep {
-            let name = &other.columns[i];
-            if out_cols.contains(name) {
-                out_cols.push(format!("right_{name}"));
-            } else {
-                out_cols.push(name.clone());
-            }
-        }
-        let mut out = Frame::new(out_cols)?;
-
-        let mut index: HashMap<ValueTuple, Vec<usize>> = HashMap::new();
-        for (r, row) in other.rows.iter().enumerate() {
-            let key: ValueTuple = right_idx.iter().map(|&i| row[i].clone()).collect();
-            index.entry(key).or_default().push(r);
-        }
-        for left_row in &self.rows {
-            let key: ValueTuple = left_idx.iter().map(|&i| left_row[i].clone()).collect();
-            if let Some(matches) = index.get(&key) {
-                for &r in matches {
-                    let mut row = left_row.clone();
-                    let right_row = &other.rows[r];
-                    row.extend(right_keep.iter().map(|&i| right_row[i].clone()));
-                    out.rows.push(row);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Builds a hash index on the named key columns: key tuple → row ids.
-    ///
-    /// This is the lookup structure Alg. 2 uses to resolve edge endpoints to
-    /// attribute tuples.
-    ///
-    /// # Errors
-    /// Returns an error if any key column does not exist.
-    pub fn index_by(
-        &self,
-        key_cols: &[&str],
-    ) -> Result<HashMap<ValueTuple, Vec<usize>>, ColumnarError> {
-        let idx = self.col_indices(key_cols)?;
-        let mut map: HashMap<ValueTuple, Vec<usize>> = HashMap::new();
-        for (r, row) in self.rows.iter().enumerate() {
-            let key: ValueTuple = idx.iter().map(|&i| row[i].clone()).collect();
-            map.entry(key).or_default().push(r);
-        }
-        Ok(map)
     }
 }
 
@@ -416,160 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn select_and_get() {
+    fn get_by_column_name() {
         let f = sample();
-        let s = f.select(&["t1", "id"]).unwrap();
-        assert_eq!(s.columns(), &["t1".to_string(), "id".to_string()]);
-        assert_eq!(s.get(0, "t1").unwrap(), &Value::Int(1));
-        assert_eq!(s.get(0, "id").unwrap(), &Value::Int(1));
-        assert!(f.select(&["zzz"]).is_err());
-    }
-
-    #[test]
-    fn filter_rows() {
-        let f = sample();
-        let g = f.filter(|r| r[1] == Value::Int(1));
-        assert_eq!(g.nrows(), 2);
-    }
-
-    #[test]
-    fn vstack_checks_schema() {
-        let mut a = sample();
-        let b = sample();
-        a.vstack(&b).unwrap();
-        assert_eq!(a.nrows(), 6);
-        let c = Frame::new(vec!["x"]).unwrap();
-        assert!(a.vstack(&c).is_err());
-    }
-
-    #[test]
-    fn unpivot_drops_nulls() {
-        let f = sample();
-        let long = f.unpivot(&["id"], "time", "value").unwrap();
-        assert_eq!(
-            long.columns(),
-            &["id".to_string(), "time".to_string(), "value".to_string()]
-        );
-        // 2+3+1 non-null cells
-        assert_eq!(long.nrows(), 6);
-        // node 3 contributes exactly one row (t0)
-        let n3: Vec<_> = long.iter_rows().filter(|r| r[0] == Value::Int(3)).collect();
-        assert_eq!(n3.len(), 1);
-        assert_eq!(n3[0][1], Value::Str("t0".into()));
-        assert_eq!(n3[0][2], Value::Int(1));
-    }
-
-    #[test]
-    fn dedup_by_keeps_first() {
-        let mut f = Frame::new(vec!["k", "v"]).unwrap();
-        f.push_row(vec![Value::Int(1), Value::Str("first".into())])
-            .unwrap();
-        f.push_row(vec![Value::Int(1), Value::Str("second".into())])
-            .unwrap();
-        f.push_row(vec![Value::Int(2), Value::Str("x".into())])
-            .unwrap();
-        let d = f.dedup_by(&["k"]).unwrap();
-        assert_eq!(d.nrows(), 2);
-        assert_eq!(d.get(0, "v").unwrap(), &Value::Str("first".into()));
-    }
-
-    #[test]
-    fn group_count_sorted_by_key() {
-        let f = sample();
-        let long = f.unpivot(&["id"], "time", "value").unwrap();
-        let g = long.group_count(&["value"]).unwrap();
-        // values: 3 appears once, 1 appears five times
-        assert_eq!(g.nrows(), 2);
-        assert_eq!(g.row(0), &[Value::Int(1), Value::Int(5)]);
-        assert_eq!(g.row(1), &[Value::Int(3), Value::Int(1)]);
-    }
-
-    #[test]
-    fn group_sum_and_type_error() {
-        let mut f = Frame::new(vec!["k", "w"]).unwrap();
-        f.push_row(vec![Value::Int(1), Value::Int(2)]).unwrap();
-        f.push_row(vec![Value::Int(1), Value::Int(3)]).unwrap();
-        f.push_row(vec![Value::Int(2), Value::Null]).unwrap();
-        let g = f.group_sum(&["k"], "w").unwrap();
-        assert_eq!(g.row(0), &[Value::Int(1), Value::Int(5)]);
-        assert_eq!(g.row(1), &[Value::Int(2), Value::Int(0)]);
-
-        let mut bad = Frame::new(vec!["k", "w"]).unwrap();
-        bad.push_row(vec![Value::Int(1), Value::Str("oops".into())])
-            .unwrap();
-        assert!(matches!(
-            bad.group_sum(&["k"], "w"),
-            Err(ColumnarError::TypeError { .. })
-        ));
-    }
-
-    #[test]
-    fn sort_by_multiple_columns() {
-        let mut f = Frame::new(vec!["a", "b"]).unwrap();
-        f.push_row(vec![Value::Int(2), Value::Int(1)]).unwrap();
-        f.push_row(vec![Value::Int(1), Value::Int(9)]).unwrap();
-        f.push_row(vec![Value::Int(1), Value::Int(3)]).unwrap();
-        f.sort_by(&["a", "b"]).unwrap();
-        assert_eq!(f.row(0), &[Value::Int(1), Value::Int(3)]);
-        assert_eq!(f.row(1), &[Value::Int(1), Value::Int(9)]);
-        assert_eq!(f.row(2), &[Value::Int(2), Value::Int(1)]);
-    }
-
-    #[test]
-    fn join_inner_matches_keys() {
-        let mut people = Frame::new(vec!["id", "gender"]).unwrap();
-        people
-            .push_row(vec![Value::Int(1), Value::Str("f".into())])
-            .unwrap();
-        people
-            .push_row(vec![Value::Int(2), Value::Str("m".into())])
-            .unwrap();
-        let mut pubs = Frame::new(vec!["node", "t", "count"]).unwrap();
-        pubs.push_row(vec![Value::Int(1), Value::Int(0), Value::Int(3)])
-            .unwrap();
-        pubs.push_row(vec![Value::Int(1), Value::Int(1), Value::Int(1)])
-            .unwrap();
-        pubs.push_row(vec![Value::Int(3), Value::Int(0), Value::Int(9)])
-            .unwrap();
-        let joined = people.join_inner(&pubs, &["id"], &["node"]).unwrap();
-        // person 1 matches twice, person 2 not at all, node 3 has no person
-        assert_eq!(joined.nrows(), 2);
-        assert_eq!(joined.columns(), &["id", "gender", "t", "count"]);
-        assert_eq!(joined.get(0, "count").unwrap(), &Value::Int(3));
-        assert_eq!(joined.get(1, "count").unwrap(), &Value::Int(1));
-    }
-
-    #[test]
-    fn join_inner_renames_colliding_columns() {
-        let mut a = Frame::new(vec!["k", "v"]).unwrap();
-        a.push_row(vec![Value::Int(1), Value::Int(10)]).unwrap();
-        let mut b = Frame::new(vec!["k", "v"]).unwrap();
-        b.push_row(vec![Value::Int(1), Value::Int(20)]).unwrap();
-        let j = a.join_inner(&b, &["k"], &["k"]).unwrap();
-        assert_eq!(j.columns(), &["k", "v", "right_v"]);
-        assert_eq!(j.get(0, "right_v").unwrap(), &Value::Int(20));
-    }
-
-    #[test]
-    fn join_inner_errors() {
-        let a = Frame::new(vec!["k"]).unwrap();
-        let b = Frame::new(vec!["k"]).unwrap();
-        assert!(matches!(
-            a.join_inner(&b, &["k"], &[]),
-            Err(ColumnarError::ArityMismatch { .. })
-        ));
-        assert!(a.join_inner(&b, &["zzz"], &["k"]).is_err());
-    }
-
-    #[test]
-    fn index_by_groups_row_ids() {
-        let f = sample();
-        let long = f.unpivot(&["id"], "time", "value").unwrap();
-        let idx = long.index_by(&["id", "time"]).unwrap();
-        let rows = idx
-            .get(&vec![Value::Int(2), Value::Str("t2".into())])
-            .unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(long.row(rows[0])[2], Value::Int(1));
+        assert_eq!(f.get(0, "t1").unwrap(), &Value::Int(1));
+        assert_eq!(f.get(2, "id").unwrap(), &Value::Int(3));
+        assert!(f.get(0, "zzz").is_err());
     }
 }

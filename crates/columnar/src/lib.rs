@@ -12,11 +12,12 @@
 //! * **A_i** — for each time-varying attribute, one row per node and one
 //!   column per time point ([`ValueMatrix`]).
 //!
-//! The paper's algorithms are phrased as dataframe programs (the authors'
-//! implementation uses pandas/Modin): restrict arrays to interval columns,
-//! *unpivot* attribute arrays, *merge*, *deduplicate*, *group by* and
-//! *count*. [`Frame`] implements those primitives so the algorithms in the
-//! `graphtempo` crate follow the paper line-for-line.
+//! The presence arrays are bit-packed ([`BitVec`], the row-major
+//! [`BitMatrix`] and its column-major [`TransposedBitMatrix`], hybrid
+//! dense/sparse [`PresenceColumn`]s) because every temporal operator and
+//! every aggregation of the `graphtempo` crate is a mask over them.
+//! [`Frame`] is the row container the arrays are written to and read from
+//! disk as (one delimited text file each).
 //!
 //! ```
 //! use tempo_columnar::{Frame, Value};
@@ -24,12 +25,8 @@
 //! let mut pubs = Frame::new(vec!["id", "t0", "t1"]).unwrap();
 //! pubs.push_row(vec![Value::Str("u1".into()), Value::Int(3), Value::Int(1)]).unwrap();
 //! pubs.push_row(vec![Value::Str("u2".into()), Value::Int(1), Value::Null]).unwrap();
-//!
-//! // Alg. 2, line 2: unpivot the attribute array
-//! let long = pubs.unpivot(&["id"], "time", "publications").unwrap();
-//! // Alg. 2, line 8: group by attribute value and count
-//! let counts = long.group_count(&["publications"]).unwrap();
-//! assert_eq!(counts.nrows(), 2); // publications value 1 and value 3
+//! assert_eq!(pubs.get(1, "t0").unwrap(), &Value::Int(1));
+//! assert!(pubs.get(1, "t1").unwrap().is_null());
 //! ```
 
 #![warn(missing_docs)]

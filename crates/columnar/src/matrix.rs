@@ -16,7 +16,6 @@
 
 use std::sync::Arc;
 
-use crate::frame::Frame;
 use crate::value::Value;
 
 /// The implicit cell value past a column chunk's materialized length.
@@ -244,31 +243,6 @@ impl ValueMatrix {
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
     }
-
-    /// Converts the matrix to a [`Frame`], prefixing each row with an `id`
-    /// column holding the caller-provided row labels.
-    ///
-    /// Column names are taken from `col_names`.
-    ///
-    /// # Panics
-    /// Panics if label or column-name counts do not match the shape, or if
-    /// `col_names` contains duplicates or a column named `id`.
-    pub fn to_frame(&self, row_labels: &[Value], col_names: &[String]) -> Frame {
-        assert_eq!(row_labels.len(), self.nrows, "row label count mismatch");
-        assert_eq!(col_names.len(), self.ncols, "column name count mismatch");
-        let mut cols: Vec<String> = vec!["id".to_owned()];
-        cols.extend(col_names.iter().cloned());
-        let mut f = Frame::new(cols)
-            .expect("invariant: caller passes distinct column names (documented precondition)");
-        for (r, label) in row_labels.iter().enumerate() {
-            let mut row = Vec::with_capacity(self.ncols + 1);
-            row.push(label.clone());
-            row.extend(self.row(r));
-            f.push_row(row)
-                .expect("invariant: arity is consistent by construction");
-        }
-        f
-    }
 }
 
 #[cfg(test)]
@@ -303,19 +277,6 @@ mod tests {
         let s = m.select_rows(&[1]);
         assert_eq!(s.nrows(), 1);
         assert_eq!(s.row(0)[0], Value::Int(10));
-    }
-
-    #[test]
-    fn to_frame_roundtrip() {
-        let mut m = ValueMatrix::new(2);
-        m.push_row(vec![Value::Int(5), Value::Null]);
-        let f = m.to_frame(
-            &[Value::Str("u1".into())],
-            &["t0".to_owned(), "t1".to_owned()],
-        );
-        assert_eq!(f.columns(), &["id", "t0", "t1"]);
-        assert_eq!(f.get(0, "t0").unwrap(), &Value::Int(5));
-        assert_eq!(f.get(0, "id").unwrap(), &Value::Str("u1".into()));
     }
 
     #[test]

@@ -235,51 +235,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn group_count_total_equals_rows(
-        keys in proptest::collection::vec(0i64..6, 1..60),
-    ) {
-        let mut f = Frame::new(vec!["k"]).unwrap();
-        for k in &keys {
-            f.push_row(vec![Value::Int(*k)]).unwrap();
-        }
-        let g = f.group_count(&["k"]).unwrap();
-        let total: i64 = g
-            .iter_rows()
-            .map(|r| r.last().unwrap().as_int().unwrap())
-            .sum();
-        prop_assert_eq!(total as usize, keys.len());
-        // dedup leaves one row per distinct key
-        let d = f.dedup_by(&["k"]).unwrap();
-        prop_assert_eq!(d.nrows(), g.nrows());
-    }
-
-    #[test]
-    fn unpivot_preserves_non_null_cell_count(
-        cells in proptest::collection::vec(
-            proptest::collection::vec(proptest::option::of(-100i64..100), 4),
-            1..30,
-        ),
-    ) {
-        let mut f = Frame::new(vec!["id", "c0", "c1", "c2", "c3"]).unwrap();
-        let mut non_null = 0usize;
-        for (i, row) in cells.iter().enumerate() {
-            let mut r = vec![Value::Int(i as i64)];
-            for c in row {
-                match c {
-                    Some(v) => {
-                        non_null += 1;
-                        r.push(Value::Int(*v));
-                    }
-                    None => r.push(Value::Null),
-                }
-            }
-            f.push_row(r).unwrap();
-        }
-        let long = f.unpivot(&["id"], "var", "value").unwrap();
-        prop_assert_eq!(long.nrows(), non_null);
-    }
-
     /// Every `BitVec` operation preserves `check_invariants`: tail-word
     /// hygiene must hold by construction, not by luck — a dirty tail would
     /// silently corrupt every popcount-based kernel downstream.

@@ -8,19 +8,17 @@
 //! * **ALL** ([`AggMode::All`]) — every appearance at every time point
 //!   counts.
 //!
-//! Three implementations are provided and tested equivalent:
-//! [`GroupTable::aggregate_masked`] (what every read query runs: group ids
+//! One production implementation and one oracle, tested equivalent:
+//! [`GroupTable::aggregate_masked`] is what every read query runs (group ids
 //! counted into dense accumulators under an [`EventMask`]; the paper's §4.2
-//! static fast path is its one-id-per-node layout), [`aggregate`] (direct
-//! hash aggregation over the presence matrices of a materialized graph —
-//! the oracle), and [`aggregate_via_frames`] (the paper's Algorithm 2
-//! verbatim on the columnar engine: unpivot → merge → deduplicate →
-//! group-count).
+//! static fast path is its one-id-per-node layout), and [`aggregate`] is the
+//! direct hash aggregation over the presence matrices of a materialized
+//! graph it is checked against.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use tempo_columnar::{Frame, Value, ValueTuple};
+use tempo_columnar::{Value, ValueTuple};
 use tempo_graph::{
     AttrId, GraphError, GroupColumns, NodeId, TemporalGraph, Temporality, TimePoint,
 };
@@ -368,156 +366,6 @@ pub fn aggregate_filtered(
         }
     }
     agg
-}
-
-/// Algorithm 2 verbatim, expressed on the columnar engine: unpivot every
-/// time-varying attribute array, merge with the static table, deduplicate
-/// on `(u, a')` (DIST only), group-count for node weights; then resolve edge
-/// endpoint tuples via index lookup, deduplicate on `((u,v),(a',a''))`
-/// (DIST only), and group-count for edge weights.
-///
-/// Slower than [`aggregate`], but kept as the reference implementation and
-/// tested equivalent.
-///
-/// # Errors
-/// Returns an error if a frame operation fails (should not happen for a
-/// valid graph/schema).
-pub fn aggregate_via_frames(
-    g: &TemporalGraph,
-    attrs: &[AttrId],
-    mode: AggMode,
-) -> Result<AggregateGraph, GraphError> {
-    let nt = g.domain().len();
-    let names: Vec<String> = attrs
-        .iter()
-        .map(|&a| g.schema().def(a).name().to_owned())
-        .collect();
-
-    // Build A': one row per (node, time) where the node exists, with one
-    // column per aggregation attribute. Time-varying attributes come from
-    // unpivoting their arrays (Alg. 2 lines 1–4); static attributes are
-    // merged in from S (lines 6–7).
-    let mut cols: Vec<String> = vec!["u".to_owned(), "t".to_owned()];
-    cols.extend(names.iter().cloned());
-    let mut a_prime = Frame::new(cols)?;
-
-    // Unpivot each requested time-varying array into (u, t, value) and
-    // index the result for the merge.
-    let mut unpivoted: HashMap<usize, HashMap<ValueTuple, Vec<usize>>> = HashMap::new();
-    let mut unpivoted_frames: HashMap<usize, Frame> = HashMap::new();
-    for (i, &a) in attrs.iter().enumerate() {
-        if g.schema().time_varying_slot(a).is_some() {
-            let tbl = g
-                .tv_table(a)
-                .expect("invariant: a time-varying slot implies a table");
-            let row_labels: Vec<Value> = (0..g.n_nodes() as i64).map(Value::Int).collect();
-            let col_names: Vec<String> = (0..nt).map(|t| t.to_string()).collect();
-            let wide = tbl.to_frame(&row_labels, &col_names);
-            let long = wide.unpivot(&["id"], "t", "value")?;
-            let index = long.index_by(&["id", "t"])?;
-            unpivoted.insert(i, index);
-            unpivoted_frames.insert(i, long);
-        }
-    }
-
-    let static_slots: Vec<Option<usize>> =
-        attrs.iter().map(|&a| g.schema().static_slot(a)).collect();
-
-    for n in 0..g.n_nodes() {
-        for t in g.node_presence_matrix().iter_row_ones(n) {
-            let mut row: Vec<Value> = vec![Value::Int(n as i64), Value::Int(t as i64)];
-            for (i, _) in attrs.iter().enumerate() {
-                if let Some(slot) = static_slots[i] {
-                    row.push(g.static_table().get(n, slot).clone());
-                } else {
-                    let key: ValueTuple = vec![Value::Int(n as i64), Value::Str(t.to_string())];
-                    let v = unpivoted[&i]
-                        .get(&key)
-                        .and_then(|rows| rows.first())
-                        .map(|&r| unpivoted_frames[&i].row(r)[2].clone())
-                        .unwrap_or(Value::Null);
-                    row.push(v);
-                }
-            }
-            a_prime.push_row(row)?;
-        }
-    }
-
-    // Node weights: dedup on (u, a') for DIST (line 5), then group-count on
-    // a' (lines 8–12).
-    let attr_cols: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut node_key: Vec<&str> = vec!["u"];
-    node_key.extend(attr_cols.iter());
-    let node_source = match mode {
-        AggMode::Distinct => a_prime.dedup_by(&node_key)?,
-        AggMode::All => a_prime.clone(),
-    };
-    let node_groups = node_source.group_count(&attr_cols)?;
-
-    let mut agg = AggregateGraph::new(names.clone());
-    let count_col = node_groups.col_index("count")?;
-    for row in node_groups.iter_rows() {
-        let tuple: ValueTuple = row[..row.len() - 1].to_vec();
-        let w = row[count_col].as_int().unwrap_or(0) as u64;
-        agg.add_node_weight(tuple, w);
-    }
-
-    // Edge weights: look up endpoint tuples in A' (lines 13–17), dedup for
-    // DIST (line 18), group-count (lines 19–23).
-    let a_index = a_prime.index_by(&["u", "t"])?;
-    let mut ecols: Vec<String> = vec!["u".into(), "v".into(), "t".into()];
-    for n in &names {
-        ecols.push(format!("src_{n}"));
-    }
-    for n in &names {
-        ecols.push(format!("dst_{n}"));
-    }
-    let mut a_second = Frame::new(ecols)?;
-    for e in 0..g.n_edges() {
-        let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-        for t in g.edge_presence_matrix().iter_row_ones(e) {
-            let lookup = |n: NodeId| -> Option<ValueTuple> {
-                let key: ValueTuple = vec![Value::Int(n.index() as i64), Value::Int(t as i64)];
-                a_index
-                    .get(&key)
-                    .and_then(|rows| rows.first())
-                    .map(|&r| a_prime.row(r)[2..].to_vec())
-            };
-            let (Some(tu), Some(tv)) = (lookup(u), lookup(v)) else {
-                continue;
-            };
-            let mut row: Vec<Value> = vec![
-                Value::Int(u.index() as i64),
-                Value::Int(v.index() as i64),
-                Value::Int(t as i64),
-            ];
-            row.extend(tu);
-            row.extend(tv);
-            a_second.push_row(row)?;
-        }
-    }
-    let pair_cols: Vec<String> = names
-        .iter()
-        .map(|n| format!("src_{n}"))
-        .chain(names.iter().map(|n| format!("dst_{n}")))
-        .collect();
-    let pair_refs: Vec<&str> = pair_cols.iter().map(String::as_str).collect();
-    let mut edge_key: Vec<&str> = vec!["u", "v"];
-    edge_key.extend(pair_refs.iter());
-    let edge_source = match mode {
-        AggMode::Distinct => a_second.dedup_by(&edge_key)?,
-        AggMode::All => a_second,
-    };
-    let edge_groups = edge_source.group_count(&pair_refs)?;
-    let ecount = edge_groups.col_index("count")?;
-    let k = names.len();
-    for row in edge_groups.iter_rows() {
-        let src: ValueTuple = row[..k].to_vec();
-        let dst: ValueTuple = row[k..2 * k].to_vec();
-        let w = row[ecount].as_int().unwrap_or(0) as u64;
-        agg.add_edge_weight(src, dst, w);
-    }
-    Ok(agg)
 }
 
 /// Attribute roll-up (§4.3): derives the aggregate on a subset of the
@@ -1039,23 +887,6 @@ mod tests {
         let all = aggregate(&u, &ga, AggMode::All);
         assert_eq!(dist.node_weight(&[f.clone(), Value::Int(1)]), 3);
         assert_eq!(all.node_weight(&[f.clone(), Value::Int(1)]), 4);
-    }
-
-    #[test]
-    fn frames_path_matches_direct() {
-        let g = fig1();
-        for names in [
-            &["gender"][..],
-            &["publications"][..],
-            &["gender", "publications"][..],
-        ] {
-            let ga = attrs(&g, names);
-            for mode in [AggMode::Distinct, AggMode::All] {
-                let direct = aggregate(&g, &ga, mode);
-                let framed = aggregate_via_frames(&g, &ga, mode).unwrap();
-                assert_eq!(direct, framed, "attrs {names:?} mode {mode:?}");
-            }
-        }
     }
 
     #[test]

@@ -8,13 +8,17 @@
 //!   ([`crate::aggregate::rollup`]);
 //! * coarser time via T-distributive union ([`crate::materialize`]).
 //!
-//! [`GraphCube`] packages this: one per-timepoint store on all dimensions,
-//! answering any (subset, scope) OLAP query without touching the original
-//! graph, plus roll-up / drill-down navigation between attribute levels.
+//! [`GraphCube`] is the navigation over those levels — roll-up, drill-down,
+//! the attribute lattice — and answers any (subset, scope) OLAP query.
+//! Distributivity says the finest-level store could answer it; the cube
+//! evaluates the answer directly instead, as one masked ALL aggregation at
+//! the *requested* level over the scope's union mask on the snapshot's
+//! cached group ids (equal to rolling up the T-distributive union of the
+//! store, and cheaper than building it — see EXPERIMENTS.md, Fig. 10/11).
 
-use crate::aggregate::{rollup, AggregateGraph};
-use crate::materialize::TimepointStore;
-use tempo_graph::{AttrId, GraphError, TemporalGraph, TimePoint, TimeSet};
+use crate::aggregate::AggregateGraph;
+use crate::materialize::aggregate_union_all;
+use tempo_graph::{require_non_empty, AttrId, GraphError, TemporalGraph, TimePoint, TimeSet};
 
 /// A cuboid address: which attribute dimensions are kept, by name.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -37,7 +41,8 @@ impl Level {
     }
 }
 
-/// The OLAP cube: per-timepoint ALL-aggregates on the full dimension set.
+/// The OLAP cube over a graph and a dimension set (ALL semantics — the
+/// T-distributive case).
 ///
 /// ```
 /// use graphtempo::cube::{GraphCube, Level};
@@ -48,31 +53,30 @@ impl Level {
 ///     g.schema().id("gender").unwrap(),
 ///     g.schema().id("publications").unwrap(),
 /// ];
-/// let cube = GraphCube::build(&g, &attrs, 2);
-/// // slice t0 at the coarser (gender) level — derived by roll-up, the
-/// // original graph is never touched again
+/// let cube = GraphCube::build(&g, &attrs, 1);
+/// // slice t0 at the coarser (gender) level
 /// let by_gender = cube.slice(&Level::new(vec!["gender"]), TimePoint(0)).unwrap();
 /// assert_eq!(by_gender.total_node_weight(), 4); // four authors at t0
 /// ```
-pub struct GraphCube {
+pub struct GraphCube<'g> {
+    g: &'g TemporalGraph,
     dimensions: Vec<String>,
-    store: TimepointStore,
-    domain_len: usize,
 }
 
-impl GraphCube {
-    /// Builds the cube over all of `attrs` with `threads` workers
-    /// (ALL semantics — the T-distributive case).
-    pub fn build(g: &TemporalGraph, attrs: &[AttrId], threads: usize) -> Self {
+impl<'g> GraphCube<'g> {
+    /// The cube of `g` over all of `attrs`. Nothing is precomputed: every
+    /// query reads the group ids cached on `g`.
+    ///
+    /// `_threads` is inert — it sized the worker pool of the per-timepoint
+    /// store the cube used to build. The frozen `benchmark/src/layers.rs`
+    /// passes it, so it stays until the next `[benchmark]` issue removes it
+    /// together with that call.
+    pub fn build(g: &'g TemporalGraph, attrs: &[AttrId], _threads: usize) -> Self {
         let dimensions = attrs
             .iter()
             .map(|&a| g.schema().def(a).name().to_owned())
             .collect();
-        GraphCube {
-            dimensions,
-            store: TimepointStore::build_parallel(g, attrs, threads),
-            domain_len: g.domain().len(),
-        }
+        GraphCube { g, dimensions }
     }
 
     /// The full dimension set (the cube's base level).
@@ -84,22 +88,29 @@ impl GraphCube {
     ///
     /// # Errors
     /// Returns an error if the level is not a subset of the dimensions.
+    ///
+    /// # Panics
+    /// Panics if `t` is outside the graph's time domain.
     pub fn slice(&self, level: &Level, t: TimePoint) -> Result<AggregateGraph, GraphError> {
-        self.check_level(level)?;
-        let names: Vec<&str> = level.names().iter().map(String::as_str).collect();
-        rollup(self.store.at(t), &names)
+        self.query(level, &TimeSet::point(self.domain_len(), t))
     }
 
-    /// The aggregate over a time scope at a level, combining per-timepoint
-    /// cuboids T-distributively (union semantics, ALL weights).
+    /// The aggregate over a time scope at a level (union semantics, ALL
+    /// weights).
     ///
     /// # Errors
     /// Returns an error on an unknown level or an empty/mismatched scope.
     pub fn query(&self, level: &Level, scope: &TimeSet) -> Result<AggregateGraph, GraphError> {
-        self.check_level(level)?;
-        let full = self.store.union_all(scope)?;
-        let names: Vec<&str> = level.names().iter().map(String::as_str).collect();
-        rollup(&full, &names)
+        let ids = self.level_ids(level)?;
+        require_non_empty(scope, "scope")?;
+        if scope.domain_len() != self.domain_len() {
+            return Err(GraphError::UnknownTimePoint(format!(
+                "scope over domain of {} in cube of {}",
+                scope.domain_len(),
+                self.domain_len()
+            )));
+        }
+        aggregate_union_all(self.g, &ids, scope)
     }
 
     /// Rolls up one dimension (removes it), returning the coarser level.
@@ -153,16 +164,22 @@ impl GraphCube {
 
     /// Size of the underlying time domain.
     pub fn domain_len(&self) -> usize {
-        self.domain_len
+        self.g.domain().len()
     }
 
-    fn check_level(&self, level: &Level) -> Result<(), GraphError> {
-        for n in level.names() {
-            if !self.dimensions.iter().any(|d| d == n) {
-                return Err(GraphError::UnknownAttribute(n.clone()));
-            }
-        }
-        Ok(())
+    /// The attribute ids of `level`, in its order.
+    fn level_ids(&self, level: &Level) -> Result<Vec<AttrId>, GraphError> {
+        level
+            .names()
+            .iter()
+            .map(|n| {
+                if self.dimensions.contains(n) {
+                    self.g.schema().id(n)
+                } else {
+                    Err(GraphError::UnknownAttribute(n.clone()))
+                }
+            })
+            .collect()
     }
 }
 
@@ -170,22 +187,21 @@ impl GraphCube {
 mod tests {
     use super::*;
     use crate::aggregate::{aggregate, AggMode};
-    use crate::ops::union;
+    use crate::ops::{project_point, union};
     use tempo_graph::fixtures::fig1;
 
-    fn cube() -> (TemporalGraph, GraphCube) {
-        let g = fig1();
+    fn cube(g: &TemporalGraph) -> GraphCube<'_> {
         let attrs = vec![
             g.schema().id("gender").unwrap(),
             g.schema().id("publications").unwrap(),
         ];
-        let cube = GraphCube::build(&g, &attrs, 2);
-        (g, cube)
+        GraphCube::build(g, &attrs, 1)
     }
 
     #[test]
     fn levels_and_lattice() {
-        let (_, cube) = cube();
+        let g = fig1();
+        let cube = cube(&g);
         assert_eq!(cube.base_level().names(), &["gender", "publications"]);
         let levels = cube.all_levels();
         assert_eq!(levels.len(), 3); // {G}, {P}, {G,P}
@@ -196,16 +212,18 @@ mod tests {
 
     #[test]
     fn slice_matches_direct_aggregation() {
-        let (g, cube) = cube();
+        let g = fig1();
+        let cube = cube(&g);
         for t in g.domain().iter() {
             for level in cube.all_levels() {
                 let from_cube = cube.slice(&level, t).unwrap();
+                let p = project_point(&g, t).unwrap();
                 let ids: Vec<AttrId> = level
                     .names()
                     .iter()
-                    .map(|n| g.schema().id(n).unwrap())
+                    .map(|n| p.schema().id(n).unwrap())
                     .collect();
-                let direct = crate::materialize::aggregate_at_point(&g, &ids, t);
+                let direct = aggregate(&p, &ids, AggMode::All);
                 assert_eq!(from_cube, direct, "level {level:?} at {t:?}");
             }
         }
@@ -213,7 +231,8 @@ mod tests {
 
     #[test]
     fn query_matches_union_aggregate() {
-        let (g, cube) = cube();
+        let g = fig1();
+        let cube = cube(&g);
         let t1 = TimeSet::from_indices(3, [0]);
         let t2 = TimeSet::from_indices(3, [1, 2]);
         let scope = t1.union(&t2);
@@ -226,7 +245,8 @@ mod tests {
 
     #[test]
     fn rollup_drilldown_navigation() {
-        let (_, cube) = cube();
+        let g = fig1();
+        let cube = cube(&g);
         let base = cube.base_level();
         let coarse = cube.roll_up(&base, "publications").unwrap();
         assert_eq!(coarse.names(), &["gender"]);
@@ -239,7 +259,8 @@ mod tests {
 
     #[test]
     fn unknown_level_rejected() {
-        let (_, cube) = cube();
+        let g = fig1();
+        let cube = cube(&g);
         let bad = Level::new(vec!["age"]);
         assert!(cube.slice(&bad, TimePoint(0)).is_err());
         assert!(cube.query(&bad, &TimeSet::from_indices(3, [0])).is_err());
@@ -247,7 +268,8 @@ mod tests {
 
     #[test]
     fn empty_scope_rejected() {
-        let (_, cube) = cube();
+        let g = fig1();
+        let cube = cube(&g);
         assert!(cube.query(&cube.base_level(), &TimeSet::empty(3)).is_err());
     }
 }

@@ -115,78 +115,6 @@ impl EvolutionGraph {
     }
 }
 
-/// A lazy, thread-safe cache of computed [`EvolutionGraph`]s keyed by
-/// interval pair and stamped with the graph epoch they were computed at.
-///
-/// Like [`crate::materialize::MaterializationCache`], the cache follows
-/// one graph lineage across [`tempo_graph::GraphVersions`] appends: each
-/// entry records [`TemporalGraph::epoch`] at compute time, and a lookup
-/// against a graph with a different stamp is a miss that recomputes and
-/// replaces the entry — keying on the interval pair alone would keep
-/// serving classifications from a pre-append epoch.
-#[derive(Debug, Default)]
-pub struct EvolutionCache {
-    entries: parking_lot::Mutex<HashMap<IntervalKey, StampedEvolution>>,
-}
-
-/// Cache key: the explicit timepoints of the `(t1, t2)` interval pair.
-type IntervalKey = (Vec<u32>, Vec<u32>);
-/// A cached evolution graph and the epoch it was computed at.
-type StampedEvolution = (u64, std::sync::Arc<EvolutionGraph>);
-
-impl EvolutionCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the evolution graph of `g` between `t1` and `t2` on the
-    /// epoch of `g`, computing it on first use or when the cached entry
-    /// was computed at a different epoch.
-    ///
-    /// # Errors
-    /// Returns an error if either interval is empty.
-    pub fn evolution_for(
-        &self,
-        g: &TemporalGraph,
-        t1: &TimeSet,
-        t2: &TimeSet,
-    ) -> Result<std::sync::Arc<EvolutionGraph>, GraphError> {
-        let ins = tempo_instrument::global();
-        let epoch = g.epoch();
-        let key = (points_of(t1), points_of(t2));
-        if let Some((stamp, evo)) = self.entries.lock().get(&key) {
-            if *stamp == epoch {
-                ins.counter("evolution.cache.hits").inc();
-                return Ok(std::sync::Arc::clone(evo));
-            }
-        }
-        ins.counter("evolution.cache.misses").inc();
-        let evo = std::sync::Arc::new(EvolutionGraph::compute(g, t1, t2)?);
-        self.entries
-            .lock()
-            .insert(key, (epoch, std::sync::Arc::clone(&evo)));
-        Ok(evo)
-    }
-
-    /// Number of cached interval pairs.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-}
-
-/// Cache key form of a [`TimeSet`]: its sorted point indices (domain
-/// length deliberately excluded — the domain grows across epochs while
-/// the selected points stay comparable).
-fn points_of(ts: &TimeSet) -> Vec<u32> {
-    ts.iter().map(|t| t.0).collect()
-}
-
 /// Stability / growth / shrinkage weights of one aggregate entity
 /// (the three weights shown per node in Fig. 4b).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -692,39 +620,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    // Regression: the epoch stamp must turn a post-append lookup into a
-    // recompute — a cache keyed on the interval pair alone kept serving
-    // the pre-append classification.
-    #[test]
-    fn evolution_cache_recomputes_on_epoch_mismatch() {
-        use tempo_graph::{GraphVersions, TimepointPatch};
-        let mut v = GraphVersions::new(fig1());
-        let g0 = v.current();
-        let cache = EvolutionCache::new();
-        let stale = cache.evolution_for(&g0, &ts(&[1]), &ts(&[2])).unwrap();
-        assert_eq!(stale.count_nodes(EvolutionClass::Growth), 1); // u5 at t2
-        assert!(std::sync::Arc::ptr_eq(
-            &stale,
-            &cache.evolution_for(&g0, &ts(&[1]), &ts(&[2])).unwrap()
-        ));
-
-        let mut p = TimepointPatch::new("t3");
-        p.add_edge("u6", "u2"); // brand-new node appears
-        let g1 = v.append_timepoint(&p).unwrap();
-        // the same interval key on the new epoch must recompute (and
-        // replace the entry), not serve the stale classification
-        let t1 = TimeSet::from_indices(4, [1]);
-        let t2 = TimeSet::from_indices(4, [2]);
-        let fresh = cache.evolution_for(&g1, &t1, &t2).unwrap();
-        assert!(!std::sync::Arc::ptr_eq(&stale, &fresh));
-        assert_eq!(cache.len(), 1);
-        // widening 𝒯₂ onto the appended point sees the new node grow
-        let wide = cache
-            .evolution_for(&g1, &t1, &TimeSet::from_indices(4, [2, 3]))
-            .unwrap();
-        assert_eq!(wide.count_nodes(EvolutionClass::Growth), 2); // u5, u6
     }
 
     #[test]

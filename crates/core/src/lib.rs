@@ -14,8 +14,7 @@
 //! * **Attribute aggregation** (§2.2) — distinct (DIST) and non-distinct
 //!   (ALL) weights through [`aggregate::GroupTable::aggregate_masked`]
 //!   (interned group ids under an [`ops::EventMask`], no graph built), with
-//!   the tuple-hashing oracle [`aggregate::aggregate`] and the Algorithm-2
-//!   dataframe implementation [`aggregate::aggregate_via_frames`];
+//!   the tuple-hashing oracle [`aggregate::aggregate`];
 //! * **Evolution graphs** (§2.3) — [`evolution::EvolutionGraph`]
 //!   classification and [`evolution::evolution_aggregate`] with
 //!   stability/growth/shrinkage weights;
@@ -65,9 +64,7 @@ pub mod zoom;
 
 pub use aggregate::{AggMode, AggregateGraph, CountTarget, GroupTable};
 pub use cube::{GraphCube, Level};
-pub use evolution::{
-    EvolutionAggregate, EvolutionCache, EvolutionClass, EvolutionGraph, EvolutionWeights,
-};
+pub use evolution::{EvolutionAggregate, EvolutionClass, EvolutionGraph, EvolutionWeights};
 pub use explore::{
     explore, explore_naive, suggest_k, Direction, ExploreConfig, ExploreKernel, ExploreOutcome,
     ExtendSide, IntervalPair, Selector, Semantics, ThresholdStat,

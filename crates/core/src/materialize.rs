@@ -11,41 +11,44 @@
 //! * **D-distributivity** — the aggregate on a subset of attributes is a
 //!   roll-up of the finer aggregate ([`crate::aggregate::rollup`]).
 //!
-//! [`TimepointStore::build_parallel`] mirrors the paper's use of the Modin
-//! multiprocess dataframe library by fanning per-timepoint aggregation out
-//! over `crossbeam` scoped threads.
+//! The store is the paper's §4.3 as a library and what Fig. 10/11 measure;
+//! each of its points is one [`GroupTable::aggregate_masked`] pass over the
+//! snapshot's cached group ids, the same evaluation the served `cube`
+//! command runs directly at the requested level and scope.
 
-use crate::aggregate::AggregateGraph;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
-use tempo_columnar::ValueTuple;
+use crate::aggregate::{AggMode, AggregateGraph, GroupTable};
+use crate::ops::{event_mask, Event, SideTest};
 use tempo_graph::{AttrId, GraphError, TemporalGraph, TimePoint, TimeSet};
+
+/// The ALL-aggregate on `attrs` of the union graph of `g` over `scope`
+/// (Definition 2.3 with both sides `scope`), counted from the snapshot's
+/// cached group ids with no graph built.
+pub(crate) fn aggregate_union_all(
+    g: &TemporalGraph,
+    attrs: &[AttrId],
+    scope: &TimeSet,
+) -> Result<AggregateGraph, GraphError> {
+    let mask = event_mask(
+        g,
+        Event::Stability,
+        scope,
+        scope,
+        SideTest::Any,
+        SideTest::Any,
+    )?;
+    Ok(GroupTable::cached(g, attrs).aggregate_masked(g, &mask, AggMode::All))
+}
 
 /// Computes the ALL-aggregate of the single time point `t` directly from
 /// the source graph (equivalent to aggregating the projection on `t`, but
 /// without materializing it).
+///
+/// # Panics
+/// Panics if `t` is outside `g`'s time domain or an id is not from `g`'s
+/// schema.
 pub fn aggregate_at_point(g: &TemporalGraph, attrs: &[AttrId], t: TimePoint) -> AggregateGraph {
-    let names: Vec<String> = attrs
-        .iter()
-        .map(|&a| g.schema().def(a).name().to_owned())
-        .collect();
-    let mut agg = AggregateGraph::new(names);
-    let tuple_of = |n: tempo_graph::NodeId| -> ValueTuple {
-        attrs.iter().map(|&a| g.attr_value(n, a, t)).collect()
-    };
-    for n in g.node_ids() {
-        if g.node_alive_at(n, t) {
-            agg.add_node_weight(tuple_of(n), 1);
-        }
-    }
-    for e in g.edge_ids() {
-        if g.edge_alive_at(e, t) {
-            let (u, v) = g.edge_endpoints(e);
-            agg.add_edge_weight(tuple_of(u), tuple_of(v), 1);
-        }
-    }
-    agg
+    aggregate_union_all(g, attrs, &TimeSet::point(g.domain().len(), t))
+        .expect("invariant: a single time point is a non-empty scope")
 }
 
 /// Precomputed per-timepoint ALL-aggregates on a fixed attribute set.
@@ -74,33 +77,12 @@ pub struct TimepointStore {
     per_tp: Vec<AggregateGraph>,
 }
 
-/// Comma-joined schema names of `attrs`, used to label per-attribute-set
-/// build-latency histograms.
-fn attr_label(g: &TemporalGraph, attrs: &[AttrId]) -> String {
-    attrs
-        .iter()
-        .map(|&a| g.schema().def(a).name().to_owned())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Starts the pair of build-latency spans (overall + per attribute set).
-fn build_spans(g: &TemporalGraph, attrs: &[AttrId]) -> [tempo_instrument::SpanGuard; 2] {
-    let ins = tempo_instrument::global();
-    [
-        ins.histogram("materialize.store_build_ns").span(),
-        ins.histogram(&format!(
-            "materialize.store_build_ns{{attrs={}}}",
-            attr_label(g, attrs)
-        ))
-        .span(),
-    ]
-}
-
 impl TimepointStore {
-    /// Builds the store sequentially.
+    /// Builds the store: one aggregate per time point of `g`'s domain.
     pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> Self {
-        let _spans = build_spans(g, attrs);
+        let _span = tempo_instrument::global()
+            .histogram("materialize.store_build_ns")
+            .span();
         let per_tp = g
             .domain()
             .iter()
@@ -109,41 +91,6 @@ impl TimepointStore {
         TimepointStore {
             attrs: attrs.to_vec(),
             per_tp,
-        }
-    }
-
-    /// Builds the store with per-timepoint aggregation fanned out over up
-    /// to `threads` scoped worker threads.
-    ///
-    /// # Panics
-    /// Panics if a worker thread panics.
-    pub fn build_parallel(g: &TemporalGraph, attrs: &[AttrId], threads: usize) -> Self {
-        let nt = g.domain().len();
-        let threads = threads.clamp(1, nt);
-        if threads == 1 {
-            return Self::build(g, attrs);
-        }
-        let _spans = build_spans(g, attrs);
-        let mut per_tp: Vec<Option<AggregateGraph>> = vec![None; nt];
-        let mut slots: Vec<(usize, &mut Option<AggregateGraph>)> =
-            per_tp.iter_mut().enumerate().collect();
-        let chunk = nt.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for batch in slots.chunks_mut(chunk) {
-                scope.spawn(move |_| {
-                    for (t, slot) in batch.iter_mut() {
-                        **slot = Some(aggregate_at_point(g, attrs, TimePoint(*t as u32)));
-                    }
-                });
-            }
-        })
-        .expect("invariant: aggregation workers propagate errors instead of panicking");
-        TimepointStore {
-            attrs: attrs.to_vec(),
-            per_tp: per_tp
-                .into_iter()
-                .map(|a| a.expect("invariant: the scoped loop fills every time-point slot"))
-                .collect(),
         }
     }
 
@@ -223,75 +170,6 @@ impl TimepointStore {
     }
 }
 
-/// A lazy, thread-safe cache of [`TimepointStore`]s keyed by attribute set
-/// and stamped with the graph epoch they were built at.
-///
-/// The cache follows one graph *lineage* across
-/// [`tempo_graph::GraphVersions`] appends: every entry records
-/// [`TemporalGraph::epoch`] at build time, and a lookup against a graph
-/// with a different stamp is a miss that rebuilds and replaces the entry.
-/// Keying on the attribute set alone used to silently return stores built
-/// on a pre-append epoch — missing the appended timepoints entirely.
-pub struct MaterializationCache {
-    threads: usize,
-    stores: Mutex<HashMap<Vec<AttrId>, StampedStore>>,
-}
-
-/// A cached store and the epoch it was built at.
-type StampedStore = (u64, Arc<TimepointStore>);
-
-impl MaterializationCache {
-    /// Creates an empty cache; stores are built with `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        MaterializationCache {
-            threads: threads.max(1),
-            stores: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Returns the store for `attrs` on the epoch of `g`, building it on
-    /// first use or when the cached entry was built at a different epoch.
-    pub fn store_for(&self, g: &TemporalGraph, attrs: &[AttrId]) -> Arc<TimepointStore> {
-        let ins = tempo_instrument::global();
-        let epoch = g.epoch();
-        if let Some((stamp, s)) = self.stores.lock().get(attrs) {
-            if *stamp == epoch {
-                ins.counter("materialize.cache.hits").inc();
-                return Arc::clone(s);
-            }
-            ins.counter("materialize.cache.epoch_evictions").inc();
-        }
-        ins.counter("materialize.cache.misses").inc();
-        // Build outside the lock so concurrent misses don't serialize the
-        // aggregation work; last writer wins harmlessly (same-epoch stores
-        // are equal, and a racing newer epoch simply re-misses).
-        let built = Arc::new(TimepointStore::build_parallel(g, attrs, self.threads));
-        let mut guard = self.stores.lock();
-        let entry = guard
-            .entry(attrs.to_vec())
-            .and_modify(|e| {
-                if e.0 != epoch {
-                    *e = (epoch, Arc::clone(&built));
-                }
-            })
-            .or_insert((epoch, built));
-        let store = Arc::clone(&entry.1);
-        ins.gauge("materialize.cache.entries")
-            .set(guard.len() as i64);
-        store
-    }
-
-    /// Number of distinct attribute sets cached.
-    pub fn len(&self) -> usize {
-        self.stores.lock().len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.stores.lock().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,20 +213,6 @@ mod tests {
         let store = TimepointStore::build(&g, &attrs(&g, &["gender"]));
         assert!(store.union_all(&TimeSet::empty(3)).is_err());
         assert!(store.union_all(&TimeSet::from_indices(5, [0])).is_err());
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let g = fig1();
-        let ga = attrs(&g, &["gender", "publications"]);
-        let seq = TimepointStore::build(&g, &ga);
-        for threads in [1, 2, 3, 8] {
-            let par = TimepointStore::build_parallel(&g, &ga, threads);
-            assert_eq!(par.len(), seq.len());
-            for t in g.domain().iter() {
-                assert_eq!(par.at(t), seq.at(t), "threads {threads}, point {t:?}");
-            }
-        }
     }
 
     #[test]
@@ -400,55 +264,5 @@ mod tests {
         .unwrap();
         assert!(store.append_new_points(&tiny).is_err());
         let _ = small;
-    }
-
-    #[test]
-    fn cache_builds_once_per_attr_set() {
-        let g = fig1();
-        let cache = MaterializationCache::new(2);
-        assert!(cache.is_empty());
-        let ga = attrs(&g, &["gender"]);
-        let s1 = cache.store_for(&g, &ga);
-        let s2 = cache.store_for(&g, &ga);
-        assert!(Arc::ptr_eq(&s1, &s2));
-        assert_eq!(cache.len(), 1);
-        let gp = attrs(&g, &["gender", "publications"]);
-        let _ = cache.store_for(&g, &gp);
-        assert_eq!(cache.len(), 2);
-    }
-
-    // Regression: the cache used to key on the attribute set alone, so a
-    // lookup after an append returned the pre-append store (3 timepoints)
-    // forever. The epoch stamp turns that into a miss + rebuild.
-    #[test]
-    fn cache_rebuilds_on_epoch_mismatch() {
-        use tempo_graph::{GraphVersions, TimepointPatch};
-        let mut v = GraphVersions::new(fig1());
-        let g0 = v.current();
-        let ga = attrs(&g0, &["gender", "publications"]);
-        let cache = MaterializationCache::new(1);
-        let stale = cache.store_for(&g0, &ga);
-        assert_eq!(stale.len(), 3);
-
-        let pubs = g0.schema().id("publications").unwrap();
-        let mut p = TimepointPatch::new("t3");
-        p.add_edge("u2", "u5")
-            .set_time_varying("u2", pubs, tempo_columnar::Value::Int(9));
-        let g1 = v.append_timepoint(&p).unwrap();
-
-        let fresh = cache.store_for(&g1, &ga);
-        assert!(
-            !Arc::ptr_eq(&stale, &fresh),
-            "stale store served after append"
-        );
-        assert_eq!(fresh.len(), 4);
-        assert_eq!(cache.len(), 1, "rebuild replaces, not accumulates");
-        let rebuilt = TimepointStore::build(&g1, &ga);
-        for t in g1.domain().iter() {
-            assert_eq!(fresh.at(t), rebuilt.at(t), "point {t:?}");
-        }
-        // same epoch again is a hit; the old epoch re-misses
-        assert!(Arc::ptr_eq(&fresh, &cache.store_for(&g1, &ga)));
-        assert_eq!(cache.store_for(&g0, &ga).len(), 3);
     }
 }

@@ -12,9 +12,10 @@
 //! attribute or edge value) count toward COUNT but not toward
 //! SUM/MIN/MAX/AVG.
 
+use crate::aggregate::{GroupTable, PairAccumulator};
 use std::collections::HashMap;
-use tempo_columnar::{Value, ValueTuple};
-use tempo_graph::{AttrId, GraphError, TemporalGraph};
+use tempo_columnar::{Value, ValueMatrix, ValueTuple};
+use tempo_graph::{AttrId, EdgeId, GraphError, TemporalGraph};
 
 /// Measure over the nodes of each aggregate group.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,7 +54,7 @@ impl EdgeMeasure {
 }
 
 /// Streaming accumulator for one group.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Acc {
     count: u64,
     observed: u64,
@@ -179,54 +180,68 @@ pub fn aggregate_measure(
             "edge values (graph has none)".to_owned(),
         ));
     }
-    let group_names: Vec<String> = group
-        .iter()
-        .map(|&a| g.schema().def(a).name().to_owned())
-        .collect();
-    let measured_attr = match node_measure {
+    // Where the measured attribute's cells live, resolved once.
+    enum Cells<'g> {
+        Static(usize),
+        TimeVarying(&'g ValueMatrix),
+    }
+    let measured = match node_measure {
         NodeMeasure::Count => None,
         NodeMeasure::Sum(a) | NodeMeasure::Min(a) | NodeMeasure::Max(a) | NodeMeasure::Avg(a) => {
-            Some(a)
+            Some(match g.schema().static_slot(a) {
+                Some(slot) => Cells::Static(slot),
+                None => Cells::TimeVarying(g.tv_table(a)?),
+            })
         }
     };
-    let tuple_of = |n: tempo_graph::NodeId, t: tempo_graph::TimePoint| -> ValueTuple {
-        group.iter().map(|&a| g.attr_value(n, a, t)).collect()
+    let observe = |n: usize, t: usize| match &measured {
+        None => None,
+        Some(Cells::Static(slot)) => g.static_table().get(n, *slot).as_int(),
+        Some(Cells::TimeVarying(cells)) => cells.get(n, t).as_int(),
     };
+    let edge_values = g
+        .edge_values_matrix()
+        .filter(|_| edge_measure.needs_values());
 
-    let mut node_acc: HashMap<ValueTuple, Acc> = HashMap::new();
-    for n in g.node_ids() {
-        for t in g.node_timestamp(n).iter() {
-            let obs = measured_attr.and_then(|a| g.attr_value(n, a, t).as_int());
-            node_acc.entry(tuple_of(n, t)).or_default().push(obs);
+    let table = GroupTable::cached(g, group);
+    let gid_at = |n: usize, t: usize| match table.static_gids() {
+        Some(gids) => gids[n],
+        None => table.time_gid(n, t),
+    };
+    let mut node_acc = vec![Acc::default(); table.n_groups()];
+    for n in 0..g.n_nodes() {
+        for t in g.node_presence_matrix().iter_row_ones(n) {
+            node_acc[gid_at(n, t) as usize].push(observe(n, t));
         }
     }
-    let mut edge_acc: HashMap<(ValueTuple, ValueTuple), Acc> = HashMap::new();
-    for e in g.edge_ids() {
-        let (u, v) = g.edge_endpoints(e);
-        for t in g.edge_timestamp(e).iter() {
-            let obs = if edge_measure.needs_values() {
-                g.edge_value(e, t).as_int()
-            } else {
-                None
-            };
-            edge_acc
-                .entry((tuple_of(u, t), tuple_of(v, t)))
-                .or_default()
-                .push(obs);
+    let mut edge_acc: PairAccumulator<Acc> = PairAccumulator::new(table.n_groups());
+    for e in 0..g.n_edges() {
+        let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+        let (u, v) = (u.index(), v.index());
+        for t in g.edge_presence_matrix().iter_row_ones(e) {
+            let obs = edge_values.and_then(|values| values.get(e, t).as_int());
+            edge_acc.slot(gid_at(u, t), gid_at(v, t)).push(obs);
         }
     }
 
-    Ok(MeasureAggregate {
-        group_names,
-        nodes: node_acc
-            .into_iter()
-            .filter_map(|(k, acc)| acc.finish_node(node_measure).map(|v| (k, v)))
-            .collect(),
-        edges: edge_acc
-            .into_iter()
-            .filter_map(|(k, acc)| acc.finish_edge(edge_measure).map(|v| (k, v)))
-            .collect(),
-    })
+    let mut out = MeasureAggregate {
+        group_names: table.attr_names().to_vec(),
+        nodes: HashMap::new(),
+        edges: HashMap::new(),
+    };
+    // every node has a static group id, even one that never appears
+    for (gid, acc) in node_acc.iter().enumerate().filter(|(_, a)| a.count > 0) {
+        if let Some(v) = acc.finish_node(node_measure) {
+            out.nodes.insert(table.tuple(gid as u32).clone(), v);
+        }
+    }
+    edge_acc.for_each_nonzero(|s, d, acc| {
+        if let Some(v) = acc.finish_edge(edge_measure) {
+            out.edges
+                .insert((table.tuple(s).clone(), table.tuple(d).clone()), v);
+        }
+    });
+    Ok(out)
 }
 
 #[cfg(test)]

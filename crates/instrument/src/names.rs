@@ -21,8 +21,6 @@ pub const ALL: &[&str] = &[
     "columnar.presence.dense_cols",
     "columnar.presence.sparse_cols",
     "columnar.presence.sparse_overflow_forced_dense",
-    "evolution.cache.hits",
-    "evolution.cache.misses",
     "explore.count_ns",
     "explore.cursor.builds",
     "explore.cursor.chains",
@@ -46,10 +44,6 @@ pub const ALL: &[&str] = &[
     "io.save_ns",
     "io.write.cells",
     "io.write.rows",
-    "materialize.cache.entries",
-    "materialize.cache.epoch_evictions",
-    "materialize.cache.hits",
-    "materialize.cache.misses",
     "materialize.points_appended",
     "materialize.store_build_ns",
     "server.active_connections",

@@ -504,8 +504,9 @@ fn build_snapshot(
     };
     validate_name(name)?;
     let mut session = Session::new().with_sparse_mode(state.cfg.sparse_mode);
-    let line = rebuild_line(cmd, args);
-    let summary = session.exec(&line)?;
+    let mut tokens = vec![cmd.to_owned()];
+    tokens.extend_from_slice(args);
+    let summary = session.exec_tokens(&tokens)?;
     let graph = session
         .graph_arc()
         .ok_or_else(|| CliError::Unknown(format!("{cmd} produced no graph")))?;
@@ -540,7 +541,7 @@ fn zoom_snapshot(
         .get(src)
         .ok_or_else(|| CliError::Unknown(format!("snapshot {src:?}")))?;
     let mut dst = None;
-    let mut zoom_args = Vec::new();
+    let mut zoom_args = vec!["zoom".to_owned()];
     for a in args {
         match a.strip_prefix("as=") {
             Some(d) => dst = Some(d.to_owned()),
@@ -551,7 +552,7 @@ fn zoom_snapshot(
     validate_name(&dst)?;
     let mut session = Session::for_snapshot(graph, QueryLimits::default())
         .with_sparse_mode(state.cfg.sparse_mode);
-    let summary = session.exec(&rebuild_line("zoom", &zoom_args))?;
+    let summary = session.exec_tokens(&zoom_args)?;
     let zoomed = session
         .graph_arc()
         .ok_or_else(|| CliError::Unknown("zoom produced no graph".into()))?;
@@ -626,7 +627,7 @@ fn query_snapshot(
         max_rows: Some(state.cfg.default_max_rows),
         ..QueryLimits::default()
     };
-    let mut query_args = Vec::new();
+    let mut query_args = vec![cmd.to_owned()];
     for a in args {
         if let Some(v) = a.strip_prefix("timeout_ms=") {
             limits.timeout_ms = Some(
@@ -643,7 +644,7 @@ fn query_snapshot(
         }
     }
     let mut session = Session::for_snapshot(graph, limits).with_sparse_mode(state.cfg.sparse_mode);
-    let out = session.exec(&rebuild_line(cmd, &query_args))?;
+    let out = session.exec_tokens(&query_args)?;
     let mut lines = payload_lines(&out);
     // Session-level limits cover explore listings; this covers every other
     // command's output uniformly at the protocol layer.
@@ -658,22 +659,6 @@ fn query_snapshot(
         }
     }
     Ok((lines, epoch))
-}
-
-/// Rebuilds a command line from tokens, re-quoting any token with spaces.
-fn rebuild_line(cmd: &str, args: &[String]) -> String {
-    let mut line = cmd.to_owned();
-    for a in args {
-        line.push(' ');
-        if a.contains(' ') {
-            line.push('"');
-            line.push_str(a);
-            line.push('"');
-        } else {
-            line.push_str(a);
-        }
-    }
-    line
 }
 
 /// Snapshot names keep the protocol unambiguous: word characters only.
@@ -749,14 +734,6 @@ mod tests {
                 "{name} missing from names::ALL"
             );
         }
-    }
-
-    #[test]
-    fn rebuild_requotes_spaced_tokens() {
-        assert_eq!(
-            rebuild_line("load", &["my dir/x".to_owned(), "k=1".to_owned()]),
-            "load \"my dir/x\" k=1"
-        );
     }
 
     #[test]

@@ -168,6 +168,32 @@ fn oversized_request_line_is_refused_and_the_connection_survives() {
     server.shutdown();
 }
 
+/// A quoted argument is one token however much whitespace it holds: the
+/// server hands the session the tokens it split, not a rebuilt line to
+/// split again (a tab inside the quotes used to cut the path in two).
+#[test]
+fn quoted_argument_with_a_tab_stays_one_token() {
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+    let dir = std::env::temp_dir().join(format!("tempo_server_tab\tdir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().expect("utf-8 temp dir");
+
+    let (status, _) = c.request("generate g school seed=7");
+    assert!(status.starts_with("OK "), "got {status}");
+    let (status, payload) = c.request(&format!("save g \"{path}\""));
+    assert!(status.starts_with("OK "), "got {status} {payload:?}");
+    assert!(dir.is_dir(), "saved somewhere other than {path:?}");
+    let (status, payload) = c.request(&format!("load h \"{path}\""));
+    assert!(status.starts_with("OK "), "got {status} {payload:?}");
+    let (_, g_stats) = c.request("stats g");
+    let (_, h_stats) = c.request("stats h");
+    assert_eq!(g_stats, h_stats);
+
+    std::fs::remove_dir_all(&dir).expect("remove the saved snapshot");
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_clients_get_identical_answers() {
     let server = spawn(test_config()).expect("spawn server");

@@ -19,9 +19,7 @@ pub use tempo_graph;
 /// Convenience prelude used by the examples and integration tests.
 pub mod prelude {
     pub use graphtempo::{
-        aggregate::{
-            aggregate, aggregate_filtered, aggregate_via_frames, rollup, AggMode, AggregateGraph,
-        },
+        aggregate::{aggregate, aggregate_filtered, rollup, AggMode, AggregateGraph},
         cube::{GraphCube, Level},
         evolution::{evolution_aggregate, EvolutionClass, EvolutionGraph},
         explore::{
@@ -29,7 +27,7 @@ pub mod prelude {
             ProblemReport, Selector, Semantics, ThresholdStat,
         },
         export::{aggregate_to_dot, evolution_to_dot},
-        materialize::{MaterializationCache, TimepointStore},
+        materialize::TimepointStore,
         measures::{aggregate_measure, EdgeMeasure, MeasureAggregate, NodeMeasure},
         ops::{
             difference, event_graph, intersection, project, project_point, union, Event, SideTest,

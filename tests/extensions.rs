@@ -54,7 +54,7 @@ fn cube_levels_consistent_with_rollup_chain() {
         .iter()
         .map(|n| g.schema().id(n).unwrap())
         .collect();
-    let cube = GraphCube::build(&g, &attrs, 2);
+    let cube = GraphCube::build(&g, &attrs, 1);
     assert_eq!(cube.all_levels().len(), 7);
     // rolling up twice equals querying the coarse level directly
     let scope = g.domain().all();
