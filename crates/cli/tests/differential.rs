@@ -1,25 +1,34 @@
 //! Differential test of the read-query path: every `agg`, `evolution`,
-//! `cube`, `measure` and operator-count answer of [`Session::exec`] — served
-//! from event masks, cached group ids and dense accumulators — must equal
-//! the naive oracle (`aggregate` over the *materialized* operator graph,
-//! rolled up for `cube`; the tuple-hashing `evolution_aggregate_naive`; a
-//! scan over `attr_value` / `edge_value` for `measure`) on random graphs, at
-//! every epoch of a random append sequence, under both presence-column
-//! policies.
+//! `cube`, `measure`, `explore`, `suggest` and operator-count answer of
+//! [`Session::exec`] — served from event masks, cached group ids, cached
+//! selector match columns and dense accumulators — must equal the naive
+//! oracle (`aggregate` over the *materialized* operator graph, rolled up for
+//! `cube`; the tuple-hashing `evolution_aggregate_naive`; a scan over
+//! `attr_value` / `edge_value` for `measure`; the Table-1 strategy walked
+//! with `evaluate_pair_materialized`, and `explore_naive` where the lemmas
+//! hold, for `explore`; a scan of the consecutive pairs' materialized
+//! aggregates for `suggest`) on random graphs, at every epoch of a random
+//! append sequence, under both presence-column policies.
 //!
-//! The appends rewrite static cells, add nodes and record edge values, so an
-//! answer computed from group ids cached on an earlier epoch would differ
-//! from the oracle.
+//! The appends rewrite static cells, add nodes and edges and record edge
+//! values, so an answer computed from group ids or match columns cached on
+//! an earlier epoch would differ from the oracle.
 
 use graphtempo::aggregate::{aggregate, rollup, AggMode, AggregateGraph};
 use graphtempo::evolution::{evolution_aggregate_naive, EvolutionAggregate};
-use graphtempo::ops::{difference, intersection, project, project_point, union};
+use graphtempo::explore::{
+    direction, evaluate_pair_materialized, explore_naive, Direction, ExploreConfig, ExtendSide,
+    IntervalPair, Selector, Semantics,
+};
+use graphtempo::ops::{
+    difference, event_graph, intersection, project, project_point, union, Event, SideTest,
+};
 use graphtempo_cli::{QueryLimits, Session};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use tempo_columnar::{SparseMode, ValueTuple};
+use tempo_columnar::{SparseMode, Value, ValueTuple};
 use tempo_datagen::RandomGraphConfig;
 use tempo_graph::{AttrId, NodeId, TemporalGraph, TimePoint, TimeSet};
 
@@ -244,6 +253,214 @@ fn interval(n: usize, seed: u64) -> (String, TimeSet) {
     (format!("#{lo}..#{hi}"), TimeSet::range(n, lo, hi))
 }
 
+/// The pair at chain coordinate `(i, j)`, derived independently of the
+/// engine's chain table.
+fn chain_pair(n: usize, i: usize, j: usize, extend: ExtendSide) -> IntervalPair {
+    let point = |t: usize| TimeSet::point(n, TimePoint(t as u32));
+    match extend {
+        ExtendSide::New => IntervalPair {
+            told: point(i),
+            tnew: TimeSet::range(n, i + 1, i + 1 + j),
+        },
+        ExtendSide::Old => IntervalPair {
+            told: TimeSet::range(n, i - j, i),
+            tnew: point(i + 1),
+        },
+    }
+}
+
+/// The `explore` oracle, as `explore` prints it: the strategy Table 1 names
+/// for the case, walked chain by chain with every pair materialized and
+/// aggregated from scratch.
+fn naive_explore(g: &TemporalGraph, cfg: &ExploreConfig) -> String {
+    let n = g.domain().len();
+    let mut evaluations = 0;
+    let mut pairs: Vec<(IntervalPair, u64)> = Vec::new();
+    for i in 0..n - 1 {
+        let len = match cfg.extend {
+            ExtendSide::New => n - 1 - i,
+            ExtendSide::Old => i + 1,
+        };
+        let mut eval = |j: usize| {
+            evaluations += 1;
+            let pair = chain_pair(n, i, j, cfg.extend);
+            let r = evaluate_pair_materialized(g, cfg, &pair.told, &pair.tnew).unwrap();
+            (pair, r)
+        };
+        let mut found = None;
+        match (
+            cfg.semantics,
+            direction(cfg.event, cfg.extend, cfg.semantics),
+        ) {
+            (Semantics::Union, Direction::Increasing) => {
+                found = (0..len).map(&mut eval).find(|(_, r)| *r >= cfg.k);
+            }
+            (Semantics::Intersection, Direction::Decreasing) => {
+                for j in 0..len {
+                    let at_j = eval(j);
+                    if at_j.1 < cfg.k {
+                        break;
+                    }
+                    found = Some(at_j);
+                }
+            }
+            (Semantics::Union, Direction::Decreasing) => {
+                found = Some(eval(0)).filter(|(_, r)| *r >= cfg.k);
+            }
+            (Semantics::Intersection, Direction::Increasing) => {
+                found = Some(eval(len - 1)).filter(|(_, r)| *r >= cfg.k);
+            }
+        }
+        pairs.extend(found);
+    }
+    let kind = match cfg.semantics {
+        Semantics::Union => "minimal",
+        Semantics::Intersection => "maximal",
+    };
+    let mut out = format!(
+        "{} qualifying {kind} interval pairs ({evaluations} evaluations):\n",
+        pairs.len()
+    );
+    for (pair, r) in &pairs {
+        let _ = writeln!(out, "  {} -> {r} events", pair.display(g.domain()));
+    }
+    out.trim_end().to_owned()
+}
+
+/// The `suggest` oracle, as `suggest` prints it — §3.5 by definition: over
+/// the consecutive pairs, the selected tuple's weight (tuple selectors) or
+/// the individual entity weights of the event graph's distinct aggregate
+/// (All selectors), pairs without events skipped; the minimum where the
+/// case is increasing, the maximum where it is decreasing.
+fn naive_suggest(g: &TemporalGraph, cfg: &ExploreConfig) -> String {
+    let n = g.domain().len();
+    let pick = |ws: Vec<u64>| match direction(cfg.event, cfg.extend, cfg.semantics) {
+        Direction::Increasing => ws.into_iter().min(),
+        Direction::Decreasing => ws.into_iter().max(),
+    };
+    let per_pair = (0..n - 1).filter_map(|i| {
+        let pair = chain_pair(n, i, 0, cfg.extend);
+        match &cfg.selector {
+            Selector::NodeTuple(_) | Selector::EdgeTuple(..) => {
+                let r = evaluate_pair_materialized(g, cfg, &pair.told, &pair.tnew).unwrap();
+                (r > 0).then_some(r)
+            }
+            all => {
+                let any = SideTest::Any;
+                let ev = event_graph(g, cfg.event, &pair.told, &pair.tnew, any, any).unwrap();
+                let agg = aggregate(&ev, &cfg.attrs, AggMode::Distinct);
+                pick(if all.is_edge() {
+                    agg.iter_edges().into_iter().map(|(_, w)| w).collect()
+                } else {
+                    agg.iter_nodes().into_iter().map(|(_, w)| w).collect()
+                })
+            }
+        }
+    });
+    match pick(per_pair.collect()) {
+        Some(w) => format!("suggested k (w_th per §3.5): {w}"),
+        None => "no events between any consecutive time points".to_owned(),
+    }
+}
+
+/// `explore` and `suggest` on the session's current epoch: all twelve
+/// Table-1 cases on each attribute layout, for the All-edges selector, a
+/// node tuple and an edge tuple. Every request is issued twice: the second
+/// is served from the group ids and match columns the first one cached.
+fn check_exploration(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
+    let g = session.graph_arc().expect("session holds a graph");
+    let g: &TemporalGraph = &g;
+    let (kind, level) = (
+        g.schema().id("kind").unwrap(),
+        g.schema().id("level").unwrap(),
+    );
+    let k0 = g.schema().category(kind, "k0").expect("k0 always exists");
+    let lv = 1 + (seed % 2) as i64;
+    let k = 1 + (seed >> 8) % 3;
+    for (names, attrs, token, tuple) in [
+        ("kind", vec![kind], "k0".to_owned(), vec![k0.clone()]),
+        ("level", vec![level], format!("{lv}"), vec![Value::Int(lv)]),
+        (
+            "kind,level",
+            vec![kind, level],
+            format!("k0,{lv}"),
+            vec![k0, Value::Int(lv)],
+        ),
+    ] {
+        for (selector_tok, selector) in [
+            (String::new(), Selector::AllEdges),
+            (format!(" node={token}"), Selector::NodeTuple(tuple.clone())),
+            (
+                format!(" edge={token}->{token}"),
+                Selector::EdgeTuple(tuple.clone(), tuple.clone()),
+            ),
+        ] {
+            for (event_tok, event) in [
+                ("stability", Event::Stability),
+                ("growth", Event::Growth),
+                ("shrinkage", Event::Shrinkage),
+            ] {
+                for (extend_tok, extend) in [("old", ExtendSide::Old), ("new", ExtendSide::New)] {
+                    for (semantics_tok, semantics) in [
+                        ("union", Semantics::Union),
+                        ("intersect", Semantics::Intersection),
+                    ] {
+                        let cfg = ExploreConfig {
+                            event,
+                            extend,
+                            semantics,
+                            k,
+                            attrs: attrs.clone(),
+                            selector: selector.clone(),
+                        };
+                        let case = format!(
+                            "event={event_tok} semantics={semantics_tok} extend={extend_tok} \
+                             attrs={names}{selector_tok}"
+                        );
+                        let explore = format!("explore {case} k={k}");
+                        let want = naive_explore(g, &cfg);
+                        if names == "kind" {
+                            // the lemmas hold on a static list, so the
+                            // strategy finds what exhaustive search finds
+                            let exhaustive = explore_naive(g, &cfg).unwrap();
+                            let shown: Vec<String> = exhaustive
+                                .pairs
+                                .iter()
+                                .map(|(p, r)| format!("  {} -> {r} events", p.display(g.domain())))
+                                .collect();
+                            prop_assert_eq!(
+                                want.lines().skip(1).collect::<Vec<_>>(),
+                                shown,
+                                "{}",
+                                explore
+                            );
+                        }
+                        let suggest = format!("suggest {case}");
+                        let suggested = naive_suggest(g, &cfg);
+                        for pass in ["cold", "cached"] {
+                            prop_assert_eq!(
+                                session.exec(&explore).unwrap(),
+                                want.as_str(),
+                                "{} ({})",
+                                explore,
+                                pass
+                            );
+                            prop_assert_eq!(
+                                session.exec(&suggest).unwrap(),
+                                suggested.as_str(),
+                                "{} ({})",
+                                suggest,
+                                pass
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Every read query of the tentpole on the session's current epoch,
 /// against its oracle.
 fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
@@ -376,7 +593,7 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
             prop_assert_eq!(got, want, "{}", line);
         }
     }
-    Ok(())
+    check_exploration(session, seed)
 }
 
 proptest! {

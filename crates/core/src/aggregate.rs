@@ -20,7 +20,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tempo_columnar::{Value, ValueTuple};
 use tempo_graph::{
-    AttrId, GraphError, GroupColumns, NodeId, TemporalGraph, Temporality, TimePoint,
+    AttrId, GraphError, GroupColumns, MatchColumns, MatchKey, NodeId, TemporalGraph, Temporality,
+    TimePoint,
 };
 
 use crate::ops::EventMask;
@@ -565,6 +566,12 @@ impl GroupTable {
         self.cols.static_gids()
     }
 
+    /// The snapshot's cached match columns of a tuple selector resolved to
+    /// `key`; see [`GroupColumns::match_columns`].
+    pub(crate) fn match_columns(&self, g: &TemporalGraph, key: MatchKey) -> Arc<MatchColumns> {
+        self.cols.match_columns(g, key)
+    }
+
     #[inline]
     pub(crate) fn time_gid(&self, n: usize, t: usize) -> u32 {
         let gid = self.cols.time_gid(n, t);
@@ -587,30 +594,41 @@ impl GroupTable {
         mask: &EventMask,
         mode: AggMode,
     ) -> AggregateGraph {
-        self.aggregate_masked_with(g, mask, mode, &mut Vec::new())
+        let mut counts = Vec::new();
+        let node_acc = self.node_weights(g, mask, mode, &mut counts);
+        let edge_acc = self.edge_weights(g, mask, mode, &mut counts);
+        let tuples = self.cols.tuples();
+        let mut agg = AggregateGraph::new(self.attr_names().to_vec());
+        for (gid, &w) in node_acc.iter().enumerate() {
+            if w > 0 {
+                agg.add_node_weight(tuples[gid].clone(), w);
+            }
+        }
+        edge_acc.for_each_nonzero(|s, d, &w| {
+            agg.add_edge_weight(tuples[s as usize].clone(), tuples[d as usize].clone(), w);
+        });
+        agg
     }
 
-    /// Buffer-reusing form of [`aggregate_masked`](Self::aggregate_masked):
-    /// `counts` is the popcount scratch handed to
-    /// [`masked_popcounts_into`], overwritten in place, so callers that
-    /// aggregate in a loop (the threshold scan) hoist the allocation out of
-    /// it.
+    /// The Definition 2.6 node weights of the event graph described by
+    /// `mask`, indexed by group id (0 for a tuple the event graph lacks).
+    /// `counts` is the popcount scratch handed to [`masked_popcounts_into`],
+    /// overwritten in place.
     ///
     /// [`masked_popcounts_into`]: tempo_columnar::BitMatrix::masked_popcounts_into
-    pub fn aggregate_masked_with(
+    pub(crate) fn node_weights(
         &self,
         g: &TemporalGraph,
         mask: &EventMask,
         mode: AggMode,
         counts: &mut Vec<u32>,
-    ) -> AggregateGraph {
+    ) -> Vec<u64> {
         let scope = mask.scope().bits();
         debug_assert_eq!(self.check_invariants(), Ok(()));
         debug_assert_eq!(scope.check_invariants(), Ok(()));
         debug_assert_eq!(mask.keep_nodes().check_invariants(), Ok(()));
-        let static_gids = self.cols.static_gids();
         let mut node_acc = vec![0u64; self.n_groups()];
-        match (static_gids, mode) {
+        match (self.cols.static_gids(), mode) {
             (Some(gids), AggMode::Distinct) => {
                 for n in mask.keep_nodes().iter_ones() {
                     debug_assert!(
@@ -648,9 +666,21 @@ impl GroupTable {
                 }
             }
         }
+        node_acc
+    }
 
+    /// The edge half of [`node_weights`](Self::node_weights): weights per
+    /// ordered pair of group ids.
+    pub(crate) fn edge_weights(
+        &self,
+        g: &TemporalGraph,
+        mask: &EventMask,
+        mode: AggMode,
+        counts: &mut Vec<u32>,
+    ) -> PairAccumulator<u64> {
+        let scope = mask.scope().bits();
         let mut edge_acc: PairAccumulator<u64> = PairAccumulator::new(self.n_groups());
-        match static_gids {
+        match self.cols.static_gids() {
             Some(gids) => {
                 let weighted = matches!(mode, AggMode::All);
                 if weighted {
@@ -683,18 +713,7 @@ impl GroupTable {
                 }
             }
         }
-
-        let tuples = self.cols.tuples();
-        let mut agg = AggregateGraph::new(self.attr_names().to_vec());
-        for (gid, &w) in node_acc.iter().enumerate() {
-            if w > 0 {
-                agg.add_node_weight(tuples[gid].clone(), w);
-            }
-        }
-        edge_acc.for_each_nonzero(|s, d, &w| {
-            agg.add_edge_weight(tuples[s as usize].clone(), tuples[d as usize].clone(), w);
-        });
-        agg
+        edge_acc
     }
 
     /// Counts `result(G)` of the event graph described by `mask` under

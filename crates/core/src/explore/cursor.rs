@@ -12,83 +12,69 @@
 //! ([`TemporalGraph::node_presence_columns`]), i.e. `O(entity-words)` per
 //! step independent of interval length.
 //!
-//! [`ChainCursor`] holds those accumulators plus a reusable
-//! [`EventMask`], and emits each step's mask with whole-vector AND/ANDNOT
-//! (including the Definition-2.5 incident-node fix-up, recomputed only over
-//! the kept-edge set bits). For static group tables it also resolves the
-//! count to a precomputed target bitmask, so a full evaluation is a
-//! popcount — no per-entity scan at all. A counting cursor
-//! ([`ChainCursor::new_counting`], what the engine drives) goes one step
-//! further and fuses the membership test into the count: a stability
-//! evaluation is one `popcount(ref & ext [& target])` sweep and a difference
-//! evaluation one `popcount(keep & (!drop | incident) [& target])` sweep,
-//! with no node keep-mask write at all. Both cursor modes are bit-identical
-//! to the materializing oracle at every chain coordinate (property-tested
-//! in `tests/kernel_equivalence.rs`).
+//! [`ChainCursor`] holds those accumulators and fuses the membership test
+//! into the count: a stability evaluation is one
+//! `popcount(ref & ext [& match])` sweep and a difference evaluation one
+//! `popcount(keep & (!drop | incident) [& match])` sweep (the
+//! Definition-2.5 incident-node fix-up recomputed only over the kept-edge
+//! set bits), with no node keep-mask write at all. `match` is the tuple
+//! selector's cached match vector ([`GroupColumns::match_columns`]): the
+//! vector itself on an all-static attribute list, and on a list with a
+//! time-varying attribute the OR of its per-point columns over the scope,
+//! folded one column at a time wherever the scope grows. Only the All
+//! selectors on a time-varying list over a scope of several points — where
+//! one entity can carry several tuples — write the mask and scan it
+//! ([`GroupTable::count_distinct`]). [`ChainCursor::mask_chain_pair`] is the
+//! mask-only step for callers that aggregate the event themselves. Both
+//! are bit-identical to the materializing oracle at every chain coordinate
+//! (property-tested in `tests/kernel_equivalence.rs`).
+//!
+//! [`GroupColumns::match_columns`]: tempo_graph::GroupColumns::match_columns
+//! [`GroupTable::count_distinct`]: crate::aggregate::GroupTable::count_distinct
 
 use super::kernel::ExploreKernel;
 use super::{ExtendSide, Semantics};
 use crate::aggregate::CountTarget;
 use crate::ops::{Event, EventMask};
-use tempo_columnar::{BitVec, TransposedBitMatrix};
-use tempo_graph::{EdgeId, TimePoint};
+use std::sync::Arc;
+use tempo_columnar::{BitVec, PresenceColumn, TransposedBitMatrix};
+use tempo_graph::{EdgeId, MatchColumns, MatchKey, TemporalGraph, TimePoint};
 
-/// How the cursor turns a finished [`EventMask`] into `result(G)`.
-///
-/// With a static group table every entity keeps one group id for the whole
-/// domain, so the distinct count over any scope collapses to a popcount of
-/// the kept mask (optionally intersected with a precomputed target mask).
-/// Time-varying tables fall back to [`GroupTable::count_distinct`]
-/// (`Table`), which scans kept entities.
-///
-/// [`GroupTable::count_distinct`]: crate::aggregate::GroupTable::count_distinct
+/// How the cursor turns the current pair into `result(G)`.
 enum FastCount {
     /// Selector tuple occurs nowhere in the source graph — always 0.
     Zero,
-    /// Static table + all-nodes selector: popcount of kept nodes.
-    PopNodes,
-    /// Static table + all-edges selector: popcount of kept edges.
-    PopEdges,
-    /// Static table + one node tuple: popcount of kept ∧ target mask.
-    NodesMatch(BitVec),
-    /// Static table + one edge tuple pair: popcount of kept ∧ target mask.
-    EdgesMatch(BitVec),
-    /// Time-varying table: defer to the general distinct scan.
+    /// Every kept entity counts once, so the count is a popcount of the
+    /// kept set: an All selector on an all-static list (`None`), or a tuple
+    /// selector, whose kept set is intersected with its match vector.
+    Pop(Option<Arc<MatchColumns>>),
+    /// All selector on a list with a time-varying attribute: an entity
+    /// counts once per distinct tuple it carries within the scope.
     Table,
 }
 
 impl FastCount {
     fn resolve(kernel: &ExploreKernel<'_>) -> FastCount {
-        let g = kernel.g;
-        match (&kernel.target, kernel.table.is_static()) {
+        let tuple = |key| FastCount::Pop(Some(kernel.table.match_columns(kernel.g, key)));
+        match &kernel.target {
             // A tuple absent from the source graph can never appear in an
             // event graph of it (same shortcut as count_distinct).
-            (CountTarget::Node(None), _) | (CountTarget::Edge(None), _) => FastCount::Zero,
-            (_, false) => FastCount::Table,
-            (CountTarget::AllNodes, true) => FastCount::PopNodes,
-            (CountTarget::AllEdges, true) => FastCount::PopEdges,
-            (CountTarget::Node(Some(gid)), true) => {
-                let mut m = BitVec::zeros(g.n_nodes());
-                for n in 0..g.n_nodes() {
-                    if kernel.table.gid_at(n, 0) == Some(*gid) {
-                        m.set(n, true);
-                    }
-                }
-                FastCount::NodesMatch(m)
+            CountTarget::Node(None) | CountTarget::Edge(None) => FastCount::Zero,
+            CountTarget::Node(Some(gid)) => tuple(MatchKey::Node(*gid)),
+            CountTarget::Edge(Some((gs, gd))) => tuple(MatchKey::Edge(*gs, *gd)),
+            CountTarget::AllNodes | CountTarget::AllEdges if kernel.table.is_static() => {
+                FastCount::Pop(None)
             }
-            (CountTarget::Edge(Some((gs, gd))), true) => {
-                let mut m = BitVec::zeros(g.n_edges());
-                for e in 0..g.n_edges() {
-                    let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-                    if kernel.table.gid_at(u.index(), 0) == Some(*gs)
-                        && kernel.table.gid_at(v.index(), 0) == Some(*gd)
-                    {
-                        m.set(e, true);
-                    }
-                }
-                FastCount::EdgesMatch(m)
-            }
+            CountTarget::AllNodes | CountTarget::AllEdges => FastCount::Table,
         }
+    }
+}
+
+/// The entities a tuple selector matches over the current scope.
+fn selection<'a>(matches: &'a MatchColumns, scope_match: &'a BitVec) -> &'a BitVec {
+    match matches {
+        MatchColumns::Static(all_points) => all_points,
+        MatchColumns::PerPoint(_) => scope_match,
     }
 }
 
@@ -96,14 +82,17 @@ impl FastCount {
 ///
 /// Built once per exploration run and driven forward through `(i, j)`
 /// chain coordinates by [`ChainCursor::evaluate_chain_pair`]. Every
-/// evaluation is recorded in `explore.evaluations` / `eval_ns`; the
-/// masking cursor also splits it into `mask_ns` / `count_ns`.
+/// evaluation is recorded in `explore.evaluations` / `eval_ns`; those that
+/// write the mask also split it into `mask_ns` / `count_ns`.
 pub struct ChainCursor<'k, 'g> {
     kernel: &'k ExploreKernel<'g>,
     node_cols: &'g TransposedBitMatrix,
     edge_cols: &'g TransposedBitMatrix,
     /// Domain length.
     n: usize,
+    /// Whether the selector counts edges; a node selector also needs the
+    /// kept edges, which rescue their endpoints (Definition 2.5).
+    edges: bool,
     fast: FastCount,
     /// Reference index of the chain currently loaded, if any.
     current_ref: Option<usize>,
@@ -115,7 +104,12 @@ pub struct ChainCursor<'k, 'g> {
     /// intersection, one transposed column per step).
     ext_nodes: BitVec,
     ext_edges: BitVec,
-    /// Reusable output mask, rewritten in place per evaluation.
+    /// OR of the selector's per-point match columns over the mask's scope
+    /// (empty unless the selector has [`MatchColumns::PerPoint`] columns).
+    scope_match: BitVec,
+    /// Reusable output mask, rewritten in place. The scope is kept current
+    /// for every pair; the keep sets are those of the pair only after
+    /// [`mask_chain_pair`](Self::mask_chain_pair).
     mask: EventMask,
     /// Scratch for the Definition-2.5 incident-node fix-up.
     incident: BitVec,
@@ -126,60 +120,60 @@ pub struct ChainCursor<'k, 'g> {
     /// the whole run reuses one pair of buffers.
     seen_gids: Vec<u32>,
     seen_pairs: Vec<(u32, u32)>,
-    /// Count-only mode ([`new_counting`](Self::new_counting)): popcount
-    /// selectors fuse the membership test and the count into one
-    /// word-parallel (or sparse-probe) pass, skipping the node keep-mask
-    /// write entirely. [`last_mask`](Self::last_mask) is then not
-    /// meaningful, so the mode is opt-in.
-    count_only: bool,
-    ins_chains: std::sync::Arc<tempo_instrument::Counter>,
-    ins_steps: std::sync::Arc<tempo_instrument::Counter>,
-    ins_step_ns: std::sync::Arc<tempo_instrument::Histogram>,
+    ins_chains: Arc<tempo_instrument::Counter>,
+    ins_steps: Arc<tempo_instrument::Counter>,
+    ins_step_ns: Arc<tempo_instrument::Histogram>,
 }
 
 impl<'k, 'g> ChainCursor<'k, 'g> {
     /// Builds a cursor over a shared kernel: borrows (building on first use)
-    /// the graph's transposed presence indexes and resolves the fast count
-    /// path for the kernel's target. Every evaluation materializes the full
-    /// [`EventMask`], so [`last_mask`](Self::last_mask) is valid after each
-    /// call.
+    /// the graph's transposed presence indexes and the selector's cached
+    /// match columns.
     pub fn new(kernel: &'k ExploreKernel<'g>) -> Self {
-        Self::build(kernel, false)
-    }
-
-    /// [`new`](Self::new), but for callers that only read the returned
-    /// counts (the exploration engine): popcount-style selectors are
-    /// evaluated as one fused membership-and-count pass with no node
-    /// keep-mask write. [`last_mask`](Self::last_mask) contents are
-    /// unspecified on this cursor.
-    pub fn new_counting(kernel: &'k ExploreKernel<'g>) -> Self {
-        Self::build(kernel, true)
-    }
-
-    fn build(kernel: &'k ExploreKernel<'g>, count_only: bool) -> Self {
         let ins = tempo_instrument::global();
         ins.counter("explore.cursor.builds").inc();
         let g = kernel.g;
+        let edges = kernel.cfg.selector.is_edge();
+        let fast = FastCount::resolve(kernel);
+        let scope_match = match &fast {
+            FastCount::Pop(Some(m)) if matches!(**m, MatchColumns::PerPoint(_)) => {
+                BitVec::zeros(if edges { g.n_edges() } else { g.n_nodes() })
+            }
+            _ => BitVec::zeros(0),
+        };
         ChainCursor {
             kernel,
             node_cols: g.node_presence_columns(),
             edge_cols: g.edge_presence_columns(),
             n: g.domain().len(),
-            fast: FastCount::resolve(kernel),
+            edges,
+            fast,
             current_ref: None,
             step: 0,
             ref_t: 0,
             ext_nodes: BitVec::zeros(g.n_nodes()),
             ext_edges: BitVec::zeros(g.n_edges()),
+            scope_match,
             mask: EventMask::cleared(g),
             incident: BitVec::zeros(g.n_nodes()),
             incident_touched: Vec::new(),
             seen_gids: Vec::new(),
             seen_pairs: Vec::new(),
-            count_only,
             ins_chains: ins.counter("explore.cursor.chains"),
             ins_steps: ins.counter("explore.cursor.steps"),
             ins_step_ns: ins.histogram("explore.cursor.step_ns"),
+        }
+    }
+
+    /// Adds time point `t` to the scope, and the entities the selector
+    /// matches at `t` to the scope's match vector.
+    fn grow_scope(&mut self, t: usize) {
+        let (_, _, scope) = self.mask.parts_mut();
+        scope.insert(TimePoint(t as u32));
+        if let FastCount::Pop(Some(m)) = &self.fast {
+            if let MatchColumns::PerPoint(cols) = &**m {
+                cols[t].or_into(&mut self.scope_match);
+            }
         }
     }
 
@@ -204,13 +198,14 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         // 𝒯new, shrinkage in 𝒯old.
         let (_, _, scope) = self.mask.parts_mut();
         scope.clear();
+        self.scope_match.clear_all();
         match self.kernel.cfg.event {
             Event::Stability => {
-                scope.insert(TimePoint(i as u32));
-                scope.insert(TimePoint((i + 1) as u32));
+                self.grow_scope(i);
+                self.grow_scope(i + 1);
             }
-            Event::Growth => scope.insert(TimePoint((i + 1) as u32)),
-            Event::Shrinkage => scope.insert(TimePoint(i as u32)),
+            Event::Growth => self.grow_scope(i + 1),
+            Event::Shrinkage => self.grow_scope(i),
         }
     }
 
@@ -254,8 +249,18 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
             Event::Shrinkage => self.kernel.cfg.extend == ExtendSide::Old,
         };
         if scope_tracks_ext {
-            let (_, _, scope) = self.mask.parts_mut();
-            scope.insert(TimePoint(t_added as u32));
+            self.grow_scope(t_added);
+        }
+    }
+
+    /// Positions the cursor on chain pair `(i, j)`: loads the chain on a
+    /// reference change or a backward jump, then advances incrementally.
+    fn seek(&mut self, i: usize, j: usize) {
+        if self.current_ref != Some(i) || j < self.step {
+            self.start_chain(i);
+        }
+        while self.step < j {
+            self.advance();
         }
     }
 
@@ -270,149 +275,112 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         )
     }
 
-    /// Rebuilds the Definition-2.5 incident-endpoint rescue set from the
-    /// kept edges in `mask`, clearing only the bits the previous rebuild
-    /// set (`O(kept edges)` instead of an `O(nodes)` vector clear).
-    fn rebuild_incident(&mut self) {
-        for &i in &self.incident_touched {
-            self.incident.set(i as usize, false);
-        }
-        self.incident_touched.clear();
-        let g = self.kernel.g;
-        for e in self.mask.keep_edges().iter_ones() {
-            let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-            self.incident.set(u.index(), true);
-            self.incident.set(v.index(), true);
-            self.incident_touched.push(u.index() as u32);
-            self.incident_touched.push(v.index() as u32);
-        }
+    /// Count-only evaluation: membership test and count fused into one
+    /// word-parallel (or sparse ID-probe) pass — the node keep mask is
+    /// never materialized. Difference events still write the kept-*edge*
+    /// mask (the incident fix-up iterates its set bits, and edges are the
+    /// short dimension here). Returns `None` when one entity can count more
+    /// than once: an All selector on a time-varying list, unless the scope
+    /// is a single point, where every kept entity carries exactly one tuple.
+    fn fused_count(&mut self) -> Option<u64> {
+        let sel = match &self.fast {
+            FastCount::Zero => return Some(0),
+            FastCount::Pop(matches) => matches.as_deref().map(|m| selection(m, &self.scope_match)),
+            FastCount::Table if self.mask.scope().len() == 1 => None,
+            FastCount::Table => return None,
+        };
+        let edges = self.edges;
+        let ref_nodes = self.node_cols.col(self.ref_t);
+        let ref_edges = self.edge_cols.col(self.ref_t);
+        let count = match self.kernel.cfg.event {
+            Event::Stability => {
+                let (reference, ext) = if edges {
+                    (ref_edges, &self.ext_edges)
+                } else {
+                    (ref_nodes, &self.ext_nodes)
+                };
+                match sel {
+                    None => reference.count_ones_and_dense(ext),
+                    Some(m) => reference.count_ones_and2(ext, m),
+                }
+            }
+            Event::Growth | Event::Shrinkage => {
+                let ref_is_keep = self.ref_is_keep();
+                let (_, keep_edges, _) = self.mask.parts_mut();
+                write_difference(ref_edges, ref_is_keep, &self.ext_edges, keep_edges);
+                if edges {
+                    // an edge target never reads the node side, so the
+                    // incident pass is skipped with it
+                    match sel {
+                        None => keep_edges.count_ones(),
+                        Some(m) => keep_edges.count_ones_and(m),
+                    }
+                } else {
+                    rebuild_incident(
+                        self.kernel.g,
+                        keep_edges,
+                        &mut self.incident,
+                        &mut self.incident_touched,
+                    );
+                    if ref_is_keep {
+                        ref_nodes.count_difference_keep(&self.ext_nodes, &self.incident, sel)
+                    } else {
+                        ref_nodes.count_difference_drop(&self.ext_nodes, &self.incident, sel)
+                    }
+                }
+            }
+        };
+        Some(count as u64)
     }
 
-    /// Count-only fast paths: membership test and count fused into one
-    /// word-parallel (or sparse ID-probe) pass over the node dimension —
-    /// the node keep mask is never materialized. Difference events still
-    /// write the kept-*edge* mask (the incident fix-up iterates its set
-    /// bits, and edges are the short dimension here). Returns `None` when
-    /// the target genuinely needs the materialized mask (time-varying
-    /// group tables).
-    fn fused_count(&mut self) -> Option<u64> {
-        match self.fast {
-            FastCount::Zero => return Some(0),
-            FastCount::Table => return None,
-            _ => {}
-        }
+    /// Rewrites the mask's keep sets for the current pair: whole-vector
+    /// AND/ANDNOT for membership, set-bit iteration only for the kept edges'
+    /// endpoints (Definition 2.5). An edge selector never reads the kept
+    /// nodes, so for it only the kept edges are written and the incident
+    /// pass is skipped.
+    fn write_mask(&mut self) {
+        let nodes = !self.edges;
+        let _mask_span = self.kernel.ins_mask_ns.span();
+        // One pair side is always the fixed reference column (dense or
+        // sparse); the other is the dense extension accumulator. Every op
+        // below lets the column pick its own fold.
         let ref_nodes = self.node_cols.col(self.ref_t);
         let ref_edges = self.edge_cols.col(self.ref_t);
         match self.kernel.cfg.event {
-            Event::Stability => Some(match &self.fast {
-                FastCount::PopNodes => ref_nodes.count_ones_and_dense(&self.ext_nodes) as u64,
-                FastCount::PopEdges => ref_edges.count_ones_and_dense(&self.ext_edges) as u64,
-                FastCount::NodesMatch(m) => ref_nodes.count_ones_and2(&self.ext_nodes, m) as u64,
-                FastCount::EdgesMatch(m) => ref_edges.count_ones_and2(&self.ext_edges, m) as u64,
-                FastCount::Zero | FastCount::Table => unreachable!("returned above"),
-            }),
-            Event::Growth | Event::Shrinkage => {
-                let ref_is_keep = self.ref_is_keep();
-                {
-                    let (_, keep_edges, _) = self.mask.parts_mut();
-                    if ref_is_keep {
-                        ref_edges.and_not_into(&self.ext_edges, keep_edges);
-                    } else {
-                        ref_edges.and_not_from(&self.ext_edges, keep_edges);
-                    }
-                }
-                match &self.fast {
-                    FastCount::PopEdges => return Some(self.mask.keep_edges().count_ones() as u64),
-                    FastCount::EdgesMatch(m) => {
-                        return Some(self.mask.keep_edges().count_ones_and(m) as u64)
-                    }
-                    _ => {}
-                }
-                self.rebuild_incident();
-                let sel = match &self.fast {
-                    FastCount::NodesMatch(m) => Some(m),
-                    _ => None,
-                };
-                Some(if ref_is_keep {
-                    ref_nodes.count_difference_keep(&self.ext_nodes, &self.incident, sel) as u64
-                } else {
-                    ref_nodes.count_difference_drop(&self.ext_nodes, &self.incident, sel) as u64
-                })
-            }
-        }
-    }
-
-    /// Rewrites the mask for the current pair and counts the target:
-    /// whole-vector AND/ANDNOT for membership, set-bit iteration only for
-    /// the kept edges' endpoints (Definition 2.5), then the fast count. On
-    /// a counting cursor the popcount targets take the fused path instead
-    /// (no mask write; fused evaluations record `eval_ns` but not the
-    /// `mask_ns`/`count_ns` split).
-    fn evaluate_current(&mut self) -> u64 {
-        let _eval_span = self.kernel.ins_eval_ns.span();
-        self.kernel.ins_evals.inc();
-        if self.count_only {
-            if let Some(count) = self.fused_count() {
-                return count;
-            }
-        }
-        {
-            let _mask_span = self.kernel.ins_mask_ns.span();
-            // One pair side is always the fixed reference column (dense or
-            // sparse); the other is the dense extension accumulator. Every
-            // op below lets the column pick its own fold.
-            let ref_nodes = self.node_cols.col(self.ref_t);
-            let ref_edges = self.edge_cols.col(self.ref_t);
-            match self.kernel.cfg.event {
-                Event::Stability => {
-                    let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
-                    // AND is commutative, so which side is old/new is moot.
+            Event::Stability => {
+                let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
+                // AND is commutative, so which side is old/new is moot.
+                ref_edges.and_into(&self.ext_edges, keep_edges);
+                if nodes {
                     ref_nodes.and_into(&self.ext_nodes, keep_nodes);
-                    ref_edges.and_into(&self.ext_edges, keep_edges);
                 }
-                Event::Growth | Event::Shrinkage => {
-                    // Kept edges are member of the keep side and not of the
-                    // drop side; kept nodes likewise, except a node incident
-                    // to a kept edge is kept regardless of the drop test
-                    // (Definition 2.5).
-                    let ref_is_keep = self.ref_is_keep();
-                    {
-                        let (_, keep_edges, _) = self.mask.parts_mut();
-                        if ref_is_keep {
-                            ref_edges.and_not_into(&self.ext_edges, keep_edges);
-                        } else {
-                            ref_edges.and_not_from(&self.ext_edges, keep_edges);
-                        }
-                    }
-                    self.rebuild_incident();
-                    let (keep_nodes, _, _) = self.mask.parts_mut();
+            }
+            Event::Growth | Event::Shrinkage => {
+                // Kept edges are member of the keep side and not of the
+                // drop side; kept nodes likewise, except a node incident
+                // to a kept edge is kept regardless of the drop test
+                // (Definition 2.5).
+                let ref_is_keep = self.ref_is_keep();
+                let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
+                write_difference(ref_edges, ref_is_keep, &self.ext_edges, keep_edges);
+                if nodes {
+                    rebuild_incident(
+                        self.kernel.g,
+                        keep_edges,
+                        &mut self.incident,
+                        &mut self.incident_touched,
+                    );
+                    write_difference(ref_nodes, ref_is_keep, &self.ext_nodes, keep_nodes);
                     if ref_is_keep {
-                        ref_nodes.and_not_into(&self.ext_nodes, keep_nodes);
                         ref_nodes.or_and_into(&self.incident, keep_nodes);
                     } else {
-                        ref_nodes.and_not_from(&self.ext_nodes, keep_nodes);
                         keep_nodes.or_and_assign(&self.incident, &self.ext_nodes);
                     }
                 }
             }
-            debug_assert_eq!(self.mask.keep_nodes().check_invariants(), Ok(()));
-            debug_assert_eq!(self.mask.keep_edges().check_invariants(), Ok(()));
         }
-        let _count_span = self.kernel.ins_count_ns.span();
-        match &self.fast {
-            FastCount::Zero => 0,
-            FastCount::PopNodes => self.mask.keep_nodes().count_ones() as u64,
-            FastCount::PopEdges => self.mask.keep_edges().count_ones() as u64,
-            FastCount::NodesMatch(m) => self.mask.keep_nodes().count_ones_and(m) as u64,
-            FastCount::EdgesMatch(m) => self.mask.keep_edges().count_ones_and(m) as u64,
-            FastCount::Table => self.kernel.table.count_distinct_with_scratch(
-                self.kernel.g,
-                &self.mask,
-                &self.kernel.target,
-                &mut self.seen_gids,
-                &mut self.seen_pairs,
-            ),
-        }
+        debug_assert_eq!(self.mask.keep_nodes().check_invariants(), Ok(()));
+        debug_assert_eq!(self.mask.keep_edges().check_invariants(), Ok(()));
     }
 
     /// Evaluates chain pair `(i, j)`: pair `j` of reference `i`'s chain
@@ -427,18 +395,71 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     /// # Panics
     /// Panics if `(i, j)` is outside the domain's chain table.
     pub fn evaluate_chain_pair(&mut self, i: usize, j: usize) -> u64 {
-        if self.current_ref != Some(i) || j < self.step {
-            self.start_chain(i);
+        self.seek(i, j);
+        let _eval_span = self.kernel.ins_eval_ns.span();
+        self.kernel.ins_evals.inc();
+        if let Some(count) = self.fused_count() {
+            return count;
         }
-        while self.step < j {
-            self.advance();
-        }
-        self.evaluate_current()
+        self.write_mask();
+        let _count_span = self.kernel.ins_count_ns.span();
+        self.kernel.table.count_distinct_with_scratch(
+            self.kernel.g,
+            &self.mask,
+            &self.kernel.target,
+            &mut self.seen_gids,
+            &mut self.seen_pairs,
+        )
     }
 
-    /// The mask of the most recent evaluation (event membership + scope).
-    pub fn last_mask(&self) -> &EventMask {
+    /// The mask-only step: positions the cursor on chain pair `(i, j)` as
+    /// [`evaluate_chain_pair`](Self::evaluate_chain_pair) does and returns
+    /// the pair's event mask without counting anything: its scope and the
+    /// keep sets the kernel's selector concerns — kept edges for an edge
+    /// selector (the kept nodes are then unspecified), kept nodes and edges
+    /// for a node selector. Recorded as an evaluation.
+    ///
+    /// # Panics
+    /// Panics if `(i, j)` is outside the domain's chain table.
+    pub fn mask_chain_pair(&mut self, i: usize, j: usize) -> &EventMask {
+        self.seek(i, j);
+        let _eval_span = self.kernel.ins_eval_ns.span();
+        self.kernel.ins_evals.inc();
+        self.write_mask();
         &self.mask
+    }
+}
+
+/// `out` = the members of a difference event's keep side that are not
+/// members of its drop side; `reference` holds the keep side when
+/// `ref_is_keep`, the extension accumulator `ext` otherwise.
+fn write_difference(reference: &PresenceColumn, ref_is_keep: bool, ext: &BitVec, out: &mut BitVec) {
+    if ref_is_keep {
+        reference.and_not_into(ext, out);
+    } else {
+        reference.and_not_from(ext, out);
+    }
+}
+
+/// Rebuilds the Definition-2.5 incident-endpoint rescue set from the kept
+/// edges, clearing only the bits the previous rebuild set (`O(kept edges)`
+/// instead of an `O(nodes)` vector clear).
+fn rebuild_incident(
+    g: &TemporalGraph,
+    keep_edges: &BitVec,
+    incident: &mut BitVec,
+    touched: &mut Vec<u32>,
+) {
+    for &i in touched.iter() {
+        incident.set(i as usize, false);
+    }
+    touched.clear();
+    for e in keep_edges.iter_ones() {
+        let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+        for n in [u, v] {
+            incident.set(n.index(), true);
+            touched.push(n.0);
+        }
     }
 }
 
@@ -477,9 +498,9 @@ mod tests {
         // jump straight to the deepest pair, then back to the base pair
         assert_eq!(cursor.evaluate_chain_pair(0, deep), expect(deep));
         assert_eq!(cursor.evaluate_chain_pair(0, 0), expect(0));
-        // and the last mask's scope matches the reloaded pair
+        // and the mask's scope matches the reloaded pair
         assert_eq!(
-            cursor.last_mask().scope(),
+            cursor.mask_chain_pair(0, 0).scope(),
             &pairs[0].told.union(&pairs[0].tnew)
         );
     }

@@ -1,6 +1,6 @@
 //! The exploration strategies: U-Explore, I-Explore, and the two
 //! monotonicity shortcuts (§3.2–§3.4), walked one reference chain at a
-//! time over a counting [`ChainCursor`].
+//! time over a [`ChainCursor`].
 
 use super::budget::Budget;
 use super::cursor::ChainCursor;
@@ -118,7 +118,7 @@ pub fn explore_budgeted(
 ) -> Result<ExploreOutcome, GraphError> {
     let n = check_domain(g)?;
     let kernel = ExploreKernel::new(g, cfg);
-    let mut cursor = ChainCursor::new_counting(&kernel);
+    let mut cursor = ChainCursor::new(&kernel);
     let mut out = ExploreOutcome {
         pairs: Vec::new(),
         evaluations: 0,

@@ -7,13 +7,14 @@
 //! only for most of that structure to be discarded after one selector
 //! count.
 //!
-//! [`ExploreKernel`] holds what the production path needs instead: one
-//! [`GroupTable`] per run (each node's attribute tuple interned to a dense
-//! group id once) and the selector resolved to a [`CountTarget`] (group
-//! ids, not tuples). The [`ChainCursor`](super::ChainCursor) built over it
-//! computes each pair's membership with whole-vector AND/ANDNOT against
-//! the transposed presence columns and counts matching group ids directly.
-//! No subgraph, no row clones, no per-pair hash keys.
+//! [`ExploreKernel`] holds what the production path needs instead: the
+//! snapshot's cached [`GroupTable`] for the run's attribute list (each
+//! node's attribute tuple interned to a dense group id once per snapshot
+//! version, not per run) and the selector resolved to a [`CountTarget`]
+//! (group ids, not tuples). The [`ChainCursor`](super::ChainCursor) built
+//! over it computes each pair's membership with whole-vector AND/ANDNOT
+//! against the transposed presence columns and counts matching group ids
+//! directly. No subgraph, no row clones, no per-pair hash keys.
 
 use super::{ExploreConfig, ExtendSide, Selector};
 use crate::aggregate::{aggregate, AggMode, CountTarget, GroupTable};
@@ -44,7 +45,7 @@ pub fn evaluate_pair_materialized(
     Ok(cfg.selector.count(&agg))
 }
 
-/// Per-run state of an exploration: the graph, the config, the interned
+/// Per-run state of an exploration: the graph, the config, the snapshot's
 /// group table and the resolved count target. Immutable after
 /// construction; a [`ChainCursor`](super::ChainCursor) borrows it.
 pub struct ExploreKernel<'g> {
@@ -61,15 +62,16 @@ pub struct ExploreKernel<'g> {
 }
 
 impl<'g> ExploreKernel<'g> {
-    /// Builds the kernel for one exploration run: interns the group table
-    /// for `cfg.attrs` and resolves the selector to group ids.
+    /// Builds the kernel for one exploration run: takes the snapshot's
+    /// cached group table for `cfg.attrs` and resolves the selector to
+    /// group ids.
     ///
     /// # Panics
     /// Panics if any attribute id is not from `g`'s schema.
     pub fn new(g: &'g TemporalGraph, cfg: &'g ExploreConfig) -> Self {
         let ins = tempo_instrument::global();
         let build_span = ins.histogram("explore.kernel_build_ns").span();
-        let table = GroupTable::build(g, &cfg.attrs);
+        let table = GroupTable::cached(g, &cfg.attrs);
         let target = match &cfg.selector {
             Selector::AllNodes => CountTarget::AllNodes,
             Selector::AllEdges => CountTarget::AllEdges,

@@ -38,64 +38,48 @@ pub fn initial_threshold(
             "threshold initialization needs at least two time points".to_owned(),
         ));
     }
-    // One kernel (and therefore one interned group table) is shared across
-    // all consecutive pairs of the scan; the consecutive pair (𝒯ᵢ, 𝒯ᵢ₊₁)
-    // is chain pair (i, 0), so the scan rides the chain-incremental cursor.
+    // The consecutive pair (𝒯ᵢ, 𝒯ᵢ₊₁) is chain pair (i, 0), so the scan
+    // rides the chain-incremental cursor over the snapshot's cached group
+    // table and match columns.
     let kernel = ExploreKernel::new(g, cfg);
     let mut cursor = ChainCursor::new(&kernel);
-    // Scratch hoisted across the whole scan: the cursor's event mask is
-    // rewritten in place per pair, and the weight / popcount buffers are
-    // cleared rather than reallocated.
-    let mut weights: Vec<u64> = Vec::new();
+    let pick = |best: Option<u64>, w: u64| {
+        Some(match (best, stat) {
+            (None, _) => w,
+            (Some(b), ThresholdStat::Min) => b.min(w),
+            (Some(b), ThresholdStat::Max) => b.max(w),
+        })
+    };
+    // popcount scratch of the weight passes, unused under DIST
     let mut popcounts: Vec<u32> = Vec::new();
-    let mut best: Option<u64> = None;
-    for i in 0..n - 1 {
-        let r = match &cfg.selector {
-            // For the per-entity selectors the consecutive-pair result IS
-            // the entity weight; for the All selectors, take the stat over
-            // the individual entity weights of the aggregate graph, per
-            // §3.5 ("the minimum or maximum weight of the given type of
-            // entity").
-            Selector::NodeTuple(_) | Selector::EdgeTuple(..) => {
-                let r = cursor.evaluate_chain_pair(i, 0);
-                if r == 0 {
-                    continue;
-                }
-                r
+    let per_pair = (0..n - 1).filter_map(|i| match &cfg.selector {
+        // For the per-entity selectors the consecutive-pair result IS the
+        // entity weight.
+        Selector::NodeTuple(_) | Selector::EdgeTuple(..) => {
+            Some(cursor.evaluate_chain_pair(i, 0)).filter(|&r| r > 0)
+        }
+        // For the All selectors, take the stat over the individual entity
+        // weights of the aggregate graph, per §3.5 ("the minimum or maximum
+        // weight of the given type of entity"). With single-point sides the
+        // Any and All membership tests coincide, so the cursor's mask is
+        // exactly the event mask the aggregate needs; the weights are read
+        // off the dense accumulators, no aggregate graph is rendered.
+        all => {
+            let mask = cursor.mask_chain_pair(i, 0);
+            let table = kernel.group_table();
+            if all.is_edge() {
+                let mut best = None;
+                table
+                    .edge_weights(g, mask, AggMode::Distinct, &mut popcounts)
+                    .for_each_nonzero(|_, _, &w| best = pick(best, w));
+                best
+            } else {
+                let weights = table.node_weights(g, mask, AggMode::Distinct, &mut popcounts);
+                weights.into_iter().filter(|&w| w > 0).fold(None, pick)
             }
-            all => {
-                // The consecutive pair ({𝒯ᵢ}, {𝒯ᵢ₊₁}) is chain pair (i, 0),
-                // and with single-point sides the Any and All membership
-                // tests coincide — so the cursor's reusable mask is exactly
-                // the event mask the aggregate needs.
-                cursor.evaluate_chain_pair(i, 0);
-                let agg = kernel.group_table().aggregate_masked_with(
-                    g,
-                    cursor.last_mask(),
-                    AggMode::Distinct,
-                    &mut popcounts,
-                );
-                weights.clear();
-                if all.is_edge() {
-                    weights.extend(agg.iter_edges().iter().map(|(_, w)| *w));
-                } else {
-                    weights.extend(agg.iter_nodes().iter().map(|(_, w)| *w));
-                }
-                let Some(w) = (match stat {
-                    ThresholdStat::Min => weights.iter().min().copied(),
-                    ThresholdStat::Max => weights.iter().max().copied(),
-                }) else {
-                    continue;
-                };
-                w
-            }
-        };
-        best = Some(match (best, stat) {
-            (None, _) => r,
-            (Some(b), ThresholdStat::Min) => b.min(r),
-            (Some(b), ThresholdStat::Max) => b.max(r),
-        });
-    }
+        }
+    });
+    let best = per_pair.fold(None, pick);
     Ok(best)
 }
 

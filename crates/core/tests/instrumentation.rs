@@ -70,9 +70,11 @@ fn registry_matches_reported_outcomes() {
     assert_eq!(hist_delta("explore.eval_ns"), expected_evals);
     assert_eq!(hist_delta("explore.mask_ns"), 0);
     assert_eq!(hist_delta("explore.count_ns"), 0);
-    // one kernel (and therefore one group table) per explore() call
+    // one kernel per explore() call, all over the one group table the
+    // snapshot caches for the attribute list
     assert_eq!(hist_delta("explore.kernel_build_ns"), runs);
-    assert_eq!(delta("aggregate.group_tables_built"), runs);
+    assert_eq!(delta("aggregate.group_tables_built"), 1);
+    assert_eq!(delta("aggregate.group_table.cache_hits"), runs - 1);
     // sequential exploration builds one chain cursor per run, loads one
     // chain per reference point, and (under the increasing strategies used
     // here, which walk each chain in ascending order) takes one incremental

@@ -6,9 +6,10 @@
 //!   `event_graph`;
 //! * `GroupTable::aggregate_masked` vs `aggregate` of the materialized
 //!   subgraph, `count_distinct` vs `Selector::count`;
-//! * both `ChainCursor` modes (`new`, `new_counting`) vs
-//!   `evaluate_pair_materialized` at every chain coordinate of every
-//!   Table-1 row, selector shape, group-table layout and column layout;
+//! * both `ChainCursor` steps (`evaluate_chain_pair`, and `mask_chain_pair`
+//!   counted by `count_distinct`) vs `evaluate_pair_materialized` at every
+//!   chain coordinate of every Table-1 row, selector shape, group-table
+//!   layout and column layout;
 //! * `explore` vs `explore_naive`, and budget cancellation;
 //! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
 //!   consecutive pairs' materialized aggregates.
@@ -169,9 +170,12 @@ fn chain_len(n: usize, i: usize, extend: ExtendSide) -> usize {
     }
 }
 
-/// Drives a masking and a counting cursor over each column layout through
-/// every chain coordinate and checks each count against the materializing
-/// oracle (computed once per coordinate: it does not depend on the layout).
+/// Drives two cursors over each column layout through every chain
+/// coordinate — one counting with `evaluate_chain_pair`, one handing the
+/// mask of `mask_chain_pair` to `count_distinct` — and checks each count
+/// against the materializing oracle (computed once per coordinate: it does
+/// not depend on the layout). The second cursor of a layout finds the
+/// selector's match columns cached by the first.
 fn assert_cursors_match_oracle(
     layouts: &[TemporalGraph],
     cfg: &ExploreConfig,
@@ -188,12 +192,23 @@ fn assert_cursors_match_oracle(
     }
     for g in layouts {
         let kernel = ExploreKernel::new(g, cfg);
+        let table = kernel.group_table();
+        let target = match &cfg.selector {
+            Selector::AllNodes => CountTarget::AllNodes,
+            Selector::AllEdges => CountTarget::AllEdges,
+            Selector::NodeTuple(t) => CountTarget::node(table, t),
+            Selector::EdgeTuple(s, d) => CountTarget::edge(table, s, d),
+        };
+        let mut counting = ChainCursor::new(&kernel);
         let mut masking = ChainCursor::new(&kernel);
-        let mut counting = ChainCursor::new_counting(&kernel);
         for &(i, j, want) in &expected {
-            for (name, cursor) in [("masking", &mut masking), ("counting", &mut counting)] {
+            let masked = table.count_distinct(g, masking.mask_chain_pair(i, j), &target);
+            for (name, got) in [
+                ("counting", counting.evaluate_chain_pair(i, j)),
+                ("masking", masked),
+            ] {
                 prop_assert_eq!(
-                    cursor.evaluate_chain_pair(i, j),
+                    got,
                     want,
                     "{} cursor vs oracle: {:?}/{:?}/{:?} selector={:?} attrs={:?} {:?} i={} j={}",
                     name,
@@ -443,11 +458,13 @@ proptest! {
         }
     }
 
-    /// Both cursor modes evaluate every chain coordinate to the oracle's
+    /// Both cursor steps evaluate every chain coordinate to the oracle's
     /// count — across all twelve Table-1 rows, every selector shape
-    /// (present and absent tuples), the three group-table layouts (static
-    /// `kind` runs the popcount counts, time-varying `level` and the mixed
-    /// list the distinct scan) and both column layouts.
+    /// (present and absent tuples), the three group-table layouts (on
+    /// static `kind` every count is a popcount; on time-varying `level` and
+    /// the mixed list the tuple selectors are popcounts against the scope's
+    /// folded match columns and the All selectors the distinct scan, or a
+    /// popcount where the scope is one point) and both column layouts.
     #[test]
     fn cursors_match_oracle_at_every_coordinate(g in graph_strategy()) {
         let layouts = both_layouts(&g);
@@ -545,8 +562,8 @@ proptest! {
         prop_assert_eq!(free.evaluations, plain.evaluations);
     }
 
-    /// `initial_threshold` — the masking cursor plus `aggregate_masked_with`
-    /// — equals the naive scan for both statistics, every event, extend
+    /// `initial_threshold` — the cursor's mask step plus the dense weight
+    /// passes — equals the naive scan for both statistics, every event, extend
     /// side, semantics, selector shape, group-table layout and column
     /// layout; `suggest_k` picks the statistic the direction table names.
     #[test]
@@ -628,13 +645,13 @@ fn empty_masks_agree() {
         2,
         "a and c vanish after t0"
     );
-    assert!(cursor.last_mask().keep_edges().count_ones() > 0);
+    assert!(cursor.mask_chain_pair(0, 0).keep_edges().count_ones() > 0);
     assert_eq!(
         cursor.evaluate_chain_pair(1, 0),
         0,
         "t1 and t2 are both empty"
     );
-    assert!(cursor.last_mask().keep_nodes().is_zero());
+    assert!(cursor.mask_chain_pair(1, 0).keep_nodes().is_zero());
 }
 
 /// A single-timepoint graph is rejected identically by every exploration

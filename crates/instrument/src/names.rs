@@ -30,6 +30,8 @@ pub const ALL: &[&str] = &[
     "explore.evaluations",
     "explore.kernel_build_ns",
     "explore.mask_ns",
+    "explore.match_cols.builds",
+    "explore.match_cols.hits",
     "explore.pruned",
     "explore.pruned.intersection_decreasing",
     "explore.pruned.intersection_increasing",

@@ -26,6 +26,11 @@
 //!   `BitMatrix`, `TransposedBitMatrix`, `EventMask` or `GroupTable` must
 //!   carry `#[must_use]`: silently dropping one of these values almost
 //!   always means a mask or table was computed and thrown away.
+//! * **`uncached-groups`** — no `GroupTable::build(` / `GroupColumns::build(`
+//!   outside `groups.rs` and the cache-miss arm of
+//!   `TemporalGraph::group_columns`: read queries take the group ids the
+//!   snapshot caches (`GroupTable::cached`), so interning a whole graph per
+//!   request cannot come back unnoticed.
 //!
 //! The scanner strips comments and string/char literals before matching, so
 //! doc examples and message text never trigger rules; `#[cfg(test)]` items
@@ -53,6 +58,8 @@ pub const RULE_LOCK_SCOPE: &str = "lock-scope";
 pub const RULE_CACHE_SEAM: &str = "cache-seam";
 /// See [`RULE_NO_PANIC`].
 pub const RULE_ENV_READ: &str = "env-read";
+/// See [`RULE_NO_PANIC`].
+pub const RULE_UNCACHED_GROUPS: &str = "uncached-groups";
 
 /// Expect messages beginning with this prefix document an invariant that
 /// makes the failure impossible, and are therefore exempt from `no-panic`.
@@ -437,6 +444,14 @@ impl Scope {
             RULE_LOCK_SCOPE => true,
             RULE_CACHE_SEAM => has_prefix(rel, &["crates/temporal-graph/src"]),
             RULE_ENV_READ => true,
+            // where the uncached build is defined, and the cache's miss arm
+            RULE_UNCACHED_GROUPS => !has_prefix(
+                rel,
+                &[
+                    "crates/temporal-graph/src/groups.rs",
+                    "crates/temporal-graph/src/graph.rs",
+                ],
+            ),
             _ => false,
         }
     }
@@ -481,6 +496,7 @@ pub fn lint_file(
     // arguments so behavior is reproducible from the call site alone.
     let env_read =
         scope.applies(RULE_ENV_READ, rel) && !rel.ends_with("/main.rs") && !rel.contains("/bin/");
+    let uncached_groups = scope.applies(RULE_UNCACHED_GROUPS, rel);
 
     for (idx, code) in view.code.iter().enumerate() {
         if view.exempt.get(idx).copied().unwrap_or(false) {
@@ -580,6 +596,20 @@ pub fn lint_file(
                 "`std::env` read outside binary startup: thread the \
                  configuration through arguments/config structs so behavior \
                  is reproducible"
+                    .into(),
+            );
+        }
+        if uncached_groups
+            && ["GroupTable::build(", "GroupColumns::build("]
+                .iter()
+                .any(|t| code.contains(t))
+        {
+            diag(
+                &mut out,
+                line,
+                RULE_UNCACHED_GROUPS,
+                "group ids interned from scratch: take the columns the snapshot \
+                 caches (`GroupTable::cached` / `TemporalGraph::group_columns`)"
                     .into(),
             );
         }
@@ -1534,6 +1564,10 @@ mod tests {
         assert!(s.applies(RULE_CACHE_SEAM, "crates/temporal-graph/src/builder.rs"));
         assert!(!s.applies(RULE_CACHE_SEAM, "crates/core/src/ops.rs"));
         assert!(s.applies(RULE_ENV_READ, "crates/core/src/ops.rs"));
+        assert!(s.applies(RULE_UNCACHED_GROUPS, "crates/core/src/explore/kernel.rs"));
+        assert!(s.applies(RULE_UNCACHED_GROUPS, "crates/bench/src/bin/exp_fig10.rs"));
+        assert!(!s.applies(RULE_UNCACHED_GROUPS, "crates/temporal-graph/src/groups.rs"));
+        assert!(!s.applies(RULE_UNCACHED_GROUPS, "crates/temporal-graph/src/graph.rs"));
     }
 
     #[test]

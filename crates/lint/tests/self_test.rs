@@ -105,6 +105,13 @@ fn bad_env_read_fixture_fails() {
 }
 
 #[test]
+fn bad_uncached_groups_fixture_fails() {
+    // both from-scratch builds; the cached table on line 11 and the test
+    // oracle on line 17 must NOT be flagged.
+    assert_fails("bad_uncached_groups.rs", "uncached-groups", &[5, 6]);
+}
+
+#[test]
 fn clean_fixture_passes() {
     let (code, stdout, _) = run_lint(&[fixture("clean.rs")]);
     assert_eq!(code, 0, "clean fixture should pass, got:\n{stdout}");
@@ -125,6 +132,7 @@ fn directory_of_fixtures_fails_with_many_diagnostics() {
         "lock-scope",
         "cache-seam",
         "env-read",
+        "uncached-groups",
     ] {
         assert!(
             stdout.contains(&format!("[{rule}]")),

@@ -9,12 +9,31 @@
 //! they stay valid for as long as the snapshot is immutable; every seam that
 //! publishes changed attribute cells starts from an empty
 //! [`GroupColumnsCache`] (see `seams.rs`).
+//!
+//! Each [`GroupColumns`] also caches the *match columns* of the tuple
+//! selectors explored on it ([`GroupColumns::match_columns`]): which nodes
+//! or edges carry one group id (or ordered pair of them), as bit columns an
+//! exploration ANDs against its event mask. They are derived from the group
+//! ids and the edge list of the one snapshot the columns belong to and live
+//! inside them, so they need no seam of their own: they are evicted with
+//! their list's [`GROUP_CACHE_CAP`] slot, never reach a mutated clone or a
+//! later epoch (whose columns are a new value with an empty cache, filled on
+//! first use), and are dropped with the columns by a static rewrite.
+//!
+//! What a client can pin on one snapshot is bounded: [`GROUP_CACHE_CAP`]
+//! lists of `nodes × points × 4` bytes of group ids, each with at most
+//! [`MATCH_CACHE_CAP`] selectors of at most `points × ⌈max(nodes, edges) /
+//! 8⌉` bytes (one column instead of `points` when the list is all-static;
+//! under the default [`SparseMode::Auto`](tempo_columnar::SparseMode) a
+//! column whose tuple is rare takes the sorted-id form, which is smaller) —
+//! at 4× DBLP (131 K nodes, 836 K edges, 21 points) 11 MB of ids and at most
+//! 8.8 MB of match columns per list.
 
 use crate::attrs::{AttrId, Temporality};
-use crate::graph::TemporalGraph;
+use crate::graph::{EdgeId, TemporalGraph};
 use std::collections::HashMap;
-use std::sync::Arc;
-use tempo_columnar::{Value, ValueMatrix, ValueTuple};
+use std::sync::{Arc, Mutex};
+use tempo_columnar::{BitVec, PresenceColumn, Value, ValueMatrix, ValueTuple};
 
 /// Sentinel group id: the node is absent at that time point.
 pub const NO_GROUP: u32 = u32::MAX;
@@ -42,6 +61,31 @@ pub struct GroupColumns {
     /// One gid per (node, time) — `n * nt + t` — otherwise; [`NO_GROUP`]
     /// where the node is absent.
     time_gids: Option<Vec<u32>>,
+    /// Match columns of the tuple selectors explored on these columns, most
+    /// recently used first, at most [`MATCH_CACHE_CAP`].
+    matches: Mutex<Vec<(MatchKey, Arc<MatchColumns>)>>,
+}
+
+/// The aggregate entity a tuple selector names, by group id.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MatchKey {
+    /// One aggregate node.
+    Node(u32),
+    /// One aggregate edge, as (source, destination).
+    Edge(u32, u32),
+}
+
+/// Where one tuple selector matches: bit `i` concerns node `i` under a
+/// [`MatchKey::Node`] and edge row `i` under a [`MatchKey::Edge`].
+#[derive(Debug)]
+pub enum MatchColumns {
+    /// All-static attribute list: an entity carries the same tuple wherever
+    /// it exists, so one vector serves every scope.
+    Static(BitVec),
+    /// List with a time-varying attribute: column `t` holds the entities
+    /// that exist at `t` and carry the tuple there. An entity matches a
+    /// scope when it is in the column of any of the scope's points.
+    PerPoint(Vec<PresenceColumn>),
 }
 
 /// Resolved attribute accessor avoiding schema lookups in inner loops.
@@ -66,6 +110,19 @@ fn resolve<'g>(g: &'g TemporalGraph, attrs: &[AttrId]) -> Vec<Resolved<'g>> {
             ),
         })
         .collect()
+}
+
+/// Interns the tuple held in a reused scratch buffer
+/// (`Vec<Value>: Borrow<[Value]>`), allocating only on its first occurrence.
+fn intern_scratch(
+    index: &mut HashMap<ValueTuple, u32>,
+    tuples: &mut Vec<ValueTuple>,
+    scratch: &[Value],
+) -> u32 {
+    match index.get(scratch) {
+        Some(&gid) => gid,
+        None => intern_tuple(index, tuples, scratch.to_vec()),
+    }
 }
 
 fn intern_tuple(
@@ -133,9 +190,7 @@ impl GroupColumns {
                     })
                     .collect()
             } else {
-                // Multi-attribute: probe with a reused scratch tuple
-                // (`Vec<Value>: Borrow<[Value]>`), allocating only on the
-                // first occurrence of a tuple.
+                // Multi-attribute: probe with a reused scratch tuple.
                 let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
                 (0..g.n_nodes())
                     .map(|n| {
@@ -150,34 +205,42 @@ impl GroupColumns {
                                 }
                             }
                         }
-                        if let Some(&gid) = index.get(scratch.as_slice()) {
-                            gid
-                        } else {
-                            intern_tuple(&mut index, &mut tuples, scratch.clone())
-                        }
+                        intern_scratch(&mut index, &mut tuples, &scratch)
                     })
                     .collect()
             };
             (Some(gids), None)
         } else {
             let mut gids = vec![NO_GROUP; g.n_nodes() * nt];
+            let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
             for n in 0..g.n_nodes() {
                 // static components once per node, time-varying per point
-                let template: ValueTuple = resolved
-                    .iter()
-                    .map(|r| match r {
-                        Resolved::Static(slot) => statics.get(n, *slot).clone(),
-                        Resolved::TimeVarying(_) => Value::Null,
-                    })
-                    .collect();
+                scratch.clear();
+                scratch.extend(resolved.iter().map(|r| match r {
+                    Resolved::Static(slot) => statics.get(n, *slot).clone(),
+                    Resolved::TimeVarying(_) => Value::Null,
+                }));
+                // Group id of the node's previous present point: while no
+                // time-varying cell differs from that point's, the scratch
+                // still holds its tuple and the id carries over unhashed.
+                let mut prev: Option<u32> = None;
                 for t in g.node_presence_matrix().iter_row_ones(n) {
-                    let mut tuple = template.clone();
-                    for (cell, r) in tuple.iter_mut().zip(&resolved) {
+                    let mut changed = false;
+                    for (cell, r) in scratch.iter_mut().zip(&resolved) {
                         if let Resolved::TimeVarying(tbl) = r {
-                            *cell = tbl.get(n, t).clone();
+                            let v = tbl.get(n, t);
+                            if cell != v {
+                                *cell = v.clone();
+                                changed = true;
+                            }
                         }
                     }
-                    gids[n * nt + t] = intern_tuple(&mut index, &mut tuples, tuple);
+                    let gid = match prev {
+                        Some(gid) if !changed => gid,
+                        _ => intern_scratch(&mut index, &mut tuples, &scratch),
+                    };
+                    gids[n * nt + t] = gid;
+                    prev = Some(gid);
                 }
             }
             (None, Some(gids))
@@ -193,6 +256,7 @@ impl GroupColumns {
             nt,
             static_gids,
             time_gids,
+            matches: Mutex::default(),
         };
         debug_assert_eq!(cols.check_invariants(), Ok(()));
         cols
@@ -219,15 +283,14 @@ impl GroupColumns {
         debug_assert!(nt_old <= nt);
         let mut index = self.index.clone();
         let mut tuples = self.tuples.clone();
+        let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
         let mut cell = |n: usize, t: usize| {
-            let tuple: ValueTuple = resolved
-                .iter()
-                .map(|r| match r {
-                    Resolved::Static(slot) => statics.get(n, *slot).clone(),
-                    Resolved::TimeVarying(tbl) => tbl.get(n, t).clone(),
-                })
-                .collect();
-            intern_tuple(&mut index, &mut tuples, tuple)
+            scratch.clear();
+            scratch.extend(resolved.iter().map(|r| match r {
+                Resolved::Static(slot) => statics.get(n, *slot).clone(),
+                Resolved::TimeVarying(tbl) => tbl.get(n, t).clone(),
+            }));
+            intern_scratch(&mut index, &mut tuples, &scratch)
         };
         let static_gids = self.static_gids.as_ref().map(|old| {
             debug_assert!(old.len() <= n_nodes);
@@ -262,6 +325,8 @@ impl GroupColumns {
             nt,
             static_gids,
             time_gids,
+            // derived from this epoch's ids and edges on first use
+            matches: Mutex::default(),
         };
         debug_assert_eq!(cols.check_invariants(), Ok(()));
         cols
@@ -350,7 +415,109 @@ impl GroupColumns {
             .expect("invariant: time_gids built for schemas with time-varying attrs")
             [n * self.nt + t]
     }
+
+    /// The match columns of `key` over `g`, the snapshot these columns were
+    /// built for: taken from this value's cache, or built and kept there
+    /// (least recently used of more than `MATCH_CACHE_CAP` evicted). The
+    /// build runs outside the lock; when two threads miss on one key the
+    /// first insert wins and both return that entry.
+    ///
+    /// # Panics
+    /// Panics if `g` has another shape than the snapshot of these columns.
+    pub fn match_columns(&self, g: &TemporalGraph, key: MatchKey) -> Arc<MatchColumns> {
+        let ins = tempo_instrument::global();
+        let cached = |cache: &mut Vec<(MatchKey, Arc<MatchColumns>)>| {
+            let i = cache.iter().position(|(k, _)| *k == key)?;
+            cache[..=i].rotate_right(1);
+            Some(Arc::clone(&cache[0].1))
+        };
+        let lock = || {
+            self.matches
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        if let Some(found) = cached(&mut lock()) {
+            ins.counter("explore.match_cols.hits").inc();
+            return found;
+        }
+        ins.counter("explore.match_cols.builds").inc();
+        let built = Arc::new(self.build_match(g, key));
+        let mut cache = lock();
+        if let Some(first) = cached(&mut cache) {
+            return first;
+        }
+        cache.insert(0, (key, Arc::clone(&built)));
+        cache.truncate(MATCH_CACHE_CAP);
+        built
+    }
+
+    fn build_match(&self, g: &TemporalGraph, key: MatchKey) -> MatchColumns {
+        let (nt, n_nodes, n_edges) = (self.nt, g.n_nodes(), g.n_edges());
+        assert_eq!(nt, g.domain().len(), "columns of another snapshot");
+        let endpoints = |e: usize| {
+            let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+            (u.index(), v.index())
+        };
+        match (self.static_gids.as_deref(), key) {
+            (Some(gids), MatchKey::Node(gid)) => {
+                assert_eq!(gids.len(), n_nodes, "columns of another snapshot");
+                let ones = (0..n_nodes).filter(|&n| gids[n] == gid);
+                MatchColumns::Static(BitVec::from_indices(n_nodes, ones))
+            }
+            (Some(gids), MatchKey::Edge(gs, gd)) => {
+                assert_eq!(gids.len(), n_nodes, "columns of another snapshot");
+                let ones = (0..n_edges).filter(|&e| {
+                    let (u, v) = endpoints(e);
+                    gids[u] == gs && gids[v] == gd
+                });
+                MatchColumns::Static(BitVec::from_indices(n_edges, ones))
+            }
+            (None, key) => {
+                let gids = self
+                    .time_gids
+                    .as_deref()
+                    .expect("invariant: time_gids built for schemas with time-varying attrs");
+                assert_eq!(gids.len(), n_nodes * nt, "columns of another snapshot");
+                let rows = match key {
+                    MatchKey::Node(_) => n_nodes,
+                    MatchKey::Edge(..) => n_edges,
+                };
+                let mut cols = vec![BitVec::zeros(rows); nt];
+                match key {
+                    // an absent node holds NO_GROUP, which is no tuple's id
+                    MatchKey::Node(gid) => {
+                        for (n, row) in gids.chunks_exact(nt.max(1)).enumerate() {
+                            for (t, _) in row.iter().enumerate().filter(|(_, &x)| x == gid) {
+                                cols[t].set(n, true);
+                            }
+                        }
+                    }
+                    MatchKey::Edge(gs, gd) => {
+                        for e in 0..n_edges {
+                            let (u, v) = endpoints(e);
+                            for t in g.edge_presence_matrix().iter_row_ones(e) {
+                                if gids[u * nt + t] == gs && gids[v * nt + t] == gd {
+                                    cols[t].set(e, true);
+                                }
+                            }
+                        }
+                    }
+                }
+                let mode = g.sparse_mode();
+                MatchColumns::PerPoint(
+                    cols.into_iter()
+                        .map(|bv| PresenceColumn::from_bitvec(bv, mode))
+                        .collect(),
+                )
+            }
+        }
+    }
 }
+
+/// How many tuple selectors one attribute list keeps match columns for:
+/// enough for a session that alternates a few `node=`/`edge=` targets, and
+/// the factor in the module doc's byte ceiling.
+pub(crate) const MATCH_CACHE_CAP: usize = 4;
 
 /// How many attribute lists a graph keeps group-id columns for. Ordered
 /// lists are `k!` many and a time-varying entry holds `nodes × points × 4`
@@ -417,7 +584,7 @@ impl GroupColumnsCache {
 mod tests {
     use super::*;
     use crate::fixtures::fig1;
-    use crate::{GraphVersions, TimepointPatch};
+    use crate::{GraphVersions, NodeId, TimePoint, TimepointPatch};
     use std::collections::HashSet;
 
     fn attrs(g: &TemporalGraph) -> (AttrId, AttrId) {
@@ -444,6 +611,20 @@ mod tests {
         assert_eq!(mixed.lookup(&[m, Value::Int(3)]), Some(gid));
         assert_eq!(mixed.time_gid(u1, 2), NO_GROUP);
         assert_eq!(mixed.attr_names(), ["gender", "publications"]);
+        // every cell decodes to the tuple read off the attribute tables,
+        // whether it was hashed or carried over from the previous point
+        let lists: [&[AttrId]; 3] = [&[pubs], &[gender, pubs], &[pubs, gender]];
+        for list in lists {
+            let nt = g.domain().len();
+            let want: Vec<Option<ValueTuple>> = (0..g.n_nodes() * nt)
+                .map(|i| {
+                    let (n, t) = (NodeId((i / nt) as u32), TimePoint((i % nt) as u32));
+                    g.node_alive_at(n, t)
+                        .then(|| list.iter().map(|&a| g.attr_value(n, a, t)).collect())
+                })
+                .collect();
+            assert_eq!(decoded(&g, &GroupColumns::build(&g, list)), want);
+        }
     }
 
     #[test]
@@ -573,5 +754,181 @@ mod tests {
         assert_eq!(g.group_cols.lock().unwrap().len(), GROUP_CACHE_CAP);
         assert!(Arc::ptr_eq(&oldest, &g.group_columns(&list(1))));
         assert!(!Arc::ptr_eq(&kept, &g.group_columns(&list(2))));
+    }
+
+    /// Rows set in column `t` of the match columns (every point of a
+    /// static list reads its one vector).
+    fn ones(m: &MatchColumns, t: usize) -> Vec<usize> {
+        match m {
+            MatchColumns::Static(bv) => bv.iter_ones().collect(),
+            MatchColumns::PerPoint(cols) => cols[t].iter_ones().collect(),
+        }
+    }
+
+    #[test]
+    fn match_columns_follow_the_group_ids() {
+        let g = fig1();
+        let (gender, pubs) = attrs(&g);
+        let id = |name: &str| g.node_id(name).unwrap().index();
+        let f = g.schema().category(gender, "f").unwrap();
+        let m = g.schema().category(gender, "m").unwrap();
+
+        let by_gender = g.group_columns(&[gender]);
+        let (gf, gm) = (
+            by_gender.lookup(std::slice::from_ref(&f)).unwrap(),
+            by_gender.lookup(std::slice::from_ref(&m)).unwrap(),
+        );
+        let women = by_gender.match_columns(&g, MatchKey::Node(gf));
+        assert!(matches!(*women, MatchColumns::Static(_)));
+        assert_eq!(ones(&women, 0), [id("u2"), id("u3"), id("u4")]);
+        // m -> f edges: u1 -> u2 and u5 -> u2
+        let m_to_f = by_gender.match_columns(&g, MatchKey::Edge(gm, gf));
+        let edge = |u: &str, v: &str| {
+            g.edge_between(g.node_id(u).unwrap(), g.node_id(v).unwrap())
+                .unwrap()
+                .index()
+        };
+        let mut want = vec![edge("u1", "u2"), edge("u5", "u2")];
+        want.sort_unstable();
+        assert_eq!(ones(&m_to_f, 0), want);
+        // the second request is served from the cache
+        assert!(Arc::ptr_eq(
+            &women,
+            &by_gender.match_columns(&g, MatchKey::Node(gf))
+        ));
+
+        // time-varying: one column per point, a bit only where the node is
+        // present and carries the tuple there
+        let by_pubs = g.group_columns(&[pubs]);
+        let one = by_pubs.lookup(&[Value::Int(1)]).unwrap();
+        let cols = by_pubs.match_columns(&g, MatchKey::Node(one));
+        for t in 0..g.domain().len() {
+            let want: Vec<usize> = (0..g.n_nodes())
+                .filter(|&n| by_pubs.time_gid(n, t) == one)
+                .collect();
+            assert_eq!(ones(&cols, t), want, "t{t}");
+        }
+        assert_eq!(ones(&cols, 0), [id("u2"), id("u3")]);
+        let pair = by_pubs.match_columns(&g, MatchKey::Edge(one, one));
+        for t in 0..g.domain().len() {
+            let want: Vec<usize> = (0..g.n_edges())
+                .filter(|&e| {
+                    let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+                    g.edge_alive_at(EdgeId(e as u32), TimePoint(t as u32))
+                        && by_pubs.time_gid(u.index(), t) == one
+                        && by_pubs.time_gid(v.index(), t) == one
+                })
+                .collect();
+            assert_eq!(ones(&pair, t), want, "t{t}");
+        }
+    }
+
+    #[test]
+    fn match_columns_stay_with_their_snapshot() {
+        let g = fig1();
+        let (gender, pubs) = attrs(&g);
+        let f = g.schema().category(gender, "f").unwrap();
+        let cols = g.group_columns(&[gender]);
+        let gf = cols.lookup(std::slice::from_ref(&f)).unwrap();
+        let gm = cols
+            .lookup(&[g.schema().category(gender, "m").unwrap()])
+            .unwrap();
+        let warm_nodes = cols.match_columns(&g, MatchKey::Node(gf));
+        let warm_edges = cols.match_columns(&g, MatchKey::Edge(gm, gf));
+
+        // a mutated clone builds its own columns, and its own matches
+        let mut c = g.clone();
+        c.invalidate_index_caches();
+        let theirs = c.group_columns(&[gender]);
+        assert!(!Arc::ptr_eq(
+            &warm_nodes,
+            &theirs.match_columns(&c, MatchKey::Node(gf))
+        ));
+        assert!(Arc::ptr_eq(
+            &warm_nodes,
+            &cols.match_columns(&g, MatchKey::Node(gf))
+        ));
+
+        // an append that adds a matching edge: the next epoch's columns are
+        // extended from these (same group ids) and rebuild the match vector
+        // on first use, so it has the new row
+        let first = Arc::new(g);
+        let mut versions = GraphVersions::from_arc(Arc::clone(&first));
+        let mut patch = TimepointPatch::new("t3");
+        patch.add_edge("u5", "u3"); // m -> f, a new edge row
+        patch.set_time_varying("u5", pubs, Value::Int(1));
+        let second = versions.append_timepoint(&patch).unwrap();
+        let next = second.group_columns(&[gender]);
+        assert_eq!(next.lookup(std::slice::from_ref(&f)), Some(gf));
+        let fresh = next.match_columns(&second, MatchKey::Edge(gm, gf));
+        assert!(!Arc::ptr_eq(&warm_edges, &fresh));
+        let new_row = second
+            .edge_between(second.node_id("u5").unwrap(), second.node_id("u3").unwrap())
+            .unwrap()
+            .index();
+        assert_eq!(new_row, first.n_edges());
+        let mut want = ones(&warm_edges, 0);
+        want.push(new_row);
+        assert_eq!(ones(&fresh, 0), want);
+        // the first epoch still serves its own vector
+        assert!(Arc::ptr_eq(
+            &warm_edges,
+            &cols.match_columns(&first, MatchKey::Edge(gm, gf))
+        ));
+
+        // a static rewrite drops the columns and their matches with them:
+        // u1 turns female, so the next epoch's vector has it
+        let mut patch = TimepointPatch::new("t4");
+        patch.set_static("u1", gender, f.clone());
+        let third = versions.append_timepoint(&patch).unwrap();
+        assert_eq!(third.group_cols.lock().unwrap().len(), 0);
+        let rebuilt = third.group_columns(&[gender]);
+        let gf3 = rebuilt.lookup(std::slice::from_ref(&f)).unwrap();
+        let women = rebuilt.match_columns(&third, MatchKey::Node(gf3));
+        let u1 = third.node_id("u1").unwrap().index();
+        assert!(ones(&women, 0).contains(&u1));
+        assert!(!ones(&warm_nodes, 0).contains(&u1));
+    }
+
+    #[test]
+    fn match_cache_is_capped_and_evicts_the_least_recently_used() {
+        let g = fig1();
+        let (_, pubs) = attrs(&g);
+        let cols = g.group_columns(&[pubs]);
+        let n_groups = cols.tuples().len() as u32;
+        assert!(n_groups >= 2);
+        // more distinct selectors than the cap: node keys, then edge keys
+        let keys: Vec<MatchKey> = (0..n_groups)
+            .map(MatchKey::Node)
+            .chain((0..n_groups).map(|gid| MatchKey::Edge(gid, 0)))
+            .take(MATCH_CACHE_CAP + 1)
+            .collect();
+        assert_eq!(keys.len(), MATCH_CACHE_CAP + 1);
+        let oldest = cols.match_columns(&g, keys[0]);
+        let kept = cols.match_columns(&g, keys[1]);
+        for &key in &keys[2..MATCH_CACHE_CAP] {
+            let _ = cols.match_columns(&g, key);
+        }
+        assert_eq!(cols.matches.lock().unwrap().len(), MATCH_CACHE_CAP);
+        // touch `oldest`, so `kept` is now the least recently used …
+        assert!(Arc::ptr_eq(&oldest, &cols.match_columns(&g, keys[0])));
+        // … and one more selector evicts it
+        let _ = cols.match_columns(&g, keys[MATCH_CACHE_CAP]);
+        assert_eq!(cols.matches.lock().unwrap().len(), MATCH_CACHE_CAP);
+        assert!(Arc::ptr_eq(&oldest, &cols.match_columns(&g, keys[0])));
+        assert!(!Arc::ptr_eq(&kept, &cols.match_columns(&g, keys[1])));
+        // evicting the list evicts its match columns with it
+        let gender = g.schema().id("gender").unwrap();
+        let list = |k: usize| {
+            let mut l = vec![gender];
+            l.extend(std::iter::repeat_n(pubs, k));
+            l
+        };
+        let weak = Arc::downgrade(&oldest);
+        drop((oldest, kept, cols));
+        for k in 1..=GROUP_CACHE_CAP {
+            let _ = g.group_columns(&list(k));
+        }
+        assert!(weak.upgrade().is_none());
     }
 }
