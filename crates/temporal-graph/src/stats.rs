@@ -4,7 +4,7 @@ use crate::graph::TemporalGraph;
 use crate::time::TimePoint;
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use tempo_columnar::{TransposedBitMatrix, Value};
+use tempo_columnar::Value;
 
 /// Per-timepoint and aggregate statistics of a temporal graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,19 +22,19 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics for `g`: the per-point counts are popcounts of
-    /// the snapshot's transposed presence columns (built on first use and
-    /// shared with every exploration and operator on the snapshot).
+    /// Computes statistics for `g`.
     pub fn compute(g: &TemporalGraph) -> Self {
-        let per_tp = |cols: &TransposedBitMatrix| -> Vec<usize> {
-            (0..cols.n_cols())
-                .map(|t| cols.col(t).count_ones())
-                .collect()
-        };
+        let nt = g.domain().len();
+        let mut nodes_per_tp = Vec::with_capacity(nt);
+        let mut edges_per_tp = Vec::with_capacity(nt);
+        for t in g.domain().iter() {
+            nodes_per_tp.push(g.nodes_at(t));
+            edges_per_tp.push(g.edges_at(t));
+        }
         GraphStats {
             time_labels: g.domain().labels().to_vec(),
-            nodes_per_tp: per_tp(g.node_presence_columns()),
-            edges_per_tp: per_tp(g.edge_presence_columns()),
+            nodes_per_tp,
+            edges_per_tp,
             total_nodes: g.n_nodes(),
             total_edges: g.n_edges(),
         }
