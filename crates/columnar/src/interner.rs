@@ -8,6 +8,9 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
+/// Interners up to this size answer [`Interner::code`] by a linear scan.
+const LINEAR_PROBE_MAX: usize = 32;
+
 /// A bidirectional map from labels to dense `u32` codes.
 #[derive(Clone, Debug, Default)]
 pub struct Interner<T: Eq + Hash + Clone> {
@@ -29,7 +32,7 @@ impl<T: Eq + Hash + Clone> Interner<T> {
     /// # Panics
     /// Panics if more than `u32::MAX` distinct labels are interned.
     pub fn intern(&mut self, label: T) -> u32 {
-        if let Some(&c) = self.to_code.get(&label) {
+        if let Some(c) = self.code(&label) {
             return c;
         }
         let code = u32::try_from(self.items.len())
@@ -39,14 +42,24 @@ impl<T: Eq + Hash + Clone> Interner<T> {
         code
     }
 
-    /// Looks up the code of `label` without interning.
+    /// Looks up the code of `label` without interning. A small interner is
+    /// probed linearly: comparing a handful of labels is cheaper than
+    /// hashing one, and attribute dictionaries rarely grow past that.
     pub fn code(&self, label: &T) -> Option<u32> {
+        if self.items.len() <= LINEAR_PROBE_MAX {
+            return self.items.iter().position(|l| l == label).map(|i| i as u32);
+        }
         self.to_code.get(label).copied()
     }
 
     /// Resolves a code back to its label.
     pub fn resolve(&self, code: u32) -> Option<&T> {
         self.items.get(code as usize)
+    }
+
+    /// The labels, indexed by code.
+    pub fn labels(&self) -> &[T] {
+        &self.items
     }
 
     /// Number of distinct labels interned.
@@ -87,6 +100,18 @@ mod tests {
         assert_eq!(i.code(&42), Some(c));
         assert_eq!(i.code(&43), None);
         assert_eq!(i.resolve(99), None);
+    }
+
+    #[test]
+    fn lookups_agree_across_the_linear_probe_boundary() {
+        let mut i = Interner::new();
+        for n in 0..3 * LINEAR_PROBE_MAX as u64 {
+            assert_eq!(i.code(&n), None);
+            assert_eq!(i.intern(n), n as u32);
+            assert_eq!(i.intern(n), n as u32);
+            assert_eq!(i.code(&(n / 2)), Some((n / 2) as u32));
+        }
+        assert_eq!(i.labels().len(), 3 * LINEAR_PROBE_MAX);
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub use csv::{read_frame, write_frame};
 pub use error::ColumnarError;
 pub use frame::Frame;
 pub use interner::Interner;
-pub use matrix::ValueMatrix;
+pub use matrix::{ValueMatrix, NULL_CODE};
 pub use sparse::{PresenceColumn, SparseMode};
 pub use value::{Value, ValueTuple};

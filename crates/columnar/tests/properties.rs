@@ -1,10 +1,12 @@
-//! Property-based tests of the columnar engine: bitset algebra, frame
-//! group-by invariants, and delimited-text round-trips.
+//! Property-based tests of the columnar engine: bitset algebra, the
+//! dictionary-coded value matrix against a plain model, and delimited-text
+//! round-trips.
 
 use proptest::prelude::*;
 use std::io::Cursor;
 use tempo_columnar::{
     read_frame, write_frame, BitMatrix, BitVec, Frame, PresenceColumn, SparseMode, Value,
+    ValueMatrix, NULL_CODE,
 };
 
 /// Widths crossing the word-tail boundaries (63/64/65) plus small and
@@ -72,7 +74,179 @@ fn naive_difference(keep: &BitVec, drop: &BitVec, rescue: &BitVec, sel: Option<&
         .count()
 }
 
+/// A cell value from a small draw: nulls, repeats and all three payload
+/// kinds, so dictionaries stay small enough to repeat and mixed enough to
+/// order differently.
+fn cell(draw: usize) -> Value {
+    match draw % 7 {
+        0 | 1 => Value::Null,
+        2 | 3 => Value::Int((draw / 7 % 4) as i64),
+        4 => Value::Cat((draw / 7 % 3) as u32),
+        _ => Value::Str(format!("s{}", draw / 7 % 3)),
+    }
+}
+
+/// One random step of a matrix history: `(kind, a, b, draws)`, where `kind`
+/// picks the operation and the rest is reduced to the current shape.
+type MatrixStep = (usize, usize, usize, Vec<usize>);
+
+/// Applies one random step to the matrix and to its `rows × cols` model.
+fn matrix_step(m: &mut ValueMatrix, model: &mut Vec<Vec<Value>>, step: MatrixStep) {
+    let (kind, a, b, draws) = step;
+    let (nrows, ncols) = (m.nrows(), m.ncols());
+    match kind {
+        0 | 1 if nrows > 0 && ncols > 0 => {
+            m.set(a % nrows, b % ncols, cell(draws[0]));
+            model[a % nrows][b % ncols] = cell(draws[0]);
+        }
+        2 => {
+            let row: Vec<Value> = (0..ncols)
+                .map(|c| cell(draws[c % draws.len()] + c))
+                .collect();
+            assert_eq!(m.push_row(row.clone()), nrows);
+            model.push(row);
+        }
+        3 => {
+            assert_eq!(m.push_null_row(), nrows);
+            model.push(vec![Value::Null; ncols]);
+        }
+        4 if nrows > 0 => {
+            // repeated rows: the later cell wins
+            let cells: Vec<(usize, Value)> = (draws.iter().enumerate())
+                .map(|(i, &d)| ((d + i * a) % nrows, cell(d + b)))
+                .collect();
+            assert_eq!(m.push_col(cells.clone()), ncols);
+            model.iter_mut().for_each(|row| row.push(Value::Null));
+            for (r, v) in cells {
+                model[r][ncols] = v;
+            }
+        }
+        5 => {
+            *m = m.widen(ncols + a % 3);
+            model
+                .iter_mut()
+                .for_each(|row| row.resize(ncols + a % 3, Value::Null));
+        }
+        6 if nrows > 0 => {
+            let rows: Vec<usize> = draws.iter().map(|d| d % nrows).collect();
+            *m = m.select_rows(&rows);
+            *model = rows.iter().map(|&r| model[r].clone()).collect();
+        }
+        7 if ncols > 0 => {
+            let keep: Vec<usize> = draws.iter().take(4).map(|d| d % ncols).collect();
+            *m = m.restrict_columns(&keep);
+            for row in model.iter_mut() {
+                *row = keep.iter().map(|&c| row[c].clone()).collect();
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A random history of matrix steps, starting from `ncols` empty columns.
+fn matrix_history() -> impl Strategy<Value = (usize, Vec<MatrixStep>)> {
+    let step = (
+        0usize..8,
+        0usize..64,
+        0usize..64,
+        proptest::collection::vec(0usize..1000, 1..6),
+    );
+    (1usize..4, proptest::collection::vec(step, 1..40))
+}
+
+fn replay(ncols: usize, steps: &[MatrixStep]) -> (ValueMatrix, Vec<Vec<Value>>) {
+    let (mut m, mut model) = (ValueMatrix::new(ncols), Vec::new());
+    for step in steps {
+        matrix_step(&mut m, &mut model, step.clone());
+    }
+    (m, model)
+}
+
 proptest! {
+    /// Every read of the dictionary-coded matrix agrees with a plain
+    /// `Vec<Vec<Value>>` after every step of a random write / reshape
+    /// history, cell by cell and code by code.
+    #[test]
+    fn value_matrix_matches_model((ncols, steps) in matrix_history()) {
+        let (mut m, mut model) = (ValueMatrix::new(ncols), Vec::new());
+        for step in steps {
+            matrix_step(&mut m, &mut model, step);
+            prop_assert_eq!(m.nrows(), model.len());
+            for (r, row) in model.iter().enumerate() {
+                prop_assert_eq!(m.ncols(), row.len());
+                prop_assert_eq!(&m.row(r), row);
+                for (c, want) in row.iter().enumerate() {
+                    prop_assert_eq!(m.get(r, c), want);
+                    let code = m.code(r, c);
+                    prop_assert_eq!(m.code_of(want), Some(code));
+                    prop_assert_eq!(code == NULL_CODE, want.is_null());
+                    if code != NULL_CODE {
+                        prop_assert_eq!(&m.dict()[code as usize], want);
+                        prop_assert_eq!(m.col_codes(c)[r], code);
+                    }
+                }
+            }
+            for c in 0..m.ncols() {
+                prop_assert!(m.col_codes(c).len() <= m.nrows());
+            }
+        }
+    }
+
+    /// Equality is about cells: the same matrix rebuilt bottom-up (another
+    /// dictionary order, explicit instead of implicit tails) is equal, and
+    /// stops being so with any one cell changed.
+    #[test]
+    fn value_matrix_equality_is_semantic(
+        (ncols, steps) in matrix_history(),
+        (r, c, draw) in (0usize..64, 0usize..64, 0usize..1000),
+    ) {
+        let (m, model) = replay(ncols, &steps);
+        let mut rebuilt = ValueMatrix::new(m.ncols());
+        for _ in 0..m.nrows() {
+            rebuilt.push_null_row();
+        }
+        for (r, row) in model.iter().enumerate().rev() {
+            for (c, v) in row.iter().enumerate().rev() {
+                rebuilt.set(r, c, Value::Int(-1)); // materialize, then settle
+                rebuilt.set(r, c, v.clone());
+            }
+        }
+        prop_assert_eq!(&m, &rebuilt);
+        prop_assert_eq!(&rebuilt, &m);
+        if m.nrows() > 0 && m.ncols() > 0 {
+            let (r, c) = (r % m.nrows(), c % m.ncols());
+            let other = cell(draw);
+            rebuilt.set(r, c, other.clone());
+            prop_assert_eq!(m == rebuilt, *m.get(r, c) == other);
+            prop_assert_eq!(rebuilt == m, *m.get(r, c) == other);
+        }
+    }
+
+    /// Copy-on-write: a write to a clone un-shares the touched column only,
+    /// and the dictionary only when it interns a value the matrix lacked;
+    /// the original reads as before either way.
+    #[test]
+    fn value_matrix_clone_shares_until_written(
+        (ncols, steps) in matrix_history(),
+        (r, c, draw) in (0usize..64, 0usize..64, 0usize..1000),
+    ) {
+        let (m, model) = replay(ncols, &steps);
+        prop_assume!(m.nrows() > 0 && m.ncols() > 0);
+        let (r, c) = (r % m.nrows(), c % m.ncols());
+        for (v, known) in [(cell(draw), true), (Value::Int(-7), false)] {
+            let known = known && m.code_of(&v).is_some();
+            let mut copy = m.clone();
+            prop_assert_eq!(copy.shared_cols(&m), m.ncols());
+            copy.set(r, c, v.clone());
+            prop_assert_eq!(copy.get(r, c), &v);
+            prop_assert!(copy.shared_cols(&m) >= m.ncols() - 1);
+            prop_assert_eq!(std::ptr::eq(copy.dict(), m.dict()), known);
+            for (r, row) in model.iter().enumerate() {
+                prop_assert_eq!(&m.row(r), row);
+            }
+        }
+    }
+
     /// Both `PresenceColumn` representations of the same bits satisfy the
     /// container contract: invariants hold, accessors agree, and the
     /// round-trip through `to_bitvec` is lossless — at densities from

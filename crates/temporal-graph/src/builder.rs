@@ -332,21 +332,24 @@ impl GraphBuilder {
     /// # Errors
     /// Returns the first violated invariant (see
     /// [`TemporalGraph::validate`]).
-    pub fn build(self) -> Result<TemporalGraph, GraphError> {
-        TemporalGraph::from_parts_with_edge_values(
+    pub fn build(mut self) -> Result<TemporalGraph, GraphError> {
+        // cell-by-cell writes leave the code columns with spare capacity
+        self.static_table.shrink_to_fit();
+        self.edge_values.shrink_to_fit();
+        self.tv_tables
+            .iter_mut()
+            .for_each(ValueMatrix::shrink_to_fit);
+        TemporalGraph::assemble(
             self.domain,
             self.schema,
             self.node_names,
             self.node_presence,
             self.edges,
+            Some(self.edge_index),
             self.edge_presence,
             self.static_table,
             self.tv_tables,
-            if self.edge_values_used {
-                Some(self.edge_values)
-            } else {
-                None
-            },
+            self.edge_values_used.then_some(self.edge_values),
         )
     }
 }

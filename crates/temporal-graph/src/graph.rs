@@ -17,7 +17,9 @@ use crate::groups::{CachedColumns, GroupColumns, GroupColumnsCache};
 use crate::time::{TimeDomain, TimePoint, TimeSet};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use tempo_columnar::{BitMatrix, Interner, SparseMode, TransposedBitMatrix, Value, ValueMatrix};
+use tempo_columnar::{
+    BitMatrix, Interner, SparseMode, TransposedBitMatrix, Value, ValueMatrix, NULL_CODE,
+};
 
 /// Dense node identifier (row in the node arrays).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -127,6 +129,37 @@ impl TemporalGraph {
         tv_tables: Vec<ValueMatrix>,
         edge_values: Option<ValueMatrix>,
     ) -> Result<Self, GraphError> {
+        Self::assemble(
+            domain,
+            schema,
+            node_names,
+            node_presence,
+            edges,
+            None,
+            edge_presence,
+            static_table,
+            tv_tables,
+            edge_values,
+        )
+    }
+
+    /// [`TemporalGraph::from_parts_with_edge_values`] for a caller that may
+    /// already hold the `(source, destination) → row` index of `edges` (the
+    /// builder, which deduplicated edges through it): `Some` is trusted and
+    /// kept, `None` is built here with the endpoint and duplicate checks.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn assemble(
+        domain: TimeDomain,
+        schema: AttributeSchema,
+        node_names: Interner<String>,
+        node_presence: BitMatrix,
+        edges: Vec<(NodeId, NodeId)>,
+        edge_index: Option<HashMap<(u32, u32), u32>>,
+        edge_presence: BitMatrix,
+        static_table: ValueMatrix,
+        tv_tables: Vec<ValueMatrix>,
+        edge_values: Option<ValueMatrix>,
+    ) -> Result<Self, GraphError> {
         let nt = domain.len();
         let nv = node_names.len();
         if node_presence.nrows() != nv || node_presence.ncols() != nt {
@@ -178,20 +211,27 @@ impl TemporalGraph {
                 )));
             }
         }
-        let mut edge_index = HashMap::with_capacity(edges.len());
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            if u.index() >= nv || v.index() >= nv {
-                return Err(GraphError::DanglingEdge {
-                    src: format!("{u:?}"),
-                    dst: format!("{v:?}"),
-                });
+        let edge_index = match edge_index {
+            Some(index) => index,
+            None => {
+                let mut index = HashMap::with_capacity(edges.len());
+                for (i, &(u, v)) in edges.iter().enumerate() {
+                    if u.index() >= nv || v.index() >= nv {
+                        return Err(GraphError::DanglingEdge {
+                            src: format!("{u:?}"),
+                            dst: format!("{v:?}"),
+                        });
+                    }
+                    if index.insert((u.0, v.0), i as u32).is_some() {
+                        return Err(GraphError::Format(format!(
+                            "edge ({u:?}, {v:?}) listed twice"
+                        )));
+                    }
+                }
+                index
             }
-            if edge_index.insert((u.0, v.0), i as u32).is_some() {
-                return Err(GraphError::Format(format!(
-                    "edge ({u:?}, {v:?}) listed twice"
-                )));
-            }
-        }
+        };
+        debug_assert_eq!(edge_index.len(), edges.len());
         let g = TemporalGraph {
             domain,
             schema,
@@ -258,32 +298,38 @@ impl TemporalGraph {
                 }
             }
         }
-        if let Some(ev) = &self.edge_values {
-            for e in 0..self.n_edges() {
-                for t in 0..self.domain.len() {
-                    if !ev.get(e, t).is_null() && !self.edge_presence.get(e, t) {
-                        let (u, v) = self.edges[e];
-                        return Err(GraphError::AttributePresenceMismatch {
-                            node: format!("edge ({}, {})", self.node_name(u), self.node_name(v)),
-                            attr: "edge value".to_owned(),
-                            time: self.domain.label(TimePoint(t as u32)).to_owned(),
-                        });
-                    }
-                }
-            }
+        // The first (row, time) cell of `tbl`, in row-major order, that holds
+        // a value where `presence` has no bit: one pass over the materialized
+        // codes, a bit test per value.
+        let stray = |tbl: &ValueMatrix, presence: &BitMatrix| {
+            (0..tbl.ncols())
+                .flat_map(|t| {
+                    let codes = tbl.col_codes(t).iter().enumerate();
+                    codes.filter_map(move |(r, &code)| {
+                        (code != NULL_CODE && !presence.get(r, t)).then_some((r, t))
+                    })
+                })
+                .min()
+        };
+        if let Some((e, t)) = self
+            .edge_values
+            .as_ref()
+            .and_then(|ev| stray(ev, &self.edge_presence))
+        {
+            let (u, v) = self.edges[e];
+            return Err(GraphError::AttributePresenceMismatch {
+                node: format!("edge ({}, {})", self.node_name(u), self.node_name(v)),
+                attr: "edge value".to_owned(),
+                time: self.domain.label(TimePoint(t as u32)).to_owned(),
+            });
         }
-        for (slot, &attr) in self.schema.time_varying_ids().iter().enumerate() {
-            let tbl = &self.tv_tables[slot];
-            for n in 0..self.n_nodes() {
-                for t in 0..self.domain.len() {
-                    if !tbl.get(n, t).is_null() && !self.node_presence.get(n, t) {
-                        return Err(GraphError::AttributePresenceMismatch {
-                            node: self.node_name(NodeId(n as u32)).to_owned(),
-                            attr: self.schema.def(attr).name().to_owned(),
-                            time: self.domain.label(TimePoint(t as u32)).to_owned(),
-                        });
-                    }
-                }
+        for (tbl, &attr) in self.tv_tables.iter().zip(&self.schema.time_varying_ids()) {
+            if let Some((n, t)) = stray(tbl, &self.node_presence) {
+                return Err(GraphError::AttributePresenceMismatch {
+                    node: self.node_name(NodeId(n as u32)).to_owned(),
+                    attr: self.schema.def(attr).name().to_owned(),
+                    time: self.domain.label(TimePoint(t as u32)).to_owned(),
+                });
             }
         }
         Ok(())

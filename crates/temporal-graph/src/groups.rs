@@ -10,6 +10,16 @@
 //! publishes changed attribute cells starts from an empty
 //! [`GroupColumnsCache`] (see `seams.rs`).
 //!
+//! Group ids are laid out like the tables they come from: `Arc`-shared
+//! `u32` columns with implicit [`NO_GROUP`] tails, one per time point (one
+//! in all when every attribute is static), and [`NO_GROUP`] *is*
+//! [`NULL_CODE`]. A list of one time-varying attribute therefore takes the
+//! table's own code columns — group id = dictionary code, nothing built,
+//! nothing stored — except for a column in which a present node has no
+//! value, which is computed like any other list's: the per-attribute codes
+//! of each present cell go through one `(codes…) → gid` map. An appended
+//! epoch shares every column of the epoch before it and adds the new one.
+//!
 //! Each [`GroupColumns`] also caches the *match columns* of the tuple
 //! selectors explored on it ([`GroupColumns::match_columns`]): which nodes
 //! or edges carry one group id (or ordered pair of them), as bit columns an
@@ -21,46 +31,49 @@
 //! first use), and are dropped with the columns by a static rewrite.
 //!
 //! What a client can pin on one snapshot is bounded: [`GROUP_CACHE_CAP`]
-//! lists of `nodes × points × 4` bytes of group ids, each with at most
-//! [`MATCH_CACHE_CAP`] selectors of at most `points × ⌈max(nodes, edges) /
-//! 8⌉` bytes (one column instead of `points` when the list is all-static;
-//! under the default [`SparseMode::Auto`](tempo_columnar::SparseMode) a
-//! column whose tuple is rare takes the sorted-id form, which is smaller) —
-//! at 4× DBLP (131 K nodes, 836 K edges, 21 points) 11 MB of ids and at most
-//! 8.8 MB of match columns per list.
+//! lists of at most `nodes × points × 4` bytes of group ids (none for a
+//! list of one time-varying attribute, `nodes × 4` for an all-static one),
+//! each with at most [`MATCH_CACHE_CAP`] selectors of at most `points ×
+//! ⌈max(nodes, edges) / 8⌉` bytes (one column instead of `points` when the
+//! list is all-static; under the default
+//! [`SparseMode::Auto`](tempo_columnar::SparseMode) a column whose tuple is
+//! rare takes the sorted-id form, which is smaller) — at 4× DBLP (131 K
+//! nodes, 836 K edges, 21 points) at most 11 MB of ids and 8.8 MB of match
+//! columns per list.
 
-use crate::attrs::{AttrId, Temporality};
+use crate::attrs::AttrId;
 use crate::graph::{EdgeId, TemporalGraph};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use tempo_columnar::{BitVec, PresenceColumn, Value, ValueMatrix, ValueTuple};
+use tempo_columnar::{BitVec, PresenceColumn, Value, ValueMatrix, ValueTuple, NULL_CODE};
 
-/// Sentinel group id: the node is absent at that time point.
-pub const NO_GROUP: u32 = u32::MAX;
+/// Sentinel group id: the node is absent at that time point. The same
+/// number as the tables' null code, so a code column can serve as a group-id
+/// column unchanged.
+pub const NO_GROUP: u32 = NULL_CODE;
 
 /// Interned attribute-tuple group ids of one `(graph, attrs)` pair.
 ///
-/// Group ids are assigned in first-occurrence order (nodes ascending, time
-/// points ascending within a node). When every attribute is static a node
-/// has one id for the whole domain; otherwise one id per present
-/// `(node, time)` cell, laid out `n * nt + t`, with static components
-/// resolved once per node and only time-varying cells read per point.
+/// When every attribute is static a node has one id for the whole domain;
+/// otherwise one id per present `(node, time)` cell, a column per time
+/// point. Ids carry no order a consumer may rely on.
 ///
 /// Immutable after construction and `Sync`: one instance is shared by every
 /// request (and worker thread) that aggregates the snapshot on `attrs`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GroupColumns {
     attr_names: Vec<String>,
     /// Group id → attribute tuple.
     tuples: Vec<ValueTuple>,
     /// Attribute tuple → group id (for resolving selector targets).
     index: HashMap<ValueTuple, u32>,
-    nt: usize,
-    /// One gid per node when every aggregation attribute is static.
-    static_gids: Option<Vec<u32>>,
-    /// One gid per (node, time) — `n * nt + t` — otherwise; [`NO_GROUP`]
-    /// where the node is absent.
-    time_gids: Option<Vec<u32>>,
+    /// The same by dictionary codes (for interning cells).
+    codes: CodeIndex,
+    /// Every attribute is static: `cols` is one column with an id for every
+    /// node. Otherwise `cols[t]` holds the ids at time point `t`,
+    /// [`NO_GROUP`] where the node is absent and past the column's end.
+    all_static: bool,
+    cols: Vec<Arc<Vec<u32>>>,
     /// Match columns of the tuple selectors explored on these columns, most
     /// recently used first, at most [`MATCH_CACHE_CAP`].
     matches: Mutex<Vec<(MatchKey, Arc<MatchColumns>)>>,
@@ -88,56 +101,45 @@ pub enum MatchColumns {
     PerPoint(Vec<PresenceColumn>),
 }
 
-/// Resolved attribute accessor avoiding schema lookups in inner loops.
-enum Resolved<'g> {
-    Static(usize),
-    TimeVarying(&'g ValueMatrix),
+/// Where one aggregation attribute's cells live: column `slot` of the static
+/// table, or (`None`) a time-varying table read at the time point.
+struct Source<'g> {
+    table: &'g ValueMatrix,
+    slot: Option<usize>,
 }
 
-fn resolve<'g>(g: &'g TemporalGraph, attrs: &[AttrId]) -> Vec<Resolved<'g>> {
-    let schema = g.schema();
-    attrs
-        .iter()
-        .map(|&a| match schema.def(a).temporality() {
-            Temporality::Static => Resolved::Static(
-                schema
-                    .static_slot(a)
-                    .expect("invariant: static attrs have a static slot"),
-            ),
-            Temporality::TimeVarying => Resolved::TimeVarying(
-                g.tv_table(a)
-                    .expect("invariant: time-varying attrs have a table"),
-            ),
-        })
-        .collect()
+/// `(codes…) → gid`, keyed by the attributes' dictionary codes in the
+/// snapshot's own tables: a cell is interned by reading `u32`s. Codes keep
+/// their meaning along a history, so the map is carried across epochs.
+#[derive(Clone, Debug, Default)]
+struct CodeIndex {
+    /// One-attribute lists: the gid of `code` at `code + 1` (so
+    /// [`NULL_CODE`] wraps to slot 0), [`NO_GROUP`] where none is assigned.
+    one: Vec<u32>,
+    /// Longer lists.
+    many: HashMap<Vec<u32>, u32>,
 }
 
-/// Interns the tuple held in a reused scratch buffer
-/// (`Vec<Value>: Borrow<[Value]>`), allocating only on its first occurrence.
-fn intern_scratch(
-    index: &mut HashMap<ValueTuple, u32>,
-    tuples: &mut Vec<ValueTuple>,
-    scratch: &[Value],
-) -> u32 {
-    match index.get(scratch) {
-        Some(&gid) => gid,
-        None => intern_tuple(index, tuples, scratch.to_vec()),
+impl CodeIndex {
+    fn get(&self, key: &[u32]) -> Option<u32> {
+        match *key {
+            [code] => {
+                let gid = self.one.get(code.wrapping_add(1) as usize).copied();
+                gid.filter(|&gid| gid != NO_GROUP)
+            }
+            _ => self.many.get(key).copied(),
+        }
     }
-}
 
-fn intern_tuple(
-    index: &mut HashMap<ValueTuple, u32>,
-    tuples: &mut Vec<ValueTuple>,
-    tuple: ValueTuple,
-) -> u32 {
-    if let Some(&gid) = index.get(&tuple) {
-        return gid;
+    fn insert(&mut self, key: &[u32], gid: u32) {
+        if let [code] = *key {
+            let at = code.wrapping_add(1) as usize;
+            self.one.resize(self.one.len().max(at + 1), NO_GROUP);
+            self.one[at] = gid;
+        } else {
+            self.many.insert(key.to_vec(), gid);
+        }
     }
-    let gid = u32::try_from(tuples.len())
-        .expect("invariant: fewer than u32::MAX distinct tuples (gid is u32)");
-    tuples.push(tuple.clone());
-    index.insert(tuple, gid);
-    gid
 }
 
 impl GroupColumns {
@@ -151,121 +153,16 @@ impl GroupColumns {
     pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
         let ins = tempo_instrument::global();
         let _span = ins.histogram("aggregate.group_table_build_ns").span();
-        let schema = g.schema();
-        let attr_names: Vec<String> = attrs
-            .iter()
-            .map(|&a| schema.def(a).name().to_owned())
-            .collect();
-        let resolved = resolve(g, attrs);
-        let nt = g.domain().len();
-        let mut index = HashMap::new();
-        let mut tuples: Vec<ValueTuple> = Vec::new();
-        let statics = g.static_table();
-
-        let all_static = resolved.iter().all(|r| matches!(r, Resolved::Static(_)));
-        let (static_gids, time_gids) = if all_static {
-            // Group ids are assigned in first-occurrence order either way,
-            // so both fast paths below produce the table the naive per-node
-            // intern loop would.
-            let gids = if let [Resolved::Static(slot)] = resolved.as_slice() {
-                // Single static attribute: categorical codes are already
-                // dense interner indexes, so a code-indexed table resolves
-                // each node with one load — no hashing, no tuple allocation
-                // (dominant in exploration kernel builds on large graphs).
-                let mut cat_gids: Vec<u32> = Vec::new();
-                (0..g.n_nodes())
-                    .map(|n| match statics.get(n, *slot) {
-                        Value::Cat(code) => {
-                            let c = *code as usize;
-                            if c >= cat_gids.len() {
-                                cat_gids.resize(c + 1, NO_GROUP);
-                            }
-                            if cat_gids[c] == NO_GROUP {
-                                cat_gids[c] =
-                                    intern_tuple(&mut index, &mut tuples, vec![Value::Cat(*code)]);
-                            }
-                            cat_gids[c]
-                        }
-                        v => intern_tuple(&mut index, &mut tuples, vec![v.clone()]),
-                    })
-                    .collect()
-            } else {
-                // Multi-attribute: probe with a reused scratch tuple.
-                let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
-                (0..g.n_nodes())
-                    .map(|n| {
-                        scratch.clear();
-                        for r in &resolved {
-                            match r {
-                                Resolved::Static(slot) => {
-                                    scratch.push(statics.get(n, *slot).clone());
-                                }
-                                Resolved::TimeVarying(_) => {
-                                    unreachable!("all attrs static")
-                                }
-                            }
-                        }
-                        intern_scratch(&mut index, &mut tuples, &scratch)
-                    })
-                    .collect()
-            };
-            (Some(gids), None)
-        } else {
-            let mut gids = vec![NO_GROUP; g.n_nodes() * nt];
-            let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
-            for n in 0..g.n_nodes() {
-                // static components once per node, time-varying per point
-                scratch.clear();
-                scratch.extend(resolved.iter().map(|r| match r {
-                    Resolved::Static(slot) => statics.get(n, *slot).clone(),
-                    Resolved::TimeVarying(_) => Value::Null,
-                }));
-                // Group id of the node's previous present point: while no
-                // time-varying cell differs from that point's, the scratch
-                // still holds its tuple and the id carries over unhashed.
-                let mut prev: Option<u32> = None;
-                for t in g.node_presence_matrix().iter_row_ones(n) {
-                    let mut changed = false;
-                    for (cell, r) in scratch.iter_mut().zip(&resolved) {
-                        if let Resolved::TimeVarying(tbl) = r {
-                            let v = tbl.get(n, t);
-                            if cell != v {
-                                *cell = v.clone();
-                                changed = true;
-                            }
-                        }
-                    }
-                    let gid = match prev {
-                        Some(gid) if !changed => gid,
-                        _ => intern_scratch(&mut index, &mut tuples, &scratch),
-                    };
-                    gids[n * nt + t] = gid;
-                    prev = Some(gid);
-                }
-            }
-            (None, Some(gids))
-        };
-
+        let cols = GroupColumns::default().grown(g, attrs);
         ins.counter("aggregate.group_tables_built").inc();
         ins.counter("aggregate.groups_interned")
-            .add(tuples.len() as u64);
-        let cols = GroupColumns {
-            attr_names,
-            tuples,
-            index,
-            nt,
-            static_gids,
-            time_gids,
-            matches: Mutex::default(),
-        };
-        debug_assert_eq!(cols.check_invariants(), Ok(()));
+            .add(cols.tuples.len() as u64);
         cols
     }
 
     /// Carries columns built on an earlier epoch of `g`'s history forward
-    /// to `g`: the old cells are copied into the wider `n * nt + t` layout
-    /// (group ids are kept, so the copy is plain `u32`s) and only the cells
-    /// of the appended time points and nodes are interned.
+    /// to `g`: every old column is shared as it is (group ids are kept) and
+    /// only the cells of the appended time points and nodes are interned.
     ///
     /// Sound only while every cell the old columns were derived from is
     /// unchanged in `g`: appends add points and nodes, and
@@ -276,60 +173,119 @@ impl GroupColumns {
     pub(crate) fn extended(&self, g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
         let ins = tempo_instrument::global();
         let _span = ins.histogram("aggregate.group_table_extend_ns").span();
-        let resolved = resolve(g, attrs);
-        let statics = g.static_table();
-        let (nt_old, nt) = (self.nt, g.domain().len());
-        let n_nodes = g.n_nodes();
-        debug_assert!(nt_old <= nt);
-        let mut index = self.index.clone();
-        let mut tuples = self.tuples.clone();
-        let mut scratch: ValueTuple = Vec::with_capacity(resolved.len());
-        let mut cell = |n: usize, t: usize| {
-            scratch.clear();
-            scratch.extend(resolved.iter().map(|r| match r {
-                Resolved::Static(slot) => statics.get(n, *slot).clone(),
-                Resolved::TimeVarying(tbl) => tbl.get(n, t).clone(),
-            }));
-            intern_scratch(&mut index, &mut tuples, &scratch)
+        self.grown(g, attrs)
+    }
+
+    /// The columns of `g`: these (a build starts from none) plus the cells
+    /// `g` has beyond them.
+    fn grown(&self, g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
+        let schema = g.schema();
+        let source = |&a: &AttrId| {
+            let slot = schema.static_slot(a);
+            let table = match slot {
+                Some(_) => g.static_table(),
+                None => g.tv_table(a).expect("invariant: static or time-varying"),
+            };
+            Source { table, slot }
         };
-        let static_gids = self.static_gids.as_ref().map(|old| {
-            debug_assert!(old.len() <= n_nodes);
-            let mut gids = old.clone();
-            gids.extend((old.len()..n_nodes).map(|n| cell(n, 0)));
-            gids
-        });
-        let time_gids = self.time_gids.as_ref().map(|old| {
-            let mut gids = Vec::with_capacity(n_nodes * nt);
-            if nt_old > 0 {
-                for old_row in old.chunks_exact(nt_old) {
-                    gids.extend_from_slice(old_row);
-                    gids.resize(gids.len() + (nt - nt_old), NO_GROUP);
-                }
-            }
-            // a node added since is absent at every old point
-            gids.resize(n_nodes * nt, NO_GROUP);
-            let presence = g.node_presence_matrix();
-            for t in nt_old..nt {
-                for n in 0..n_nodes {
-                    if presence.get(n, t) {
-                        gids[n * nt + t] = cell(n, t);
-                    }
-                }
-            }
-            gids
-        });
-        let cols = GroupColumns {
-            attr_names: self.attr_names.clone(),
-            tuples,
-            index,
-            nt,
-            static_gids,
-            time_gids,
+        let sources: Vec<Source<'_>> = attrs.iter().map(source).collect();
+        let name = |&a: &AttrId| schema.def(a).name().to_owned();
+        let mut next = GroupColumns {
+            attr_names: attrs.iter().map(name).collect(),
+            tuples: self.tuples.clone(),
+            index: self.index.clone(),
+            codes: self.codes.clone(),
+            all_static: sources.iter().all(|s| s.slot.is_some()),
+            cols: self.cols.clone(),
             // derived from this epoch's ids and edges on first use
             matches: Mutex::default(),
         };
-        debug_assert_eq!(cols.check_invariants(), Ok(()));
-        cols
+        let (n_nodes, nt, nt_old) = (g.n_nodes(), g.domain().len(), self.cols.len());
+        // The gid of cell (n, t); its tuple is decoded from this snapshot's
+        // dictionaries (which may list values the last epoch's lacked) the
+        // first time it shows up.
+        let mut key = vec![NULL_CODE; sources.len()];
+        let mut last = NO_GROUP; // the gid of `key` as it stands
+        let mut gid_at = |next: &mut GroupColumns, n: usize, t: usize| {
+            let mut same = last != NO_GROUP;
+            for (held, s) in key.iter_mut().zip(&sources) {
+                let code = s.table.code(n, s.slot.unwrap_or(t));
+                same &= *held == code;
+                *held = code;
+            }
+            if !same {
+                last = next.gid(&sources, &key);
+            }
+            last
+        };
+        if next.all_static {
+            let mut gids = next.cols.pop().map_or_else(Vec::new, |old| old.to_vec());
+            debug_assert!(gids.len() <= n_nodes);
+            for n in gids.len()..n_nodes {
+                gids.push(gid_at(&mut next, n, 0));
+            }
+            next.cols.push(Arc::new(gids));
+            debug_assert_eq!(next.check_invariants(), Ok(()));
+            return next;
+        }
+        debug_assert!(nt_old <= nt);
+        // A list of one time-varying attribute reads the table's code columns
+        // as they are while codes and ids coincide: its dictionary is interned
+        // up front, in code order, and a column is taken over when every
+        // present node holds such a code (values sit on presence bits only).
+        let table = match sources[..] {
+            [Source { table, slot: None }] => Some(table),
+            _ => None,
+        };
+        let same = table.map_or(0, |table| {
+            let codes = 0..table.dict().len() as u32;
+            codes.take_while(|&c| next.gid(&sources, &[c]) == c).count() as u32
+        });
+        // The other columns are computed, `fresh[t - nt_old]` for point `t`.
+        let mut todo = BitVec::zeros(nt);
+        let mut fresh: Vec<Vec<u32>> = (nt_old..nt)
+            .map(|t| {
+                let taken = table.map(|table| table.col_codes(t)).filter(|codes| {
+                    let present = g.node_presence_columns().col(t).count_ones();
+                    codes.iter().filter(|&&c| c < same).count() == present
+                });
+                next.cols.push(taken.map_or_else(Arc::default, Arc::clone));
+                todo.set(t, taken.is_none());
+                vec![NO_GROUP; if taken.is_none() { n_nodes } else { 0 }]
+            })
+            .collect();
+        if !todo.is_zero() {
+            for n in 0..n_nodes {
+                for t in g.node_presence_matrix().iter_row_ones_and(n, &todo) {
+                    let col = &mut fresh[t - nt_old];
+                    col[n] = gid_at(&mut next, n, t);
+                }
+            }
+        }
+        let computed = fresh.into_iter().filter(|gids| !gids.is_empty());
+        for (t, gids) in todo.iter_ones().zip(computed) {
+            next.cols[t] = Arc::new(gids);
+        }
+        debug_assert_eq!(next.check_invariants(), Ok(()));
+        next
+    }
+
+    /// The gid of the tuple whose per-attribute codes are `key`, assigning
+    /// the next free one on its first occurrence.
+    fn gid(&mut self, sources: &[Source<'_>], key: &[u32]) -> u32 {
+        if let Some(gid) = self.codes.get(key) {
+            return gid;
+        }
+        let gid = u32::try_from(self.tuples.len())
+            .ok()
+            .filter(|&gid| gid != NO_GROUP)
+            .expect("invariant: fewer than u32::MAX distinct tuples (gid is u32)");
+        let decode = |(&code, s): (&u32, &Source<'_>)| s.table.decode(code).clone();
+        let tuple: ValueTuple = key.iter().zip(sources).map(decode).collect();
+        self.codes.insert(key, gid);
+        self.index.insert(tuple.clone(), gid);
+        self.tuples.push(tuple);
+        gid
     }
 
     /// Validates the interning bijection: `tuples[gid]` and the reverse
@@ -362,21 +318,15 @@ impl GroupColumns {
             }
         }
         let n_groups = self.tuples.len() as u32;
-        let check_gids = |gids: &[u32], what: &str| -> Result<(), String> {
-            for (i, &g) in gids.iter().enumerate() {
-                if g != NO_GROUP && g >= n_groups {
+        for (c, col) in self.cols.iter().enumerate() {
+            for (n, &g) in col.iter().enumerate() {
+                // a static list gives every node an id
+                if g >= n_groups && (g != NO_GROUP || self.all_static) {
                     return Err(format!(
-                        "{what} slot {i} holds gid {g}, but only {n_groups} groups exist"
+                        "column {c} row {n} holds gid {g}, but only {n_groups} groups exist"
                     ));
                 }
             }
-            Ok(())
-        };
-        if let Some(gids) = &self.static_gids {
-            check_gids(gids, "static")?;
-        }
-        if let Some(gids) = &self.time_gids {
-            check_gids(gids, "time-varying")?;
         }
         Ok(())
     }
@@ -399,21 +349,19 @@ impl GroupColumns {
     /// One group id per node, when every aggregation attribute is static.
     #[inline]
     pub fn static_gids(&self) -> Option<&[u32]> {
-        self.static_gids.as_deref()
+        self.all_static.then(|| self.cols[0].as_slice())
     }
 
     /// Group id of node `n` at time `t` in the time-varying layout
     /// ([`NO_GROUP`] where the node is absent).
     ///
     /// # Panics
-    /// Panics if every attribute is static (use
-    /// [`static_gids`](Self::static_gids)) or the cell is out of range.
+    /// Panics if `t` is out of range; meaningless when every attribute is
+    /// static (use [`static_gids`](Self::static_gids)).
     #[inline]
     pub fn time_gid(&self, n: usize, t: usize) -> u32 {
-        self.time_gids
-            .as_ref()
-            .expect("invariant: time_gids built for schemas with time-varying attrs")
-            [n * self.nt + t]
+        debug_assert!(!self.all_static, "a static list has one id per node");
+        self.cols[t].get(n).copied().unwrap_or(NO_GROUP)
     }
 
     /// The match columns of `key` over `g`, the snapshot these columns were
@@ -452,13 +400,12 @@ impl GroupColumns {
     }
 
     fn build_match(&self, g: &TemporalGraph, key: MatchKey) -> MatchColumns {
-        let (nt, n_nodes, n_edges) = (self.nt, g.n_nodes(), g.n_edges());
-        assert_eq!(nt, g.domain().len(), "columns of another snapshot");
+        let (n_nodes, n_edges) = (g.n_nodes(), g.n_edges());
         let endpoints = |e: usize| {
             let (u, v) = g.edge_endpoints(EdgeId(e as u32));
             (u.index(), v.index())
         };
-        match (self.static_gids.as_deref(), key) {
+        match (self.static_gids(), key) {
             (Some(gids), MatchKey::Node(gid)) => {
                 assert_eq!(gids.len(), n_nodes, "columns of another snapshot");
                 let ones = (0..n_nodes).filter(|&n| gids[n] == gid);
@@ -473,36 +420,30 @@ impl GroupColumns {
                 MatchColumns::Static(BitVec::from_indices(n_edges, ones))
             }
             (None, key) => {
-                let gids = self
-                    .time_gids
-                    .as_deref()
-                    .expect("invariant: time_gids built for schemas with time-varying attrs");
-                assert_eq!(gids.len(), n_nodes * nt, "columns of another snapshot");
-                let rows = match key {
-                    MatchKey::Node(_) => n_nodes,
-                    MatchKey::Edge(..) => n_edges,
-                };
-                let mut cols = vec![BitVec::zeros(rows); nt];
-                match key {
+                let nt = self.cols.len();
+                assert_eq!(nt, g.domain().len(), "columns of another snapshot");
+                let cols: Vec<BitVec> = match key {
                     // an absent node holds NO_GROUP, which is no tuple's id
                     MatchKey::Node(gid) => {
-                        for (n, row) in gids.chunks_exact(nt.max(1)).enumerate() {
-                            for (t, _) in row.iter().enumerate().filter(|(_, &x)| x == gid) {
-                                cols[t].set(n, true);
-                            }
-                        }
+                        let ones = |col: &Arc<Vec<u32>>| {
+                            let ones = (0..col.len()).filter(|&n| col[n] == gid);
+                            BitVec::from_indices(n_nodes, ones)
+                        };
+                        self.cols.iter().map(ones).collect()
                     }
                     MatchKey::Edge(gs, gd) => {
+                        let mut cols = vec![BitVec::zeros(n_edges); nt];
                         for e in 0..n_edges {
                             let (u, v) = endpoints(e);
                             for t in g.edge_presence_matrix().iter_row_ones(e) {
-                                if gids[u * nt + t] == gs && gids[v * nt + t] == gd {
+                                if self.time_gid(u, t) == gs && self.time_gid(v, t) == gd {
                                     cols[t].set(e, true);
                                 }
                             }
                         }
+                        cols
                     }
-                }
+                };
                 let mode = g.sparse_mode();
                 MatchColumns::PerPoint(
                     cols.into_iter()
@@ -520,9 +461,9 @@ impl GroupColumns {
 pub(crate) const MATCH_CACHE_CAP: usize = 4;
 
 /// How many attribute lists a graph keeps group-id columns for. Ordered
-/// lists are `k!` many and a time-varying entry holds `nodes × points × 4`
-/// bytes, so the cap is what bounds the memory a client can pin on a
-/// snapshot by permuting `attrs=`.
+/// lists are `k!` many and an entry with a time-varying attribute holds up
+/// to `nodes × points × 4` bytes, so the cap is what bounds the memory a
+/// client can pin on a snapshot by permuting `attrs=`.
 pub(crate) const GROUP_CACHE_CAP: usize = 8;
 
 /// What the cache holds for one attribute list.
@@ -585,7 +526,6 @@ mod tests {
     use super::*;
     use crate::fixtures::fig1;
     use crate::{GraphVersions, NodeId, TimePoint, TimepointPatch};
-    use std::collections::HashSet;
 
     fn attrs(g: &TemporalGraph) -> (AttrId, AttrId) {
         (
@@ -611,19 +551,13 @@ mod tests {
         assert_eq!(mixed.lookup(&[m, Value::Int(3)]), Some(gid));
         assert_eq!(mixed.time_gid(u1, 2), NO_GROUP);
         assert_eq!(mixed.attr_names(), ["gender", "publications"]);
-        // every cell decodes to the tuple read off the attribute tables,
-        // whether it was hashed or carried over from the previous point
-        let lists: [&[AttrId]; 3] = [&[pubs], &[gender, pubs], &[pubs, gender]];
+        // every cell decodes to the tuple read off the attribute tables
+        let lists: [&[AttrId]; 4] = [&[gender], &[pubs], &[gender, pubs], &[pubs, gender]];
         for list in lists {
-            let nt = g.domain().len();
-            let want: Vec<Option<ValueTuple>> = (0..g.n_nodes() * nt)
-                .map(|i| {
-                    let (n, t) = (NodeId((i / nt) as u32), TimePoint((i % nt) as u32));
-                    g.node_alive_at(n, t)
-                        .then(|| list.iter().map(|&a| g.attr_value(n, a, t)).collect())
-                })
-                .collect();
-            assert_eq!(decoded(&g, &GroupColumns::build(&g, list)), want);
+            assert_eq!(
+                decoded(&g, &GroupColumns::build(&g, list)),
+                read_off(&g, list)
+            );
         }
     }
 
@@ -680,10 +614,23 @@ mod tests {
         (0..g.n_nodes() * nt)
             .map(|i| {
                 let gid = match cols.static_gids() {
-                    Some(gids) => gids[i / nt],
+                    Some(gids) if g.node_presence_matrix().get(i / nt, i % nt) => gids[i / nt],
+                    Some(_) => NO_GROUP,
                     None => cols.time_gid(i / nt, i % nt),
                 };
                 (gid != NO_GROUP).then(|| cols.tuples()[gid as usize].clone())
+            })
+            .collect()
+    }
+
+    /// What [`decoded`] must give: the same cells through `attr_value`.
+    fn read_off(g: &TemporalGraph, list: &[AttrId]) -> Vec<Option<ValueTuple>> {
+        let nt = g.domain().len();
+        (0..g.n_nodes() * nt)
+            .map(|i| {
+                let (n, t) = (NodeId((i / nt) as u32), TimePoint((i % nt) as u32));
+                g.node_alive_at(n, t)
+                    .then(|| list.iter().map(|&a| g.attr_value(n, a, t)).collect())
             })
             .collect()
     }
@@ -692,43 +639,106 @@ mod tests {
     fn an_append_extends_the_previous_epochs_columns() {
         let g = fig1();
         let (gender, pubs) = attrs(&g);
-        let lists: [&[AttrId]; 3] = [&[gender], &[pubs], &[gender, pubs]];
+        let lists: [&[AttrId]; 4] = [&[gender], &[pubs], &[gender, pubs], &[pubs, gender]];
         let warm: Vec<_> = lists.iter().map(|l| g.group_columns(l)).collect();
         let f = g.schema().category(gender, "f").unwrap();
 
         let first = Arc::new(g);
         let mut versions = GraphVersions::from_arc(Arc::clone(&first));
-        // a new node, a new (gender, publications) tuple for an old one
+        // a new node, a new (gender, publications) tuple for an old one, and
+        // values (41, 7) the first epoch's dictionary lacks
         let mut patch = TimepointPatch::new("t3");
-        patch.set_static("u9", gender, f);
+        patch.set_static("u9", gender, f.clone());
         patch.set_time_varying("u9", pubs, Value::Int(7));
         patch.set_time_varying("u1", pubs, Value::Int(41));
         patch.add_edge("u1", "u9");
         let second = versions.append_timepoint(&patch).unwrap();
-        // nothing is read at the second epoch: the third extends by two points
+        // nothing is read at the second epoch: the third extends by two
+        // points; u3 is present at the new one without a publications value
         let mut patch = TimepointPatch::new("t4");
         patch.set_time_varying("u2", pubs, Value::Int(7));
+        patch.mark_node("u3");
         let third = versions.append_timepoint(&patch).unwrap();
+        // a static rewrite starts cold; its columns read the new cell
+        let mut patch = TimepointPatch::new("t5");
+        patch.set_static("u1", gender, f);
+        patch.set_time_varying("u1", pubs, Value::Int(2));
+        let fourth = versions.append_timepoint(&patch).unwrap();
+        assert_eq!(fourth.group_cols.lock().unwrap().len(), 0);
 
-        for next in [&third, &second] {
-            assert_eq!(next.group_cols.lock().unwrap().len(), lists.len());
+        for next in [&third, &second, &fourth] {
             for (list, old) in lists.iter().zip(&warm) {
                 let cols = next.group_columns(list);
                 assert!(!Arc::ptr_eq(&cols, old));
                 assert!(Arc::ptr_eq(&cols, &next.group_columns(list)));
                 assert_eq!(cols.check_invariants(), Ok(()));
-                let fresh = GroupColumns::build(next, list);
-                assert_eq!(decoded(next, &cols), decoded(next, &fresh));
-                let set = |c: &GroupColumns| -> HashSet<ValueTuple> {
-                    c.tuples().iter().cloned().collect()
-                };
-                assert_eq!(set(&cols), set(&fresh));
+                assert_eq!(decoded(next, &cols), read_off(next, list), "{list:?}");
+                // an extension shares every column it started from; the cold
+                // build shares them with the table where the list is `[pubs]`
+                let cold = Arc::ptr_eq(next, &fourth) && **list != [pubs];
+                let shared = cols.static_gids().is_none() && !cold;
+                for (ours, theirs) in cols.cols.iter().zip(&old.cols) {
+                    assert_eq!(Arc::ptr_eq(ours, theirs), shared, "{list:?}");
+                }
             }
         }
         // the first epoch still serves its own columns
         for (list, old) in lists.iter().zip(&warm) {
             assert!(Arc::ptr_eq(old, &first.group_columns(list)));
         }
+    }
+
+    #[test]
+    fn a_single_time_varying_list_is_the_tables_code_columns() {
+        let g = fig1();
+        let (_, pubs) = attrs(&g);
+        let shares = |g: &TemporalGraph, t: usize| {
+            let cols = g.group_columns(&[pubs]);
+            let codes = g.tv_table(pubs).unwrap().col_codes(t);
+            // group id = dictionary code
+            for (code, v) in g.tv_table(pubs).unwrap().dict().iter().enumerate() {
+                assert_eq!(cols.tuples()[code], std::slice::from_ref(v));
+            }
+            Arc::ptr_eq(&cols.cols[t], codes)
+        };
+        assert!((0..3).all(|t| shares(&g, t)));
+
+        let mut versions = GraphVersions::new(g);
+        let mut patch = TimepointPatch::new("t3");
+        patch.set_time_varying("u1", pubs, Value::Int(41)); // a new code
+        let second = versions.append_timepoint(&patch).unwrap();
+        assert!((0..4).all(|t| shares(&second, t)));
+        // u3 is present without a value: that column is computed, `[Null]`
+        // takes the next free id and the table's columns are still shared
+        let mut patch = TimepointPatch::new("t4");
+        patch.mark_node("u3");
+        patch.set_time_varying("u2", pubs, Value::Int(41));
+        let third = versions.append_timepoint(&patch).unwrap();
+        assert!((0..4).all(|t| shares(&third, t)) && !shares(&third, 4));
+        let cols = third.group_columns(&[pubs]);
+        let u3 = third.node_id("u3").unwrap().index();
+        assert_eq!(cols.lookup(&[Value::Null]), Some(cols.time_gid(u3, 4)));
+        // a value interned after `[Null]` took its id is no longer its own
+        // code: the column holding it is computed, the others still shared
+        let mut patch = TimepointPatch::new("t5");
+        patch.set_time_varying("u2", pubs, Value::Int(99));
+        patch.set_time_varying("u4", pubs, Value::Int(41));
+        let fourth = versions.append_timepoint(&patch).unwrap();
+        let cols = fourth.group_columns(&[pubs]);
+        assert_eq!(decoded(&fourth, &cols), read_off(&fourth, &[pubs]));
+        assert!(!Arc::ptr_eq(
+            &cols.cols[5],
+            fourth.tv_table(pubs).unwrap().col_codes(5)
+        ));
+        let mut patch = TimepointPatch::new("t6");
+        patch.set_time_varying("u4", pubs, Value::Int(41));
+        let fifth = versions.append_timepoint(&patch).unwrap();
+        let cols = fifth.group_columns(&[pubs]);
+        assert_eq!(decoded(&fifth, &cols), read_off(&fifth, &[pubs]));
+        assert!(Arc::ptr_eq(
+            &cols.cols[6],
+            fifth.tv_table(pubs).unwrap().col_codes(6)
+        ));
     }
 
     #[test]

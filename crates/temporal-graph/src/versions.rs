@@ -13,8 +13,9 @@
 //! * the presence matrices share their `Arc`-backed word bands with the
 //!   previous epoch — [`BitMatrix::push_col`] touches only the tail band
 //!   (and new-entity rows push in O(1));
-//! * attribute tables share their `Arc`-backed column chunks, with one
-//!   [`ValueMatrix::push_col`] per time-varying table;
+//! * attribute tables share their dictionary and their `Arc`-backed code
+//!   columns, with one [`ValueMatrix::push_col`] per time-varying table,
+//!   interned straight from the patch's `(row, value)` cells;
 //! * the transposed presence indexes are maintained *incrementally*: the
 //!   previous epoch's [`TransposedBitMatrix`] (all of whose columns are
 //!   `Arc`-shared) is carried forward with
@@ -25,7 +26,8 @@
 //! * the group-id columns are carried forward as *bases*: the new epoch's
 //!   cache (un-shared from the old one) names the previous epoch's columns,
 //!   and the first request per attribute list extends them by the appended
-//!   cells instead of re-interning the whole history — unless the patch
+//!   cells (sharing every old id column) instead of re-interning the whole
+//!   history — unless the patch
 //!   rewrote a static cell of an existing node, which starts the cache
 //!   empty.
 //!
@@ -258,8 +260,8 @@ impl GraphVersions {
         let mut present_nodes: BTreeSet<u32> = BTreeSet::new();
         let mut present_edges: BTreeSet<u32> = BTreeSet::new();
         // Per-slot (row, value) cells for the new time column.
-        let mut tv_cells: Vec<Vec<(u32, Value)>> = vec![Vec::new(); tv_tables.len()];
-        let mut ev_cells: Vec<(u32, Value)> = Vec::new();
+        let mut tv_cells: Vec<Vec<(usize, Value)>> = vec![Vec::new(); tv_tables.len()];
+        let mut ev_cells: Vec<(usize, Value)> = Vec::new();
 
         for name in &patch.nodes {
             present_nodes.insert(get_or_add(
@@ -306,7 +308,7 @@ impl GraphVersions {
                 &mut tv_tables,
             );
             present_nodes.insert(row);
-            tv_cells[slot].push((row, value.clone()));
+            tv_cells[slot].push((row as usize, value.clone()));
         }
 
         // Resolves a (possibly new) edge row; a new row pushes an empty
@@ -376,7 +378,7 @@ impl GraphVersions {
             );
             present_edges.insert(row);
             if let Some(val) = val {
-                ev_cells.push((row, val.clone()));
+                ev_cells.push((row as usize, val.clone()));
             }
         }
 
@@ -387,11 +389,12 @@ impl GraphVersions {
         let ec = edge_presence.push_col(present_edges.iter().map(|&r| r as usize));
         debug_assert_eq!(ec, t_new);
 
-        for (slot, cells) in tv_cells.into_iter().enumerate() {
-            tv_tables[slot].push_col(column_cells(cells));
+        // later cells of a row win, like repeated builder sets
+        for (tbl, cells) in tv_tables.iter_mut().zip(tv_cells) {
+            tbl.push_col(cells);
         }
         if let Some(ev) = &mut edge_values {
-            ev.push_col(column_cells(ev_cells));
+            ev.push_col(ev_cells);
         }
 
         // Carry the transposed presence indexes forward incrementally:
@@ -444,22 +447,6 @@ impl GraphVersions {
         self.current = Arc::clone(&published);
         Ok(published)
     }
-}
-
-/// Builds the dense cell vector for one new [`ValueMatrix`] column from
-/// sparse `(row, value)` pairs — only as long as the highest touched row
-/// (the chunk's implicit-null tail covers the rest).
-fn column_cells(mut cells: Vec<(u32, Value)>) -> Vec<Value> {
-    cells.sort_by_key(|&(r, _)| r);
-    let mut out = Vec::new();
-    for (r, v) in cells {
-        let r = r as usize;
-        if out.len() <= r {
-            out.resize(r + 1, Value::Null);
-        }
-        out[r] = v; // later writes win, like repeated builder sets
-    }
-    out
 }
 
 /// Carries a transposed presence index into the next epoch: clone the

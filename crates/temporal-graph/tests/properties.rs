@@ -117,20 +117,28 @@ proptest! {
         presence in proptest::collection::vec((0usize..4, 0usize..5), 0..14),
         edges in proptest::collection::vec((0usize..4, 0usize..4, 0usize..5, 1i64..50), 0..14),
         roles in proptest::collection::vec((0usize..4, 0usize..5, 0usize..3), 0..14),
+        loads in proptest::collection::vec((0usize..4, 0usize..5, -3i64..4), 0..14),
     ) {
-        // Random graphs with categorical static attributes, categorical
-        // time-varying labels, and integer edge values must survive
-        // save_dir → load_dir bit-for-bit (modulo category re-interning).
+        // Random graphs with categorical and integer static attributes,
+        // time-varying attributes holding `Cat`, `Str` and `Int` cells, and
+        // integer and string edge values must survive save_dir → load_dir
+        // cell for cell (modulo category re-interning: a label comes back as
+        // a category of the same name).
         let mut schema = AttributeSchema::new();
         schema.declare("team", Temporality::Static).unwrap();
+        schema.declare("level", Temporality::Static).unwrap();
         schema.declare("role", Temporality::TimeVarying).unwrap();
+        schema.declare("load", Temporality::TimeVarying).unwrap();
         let mut b = GraphBuilder::new(TimeDomain::indexed(5), schema);
-        let team = b.schema().id("team").unwrap();
-        let role = b.schema().id("role").unwrap();
+        let ids = ["team", "level", "role", "load"].map(|a| b.schema().id(a).unwrap());
+        let [team, level, role, load] = ids;
         let nodes: Vec<_> = (0..4).map(|i| b.add_node(&format!("n{i}")).unwrap()).collect();
         for (i, &n) in nodes.iter().enumerate() {
             let v = b.intern_category(team, ["red", "blue"][i % 2]);
             b.set_static(n, team, v).unwrap();
+            if i > 0 {
+                b.set_static(n, level, Value::Int(i as i64 % 2)).unwrap();
+            }
         }
         for &(n, t) in &presence {
             b.set_presence(nodes[n], TimePoint(t as u32)).unwrap();
@@ -140,12 +148,18 @@ proptest! {
                 continue;
             }
             // implies edge + endpoint presence at t
-            b.set_edge_value(nodes[u], nodes[v], TimePoint(t as u32), Value::Int(w)).unwrap();
+            let value = if w % 5 == 0 { Value::Str(format!("w{w}")) } else { Value::Int(w) };
+            b.set_edge_value(nodes[u], nodes[v], TimePoint(t as u32), value).unwrap();
         }
         for &(n, t, r) in &roles {
-            let v = b.intern_category(role, ["dev", "ops", "qa"][r]);
+            // a category where r is even, a bare string where it is odd
+            let label = ["dev", "ops", "qa"][r];
+            let v = if r % 2 == 0 { b.intern_category(role, label) } else { Value::from(label) };
             // implies node presence at t
             b.set_time_varying(nodes[n], role, TimePoint(t as u32), v).unwrap();
+        }
+        for &(n, t, l) in &loads {
+            b.set_time_varying(nodes[n], load, TimePoint(t as u32), Value::Int(l)).unwrap();
         }
         let g = b.build().unwrap();
 
@@ -158,7 +172,6 @@ proptest! {
         prop_assert_eq!(h.n_edges(), g.n_edges());
         prop_assert_eq!(h.domain().labels(), g.domain().labels());
         prop_assert!(h.validate().is_ok());
-        let (hteam, hrole) = (h.schema().id("team").unwrap(), h.schema().id("role").unwrap());
         for n in g.node_ids() {
             let hn = h.node_id(g.node_name(n)).expect("node survives");
             prop_assert_eq!(
@@ -169,16 +182,18 @@ proptest! {
             for t in g.domain().iter() {
                 // categorical values compare by rendered label (codes are
                 // re-interned on load)
-                prop_assert_eq!(
-                    h.schema().def(hteam).render(&h.attr_value(hn, hteam, t)),
-                    g.schema().def(team).render(&g.attr_value(n, team, t))
-                );
-                prop_assert_eq!(
-                    h.schema().def(hrole).render(&h.attr_value(hn, hrole, t)),
-                    g.schema().def(role).render(&g.attr_value(n, role, t))
-                );
+                for a in ids {
+                    let ha = h.schema().id(g.schema().def(a).name()).unwrap();
+                    prop_assert_eq!(
+                        h.schema().def(ha).render(&h.attr_value(hn, ha, t)),
+                        g.schema().def(a).render(&g.attr_value(n, a, t)),
+                        "{} of {} at {:?}", g.schema().def(a).name(), g.node_name(n), t
+                    );
+                }
+                prop_assert_eq!(h.attr_value(hn, load, t), g.attr_value(n, load, t));
             }
         }
+        prop_assert_eq!(h.has_edge_values(), g.has_edge_values());
         for e in g.edge_ids() {
             let (u, v) = g.edge_endpoints(e);
             let hu = h.node_id(g.node_name(u)).unwrap();
@@ -188,14 +203,12 @@ proptest! {
                 h.edge_timestamp(he).iter().collect::<Vec<_>>(),
                 g.edge_timestamp(e).iter().collect::<Vec<_>>()
             );
-            if let (Some(gv), Some(hv_)) = (g.edge_values_matrix(), h.edge_values_matrix()) {
-                for t in 0..g.domain().len() {
-                    prop_assert_eq!(
-                        hv_.get(he.index(), t),
-                        gv.get(e.index(), t),
-                        "edge value ({}, {}) at t{}", g.node_name(u), g.node_name(v), t
-                    );
-                }
+            for t in g.domain().iter() {
+                prop_assert_eq!(
+                    h.edge_value(he, t),
+                    g.edge_value(e, t),
+                    "edge value ({}, {}) at {:?}", g.node_name(u), g.node_name(v), t
+                );
             }
         }
     }
