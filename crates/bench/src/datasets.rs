@@ -1,4 +1,4 @@
-//! Shared dataset construction for benches and experiment binaries.
+//! Shared dataset construction for the experiment binaries.
 //!
 //! All experiments run on the synthetic DBLP- and MovieLens-like graphs at
 //! a scale controlled by the `GRAPHTEMPO_SCALE` environment variable
@@ -6,8 +6,7 @@
 //! sizes from Tables 3 and 4).
 
 use std::sync::OnceLock;
-use tempo_columnar::SparseMode;
-use tempo_datagen::{DblpConfig, LargeConfig, MovieLensConfig};
+use tempo_datagen::{DblpConfig, MovieLensConfig};
 use tempo_graph::{AttrId, TemporalGraph};
 
 /// The experiment scale factor (`GRAPHTEMPO_SCALE`, default 0.1), read
@@ -22,49 +21,18 @@ pub fn scale() -> f64 {
     })
 }
 
-/// The sparse-mode policy for experiment graphs (`GRAPHTEMPO_SPARSE`),
-/// read from the environment exactly once per process. Experiments that
-/// need a specific representation set it explicitly per graph instead.
-pub fn sparse_mode() -> SparseMode {
-    static MODE: OnceLock<SparseMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        SparseMode::from_env_value(std::env::var("GRAPHTEMPO_SPARSE").ok().as_deref())
-    })
-}
-
-/// Applies the process-wide experiment policy to a freshly generated graph.
-fn with_policy(mut g: TemporalGraph) -> TemporalGraph {
-    g.set_sparse_mode(sparse_mode());
-    g
-}
-
 /// Generates the DBLP-like graph at the experiment scale.
 pub fn dblp() -> TemporalGraph {
-    with_policy(
-        DblpConfig::scaled(scale())
-            .generate()
-            .expect("DBLP generator produces a valid graph"),
-    )
+    DblpConfig::scaled(scale())
+        .generate()
+        .expect("DBLP generator produces a valid graph")
 }
 
 /// Generates the MovieLens-like graph at the experiment scale.
 pub fn movielens() -> TemporalGraph {
-    with_policy(
-        MovieLensConfig::scaled(scale())
-            .generate()
-            .expect("MovieLens generator produces a valid graph"),
-    )
-}
-
-/// Generates the million-node `large` preset at the experiment scale with
-/// the given per-timepoint presence density (1M-node pool at scale 1.0).
-pub fn large(density: f64) -> TemporalGraph {
-    with_policy(
-        LargeConfig::scaled(scale())
-            .with_density(density)
-            .generate()
-            .expect("large generator produces a valid graph"),
-    )
+    MovieLensConfig::scaled(scale())
+        .generate()
+        .expect("MovieLens generator produces a valid graph")
 }
 
 /// Resolves attribute names to ids, panicking on unknown names (experiment
@@ -86,9 +54,9 @@ mod tests {
 
     #[test]
     fn datasets_generate_at_tiny_scale() {
-        // scale()/sparse_mode() are one-shot env reads, so the tiny scale
-        // is pinned on the generator configs directly — no set_var, which
-        // would race other tests in this process.
+        // scale() is a one-shot env read, so the tiny scale is pinned on
+        // the generator configs directly — no set_var, which would race
+        // other tests in this process.
         let d = DblpConfig::scaled(0.01)
             .generate()
             .expect("DBLP generator at tiny scale");
@@ -98,11 +66,5 @@ mod tests {
             .expect("MovieLens generator at tiny scale");
         assert_eq!(m.domain().len(), 6);
         assert_eq!(attrs(&d, &["gender", "publications"]).len(), 2);
-    }
-
-    #[test]
-    fn policy_is_applied_to_generated_graphs() {
-        let g = large(0.01);
-        assert_eq!(g.sparse_mode(), sparse_mode());
     }
 }

@@ -11,7 +11,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Times `reps` invocations of `f` and returns the last result with the
 /// *minimum* wall-clock time — the usual noise-resistant statistic for
-/// ablation comparisons on a shared machine.
+/// comparing two arms on a shared machine.
 pub fn timed_min<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     assert!(reps > 0, "timed_min needs at least one repetition");
     let (mut out, mut best) = timed(&mut f);
@@ -82,138 +82,6 @@ pub fn print_series(title: &str, series: &[Series]) {
     }
 }
 
-/// Minimal JSON value for machine-readable experiment reports (the build
-/// environment vendors no serialization crates, so rendering is by hand).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// A string, escaped on render.
-    Str(String),
-    /// A float; non-finite values render as `null`.
-    Num(f64),
-    /// An unsigned integer.
-    Int(u64),
-    /// A boolean.
-    Bool(bool),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for `Json::Str`.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Renders pretty-printed JSON with two-space indentation.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth + 1);
-        let close = "  ".repeat(depth);
-        match self {
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
-            Json::Num(x) if x.is_finite() => out.push_str(&format!("{x}")),
-            Json::Num(_) => out.push_str("null"),
-            Json::Int(i) => out.push_str(&format!("{i}")),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    item.write(out, depth + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push(']');
-            }
-            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Json::Obj(fields) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&pad);
-                    out.push('"');
-                    out.push_str(&json_escape(k));
-                    out.push_str("\": ");
-                    v.write(out, depth + 1);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Converts a live instrumentation snapshot into the report [`Json`]
-/// dialect so experiment binaries can embed a `metrics` section next to
-/// their wall-clock numbers. Histograms keep their summary statistics but
-/// drop per-bucket detail, which is noise at report granularity.
-pub fn metrics_json(snap: &tempo_instrument::Snapshot) -> Json {
-    let counters = snap
-        .counters
-        .iter()
-        .map(|(name, v)| (name.clone(), Json::Int(*v)))
-        .collect();
-    let gauges = snap
-        .gauges
-        .iter()
-        .map(|(name, v)| (name.clone(), Json::Num(*v as f64)))
-        .collect();
-    let histograms = snap
-        .histograms
-        .iter()
-        .map(|(name, h)| {
-            (
-                name.clone(),
-                Json::Obj(vec![
-                    ("count".into(), Json::Int(h.count)),
-                    ("sum_ns".into(), Json::Int(h.sum)),
-                    ("min_ns".into(), Json::Int(h.min)),
-                    ("max_ns".into(), Json::Int(h.max)),
-                    ("p50_ns".into(), Json::Int(h.p50)),
-                    ("p90_ns".into(), Json::Int(h.p90)),
-                    ("p99_ns".into(), Json::Int(h.p99)),
-                    ("mean_ns".into(), Json::Num(h.mean())),
-                ]),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("counters".into(), Json::Obj(counters)),
-        ("gauges".into(), Json::Obj(gauges)),
-        ("histograms".into(), Json::Obj(histograms)),
-    ])
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,30 +116,5 @@ mod tests {
         assert_eq!(calls, 3);
         assert_eq!(v, 3);
         assert!(d <= Duration::from_secs(1));
-    }
-
-    #[test]
-    fn json_renders_escaped_and_nested() {
-        let doc = Json::Obj(vec![
-            ("name".into(), Json::str("a\"b\n")),
-            ("speedup".into(), Json::Num(3.25)),
-            ("evals".into(), Json::Int(42)),
-            ("ok".into(), Json::Bool(true)),
-            ("bad".into(), Json::Num(f64::NAN)),
-            (
-                "cases".into(),
-                Json::Arr(vec![
-                    Json::Obj(vec![("k".into(), Json::Int(1))]),
-                    Json::Arr(vec![]),
-                ]),
-            ),
-        ]);
-        let s = doc.render();
-        assert!(s.contains("\"a\\\"b\\n\""));
-        assert!(s.contains("\"speedup\": 3.25"));
-        assert!(s.contains("\"evals\": 42"));
-        assert!(s.contains("\"bad\": null"));
-        assert!(s.contains("\"k\": 1"));
-        assert!(s.ends_with("}\n"));
     }
 }

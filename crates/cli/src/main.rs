@@ -13,14 +13,10 @@
 
 use graphtempo_cli::Session;
 use std::io::{BufRead, Write};
-use tempo_columnar::SparseMode;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // the only environment read: once, at startup — the mode is explicit
-    // per-graph state from here on
-    let mode = SparseMode::from_env_value(std::env::var("GRAPHTEMPO_SPARSE").ok().as_deref());
-    let mut session = Session::new().with_sparse_mode(mode);
+    let mut session = Session::new();
 
     if !args.is_empty() {
         // one-shot mode: each argument is a command line

@@ -13,7 +13,7 @@ use graphtempo::zoom::{zoom_out, Granularity};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
-use tempo_columnar::{SparseMode, Value, ValueTuple};
+use tempo_columnar::{Value, ValueTuple};
 use tempo_datagen::{DblpConfig, MovieLensConfig, RandomGraphConfig, SchoolConfig};
 use tempo_graph::{AttrId, GraphStats, NodeId, TemporalGraph, TimePoint, TimeSet};
 
@@ -74,7 +74,6 @@ pub struct Session {
     graph: Option<Arc<TemporalGraph>>,
     last_agg: Option<AggregateGraph>,
     last_evo: Option<EvolutionAggregate>,
-    sparse_mode: SparseMode,
     limits: QueryLimits,
 }
 
@@ -82,16 +81,6 @@ impl Session {
     /// Creates an empty session.
     pub fn new() -> Self {
         Session::default()
-    }
-
-    /// Sets the presence-column policy applied to every graph this session
-    /// generates, loads, or derives (zoom). Binaries honoring
-    /// `GRAPHTEMPO_SPARSE` read the variable once at startup and pass the
-    /// parsed mode here.
-    #[must_use]
-    pub fn with_sparse_mode(mut self, mode: SparseMode) -> Self {
-        self.sparse_mode = mode;
-        self
     }
 
     /// A session over an existing shared snapshot, with request-scoped
@@ -130,10 +119,9 @@ impl Session {
         self.graph.as_deref().ok_or(CliError::NoGraph)
     }
 
-    /// Installs a newly built graph, applying the session's presence-column
-    /// policy and invalidating result state derived from the old graph.
-    fn install_graph(&mut self, mut g: TemporalGraph) {
-        g.set_sparse_mode(self.sparse_mode);
+    /// Installs a newly built graph, invalidating result state derived
+    /// from the old graph.
+    fn install_graph(&mut self, g: TemporalGraph) {
         self.graph = Some(Arc::new(g));
         self.last_agg = None;
         self.last_evo = None;
@@ -1138,18 +1126,6 @@ mod tests {
         let out = s2.exec(&format!("load {}", dir.display())).unwrap();
         assert!(out.contains("loaded"));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn session_sparse_mode_applies_to_generated_and_zoomed_graphs() {
-        let mut s = Session::new().with_sparse_mode(SparseMode::ForceSparse);
-        s.exec("generate random seed=7").unwrap();
-        let g = s.graph_arc().unwrap();
-        assert!(g.node_presence_columns().col(0).is_sparse());
-        // a derived graph (zoom) inherits the policy
-        s.exec("zoom window=2 semantics=any").unwrap();
-        let z = s.graph_arc().unwrap();
-        assert!(z.node_presence_columns().col(0).is_sparse());
     }
 
     #[test]

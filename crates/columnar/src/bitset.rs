@@ -544,35 +544,14 @@ impl BitVec {
         kernels::contains_all(&self.words, &mask.words)
     }
 
-    /// Count of bits set in both `self` and `mask`.
+    /// Count of bits set in both `self` and `mask`: one AND+popcount pass
+    /// over the packed words, no intermediate vector.
     ///
     /// # Panics
     /// Panics on width mismatch.
-    pub fn count_ones_masked(&self, mask: &BitVec) -> usize {
+    pub fn count_ones_and(&self, mask: &BitVec) -> usize {
         self.check_width(mask);
         kernels::count_ones_and(&self.words, &mask.words)
-    }
-
-    /// Count of bits set in both `self` and `mask` (kernel-facing name for
-    /// [`count_ones_masked`](Self::count_ones_masked): one AND+popcount pass
-    /// over the packed words, no intermediate vector).
-    #[inline]
-    pub fn count_ones_and(&self, mask: &BitVec) -> usize {
-        self.count_ones_masked(mask)
-    }
-
-    /// True if any bit is set in both `self` and `mask` (kernel-facing name
-    /// for [`intersects`](Self::intersects)).
-    #[inline]
-    pub fn intersects_mask(&self, mask: &BitVec) -> bool {
-        self.intersects(mask)
-    }
-
-    /// True if `self ⊇ mask` bit-wise (kernel-facing name for
-    /// [`contains_all`](Self::contains_all)).
-    #[inline]
-    pub fn is_superset_of(&self, mask: &BitVec) -> bool {
-        self.contains_all(mask)
     }
 
     /// Clears every bit, keeping the width (reusable scratch buffers).
@@ -1507,6 +1486,13 @@ mod tests {
         assert!(a.contains_all(&b));
         assert!(!b.contains_all(&a));
         assert!(a.contains_all(&BitVec::zeros(10)));
+        // across a word boundary
+        let a = BitVec::from_indices(100, [1, 3, 64, 99]);
+        let b = BitVec::from_indices(100, [3, 64]);
+        let c = BitVec::from_indices(100, [2, 4]);
+        assert!(a.intersects(&b) && !a.intersects(&c));
+        assert!(a.contains_all(&b) && !b.contains_all(&a));
+        assert_eq!(a.count_ones_and(&b), 2);
     }
 
     #[test]
@@ -1518,7 +1504,7 @@ mod tests {
         let mut d = a.clone();
         d.and_not_assign(&b);
         assert_eq!(d.iter_ones().collect::<Vec<_>>(), vec![1, 5]);
-        assert_eq!(a.count_ones_masked(&b), 1);
+        assert_eq!(a.count_ones_and(&b), 1);
     }
 
     #[test]
@@ -1615,17 +1601,6 @@ mod tests {
         let mut m = BitMatrix::new(130);
         m.push_row(&BitVec::from_indices(130, [0, 64, 129]));
         assert_eq!(m.iter_row_ones(0).collect::<Vec<_>>(), vec![0, 64, 129]);
-    }
-
-    #[test]
-    fn kernel_aliases_match_base_ops() {
-        let a = BitVec::from_indices(100, [1, 3, 64, 99]);
-        let b = BitVec::from_indices(100, [3, 64]);
-        let c = BitVec::from_indices(100, [2, 4]);
-        assert_eq!(a.count_ones_and(&b), a.count_ones_masked(&b));
-        assert_eq!(a.count_ones_and(&b), 2);
-        assert!(a.intersects_mask(&b) && !a.intersects_mask(&c));
-        assert!(a.is_superset_of(&b) && !b.is_superset_of(&a));
     }
 
     #[test]

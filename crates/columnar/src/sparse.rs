@@ -27,34 +27,21 @@ const WORD_BITS: usize = 64;
 /// Representation policy for presence columns built by
 /// [`BitMatrix::transposed_with`](crate::BitMatrix::transposed_with).
 ///
-/// The policy is always an explicit parameter: nothing in the library reads
-/// the environment. Binaries that honor `GRAPHTEMPO_SPARSE` read it once at
-/// startup (via [`SparseMode::from_env_value`]) and pass the result down.
+/// The policy is always an explicit parameter, and everything the program
+/// serves runs under [`SparseMode::Auto`]: no option, environment variable
+/// or command selects another. The forced modes exist so tests can drive
+/// every kernel through both representations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SparseMode {
     /// Pick per column: sparse iff the column has fewer set bits than the
     /// dense form has words (`nnz * 64 <= nbits`).
     #[default]
     Auto,
-    /// Every column stays dense (the pre-hybrid layout; ablation baseline).
+    /// Every column stays dense (the pre-hybrid layout).
     ForceDense,
     /// Every column goes sparse regardless of density (worst-case probe of
-    /// the sparse kernels; ablation and property tests).
+    /// the sparse kernels).
     ForceSparse,
-}
-
-impl SparseMode {
-    /// Parses the conventional `GRAPHTEMPO_SPARSE` value. `dense`/`off`/`0`
-    /// force dense, `sparse`/`on`/`force`/`1` force sparse, anything else
-    /// (including an unset variable) is [`SparseMode::Auto`].
-    #[must_use]
-    pub fn from_env_value(value: Option<&str>) -> SparseMode {
-        match value {
-            Some("dense") | Some("off") | Some("0") => SparseMode::ForceDense,
-            Some("sparse") | Some("on") | Some("force") | Some("1") => SparseMode::ForceSparse,
-            _ => SparseMode::Auto,
-        }
-    }
 }
 
 /// Widest bit-space a sparse column can address with `u32` entity IDs.
@@ -172,15 +159,6 @@ impl PresenceColumn {
         match self {
             PresenceColumn::Dense(bv) => bv.count_ones(),
             PresenceColumn::Sparse(s) => s.ids.len(),
-        }
-    }
-
-    /// Fraction of set bits, in `[0, 1]`; zero-width columns report 0.
-    pub fn density(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.count_ones() as f64 / self.len() as f64
         }
     }
 
@@ -734,19 +712,6 @@ mod tests {
         assert!(!hi.is_sparse());
     }
 
-    #[test]
-    fn env_value_parses_the_conventional_tokens() {
-        for v in ["dense", "off", "0"] {
-            assert_eq!(SparseMode::from_env_value(Some(v)), SparseMode::ForceDense);
-        }
-        for v in ["sparse", "on", "force", "1"] {
-            assert_eq!(SparseMode::from_env_value(Some(v)), SparseMode::ForceSparse);
-        }
-        assert_eq!(SparseMode::from_env_value(None), SparseMode::Auto);
-        assert_eq!(SparseMode::from_env_value(Some("bogus")), SparseMode::Auto);
-        assert_eq!(SparseMode::default(), SparseMode::Auto);
-    }
-
     // Boundary check on the pure chooser: exercising the veto through
     // `from_bitvec` would need a 512 MiB allocation.
     #[test]
@@ -779,7 +744,6 @@ mod tests {
         let d = dense(130, &ids);
         assert_eq!(s.len(), d.len());
         assert_eq!(s.count_ones(), d.count_ones());
-        assert!((s.density() - d.density()).abs() < 1e-12);
         for i in 0..130 {
             assert_eq!(s.get(i), d.get(i), "bit {i}");
         }

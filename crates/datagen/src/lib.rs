@@ -27,14 +27,12 @@
 
 mod common;
 mod dblp;
-mod large;
 mod movielens;
 mod random;
 mod school;
 pub mod tables;
 
 pub use dblp::DblpConfig;
-pub use large::LargeConfig;
 pub use movielens::{MovieLensConfig, AGE_GROUPS, OCCUPATIONS, RATING_BUCKETS};
 pub use random::RandomGraphConfig;
 pub use school::SchoolConfig;

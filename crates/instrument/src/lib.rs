@@ -16,7 +16,7 @@
 //!   [`Arc`] handles so hot loops never touch the registry lock.
 //!
 //! A process-wide registry is available through [`global()`]; the
-//! instrumented crates (`tempo-graph`, `graphtempo`, the CLI, the benches)
+//! instrumented crates (`tempo-graph`, `graphtempo`, the CLI, the server)
 //! all record into it. Recording can be switched off wholesale with
 //! [`set_enabled`] — the disabled path is a single relaxed atomic load, so
 //! instrumentation can stay compiled into release binaries.
@@ -46,7 +46,7 @@ use std::time::Instant;
 ///
 /// Enabled by default; the disabled path costs one relaxed load per call
 /// site, which keeps the overhead of compiled-in instrumentation within
-/// measurement noise (see the `ablation_instrument_overhead` bench).
+/// measurement noise (the benchmark's `instrument.enabled_overhead_share`).
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables all metric recording process-wide.

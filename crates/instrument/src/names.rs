@@ -3,7 +3,7 @@
 //! Every counter/gauge/histogram name recorded anywhere in the workspace
 //! must appear in [`ALL`]; `tempo-lint`'s `metric-registry` rule checks
 //! each `.counter("…")` / `.gauge("…")` / `.histogram("…")` literal against
-//! this file, so an emitter and `report::metrics_json` cannot silently
+//! this file, so an emitter and the readers of a snapshot cannot silently
 //! drift apart. Keep the list sorted — a unit test enforces it.
 
 /// All metric names the workspace may record, sorted.
@@ -49,7 +49,6 @@ pub const ALL: &[&str] = &[
     "materialize.points_appended",
     "materialize.store_build_ns",
     "server.active_connections",
-    "server.client_request_ns",
     "server.cmd.agg_ns",
     "server.cmd.append_ns",
     "server.cmd.cube_ns",

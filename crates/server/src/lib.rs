@@ -5,8 +5,8 @@
 //! Each request line is dispatched to a short-lived [`graphtempo_cli::Session`]
 //! built around the shared snapshot, so the full shell command surface
 //! (`stats`, `agg`, `explore`, `zoom`, …) is available without a second
-//! implementation — and without any process-global state: the sparse-mode
-//! policy and request limits travel explicitly with each session.
+//! implementation — and without any process-global state: the request
+//! limits travel explicitly with each session.
 //!
 //! ## Protocol
 //!
@@ -59,7 +59,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tempo_columnar::SparseMode;
 use tempo_graph::{GraphError, GraphVersions};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
@@ -77,8 +76,6 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 pub struct ServerConfig {
     /// Address to bind, e.g. `127.0.0.1:7341`. Port 0 picks a free port.
     pub addr: String,
-    /// Sparse-mode policy applied to every graph the server builds.
-    pub sparse_mode: SparseMode,
     /// Default per-request timeout; `None` disables the default deadline.
     pub default_timeout_ms: Option<u64>,
     /// Default cap on listing rows in a response.
@@ -91,7 +88,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
-            sparse_mode: SparseMode::Auto,
             default_timeout_ms: Some(30_000),
             default_max_rows: 10_000,
             max_connections: 64,
@@ -503,7 +499,7 @@ fn build_snapshot(
         return Err(CliError::Usage(format!("{cmd} <name> <args…>")));
     };
     validate_name(name)?;
-    let mut session = Session::new().with_sparse_mode(state.cfg.sparse_mode);
+    let mut session = Session::new();
     let mut tokens = vec![cmd.to_owned()];
     tokens.extend_from_slice(args);
     let summary = session.exec_tokens(&tokens)?;
@@ -550,8 +546,7 @@ fn zoom_snapshot(
     }
     let dst = dst.ok_or_else(|| CliError::Usage("zoom <src> as=<name> <zoom args>".into()))?;
     validate_name(&dst)?;
-    let mut session = Session::for_snapshot(graph, QueryLimits::default())
-        .with_sparse_mode(state.cfg.sparse_mode);
+    let mut session = Session::for_snapshot(graph, QueryLimits::default());
     let summary = session.exec_tokens(&zoom_args)?;
     let zoomed = session
         .graph_arc()
@@ -643,7 +638,7 @@ fn query_snapshot(
             query_args.push(a.clone());
         }
     }
-    let mut session = Session::for_snapshot(graph, limits).with_sparse_mode(state.cfg.sparse_mode);
+    let mut session = Session::for_snapshot(graph, limits);
     let out = session.exec_tokens(&query_args)?;
     let mut lines = payload_lines(&out);
     // Session-level limits cover explore listings; this covers every other

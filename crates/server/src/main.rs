@@ -6,7 +6,6 @@
 //! tempo-server listening on 127.0.0.1:7341
 //! ```
 
-use tempo_columnar::SparseMode;
 use tempo_server::ServerConfig;
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
@@ -52,18 +51,13 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = match parse_args(&args) {
+    let cfg = match parse_args(&args) {
         Ok(cfg) => cfg,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
         }
     };
-    // The only environment read, once at startup; every graph the server
-    // builds carries this mode explicitly from here on.
-    cfg.sparse_mode =
-        SparseMode::from_env_value(std::env::var("GRAPHTEMPO_SPARSE").ok().as_deref());
-
     match tempo_server::spawn(cfg) {
         Ok(server) => {
             println!("tempo-server listening on {}", server.addr());

@@ -12,22 +12,20 @@
 //! primitive: an append computed against an epoch that has since been
 //! replaced is rejected instead of silently clobbering the newer graph.
 //!
-//! The registry is a thin façade over [`tempo_race::EpochMap`] — the CAS +
-//! epoch-publication protocol itself lives there, where the interleaving
-//! checker exhaustively enumerates concurrent writer schedules against it
-//! (torn `(value, epoch)` reads, lost updates) on every `cargo run -p
-//! tempo-race` sweep. The façade pins the value type and keeps this
-//! module's API (and its tests) independent of the checker crate's
-//! generics.
+//! The `(graph, epoch)` pair lives in one map entry behind one mutex, and
+//! every method is a single lock section: `get` can never pair a graph with
+//! another version's epoch, and `replace_if_current` compares and swaps
+//! without a window for a second writer. The unit tests below and
+//! `tests/registry_concurrency.rs` hold both properties.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tempo_graph::TemporalGraph;
-use tempo_race::EpochMap;
 
 /// A concurrent map from snapshot name to an immutable shared graph.
 #[derive(Default)]
 pub struct SnapshotRegistry {
-    inner: EpochMap<Arc<TemporalGraph>>,
+    inner: Mutex<BTreeMap<String, (Arc<TemporalGraph>, u64)>>,
 }
 
 impl std::fmt::Debug for SnapshotRegistry {
@@ -44,17 +42,28 @@ impl SnapshotRegistry {
         Self::default()
     }
 
+    /// Locks the map. A poisoned lock is recovered: every update below is
+    /// one `insert`/`remove` or two field stores on an entry, so a handler
+    /// that panicked while holding the guard left the map valid.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, (Arc<TemporalGraph>, u64)>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers (or replaces) a snapshot under `name`, returning the new
     /// epoch id: 1 for a fresh name, the previous epoch + 1 on replacement.
     pub fn insert(&self, name: &str, graph: Arc<TemporalGraph>) -> u64 {
-        self.inner.insert(name, graph)
+        let mut map = self.lock();
+        let epoch = map.get(name).map_or(1, |(_, e)| e + 1);
+        map.insert(name.to_owned(), (graph, epoch));
+        epoch
     }
 
     /// Returns the snapshot registered under `name` with its epoch, if any.
-    /// The `Arc` is cloned and the lock released before returning, so
-    /// callers never hold the registry across query execution.
+    /// Graph and epoch are read in one lock section; the `Arc` is cloned
+    /// and the lock released before returning, so callers never hold the
+    /// registry across query execution.
     pub fn get(&self, name: &str) -> Option<(Arc<TemporalGraph>, u64)> {
-        self.inner.get(name)
+        self.lock().get(name).map(|(g, e)| (Arc::clone(g), *e))
     }
 
     /// Atomically replaces `name` with `next` **only if** the registered
@@ -67,27 +76,37 @@ impl SnapshotRegistry {
         current: &Arc<TemporalGraph>,
         next: Arc<TemporalGraph>,
     ) -> Option<u64> {
-        self.inner.replace_if_current(name, current, next)
+        let mut map = self.lock();
+        let entry = map.get_mut(name)?;
+        if !Arc::ptr_eq(&entry.0, current) {
+            return None;
+        }
+        entry.0 = next;
+        entry.1 += 1;
+        Some(entry.1)
     }
 
     /// Removes a snapshot; returns whether it existed.
     pub fn remove(&self, name: &str) -> bool {
-        self.inner.remove(name)
+        self.lock().remove(name).is_some()
     }
 
     /// Lists `(name, graph, epoch)` triples in name order.
     pub fn list(&self) -> Vec<(String, Arc<TemporalGraph>, u64)> {
-        self.inner.list()
+        self.lock()
+            .iter()
+            .map(|(k, (g, e))| (k.clone(), Arc::clone(g), *e))
+            .collect()
     }
 
     /// Number of registered snapshots.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.lock().len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.lock().is_empty()
     }
 }
 

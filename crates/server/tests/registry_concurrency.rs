@@ -1,12 +1,15 @@
-//! Concurrency regression tests for the snapshot registry, which this
-//! crate now backs with `tempo_race::EpochMap` — the protocol the
-//! interleaving checker enumerates exhaustively. These tests exercise the
-//! same invariants under real OS-thread contention: every successful CAS
-//! bumps the epoch exactly once, losers never clobber, and `get` never
-//! observes a torn `(graph, epoch)` pair.
+//! Concurrency regression tests for the snapshot registry: a mutex-guarded
+//! map whose methods are each one lock section. Under real OS-thread
+//! contention every successful CAS bumps the epoch exactly once, losers
+//! never clobber, and `get` never observes a torn `(graph, epoch)` pair.
+//! Together with the unit test `replace_if_current_is_a_cas` these hold the
+//! two properties a broken registry loses first: a `get` that reads graph
+//! and epoch in two lock sections (torn pair), and a `replace_if_current`
+//! that skips the identity check (lost update).
 
-use std::sync::Arc;
-use tempo_graph::fixtures;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use tempo_graph::{fixtures, GraphVersions, TimepointPatch};
 use tempo_server::SnapshotRegistry;
 
 #[test]
@@ -62,41 +65,65 @@ fn concurrent_cas_writers_bump_epoch_once_per_win() {
     );
 }
 
+/// Releases the readers even when the writer unwinds, so a failing writer
+/// fails the test instead of hanging it.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// The writer derives each snapshot from the previous one with
+/// `append_timepoint`, so the graph's own epoch stamp advances in step with
+/// the registry's and a pair is torn exactly when the two disagree. Checked
+/// once by hand against a `get` that cloned the graph in one lock section
+/// and read the epoch in a second: the offset assertion below then fails
+/// within the first few hundred reads, on every run.
 #[test]
 fn concurrent_readers_never_observe_a_torn_pair() {
-    let reg = Arc::new(SnapshotRegistry::new());
+    let reg = SnapshotRegistry::new();
     let g0 = Arc::new(fixtures::fig1());
-    reg.insert("g", Arc::clone(&g0));
+    // the first insert fixes the offset: registry epoch 1, graph epoch 0
+    assert_eq!(reg.insert("g", Arc::clone(&g0)), g0.epoch() + 1);
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(3);
     std::thread::scope(|scope| {
-        let writer = {
-            let reg = Arc::clone(&reg);
-            scope.spawn(move || {
-                let mut cur = g0;
-                for _ in 0..300 {
-                    let next = Arc::new(fixtures::fig1());
-                    let won = reg.replace_if_current("g", &cur, Arc::clone(&next));
-                    assert!(won.is_some(), "single writer cannot lose the CAS");
-                    cur = next;
-                }
-            })
-        };
+        scope.spawn(|| {
+            let _release_readers = SetOnDrop(&done);
+            start.wait();
+            let mut versions = GraphVersions::from_arc(g0);
+            for i in 0..400 {
+                let cur = versions.current();
+                let mut patch = TimepointPatch::new(format!("a{i}"));
+                patch.mark_node("u1");
+                let next = versions.append_timepoint(&patch).expect("fresh label");
+                let won = reg.replace_if_current("g", &cur, next);
+                assert!(won.is_some(), "single writer cannot lose the CAS");
+            }
+        });
         for _ in 0..2 {
-            let reg = Arc::clone(&reg);
-            scope.spawn(move || {
+            scope.spawn(|| {
+                start.wait();
                 let mut last_epoch = 0u64;
-                for _ in 0..300 {
+                while !done.load(Ordering::SeqCst) {
                     let (graph, epoch) = reg.get("g").expect("entry never removed");
                     assert!(
                         epoch >= last_epoch,
                         "epochs are monotone under a single writer"
                     );
-                    // The pair is published atomically: whatever epoch we
-                    // read, the graph handle is a live, queryable snapshot.
-                    assert!(graph.n_nodes() > 0);
+                    assert_eq!(
+                        epoch,
+                        graph.epoch() + 1,
+                        "torn pair: registry epoch {epoch} with the graph of epoch {}",
+                        graph.epoch() + 1
+                    );
                     last_epoch = epoch;
                 }
             });
         }
-        writer.join().expect("writer");
     });
+    let (graph, epoch) = reg.get("g").expect("entry never removed");
+    assert_eq!((graph.epoch(), epoch), (400, 401));
 }

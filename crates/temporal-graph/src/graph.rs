@@ -545,11 +545,12 @@ impl TemporalGraph {
     /// Sets the representation policy for the transposed presence-column
     /// indexes, dropping any index already built under a different policy.
     ///
-    /// The policy is explicit per-graph state rather than an environment
-    /// read, so two graphs in one process can use different layouts and no
-    /// build races a concurrent `env::set_var`. Binaries that honor
-    /// `GRAPHTEMPO_SPARSE` read it exactly once at startup (via
-    /// [`SparseMode::from_env_value`]) and call this.
+    /// This is a test seam, not configuration: every graph the shell and
+    /// the server build keeps the default [`SparseMode::Auto`], which picks
+    /// each column's layout from its own density, and nothing a user can
+    /// set reaches this method. Tests call it to force every kernel through
+    /// both representations; the policy is per-graph state so two graphs
+    /// in one process can differ.
     pub fn set_sparse_mode(&mut self, mode: SparseMode) {
         if self.sparse_mode != mode {
             self.sparse_mode = mode;

@@ -32,7 +32,8 @@
 //!   empty.
 //!
 //! Total per-append cost is `O(V + E + Δ)` — independent of `T` — where
-//! `Δ` is the patch size; `exp_ingest` benches exactly this.
+//! `Δ` is the patch size; the benchmark's `ingest_mixed` workload measures
+//! it as `graph.append_ms` and `graph.append_late_over_early`.
 
 use crate::attrs::AttrId;
 use crate::error::GraphError;
@@ -595,6 +596,27 @@ mod tests {
                 nc.col(3).is_sparse(),
                 matches!(mode, SparseMode::ForceSparse)
             );
+        }
+        // Auto, the only mode anything served runs under, picks each
+        // appended column's layout from that column's own density
+        // (`nnz * 64 <= rows`), for nodes and for edges: a time point
+        // touching every `w` entity lands dense, the next one touching a
+        // single edge of the same ~200-row graph lands sparse.
+        let mut v = GraphVersions::new(fixtures::fig1());
+        let _ = v.current().node_presence_columns();
+        let _ = v.current().edge_presence_columns();
+        let mut wide = TimepointPatch::new("t3");
+        for i in 0..200 {
+            wide.add_edge(format!("w{i}"), format!("w{}", i + 1));
+        }
+        let mut narrow = TimepointPatch::new("t4");
+        narrow.add_edge("w0", "w1");
+        for (patch, sparse) in [(wide, false), (narrow, true)] {
+            let new = v.append_timepoint(&patch).unwrap();
+            assert_eq!(new.sparse_mode(), SparseMode::Auto);
+            let t = new.domain().len() - 1;
+            assert_eq!(new.node_presence_columns().col(t).is_sparse(), sparse);
+            assert_eq!(new.edge_presence_columns().col(t).is_sparse(), sparse);
         }
     }
 
