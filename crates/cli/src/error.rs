@@ -26,10 +26,7 @@ impl fmt::Display for CliError {
             CliError::Usage(u) => write!(f, "usage: {u}"),
             CliError::NoGraph => write!(f, "no graph loaded — use `generate` or `load` first"),
             CliError::NoAggregate => {
-                write!(
-                    f,
-                    "no aggregate computed yet — run `agg` or `evolution` first"
-                )
+                write!(f, "no aggregate computed yet — run `agg` or `cube` first")
             }
             CliError::Unknown(w) => write!(f, "unknown {w}"),
             CliError::Graph(e) => write!(f, "{e}"),

@@ -1,17 +1,21 @@
 //! Session layer of the GraphTempo shell.
 //!
-//! The command surface (`generate`, `agg`, `explore`, `zoom`, …) lives in
-//! [`session::Session`] so it can be driven by more than one front end: the
-//! `graphtempo` binary wraps it in a REPL, and `tempo-server` builds one
+//! The verbs (`generate`, `agg`, `explore`, `zoom`, …), their argument
+//! grammar and their `help` / `usage:` text are one table,
+//! [`command::COMMANDS`]; [`command::Args`] checks a request's tokens
+//! against it once and [`session::Session`] runs the checked request,
+//! answering a [`command::Reply`]. Two front ends drive it: the `graphtempo`
+//! binary wraps [`Session::exec`] in a REPL, and `tempo-server` builds one
 //! short-lived session per request over a shared `Arc<TemporalGraph>`
-//! snapshot.
+//! snapshot and registers the graph a reply yields.
 
 #![warn(missing_docs)]
 
+pub mod command;
 pub mod error;
 pub mod parser;
 pub mod patch;
 pub mod session;
 
 pub use error::CliError;
-pub use session::{QueryLimits, Session, HELP};
+pub use session::{QueryLimits, Session};

@@ -1,7 +1,8 @@
 //! Command-line tokenization and interval/argument parsing.
 
 use crate::error::CliError;
-use tempo_graph::{TimeDomain, TimeSet};
+use tempo_columnar::Value;
+use tempo_graph::{AttrId, TemporalGraph, TimeDomain, TimeSet};
 
 /// Splits a command line into tokens, honoring double quotes.
 pub fn tokenize(line: &str) -> Vec<String> {
@@ -63,26 +64,22 @@ pub fn parse_interval(domain: &TimeDomain, token: &str) -> Result<TimeSet, CliEr
     }
 }
 
-/// Parses `key=value` arguments out of a token list, returning the
-/// positional remainder and the keyword map.
-pub fn split_kwargs(tokens: &[String]) -> (Vec<String>, Vec<(String, String)>) {
-    let mut positional = Vec::new();
-    let mut kwargs = Vec::new();
-    for t in tokens {
-        match t.split_once('=') {
-            Some((k, v)) if !k.is_empty() => kwargs.push((k.to_owned(), v.to_owned())),
-            _ => positional.push(t.clone()),
-        }
-    }
-    (positional, kwargs)
+/// Resolves an attribute by name.
+pub fn parse_attr(g: &TemporalGraph, name: &str) -> Result<AttrId, CliError> {
+    g.schema()
+        .id(name.trim())
+        .map_err(|_| CliError::Unknown(format!("attribute {name:?}")))
 }
 
-/// Looks up a keyword argument.
-pub fn kwarg<'a>(kwargs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    kwargs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+/// Parses an attribute value token: categorical label first, then int.
+pub fn parse_value(g: &TemporalGraph, attr: AttrId, token: &str) -> Result<Value, CliError> {
+    if let Some(v) = g.schema().category(attr, token) {
+        return Ok(v);
+    }
+    token
+        .parse::<i64>()
+        .map(Value::Int)
+        .map_err(|_| CliError::Unknown(format!("value {token:?} for attribute")))
 }
 
 #[cfg(test)]
@@ -121,18 +118,5 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert!(parse_interval(&d, "Aug..May").is_err());
         assert!(parse_interval(&d, "Aug..Nov").is_err());
-    }
-
-    #[test]
-    fn kwargs_split() {
-        let tokens: Vec<String> = ["agg", "dist", "k=5", "attrs=gender,age"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let (pos, kw) = split_kwargs(&tokens);
-        assert_eq!(pos, vec!["agg", "dist"]);
-        assert_eq!(kwarg(&kw, "k"), Some("5"));
-        assert_eq!(kwarg(&kw, "attrs"), Some("gender,age"));
-        assert_eq!(kwarg(&kw, "zzz"), None);
     }
 }

@@ -3,13 +3,9 @@
 //! (`append <snapshot> <label> …`).
 
 use crate::error::CliError;
+use crate::parser::{parse_attr, parse_value};
 use tempo_columnar::Value;
 use tempo_graph::{AttrId, TemporalGraph, TimepointPatch};
-
-/// The patch-token grammar, shown in usage errors (the server prefixes a
-/// `<snapshot>` argument).
-pub const PATCH_USAGE: &str =
-    "[node=N] [edge=U,V] [tv=N,ATTR,VAL] [static=N,ATTR,VAL] [edgeval=U,V,VAL]";
 
 /// Builds a [`TimepointPatch`] from `append`'s kwarg tokens, resolving
 /// attribute names and values against the graph's schema.
@@ -69,19 +65,12 @@ fn attr_triple(
     let [node, attr_name, val] = parts[..] else {
         return Err(CliError::Usage(format!("{what}=NODE,ATTR,VALUE")));
     };
-    let attr = graph
-        .schema()
-        .id(attr_name.trim())
-        .map_err(|_| CliError::Unknown(format!("attribute {attr_name:?}")))?;
-    let token = val.trim();
-    let value = match graph.schema().category(attr, token) {
-        Some(v) => v,
-        None => token
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| CliError::Unknown(format!("value {token:?} for attribute")))?,
-    };
-    Ok((node.trim().to_owned(), attr, value))
+    let attr = parse_attr(graph, attr_name)?;
+    Ok((
+        node.trim().to_owned(),
+        attr,
+        parse_value(graph, attr, val.trim())?,
+    ))
 }
 
 #[cfg(test)]

@@ -1,61 +1,34 @@
 //! The interactive session: state plus command execution.
 
+use crate::command::{self, Args, Front, Reply};
 use crate::error::CliError;
-use crate::parser::{kwarg, parse_interval, split_kwargs, tokenize};
+use crate::parser::{parse_attr, parse_interval, parse_point, parse_value, tokenize};
+use crate::patch::parse_patch;
 use graphtempo::aggregate::{AggMode, AggregateGraph, GroupTable};
-use graphtempo::evolution::{evolution_aggregate, EvolutionAggregate};
+use graphtempo::evolution::evolution_aggregate;
 use graphtempo::explore::{
     explore_budgeted, suggest_k, Budget, ExploreConfig, ExtendSide, Selector, Semantics,
 };
 use graphtempo::export::{aggregate_edges_frame, aggregate_nodes_frame, aggregate_to_dot};
 use graphtempo::ops::{event_mask, Event, EventMask, SideTest};
 use graphtempo::zoom::{zoom_out, Granularity};
-use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
-use tempo_columnar::{Value, ValueTuple};
+use tempo_columnar::ValueTuple;
 use tempo_datagen::{DblpConfig, MovieLensConfig, RandomGraphConfig, SchoolConfig};
-use tempo_graph::{AttrId, GraphStats, NodeId, TemporalGraph, TimePoint, TimeSet};
-
-/// Text shown by `help`.
-pub const HELP: &str = "\
-GraphTempo interactive shell — commands:
-  generate <dblp|movielens|school|random> [scale=0.05] [seed=N]
-  load <dir> | save <dir>        load/save the graph as a TSV directory
-  stats                          per-timepoint node/edge counts (Tables 3-4 style)
-  schema                         attributes and their temporality
-  project <iv>                   entities spanning the whole interval
-  union <iv> <iv>                entities in either interval
-  intersect <iv> <iv>            entities in both intervals
-  diff <iv> <iv>                 entities in the first interval only
-  agg <dist|all> attrs=<a,b,..> [op=union|intersect|diff] [t1=<iv>] [t2=<iv>] [top=10]
-  evolution t1=<iv> t2=<iv> attrs=<a,..> [filter=<attr><op><int>]  (op: > >= < <= =)
-  explore event=<stability|growth|shrinkage> semantics=<union|intersect>
-          extend=<old|new> k=<n> attrs=<a> [edge=<v>-><v>] [node=<v>]
-  suggest (same arguments as explore)  suggest a starting k (w_th, §3.5)
-  zoom window=<n> semantics=<any|all>  rewrite the graph at coarser granularity
-  append <label> [node=N] [edge=U,V] [tv=N,ATTR,VAL] [static=N,ATTR,VAL] [edgeval=U,V,VAL]
-                                 append a timepoint copy-on-write (epoch +1)
-  cube attrs=<a,b,..> level=<a,..> [t=<point>] [scope=<iv>]  OLAP query via the cube
-  measure group=<a,..> node=<count|sum:attr|min:attr|max:attr|avg:attr>
-          [edge=<count|sum|min|max|avg>]  aggregate measures beyond COUNT
-  solve k=<n> attrs=<a> [extend=<old|new>] [edge=<v>-><v>]   Definition 3.6 report
-  metrics [--json <path>]              density/turnover profile + live instrumentation
-                                       (--json dumps the registry snapshot to a file)
-  export <dot|nodes|edges> <path>      export the last aggregate
-  help | quit
-Intervals: a label (2005, May), an index (#3), or a range (2001..2005).";
+use tempo_graph::{AttrId, GraphStats, GraphVersions, NodeId, TemporalGraph, TimePoint, TimeSet};
 
 /// Request-scoped execution limits applied to session commands; the
-/// defaults impose none.
+/// defaults impose none. A request's own `timeout_ms=` / `limit=` override
+/// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryLimits {
     /// Wall-clock ceiling for one `explore` run, in milliseconds; on expiry
     /// the command fails with [`tempo_graph::GraphError::Cancelled`].
     pub timeout_ms: Option<u64>,
-    /// Maximum detail rows in an `explore` pair listing; longer listings
-    /// are truncated with a trailing note (and counted in the
-    /// `server.rows_truncated` metric).
+    /// Maximum rows of a [`Reply`]; a longer one is truncated with one
+    /// trailing note (and counted in the `server.rows_truncated` metric).
     pub max_rows: Option<usize>,
     /// Inert: nothing reads it. The sharded evaluator it used to select
     /// is gone, but the frozen `benchmark/src/layers.rs` names the field in
@@ -64,7 +37,7 @@ pub struct QueryLimits {
     pub shards: Option<usize>,
 }
 
-/// Interactive state: the working graph and the last computed results.
+/// Interactive state: the working graph and the last aggregate computed.
 ///
 /// The graph is held behind an [`Arc`] so a server can hand the same
 /// immutable snapshot to many concurrent per-request sessions (see
@@ -73,9 +46,11 @@ pub struct QueryLimits {
 pub struct Session {
     graph: Option<Arc<TemporalGraph>>,
     last_agg: Option<AggregateGraph>,
-    last_evo: Option<EvolutionAggregate>,
     limits: QueryLimits,
 }
+
+/// `extend=` of `explore`, `suggest` and `solve`.
+const EXTEND: &[(&str, ExtendSide)] = &[("old", ExtendSide::Old), ("new", ExtendSide::New)];
 
 impl Session {
     /// Creates an empty session.
@@ -93,38 +68,13 @@ impl Session {
         }
     }
 
-    /// Replaces the request-scoped limits.
-    pub fn set_limits(&mut self, limits: QueryLimits) {
-        self.limits = limits;
-    }
-
-    /// The current request-scoped limits.
-    pub fn limits(&self) -> QueryLimits {
-        self.limits
-    }
-
-    /// The session's graph as a shareable handle (e.g. to register a zoom
-    /// result as a new server snapshot), if one is loaded.
+    /// The session's graph as a shareable handle, if one is loaded.
     pub fn graph_arc(&self) -> Option<Arc<TemporalGraph>> {
         self.graph.clone()
     }
 
-    /// True once a graph is loaded or generated.
-    #[cfg(test)]
-    pub fn has_graph(&self) -> bool {
-        self.graph.is_some()
-    }
-
     fn graph(&self) -> Result<&TemporalGraph, CliError> {
         self.graph.as_deref().ok_or(CliError::NoGraph)
-    }
-
-    /// Installs a newly built graph, invalidating result state derived
-    /// from the old graph.
-    fn install_graph(&mut self, g: TemporalGraph) {
-        self.graph = Some(Arc::new(g));
-        self.last_agg = None;
-        self.last_evo = None;
     }
 
     /// Executes one command line, returning the text to print.
@@ -133,237 +83,152 @@ impl Session {
     /// Returns a [`CliError`] describing what went wrong; the session state
     /// is unchanged on error.
     pub fn exec(&mut self, line: &str) -> Result<String, CliError> {
-        self.exec_tokens(&tokenize(line))
+        let tokens = tokenize(line);
+        let Some((verb, rest)) = tokens.split_first() else {
+            return Ok(String::new());
+        };
+        let spec = command::spec(verb)
+            .ok_or_else(|| CliError::Unknown(format!("command {verb:?} (try `help`)")))?;
+        Ok(self.run(&Args::parse(spec, rest, Front::Shell)?)?.text())
     }
 
-    /// Executes one command already split into tokens (command first) —
-    /// what a caller that tokenized the line itself hands over, so that a
-    /// quoted argument stays one token however much whitespace it holds.
+    /// Runs one checked request. The session moves to the graph the reply
+    /// yields, if any, and the row limit — the request's `limit=`, else the
+    /// session's — is applied to the reply's rows.
     ///
     /// # Errors
     /// As [`exec`](Self::exec).
-    pub fn exec_tokens(&mut self, tokens: &[String]) -> Result<String, CliError> {
-        let Some(cmd) = tokens.first() else {
-            return Ok(String::new());
+    pub fn run(&mut self, args: &Args) -> Result<Reply, CliError> {
+        let timeout_ms = args.num("timeout_ms")?.or(self.limits.timeout_ms);
+        let max_rows = args.num("limit")?.or(self.limits.max_rows);
+        let mut reply = match args.verb() {
+            "help" => {
+                let mut reply =
+                    Reply::rows("GraphTempo interactive shell — commands (`quit` leaves):");
+                command::help(Front::Shell, &mut reply.rows);
+                reply
+            }
+            "generate" => Self::cmd_generate(args)?,
+            "load" => Self::cmd_load(args)?,
+            "save" => self.cmd_save(args)?,
+            "stats" => self.cmd_stats()?,
+            "schema" => self.cmd_schema()?,
+            "project" | "union" | "intersect" | "diff" => self.cmd_operator(args)?,
+            "agg" => self.cmd_agg(args)?,
+            "evolution" => self.cmd_evolution(args)?,
+            "explore" => self.cmd_explore(args, timeout_ms, false)?,
+            "suggest" => self.cmd_explore(args, timeout_ms, true)?,
+            "zoom" => self.cmd_zoom(args)?,
+            "append" => self.cmd_append(args)?,
+            "cube" => self.cmd_cube(args)?,
+            "measure" => self.cmd_measure(args)?,
+            "solve" => self.cmd_solve(args)?,
+            "metrics" => self.cmd_metrics(args)?,
+            "export" => self.cmd_export(args)?,
+            other => return Err(CliError::Unknown(format!("command {other:?}"))),
         };
-        let rest = &tokens[1..];
-        match cmd.as_str() {
-            "help" => Ok(HELP.to_owned()),
-            "generate" => self.cmd_generate(rest),
-            "load" => self.cmd_load(rest),
-            "save" => self.cmd_save(rest),
-            "stats" => self.cmd_stats(),
-            "schema" => self.cmd_schema(),
-            "project" | "union" | "intersect" | "diff" => self.cmd_operator(cmd, rest),
-            "agg" => self.cmd_agg(rest),
-            "evolution" => self.cmd_evolution(rest),
-            "explore" => self.cmd_explore(rest, false),
-            "suggest" => self.cmd_explore(rest, true),
-            "zoom" => self.cmd_zoom(rest),
-            "append" => self.cmd_append(rest),
-            "cube" => self.cmd_cube(rest),
-            "measure" => self.cmd_measure(rest),
-            "solve" => self.cmd_solve(rest),
-            "metrics" => self.cmd_metrics(rest),
-            "export" => self.cmd_export(rest),
-            other => Err(CliError::Unknown(format!("command {other:?} (try `help`)"))),
+        if let Some(graph) = &reply.graph {
+            // results derived from the old graph go with it
+            self.graph = Some(Arc::clone(graph));
+            self.last_agg = None;
         }
+        if let Some(cap) = max_rows {
+            reply.limit_rows(cap);
+        }
+        Ok(reply)
     }
 
-    fn cmd_generate(&mut self, args: &[String]) -> Result<String, CliError> {
-        let (pos, kw) = split_kwargs(args);
-        let which = pos
-            .first()
-            .ok_or_else(|| CliError::Usage("generate <dblp|movielens|school|random>".into()))?;
-        let scale: f64 = kwarg(&kw, "scale")
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| CliError::Usage("scale=<float>".into()))
-            })
-            .transpose()?
-            .unwrap_or(0.05);
-        let seed: Option<u64> = kwarg(&kw, "seed")
-            .map(|s| s.parse().map_err(|_| CliError::Usage("seed=<int>".into())))
-            .transpose()?;
-        let g = match which.as_str() {
-            "dblp" => {
-                let mut cfg = DblpConfig::scaled(scale);
+    fn cmd_generate(args: &Args) -> Result<Reply, CliError> {
+        let which = args.pos(0)?;
+        let scale: Option<f64> = args.num("scale")?;
+        let seed: Option<u64> = args.num("seed")?;
+        macro_rules! seeded {
+            ($cfg:expr) => {{
+                let mut cfg = $cfg;
                 if let Some(s) = seed {
                     cfg.seed = s;
                 }
                 cfg.generate()?
-            }
-            "movielens" => {
-                let mut cfg = MovieLensConfig::scaled(scale);
-                if let Some(s) = seed {
-                    cfg.seed = s;
-                }
-                cfg.generate()?
-            }
-            "school" => {
-                let mut cfg = SchoolConfig::default();
-                if let Some(s) = seed {
-                    cfg.seed = s;
-                }
-                cfg.generate()?
-            }
-            "random" => {
-                let mut cfg = RandomGraphConfig::default();
-                if let Some(s) = seed {
-                    cfg.seed = s;
-                }
-                cfg.generate()?
-            }
-            other => return Err(CliError::Unknown(format!("dataset {other:?}"))),
+            }};
+        }
+        let g = match (which, scale) {
+            ("dblp", _) => seeded!(DblpConfig::scaled(scale.unwrap_or(0.05))),
+            ("movielens", _) => seeded!(MovieLensConfig::scaled(scale.unwrap_or(0.05))),
+            ("school", None) => seeded!(SchoolConfig::default()),
+            ("random", None) => seeded!(RandomGraphConfig::default()),
+            // these two have one size
+            ("school" | "random", Some(_)) => return Err(args.usage()),
+            (other, _) => return Err(CliError::Unknown(format!("dataset {other:?}"))),
         };
-        let msg = format!(
-            "generated {which}: {} nodes, {} edges, {} time points",
-            g.n_nodes(),
-            g.n_edges(),
-            g.domain().len()
-        );
-        self.install_graph(g);
-        Ok(msg)
+        Ok(yields(
+            format!("generated {which}: {}", sizes(&g)),
+            Arc::new(g),
+        ))
     }
 
-    fn cmd_load(&mut self, args: &[String]) -> Result<String, CliError> {
-        let dir = args
-            .first()
-            .ok_or_else(|| CliError::Usage("load <dir>".into()))?;
+    fn cmd_load(args: &Args) -> Result<Reply, CliError> {
+        let dir = args.pos(0)?;
         let g = tempo_graph::io::load_dir(Path::new(dir))?;
-        let msg = format!(
-            "loaded {dir}: {} nodes, {} edges, {} time points",
-            g.n_nodes(),
-            g.n_edges(),
-            g.domain().len()
-        );
-        self.install_graph(g);
-        Ok(msg)
+        Ok(yields(format!("loaded {dir}: {}", sizes(&g)), Arc::new(g)))
     }
 
-    fn cmd_save(&mut self, args: &[String]) -> Result<String, CliError> {
-        let dir = args
-            .first()
-            .ok_or_else(|| CliError::Usage("save <dir>".into()))?;
+    fn cmd_save(&self, args: &Args) -> Result<Reply, CliError> {
+        let dir = args.pos(0)?;
         tempo_graph::io::save_dir(self.graph()?, Path::new(dir))?;
-        Ok(format!("saved to {dir}"))
+        Ok(Reply::line(format!("saved to {dir}")))
     }
 
-    fn cmd_stats(&self) -> Result<String, CliError> {
-        let g = self.graph()?;
-        let stats = GraphStats::compute(g);
-        Ok(format!(
+    fn cmd_stats(&self) -> Result<Reply, CliError> {
+        let stats = GraphStats::compute(self.graph()?);
+        Ok(Reply::rows(&format!(
             "{}total: {} nodes, {} edges",
             stats.render_table(),
             stats.total_nodes,
             stats.total_edges
-        ))
+        )))
     }
 
-    fn cmd_schema(&self) -> Result<String, CliError> {
-        let g = self.graph()?;
-        let mut out = String::new();
-        for (_, def) in g.schema().iter() {
+    fn cmd_schema(&self) -> Result<Reply, CliError> {
+        let mut reply = Reply::default();
+        for (_, def) in self.graph()?.schema().iter() {
             let kind = match def.temporality() {
                 tempo_graph::Temporality::Static => "static",
                 tempo_graph::Temporality::TimeVarying => "time-varying",
             };
-            let _ = writeln!(
-                out,
+            reply.rows.push(format!(
                 "  {} ({kind}, {} categorical values)",
                 def.name(),
                 def.category_count()
-            );
+            ));
         }
-        Ok(out.trim_end().to_owned())
+        Ok(reply)
     }
 
-    fn cmd_operator(&self, cmd: &str, args: &[String]) -> Result<String, CliError> {
+    fn cmd_operator(&self, args: &Args) -> Result<Reply, CliError> {
         let g = self.graph()?;
-        let mask = if cmd == "project" {
-            let iv = args
-                .first()
-                .ok_or_else(|| CliError::Usage("project <interval>".into()))?;
-            let t1 = parse_interval(g.domain(), iv)?;
-            event_mask(g, Event::Stability, &t1, &t1, SideTest::All, SideTest::All)?
-        } else {
-            let (Some(a), Some(b)) = (args.first(), args.get(1)) else {
-                return Err(CliError::Usage(format!("{cmd} <interval> <interval>")));
-            };
-            let t1 = parse_interval(g.domain(), a)?;
-            let t2 = parse_interval(g.domain(), b)?;
-            set_operator_mask(g, cmd, &t1, &t2)?
+        let t1 = parse_interval(g.domain(), args.pos(0)?)?;
+        let mask = match args.pos(1) {
+            // one interval: project
+            Err(_) => event_mask(g, Event::Stability, &t1, &t1, SideTest::All, SideTest::All)?,
+            Ok(t2) => set_operator_mask(g, args.verb(), &t1, &parse_interval(g.domain(), t2)?)?,
         };
-        Ok(format!(
-            "{cmd}: {} nodes, {} edges",
+        Ok(Reply::line(format!(
+            "{}: {} nodes, {} edges",
+            args.verb(),
             mask.n_nodes(),
             mask.n_edges()
-        ))
+        )))
     }
 
-    fn parse_attrs(&self, g: &TemporalGraph, spec: &str) -> Result<Vec<AttrId>, CliError> {
-        spec.split(',')
-            .map(|name| {
-                g.schema()
-                    .id(name.trim())
-                    .map_err(|_| CliError::Unknown(format!("attribute {name:?}")))
-            })
-            .collect()
-    }
-
-    /// Parses an attribute value token: categorical label first, then int.
-    fn parse_value(&self, g: &TemporalGraph, attr: AttrId, token: &str) -> Result<Value, CliError> {
-        if let Some(v) = g.schema().category(attr, token) {
-            return Ok(v);
-        }
-        token
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| CliError::Unknown(format!("value {token:?} for attribute")))
-    }
-
-    fn parse_tuple(
-        &self,
-        g: &TemporalGraph,
-        attrs: &[AttrId],
-        spec: &str,
-    ) -> Result<ValueTuple, CliError> {
-        let parts: Vec<&str> = spec.split(',').collect();
-        if parts.len() != attrs.len() {
-            return Err(CliError::Usage(format!(
-                "tuple {spec:?} must have {} values",
-                attrs.len()
-            )));
-        }
-        parts
-            .iter()
-            .zip(attrs)
-            .map(|(p, &a)| self.parse_value(g, a, p.trim()))
-            .collect()
-    }
-
-    fn cmd_agg(&mut self, args: &[String]) -> Result<String, CliError> {
+    fn cmd_agg(&mut self, args: &Args) -> Result<Reply, CliError> {
         let g = self.graph()?;
-        let (pos, kw) = split_kwargs(args);
-        let usage =
-            "agg <dist|all> attrs=<a,b> [op=union|intersect|diff] [t1=<iv>] [t2=<iv>] [top=10]";
-        let mode = match pos.first().map(String::as_str) {
-            Some("dist") => AggMode::Distinct,
-            Some("all") => AggMode::All,
-            _ => return Err(CliError::Usage(usage.into())),
-        };
-        let attrs = self.parse_attrs(
-            g,
-            kwarg(&kw, "attrs").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let top: usize = kwarg(&kw, "top")
-            .map(|s| s.parse().map_err(|_| CliError::Usage("top=<int>".into())))
-            .transpose()?
-            .unwrap_or(10);
-
-        let mask = match kwarg(&kw, "op") {
+        let modes = [("dist", AggMode::Distinct), ("all", AggMode::All)];
+        let mode = args.one_of(args.pos(0)?, &modes)?;
+        let attrs = parse_attrs(g, args.req("attrs")?)?;
+        let top: usize = args.num("top")?.unwrap_or(10);
+        let mask = match (args.get("op"), args.get("t1"), args.get("t2")) {
             // the whole graph: everything that exists at some point
-            None => {
+            (None, None, None) => {
                 let all = g.domain().all();
                 event_mask(
                     g,
@@ -374,62 +239,49 @@ impl Session {
                     SideTest::Any,
                 )?
             }
-            Some(op) => {
-                let t1 = parse_interval(
-                    g.domain(),
-                    kwarg(&kw, "t1").ok_or_else(|| CliError::Usage(usage.into()))?,
-                )?;
-                let t2 = parse_interval(
-                    g.domain(),
-                    kwarg(&kw, "t2").ok_or_else(|| CliError::Usage(usage.into()))?,
-                )?;
+            (Some(op), Some(t1), Some(t2)) => {
+                let t1 = parse_interval(g.domain(), t1)?;
+                let t2 = parse_interval(g.domain(), t2)?;
                 set_operator_mask(g, op, &t1, &t2)?
             }
+            // an operator takes both intervals, and nothing else reads them
+            _ => return Err(args.usage()),
         };
         let agg = GroupTable::cached(g, &attrs).aggregate_masked(g, &mask, mode);
-        let mut out = format!(
-            "aggregate: {} nodes, {} edges (node weight {}, edge weight {})\n",
+        let mut reply = Reply::line(format!(
+            "aggregate: {} nodes, {} edges (node weight {}, edge weight {})",
             agg.n_nodes(),
             agg.n_edges(),
             agg.total_node_weight(),
             agg.total_edge_weight()
-        );
+        ));
         let mut nodes = agg.iter_nodes();
         nodes.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
         for (tuple, w) in nodes.into_iter().take(top) {
-            let _ = writeln!(out, "  node {} w={w}", render_tuple(g, &attrs, tuple));
+            reply
+                .rows
+                .push(format!("  node {} w={w}", render_tuple(g, &attrs, tuple)));
         }
         let mut edges = agg.iter_edges();
         edges.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
         for ((s, d), w) in edges.into_iter().take(top) {
-            let _ = writeln!(
-                out,
+            reply.rows.push(format!(
                 "  edge {} -> {} w={w}",
                 render_tuple(g, &attrs, s),
                 render_tuple(g, &attrs, d)
-            );
+            ));
         }
         self.last_agg = Some(agg);
-        Ok(out.trim_end().to_owned())
+        Ok(reply)
     }
 
-    fn cmd_evolution(&mut self, args: &[String]) -> Result<String, CliError> {
+    fn cmd_evolution(&self, args: &Args) -> Result<Reply, CliError> {
         let g = self.graph()?;
-        let (_, kw) = split_kwargs(args);
-        let usage = "evolution t1=<iv> t2=<iv> attrs=<a,..> [filter=<attr><op><int>]";
-        let t1 = parse_interval(
-            g.domain(),
-            kwarg(&kw, "t1").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let t2 = parse_interval(
-            g.domain(),
-            kwarg(&kw, "t2").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let attrs = self.parse_attrs(
-            g,
-            kwarg(&kw, "attrs").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let filter = kwarg(&kw, "filter")
+        let t1 = parse_interval(g.domain(), args.req("t1")?)?;
+        let t2 = parse_interval(g.domain(), args.req("t2")?)?;
+        let attrs = parse_attrs(g, args.req("attrs")?)?;
+        let filter = args
+            .get("filter")
             .map(|spec| parse_filter(g, spec))
             .transpose()?;
         let filter_fn = filter.as_ref().map(|(attr, op, threshold)| {
@@ -448,64 +300,46 @@ impl Session {
                 .as_ref()
                 .map(|f| f as &graphtempo::aggregate::NodeTimeFilter<'_>),
         )?;
-        let mut out = String::new();
+        let mut reply = Reply::default();
         for (tuple, w) in evo.iter_nodes() {
-            let _ = writeln!(
-                out,
+            reply.rows.push(format!(
                 "  node {}: St={} Gr={} Shr={}",
                 render_tuple(g, &attrs, tuple),
                 w.stability,
                 w.growth,
                 w.shrinkage
-            );
+            ));
         }
         let e = evo.edge_totals();
-        let _ = writeln!(
-            out,
+        reply.rows.push(format!(
             "  edges total: St={} Gr={} Shr={}",
             e.stability, e.growth, e.shrinkage
-        );
-        self.last_evo = Some(evo);
-        Ok(out.trim_end().to_owned())
+        ));
+        Ok(reply)
     }
 
-    fn cmd_explore(&mut self, args: &[String], suggest_only: bool) -> Result<String, CliError> {
+    fn cmd_explore(
+        &self,
+        args: &Args,
+        timeout_ms: Option<u64>,
+        suggest_only: bool,
+    ) -> Result<Reply, CliError> {
         let g = self.graph()?;
-        let (_, kw) = split_kwargs(args);
-        let usage = "explore event=<stability|growth|shrinkage> semantics=<union|intersect> extend=<old|new> k=<n> attrs=<a> [edge=<v>-><v>] [node=<v>]";
-        let event = match kwarg(&kw, "event") {
-            Some("stability") => Event::Stability,
-            Some("growth") => Event::Growth,
-            Some("shrinkage") => Event::Shrinkage,
-            _ => return Err(CliError::Usage(usage.into())),
-        };
-        let semantics = match kwarg(&kw, "semantics") {
-            Some("union") => Semantics::Union,
-            Some("intersect") | Some("intersection") => Semantics::Intersection,
-            _ => return Err(CliError::Usage(usage.into())),
-        };
-        let extend = match kwarg(&kw, "extend") {
-            Some("old") => ExtendSide::Old,
-            Some("new") => ExtendSide::New,
-            _ => return Err(CliError::Usage(usage.into())),
-        };
-        let attrs = self.parse_attrs(
-            g,
-            kwarg(&kw, "attrs").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let selector = if let Some(edge) = kwarg(&kw, "edge") {
-            let (src, dst) = edge
-                .split_once("->")
-                .ok_or_else(|| CliError::Usage("edge=<v>-><v>".into()))?;
-            Selector::EdgeTuple(
-                self.parse_tuple(g, &attrs, src)?,
-                self.parse_tuple(g, &attrs, dst)?,
-            )
-        } else if let Some(node) = kwarg(&kw, "node") {
-            Selector::NodeTuple(self.parse_tuple(g, &attrs, node)?)
-        } else {
-            Selector::AllEdges
-        };
+        let events = [
+            ("stability", Event::Stability),
+            ("growth", Event::Growth),
+            ("shrinkage", Event::Shrinkage),
+        ];
+        let all_semantics = [
+            ("union", Semantics::Union),
+            ("intersect", Semantics::Intersection),
+            ("intersection", Semantics::Intersection),
+        ];
+        let event = args.one_of(args.req("event")?, &events)?;
+        let semantics = args.one_of(args.req("semantics")?, &all_semantics)?;
+        let extend = args.one_of(args.req("extend")?, EXTEND)?;
+        let attrs = parse_attrs(g, args.req("attrs")?)?;
+        let selector = parse_selector(g, &attrs, args)?;
         let mut cfg = ExploreConfig {
             event,
             extend,
@@ -515,16 +349,13 @@ impl Session {
             selector,
         };
         if suggest_only {
-            return match suggest_k(g, &cfg)? {
-                Some(w) => Ok(format!("suggested k (w_th per §3.5): {w}")),
-                None => Ok("no events between any consecutive time points".to_owned()),
-            };
+            return Ok(Reply::line(match suggest_k(g, &cfg)? {
+                Some(w) => format!("suggested k (w_th per §3.5): {w}"),
+                None => "no events between any consecutive time points".to_owned(),
+            }));
         }
-        cfg.k = kwarg(&kw, "k")
-            .ok_or_else(|| CliError::Usage(usage.into()))?
-            .parse()
-            .map_err(|_| CliError::Usage("k=<int>".into()))?;
-        let budget = match self.limits.timeout_ms {
+        cfg.k = args.num("k")?.ok_or_else(|| args.usage())?;
+        let budget = match timeout_ms {
             Some(ms) => Budget::unlimited().with_deadline_ms(ms),
             None => Budget::unlimited(),
         };
@@ -533,37 +364,26 @@ impl Session {
             Semantics::Union => "minimal",
             Semantics::Intersection => "maximal",
         };
-        let mut text = format!(
-            "{} qualifying {kind} interval pairs ({} evaluations):\n",
+        let mut reply = Reply::line(format!(
+            "{} qualifying {kind} interval pairs ({} evaluations):",
             out.pairs.len(),
             out.evaluations
-        );
-        let cap = self.limits.max_rows.unwrap_or(usize::MAX);
-        for (pair, r) in out.pairs.iter().take(cap) {
-            let _ = writeln!(text, "  {} -> {r} events", pair.display(g.domain()));
+        ));
+        for (pair, r) in &out.pairs {
+            reply
+                .rows
+                .push(format!("  {} -> {r} events", pair.display(g.domain())));
         }
-        if out.pairs.len() > cap {
-            let dropped = out.pairs.len() - cap;
-            tempo_instrument::global()
-                .counter("server.rows_truncated")
-                .add(dropped as u64);
-            let _ = writeln!(text, "  … {dropped} more rows (limit {cap})");
-        }
-        Ok(text.trim_end().to_owned())
+        Ok(reply)
     }
 
-    fn cmd_zoom(&mut self, args: &[String]) -> Result<String, CliError> {
+    fn cmd_zoom(&self, args: &Args) -> Result<Reply, CliError> {
         let g = self.graph()?;
-        let (_, kw) = split_kwargs(args);
-        let usage = "zoom window=<n> semantics=<any|all>";
-        let window: usize = kwarg(&kw, "window")
-            .ok_or_else(|| CliError::Usage(usage.into()))?
-            .parse()
-            .map_err(|_| CliError::Usage("window=<int>".into()))?;
-        let sem = match kwarg(&kw, "semantics") {
-            Some("all") => SideTest::All,
-            _ => SideTest::Any,
-        };
+        let window: usize = args.num("window")?.ok_or_else(|| args.usage())?;
+        let sem = args.one_of(
+            args.get("semantics").unwrap_or("any"),
+            &[("any", SideTest::Any), ("all", SideTest::All)],
+        )?;
         let gran = Granularity::windows(g.domain(), window)?;
         let z = zoom_out(g, &gran, sem)?;
         let msg = format!(
@@ -572,240 +392,236 @@ impl Session {
             z.n_nodes(),
             z.n_edges()
         );
-        self.install_graph(z);
-        Ok(msg)
+        Ok(yields(msg, Arc::new(z)))
     }
 
     /// `append <label> [node=N] [edge=U,V] …`: appends one timepoint to the
     /// working graph copy-on-write. Holders of the previous `Arc` snapshot
-    /// (e.g. a server registry) are undisturbed; the session moves to the
-    /// new epoch and drops results derived from the old one.
-    fn cmd_append(&mut self, args: &[String]) -> Result<String, CliError> {
-        let Some((label, rest)) = args.split_first() else {
-            return Err(CliError::Usage(format!(
-                "append <label> {}",
-                crate::patch::PATCH_USAGE
-            )));
-        };
+    /// (e.g. a server registry) are undisturbed; the reply yields the new
+    /// epoch.
+    fn cmd_append(&self, args: &Args) -> Result<Reply, CliError> {
         let graph = self.graph.clone().ok_or(CliError::NoGraph)?;
-        let patch = crate::patch::parse_patch(&graph, label, rest)?;
-        let mut versions = tempo_graph::GraphVersions::from_arc(graph);
-        let next = versions.append_timepoint(&patch)?;
-        let msg = format!(
-            "appended {label}: {} nodes, {} edges, {} time points (epoch {})",
-            next.n_nodes(),
-            next.n_edges(),
-            next.domain().len(),
+        // the label leads: `parse_patch` takes the tokens after it
+        let (label, patch) = args.tokens().split_first().ok_or_else(|| args.usage())?;
+        let patch = parse_patch(&graph, label, patch)?;
+        let next = GraphVersions::from_arc(graph).append_timepoint(&patch)?;
+        let head = format!(
+            "appended {label}: {} (epoch {})",
+            sizes(&next),
             next.epoch()
         );
-        self.graph = Some(next);
-        self.last_agg = None;
-        self.last_evo = None;
-        Ok(msg)
+        Ok(yields(head, next))
     }
 
-    fn cmd_cube(&mut self, args: &[String]) -> Result<String, CliError> {
+    fn cmd_cube(&mut self, args: &Args) -> Result<Reply, CliError> {
         use graphtempo::cube::{GraphCube, Level};
         let g = self.graph()?;
-        let (_, kw) = split_kwargs(args);
-        let usage = "cube attrs=<a,b,..> level=<a,..> [t=<point>] [scope=<iv>]";
-        let attrs = self.parse_attrs(
-            g,
-            kwarg(&kw, "attrs").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let level_names: Vec<String> = kwarg(&kw, "level")
-            .ok_or_else(|| CliError::Usage(usage.into()))?
+        let attrs = parse_attrs(g, args.req("attrs")?)?;
+        let level_names: Vec<String> = args
+            .req("level")?
             .split(',')
             .map(|s| s.trim().to_owned())
             .collect();
         let cube = GraphCube::build(g, &attrs, 1);
         let level = Level::new(level_names);
-        let agg = if let Some(t) = kwarg(&kw, "t") {
-            let p = crate::parser::parse_point(g.domain(), t)?;
-            cube.slice(&level, TimePoint(p as u32))?
-        } else {
-            let scope = match kwarg(&kw, "scope") {
-                Some(iv) => parse_interval(g.domain(), iv)?,
-                None => g.domain().all(),
-            };
-            cube.query(&level, &scope)?
+        let agg = match (args.get("t"), args.get("scope")) {
+            (Some(_), Some(_)) => return Err(args.usage()),
+            (Some(t), None) => cube.slice(&level, TimePoint(parse_point(g.domain(), t)? as u32))?,
+            (None, Some(iv)) => cube.query(&level, &parse_interval(g.domain(), iv)?)?,
+            (None, None) => cube.query(&level, &g.domain().all())?,
         };
-        let level_ids = self.parse_attrs(g, &level.names().join(","))?;
-        let mut out = format!(
-            "cube query at level ({}): {} nodes, {} edges\n",
+        let level_ids = parse_attrs(g, &level.names().join(","))?;
+        let mut reply = Reply::line(format!(
+            "cube query at level ({}): {} nodes, {} edges",
             level.names().join(","),
             agg.n_nodes(),
             agg.n_edges()
-        );
+        ));
         let mut nodes = agg.iter_nodes();
         nodes.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
         for (tuple, w) in nodes.into_iter().take(10) {
-            let _ = writeln!(out, "  {} w={w}", render_tuple(g, &level_ids, tuple));
+            reply
+                .rows
+                .push(format!("  {} w={w}", render_tuple(g, &level_ids, tuple)));
         }
         self.last_agg = Some(agg);
-        Ok(out.trim_end().to_owned())
+        Ok(reply)
     }
 
-    fn cmd_measure(&self, args: &[String]) -> Result<String, CliError> {
+    fn cmd_measure(&self, args: &Args) -> Result<Reply, CliError> {
         use graphtempo::measures::{aggregate_measure, EdgeMeasure, NodeMeasure};
         let g = self.graph()?;
-        let (_, kw) = split_kwargs(args);
-        let usage = "measure group=<a,..> node=<count|sum:attr|min:attr|max:attr|avg:attr> [edge=<count|sum|min|max|avg>]";
-        let group = self.parse_attrs(
-            g,
-            kwarg(&kw, "group").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let node_spec = kwarg(&kw, "node").unwrap_or("count");
+        let group = parse_attrs(g, args.req("group")?)?;
+        let node_spec = args.get("node").unwrap_or("count");
         let node_measure = match node_spec.split_once(':') {
-            None if node_spec == "count" => NodeMeasure::Count,
+            None => args.one_of(node_spec, &[("count", NodeMeasure::Count)])?,
             Some((op, attr)) => {
-                let a = g
-                    .schema()
-                    .id(attr)
-                    .map_err(|_| CliError::Unknown(format!("attribute {attr:?}")))?;
-                match op {
-                    "sum" => NodeMeasure::Sum(a),
-                    "min" => NodeMeasure::Min(a),
-                    "max" => NodeMeasure::Max(a),
-                    "avg" => NodeMeasure::Avg(a),
-                    _ => return Err(CliError::Usage(usage.into())),
-                }
+                let a = parse_attr(g, attr)?;
+                let ops = [
+                    ("sum", NodeMeasure::Sum(a)),
+                    ("min", NodeMeasure::Min(a)),
+                    ("max", NodeMeasure::Max(a)),
+                    ("avg", NodeMeasure::Avg(a)),
+                ];
+                args.one_of(op, &ops)?
             }
-            _ => return Err(CliError::Usage(usage.into())),
         };
-        let edge_measure = match kwarg(&kw, "edge").unwrap_or("count") {
-            "count" => EdgeMeasure::Count,
-            "sum" => EdgeMeasure::SumValues,
-            "min" => EdgeMeasure::MinValues,
-            "max" => EdgeMeasure::MaxValues,
-            "avg" => EdgeMeasure::AvgValues,
-            _ => return Err(CliError::Usage(usage.into())),
-        };
+        let edge_measures = [
+            ("count", EdgeMeasure::Count),
+            ("sum", EdgeMeasure::SumValues),
+            ("min", EdgeMeasure::MinValues),
+            ("max", EdgeMeasure::MaxValues),
+            ("avg", EdgeMeasure::AvgValues),
+        ];
+        let edge_measure = args.one_of(args.get("edge").unwrap_or("count"), &edge_measures)?;
         let m = aggregate_measure(g, &group, node_measure, edge_measure)?;
-        let mut out = format!(
-            "measure {node_spec} grouped by ({})\n",
+        let mut reply = Reply::line(format!(
+            "measure {node_spec} grouped by ({})",
             m.group_names().join(",")
-        );
+        ));
         for (tuple, v) in m.iter_nodes() {
-            let _ = writeln!(out, "  node {} = {v:.3}", render_tuple(g, &group, tuple));
+            reply.rows.push(format!(
+                "  node {} = {v:.3}",
+                render_tuple(g, &group, tuple)
+            ));
         }
         let mut edges = m.iter_edges();
         edges.truncate(10);
         for ((s, d), v) in edges {
-            let _ = writeln!(
-                out,
+            reply.rows.push(format!(
                 "  edge {} -> {} = {v:.3}",
                 render_tuple(g, &group, s),
                 render_tuple(g, &group, d)
-            );
+            ));
         }
-        Ok(out.trim_end().to_owned())
+        Ok(reply)
     }
 
-    fn cmd_solve(&self, args: &[String]) -> Result<String, CliError> {
+    fn cmd_solve(&self, args: &Args) -> Result<Reply, CliError> {
         use graphtempo::explore::solve_problem;
         let g = self.graph()?;
-        let (_, kw) = split_kwargs(args);
-        let usage = "solve k=<n> attrs=<a> [extend=<old|new>] [edge=<v>-><v>]";
-        let k: u64 = kwarg(&kw, "k")
-            .ok_or_else(|| CliError::Usage(usage.into()))?
-            .parse()
-            .map_err(|_| CliError::Usage("k=<int>".into()))?;
-        let attrs = self.parse_attrs(
-            g,
-            kwarg(&kw, "attrs").ok_or_else(|| CliError::Usage(usage.into()))?,
-        )?;
-        let extend = match kwarg(&kw, "extend") {
-            Some("old") => ExtendSide::Old,
-            _ => ExtendSide::New,
-        };
-        let selector = if let Some(edge) = kwarg(&kw, "edge") {
-            let (src, dst) = edge
-                .split_once("->")
-                .ok_or_else(|| CliError::Usage("edge=<v>-><v>".into()))?;
-            Selector::EdgeTuple(
-                self.parse_tuple(g, &attrs, src)?,
-                self.parse_tuple(g, &attrs, dst)?,
-            )
-        } else {
-            Selector::AllEdges
-        };
+        let k: u64 = args.num("k")?.ok_or_else(|| args.usage())?;
+        let attrs = parse_attrs(g, args.req("attrs")?)?;
+        let extend = args.one_of(args.get("extend").unwrap_or("new"), EXTEND)?;
+        let selector = parse_selector(g, &attrs, args)?;
         let report = solve_problem(g, k, &attrs, &selector, extend)?;
-        Ok(report.render(g.domain()).trim_end().to_owned())
+        Ok(Reply::rows(&report.render(g.domain())))
     }
 
-    fn cmd_metrics(&self, args: &[String]) -> Result<String, CliError> {
+    fn cmd_metrics(&self, args: &Args) -> Result<Reply, CliError> {
         use tempo_graph::metrics::{avg_degree_at, density_at, turnover_profile};
         // `metrics --json <path>` dumps the live instrumentation registry
         // and needs no graph.
-        if let Some(i) = args.iter().position(|a| a == "--json") {
-            let path = args
-                .get(i + 1)
-                .ok_or_else(|| CliError::Usage("metrics --json <path>".into()))?;
+        if let Ok(flag) = args.pos(0) {
+            let path = args.pos(1)?;
+            if flag != "--json" {
+                return Err(args.usage());
+            }
             std::fs::write(path, tempo_instrument::global().snapshot().render_json())?;
-            return Ok(format!("wrote instrumentation snapshot to {path}"));
-        }
-        if !args.is_empty() {
-            return Err(CliError::Usage("metrics [--json <path>]".into()));
+            return Ok(Reply::line(format!(
+                "wrote instrumentation snapshot to {path}"
+            )));
         }
         let g = self.graph()?;
-        let mut out = String::from("  time        density  avg-degree\n");
+        let mut reply = Reply::default();
+        let rows = &mut reply.rows;
+        rows.push("  time        density  avg-degree".to_owned());
         for t in g.domain().iter() {
-            let _ = writeln!(
-                out,
+            rows.push(format!(
                 "  {:<10} {:>8.4} {:>11.2}",
                 g.domain().label(t),
                 density_at(g, t),
                 avg_degree_at(g, t)
-            );
+            ));
         }
-        out.push_str("  consecutive-pair overlap (node / edge Jaccard):\n");
+        rows.push("  consecutive-pair overlap (node / edge Jaccard):".to_owned());
         for (i, (nj, ej)) in turnover_profile(g).iter().enumerate() {
-            let _ = writeln!(
-                out,
+            rows.push(format!(
                 "  {} -> {}: {nj:.3} / {ej:.3}",
                 g.domain().labels()[i],
                 g.domain().labels()[i + 1]
-            );
+            ));
         }
         let snap = tempo_instrument::global().snapshot();
         if !snap.is_empty() {
-            out.push_str("  instrumentation (session totals):\n");
-            for line in snap.render_text().lines() {
-                let _ = writeln!(out, "  {line}");
-            }
+            rows.push("  instrumentation (session totals):".to_owned());
+            rows.extend(snap.render_text().lines().map(|line| format!("  {line}")));
         }
-        Ok(out.trim_end().to_owned())
+        Ok(reply)
     }
 
-    fn cmd_export(&self, args: &[String]) -> Result<String, CliError> {
-        let what = args
-            .first()
-            .ok_or_else(|| CliError::Usage("export <dot|nodes|edges> <path>".into()))?;
-        let path = args
-            .get(1)
-            .ok_or_else(|| CliError::Usage("export <dot|nodes|edges> <path>".into()))?;
+    fn cmd_export(&self, args: &Args) -> Result<Reply, CliError> {
+        let (what, path) = (args.pos(0)?, args.pos(1)?);
         let agg = self.last_agg.as_ref().ok_or(CliError::NoAggregate)?;
-        match what.as_str() {
+        match what {
             "dot" => {
                 std::fs::write(path, aggregate_to_dot(agg, self.graph.as_deref()))?;
             }
-            "nodes" => {
-                let f = aggregate_nodes_frame(agg).map_err(tempo_graph::GraphError::from)?;
+            "nodes" | "edges" => {
+                let frame = match what {
+                    "nodes" => aggregate_nodes_frame(agg),
+                    _ => aggregate_edges_frame(agg),
+                };
+                let f = frame.map_err(tempo_graph::GraphError::from)?;
                 let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
                 tempo_columnar::write_frame(&f, &mut w, '\t')
                     .map_err(tempo_graph::GraphError::from)?;
-            }
-            "edges" => {
-                let f = aggregate_edges_frame(agg).map_err(tempo_graph::GraphError::from)?;
-                let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-                tempo_columnar::write_frame(&f, &mut w, '\t')
-                    .map_err(tempo_graph::GraphError::from)?;
+                w.flush()?;
             }
             other => return Err(CliError::Unknown(format!("export target {other:?}"))),
         }
-        Ok(format!("wrote {path}"))
+        Ok(Reply::line(format!("wrote {path}")))
     }
+}
+
+/// `N nodes, E edges, T time points`, as the verbs that yield a graph say it.
+fn sizes(g: &TemporalGraph) -> String {
+    format!(
+        "{} nodes, {} edges, {} time points",
+        g.n_nodes(),
+        g.n_edges(),
+        g.domain().len()
+    )
+}
+
+/// The reply of a verb that yields `graph`.
+fn yields(head: String, graph: Arc<TemporalGraph>) -> Reply {
+    Reply {
+        graph: Some(graph),
+        ..Reply::line(head)
+    }
+}
+
+fn parse_attrs(g: &TemporalGraph, spec: &str) -> Result<Vec<AttrId>, CliError> {
+    spec.split(',').map(|name| parse_attr(g, name)).collect()
+}
+
+fn parse_tuple(g: &TemporalGraph, attrs: &[AttrId], spec: &str) -> Result<ValueTuple, CliError> {
+    let parts: Vec<&str> = spec.split(',').collect();
+    if parts.len() != attrs.len() {
+        return Err(CliError::Usage(format!(
+            "tuple {spec:?} must have {} values",
+            attrs.len()
+        )));
+    }
+    parts
+        .iter()
+        .zip(attrs)
+        .map(|(p, &a)| parse_value(g, a, p.trim()))
+        .collect()
+}
+
+/// `edge=<v>-><v>` or `node=<v>` over `attrs`; neither selects every edge.
+fn parse_selector(g: &TemporalGraph, attrs: &[AttrId], args: &Args) -> Result<Selector, CliError> {
+    Ok(match (args.get("edge"), args.get("node")) {
+        (Some(_), Some(_)) => return Err(args.usage()),
+        (Some(edge), None) => {
+            let (src, dst) = edge.split_once("->").ok_or_else(|| args.usage())?;
+            Selector::EdgeTuple(parse_tuple(g, attrs, src)?, parse_tuple(g, attrs, dst)?)
+        }
+        (None, Some(node)) => Selector::NodeTuple(parse_tuple(g, attrs, node)?),
+        (None, None) => Selector::AllEdges,
+    })
 }
 
 /// The binary operators of Definitions 2.3–2.5 as a selection over `g`'s own
@@ -867,10 +683,7 @@ fn parse_filter(g: &TemporalGraph, spec: &str) -> Result<(AttrId, FilterOp, i64)
         ("=", FilterOp::Eq),
     ] {
         if let Some((name, value)) = spec.split_once(sym) {
-            let attr = g
-                .schema()
-                .id(name.trim())
-                .map_err(|_| CliError::Unknown(format!("attribute {name:?}")))?;
+            let attr = parse_attr(g, name)?;
             let threshold: i64 = value
                 .trim()
                 .parse()
@@ -923,7 +736,7 @@ mod tests {
     #[test]
     fn generate_and_stats() {
         let mut s = ready();
-        assert!(s.has_graph());
+        assert!(s.graph_arc().is_some());
         let out = s.exec("stats").unwrap();
         assert!(out.contains("#Nodes"));
         let out = s.exec("schema").unwrap();
@@ -1130,39 +943,66 @@ mod tests {
 
     #[test]
     fn snapshot_session_applies_timeout_and_row_limits() {
-        let base = ready();
+        let mut base = Session::new();
+        base.exec("generate school seed=5").unwrap();
         let snap = base.graph_arc().unwrap();
-        // a zero timeout cancels explore at its first checkpoint
-        let mut s = Session::for_snapshot(
-            Arc::clone(&snap),
-            QueryLimits {
-                timeout_ms: Some(0),
+        let explore = "explore event=growth semantics=union extend=new k=2 attrs=grade";
+        let session = |timeout_ms, max_rows| {
+            let limits = QueryLimits {
+                timeout_ms,
+                max_rows,
                 ..QueryLimits::default()
-            },
+            };
+            Session::for_snapshot(Arc::clone(&snap), limits)
+        };
+        // a zero timeout cancels explore at its first checkpoint, whether
+        // the session or the request sets it
+        for (mut s, line) in [
+            (session(Some(0), None), explore.to_owned()),
+            (session(None, None), format!("{explore} timeout_ms=0")),
+        ] {
+            assert!(matches!(
+                s.exec(&line),
+                Err(CliError::Graph(tempo_graph::GraphError::Cancelled(_)))
+            ));
+        }
+
+        let full = session(None, None).exec(explore).unwrap();
+        let lines: Vec<&str> = full.lines().collect();
+        assert_eq!(lines.len(), 10, "a header and nine pairs: {full}");
+        assert!(lines[0].starts_with("9 qualifying"), "{full}");
+        let truncated = || {
+            tempo_instrument::global()
+                .snapshot()
+                .counter("server.rows_truncated")
+        };
+        // the limit applies once, to the rows: the header stays, one note
+        // says how many pairs went, and the counter advances by that many
+        // (exactly: no other test of this binary trips a limit)
+        let before = truncated();
+        let out = session(None, Some(3)).exec(explore).unwrap();
+        let mut want = lines[..4].to_vec();
+        want.push("… 6 more rows (limit 3)");
+        assert_eq!(out.lines().collect::<Vec<_>>(), want);
+        assert_eq!(truncated(), before + 6);
+        let out = session(None, Some(0)).exec(explore).unwrap();
+        assert_eq!(
+            out.lines().collect::<Vec<_>>(),
+            [lines[0], "… 9 more rows (limit 0)"]
         );
-        assert!(matches!(
-            s.exec("explore event=stability semantics=union extend=new k=1 attrs=kind"),
-            Err(CliError::Graph(tempo_graph::GraphError::Cancelled(_)))
-        ));
-        // a zero row limit truncates the listing with a note
-        let mut s = Session::for_snapshot(
-            snap,
-            QueryLimits {
-                max_rows: Some(0),
-                ..QueryLimits::default()
-            },
-        );
-        assert_eq!(s.limits().max_rows, Some(0));
-        let out = s
-            .exec("explore event=stability semantics=union extend=new k=1 attrs=kind")
+        // the request's own `limit=` overrides the session's
+        let out = session(None, Some(0))
+            .exec(&format!("{explore} limit=8"))
             .unwrap();
-        assert!(out.contains("more rows (limit 0)"), "{out}");
-        // the untruncated run over the same shared snapshot still works
-        s.set_limits(QueryLimits::default());
-        let out = s
-            .exec("explore event=stability semantics=union extend=new k=1 attrs=kind")
-            .unwrap();
-        assert!(!out.contains("more rows"));
+        assert_eq!(out.lines().count(), 10);
+        assert!(out.ends_with("… 1 more rows (limit 8)"), "{out}");
+        // `stats` has no summary line: every line is a row
+        let out = session(None, Some(1)).exec("stats").unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("#TP"), "{out}");
+        assert_eq!(lines[1..], ["… 3 more rows (limit 1)"]);
+        // a limit nothing trips leaves the answer as it was
+        assert_eq!(session(None, Some(9)).exec(explore).unwrap(), full);
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub const ALL: &[&str] = &[
     "server.cmd.drop_ns",
     "server.cmd.evolution_ns",
     "server.cmd.explore_ns",
-    "server.cmd.export_ns",
     "server.cmd.generate_ns",
     "server.cmd.help_ns",
     "server.cmd.intersect_ns",

@@ -2,10 +2,12 @@
 //!
 //! The server keeps a [`SnapshotRegistry`] of immutable `Arc<TemporalGraph>`
 //! snapshots and serves concurrent clients over a plain TCP line protocol.
-//! Each request line is dispatched to a short-lived [`graphtempo_cli::Session`]
-//! built around the shared snapshot, so the full shell command surface
-//! (`stats`, `agg`, `explore`, `zoom`, …) is available without a second
-//! implementation — and without any process-global state: the request
+//! The verbs are the shell's: a request's first token is looked up in
+//! [`graphtempo_cli::command::COMMANDS`], its arguments are checked once
+//! against that table ([`graphtempo_cli::command::Args`]), and one function
+//! runs it in a short-lived [`graphtempo_cli::Session`] built around the
+//! shared snapshot and registers the graph the reply yields, if any. There
+//! is no second implementation and no process-global state: the request
 //! limits travel explicitly with each session.
 //!
 //! ## Protocol
@@ -27,13 +29,18 @@
 //! answered. Clients should split the status line on whitespace — the
 //! payload count is the second token.
 //!
-//! Server-level commands: `ping`, `help`, `snapshots`, `generate <name> …`,
-//! `load <name> <dir>`, `drop <name>`, `zoom <src> as=<dst> …`,
-//! `append <name> <label> …`, `metrics`, `shutdown`. Query commands are
-//! addressed to a snapshot: `<cmd> <snapshot> [args…]`, e.g. `stats g` or
-//! `explore g event=growth k=5 attrs=gender timeout_ms=500 limit=100`.
-//! The `timeout_ms=` and `limit=` kwargs are request-scoped limits enforced
-//! by the server (they override the configured defaults).
+//! The server's own verbs concern the registry or the process: `ping`,
+//! `help`, `snapshots`, `drop <name>`, `metrics`, `shutdown`. Every other
+//! verb is one of the table's and leads with the snapshot it addresses:
+//! `<verb> <snapshot> [args…]`, e.g. `stats g` or
+//! `explore g event=growth k=5 attrs=gender timeout_ms=500 limit=100`
+//! (`generate <name> …` and `load <name> <dir>` name the snapshot they
+//! register, `zoom <src> as=<dst> …` registers its result under `as=`). An
+//! argument the verb does not read is `ERR usage: …`. `timeout_ms=` and
+//! `limit=` are request-scoped limits every verb that reads a snapshot
+//! takes; they override the configured defaults. The row limit applies once,
+//! to a reply's detail rows — a summary line is never dropped; only `explore`
+//! polls the timeout.
 //!
 //! `append <name> <label> [node=N]… [edge=U,V]… [tv=N,ATTR,VAL]…
 //! [static=N,ATTR,VAL]… [edgeval=U,V,VAL]…` appends one timepoint to a
@@ -49,9 +56,9 @@ pub mod registry;
 
 pub use registry::SnapshotRegistry;
 
+use graphtempo_cli::command::{self, Args, Front, Scope, Spec};
 use graphtempo_cli::error::CliError;
 use graphtempo_cli::parser::tokenize;
-use graphtempo_cli::patch::parse_patch;
 use graphtempo_cli::{QueryLimits, Session};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -59,7 +66,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tempo_graph::{GraphError, GraphVersions};
+use tempo_graph::GraphError;
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(200);
@@ -353,46 +360,16 @@ fn err(msg: &str) -> String {
     format!("ERR {flat}\n")
 }
 
-/// Splits a multi-line payload into protocol lines (empty payload → none).
-fn payload_lines(text: &str) -> Vec<String> {
-    if text.is_empty() {
-        Vec::new()
-    } else {
-        text.lines().map(str::to_owned).collect()
-    }
-}
-
-/// Commands the server answers itself.
-const SERVER_COMMANDS: &[&str] = &[
+/// The verbs that concern the registry or the process, each as its usage
+/// text (the verb is the first word); every other verb the server answers
+/// is one of the shell's [`command::COMMANDS`].
+const SERVER_VERBS: &[&str] = &[
     "ping",
     "help",
     "snapshots",
-    "generate",
-    "load",
-    "drop",
-    "zoom",
-    "append",
+    "drop <name>",
     "metrics",
     "shutdown",
-];
-
-/// Commands the server forwards verbatim to a snapshot-scoped session.
-const SNAPSHOT_COMMANDS: &[&str] = &[
-    "stats",
-    "schema",
-    "project",
-    "union",
-    "intersect",
-    "diff",
-    "agg",
-    "evolution",
-    "explore",
-    "suggest",
-    "cube",
-    "measure",
-    "solve",
-    "save",
-    "export",
 ];
 
 /// Dispatches one request line; returns the wire response and whether the
@@ -403,44 +380,29 @@ fn handle_request(state: &Arc<ServiceState>, request: &str) -> (String, bool) {
         .histogram("server.request_ns")
         .span();
     let tokens = tokenize(request);
-    let Some(cmd) = tokens.first().map(String::as_str) else {
+    let Some((verb, rest)) = tokens.split_first() else {
         return (err("empty request"), false);
     };
-    // The first token is the client's: only a known command names its own
-    // histogram, so junk tokens cannot grow the process-wide registry.
-    let known = SERVER_COMMANDS.contains(&cmd) || SNAPSHOT_COMMANDS.contains(&cmd);
-    let _cmd_span = if known {
-        tempo_instrument::global().histogram(&format!("server.cmd.{cmd}_ns"))
+    let own = SERVER_VERBS
+        .iter()
+        .find(|usage| usage.split(' ').next() == Some(verb));
+    let served = command::spec(verb).filter(|s| s.served_on(Front::Wire));
+    // The first token is the client's: only a verb of either table names
+    // its own histogram, so junk tokens cannot grow the process-wide
+    // registry.
+    let _verb_span = if own.is_some() || served.is_some() {
+        tempo_instrument::global().histogram(&format!("server.cmd.{verb}_ns"))
     } else {
         tempo_instrument::global().histogram("server.cmd.unknown_ns")
     }
     .span();
-    let rest = &tokens[1..];
-    let result: Result<(Vec<String>, Option<u64>), CliError> = match cmd {
-        "ping" => Ok((vec!["pong".to_owned()], None)),
-        "help" => Ok((help_lines(), None)),
-        "snapshots" => Ok((list_snapshots(state), None)),
-        "generate" | "load" => build_snapshot(state, cmd, rest).map(|(l, e)| (l, Some(e))),
-        "drop" => drop_snapshot(state, rest).map(|l| (l, None)),
-        "zoom" => zoom_snapshot(state, rest).map(|(l, e)| (l, Some(e))),
-        "append" => append_snapshot(state, rest).map(|(l, e)| (l, Some(e))),
-        "metrics" => Ok((
-            payload_lines(
-                tempo_instrument::global()
-                    .snapshot()
-                    .render_prometheus()
-                    .trim_end(),
-            ),
-            None,
-        )),
-        "shutdown" => return (ok(&["shutting down".to_owned()], None), true),
-        c if SNAPSHOT_COMMANDS.contains(&c) => {
-            query_snapshot(state, cmd, rest).map(|(l, e)| (l, Some(e)))
-        }
-        other => Err(CliError::Unknown(format!("command {other:?} (try `help`)"))),
+    let result = match (own, served) {
+        (Some(usage), _) => server_verb(state, usage, rest).map(|lines| (lines, None)),
+        (None, Some(spec)) => run_verb(state, spec, rest).map(|(lines, e)| (lines, Some(e))),
+        (None, None) => Err(CliError::Unknown(format!("command {verb:?} (try `help`)"))),
     };
     match result {
-        Ok((lines, epoch)) => (ok(&lines, epoch), false),
+        Ok((lines, epoch)) => (ok(&lines, epoch), verb == "shutdown"),
         Err(CliError::Graph(GraphError::Cancelled(m))) => {
             tempo_instrument::global().counter("server.timeouts").inc();
             (err(&format!("timeout: {m}")), false)
@@ -452,22 +414,45 @@ fn handle_request(state: &Arc<ServiceState>, request: &str) -> (String, bool) {
     }
 }
 
-fn help_lines() -> Vec<String> {
-    let mut lines = vec![
-        "server commands:".to_owned(),
-        "  ping | snapshots | metrics | shutdown".to_owned(),
-        "  generate <name> <dblp|movielens|school|random> [scale=] [seed=]".to_owned(),
-        "  load <name> <dir> | drop <name>".to_owned(),
-        "  zoom <src> as=<name> <zoom args>".to_owned(),
-        "  append <name> <label> [node=N] [edge=U,V] [tv=N,ATTR,VAL] [static=N,ATTR,VAL] \
-         [edgeval=U,V,VAL]"
-            .to_owned(),
-        "snapshot queries: <cmd> <snapshot> [args…] [timeout_ms=] [limit=]".to_owned(),
-        "snapshot-scoped responses carry `epoch=<e>` on the OK line".to_owned(),
-        String::new(),
-    ];
-    lines.extend(graphtempo_cli::HELP.lines().map(str::to_owned));
-    lines
+/// Answers one of [`SERVER_VERBS`], given as its usage text.
+fn server_verb(
+    state: &Arc<ServiceState>,
+    usage: &str,
+    rest: &[String],
+) -> Result<Vec<String>, CliError> {
+    let mut words = usage.split(' ');
+    let verb = words.next().unwrap_or_default();
+    if rest.len() != words.count() {
+        return Err(CliError::Usage(usage.to_owned()));
+    }
+    Ok(match (verb, rest) {
+        ("ping", _) => vec!["pong".to_owned()],
+        ("help", _) => {
+            let mut lines = vec![
+                "tempo-server — requests lead with the snapshot they address; its answers carry \
+                 `epoch=<e>` on the OK line:"
+                    .to_owned(),
+            ];
+            lines.extend(SERVER_VERBS.iter().map(|usage| format!("  {usage}")));
+            command::help(Front::Wire, &mut lines);
+            lines
+        }
+        ("snapshots", _) => list_snapshots(state),
+        ("drop", [name]) => {
+            if !state.registry.remove(name) {
+                return Err(CliError::Unknown(format!("snapshot {name:?}")));
+            }
+            vec![format!("snapshot {name} dropped")]
+        }
+        ("metrics", _) => tempo_instrument::global()
+            .snapshot()
+            .render_prometheus()
+            .lines()
+            .map(str::to_owned)
+            .collect(),
+        // `shutdown`: the caller raises the flag once the answer is sent
+        _ => vec!["shutting down".to_owned()],
+    })
 }
 
 fn list_snapshots(state: &Arc<ServiceState>) -> Vec<String> {
@@ -488,172 +473,78 @@ fn list_snapshots(state: &Arc<ServiceState>) -> Vec<String> {
         .collect()
 }
 
-/// `generate <name> <dataset> [kwargs…]` / `load <name> <dir>`: builds a
-/// graph through a scratch session and registers it as a snapshot.
-fn build_snapshot(
+/// Runs one verb of the shell's table against the registry: looks up the
+/// snapshot the request addresses (a [`Scope::Creates`] verb names a new one
+/// instead), runs the request in a session of its own, and registers the
+/// graph the reply yields, if any — assembled by then, so the registry lock
+/// covers only the insert or, for [`Scope::Extends`], the compare-and-swap
+/// that refuses to clobber a concurrent replacement of the same name.
+fn run_verb(
     state: &Arc<ServiceState>,
-    cmd: &str,
+    spec: &'static Spec,
     rest: &[String],
 ) -> Result<(Vec<String>, u64), CliError> {
-    let Some((name, args)) = rest.split_first() else {
-        return Err(CliError::Usage(format!("{cmd} <name> <args…>")));
+    let args = Args::parse(spec, rest, Front::Wire)?;
+    let name = args.target();
+    // the name a yielded graph is registered under, checked before any work
+    let dst = match spec.scope {
+        Scope::Creates => Some(name),
+        Scope::Derives => Some(args.req("as")?),
+        _ => None,
     };
-    validate_name(name)?;
+    if let Some(dst) = dst {
+        validate_name(dst)?;
+    }
     let mut session = Session::new();
-    let mut tokens = vec![cmd.to_owned()];
-    tokens.extend_from_slice(args);
-    let summary = session.exec_tokens(&tokens)?;
-    let graph = session
-        .graph_arc()
-        .ok_or_else(|| CliError::Unknown(format!("{cmd} produced no graph")))?;
-    let epoch = state.registry.insert(name, graph);
-    let mut lines = vec![format!("snapshot {name} registered")];
-    lines.extend(payload_lines(&summary));
-    Ok((lines, epoch))
-}
-
-fn drop_snapshot(state: &Arc<ServiceState>, rest: &[String]) -> Result<Vec<String>, CliError> {
-    let Some(name) = rest.first() else {
-        return Err(CliError::Usage("drop <name>".into()));
-    };
-    if state.registry.remove(name) {
-        Ok(vec![format!("snapshot {name} dropped")])
-    } else {
-        Err(CliError::Unknown(format!("snapshot {name:?}")))
+    let mut read = None;
+    if spec.scope != Scope::Creates {
+        let (graph, epoch) = state
+            .registry
+            .get(name)
+            .ok_or_else(|| CliError::Unknown(format!("snapshot {name:?}")))?;
+        let limits = QueryLimits {
+            timeout_ms: state.cfg.default_timeout_ms,
+            max_rows: Some(state.cfg.default_max_rows),
+            ..QueryLimits::default()
+        };
+        session = Session::for_snapshot(Arc::clone(&graph), limits);
+        read = Some((graph, epoch));
     }
-}
-
-/// `zoom <src> as=<dst> <args…>`: runs zoom on a session seeded with the
-/// source snapshot and registers the result under the destination name.
-fn zoom_snapshot(
-    state: &Arc<ServiceState>,
-    rest: &[String],
-) -> Result<(Vec<String>, u64), CliError> {
-    let Some((src, args)) = rest.split_first() else {
-        return Err(CliError::Usage("zoom <src> as=<name> <zoom args>".into()));
-    };
-    let (graph, _) = state
-        .registry
-        .get(src)
-        .ok_or_else(|| CliError::Unknown(format!("snapshot {src:?}")))?;
-    let mut dst = None;
-    let mut zoom_args = vec!["zoom".to_owned()];
-    for a in args {
-        match a.strip_prefix("as=") {
-            Some(d) => dst = Some(d.to_owned()),
-            None => zoom_args.push(a.clone()),
+    let mut reply = session.run(&args)?;
+    match (reply.graph.take(), dst, read) {
+        (Some(graph), Some(dst), _) => {
+            let epoch = state.registry.insert(dst, graph);
+            let mut lines = vec![format!("snapshot {dst} registered")];
+            lines.extend(reply.into_lines());
+            Ok((lines, epoch))
         }
-    }
-    let dst = dst.ok_or_else(|| CliError::Usage("zoom <src> as=<name> <zoom args>".into()))?;
-    validate_name(&dst)?;
-    let mut session = Session::for_snapshot(graph, QueryLimits::default());
-    let summary = session.exec_tokens(&zoom_args)?;
-    let zoomed = session
-        .graph_arc()
-        .ok_or_else(|| CliError::Unknown("zoom produced no graph".into()))?;
-    let epoch = state.registry.insert(&dst, zoomed);
-    let mut lines = vec![format!("snapshot {dst} registered")];
-    lines.extend(payload_lines(&summary));
-    Ok((lines, epoch))
-}
-
-/// `append <snapshot> <label> [node=N]… [edge=U,V]… [tv=N,ATTR,VAL]…
-/// [static=N,ATTR,VAL]… [edgeval=U,V,VAL]…`: appends one timepoint to a
-/// registered snapshot copy-on-write and atomically swaps the registry
-/// entry. The next epoch is assembled with [`GraphVersions`] **after** the
-/// registry lock is released, so in-flight queries keep reading the old
-/// `Arc` undisturbed; the final swap is a compare-and-swap that refuses to
-/// clobber a concurrent replacement of the same name.
-fn append_snapshot(
-    state: &Arc<ServiceState>,
-    rest: &[String],
-) -> Result<(Vec<String>, u64), CliError> {
-    let usage = "append <snapshot> <label> [node=N] [edge=U,V] [tv=N,ATTR,VAL] \
-                 [static=N,ATTR,VAL] [edgeval=U,V,VAL]";
-    let Some((name, rest)) = rest.split_first() else {
-        return Err(CliError::Usage(usage.into()));
-    };
-    let Some((label, args)) = rest.split_first() else {
-        return Err(CliError::Usage(usage.into()));
-    };
-    let (graph, _) = state
-        .registry
-        .get(name)
-        .ok_or_else(|| CliError::Unknown(format!("snapshot {name:?}")))?;
-    let patch = parse_patch(&graph, label, args)?;
-    let mut versions = GraphVersions::from_arc(Arc::clone(&graph));
-    let next = versions.append_timepoint(&patch)?;
-    let epoch = state
-        .registry
-        .replace_if_current(name, &graph, Arc::clone(&next))
-        .ok_or_else(|| {
-            CliError::Unknown(format!(
-                "snapshot {name:?} was replaced or dropped during append — retry against the \
-                 current epoch"
-            ))
-        })?;
-    Ok((
-        vec![format!(
-            "snapshot {name} appended {label}: nodes={} edges={} timepoints={}",
-            next.n_nodes(),
-            next.n_edges(),
-            next.domain().len()
-        )],
-        epoch,
-    ))
-}
-
-/// `<cmd> <snapshot> [args…]`: forwards to a request-scoped session over the
-/// shared snapshot, applying request limits.
-fn query_snapshot(
-    state: &Arc<ServiceState>,
-    cmd: &str,
-    rest: &[String],
-) -> Result<(Vec<String>, u64), CliError> {
-    let Some((name, args)) = rest.split_first() else {
-        return Err(CliError::Usage(format!("{cmd} <snapshot> [args…]")));
-    };
-    let (graph, epoch) = state
-        .registry
-        .get(name)
-        .ok_or_else(|| CliError::Unknown(format!("snapshot {name:?}")))?;
-    let mut limits = QueryLimits {
-        timeout_ms: state.cfg.default_timeout_ms,
-        max_rows: Some(state.cfg.default_max_rows),
-        ..QueryLimits::default()
-    };
-    let mut query_args = vec![cmd.to_owned()];
-    for a in args {
-        if let Some(v) = a.strip_prefix("timeout_ms=") {
-            limits.timeout_ms = Some(
-                v.parse()
-                    .map_err(|_| CliError::Usage("timeout_ms=<int>".into()))?,
+        (Some(next), None, Some((graph, _))) => {
+            let epoch = state
+                .registry
+                .replace_if_current(name, &graph, Arc::clone(&next))
+                .ok_or_else(|| {
+                    CliError::Unknown(format!(
+                        "snapshot {name:?} was replaced or dropped during {} — retry against \
+                         the current epoch",
+                        spec.name
+                    ))
+                })?;
+            // the status line carries the epoch; the payload names none
+            let line = format!(
+                "snapshot {name} appended {}: nodes={} edges={} timepoints={}",
+                args.pos(0)?,
+                next.n_nodes(),
+                next.n_edges(),
+                next.domain().len()
             );
-        } else if let Some(v) = a.strip_prefix("limit=") {
-            limits.max_rows = Some(
-                v.parse()
-                    .map_err(|_| CliError::Usage("limit=<int>".into()))?,
-            );
-        } else {
-            query_args.push(a.clone());
+            Ok((vec![line], epoch))
         }
+        (None, _, Some((_, epoch))) => Ok((reply.into_lines(), epoch)),
+        _ => Err(CliError::Unknown(format!(
+            "{} produced no graph",
+            spec.name
+        ))),
     }
-    let mut session = Session::for_snapshot(graph, limits);
-    let out = session.exec_tokens(&query_args)?;
-    let mut lines = payload_lines(&out);
-    // Session-level limits cover explore listings; this covers every other
-    // command's output uniformly at the protocol layer.
-    if let Some(cap) = limits.max_rows {
-        if lines.len() > cap {
-            let dropped = lines.len() - cap;
-            lines.truncate(cap);
-            lines.push(format!("… {dropped} more rows (limit {cap})"));
-            tempo_instrument::global()
-                .counter("server.rows_truncated")
-                .add(dropped as u64);
-        }
-    }
-    Ok((lines, epoch))
 }
 
 /// Snapshot names keep the protocol unambiguous: word characters only.
@@ -716,19 +607,29 @@ mod tests {
         assert_eq!(next(&mut lines), Incoming::Closed);
     }
 
+    /// Both directions: every verb the server answers has its histogram
+    /// in `names::ALL`, and every `server.cmd.*_ns` there names such a verb.
     #[test]
-    fn every_command_histogram_is_a_registered_name() {
-        for cmd in SERVER_COMMANDS
+    fn command_histograms_are_the_served_verbs() {
+        let mut served: Vec<String> = SERVER_VERBS
             .iter()
-            .chain(SNAPSHOT_COMMANDS)
-            .chain(&["unknown"])
-        {
-            let name = format!("server.cmd.{cmd}_ns");
-            assert!(
-                tempo_instrument::names::is_registered(&name),
-                "{name} missing from names::ALL"
-            );
-        }
+            .filter_map(|usage| usage.split(' ').next())
+            .chain(
+                command::COMMANDS
+                    .iter()
+                    .filter(|s| s.served_on(Front::Wire))
+                    .map(|s| s.name),
+            )
+            .chain(["unknown"])
+            .map(|verb| format!("server.cmd.{verb}_ns"))
+            .collect();
+        served.sort();
+        let registered: Vec<&str> = tempo_instrument::names::ALL
+            .iter()
+            .copied()
+            .filter(|n| n.starts_with("server.cmd."))
+            .collect();
+        assert_eq!(served, registered);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! spawn on an ephemeral port, drive the line protocol from real client
 //! sockets (including concurrently), and shut down cleanly.
 
+use graphtempo_cli::command::{Front, COMMANDS};
+use graphtempo_cli::{CliError, Session};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use tempo_server::{spawn, ServerConfig};
@@ -93,26 +95,12 @@ fn protocol_roundtrip_and_graceful_shutdown() {
     );
 
     let explore = "explore g event=growth semantics=union extend=new k=2 attrs=grade";
-    let (status, explore_payload) = c.request(explore);
+    let (status, _) = c.request(explore);
     assert!(status.starts_with("OK "), "explore failed: {status}");
 
     // request-scoped timeout: a zero budget must error, not hang
     let (status, _) = c.request(&format!("{explore} timeout_ms=0"));
     assert!(status.starts_with("ERR timeout:"), "got {status}");
-
-    // compat pin: `shards=` selected an evaluator that no longer exists;
-    // an old client that still sends it gets the plain answer
-    let (status, payload) = c.request(&format!("{explore} shards=4"));
-    assert!(status.starts_with("OK "), "got {status}");
-    assert_eq!(payload, explore_payload);
-
-    // request-scoped row limit: payload truncated with a marker line
-    let (status, payload) = c.request("stats g limit=1");
-    assert_eq!(status, "OK 2 epoch=1", "got {status}");
-    assert!(
-        payload[1].contains("more rows (limit 1)"),
-        "got {payload:?}"
-    );
 
     let (status, payload) = c.request("metrics");
     assert!(status.starts_with("OK "), "got {status}");
@@ -170,12 +158,13 @@ fn oversized_request_line_is_refused_and_the_connection_survives() {
 
 /// A quoted argument is one token however much whitespace it holds: the
 /// server hands the session the tokens it split, not a rebuilt line to
-/// split again (a tab inside the quotes used to cut the path in two).
+/// split again (a tab inside the quotes used to cut the path in two). Nor
+/// does a `=` make a path a keyed argument: only a key the verb reads does.
 #[test]
 fn quoted_argument_with_a_tab_stays_one_token() {
     let server = spawn(test_config()).expect("spawn server");
     let mut c = Client::connect(server.addr());
-    let dir = std::env::temp_dir().join(format!("tempo_server_tab\tdir_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tempo_server_tab\tdir=a_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.to_str().expect("utf-8 temp dir");
 
@@ -190,8 +179,298 @@ fn quoted_argument_with_a_tab_stays_one_token() {
     let (_, h_stats) = c.request("stats h");
     assert_eq!(g_stats, h_stats);
 
+    // the shell reads the same grammar
+    let mut shell = Session::new();
+    shell
+        .exec(&format!("load \"{path}\""))
+        .expect("shell load of a path with a tab and a `=`");
+    assert_eq!(shell.exec("stats").expect("stats"), g_stats.join("\n"));
+    std::fs::remove_dir_all(&dir).expect("remove the saved snapshot");
+    shell
+        .exec(&format!("save \"{path}\""))
+        .expect("shell save to a path with a tab and a `=`");
+    assert!(dir.is_dir(), "saved somewhere other than {path:?}");
+
     std::fs::remove_dir_all(&dir).expect("remove the saved snapshot");
     server.shutdown();
+}
+
+/// The row limit applies once, to a reply's rows: the summary line stays,
+/// exactly `limit` rows follow, one note says how many went, and
+/// `server.rows_truncated` advances by that many. (The session used to
+/// truncate the pairs and append its note, then the server truncated the
+/// *lines* again: `limit=3` answered two pairs and "2 more rows".) This is
+/// the only test of this binary that trips a limit, so the counter deltas
+/// are exact.
+#[test]
+fn row_limit_applies_once_to_the_rows() {
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+    let (status, _) = c.request("generate g school seed=5");
+    assert!(status.starts_with("OK "), "generate failed: {status}");
+    let truncated = || {
+        tempo_instrument::global()
+            .snapshot()
+            .counter("server.rows_truncated")
+    };
+
+    let explore = "explore g event=growth semantics=union extend=new k=2 attrs=grade";
+    let (status, full) = c.request(explore);
+    assert_eq!(status, "OK 10 epoch=1");
+    assert!(full[0].starts_with("9 qualifying"), "got {full:?}");
+
+    let before = truncated();
+    let (status, payload) = c.request(&format!("{explore} limit=3"));
+    assert_eq!(status, "OK 5 epoch=1");
+    assert_eq!(payload[..4], full[..4]);
+    assert_eq!(payload[4], "… 6 more rows (limit 3)");
+    assert_eq!(truncated(), before + 6);
+
+    let (status, payload) = c.request(&format!("{explore} limit=0"));
+    assert_eq!(status, "OK 2 epoch=1");
+    assert_eq!(payload, [full[0].as_str(), "… 9 more rows (limit 0)"]);
+    assert_eq!(truncated(), before + 15);
+
+    // `stats` has no summary line: all four of its lines are rows
+    let (status, payload) = c.request("stats g limit=1");
+    assert_eq!(status, "OK 2 epoch=1", "got {status}");
+    assert!(payload[0].starts_with("#TP"), "got {payload:?}");
+    assert_eq!(payload[1], "… 3 more rows (limit 1)");
+    assert_eq!(truncated(), before + 18);
+
+    // a limit nothing trips changes nothing
+    let (status, payload) = c.request(&format!("{explore} limit=9"));
+    assert_eq!((status.as_str(), &payload), ("OK 10 epoch=1", &full));
+    assert_eq!(truncated(), before + 18);
+
+    server.shutdown();
+}
+
+/// An argument nobody reads is a usage error naming the verb — in the
+/// shell and on the wire, which read one grammar — not an `OK` computed
+/// from the default. Each case is `(verb, shell arguments, wire arguments)`.
+#[test]
+fn arguments_nobody_reads_are_usage_errors() {
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+    let mut shell = Session::new();
+    let (status, _) = c.request("generate g school seed=5");
+    assert!(status.starts_with("OK "), "generate failed: {status}");
+    shell
+        .exec("generate school seed=5")
+        .expect("shell generate");
+
+    let explore = "event=growth semantics=union extend=new k=2 attrs=grade";
+    let cases: Vec<(&str, String)> = vec![
+        // a key the verb does not list
+        ("explore", format!("{explore} frob=1")),
+        ("explore", format!("{explore} shards=4")),
+        ("agg", "dist attrs=grade tpo=2".into()),
+        ("measure", "group=grade nod=avg:intensity".into()),
+        ("suggest", explore.to_owned()), // `k=` is explore's
+        ("stats", "limt=1".into()),
+        // a value outside the choices (a default used to step in for `extend=`)
+        ("solve", "k=2 attrs=grade extend=odl".into()),
+        ("measure", "group=grade edge=cnt".into()),
+        // keys that exclude each other, or that only mean something together
+        (
+            "cube",
+            "attrs=grade,intensity level=grade t=#1 scope=#2..#3".into(),
+        ),
+        ("explore", format!("{explore} edge=G1->G2 node=G1")),
+        ("agg", "dist attrs=grade t1=#0".into()),
+        ("agg", "dist attrs=grade op=union t1=#0".into()),
+        // surplus and missing positionals
+        ("stats", "extra".into()),
+        ("project", "#0 #1 #2".into()),
+        ("union", "#0 #1 #2".into()),
+        ("union", "#0".into()),
+        ("save", "".into()),
+        ("append", "".into()),
+        ("append", "w1 frob=1".into()),
+    ];
+    for (verb, args) in &cases {
+        let line = format!("{verb} {args}");
+        match shell.exec(&line) {
+            Err(CliError::Usage(usage)) => {
+                assert!(usage.starts_with(verb), "shell `{line}`: usage: {usage}");
+            }
+            other => panic!("shell `{line}`: {other:?}"),
+        }
+        let line = format!("{verb} g {args}");
+        let (status, _) = c.request(&line);
+        assert!(
+            status.starts_with(&format!("ERR usage: {verb} <snapshot>")),
+            "wire `{line}`: {status}"
+        );
+    }
+    // the verbs whose wire form differs from the shell's by more than the
+    // snapshot, and the server's own
+    for (verb, shell_line, wire_line) in [
+        (
+            "generate",
+            "generate random sede=3",
+            "generate h random sede=3",
+        ),
+        (
+            "generate",
+            "generate school scale=0.5",
+            "generate h school scale=0.5",
+        ),
+        ("load", "load", "load h"),
+        (
+            "zoom",
+            "zoom window=2 semantics=al",
+            "zoom g as=z window=2 semantics=al",
+        ),
+        ("zoom", "zoom window=2 as=z", "zoom g window=2"),
+        ("metrics", "metrics g", "metrics g"),
+        ("help", "help me", "help me"),
+        ("ping", "", "ping g"),
+        ("snapshots", "", "snapshots all"),
+        ("drop", "", "drop"),
+        ("drop", "", "drop g h"),
+        ("shutdown", "", "shutdown now"),
+    ] {
+        if !shell_line.is_empty() {
+            assert!(
+                matches!(shell.exec(shell_line), Err(CliError::Usage(ref u)) if u.starts_with(verb)),
+                "shell `{shell_line}`"
+            );
+        }
+        let (status, _) = c.request(wire_line);
+        assert!(
+            status.starts_with(&format!("ERR usage: {verb}")),
+            "wire `{wire_line}`: {status}"
+        );
+    }
+    // a limit that does not parse is refused by every verb that takes it,
+    // not only by the one that polls it
+    for (line, usage) in [
+        (
+            "agg g dist attrs=grade timeout_ms=soon",
+            "timeout_ms=<number>",
+        ),
+        ("stats g limit=few", "limit=<number>"),
+    ] {
+        let (status, _) = c.request(line);
+        assert_eq!(status, format!("ERR usage: {usage}"), "wire `{line}`");
+    }
+    // nothing above registered, replaced or dropped a snapshot, and
+    // `export` is not a wire verb: it reads state no request leaves behind
+    let (_, payload) = c.request("snapshots");
+    assert_eq!(payload.len(), 1, "got {payload:?}");
+    assert!(payload[0].starts_with("g  ") && payload[0].ends_with("epoch=1"));
+    let (status, _) = c.request("export g dot /tmp/never-written.dot");
+    assert!(status.starts_with("ERR unknown command"), "got {status}");
+
+    server.shutdown();
+}
+
+/// `help` lists every verb its front serves exactly once, as the usage
+/// text a `usage:` error for that verb shows.
+#[test]
+fn help_and_usage_errors_read_one_table() {
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+    // the verb lines of a help text are the indented ones
+    fn verb_lines(help: &[String]) -> Vec<&str> {
+        help.iter().filter_map(|l| l.strip_prefix("  ")).collect()
+    }
+    // four positionals are more than any verb takes
+    let surplus = "a b c d";
+
+    let mut shell = Session::new();
+    let help: Vec<String> = shell
+        .exec("help")
+        .expect("help")
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    let listed = verb_lines(&help);
+    assert_eq!(
+        listed
+            .iter()
+            .map(|l| l.split(' ').next().unwrap_or(""))
+            .collect::<Vec<_>>(),
+        COMMANDS.iter().map(|s| s.name).collect::<Vec<_>>()
+    );
+    for (spec, shown) in COMMANDS.iter().zip(&listed) {
+        assert_eq!(*shown, spec.usage(Front::Shell));
+        match shell.exec(&format!("{} {surplus}", spec.name)) {
+            Err(CliError::Usage(usage)) => assert_eq!(usage, *shown),
+            other => panic!("{}: {other:?}", spec.name),
+        }
+    }
+
+    let (status, help) = c.request("help");
+    assert!(status.starts_with("OK "), "got {status}");
+    let listed = verb_lines(&help);
+    let own = ["ping", "help", "snapshots", "drop", "metrics", "shutdown"];
+    let served = COMMANDS.iter().filter(|s| s.served_on(Front::Wire));
+    assert_eq!(
+        listed
+            .iter()
+            .map(|l| l.split(' ').next().unwrap_or(""))
+            .collect::<Vec<_>>(),
+        own.into_iter()
+            .chain(served.map(|s| s.name))
+            .collect::<Vec<_>>()
+    );
+    for shown in listed {
+        let verb = shown.split(' ').next().unwrap_or("");
+        let (status, _) = c.request(&format!("{verb} {surplus}"));
+        assert_eq!(status, format!("ERR usage: {shown}"));
+    }
+
+    server.shutdown();
+}
+
+/// README's "query server" and "Streaming ingest" transcripts, so they
+/// cannot rot: every request line and every pinned answer line below is
+/// in README.md, and the server answers the one with the other.
+#[test]
+fn readme_transcript_is_what_the_server_answers() {
+    const README: &str = include_str!("../../../README.md");
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+    let transcript: [(&str, &[&str]); 6] = [
+        (
+            "generate g dblp scale=0.05 seed=1",
+            &[
+                "OK 2 epoch=1",
+                "snapshot g registered",
+                "generated dblp: 1634 nodes, 9396 edges, 21 time points",
+            ],
+        ),
+        ("stats g", &["OK 4 epoch=1"]),
+        (
+            "explore g event=growth semantics=union extend=new k=2 attrs=gender timeout_ms=500 limit=100",
+            &["OK 21 epoch=1", "20 qualifying minimal interval pairs (20 evaluations):"],
+        ),
+        ("metrics", &[]),
+        (
+            "append g 2024w07 node=alice edge=alice,bob static=alice,gender,f tv=alice,publications,2 edgeval=alice,bob,3",
+            &[
+                "OK 1 epoch=2",
+                "snapshot g appended 2024w07: nodes=1636 edges=9397 timepoints=22",
+            ],
+        ),
+        ("shutdown", &["OK 1"]),
+    ];
+    for (request, pinned) in transcript {
+        assert!(README.contains(request), "README lost `{request}`");
+        let (status, payload) = c.request(request);
+        assert!(status.starts_with("OK "), "`{request}`: {status}");
+        let answer: Vec<&str> = std::iter::once(status.as_str())
+            .chain(payload.iter().map(String::as_str))
+            .collect();
+        for (line, got) in pinned.iter().zip(answer) {
+            assert!(README.contains(line), "README lost `{line}`");
+            assert_eq!(got, *line, "`{request}`");
+        }
+    }
+    server.join();
 }
 
 #[test]
@@ -275,8 +554,10 @@ fn append_roundtrip_while_queries_continue() {
                     format!("append g live{i} node=ing{i}a node=ing{i}b edge=ing{i}a,ing{i}b");
                 let (status, payload) = w.request(&line);
                 assert!(status.starts_with("OK "), "append {i} failed: {status}");
-                assert_eq!(Client::epoch_of(&status), Some(2 + i as u64));
+                // one epoch per answer: the registry's, on the status line
+                assert_eq!(status, format!("OK 1 epoch={}", 2 + i));
                 assert!(payload[0].contains(&format!("appended live{i}")));
+                assert!(!payload[0].contains("epoch"), "got {payload:?}");
             }
         });
         // readers: hammer queries the whole time; every answer must come

@@ -83,37 +83,9 @@ pub struct TemporalGraph {
 impl TemporalGraph {
     /// Assembles a graph from raw parts, checking structural invariants:
     /// consistent array shapes, edge endpoints in range, every edge present
-    /// only when both endpoints are present, and time-varying values only
-    /// where the node is present.
-    ///
-    /// # Errors
-    /// Returns the first violated invariant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        domain: TimeDomain,
-        schema: AttributeSchema,
-        node_names: Interner<String>,
-        node_presence: BitMatrix,
-        edges: Vec<(NodeId, NodeId)>,
-        edge_presence: BitMatrix,
-        static_table: ValueMatrix,
-        tv_tables: Vec<ValueMatrix>,
-    ) -> Result<Self, GraphError> {
-        Self::from_parts_with_edge_values(
-            domain,
-            schema,
-            node_names,
-            node_presence,
-            edges,
-            edge_presence,
-            static_table,
-            tv_tables,
-            None,
-        )
-    }
-
-    /// [`TemporalGraph::from_parts`] with an optional edge-value matrix
-    /// (`|E| × |𝒯|`; a non-null cell requires the edge present there).
+    /// only when both endpoints are present, time-varying values only
+    /// where the node is present, and — for the optional edge-value matrix
+    /// (`|E| × |𝒯|`) — a non-null cell only where the edge is present.
     ///
     /// # Errors
     /// Returns the first violated invariant.
@@ -653,12 +625,6 @@ impl TemporalGraph {
             }
         })?;
         Ok(&self.tv_tables[slot])
-    }
-
-    /// Interner mapping node labels to ids (shared with derived graphs so
-    /// node identity is preserved across operators).
-    pub fn node_interner(&self) -> &Interner<String> {
-        &self.node_names
     }
 
     /// True if the graph carries per-timepoint edge values.
