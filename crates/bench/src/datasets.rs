@@ -11,6 +11,7 @@ use tempo_graph::{AttrId, TemporalGraph};
 
 /// The experiment scale factor (`GRAPHTEMPO_SCALE`, default 0.1), read
 /// from the environment exactly once per process.
+#[allow(clippy::disallowed_methods)] // read once per process so the experiment binaries sweep sizes without recompiling
 pub fn scale() -> f64 {
     static SCALE: OnceLock<f64> = OnceLock::new();
     *SCALE.get_or_init(|| {

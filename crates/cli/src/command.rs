@@ -148,7 +148,9 @@ pub fn help(front: Front, lines: &mut Vec<String>) {
 /// `key=value` whose key the verb reads is a keyed argument, every other
 /// token is positional (so a path may hold a `=`), and a positional count
 /// outside the verb's range — which is where a key it does not read ends
-/// up — is a usage error.
+/// up — is a usage error. So is a key given twice, except to an
+/// [`Extends`] verb: `append` lists its nodes and edges by repeating
+/// `node=` / `edge=`.
 #[derive(Debug)]
 pub struct Args<'a> {
     spec: &'static Spec,
@@ -181,7 +183,12 @@ impl<'a> Args<'a> {
         }
         for token in args.tokens {
             match token.split_once('=') {
-                Some((key, value)) if spec.accepts(key, front) => args.keyed.push((key, value)),
+                Some((key, value)) if spec.accepts(key, front) => {
+                    if spec.scope != Extends && args.get(key).is_some() {
+                        return Err(args.usage());
+                    }
+                    args.keyed.push((key, value));
+                }
                 _ => args.pos.push(token),
             }
         }
@@ -217,7 +224,8 @@ impl<'a> Args<'a> {
         self.pos.get(i).copied().ok_or_else(|| self.usage())
     }
 
-    /// The value of `key=`, if given (the first, where a key repeats).
+    /// The value of `key=`, if given. Only an [`Extends`] verb may repeat a
+    /// key, and `append` reads its tokens in order off [`Args::tokens`].
     pub fn get(&self, key: &str) -> Option<&'a str> {
         self.keyed.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
     }
@@ -322,6 +330,12 @@ mod tests {
         assert!(args.one_of("c", &[("a", 1), ("b", 2)]).is_err());
         // a key agg does not read is a positional too many
         assert!(Args::parse(agg, &tokens("dist attrs=a tpo=2"), Front::Shell).is_err());
+        // a key given twice names no one value; `append` lists by repeating
+        let t = tokens("dist attrs=a attrs=b");
+        let twice = Args::parse(agg, &t, Front::Shell);
+        assert!(matches!(twice, Err(CliError::Usage(u)) if u == agg.usage(Front::Shell)));
+        let append = spec("append").unwrap();
+        assert!(Args::parse(append, &tokens("w1 node=a node=b"), Front::Shell).is_ok());
         // … but a path is a path, whatever it holds
         let load = spec("load").unwrap();
         let t = tokens("/tmp/a=b");

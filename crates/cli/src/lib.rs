@@ -10,6 +10,8 @@
 //! snapshot and registers the graph a reply yields.
 
 #![warn(missing_docs)]
+// DESIGN §7.1: a typed error, or an `expect("invariant: …")` under its own `#[allow]`
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod command;
 pub mod error;

@@ -11,6 +11,9 @@
 //! Commands may also be passed as arguments for one-shot use:
 //! `graphtempo "generate dblp" stats`.
 
+// DESIGN §7.1: a typed error, or an `expect("invariant: …")` under its own `#[allow]`
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use graphtempo_cli::Session;
 use std::io::{BufRead, Write};
 

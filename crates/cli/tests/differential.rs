@@ -1,367 +1,36 @@
 //! Differential test of the read-query path: every `agg`, `evolution`,
-//! `cube`, `measure`, `explore`, `suggest` and operator-count answer of
-//! [`Session::exec`] — served from event masks, cached group ids, cached
-//! selector match columns and dense accumulators — must equal the naive
-//! oracle (`aggregate` over the *materialized* operator graph, rolled up for
+//! `cube`, `measure`, `explore`, `suggest`, `stats`, `zoom` and
+//! operator-count answer of [`Session::exec`] — served from event masks,
+//! cached group ids, cached selector match columns and dense accumulators —
+//! must equal the naive oracle (`aggregate` over the *materialized*
+//! operator graph, rolled up for
 //! `cube`; the tuple-hashing `evolution_aggregate_naive`; a scan over
 //! `attr_value` / `edge_value` for `measure`; the Table-1 strategy walked
 //! with `evaluate_pair_materialized`, and `explore_naive` where the lemmas
 //! hold, for `explore`; a scan of the consecutive pairs' materialized
-//! aggregates for `suggest`) on random graphs, at every epoch of a random
-//! append sequence, under both presence-column policies.
+//! aggregates for `suggest`; row-wise `node_alive_at` / `edge_alive_at`
+//! counts for `stats`, OR-ed or AND-ed per window for `zoom`) on random
+//! graphs, at every epoch of a random append sequence, under both
+//! presence-column policies. The oracles and the generators live in
+//! `tempo-testkit`.
 //!
 //! The appends rewrite static cells, add nodes and edges and record edge
 //! values, so an answer computed from group ids or match columns cached on
 //! an earlier epoch would differ from the oracle.
 
-use graphtempo::aggregate::{aggregate, rollup, AggMode, AggregateGraph};
-use graphtempo::evolution::{evolution_aggregate_naive, EvolutionAggregate};
-use graphtempo::explore::{
-    direction, evaluate_pair_materialized, explore_naive, Direction, ExploreConfig, ExtendSide,
-    IntervalPair, Selector, Semantics,
-};
-use graphtempo::ops::{
-    difference, event_graph, intersection, project, project_point, union, Event, SideTest,
-};
+use graphtempo::aggregate::{aggregate, rollup, AggMode};
+use graphtempo::evolution::evolution_aggregate_naive;
+use graphtempo::explore::{explore_naive, ExploreConfig, ExtendSide, Selector, Semantics};
+use graphtempo::ops::{difference, intersection, project, project_point, union, Event, SideTest};
 use graphtempo_cli::{QueryLimits, Session};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
-use tempo_columnar::{SparseMode, Value, ValueTuple};
-use tempo_datagen::RandomGraphConfig;
-use tempo_graph::{AttrId, NodeId, TemporalGraph, TimePoint, TimeSet};
-
-fn graph_config() -> impl Strategy<Value = RandomGraphConfig> {
-    (
-        8usize..30,   // pool
-        2usize..6,    // timepoints
-        4usize..12,   // active per tp
-        4usize..30,   // edges per tp
-        0u8..=10,     // node persistence (tenths)
-        0u8..=10,     // edge persistence (tenths)
-        1usize..4,    // kinds
-        1i64..5,      // levels
-        any::<u64>(), // seed
-    )
-        .prop_map(|(pool, tps, active, edges, np, ep, kinds, levels, seed)| {
-            RandomGraphConfig {
-                pool,
-                timepoints: tps,
-                active_per_tp: active.min(pool),
-                edges_per_tp: edges,
-                node_persistence: f64::from(np) / 10.0,
-                edge_persistence: f64::from(ep) / 10.0,
-                kinds,
-                levels,
-                seed,
-            }
-        })
-}
-
-/// One `append` line's tokens over node indexes `0..40` (the generator's
-/// pool is at most 30, so some of them are new nodes): marked nodes, edges,
-/// `level` values, `kind` rewrites (`k0` always exists), and edge values
-/// (the generated graph has none until a patch records one).
-fn patch_tokens() -> impl Strategy<Value = String> {
-    (
-        proptest::collection::vec(0usize..40, 0..4),
-        proptest::collection::vec((0usize..40, 0usize..40), 0..5),
-        proptest::collection::vec((0usize..40, 1i64..5), 0..4),
-        proptest::collection::vec(0usize..40, 0..3),
-        proptest::collection::vec((0usize..40, 0usize..40, -3i64..9), 0..3),
-    )
-        .prop_map(|(nodes, edges, levels, kinds, edge_values)| {
-            let mut out = String::new();
-            for n in nodes {
-                let _ = write!(out, " node=n{n}");
-            }
-            for (u, v) in edges {
-                let _ = write!(out, " edge=n{u},n{v}");
-            }
-            for (n, level) in levels {
-                let _ = write!(out, " tv=n{n},level,{level}");
-            }
-            for n in kinds {
-                let _ = write!(out, " static=n{n},kind,k0");
-            }
-            for (u, v, value) in edge_values {
-                let _ = write!(out, " edgeval=n{u},n{v},{value}");
-            }
-            out
-        })
-}
-
-fn render_tuple(g: &TemporalGraph, attrs: &[AttrId], tuple: &ValueTuple) -> String {
-    let parts: Vec<String> = attrs
-        .iter()
-        .zip(tuple)
-        .map(|(&a, v)| g.schema().def(a).render(v))
-        .collect();
-    format!("({})", parts.join(","))
-}
-
-/// An aggregate as `agg … top=<everything>` prints it.
-fn render_agg(g: &TemporalGraph, attrs: &[AttrId], agg: &AggregateGraph) -> String {
-    let mut out = format!(
-        "aggregate: {} nodes, {} edges (node weight {}, edge weight {})\n",
-        agg.n_nodes(),
-        agg.n_edges(),
-        agg.total_node_weight(),
-        agg.total_edge_weight()
-    );
-    let mut nodes = agg.iter_nodes();
-    nodes.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
-    for (tuple, w) in nodes {
-        let _ = writeln!(out, "  node {} w={w}", render_tuple(g, attrs, tuple));
-    }
-    let mut edges = agg.iter_edges();
-    edges.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
-    for ((s, d), w) in edges {
-        let _ = writeln!(
-            out,
-            "  edge {} -> {} w={w}",
-            render_tuple(g, attrs, s),
-            render_tuple(g, attrs, d)
-        );
-    }
-    out.trim_end().to_owned()
-}
-
-/// An evolution aggregate as `evolution` prints it.
-fn render_evolution(g: &TemporalGraph, attrs: &[AttrId], evo: &EvolutionAggregate) -> String {
-    let mut out = String::new();
-    for (tuple, w) in evo.iter_nodes() {
-        let _ = writeln!(
-            out,
-            "  node {}: St={} Gr={} Shr={}",
-            render_tuple(g, attrs, tuple),
-            w.stability,
-            w.growth,
-            w.shrinkage
-        );
-    }
-    let e = evo.edge_totals();
-    let _ = writeln!(
-        out,
-        "  edges total: St={} Gr={} Shr={}",
-        e.stability, e.growth, e.shrinkage
-    );
-    out.trim_end().to_owned()
-}
-
-/// An aggregate as `cube` prints it: the ten heaviest nodes.
-fn render_cube(g: &TemporalGraph, level: &str, agg: &AggregateGraph) -> String {
-    let ids: Vec<AttrId> = level
-        .split(',')
-        .map(|a| g.schema().id(a).expect("level names are schema names"))
-        .collect();
-    let mut out = format!(
-        "cube query at level ({level}): {} nodes, {} edges\n",
-        agg.n_nodes(),
-        agg.n_edges()
-    );
-    let mut nodes = agg.iter_nodes();
-    nodes.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
-    for (tuple, w) in nodes.into_iter().take(10) {
-        let _ = writeln!(out, "  {} w={w}", render_tuple(g, &ids, tuple));
-    }
-    out.trim_end().to_owned()
-}
-
-/// What a measure reduces the observations of one group to.
-#[derive(Clone, Copy)]
-enum Reduce {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl Reduce {
-    /// One entry per appearance; `None` where nothing numeric was recorded.
-    fn of(self, appearances: &[Option<i64>]) -> Option<f64> {
-        let observed: Vec<i64> = appearances.iter().flatten().copied().collect();
-        let sum = observed.iter().sum::<i64>() as f64;
-        match self {
-            Reduce::Count => Some(appearances.len() as f64),
-            Reduce::Sum => Some(sum),
-            Reduce::Min => observed.iter().min().map(|&v| v as f64),
-            Reduce::Max => observed.iter().max().map(|&v| v as f64),
-            Reduce::Avg => (!observed.is_empty()).then(|| sum / observed.len() as f64),
-        }
-    }
-}
-
-/// The `measure` oracle, as `measure` prints it: every appearance resolved
-/// through `attr_value` / `edge_value` and collected under its value tuple.
-fn naive_measure(
-    g: &TemporalGraph,
-    group: &[AttrId],
-    node_spec: &str,
-    (node, measured): (Reduce, Option<AttrId>),
-    edge: Reduce,
-) -> String {
-    let tuple_of = |n: NodeId, t: TimePoint| -> ValueTuple {
-        group.iter().map(|&a| g.attr_value(n, a, t)).collect()
-    };
-    let mut nodes: BTreeMap<ValueTuple, Vec<Option<i64>>> = BTreeMap::new();
-    for n in g.node_ids() {
-        for t in g.node_timestamp(n).iter() {
-            let seen = measured.and_then(|a| g.attr_value(n, a, t).as_int());
-            nodes.entry(tuple_of(n, t)).or_default().push(seen);
-        }
-    }
-    let mut edges: BTreeMap<(ValueTuple, ValueTuple), Vec<Option<i64>>> = BTreeMap::new();
-    for e in g.edge_ids() {
-        let (u, v) = g.edge_endpoints(e);
-        for t in g.edge_timestamp(e).iter() {
-            edges
-                .entry((tuple_of(u, t), tuple_of(v, t)))
-                .or_default()
-                .push(g.edge_value(e, t).as_int());
-        }
-    }
-
-    let names: Vec<&str> = group.iter().map(|&a| g.schema().def(a).name()).collect();
-    let mut out = format!("measure {node_spec} grouped by ({})\n", names.join(","));
-    for (tuple, appearances) in &nodes {
-        if let Some(v) = node.of(appearances) {
-            let _ = writeln!(out, "  node {} = {v:.3}", render_tuple(g, group, tuple));
-        }
-    }
-    let valued = edges
-        .iter()
-        .filter_map(|(pair, appearances)| edge.of(appearances).map(|v| (pair, v)));
-    for ((s, d), v) in valued.take(10) {
-        let _ = writeln!(
-            out,
-            "  edge {} -> {} = {v:.3}",
-            render_tuple(g, group, s),
-            render_tuple(g, group, d)
-        );
-    }
-    out.trim_end().to_owned()
-}
-
-/// A non-empty contiguous interval over `n` points, as `(token, set)`.
-fn interval(n: usize, seed: u64) -> (String, TimeSet) {
-    let a = (seed as usize) % n;
-    let b = ((seed >> 8) as usize) % n;
-    let (lo, hi) = (a.min(b), a.max(b));
-    (format!("#{lo}..#{hi}"), TimeSet::range(n, lo, hi))
-}
-
-/// The pair at chain coordinate `(i, j)`, derived independently of the
-/// engine's chain table.
-fn chain_pair(n: usize, i: usize, j: usize, extend: ExtendSide) -> IntervalPair {
-    let point = |t: usize| TimeSet::point(n, TimePoint(t as u32));
-    match extend {
-        ExtendSide::New => IntervalPair {
-            told: point(i),
-            tnew: TimeSet::range(n, i + 1, i + 1 + j),
-        },
-        ExtendSide::Old => IntervalPair {
-            told: TimeSet::range(n, i - j, i),
-            tnew: point(i + 1),
-        },
-    }
-}
-
-/// The `explore` oracle, as `explore` prints it: the strategy Table 1 names
-/// for the case, walked chain by chain with every pair materialized and
-/// aggregated from scratch.
-fn naive_explore(g: &TemporalGraph, cfg: &ExploreConfig) -> String {
-    let n = g.domain().len();
-    let mut evaluations = 0;
-    let mut pairs: Vec<(IntervalPair, u64)> = Vec::new();
-    for i in 0..n - 1 {
-        let len = match cfg.extend {
-            ExtendSide::New => n - 1 - i,
-            ExtendSide::Old => i + 1,
-        };
-        let mut eval = |j: usize| {
-            evaluations += 1;
-            let pair = chain_pair(n, i, j, cfg.extend);
-            let r = evaluate_pair_materialized(g, cfg, &pair.told, &pair.tnew).unwrap();
-            (pair, r)
-        };
-        let mut found = None;
-        match (
-            cfg.semantics,
-            direction(cfg.event, cfg.extend, cfg.semantics),
-        ) {
-            (Semantics::Union, Direction::Increasing) => {
-                found = (0..len).map(&mut eval).find(|(_, r)| *r >= cfg.k);
-            }
-            (Semantics::Intersection, Direction::Decreasing) => {
-                for j in 0..len {
-                    let at_j = eval(j);
-                    if at_j.1 < cfg.k {
-                        break;
-                    }
-                    found = Some(at_j);
-                }
-            }
-            (Semantics::Union, Direction::Decreasing) => {
-                found = Some(eval(0)).filter(|(_, r)| *r >= cfg.k);
-            }
-            (Semantics::Intersection, Direction::Increasing) => {
-                found = Some(eval(len - 1)).filter(|(_, r)| *r >= cfg.k);
-            }
-        }
-        pairs.extend(found);
-    }
-    let kind = match cfg.semantics {
-        Semantics::Union => "minimal",
-        Semantics::Intersection => "maximal",
-    };
-    let mut out = format!(
-        "{} qualifying {kind} interval pairs ({evaluations} evaluations):\n",
-        pairs.len()
-    );
-    for (pair, r) in &pairs {
-        let _ = writeln!(out, "  {} -> {r} events", pair.display(g.domain()));
-    }
-    out.trim_end().to_owned()
-}
-
-/// The `suggest` oracle, as `suggest` prints it — §3.5 by definition: over
-/// the consecutive pairs, the selected tuple's weight (tuple selectors) or
-/// the individual entity weights of the event graph's distinct aggregate
-/// (All selectors), pairs without events skipped; the minimum where the
-/// case is increasing, the maximum where it is decreasing.
-fn naive_suggest(g: &TemporalGraph, cfg: &ExploreConfig) -> String {
-    let n = g.domain().len();
-    let pick = |ws: Vec<u64>| match direction(cfg.event, cfg.extend, cfg.semantics) {
-        Direction::Increasing => ws.into_iter().min(),
-        Direction::Decreasing => ws.into_iter().max(),
-    };
-    let per_pair = (0..n - 1).filter_map(|i| {
-        let pair = chain_pair(n, i, 0, cfg.extend);
-        match &cfg.selector {
-            Selector::NodeTuple(_) | Selector::EdgeTuple(..) => {
-                let r = evaluate_pair_materialized(g, cfg, &pair.told, &pair.tnew).unwrap();
-                (r > 0).then_some(r)
-            }
-            all => {
-                let any = SideTest::Any;
-                let ev = event_graph(g, cfg.event, &pair.told, &pair.tnew, any, any).unwrap();
-                let agg = aggregate(&ev, &cfg.attrs, AggMode::Distinct);
-                pick(if all.is_edge() {
-                    agg.iter_edges().into_iter().map(|(_, w)| w).collect()
-                } else {
-                    agg.iter_nodes().into_iter().map(|(_, w)| w).collect()
-                })
-            }
-        }
-    });
-    match pick(per_pair.collect()) {
-        Some(w) => format!("suggested k (w_th per §3.5): {w}"),
-        None => "no events between any consecutive time points".to_owned(),
-    }
-}
+use tempo_columnar::Value;
+use tempo_graph::{AttrId, NodeId, TemporalGraph, TimePoint};
+use tempo_testkit::{
+    both_layouts, graph_config, interval, naive_explore, naive_measure, naive_stats, naive_suggest,
+    naive_zoom, patch_tokens, range_token, render_agg, render_cube, render_evolution, Reduce,
+};
 
 /// `explore` and `suggest` on the session's current epoch: all twelve
 /// Table-1 cases on each attribute layout, for the All-edges selector, a
@@ -467,8 +136,8 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
     let g = session.graph_arc().expect("session holds a graph");
     let g: &TemporalGraph = &g;
     let n = g.domain().len();
-    let (tok1, t1) = interval(n, seed);
-    let (tok2, t2) = interval(n, seed >> 16);
+    let (t1, t2) = (interval(n, seed), interval(n, seed >> 16));
+    let (tok1, tok2) = (range_token(&t1), range_token(&t2));
 
     for (cmd, oracle) in [
         ("union", union(g, &t1, &t2)),
@@ -593,6 +262,19 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
             prop_assert_eq!(got, want, "{}", line);
         }
     }
+
+    // stats, and zoom under both semantics; the snapshot a zoom derives goes
+    // to a session of its own, so this one stays on the epoch under test
+    prop_assert_eq!(session.exec("stats").unwrap(), naive_stats(g));
+    let window = 1 + (seed >> 40) as usize % n;
+    for (semantics_tok, semantics) in [("any", SideTest::Any), ("all", SideTest::All)] {
+        let line = format!("zoom window={window} semantics={semantics_tok}");
+        let (reply, stats) = naive_zoom(g, window, semantics);
+        let snapshot = session.graph_arc().expect("session holds a graph");
+        let mut zoomed = Session::for_snapshot(snapshot, QueryLimits::default());
+        prop_assert_eq!(zoomed.exec(&line).unwrap(), reply, "{}", line);
+        prop_assert_eq!(zoomed.exec("stats").unwrap(), stats, "stats after {}", line);
+    }
     check_exploration(session, seed)
 }
 
@@ -605,9 +287,8 @@ proptest! {
         patches in proptest::collection::vec(patch_tokens(), 0..4),
         seed in any::<u64>(),
     ) {
-        for mode in [SparseMode::ForceDense, SparseMode::ForceSparse] {
-            let mut g = cfg.generate().expect("random generator produces valid graphs");
-            g.set_sparse_mode(mode);
+        let g = cfg.generate().expect("random generator produces valid graphs");
+        for g in both_layouts(&g) {
             let mut session = Session::for_snapshot(Arc::new(g), QueryLimits::default());
             check_epoch(&mut session, seed)?;
             for (i, tokens) in patches.iter().enumerate() {

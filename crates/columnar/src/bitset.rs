@@ -339,6 +339,7 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
 ///
 /// Used both as an entity's presence vector over the time domain and as a
 /// column mask selecting a subset of time points.
+#[must_use = "a mask computed and dropped is a lost result"]
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     nbits: usize,
@@ -357,7 +358,6 @@ impl std::fmt::Debug for BitVec {
 
 impl BitVec {
     /// Creates an all-zero vector of `nbits` bits.
-    #[must_use]
     pub fn zeros(nbits: usize) -> Self {
         BitVec {
             nbits,
@@ -366,7 +366,6 @@ impl BitVec {
     }
 
     /// Creates an all-one vector of `nbits` bits.
-    #[must_use]
     pub fn ones(nbits: usize) -> Self {
         let mut v = BitVec {
             nbits,
@@ -381,7 +380,6 @@ impl BitVec {
     ///
     /// # Panics
     /// Panics if any position is out of range.
-    #[must_use]
     pub fn from_indices<I: IntoIterator<Item = usize>>(nbits: usize, idx: I) -> Self {
         let mut v = Self::zeros(nbits);
         for i in idx {
@@ -391,7 +389,6 @@ impl BitVec {
     }
 
     /// Builds a vector from a slice of boolean flags.
-    #[must_use]
     pub fn from_bools(bits: &[bool]) -> Self {
         let mut v = Self::zeros(bits.len());
         for (i, &b) in bits.iter().enumerate() {
@@ -635,7 +632,6 @@ impl BitVec {
     }
 
     /// Returns `self & mask` as a new vector.
-    #[must_use]
     pub fn and(&self, mask: &BitVec) -> BitVec {
         let mut out = self.clone();
         out.and_assign(mask);
@@ -643,7 +639,6 @@ impl BitVec {
     }
 
     /// Returns `self | mask` as a new vector.
-    #[must_use]
     pub fn or(&self, mask: &BitVec) -> BitVec {
         let mut out = self.clone();
         out.or_assign(mask);
@@ -706,6 +701,7 @@ impl BitVec {
 /// band only when it is actually shared (copy-on-write). Appending a time
 /// point via [`push_col`](Self::push_col) therefore touches just the final
 /// band, leaving all full bands of the history physically shared.
+#[must_use = "a matrix computed and dropped is a lost result"]
 #[derive(Clone)]
 pub struct BitMatrix {
     ncols: usize,
@@ -747,7 +743,6 @@ impl std::fmt::Debug for BitMatrix {
 
 impl BitMatrix {
     /// Creates an empty matrix with `ncols` columns and no rows.
-    #[must_use]
     pub fn new(ncols: usize) -> Self {
         BitMatrix {
             ncols,
@@ -760,7 +755,6 @@ impl BitMatrix {
     }
 
     /// Creates an all-zero matrix with `nrows` rows.
-    #[must_use]
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         let mut m = BitMatrix::new(ncols);
         m.nrows = nrows;
@@ -939,7 +933,6 @@ impl BitMatrix {
     ///
     /// # Panics
     /// Panics if `r` is out of range.
-    #[must_use]
     pub fn row(&self, r: usize) -> BitVec {
         assert!(r < self.nrows, "row {r} out of range {}", self.nrows);
         BitVec {
@@ -986,7 +979,6 @@ impl BitMatrix {
     }
 
     /// Returns row `r` restricted to `mask` (bits outside `mask` cleared).
-    #[must_use]
     pub fn row_masked(&self, r: usize, mask: &BitVec) -> BitVec {
         assert_eq!(mask.len(), self.ncols, "mask width mismatch");
         assert!(r < self.nrows, "row {r} out of range {}", self.nrows);
@@ -1021,7 +1013,6 @@ impl BitMatrix {
 
     /// Builds a new matrix keeping only the listed columns, in the given
     /// order (the paper's "restrict the arrays to the columns of 𝒯").
-    #[must_use]
     pub fn restrict_columns(&self, cols: &[usize]) -> BitMatrix {
         for &c in cols {
             assert!(c < self.ncols, "column {c} out of range {}", self.ncols);
@@ -1056,7 +1047,6 @@ impl BitMatrix {
     ///
     /// # Panics
     /// Panics if `new_ncols < ncols`.
-    #[must_use]
     pub fn widen(&self, new_ncols: usize) -> BitMatrix {
         assert!(
             new_ncols >= self.ncols,
@@ -1075,7 +1065,6 @@ impl BitMatrix {
     }
 
     /// Builds a new matrix keeping only the listed rows, in the given order.
-    #[must_use]
     pub fn select_rows(&self, rows: &[usize]) -> BitMatrix {
         for &r in rows {
             assert!(r < self.nrows, "row {r} out of range {}", self.nrows);
@@ -1159,7 +1148,6 @@ impl BitMatrix {
     /// Equivalent to [`transposed_with`](Self::transposed_with) with
     /// [`SparseMode::Auto`]: each column independently picks the dense or
     /// sparse representation by its own density.
-    #[must_use]
     pub fn transposed(&self) -> TransposedBitMatrix {
         self.transposed_with(SparseMode::Auto)
     }
@@ -1176,7 +1164,6 @@ impl BitMatrix {
     /// per-set-bit scatter, whose writes stride the full column array.
     /// The result is immutable and intended to be built once and cached
     /// (see `TemporalGraph::node_presence_columns`).
-    #[must_use]
     pub fn transposed_with(&self, mode: SparseMode) -> TransposedBitMatrix {
         let col_words = words_for(self.nrows);
         let mut col_data: Vec<Vec<u64>> = vec![vec![0u64; col_words]; self.ncols];
@@ -1298,6 +1285,7 @@ impl BitMatrix {
 /// every prior column left physically shared and read as zero-extended up
 /// to the new `source_rows` (entities created after a column's time point
 /// are absent at it by construction).
+#[must_use = "a transposed index built and dropped is a lost result"]
 #[derive(Clone, Debug)]
 pub struct TransposedBitMatrix {
     source_rows: usize,

@@ -35,6 +35,7 @@ impl<T: Eq + Hash + Clone> Interner<T> {
         if let Some(c) = self.code(&label) {
             return c;
         }
+        #[allow(clippy::expect_used)]
         let code = u32::try_from(self.items.len())
             .expect("invariant: fewer than u32::MAX distinct labels (documented capacity)");
         self.items.push(label.clone());

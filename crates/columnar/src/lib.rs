@@ -31,6 +31,10 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+// DESIGN §7.1: a typed error, or an `expect("invariant: …")` under its own `#[allow]`
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// DESIGN §7.1: output belongs to the CLI and the bench binaries
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod bitset;
 mod csv;

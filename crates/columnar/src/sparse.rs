@@ -93,6 +93,7 @@ pub struct SparseIds {
 /// bits compare *unequal*. Compare contents via
 /// [`PresenceColumn::to_bitvec`] or the op surface when representation
 /// independence is needed.
+#[must_use = "a column built and dropped is a lost result"]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PresenceColumn {
     /// Packed-word representation; ops are word-parallel folds.
@@ -108,7 +109,6 @@ impl PresenceColumn {
     /// policy is overridden to dense and the
     /// `columnar.presence.sparse_overflow_forced_dense` warning counter is
     /// incremented instead of failing the build.
-    #[must_use]
     pub fn from_bitvec(bv: BitVec, mode: SparseMode) -> Self {
         let (sparse, vetoed) = choose_representation(bv.len(), bv.count_ones(), mode);
         if vetoed {
@@ -195,7 +195,6 @@ impl PresenceColumn {
 
     /// Materializes the column as a dense [`BitVec`] (tests and one-off
     /// conversions; hot paths use the `*_into` ops instead).
-    #[must_use]
     pub fn to_bitvec(&self) -> BitVec {
         match self {
             PresenceColumn::Dense(bv) => bv.clone(),

@@ -280,7 +280,8 @@ proptest! {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
         let n = bits.len();
-        let folds: [(&str, fn(&PresenceColumn, &BitVec, &mut BitVec)); 6] = [
+        type Fold = fn(&PresenceColumn, &BitVec, &mut BitVec);
+        let folds: [(&str, Fold); 6] = [
             ("copy_into", |c, _o, out| c.copy_into(out)),
             ("or_into", |c, _o, out| c.or_into(out)),
             ("and_assign_into", |c, _o, out| c.and_assign_into(out)),

@@ -216,6 +216,7 @@ enum Resolved {
     TimeVarying(usize),
 }
 
+#[allow(clippy::expect_used)]
 fn resolve_attrs(g: &TemporalGraph, attrs: &[AttrId]) -> Vec<Resolved> {
     attrs
         .iter()
@@ -251,7 +252,9 @@ fn tuple_at(
 }
 
 /// Aggregates `g` on `attrs` with the given mode (Definition 2.6),
-/// considering every time point at which each entity exists.
+/// considering every time point at which each entity exists. This is the
+/// paper's tuple-hashing algorithm and the test oracle: no served verb
+/// calls it — they count cached group ids ([`GroupTable::aggregate_masked`]).
 ///
 /// ```
 /// use graphtempo::aggregate::{aggregate, AggMode};
@@ -275,7 +278,7 @@ pub fn aggregate(g: &TemporalGraph, attrs: &[AttrId], mode: AggMode) -> Aggregat
 
 /// [`aggregate`] with an optional per-(node, time) filter; a filtered-out
 /// node contributes no appearances, and an edge appearance requires both
-/// endpoints to pass.
+/// endpoints to pass. Like [`aggregate`], an oracle no served verb calls.
 ///
 /// # Panics
 /// Panics if any id is not from `g`'s schema.
@@ -291,6 +294,7 @@ pub fn aggregate_filtered(
         .collect();
     let mut agg = AggregateGraph::new(names);
     let resolved = resolve_attrs(g, attrs);
+    #[allow(clippy::expect_used)]
     let tv_tables: Vec<&tempo_columnar::ValueMatrix> = g
         .schema()
         .time_varying_ids()
@@ -474,6 +478,7 @@ pub use tempo_graph::NO_GROUP;
 /// The table is immutable after construction and `Sync`, so one instance is
 /// shared across all pairs of an exploration run, and the columns behind
 /// [`cached`](Self::cached) across every request on one snapshot.
+#[must_use = "a group table built and dropped is a lost result"]
 pub struct GroupTable {
     cols: Arc<GroupColumns>,
     /// Cached instrumentation handles: `count_distinct` runs once per
@@ -489,7 +494,7 @@ impl GroupTable {
     ///
     /// # Panics
     /// Panics if any id is not from `g`'s schema.
-    #[must_use]
+    #[allow(clippy::disallowed_methods)] // the uncached constructor itself
     pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> GroupTable {
         Self::over(Arc::new(GroupColumns::build(g, attrs)))
     }
@@ -501,7 +506,6 @@ impl GroupTable {
     ///
     /// # Panics
     /// Panics if any id is not from `g`'s schema.
-    #[must_use]
     pub fn cached(g: &TemporalGraph, attrs: &[AttrId]) -> GroupTable {
         Self::over(g.group_columns(attrs))
     }
@@ -856,6 +860,7 @@ impl CountTarget {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the oracle side builds its tables uncached
 mod tests {
     use super::*;
     use crate::ops::{project_point, union};

@@ -377,7 +377,7 @@ fn pass_bits(g: &TemporalGraph, scope: &TimeSet, filter: &NodeTimeFilter<'_>) ->
 
 /// [`evolution_aggregate`] computed the direct way — a hash map of value
 /// tuples per node and per edge, the filter called on every visit. Kept as
-/// the oracle the group-id path is tested against.
+/// the oracle the group-id path is tested against; no served verb calls it.
 ///
 /// # Errors
 /// Returns an error if either interval is empty.

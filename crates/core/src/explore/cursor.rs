@@ -212,12 +212,14 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     /// Extends the loaded chain by one time point: one whole-vector OR/AND
     /// against the added point's transposed columns.
     fn advance(&mut self) {
+        #[allow(clippy::expect_used)]
         let i = self
             .current_ref
             .expect("invariant: start_chain loads a reference before advance");
         let _span = self.ins_step_ns.span();
         self.ins_steps.inc();
         self.step += 1;
+        #[allow(clippy::expect_used)]
         let t_added = match self.kernel.cfg.extend {
             ExtendSide::New => i + 1 + self.step,
             ExtendSide::Old => i

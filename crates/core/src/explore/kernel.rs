@@ -24,7 +24,7 @@ use tempo_graph::{GraphError, TemporalGraph, TimeSet};
 /// Reference implementation of one pair evaluation: materializes the event
 /// graph with [`event_graph`] and aggregates it from scratch. Used by the
 /// naive oracle, so the pruned cursor path is continuously cross-validated
-/// against an independent implementation.
+/// against an independent implementation; no served verb calls it.
 ///
 /// # Errors
 /// Returns an error if either interval is empty or an operator fails.

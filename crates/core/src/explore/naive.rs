@@ -15,7 +15,9 @@ use tempo_graph::{GraphError, TemporalGraph};
 
 /// Runs the naive exploration: all chains fully evaluated, then the
 /// minimal (union semantics) or maximal (intersection semantics) qualifying
-/// pairs per reference are selected by definition.
+/// pairs per reference are selected by definition. The exhaustive baseline
+/// of §3 and the test oracle for [`explore`](super::explore): no served verb
+/// calls it.
 ///
 /// # Errors
 /// Returns an error if the graph has fewer than two time points or an

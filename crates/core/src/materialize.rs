@@ -46,6 +46,7 @@ pub(crate) fn aggregate_union_all(
 /// # Panics
 /// Panics if `t` is outside `g`'s time domain or an id is not from `g`'s
 /// schema.
+#[allow(clippy::expect_used)]
 pub fn aggregate_at_point(g: &TemporalGraph, attrs: &[AttrId], t: TimePoint) -> AggregateGraph {
     aggregate_union_all(g, attrs, &TimeSet::point(g.domain().len(), t))
         .expect("invariant: a single time point is a non-empty scope")
@@ -159,6 +160,7 @@ impl TimepointStore {
             )));
         }
         let mut iter = scope.iter();
+        #[allow(clippy::expect_used)]
         let first = iter
             .next()
             .expect("invariant: scope emptiness is rejected above");

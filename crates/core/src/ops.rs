@@ -11,6 +11,12 @@
 //! under intersection semantics it must span every point
 //! ([`SideTest::All`]). Definitions 2.3–2.5 are the [`SideTest::Any`]
 //! instances.
+//!
+//! The materializing operators ([`project`], [`union`], [`intersection`],
+//! [`difference`], [`event_graph`]) are the paper's Algorithm 1 and the
+//! test oracles: no served verb calls them — the shell and the server
+//! answer from [`event_mask`], which selects the same rows without copying
+//! them.
 
 use tempo_columnar::{BitMatrix, BitVec, Interner, TransposedBitMatrix, Value, ValueMatrix};
 use tempo_graph::{require_non_empty, GraphError, NodeId, TemporalGraph, TimeSet};
@@ -55,6 +61,7 @@ pub enum Event {
 /// belong to the event graph and over which `scope` their timestamps count.
 /// Aggregation can then run directly against the source presence matrices
 /// (see `graphtempo::aggregate::GroupTable`).
+#[must_use = "a mask computed and dropped is a lost result"]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventMask {
     keep_nodes: BitVec,
@@ -259,6 +266,7 @@ fn materialize_subgraph(
     let schema = g.schema().clone();
     let mut tv_tables = Vec::new();
     for &attr in &schema.time_varying_ids() {
+        #[allow(clippy::expect_used)]
         let src = g
             .tv_table(attr)
             .expect("invariant: id came from time_varying_ids, so a table exists");

@@ -228,6 +228,7 @@ pub fn zoom_out(
     let schema = g.schema().clone();
     let mut tv_tables = Vec::new();
     for &attr in &schema.time_varying_ids() {
+        #[allow(clippy::expect_used)]
         let src = g
             .tv_table(attr)
             .expect("invariant: id came from time_varying_ids, so a table exists");

@@ -18,13 +18,12 @@ use std::sync::Arc;
 use tempo_columnar::SparseMode;
 use tempo_datagen::DblpConfig;
 use tempo_graph::{TemporalGraph, TimeSet};
+use tempo_testkit::both_layouts;
 
-fn test_graph(mode: SparseMode) -> TemporalGraph {
-    let mut g = DblpConfig::scaled(0.02)
+fn test_graph() -> TemporalGraph {
+    DblpConfig::scaled(0.02)
         .generate()
-        .expect("DBLP generator at test scale");
-    g.set_sparse_mode(mode);
-    g
+        .expect("DBLP generator at test scale")
 }
 
 /// The full query mix one "session" runs: every Table-1 exploration
@@ -105,11 +104,11 @@ fn workload(g: &TemporalGraph, first: usize) -> Vec<String> {
 
 #[test]
 fn concurrent_sessions_match_serial_bit_for_bit() {
-    let g = Arc::new(test_graph(SparseMode::Auto));
+    let g = Arc::new(test_graph());
     // the serial reference runs on a graph of its own (the generator is
     // deterministic), so the shared snapshot's group-id cache is still cold
     // when the threads start
-    let reference = workload(&test_graph(SparseMode::Auto), 0);
+    let reference = workload(&test_graph(), 0);
 
     let start = std::sync::Barrier::new(8);
     let results: Vec<Vec<String>> = std::thread::scope(|s| {
@@ -140,8 +139,7 @@ fn mixed_sparse_modes_coexist_in_one_process() {
     // with different intended modes could not coexist. Now each graph
     // carries its mode, so forcing them in opposite directions in the same
     // process (and querying them concurrently) must still agree on results.
-    let sparse = Arc::new(test_graph(SparseMode::ForceSparse));
-    let dense = Arc::new(test_graph(SparseMode::ForceDense));
+    let [dense, sparse] = both_layouts(&test_graph()).map(Arc::new);
     assert_eq!(sparse.sparse_mode(), SparseMode::ForceSparse);
     assert_eq!(dense.sparse_mode(), SparseMode::ForceDense);
 

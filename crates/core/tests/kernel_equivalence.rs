@@ -22,54 +22,13 @@ use graphtempo::explore::{
 };
 use graphtempo::ops::{event_graph, event_mask, Event, SideTest};
 use proptest::prelude::*;
-use tempo_columnar::{BitMatrix, BitVec, SparseMode, Value};
+use tempo_columnar::Value;
 use tempo_datagen::RandomGraphConfig;
-use tempo_graph::{AttrId, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet};
-
-/// Strategy: a random evolving graph (same shape as `tests/properties.rs`).
-fn graph_strategy() -> impl Strategy<Value = TemporalGraph> {
-    (
-        10usize..40,  // pool
-        3usize..7,    // timepoints
-        5usize..15,   // active per tp
-        5usize..40,   // edges per tp
-        0u8..=10,     // node persistence (tenths)
-        0u8..=10,     // edge persistence (tenths)
-        1usize..4,    // kinds
-        1i64..5,      // levels
-        any::<u64>(), // seed
-    )
-        .prop_map(|(pool, tps, active, edges, np, ep, kinds, levels, seed)| {
-            RandomGraphConfig {
-                pool,
-                timepoints: tps,
-                active_per_tp: active.min(pool),
-                edges_per_tp: edges,
-                node_persistence: f64::from(np) / 10.0,
-                edge_persistence: f64::from(ep) / 10.0,
-                kinds,
-                levels,
-                seed,
-            }
-            .generate()
-            .expect("random generator produces valid graphs")
-        })
-}
-
-/// Random non-empty contiguous interval over `n` points.
-fn interval(n: usize, seed: u64) -> TimeSet {
-    let a = (seed as usize) % n;
-    let b = ((seed >> 8) as usize) % n;
-    TimeSet::range(n, a.min(b), a.max(b))
-}
-
-fn kind_attr(g: &TemporalGraph) -> AttrId {
-    g.schema().id("kind").expect("random graphs have `kind`")
-}
-
-fn level_attr(g: &TemporalGraph) -> AttrId {
-    g.schema().id("level").expect("random graphs have `level`")
-}
+use tempo_graph::{AttrId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet};
+use tempo_testkit::{
+    both_layouts, chain_len, chain_pair, event_mask_rowwise, graph_strategy, interval, kind_attr,
+    level_attr, naive_threshold,
+};
 
 /// The attribute sets exercised everywhere below: all-static,
 /// all-time-varying, and mixed — the three `GroupTable` layouts.
@@ -82,7 +41,6 @@ const EVENTS: [Event; 3] = [Event::Stability, Event::Growth, Event::Shrinkage];
 const EXTENDS: [ExtendSide; 2] = [ExtendSide::Old, ExtendSide::New];
 const SEMANTICS: [Semantics; 2] = [Semantics::Union, Semantics::Intersection];
 const TESTS: [SideTest; 2] = [SideTest::Any, SideTest::All];
-const MODES: [SparseMode; 2] = [SparseMode::ForceDense, SparseMode::ForceSparse];
 
 /// The selector shapes: both All selectors, a node tuple and an edge tuple
 /// that exist (`kind` categories and `level` values start at 0 and 1), and
@@ -135,41 +93,6 @@ fn table1_configs(g: &TemporalGraph, attr_lists: &[Vec<AttrId>], k: u64) -> Vec<
     out
 }
 
-/// The graph under each forced column layout.
-fn both_layouts(g: &TemporalGraph) -> Vec<TemporalGraph> {
-    MODES
-        .iter()
-        .map(|&mode| {
-            let mut g = g.clone();
-            g.set_sparse_mode(mode);
-            g
-        })
-        .collect()
-}
-
-/// The interval pair at chain coordinate `(i, j)`, derived independently
-/// of the engine's chain table.
-fn chain_pair(n: usize, i: usize, j: usize, extend: ExtendSide) -> (TimeSet, TimeSet) {
-    match extend {
-        ExtendSide::New => (
-            TimeSet::point(n, TimePoint(i as u32)),
-            TimeSet::range(n, i + 1, i + 1 + j),
-        ),
-        ExtendSide::Old => (
-            TimeSet::range(n, i - j, i),
-            TimeSet::point(n, TimePoint((i + 1) as u32)),
-        ),
-    }
-}
-
-/// Number of pairs in reference `i`'s chain.
-fn chain_len(n: usize, i: usize, extend: ExtendSide) -> usize {
-    match extend {
-        ExtendSide::New => n - 1 - i,
-        ExtendSide::Old => i + 1,
-    }
-}
-
 /// Drives two cursors over each column layout through every chain
 /// coordinate — one counting with `evaluate_chain_pair`, one handing the
 /// mask of `mask_chain_pair` to `count_distinct` — and checks each count
@@ -185,8 +108,8 @@ fn assert_cursors_match_oracle(
     let mut expected = Vec::new();
     for i in 0..n - 1 {
         for j in 0..chain_len(n, i, cfg.extend) {
-            let (told, tnew) = chain_pair(n, i, j, cfg.extend);
-            let want = evaluate_pair_materialized(g, cfg, &told, &tnew).unwrap();
+            let pair = chain_pair(n, i, j, cfg.extend);
+            let want = evaluate_pair_materialized(g, cfg, &pair.told, &pair.tnew).unwrap();
             expected.push((i, j, want));
         }
     }
@@ -225,93 +148,6 @@ fn assert_cursors_match_oracle(
         }
     }
     Ok(())
-}
-
-/// §3.5 by definition: over the consecutive pairs, the min or max of the
-/// selected tuple's weight (tuple selectors) or of the individual entity
-/// weights of the event graph's distinct aggregate (All selectors);
-/// pairs without events are skipped.
-fn naive_threshold(g: &TemporalGraph, cfg: &ExploreConfig, stat: ThresholdStat) -> Option<u64> {
-    let n = g.domain().len();
-    let pick = |ws: Vec<u64>| match stat {
-        ThresholdStat::Min => ws.into_iter().min(),
-        ThresholdStat::Max => ws.into_iter().max(),
-    };
-    let per_pair = (0..n - 1).filter_map(|i| {
-        let told = TimeSet::point(n, TimePoint(i as u32));
-        let tnew = TimeSet::point(n, TimePoint((i + 1) as u32));
-        match &cfg.selector {
-            Selector::NodeTuple(_) | Selector::EdgeTuple(..) => {
-                let r = evaluate_pair_materialized(g, cfg, &told, &tnew).unwrap();
-                (r > 0).then_some(r)
-            }
-            all => {
-                let ev =
-                    event_graph(g, cfg.event, &told, &tnew, SideTest::Any, SideTest::Any).unwrap();
-                let agg = aggregate(&ev, &cfg.attrs, AggMode::Distinct);
-                pick(if all.is_edge() {
-                    agg.iter_edges().into_iter().map(|(_, w)| w).collect()
-                } else {
-                    agg.iter_nodes().into_iter().map(|(_, w)| w).collect()
-                })
-            }
-        }
-    });
-    pick(per_pair.collect())
-}
-
-/// The row-wise oracle for `event_mask`: membership decided entity by
-/// entity against the row-major presence matrices (what `event_mask` did
-/// before it moved onto the transposed columns). Returns the kept node and
-/// edge rows.
-fn event_mask_rowwise(
-    g: &TemporalGraph,
-    event: Event,
-    told: &TimeSet,
-    tnew: &TimeSet,
-    old_test: SideTest,
-    new_test: SideTest,
-) -> (BitVec, BitVec) {
-    let member = |m: &BitMatrix, r: usize, side: &TimeSet, test: SideTest| match test {
-        SideTest::Any => m.row_any(r, side.bits()),
-        SideTest::All => m.row_all(r, side.bits()),
-    };
-    let (nodes_m, edges_m) = (g.node_presence_matrix(), g.edge_presence_matrix());
-    let mut keep_nodes = BitVec::zeros(g.n_nodes());
-    let mut keep_edges = BitVec::zeros(g.n_edges());
-    // stability keeps members of both sides; a difference keeps members of
-    // `keep` that are not members of `drop`, plus (nodes only) the endpoints
-    // of kept edges that are members of `keep`
-    let (keep, keep_test, drop, drop_test) = match event {
-        Event::Stability => {
-            for r in 0..g.n_nodes() {
-                let both = member(nodes_m, r, told, old_test) && member(nodes_m, r, tnew, new_test);
-                keep_nodes.set(r, both);
-            }
-            for r in 0..g.n_edges() {
-                let both = member(edges_m, r, told, old_test) && member(edges_m, r, tnew, new_test);
-                keep_edges.set(r, both);
-            }
-            return (keep_nodes, keep_edges);
-        }
-        Event::Growth => (tnew, new_test, told, old_test),
-        Event::Shrinkage => (told, old_test, tnew, new_test),
-    };
-    let mut incident = BitVec::zeros(g.n_nodes());
-    for r in 0..g.n_edges() {
-        if member(edges_m, r, keep, keep_test) && !member(edges_m, r, drop, drop_test) {
-            keep_edges.set(r, true);
-            let (u, v) = g.edge_endpoints(EdgeId(r as u32));
-            incident.set(u.index(), true);
-            incident.set(v.index(), true);
-        }
-    }
-    for r in 0..g.n_nodes() {
-        let kept = member(nodes_m, r, keep, keep_test)
-            && (!member(nodes_m, r, drop, drop_test) || incident.get(r));
-        keep_nodes.set(r, kept);
-    }
-    (keep_nodes, keep_edges)
 }
 
 proptest! {
@@ -353,9 +189,8 @@ proptest! {
         let n = g.domain().len();
         let point = |s: u64| TimeSet::range(n, s as usize % n, s as usize % n);
         let sides = [interval(n, s1), interval(n, s2), point(s1), point(s2), g.domain().all()];
-        for mode in [SparseMode::ForceDense, SparseMode::ForceSparse] {
-            let mut g = g.clone();
-            g.set_sparse_mode(mode);
+        for g in both_layouts(&g) {
+            let mode = g.sparse_mode();
             for event in EVENTS {
                 for told in &sides {
                     for tnew in &sides {
@@ -403,6 +238,7 @@ proptest! {
         let n = g.domain().len();
         let (told, tnew) = (interval(n, s1), interval(n, s2));
         for attrs in attr_sets(&g) {
+            #[allow(clippy::disallowed_methods)] // the oracle side builds its table uncached
             let table = GroupTable::build(&g, &attrs);
             for event in EVENTS {
                 for test in TESTS {
@@ -431,6 +267,7 @@ proptest! {
         let n = g.domain().len();
         let (told, tnew) = (interval(n, s1), interval(n, s2));
         for attrs in attr_sets(&g) {
+            #[allow(clippy::disallowed_methods)] // the oracle side builds its table uncached
             let table = GroupTable::build(&g, &attrs);
             for event in EVENTS {
                 let mask = event_mask(&g, event, &told, &tnew, SideTest::Any, SideTest::Any)

@@ -10,53 +10,8 @@ use graphtempo::ops::{
     difference, event_graph, event_mask, intersection, project_point, union, Event, SideTest,
 };
 use proptest::prelude::*;
-use tempo_datagen::RandomGraphConfig;
 use tempo_graph::{AttrId, TemporalGraph, TimePoint, TimeSet};
-
-/// Strategy: a random evolving graph plus its config.
-fn graph_strategy() -> impl Strategy<Value = TemporalGraph> {
-    (
-        10usize..40,  // pool
-        3usize..7,    // timepoints
-        5usize..15,   // active per tp
-        5usize..40,   // edges per tp
-        0u8..=10,     // node persistence (tenths)
-        0u8..=10,     // edge persistence (tenths)
-        1usize..4,    // kinds
-        1i64..5,      // levels
-        any::<u64>(), // seed
-    )
-        .prop_map(|(pool, tps, active, edges, np, ep, kinds, levels, seed)| {
-            RandomGraphConfig {
-                pool,
-                timepoints: tps,
-                active_per_tp: active.min(pool),
-                edges_per_tp: edges,
-                node_persistence: f64::from(np) / 10.0,
-                edge_persistence: f64::from(ep) / 10.0,
-                kinds,
-                levels,
-                seed,
-            }
-            .generate()
-            .expect("random generator produces valid graphs")
-        })
-}
-
-/// Random non-empty contiguous interval over `n` points.
-fn interval(n: usize, seed: u64) -> TimeSet {
-    let a = (seed as usize) % n;
-    let b = ((seed >> 8) as usize) % n;
-    TimeSet::range(n, a.min(b), a.max(b))
-}
-
-fn kind_attr(g: &TemporalGraph) -> AttrId {
-    g.schema().id("kind").expect("random graphs have `kind`")
-}
-
-fn level_attr(g: &TemporalGraph) -> AttrId {
-    g.schema().id("level").expect("random graphs have `level`")
-}
+use tempo_testkit::{graph_strategy, interval, kind_attr, level_attr};
 
 fn names(g: &TemporalGraph) -> Vec<String> {
     let mut v: Vec<String> = g.node_ids().map(|n| g.node_name(n).to_owned()).collect();
@@ -227,6 +182,7 @@ proptest! {
         // static: one id per node; mixed: one id per (node, time)
         for attrs in [vec![kind_attr(&g)], vec![kind_attr(&g), level_attr(&g)]] {
             for mode in [AggMode::Distinct, AggMode::All] {
+                #[allow(clippy::disallowed_methods)] // the oracle side builds its table uncached
                 let fast = GroupTable::build(&g, &attrs).aggregate_masked(&g, &whole, mode);
                 prop_assert_eq!(&fast, &aggregate(&g, &attrs, mode));
             }

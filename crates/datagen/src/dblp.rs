@@ -295,7 +295,7 @@ mod tests {
             match g.static_value(n, gender).unwrap() {
                 v if v == f => nf += 1,
                 v if v == m => nm += 1,
-                _ => panic!("unexpected gender"),
+                other => unreachable!("unexpected gender {other:?}"),
             }
         }
         assert!(nf > 0 && nm > nf, "female minority per config");

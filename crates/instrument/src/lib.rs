@@ -26,14 +26,20 @@
 //! ```
 //! use tempo_instrument::global;
 //!
-//! let evals = global().counter("example.evaluations");
-//! let lat = global().histogram("example.eval_ns");
+//! // the global registry takes only the names listed in `names::ALL`
+//! let evals = global().counter("explore.evaluations");
+//! let lat = global().histogram("explore.eval_ns");
 //! for _ in 0..3 {
 //!     let _span = lat.span();
 //!     evals.inc();
 //! }
-//! assert!(global().snapshot().counter("example.evaluations") >= 3);
+//! assert!(global().snapshot().counter("explore.evaluations") >= 3);
 //! ```
+
+// DESIGN §7.1: a typed error, or an `expect("invariant: …")` under its own `#[allow]`
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// DESIGN §7.1: output belongs to the CLI and the bench binaries
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -63,7 +69,10 @@ pub fn enabled() -> bool {
 /// Returns the process-wide registry shared by all instrumented crates.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+    GLOBAL.get_or_init(|| Registry {
+        registered_only: true,
+        ..Registry::new()
+    })
 }
 
 /// Monotone event counter.
@@ -222,6 +231,7 @@ impl Histogram {
     ///
     /// When recording is disabled the guard never reads the clock.
     #[inline]
+    #[allow(clippy::disallowed_methods)] // the clock read every span goes through
     pub fn span(self: &Arc<Self>) -> SpanGuard {
         SpanGuard {
             hist: Arc::clone(self),
@@ -356,6 +366,7 @@ pub struct Deadline {
 impl Deadline {
     /// A deadline `limit` from now.
     #[must_use]
+    #[allow(clippy::disallowed_methods)] // the clock read every deadline goes through
     pub fn after(limit: std::time::Duration) -> Self {
         Deadline {
             start: Instant::now(),
@@ -398,6 +409,10 @@ enum Metric {
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
+    /// Set on [`global()`]: a name outside [`names::ALL`] is a
+    /// `debug_assert!` failure, literal or computed, so an emitter and the
+    /// readers of a snapshot cannot drift apart unnoticed.
+    registered_only: bool,
 }
 
 /// Locks the metric map, recovering from poisoning: the map is only ever
@@ -415,12 +430,22 @@ impl Registry {
         Self::default()
     }
 
+    /// The metric map, locked for a lookup of `name`.
+    fn lookup(&self, name: &str) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
+        debug_assert!(
+            !self.registered_only || names::is_registered(name),
+            "metric {name:?} is not in tempo_instrument::names::ALL"
+        );
+        lock_registry(&self.metrics)
+    }
+
     /// Returns the counter registered under `name`, creating it on first use.
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
+    #[allow(clippy::panic)]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = lock_registry(&self.metrics);
+        let mut m = self.lookup(name);
         match m
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
@@ -434,8 +459,9 @@ impl Registry {
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
+    #[allow(clippy::panic)]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = lock_registry(&self.metrics);
+        let mut m = self.lookup(name);
         match m
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
@@ -449,8 +475,9 @@ impl Registry {
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
+    #[allow(clippy::panic)]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = lock_registry(&self.metrics);
+        let mut m = self.lookup(name);
         match m
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
@@ -722,6 +749,17 @@ mod tests {
     fn gate() -> &'static RwLock<()> {
         static GATE: OnceLock<RwLock<()>> = OnceLock::new();
         GATE.get_or_init(|| RwLock::new(()))
+    }
+
+    /// The global registry holds its names to `names::ALL`, computed ones
+    /// included; a registry of one's own takes any name.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not in tempo_instrument::names::ALL")]
+    fn global_registry_rejects_unregistered_names() {
+        let verb = "typo";
+        let _ = Registry::new().counter("explore.typo");
+        let _ = global().histogram(&format!("server.cmd.{verb}_ns"));
     }
 
     #[test]

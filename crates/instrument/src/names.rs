@@ -1,10 +1,10 @@
 //! Central registry of metric names.
 //!
 //! Every counter/gauge/histogram name recorded anywhere in the workspace
-//! must appear in [`ALL`]; `tempo-lint`'s `metric-registry` rule checks
-//! each `.counter("…")` / `.gauge("…")` / `.histogram("…")` literal against
-//! this file, so an emitter and the readers of a snapshot cannot silently
-//! drift apart. Keep the list sorted — a unit test enforces it.
+//! must appear in [`ALL`]: the global registry `debug_assert!`s each name it
+//! is asked for against this list, literal or computed, so an emitter and
+//! the readers of a snapshot cannot silently drift apart. Keep the list
+//! sorted — a unit test enforces it.
 
 /// All metric names the workspace may record, sorted.
 pub const ALL: &[&str] = &[

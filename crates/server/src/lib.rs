@@ -51,6 +51,8 @@
 //! rather than clobbering).
 
 #![warn(missing_docs)]
+// DESIGN §7.1: a typed error, or an `expect("invariant: …")` under its own `#[allow]`
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod registry;
 

@@ -6,6 +6,9 @@
 //! tempo-server listening on 127.0.0.1:7341
 //! ```
 
+// DESIGN §7.1: a typed error, or an `expect("invariant: …")` under its own `#[allow]`
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use tempo_server::ServerConfig;
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {

@@ -280,6 +280,10 @@ fn arguments_nobody_reads_are_usage_errors() {
         ("explore", format!("{explore} edge=G1->G2 node=G1")),
         ("agg", "dist attrs=grade t1=#0".into()),
         ("agg", "dist attrs=grade op=union t1=#0".into()),
+        // a key given twice (the first used to win, silently)
+        ("agg", "dist attrs=grade attrs=intensity".into()),
+        ("explore", format!("{explore} k=3")),
+        ("stats", "limit=1 limit=2".into()),
         // surplus and missing positionals
         ("stats", "extra".into()),
         ("project", "#0 #1 #2".into()),
@@ -324,6 +328,11 @@ fn arguments_nobody_reads_are_usage_errors() {
             "zoom g as=z window=2 semantics=al",
         ),
         ("zoom", "zoom window=2 as=z", "zoom g window=2"),
+        (
+            "zoom",
+            "zoom window=2 window=3",
+            "zoom g as=z as=y window=2",
+        ),
         ("metrics", "metrics g", "metrics g"),
         ("help", "help me", "help me"),
         ("ping", "", "ping g"),

@@ -21,6 +21,7 @@ use tempo_columnar::Value;
 /// * presence and #publications per Table 2;
 /// * collaborations: at `t0` — `(u1,u2)`, `(u3,u2)`, `(u4,u2)`;
 ///   at `t1` — `(u1,u2)`, `(u4,u2)`; at `t2` — `(u5,u2)`, `(u4,u2)`.
+#[allow(clippy::expect_used)] // literal data: every `expect` below names its invariant
 pub fn fig1() -> TemporalGraph {
     let domain = TimeDomain::new(vec!["t0", "t1", "t2"])
         .expect("invariant: fixture labels are distinct and non-empty");

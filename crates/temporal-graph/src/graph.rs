@@ -340,6 +340,7 @@ impl TemporalGraph {
     ///
     /// # Panics
     /// Panics if the id is out of range.
+    #[allow(clippy::expect_used)]
     pub fn node_name(&self, n: NodeId) -> &str {
         self.node_names
             .resolve(n.0)
@@ -418,6 +419,7 @@ impl TemporalGraph {
         match self.schema.def(attr).temporality() {
             Temporality::Static => {
                 if self.node_alive_at(n, t) {
+                    #[allow(clippy::expect_used)]
                     let slot = self
                         .schema
                         .static_slot(attr)
@@ -428,6 +430,7 @@ impl TemporalGraph {
                 }
             }
             Temporality::TimeVarying => {
+                #[allow(clippy::expect_used)]
                 let slot = self
                     .schema
                     .time_varying_slot(attr)
@@ -520,9 +523,11 @@ impl TemporalGraph {
     /// This is a test seam, not configuration: every graph the shell and
     /// the server build keeps the default [`SparseMode::Auto`], which picks
     /// each column's layout from its own density, and nothing a user can
-    /// set reaches this method. Tests call it to force every kernel through
-    /// both representations; the policy is per-graph state so two graphs
-    /// in one process can differ.
+    /// set reaches this method. Outside this crate its one caller is
+    /// `tempo_testkit::both_layouts`, which forces every kernel through both
+    /// representations; the policy is per-graph state so two graphs in one
+    /// process can differ.
+    #[doc(hidden)]
     pub fn set_sparse_mode(&mut self, mode: SparseMode) {
         if self.sparse_mode != mode {
             self.sparse_mode = mode;
@@ -578,6 +583,7 @@ impl TemporalGraph {
                 ins.counter("aggregate.group_table.cache_extends").inc();
                 Arc::new(base.extended(self, attrs))
             }
+            #[allow(clippy::disallowed_methods)] // the cache's miss arm
             None => {
                 ins.counter("aggregate.group_table.cache_misses").inc();
                 Arc::new(GroupColumns::build(self, attrs))

@@ -6,9 +6,13 @@
 //! (aggregation, evolution, exploration) count group ids into dense
 //! accumulators instead of hashing a heap-allocated [`ValueTuple`] per
 //! appearance. The columns are derived from the attribute tables only, so
-//! they stay valid for as long as the snapshot is immutable; every seam that
-//! publishes changed attribute cells starts from an empty
-//! [`GroupColumnsCache`] (see `seams.rs`).
+//! they stay valid for as long as the snapshot is immutable. The tables are
+//! `pub(crate)` and nothing mutates them in place on a built graph, so
+//! changed cells are published at two seams only: the builder (`from_graph`
+//! consumes the graph, `build` assembles a new one with empty caches) and
+//! `append_timepoint`, which hands the next epoch the previous epoch's
+//! columns as bases to extend — and an *empty* [`GroupColumnsCache`] when
+//! the patch rewrote a static cell of a node the previous epoch already had.
 //!
 //! Group ids are laid out like the tables they come from: `Arc`-shared
 //! `u32` columns with implicit [`NO_GROUP`] tails, one per time point (one
@@ -180,6 +184,7 @@ impl GroupColumns {
     /// `g` has beyond them.
     fn grown(&self, g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
         let schema = g.schema();
+        #[allow(clippy::expect_used)]
         let source = |&a: &AttrId| {
             let slot = schema.static_slot(a);
             let table = match slot {
@@ -276,6 +281,7 @@ impl GroupColumns {
         if let Some(gid) = self.codes.get(key) {
             return gid;
         }
+        #[allow(clippy::expect_used)]
         let gid = u32::try_from(self.tuples.len())
             .ok()
             .filter(|&gid| gid != NO_GROUP)
@@ -522,6 +528,7 @@ impl GroupColumnsCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // built, extended and cached columns are compared with fresh builds
 mod tests {
     use super::*;
     use crate::fixtures::fig1;

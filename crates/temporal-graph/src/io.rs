@@ -106,6 +106,7 @@ pub fn save_dir(g: &TemporalGraph, dir: &Path) -> Result<(), GraphError> {
         let mut row = Vec::with_capacity(static_ids.len() + 1);
         row.push(node_label(g, n));
         for &a in &static_ids {
+            #[allow(clippy::expect_used)]
             let v = g
                 .static_value(n, a)
                 .expect("invariant: id came from static_ids, so the attribute is static");
@@ -146,6 +147,7 @@ pub fn save_dir(g: &TemporalGraph, dir: &Path) -> Result<(), GraphError> {
     // attr_<name>.tsv
     for &a in &g.schema().time_varying_ids() {
         let def = g.schema().def(a);
+        #[allow(clippy::expect_used)]
         let tbl = g
             .tv_table(a)
             .expect("invariant: id came from time_varying_ids, so a table exists");

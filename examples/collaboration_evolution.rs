@@ -9,6 +9,7 @@ use graphtempo_repro::prelude::*;
 use tempo_graph::NodeId;
 
 fn main() {
+    #[allow(clippy::disallowed_methods)] // a binary reads its environment at start-up
     let scale: f64 = std::env::var("SCALE")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -11,6 +11,11 @@
 //! * [`tempo_datagen`] — synthetic datasets calibrated to the paper's
 //!   evaluation (Tables 3 and 4).
 
+// DESIGN §7.1: a typed error, or an `expect("invariant: …")` under its own `#[allow]`
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// DESIGN §7.1: output belongs to the CLI and the bench binaries
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub use graphtempo;
 pub use tempo_columnar;
 pub use tempo_datagen;

@@ -12,7 +12,7 @@
 
 use graphtempo_repro::prelude::*;
 use proptest::prelude::*;
-use tempo_columnar::SparseMode;
+use tempo_testkit::both_layouts;
 
 /// Pool of node names: indexes 0..6 exist in the base graph, 6..8 are
 /// introduced only by patches.
@@ -237,12 +237,12 @@ proptest! {
         base_edges in proptest::collection::vec((0usize..BASE_NODES, 0usize..BASE_NODES, 0usize..2), 0..8),
         specs in proptest::collection::vec(patch_spec(), 1..4),
     ) {
-        for mode in [SparseMode::ForceDense, SparseMode::ForceSparse] {
-            let base_labels: Vec<String> = vec!["b0".into(), "b1".into()];
-            let mut g0 = base_builder(&base_labels, &base_presence, &base_edges)
-                .build()
-                .unwrap();
-            g0.set_sparse_mode(mode);
+        let base_labels: Vec<String> = vec!["b0".into(), "b1".into()];
+        let base = base_builder(&base_labels, &base_presence, &base_edges)
+            .build()
+            .unwrap();
+        for (layout, g0) in both_layouts(&base).into_iter().enumerate() {
+            let mode = g0.sparse_mode();
             let patches: Vec<TimepointPatch> = specs
                 .iter()
                 .enumerate()
@@ -265,10 +265,9 @@ proptest! {
                 for (j, p) in patches.iter().take(i + 1).enumerate() {
                     p.apply_to_builder(&mut b, TimePoint((2 + j) as u32)).unwrap();
                 }
-                let mut reb = b.build().unwrap();
-                reb.set_sparse_mode(mode);
+                let reb = &both_layouts(&b.build().unwrap())[layout];
 
-                assert_identical(&inc, &reb, &format!("{mode:?} epoch {}", i + 1));
+                assert_identical(&inc, reb, &format!("{mode:?} epoch {}", i + 1));
             }
         }
     }
