@@ -288,9 +288,7 @@ impl Reply {
             self.rows.truncate(cap);
             self.rows
                 .push(format!("… {dropped} more rows (limit {cap})"));
-            tempo_instrument::global()
-                .counter("server.rows_truncated")
-                .add(dropped as u64);
+            tempo_instrument::metrics::SERVER_ROWS_TRUNCATED.add(dropped as u64);
         }
     }
 

@@ -282,7 +282,7 @@ impl Session {
         let attrs = parse_attrs(g, args.req("attrs")?)?;
         let filter = args
             .get("filter")
-            .map(|spec| parse_filter(g, spec))
+            .map(|spec| parse_filter(g, spec, args))
             .transpose()?;
         let filter_fn = filter.as_ref().map(|(attr, op, threshold)| {
             let (attr, op, threshold) = (*attr, *op, *threshold);
@@ -456,7 +456,7 @@ impl Session {
         let node_measure = match node_spec.split_once(':') {
             None => args.one_of(node_spec, &[("count", NodeMeasure::Count)])?,
             Some((op, attr)) => {
-                let a = parse_attr(g, attr)?;
+                let a = parse_numeric_attr(g, attr, args)?;
                 let ops = [
                     ("sum", NodeMeasure::Sum(a)),
                     ("min", NodeMeasure::Min(a)),
@@ -510,8 +510,8 @@ impl Session {
 
     fn cmd_metrics(&self, args: &Args) -> Result<Reply, CliError> {
         use tempo_graph::metrics::{avg_degree_at, density_at, turnover_profile};
-        // `metrics --json <path>` dumps the live instrumentation registry
-        // and needs no graph.
+        // `metrics --json <path>` dumps the instrumentation table and
+        // needs no graph.
         if let Ok(flag) = args.pos(0) {
             let path = args.pos(1)?;
             if flag != "--json" {
@@ -542,11 +542,9 @@ impl Session {
                 g.domain().labels()[i + 1]
             ));
         }
+        rows.push("  instrumentation (session totals):".to_owned());
         let snap = tempo_instrument::global().snapshot();
-        if !snap.is_empty() {
-            rows.push("  instrumentation (session totals):".to_owned());
-            rows.extend(snap.render_text().lines().map(|line| format!("  {line}")));
-        }
+        rows.extend(snap.render_text().lines().map(|line| format!("  {line}")));
         Ok(reply)
     }
 
@@ -590,6 +588,17 @@ fn yields(head: String, graph: Arc<TemporalGraph>) -> Reply {
         graph: Some(graph),
         ..Reply::line(head)
     }
+}
+
+/// An attribute a verb reads as a number (`filter=`, `node=sum:…`): the
+/// verb's usage for a categorical one, whose cells hold category codes that
+/// compare and add up to nothing.
+fn parse_numeric_attr(g: &TemporalGraph, name: &str, args: &Args) -> Result<AttrId, CliError> {
+    let attr = parse_attr(g, name)?;
+    if g.schema().def(attr).category_count() > 0 {
+        return Err(args.usage());
+    }
+    Ok(attr)
 }
 
 fn parse_attrs(g: &TemporalGraph, spec: &str) -> Result<Vec<AttrId>, CliError> {
@@ -674,7 +683,11 @@ impl FilterOp {
 }
 
 /// Parses `attr>4` / `attr>=4` / `attr<4` / `attr<=4` / `attr=4`.
-fn parse_filter(g: &TemporalGraph, spec: &str) -> Result<(AttrId, FilterOp, i64), CliError> {
+fn parse_filter(
+    g: &TemporalGraph,
+    spec: &str,
+    args: &Args,
+) -> Result<(AttrId, FilterOp, i64), CliError> {
     for (sym, op) in [
         (">=", FilterOp::Ge),
         ("<=", FilterOp::Le),
@@ -683,7 +696,7 @@ fn parse_filter(g: &TemporalGraph, spec: &str) -> Result<(AttrId, FilterOp, i64)
         ("=", FilterOp::Eq),
     ] {
         if let Some((name, value)) = spec.split_once(sym) {
-            let attr = parse_attr(g, name)?;
+            let attr = parse_numeric_attr(g, name, args)?;
             let threshold: i64 = value
                 .trim()
                 .parse()

@@ -22,7 +22,7 @@ use graphtempo::aggregate::{aggregate, rollup, AggMode};
 use graphtempo::evolution::evolution_aggregate_naive;
 use graphtempo::explore::{explore_naive, ExploreConfig, ExtendSide, Selector, Semantics};
 use graphtempo::ops::{difference, intersection, project, project_point, union, Event, SideTest};
-use graphtempo_cli::{QueryLimits, Session};
+use graphtempo_cli::{CliError, QueryLimits, Session};
 use proptest::prelude::*;
 use std::sync::Arc;
 use tempo_columnar::Value;
@@ -214,20 +214,13 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
         }
 
         // measure: each node reduction beside an edge reduction, grouped by
-        // this layout; `min:kind` reads a static cell that is never numeric
-        let kind = g.schema().id("kind").unwrap();
+        // this layout
         for (node_spec, node, edge_tok, edge) in [
             ("count", (Reduce::Count, None), "count", Reduce::Count),
             ("sum:level", (Reduce::Sum, Some(level)), "sum", Reduce::Sum),
             ("min:level", (Reduce::Min, Some(level)), "min", Reduce::Min),
             ("max:level", (Reduce::Max, Some(level)), "max", Reduce::Max),
             ("avg:level", (Reduce::Avg, Some(level)), "avg", Reduce::Avg),
-            (
-                "min:kind",
-                (Reduce::Min, Some(kind)),
-                "count",
-                Reduce::Count,
-            ),
         ] {
             let line = format!("measure group={names} node={node_spec} edge={edge_tok}");
             let got = session.exec(&line);
@@ -238,6 +231,13 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
             let want = naive_measure(g, &attrs, node_spec, node, edge);
             prop_assert_eq!(got.unwrap(), want, "{}", line);
         }
+        // a categorical cell is never numeric: refused, not reduced to nothing
+        let line = format!("measure group={names} node=min:kind");
+        prop_assert!(
+            matches!(session.exec(&line), Err(CliError::Usage(_))),
+            "{}",
+            line
+        );
     }
 
     // cube: every level of the (kind, level) cube — static, time-varying,

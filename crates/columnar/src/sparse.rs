@@ -63,21 +63,15 @@ fn check_same_width(a: usize, b: usize) {
     assert_eq!(a, b, "bit vector width mismatch: {a} vs {b}");
 }
 
-/// Applies the `mode` policy and then vetoes the sparse representation for
-/// columns wider than the `u32` ID range. Returns `(sparse, vetoed)`;
-/// `vetoed` is true when the policy *wanted* sparse but the width forced
-/// dense (the caller records this in a warning counter).
-fn choose_representation(nbits: usize, nnz: usize, mode: SparseMode) -> (bool, bool) {
+/// Whether a column goes sparse: the `mode` policy, vetoed for columns
+/// wider than the `u32` ID range.
+fn choose_representation(nbits: usize, nnz: usize, mode: SparseMode) -> bool {
     let want_sparse = match mode {
         SparseMode::ForceDense => false,
         SparseMode::ForceSparse => true,
         SparseMode::Auto => nnz * WORD_BITS <= nbits,
     };
-    if want_sparse && nbits > SPARSE_MAX_BITS {
-        (false, true)
-    } else {
-        (want_sparse, false)
-    }
+    want_sparse && nbits <= SPARSE_MAX_BITS
 }
 
 /// Sorted strictly-increasing entity IDs of the set bits of one column.
@@ -106,17 +100,9 @@ impl PresenceColumn {
     /// Wraps a [`BitVec`] choosing the representation per `mode`.
     ///
     /// Columns wider than the `u32` ID range can never go sparse: the
-    /// policy is overridden to dense and the
-    /// `columnar.presence.sparse_overflow_forced_dense` warning counter is
-    /// incremented instead of failing the build.
+    /// policy is overridden to dense instead of failing the build.
     pub fn from_bitvec(bv: BitVec, mode: SparseMode) -> Self {
-        let (sparse, vetoed) = choose_representation(bv.len(), bv.count_ones(), mode);
-        if vetoed {
-            tempo_instrument::global()
-                .counter("columnar.presence.sparse_overflow_forced_dense")
-                .inc();
-        }
-        if sparse {
+        if choose_representation(bv.len(), bv.count_ones(), mode) {
             let ids: Vec<u32> = bv.iter_ones().map(|i| i as u32).collect();
             PresenceColumn::Sparse(SparseIds {
                 nbits: bv.len(),
@@ -716,24 +702,19 @@ mod tests {
     #[test]
     fn u32_overflow_vetoes_sparse_without_panicking() {
         // exactly at the limit: the policy is honored
-        assert_eq!(
-            choose_representation(SPARSE_MAX_BITS, 0, SparseMode::ForceSparse),
-            (true, false)
-        );
+        assert!(choose_representation(
+            SPARSE_MAX_BITS,
+            0,
+            SparseMode::ForceSparse
+        ));
         // one past the limit: sparse is vetoed, never chosen
-        assert_eq!(
-            choose_representation(SPARSE_MAX_BITS + 1, 0, SparseMode::ForceSparse),
-            (false, true)
-        );
-        assert_eq!(
-            choose_representation(SPARSE_MAX_BITS + 1, 0, SparseMode::Auto),
-            (false, true)
-        );
-        // forced dense never counts as a veto
-        assert_eq!(
-            choose_representation(SPARSE_MAX_BITS + 1, 0, SparseMode::ForceDense),
-            (false, false)
-        );
+        for mode in [
+            SparseMode::ForceSparse,
+            SparseMode::Auto,
+            SparseMode::ForceDense,
+        ] {
+            assert!(!choose_representation(SPARSE_MAX_BITS + 1, 0, mode));
+        }
     }
 
     #[test]

@@ -481,11 +481,6 @@ pub use tempo_graph::NO_GROUP;
 #[must_use = "a group table built and dropped is a lost result"]
 pub struct GroupTable {
     cols: Arc<GroupColumns>,
-    /// Cached instrumentation handles: `count_distinct` runs once per
-    /// interval pair, so the registry lock is taken only at build time.
-    ins_calls: Arc<tempo_instrument::Counter>,
-    ins_unknown_target: Arc<tempo_instrument::Counter>,
-    ins_bitmask_fast: Arc<tempo_instrument::Counter>,
 }
 
 impl GroupTable {
@@ -496,7 +491,9 @@ impl GroupTable {
     /// Panics if any id is not from `g`'s schema.
     #[allow(clippy::disallowed_methods)] // the uncached constructor itself
     pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> GroupTable {
-        Self::over(Arc::new(GroupColumns::build(g, attrs)))
+        GroupTable {
+            cols: Arc::new(GroupColumns::build(g, attrs)),
+        }
     }
 
     /// The group table of `g` for `attrs` over the columns cached on the
@@ -507,16 +504,8 @@ impl GroupTable {
     /// # Panics
     /// Panics if any id is not from `g`'s schema.
     pub fn cached(g: &TemporalGraph, attrs: &[AttrId]) -> GroupTable {
-        Self::over(g.group_columns(attrs))
-    }
-
-    fn over(cols: Arc<GroupColumns>) -> GroupTable {
-        let ins = tempo_instrument::global();
         GroupTable {
-            cols,
-            ins_calls: ins.counter("aggregate.count_distinct.calls"),
-            ins_unknown_target: ins.counter("aggregate.count_distinct.unknown_target"),
-            ins_bitmask_fast: ins.counter("aggregate.count_distinct.bitmask_fast"),
+            cols: g.group_columns(attrs),
         }
     }
 
@@ -744,19 +733,12 @@ impl GroupTable {
         seen_gids: &mut Vec<u32>,
         seen_pairs: &mut Vec<(u32, u32)>,
     ) -> u64 {
-        self.ins_calls.inc();
         let scope = mask.scope().bits();
         match (target, self.cols.static_gids()) {
             // A tuple that occurs nowhere in the source graph can never
             // occur in an event graph of it.
-            (CountTarget::Node(None), _) | (CountTarget::Edge(None), _) => {
-                self.ins_unknown_target.inc();
-                0
-            }
-            (CountTarget::AllNodes, Some(_)) => {
-                self.ins_bitmask_fast.inc();
-                mask.keep_nodes().count_ones() as u64
-            }
+            (CountTarget::Node(None), _) | (CountTarget::Edge(None), _) => 0,
+            (CountTarget::AllNodes, Some(_)) => mask.keep_nodes().count_ones() as u64,
             (CountTarget::AllNodes, None) => {
                 let mut total = 0u64;
                 // Sorted scratch, as in aggregate_masked.
@@ -786,10 +768,7 @@ impl GroupTable {
                         .any(|t| self.time_gid(n, t) == *gid)
                 })
                 .count() as u64,
-            (CountTarget::AllEdges, Some(_)) => {
-                self.ins_bitmask_fast.inc();
-                mask.keep_edges().count_ones() as u64
-            }
+            (CountTarget::AllEdges, Some(_)) => mask.keep_edges().count_ones() as u64,
             (CountTarget::AllEdges, None) => {
                 let mut total = 0u64;
                 for e in mask.keep_edges().iter_ones() {

@@ -39,6 +39,7 @@ use crate::ops::{Event, EventMask};
 use std::sync::Arc;
 use tempo_columnar::{BitVec, PresenceColumn, TransposedBitMatrix};
 use tempo_graph::{EdgeId, MatchColumns, MatchKey, TemporalGraph, TimePoint};
+use tempo_instrument::metrics;
 
 /// How the cursor turns the current pair into `result(G)`.
 enum FastCount {
@@ -120,9 +121,6 @@ pub struct ChainCursor<'k, 'g> {
     /// the whole run reuses one pair of buffers.
     seen_gids: Vec<u32>,
     seen_pairs: Vec<(u32, u32)>,
-    ins_chains: Arc<tempo_instrument::Counter>,
-    ins_steps: Arc<tempo_instrument::Counter>,
-    ins_step_ns: Arc<tempo_instrument::Histogram>,
 }
 
 impl<'k, 'g> ChainCursor<'k, 'g> {
@@ -130,8 +128,7 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     /// the graph's transposed presence indexes and the selector's cached
     /// match columns.
     pub fn new(kernel: &'k ExploreKernel<'g>) -> Self {
-        let ins = tempo_instrument::global();
-        ins.counter("explore.cursor.builds").inc();
+        metrics::EXPLORE_CURSOR_BUILDS.inc();
         let g = kernel.g;
         let edges = kernel.cfg.selector.is_edge();
         let fast = FastCount::resolve(kernel);
@@ -159,9 +156,6 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
             incident_touched: Vec::new(),
             seen_gids: Vec::new(),
             seen_pairs: Vec::new(),
-            ins_chains: ins.counter("explore.cursor.chains"),
-            ins_steps: ins.counter("explore.cursor.steps"),
-            ins_step_ns: ins.histogram("explore.cursor.step_ns"),
         }
     }
 
@@ -180,7 +174,7 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     /// Loads the chain of reference `i` at its base pair `({i}, {i+1})`.
     fn start_chain(&mut self, i: usize) {
         assert!(i + 1 < self.n, "reference {i} out of domain {}", self.n);
-        self.ins_chains.inc();
+        metrics::EXPLORE_CURSOR_CHAINS.inc();
         self.current_ref = Some(i);
         self.step = 0;
         // The extended side starts as the single base point; the other side
@@ -216,8 +210,8 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         let i = self
             .current_ref
             .expect("invariant: start_chain loads a reference before advance");
-        let _span = self.ins_step_ns.span();
-        self.ins_steps.inc();
+        let _span = metrics::EXPLORE_CURSOR_STEP_NS.span();
+        metrics::EXPLORE_CURSOR_STEPS.inc();
         self.step += 1;
         #[allow(clippy::expect_used)]
         let t_added = match self.kernel.cfg.extend {
@@ -342,7 +336,7 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     /// pass is skipped.
     fn write_mask(&mut self) {
         let nodes = !self.edges;
-        let _mask_span = self.kernel.ins_mask_ns.span();
+        let _mask_span = metrics::EXPLORE_MASK_NS.span();
         // One pair side is always the fixed reference column (dense or
         // sparse); the other is the dense extension accumulator. Every op
         // below lets the column pick its own fold.
@@ -398,13 +392,13 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     /// Panics if `(i, j)` is outside the domain's chain table.
     pub fn evaluate_chain_pair(&mut self, i: usize, j: usize) -> u64 {
         self.seek(i, j);
-        let _eval_span = self.kernel.ins_eval_ns.span();
-        self.kernel.ins_evals.inc();
+        let _eval_span = metrics::EXPLORE_EVAL_NS.span();
+        metrics::EXPLORE_EVALUATIONS.inc();
         if let Some(count) = self.fused_count() {
             return count;
         }
         self.write_mask();
-        let _count_span = self.kernel.ins_count_ns.span();
+        let _count_span = metrics::EXPLORE_COUNT_NS.span();
         self.kernel.table.count_distinct_with_scratch(
             self.kernel.g,
             &self.mask,
@@ -425,8 +419,8 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     /// Panics if `(i, j)` is outside the domain's chain table.
     pub fn mask_chain_pair(&mut self, i: usize, j: usize) -> &EventMask {
         self.seek(i, j);
-        let _eval_span = self.kernel.ins_eval_ns.span();
-        self.kernel.ins_evals.inc();
+        let _eval_span = metrics::EXPLORE_EVAL_NS.span();
+        metrics::EXPLORE_EVALUATIONS.inc();
         self.write_mask();
         &self.mask
     }

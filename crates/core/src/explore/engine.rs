@@ -6,7 +6,6 @@ use super::budget::Budget;
 use super::cursor::ChainCursor;
 use super::kernel::ExploreKernel;
 use super::{direction, ExploreConfig, ExtendSide};
-use std::sync::{Arc, OnceLock};
 use tempo_graph::{GraphError, TemporalGraph, TimePoint, TimeSet};
 
 /// One explored pair of intervals. For [`ExtendSide::Old`] the reference
@@ -139,32 +138,6 @@ pub(super) fn check_domain(g: &TemporalGraph) -> Result<usize, GraphError> {
     Ok(n)
 }
 
-/// Pruned-pair counters, resolved once per process so the name-keyed
-/// registry lookup stays out of the per-chain path. The registry resets
-/// metrics in place — the `Arc` handles stay wired to the live registry
-/// across `Registry::reset`.
-struct PrunedCounters {
-    total: Arc<tempo_instrument::Counter>,
-    union_increasing: Arc<tempo_instrument::Counter>,
-    union_decreasing: Arc<tempo_instrument::Counter>,
-    intersection_decreasing: Arc<tempo_instrument::Counter>,
-    intersection_increasing: Arc<tempo_instrument::Counter>,
-}
-
-fn pruned_counters() -> &'static PrunedCounters {
-    static CELL: OnceLock<PrunedCounters> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let ins = tempo_instrument::global();
-        PrunedCounters {
-            total: ins.counter("explore.pruned"),
-            union_increasing: ins.counter("explore.pruned.union_increasing"),
-            union_decreasing: ins.counter("explore.pruned.union_decreasing"),
-            intersection_decreasing: ins.counter("explore.pruned.intersection_decreasing"),
-            intersection_increasing: ins.counter("explore.pruned.intersection_increasing"),
-        }
-    })
-}
-
 /// Runs the configured strategy on the single chain of reference `i`,
 /// appending its qualifying pair (if any) and its evaluation count to
 /// `out`. The cursor is addressed by chain coordinates alone; an
@@ -231,16 +204,7 @@ fn explore_reference(
     }
     out.evaluations += evaluations;
     // Pairs skipped thanks to the monotonicity shortcut of this strategy row.
-    let pruned = (len - evaluations) as u64;
-    let pc = pruned_counters();
-    pc.total.add(pruned);
-    match (cfg.semantics, dir) {
-        (Semantics::Union, Direction::Increasing) => &pc.union_increasing,
-        (Semantics::Union, Direction::Decreasing) => &pc.union_decreasing,
-        (Semantics::Intersection, Direction::Decreasing) => &pc.intersection_decreasing,
-        (Semantics::Intersection, Direction::Increasing) => &pc.intersection_increasing,
-    }
-    .add(pruned);
+    tempo_instrument::metrics::EXPLORE_PRUNED.add((len - evaluations) as u64);
     Ok(())
 }
 

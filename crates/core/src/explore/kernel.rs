@@ -53,12 +53,6 @@ pub struct ExploreKernel<'g> {
     pub(super) cfg: &'g ExploreConfig,
     pub(super) table: GroupTable,
     pub(super) target: CountTarget,
-    /// Instrumentation handles, resolved once so per-pair recording never
-    /// touches the registry lock.
-    pub(super) ins_evals: std::sync::Arc<tempo_instrument::Counter>,
-    pub(super) ins_eval_ns: std::sync::Arc<tempo_instrument::Histogram>,
-    pub(super) ins_mask_ns: std::sync::Arc<tempo_instrument::Histogram>,
-    pub(super) ins_count_ns: std::sync::Arc<tempo_instrument::Histogram>,
 }
 
 impl<'g> ExploreKernel<'g> {
@@ -69,8 +63,7 @@ impl<'g> ExploreKernel<'g> {
     /// # Panics
     /// Panics if any attribute id is not from `g`'s schema.
     pub fn new(g: &'g TemporalGraph, cfg: &'g ExploreConfig) -> Self {
-        let ins = tempo_instrument::global();
-        let build_span = ins.histogram("explore.kernel_build_ns").span();
+        let _span = tempo_instrument::metrics::EXPLORE_KERNEL_BUILD_NS.span();
         let table = GroupTable::cached(g, &cfg.attrs);
         let target = match &cfg.selector {
             Selector::AllNodes => CountTarget::AllNodes,
@@ -78,16 +71,11 @@ impl<'g> ExploreKernel<'g> {
             Selector::NodeTuple(t) => CountTarget::node(&table, t),
             Selector::EdgeTuple(s, d) => CountTarget::edge(&table, s, d),
         };
-        drop(build_span);
         ExploreKernel {
             g,
             cfg,
             table,
             target,
-            ins_evals: ins.counter("explore.evaluations"),
-            ins_eval_ns: ins.histogram("explore.eval_ns"),
-            ins_mask_ns: ins.histogram("explore.mask_ns"),
-            ins_count_ns: ins.histogram("explore.count_ns"),
         }
     }
 

@@ -81,9 +81,7 @@ pub struct TimepointStore {
 impl TimepointStore {
     /// Builds the store: one aggregate per time point of `g`'s domain.
     pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> Self {
-        let _span = tempo_instrument::global()
-            .histogram("materialize.store_build_ns")
-            .span();
+        let _span = tempo_instrument::metrics::MATERIALIZE_STORE_BUILD_NS.span();
         let per_tp = g
             .domain()
             .iter()
@@ -120,9 +118,6 @@ impl TimepointStore {
             self.per_tp
                 .push(aggregate_at_point(g, &self.attrs, TimePoint(t as u32)));
         }
-        tempo_instrument::global()
-            .counter("materialize.points_appended")
-            .add(added as u64);
         Ok(added)
     }
 

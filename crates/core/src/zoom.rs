@@ -39,8 +39,9 @@ impl Granularity {
     pub fn windows(domain: &TimeDomain, window: usize) -> Result<Self, GraphError> {
         let n = domain.len();
         if window == 0 || n == 0 {
+            // completes to "interval argument … is empty"
             return Err(GraphError::EmptyInterval(format!(
-                "window {window} invalid for a domain of {n} points"
+                "window of {window} points over a domain of {n} points"
             )));
         }
         let mut groups = Vec::new();

@@ -1,14 +1,16 @@
-//! End-to-end check that the instrumentation registry agrees with the
-//! values the public APIs report. Runs as its own integration-test binary
-//! (and deliberately as a single `#[test]`) because the registry is
+//! End-to-end check that the declared metrics agree with the values the
+//! public APIs report. Runs as its own integration-test binary (and
+//! deliberately as a single `#[test]`) because the metrics are
 //! process-global: sibling tests running in parallel would perturb exact
 //! counter deltas.
 
+use graphtempo::aggregate::GroupTable;
 use graphtempo::explore::{explore, ExploreConfig, ExtendSide, Selector, Semantics};
 use graphtempo::materialize::TimepointStore;
 use graphtempo::ops::Event;
+use tempo_columnar::Value;
 use tempo_datagen::RandomGraphConfig;
-use tempo_graph::TemporalGraph;
+use tempo_graph::{GraphVersions, TemporalGraph, TimepointPatch};
 
 fn graph() -> TemporalGraph {
     RandomGraphConfig {
@@ -28,7 +30,8 @@ fn graph() -> TemporalGraph {
 
 #[test]
 fn registry_matches_reported_outcomes() {
-    let g = graph();
+    let mut versions = GraphVersions::new(graph());
+    let g = versions.current();
     let kind = g.schema().id("kind").expect("random graphs have `kind`");
     let ins = tempo_instrument::global();
 
@@ -74,6 +77,8 @@ fn registry_matches_reported_outcomes() {
     // snapshot caches for the attribute list
     assert_eq!(hist_delta("explore.kernel_build_ns"), runs);
     assert_eq!(delta("aggregate.group_tables_built"), 1);
+    assert_eq!(hist_delta("aggregate.group_table_build_ns"), 1);
+    assert_eq!(delta("aggregate.group_table.cache_misses"), 1);
     assert_eq!(delta("aggregate.group_table.cache_hits"), runs - 1);
     // sequential exploration builds one chain cursor per run, loads one
     // chain per reference point, and (under the increasing strategies used
@@ -90,11 +95,48 @@ fn registry_matches_reported_outcomes() {
     // the transposed presence indexes are built once (nodes + edges) and
     // cached on the graph across runs
     assert_eq!(delta("graph.transpose_builds"), 2);
-    // random graphs have static attributes, so the cursor resolves the
-    // count to a popcount: the general distinct scan is never entered
-    assert_eq!(delta("aggregate.count_distinct.calls"), 0);
-    // pruning is recorded per strategy row; totals only need to be sane
-    assert!(after.counter("explore.pruned.union_increasing") <= after.counter("explore.pruned"));
+    assert_eq!(hist_delta("graph.transpose_build_ns"), 2);
+    // every pair of every chain is either evaluated or pruned
+    let n = g.domain().len() as u64;
+    assert_eq!(
+        delta("explore.pruned"),
+        runs * n * (n - 1) / 2 - expected_evals
+    );
+
+    // -- the snapshot's caches, across one append: a cached attribute list
+    // is extended, not rebuilt, and each transposed index gains one column;
+    // a tuple selector's match columns are built once per snapshot --
+    let before = ins.snapshot();
+    let mut patch = TimepointPatch::new("appended");
+    patch.add_edge(g.node_name(tempo_graph::NodeId(0)), "newcomer");
+    patch.set_static("newcomer", kind, Value::Cat(0));
+    let next = versions.append_timepoint(&patch).expect("append");
+    for _ in 0..2 {
+        let _ = GroupTable::cached(&next, &[kind]);
+    }
+    let tuple = vec![Value::Cat(0)];
+    for _ in 0..2 {
+        let cfg = ExploreConfig {
+            event: Event::Stability,
+            extend: ExtendSide::New,
+            semantics: Semantics::Union,
+            k: 1,
+            attrs: vec![kind],
+            selector: Selector::NodeTuple(tuple.clone()),
+        };
+        explore(&next, &cfg).expect("explore with a tuple selector");
+    }
+    let after = ins.snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("graph.index.append_cols"), 2);
+    assert_eq!(delta("graph.transpose_builds"), 0);
+    assert_eq!(delta("aggregate.group_table.cache_extends"), 1);
+    assert_eq!(delta("aggregate.group_table.cache_misses"), 0);
+    assert_eq!(delta("aggregate.group_tables_built"), 0);
+    // the second `cached` and the two kernels
+    assert_eq!(delta("aggregate.group_table.cache_hits"), 3);
+    assert_eq!(delta("explore.match_cols.builds"), 1);
+    assert_eq!(delta("explore.match_cols.hits"), 1);
 
     // -- materialization: build latency --
     let before = ins.snapshot();

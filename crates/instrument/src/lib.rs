@@ -1,38 +1,35 @@
-//! Zero-dependency, thread-safe metrics registry for the GraphTempo workspace.
+//! Zero-dependency, thread-safe metrics for the GraphTempo workspace.
 //!
 //! Production temporal-graph engines treat measurement as a first-class
 //! subsystem: optimization claims are only falsifiable when the hot paths
-//! report what they did (evaluations, prunes, cache hits, bytes moved) and
-//! how long it took. This crate provides that substrate with nothing beyond
-//! `std`:
+//! report what they did (evaluations, prunes, cache hits) and how long it
+//! took. This crate provides that substrate with nothing beyond `std`:
 //!
 //! - [`Counter`] — monotone `u64` event counter (relaxed atomics).
-//! - [`Gauge`] — signed instantaneous value (e.g. live cache entries).
 //! - [`Histogram`] — log₂-bucketed latency histogram over nanoseconds with
 //!   sum/count/min/max and quantile estimates.
 //! - [`SpanGuard`] — RAII timer that records its elapsed time into a
 //!   [`Histogram`] on drop.
-//! - [`Registry`] — a named collection of the above, handing out shared
-//!   [`Arc`] handles so hot loops never touch the registry lock.
+//! - [`metrics`] — the declaration table: every metric the workspace
+//!   records is one `pub static` there, built by a `const fn new()`.
 //!
-//! A process-wide registry is available through [`global()`]; the
-//! instrumented crates (`tempo-graph`, `graphtempo`, the CLI, the server)
-//! all record into it. Recording can be switched off wholesale with
-//! [`set_enabled`] — the disabled path is a single relaxed atomic load, so
-//! instrumentation can stay compiled into release binaries.
+//! The instrumented crates (`tempo-graph`, `graphtempo`, the CLI, the
+//! server) record straight into those statics — no lookup, no lock, no
+//! handle to cache — and [`global()`]`.snapshot()` copies the whole table.
+//! Recording can be switched off wholesale with [`set_enabled`] — the
+//! disabled path is a single relaxed atomic load, so instrumentation can
+//! stay compiled into release binaries.
 //!
 //! # Example
 //!
 //! ```
-//! use tempo_instrument::global;
+//! use tempo_instrument::{global, metrics};
 //!
-//! // the global registry takes only the names listed in `names::ALL`
-//! let evals = global().counter("explore.evaluations");
-//! let lat = global().histogram("explore.eval_ns");
 //! for _ in 0..3 {
-//!     let _span = lat.span();
-//!     evals.inc();
+//!     let _span = metrics::EXPLORE_EVAL_NS.span();
+//!     metrics::EXPLORE_EVALUATIONS.inc();
 //! }
+//! // readers address a snapshot by the declared dotted name
 //! assert!(global().snapshot().counter("explore.evaluations") >= 3);
 //! ```
 
@@ -41,12 +38,10 @@
 // DESIGN §7.1: output belongs to the CLI and the bench binaries
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-pub mod names;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
+
+pub mod metrics;
 
 /// Global on/off switch for all recording.
 ///
@@ -66,13 +61,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Returns the process-wide registry shared by all instrumented crates.
+/// Returns the process-wide registry: the reader's side of [`metrics`].
 pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(|| Registry {
-        registered_only: true,
-        ..Registry::new()
-    })
+    &Registry(())
 }
 
 /// Monotone event counter.
@@ -86,8 +77,10 @@ pub struct Counter {
 
 impl Counter {
     /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Counter {
+            value: AtomicU64::new(0),
+        }
     }
 
     /// Adds one.
@@ -107,50 +100,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Signed instantaneous value (set/add), e.g. live cache entries.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        if enabled() {
-            self.value.fetch_add(d, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -198,9 +147,13 @@ fn bucket_upper(i: usize) -> u64 {
 
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
+        // a `const` item, not a value, so the array repeat builds 65
+        // separate atomics (inline `const {}` blocks are past the MSRV)
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: AtomicU64 = AtomicU64::new(0);
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [ZERO; BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -232,9 +185,9 @@ impl Histogram {
     /// When recording is disabled the guard never reads the clock.
     #[inline]
     #[allow(clippy::disallowed_methods)] // the clock read every span goes through
-    pub fn span(self: &Arc<Self>) -> SpanGuard {
+    pub fn span(&self) -> SpanGuard<'_> {
         SpanGuard {
-            hist: Arc::clone(self),
+            hist: self,
             start: enabled().then(Instant::now),
         }
     }
@@ -247,17 +200,6 @@ impl Histogram {
     /// Sum of recorded samples.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Resets all state.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     /// Immutable point-in-time view.
@@ -330,19 +272,19 @@ impl Histogram {
 
 /// RAII timer: records the elapsed nanoseconds into its histogram on drop.
 #[derive(Debug)]
-pub struct SpanGuard {
-    hist: Arc<Histogram>,
+pub struct SpanGuard<'a> {
+    hist: &'a Histogram,
     start: Option<Instant>,
 }
 
-impl SpanGuard {
+impl SpanGuard<'_> {
     /// Drops the guard without recording anything.
     pub fn cancel(mut self) {
         self.start = None;
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             self.hist.record_duration(start.elapsed());
@@ -393,123 +335,28 @@ impl Deadline {
     }
 }
 
-/// One registered metric.
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
+/// One entry of the declaration table ([`metrics::ALL`]).
+#[derive(Debug, Clone, Copy)]
+pub enum MetricRef {
+    /// A declared counter.
+    Counter(&'static Counter),
+    /// A declared histogram.
+    Histogram(&'static Histogram),
 }
 
-/// A named collection of metrics.
-///
-/// Lookup (`counter`/`gauge`/`histogram`) takes a short mutex; hot paths
-/// should resolve their handles once (at construction time) and record
-/// through the returned [`Arc`]s, which never touch the lock.
-#[derive(Debug, Default)]
-pub struct Registry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
-    /// Set on [`global()`]: a name outside [`names::ALL`] is a
-    /// `debug_assert!` failure, literal or computed, so an emitter and the
-    /// readers of a snapshot cannot drift apart unnoticed.
-    registered_only: bool,
-}
-
-/// Locks the metric map, recovering from poisoning: the map is only ever
-/// mutated by infallible insertions, so a panic while the lock was held
-/// cannot have left it inconsistent.
-fn lock_registry(
-    m: &Mutex<BTreeMap<String, Metric>>,
-) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// The reader's side of the declaration table; see [`global()`].
+#[derive(Debug)]
+pub struct Registry(());
 
 impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The metric map, locked for a lookup of `name`.
-    fn lookup(&self, name: &str) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
-        debug_assert!(
-            !self.registered_only || names::is_registered(name),
-            "metric {name:?} is not in tempo_instrument::names::ALL"
-        );
-        lock_registry(&self.metrics)
-    }
-
-    /// Returns the counter registered under `name`, creating it on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    #[allow(clippy::panic)]
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.lookup(name);
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    #[allow(clippy::panic)]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.lookup(name);
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Returns the histogram registered under `name`, creating it on first use.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    #[allow(clippy::panic)]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.lookup(name);
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Resets every registered metric to its initial state.
-    ///
-    /// Handles held by instrumented code stay valid; only the values clear.
-    pub fn reset(&self) {
-        let m = lock_registry(&self.metrics);
-        for metric in m.values() {
-            match metric {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
-
-    /// Takes a consistent-enough point-in-time copy of every metric.
+    /// Takes a consistent-enough point-in-time copy of every declared
+    /// metric, touched yet or not.
     pub fn snapshot(&self) -> Snapshot {
-        let m = lock_registry(&self.metrics);
         let mut snap = Snapshot::default();
-        for (name, metric) in m.iter() {
+        for &(name, metric) in metrics::ALL {
             match metric {
-                Metric::Counter(c) => snap.counters.push((name.clone(), c.get())),
-                Metric::Gauge(g) => snap.gauges.push((name.clone(), g.get())),
-                Metric::Histogram(h) => snap.histograms.push((name.clone(), h.snapshot())),
+                MetricRef::Counter(c) => snap.counters.push((name.to_owned(), c.get())),
+                MetricRef::Histogram(h) => snap.histograms.push((name.to_owned(), h.snapshot())),
             }
         }
         snap
@@ -548,13 +395,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// Point-in-time copy of a [`Registry`], sorted by metric name.
+/// Point-in-time copy of the declared metrics, sorted by metric name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram views.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -585,14 +430,6 @@ impl Snapshot {
             .map_or(0, |(_, v)| *v)
     }
 
-    /// Value of a gauge by name (0 if absent).
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
     /// Histogram view by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms
@@ -601,19 +438,11 @@ impl Snapshot {
             .map(|(_, h)| h)
     }
 
-    /// Whether the snapshot holds no metrics at all.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Human-readable multi-line dump (one metric per line).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
             out.push_str(&format!("counter   {name} = {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("gauge     {name} = {v}\n"));
         }
         for (name, h) in &self.histograms {
             out.push_str(&format!(
@@ -640,16 +469,6 @@ impl Snapshot {
             out.push_str(&format!("\n    \"{}\": {}", json_escape(name), v));
         }
         if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(name), v));
-        }
-        if !self.gauges.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("},\n  \"histograms\": {");
@@ -688,7 +507,7 @@ impl Snapshot {
     /// endpoint.
     ///
     /// Metric names are prefixed with `graphtempo_` and sanitized (every
-    /// character outside `[a-zA-Z0-9_:]` becomes `_`, so the registry's
+    /// character outside `[a-zA-Z0-9_:]` becomes `_`, so the declared
     /// dotted names map 1:1). Counters gain the conventional `_total`
     /// suffix; histograms emit cumulative `_bucket{le="…"}` series ending
     /// in `le="+Inf"`, plus `_sum` and `_count`.
@@ -697,10 +516,6 @@ impl Snapshot {
         for (name, v) in &self.counters {
             let n = prometheus_name(name);
             out.push_str(&format!("# TYPE {n}_total counter\n{n}_total {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = prometheus_name(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
         }
         for (name, h) in &self.histograms {
             let n = prometheus_name(name);
@@ -723,7 +538,7 @@ impl Snapshot {
     }
 }
 
-/// Maps a registry metric name onto the Prometheus name charset:
+/// Maps a declared metric name onto the Prometheus name charset:
 /// `graphtempo_` prefix, every character outside `[a-zA-Z0-9_:]` replaced
 /// with `_`.
 fn prometheus_name(name: &str) -> String {
@@ -742,7 +557,7 @@ fn prometheus_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::RwLock;
+    use std::sync::{Arc, OnceLock, RwLock};
 
     /// Tests that record hold a read guard; the test that flips the global
     /// enabled flag holds the write guard, so they never interleave.
@@ -751,33 +566,44 @@ mod tests {
         GATE.get_or_init(|| RwLock::new(()))
     }
 
-    /// The global registry holds its names to `names::ALL`, computed ones
-    /// included; a registry of one's own takes any name.
+    /// What the string-keyed map used to check at run time, held over the
+    /// declared slice: a reader finds each name once, under one spelling,
+    /// in the text and in the Prometheus rendering alike.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not in tempo_instrument::names::ALL")]
-    fn global_registry_rejects_unregistered_names() {
-        let verb = "typo";
-        let _ = Registry::new().counter("explore.typo");
-        let _ = global().histogram(&format!("server.cmd.{verb}_ns"));
+    fn declared_table_is_sorted_unique_and_complete() {
+        let names: Vec<&str> = metrics::ALL.iter().map(|&(n, _)| n).collect();
+        for w in names.windows(2) {
+            assert!(w[0] < w[1], "names out of order: {:?} >= {:?}", w[0], w[1]);
+        }
+        let mut mangled: Vec<String> = Vec::new();
+        for n in &names {
+            assert!(
+                !n.is_empty()
+                    && n.chars()
+                        .all(|c| matches!(c, 'a'..='z' | '0'..='9' | '_' | '.')),
+                "{n:?} is not [a-z0-9_.]+"
+            );
+            mangled.push(prometheus_name(n));
+        }
+        mangled.sort();
+        for w in mangled.windows(2) {
+            assert!(w[0] != w[1], "two names render as {:?}", w[0]);
+        }
+        // a snapshot is the table, touched or not
+        let snap = global().snapshot();
+        let mut seen: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        seen.extend(snap.histograms.iter().map(|(n, _)| n.as_str()));
+        seen.sort_unstable();
+        assert_eq!(seen, names);
     }
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let _g = gate().read().unwrap();
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-10);
-        assert_eq!(g.get(), -3);
-        g.reset();
-        assert_eq!(g.get(), 0);
     }
 
     #[test]
@@ -798,6 +624,8 @@ mod tests {
     fn histogram_stats_and_quantiles() {
         let _g = gate().read().unwrap();
         let h = Histogram::new();
+        assert_eq!(h.snapshot().count, 0);
+        assert_eq!(h.snapshot().min, 0);
         for v in [1u64, 2, 3, 100, 1000] {
             h.record(v);
         }
@@ -813,16 +641,12 @@ mod tests {
         assert!((s.mean() - 221.2).abs() < 1e-9);
         let total: u64 = s.buckets.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 5);
-        h.reset();
-        assert_eq!(h.snapshot().count, 0);
-        assert_eq!(h.snapshot().min, 0);
     }
 
     #[test]
     fn span_guard_records_on_drop_and_cancel_skips() {
         let _g = gate().read().unwrap();
-        let r = Registry::new();
-        let h = r.histogram("t.span");
+        let h = Histogram::new();
         {
             let _g = h.span();
         }
@@ -831,45 +655,27 @@ mod tests {
         assert_eq!(h.count(), 1);
     }
 
-    #[test]
-    fn registry_hands_out_shared_handles() {
-        let _g = gate().read().unwrap();
-        let r = Registry::new();
-        let a = r.counter("x");
-        let b = r.counter("x");
-        a.add(2);
-        b.add(3);
-        assert_eq!(r.snapshot().counter("x"), 5);
-        r.reset();
-        assert_eq!(r.snapshot().counter("x"), 0);
-        // handle still live after reset
-        a.inc();
-        assert_eq!(r.snapshot().counter("x"), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind")]
-    fn registry_rejects_kind_mismatch() {
-        let r = Registry::new();
-        let _ = r.counter("dup");
-        let _ = r.histogram("dup");
+    /// A snapshot of one counter at `3` and one histogram holding `samples`.
+    fn sample_snapshot(counter: &str, hist: &str, samples: &[u64]) -> Snapshot {
+        let h = Histogram::new();
+        for &v in samples {
+            h.record(v);
+        }
+        Snapshot {
+            counters: vec![(counter.to_owned(), 3)],
+            histograms: vec![(hist.to_owned(), h.snapshot())],
+        }
     }
 
     #[test]
     fn snapshot_renders_text_and_json() {
         let _g = gate().read().unwrap();
-        let r = Registry::new();
-        r.counter("a.count").add(3);
-        r.gauge("b.gauge").set(-2);
-        r.histogram("c.lat_ns").record(5);
-        let snap = r.snapshot();
+        let snap = sample_snapshot("a.count", "c.lat_ns", &[5]);
         let text = snap.render_text();
         assert!(text.contains("counter   a.count = 3"));
-        assert!(text.contains("gauge     b.gauge = -2"));
         assert!(text.contains("histogram c.lat_ns: count=1"));
         let json = snap.render_json();
         assert!(json.contains("\"a.count\": 3"));
-        assert!(json.contains("\"b.gauge\": -2"));
         assert!(json.contains("\"c.lat_ns\": {\"count\": 1"));
         assert!(json.contains("\"buckets\": [{\"le\": 7, \"count\": 1}]"));
     }
@@ -946,18 +752,10 @@ mod tests {
     #[test]
     fn prometheus_exposition_shape() {
         let _g = gate().read().unwrap();
-        let r = Registry::new();
-        r.counter("p.requests").add(3);
-        r.gauge("p.active").set(2);
-        let h = r.histogram("p.lat_ns");
-        h.record(5);
-        h.record(100);
-        h.record(u64::MAX);
-        let text = r.snapshot().render_prometheus();
+        let text =
+            sample_snapshot("p.requests", "p.lat_ns", &[5, 100, u64::MAX]).render_prometheus();
         assert!(text.contains("# TYPE graphtempo_p_requests_total counter\n"));
         assert!(text.contains("graphtempo_p_requests_total 3\n"));
-        assert!(text.contains("# TYPE graphtempo_p_active gauge\n"));
-        assert!(text.contains("graphtempo_p_active 2\n"));
         assert!(text.contains("# TYPE graphtempo_p_lat_ns histogram\n"));
         // buckets are cumulative and the saturated top bucket folds into +Inf
         assert!(text.contains("graphtempo_p_lat_ns_bucket{le=\"7\"} 1\n"));
@@ -985,24 +783,17 @@ mod tests {
     #[test]
     fn concurrent_recording_is_consistent() {
         let _g = gate().read().unwrap();
-        let r = Arc::new(Registry::new());
-        let c = r.counter("mt.count");
-        let h = r.histogram("mt.lat");
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
+        let (c, h) = (Counter::new(), Histogram::new());
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
                     for i in 0..1000u64 {
                         c.inc();
                         h.record(i);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+                });
+            }
+        });
         assert_eq!(c.get(), 4000);
         assert_eq!(h.count(), 4000);
         assert_eq!(h.sum(), 4 * (0..1000u64).sum::<u64>());
@@ -1011,9 +802,7 @@ mod tests {
     #[test]
     fn disabled_gate_suppresses_recording() {
         let _g = gate().write().unwrap();
-        let r = Registry::new();
-        let c = r.counter("gate.count");
-        let h = r.histogram("gate.lat");
+        let (c, h) = (Counter::new(), Histogram::new());
         set_enabled(false);
         c.inc();
         h.record(10);

@@ -69,6 +69,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tempo_graph::GraphError;
+use tempo_instrument::{metrics, Histogram};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(200);
@@ -111,9 +112,48 @@ struct ServiceState {
     addr: std::net::SocketAddr,
     registry: SnapshotRegistry,
     shutdown: AtomicBool,
+    verb_ns: Vec<VerbLatency>,
+}
+
+/// The latency histogram of one verb, under the name `metrics` shows it by.
+#[derive(Debug)]
+struct VerbLatency {
+    verb: &'static str,
+    name: String,
+    hist: Histogram,
 }
 
 impl ServiceState {
+    fn new(cfg: ServerConfig, addr: std::net::SocketAddr) -> Self {
+        // One `server.cmd.<verb>_ns` histogram per verb the server answers
+        // and one last for everything else: the family is the two verb
+        // tables, so no request — least of all a client's junk token — names
+        // or adds a series.
+        let verb_ns = SERVER_VERBS
+            .iter()
+            .filter_map(|usage| usage.split(' ').next())
+            .chain(
+                command::COMMANDS
+                    .iter()
+                    .filter(|s| s.served_on(Front::Wire))
+                    .map(|s| s.name),
+            )
+            .chain(["unknown"])
+            .map(|verb| VerbLatency {
+                verb,
+                name: format!("server.cmd.{verb}_ns"),
+                hist: Histogram::new(),
+            })
+            .collect();
+        ServiceState {
+            cfg,
+            addr,
+            registry: SnapshotRegistry::new(),
+            shutdown: AtomicBool::new(false),
+            verb_ns,
+        }
+    }
+
     /// Raises the shutdown flag and pokes the accept loop awake.
     fn request_shutdown(&self) {
         // ordering: the flag is purely advisory — it guards no other data,
@@ -183,12 +223,7 @@ impl Drop for Server {
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<Server> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let state = Arc::new(ServiceState {
-        cfg,
-        addr,
-        registry: SnapshotRegistry::new(),
-        shutdown: AtomicBool::new(false),
-    });
+    let state = Arc::new(ServiceState::new(cfg, addr));
     let loop_state = Arc::clone(&state);
     let accept = std::thread::spawn(move || accept_loop(&listener, &loop_state));
     Ok(Server {
@@ -200,7 +235,6 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<Server> {
 
 fn accept_loop(listener: &TcpListener, state: &Arc<ServiceState>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    let active = tempo_instrument::global().gauge("server.active_connections");
     for incoming in listener.incoming() {
         if state.shutting_down() {
             break;
@@ -212,15 +246,9 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServiceState>) {
             let _ = stream.write_all(b"ERR busy: connection limit reached\n");
             continue;
         }
-        tempo_instrument::global()
-            .counter("server.connections")
-            .inc();
-        active.add(1);
         let conn_state = Arc::clone(state);
-        let conn_active = Arc::clone(&active);
         workers.push(std::thread::spawn(move || {
-            handle_connection(stream, &conn_state);
-            conn_active.add(-1);
+            handle_connection(stream, &conn_state)
         }));
     }
     for h in workers {
@@ -305,7 +333,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServiceState>) {
         let (response, shutdown_after) = match lines.next(&mut reader) {
             Ok(Incoming::Closed) => break,
             Ok(Incoming::TooLong) => {
-                tempo_instrument::global().counter("server.errors").inc();
+                metrics::SERVER_ERRORS.inc();
                 let msg = format!("too_long: request line exceeds {MAX_REQUEST_BYTES} bytes");
                 (err(&msg), false)
             }
@@ -377,10 +405,8 @@ const SERVER_VERBS: &[&str] = &[
 /// Dispatches one request line; returns the wire response and whether the
 /// server should shut down after sending it.
 fn handle_request(state: &Arc<ServiceState>, request: &str) -> (String, bool) {
-    tempo_instrument::global().counter("server.requests").inc();
-    let _span = tempo_instrument::global()
-        .histogram("server.request_ns")
-        .span();
+    metrics::SERVER_REQUESTS.inc();
+    let _span = metrics::SERVER_REQUEST_NS.span();
     let tokens = tokenize(request);
     let Some((verb, rest)) = tokens.split_first() else {
         return (err("empty request"), false);
@@ -389,15 +415,14 @@ fn handle_request(state: &Arc<ServiceState>, request: &str) -> (String, bool) {
         .iter()
         .find(|usage| usage.split(' ').next() == Some(verb));
     let served = command::spec(verb).filter(|s| s.served_on(Front::Wire));
-    // The first token is the client's: only a verb of either table names
-    // its own histogram, so junk tokens cannot grow the process-wide
-    // registry.
-    let _verb_span = if own.is_some() || served.is_some() {
-        tempo_instrument::global().histogram(&format!("server.cmd.{verb}_ns"))
-    } else {
-        tempo_instrument::global().histogram("server.cmd.unknown_ns")
-    }
-    .span();
+    // The first token is the client's: a verb of neither table is timed
+    // under `unknown`, the family's last member.
+    let _verb_span = state
+        .verb_ns
+        .iter()
+        .find(|v| v.verb == verb)
+        .or(state.verb_ns.last())
+        .map(|v| v.hist.span());
     let result = match (own, served) {
         (Some(usage), _) => server_verb(state, usage, rest).map(|lines| (lines, None)),
         (None, Some(spec)) => run_verb(state, spec, rest).map(|(lines, e)| (lines, Some(e))),
@@ -406,11 +431,11 @@ fn handle_request(state: &Arc<ServiceState>, request: &str) -> (String, bool) {
     match result {
         Ok((lines, epoch)) => (ok(&lines, epoch), verb == "shutdown"),
         Err(CliError::Graph(GraphError::Cancelled(m))) => {
-            tempo_instrument::global().counter("server.timeouts").inc();
+            metrics::SERVER_TIMEOUTS.inc();
             (err(&format!("timeout: {m}")), false)
         }
         Err(e) => {
-            tempo_instrument::global().counter("server.errors").inc();
+            metrics::SERVER_ERRORS.inc();
             (err(&e.to_string()), false)
         }
     }
@@ -446,12 +471,17 @@ fn server_verb(
             }
             vec![format!("snapshot {name} dropped")]
         }
-        ("metrics", _) => tempo_instrument::global()
-            .snapshot()
-            .render_prometheus()
-            .lines()
-            .map(str::to_owned)
-            .collect(),
+        ("metrics", _) => {
+            let mut snap = tempo_instrument::global().snapshot();
+            let per_verb = state.verb_ns.iter();
+            snap.histograms
+                .extend(per_verb.map(|v| (v.name.clone(), v.hist.snapshot())));
+            snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
+            snap.render_prometheus()
+                .lines()
+                .map(str::to_owned)
+                .collect()
+        }
         // `shutdown`: the caller raises the flag once the answer is sent
         _ => vec!["shutting down".to_owned()],
     })
@@ -609,31 +639,6 @@ mod tests {
         assert_eq!(next(&mut lines), Incoming::Closed);
     }
 
-    /// Both directions: every verb the server answers has its histogram
-    /// in `names::ALL`, and every `server.cmd.*_ns` there names such a verb.
-    #[test]
-    fn command_histograms_are_the_served_verbs() {
-        let mut served: Vec<String> = SERVER_VERBS
-            .iter()
-            .filter_map(|usage| usage.split(' ').next())
-            .chain(
-                command::COMMANDS
-                    .iter()
-                    .filter(|s| s.served_on(Front::Wire))
-                    .map(|s| s.name),
-            )
-            .chain(["unknown"])
-            .map(|verb| format!("server.cmd.{verb}_ns"))
-            .collect();
-        served.sort();
-        let registered: Vec<&str> = tempo_instrument::names::ALL
-            .iter()
-            .copied()
-            .filter(|n| n.starts_with("server.cmd."))
-            .collect();
-        assert_eq!(served, registered);
-    }
-
     #[test]
     fn snapshot_names_are_validated() {
         assert!(validate_name("g1.zoom-out_x").is_ok());
@@ -644,12 +649,10 @@ mod tests {
 
     #[test]
     fn request_dispatch_without_network() {
-        let state = Arc::new(ServiceState {
-            cfg: ServerConfig::default(),
-            addr: "127.0.0.1:1".parse().expect("invariant: literal addr"),
-            registry: SnapshotRegistry::new(),
-            shutdown: AtomicBool::new(false),
-        });
+        let state = Arc::new(ServiceState::new(
+            ServerConfig::default(),
+            "127.0.0.1:1".parse().expect("invariant: literal addr"),
+        ));
         let (resp, stop) = handle_request(&state, "ping");
         assert_eq!(resp, "OK 1\npong\n");
         assert!(!stop);

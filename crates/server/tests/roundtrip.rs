@@ -59,6 +59,18 @@ impl Client {
     }
 }
 
+/// The series a `metrics` payload names: each sample line up to its labels
+/// or value. (Which `le=` buckets a histogram shows moves with its samples;
+/// which series exist must not move at all.)
+fn series_names(payload: &[String]) -> std::collections::BTreeSet<String> {
+    payload
+        .iter()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split(['{', ' ']).next())
+        .map(str::to_owned)
+        .collect()
+}
+
 fn test_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -71,6 +83,20 @@ fn protocol_roundtrip_and_graceful_shutdown() {
     let server = spawn(test_config()).expect("spawn server");
     let addr = server.addr();
     let mut c = Client::connect(addr);
+
+    // the whole table from the first request on: every declared metric and
+    // one histogram per served verb, touched or not
+    let (status, payload) = c.request("metrics");
+    assert!(status.starts_with("OK "), "got {status}");
+    let series = series_names(&payload);
+    for name in [
+        "graphtempo_explore_match_cols_hits_total",
+        "graphtempo_server_request_ns_count",
+        "graphtempo_server_cmd_cube_ns_count",
+        "graphtempo_server_cmd_unknown_ns_count",
+    ] {
+        assert!(series.contains(name), "{name} missing: {series:?}");
+    }
 
     let (status, payload) = c.request("ping");
     assert_eq!(status, "OK 1");
@@ -102,8 +128,24 @@ fn protocol_roundtrip_and_graceful_shutdown() {
     let (status, _) = c.request(&format!("{explore} timeout_ms=0"));
     assert!(status.starts_with("ERR timeout:"), "got {status}");
 
+    // neither a client's verb nor its arguments name a series: 100 junk
+    // verbs and 20 distinct attribute lists later the table is the same
+    for i in 0..100 {
+        let (status, _) = c.request(&format!("junk{i} g attrs=x"));
+        assert!(status.starts_with("ERR "), "junk{i}: {status}");
+    }
+    let names = ["grade", "class", "intensity"];
+    for i in 0..20 {
+        // a rotation of the three names, then `i` repeats of one of them
+        let mut attrs: Vec<&str> = (0..3).map(|k| names[(i + k) % 3]).collect();
+        attrs.extend(vec![names[i % 3]; i]);
+        let request = format!("cube g attrs={} level={}", attrs.join(","), names[i % 3]);
+        let (status, _) = c.request(&request);
+        assert!(status.starts_with("OK "), "{request}: {status}");
+    }
     let (status, payload) = c.request("metrics");
     assert!(status.starts_with("OK "), "got {status}");
+    assert_eq!(series_names(&payload), series);
     let text = payload.join("\n");
     assert!(
         text.contains("graphtempo_server_requests_total"),
@@ -272,6 +314,12 @@ fn arguments_nobody_reads_are_usage_errors() {
         // a value outside the choices (a default used to step in for `extend=`)
         ("solve", "k=2 attrs=grade extend=odl".into()),
         ("measure", "group=grade edge=cnt".into()),
+        // a categorical attribute read as a number (the filter used to
+        // compare category codes and `sum` / `avg` answered 0 or nothing)
+        ("evolution", "t1=#0 t2=#1 attrs=grade filter=grade<1".into()),
+        ("evolution", "t1=#0 t2=#1 attrs=grade filter=class>0".into()),
+        ("measure", "group=grade node=sum:grade".into()),
+        ("measure", "group=grade node=avg:class".into()),
         // keys that exclude each other, or that only mean something together
         (
             "cube",
@@ -353,6 +401,12 @@ fn arguments_nobody_reads_are_usage_errors() {
             "wire `{wire_line}`: {status}"
         );
     }
+    // `window=0` is well-formed and covers nothing: one sentence, both fronts
+    let empty = "interval argument window of 0 points over a domain of 10 points is empty";
+    let shell_err = shell.exec("zoom window=0").expect_err("an empty window");
+    assert_eq!(shell_err.to_string(), empty);
+    let (status, _) = c.request("zoom g as=z window=0");
+    assert_eq!(status, format!("ERR {empty}"));
     // a limit that does not parse is refused by every verb that takes it,
     // not only by the one that polls it
     for (line, usage) in [

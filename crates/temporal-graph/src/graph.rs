@@ -568,7 +568,6 @@ impl TemporalGraph {
     /// # Panics
     /// Panics if any id is not from this graph's schema.
     pub fn group_columns(&self, attrs: &[AttrId]) -> Arc<GroupColumns> {
-        let ins = tempo_instrument::global();
         let found = self
             .group_cols
             .lock()
@@ -576,16 +575,16 @@ impl TemporalGraph {
             .get(attrs);
         let built = match found {
             Some(CachedColumns::Ready(cols)) => {
-                ins.counter("aggregate.group_table.cache_hits").inc();
+                tempo_instrument::metrics::GROUP_TABLE_CACHE_HITS.inc();
                 return cols;
             }
             Some(CachedColumns::Earlier(base)) => {
-                ins.counter("aggregate.group_table.cache_extends").inc();
+                tempo_instrument::metrics::GROUP_TABLE_CACHE_EXTENDS.inc();
                 Arc::new(base.extended(self, attrs))
             }
             #[allow(clippy::disallowed_methods)] // the cache's miss arm
             None => {
-                ins.counter("aggregate.group_table.cache_misses").inc();
+                tempo_instrument::metrics::GROUP_TABLE_CACHE_MISSES.inc();
                 Arc::new(GroupColumns::build(self, attrs))
             }
         };
@@ -601,17 +600,9 @@ impl TemporalGraph {
     }
 
     fn build_transposed(&self, m: &BitMatrix) -> TransposedBitMatrix {
-        let ins = tempo_instrument::global();
-        let t = {
-            let _span = ins.histogram("graph.transpose_build_ns").span();
-            ins.counter("graph.transpose_builds").inc();
-            m.transposed_with(self.sparse_mode)
-        };
-        ins.counter("columnar.presence.dense_cols")
-            .add(t.n_dense_cols() as u64);
-        ins.counter("columnar.presence.sparse_cols")
-            .add(t.n_sparse_cols() as u64);
-        t
+        let _span = tempo_instrument::metrics::GRAPH_TRANSPOSE_BUILD_NS.span();
+        tempo_instrument::metrics::GRAPH_TRANSPOSE_BUILDS.inc();
+        m.transposed_with(self.sparse_mode)
     }
 
     /// Raw static attribute table (the paper's array **S**).

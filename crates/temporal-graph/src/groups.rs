@@ -155,13 +155,9 @@ impl GroupColumns {
     /// Panics if any id is not from `g`'s schema.
     #[must_use]
     pub fn build(g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
-        let ins = tempo_instrument::global();
-        let _span = ins.histogram("aggregate.group_table_build_ns").span();
-        let cols = GroupColumns::default().grown(g, attrs);
-        ins.counter("aggregate.group_tables_built").inc();
-        ins.counter("aggregate.groups_interned")
-            .add(cols.tuples.len() as u64);
-        cols
+        let _span = tempo_instrument::metrics::GROUP_TABLE_BUILD_NS.span();
+        tempo_instrument::metrics::GROUP_TABLES_BUILT.inc();
+        GroupColumns::default().extended(g, attrs)
     }
 
     /// Carries columns built on an earlier epoch of `g`'s history forward
@@ -173,16 +169,9 @@ impl GroupColumns {
     /// `append_timepoint` drops the cache instead of carrying it when a
     /// patch rewrites a static cell of an existing node. New tuples take
     /// the next free ids, so ids need not match a from-scratch
-    /// [`build`](Self::build) — no consumer depends on their order.
+    /// [`build`](Self::build) — no consumer depends on their order. A
+    /// build is the extension of no columns at all.
     pub(crate) fn extended(&self, g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
-        let ins = tempo_instrument::global();
-        let _span = ins.histogram("aggregate.group_table_extend_ns").span();
-        self.grown(g, attrs)
-    }
-
-    /// The columns of `g`: these (a build starts from none) plus the cells
-    /// `g` has beyond them.
-    fn grown(&self, g: &TemporalGraph, attrs: &[AttrId]) -> GroupColumns {
         let schema = g.schema();
         #[allow(clippy::expect_used)]
         let source = |&a: &AttrId| {
@@ -379,7 +368,6 @@ impl GroupColumns {
     /// # Panics
     /// Panics if `g` has another shape than the snapshot of these columns.
     pub fn match_columns(&self, g: &TemporalGraph, key: MatchKey) -> Arc<MatchColumns> {
-        let ins = tempo_instrument::global();
         let cached = |cache: &mut Vec<(MatchKey, Arc<MatchColumns>)>| {
             let i = cache.iter().position(|(k, _)| *k == key)?;
             cache[..=i].rotate_right(1);
@@ -391,10 +379,10 @@ impl GroupColumns {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
         };
         if let Some(found) = cached(&mut lock()) {
-            ins.counter("explore.match_cols.hits").inc();
+            tempo_instrument::metrics::EXPLORE_MATCH_COLS_HITS.inc();
             return found;
         }
-        ins.counter("explore.match_cols.builds").inc();
+        tempo_instrument::metrics::EXPLORE_MATCH_COLS_BUILDS.inc();
         let built = Arc::new(self.build_match(g, key));
         let mut cache = lock();
         if let Some(first) = cached(&mut cache) {

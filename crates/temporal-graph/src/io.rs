@@ -33,7 +33,6 @@ fn node_label(g: &TemporalGraph, n: crate::graph::NodeId) -> Value {
 /// # Errors
 /// Returns an error on IO failure.
 pub fn save_dir(g: &TemporalGraph, dir: &Path) -> Result<(), GraphError> {
-    let _span = tempo_instrument::global().histogram("io.save_ns").span();
     std::fs::create_dir_all(dir)?;
     let nt = g.domain().len();
     let tlabels: Vec<String> = g.domain().labels().to_vec();
@@ -175,10 +174,6 @@ pub fn save_dir(g: &TemporalGraph, dir: &Path) -> Result<(), GraphError> {
 }
 
 fn write_file(f: &Frame, path: &Path) -> Result<(), GraphError> {
-    let ins = tempo_instrument::global();
-    ins.counter("io.write.rows").add(f.nrows() as u64);
-    ins.counter("io.write.cells")
-        .add((f.nrows() * f.ncols()) as u64);
     let file = File::create(path)?;
     let mut w = BufWriter::new(file);
     write_frame(f, &mut w, DELIM)?;
@@ -188,12 +183,7 @@ fn write_file(f: &Frame, path: &Path) -> Result<(), GraphError> {
 fn read_file(path: &Path) -> Result<Frame, GraphError> {
     let file = File::open(path)
         .map_err(|e| GraphError::Format(format!("cannot open {}: {e}", path.display())))?;
-    let f = read_frame(BufReader::new(file), DELIM)?;
-    let ins = tempo_instrument::global();
-    ins.counter("io.read.rows").add(f.nrows() as u64);
-    ins.counter("io.read.cells")
-        .add((f.nrows() * f.ncols()) as u64);
-    Ok(f)
+    Ok(read_frame(BufReader::new(file), DELIM)?)
 }
 
 /// Resolves a node id that must already be declared in `nodes.tsv`.
@@ -233,7 +223,6 @@ fn cell_to_string(v: &Value) -> String {
 /// # Errors
 /// Returns an error on IO failure or malformed/inconsistent files.
 pub fn load_dir(dir: &Path) -> Result<TemporalGraph, GraphError> {
-    let _span = tempo_instrument::global().histogram("io.load_ns").span();
     let time = read_file(&dir.join("time.tsv"))?;
     let labels: Vec<String> = time.iter_rows().map(|r| cell_to_string(&r[0])).collect();
     let domain = TimeDomain::new(labels.clone())?;

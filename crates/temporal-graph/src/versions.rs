@@ -467,13 +467,7 @@ fn carry_forward(
         t.grow_rows(new_rows);
         let bv = BitVec::from_indices(new_rows, present.iter().map(|&r| r as usize));
         let col = PresenceColumn::from_bitvec(bv, mode);
-        let ins = tempo_instrument::global();
-        ins.counter("graph.index.append_cols").inc();
-        if col.is_sparse() {
-            ins.counter("columnar.presence.sparse_cols").inc();
-        } else {
-            ins.counter("columnar.presence.dense_cols").inc();
-        }
+        tempo_instrument::metrics::GRAPH_INDEX_APPEND_COLS.inc();
         t.push_col(col);
         debug_assert_eq!(t.check_invariants(), Ok(()));
         let _ = lock.set(t);
