@@ -286,9 +286,10 @@ impl Session {
             .transpose()?;
         let filter_fn = filter.as_ref().map(|(attr, op, threshold)| {
             let (attr, op, threshold) = (*attr, *op, *threshold);
+            // an appearance without a numeric value passes no comparison
             move |gr: &TemporalGraph, n: NodeId, t: TimePoint| -> bool {
-                let v = gr.attr_value(n, attr, t).as_int().unwrap_or(i64::MIN);
-                op.eval(v, threshold)
+                let v = gr.attr_value(n, attr, t).as_int();
+                v.is_some_and(|v| op.eval(v, threshold))
             }
         });
         let evo = evolution_aggregate(

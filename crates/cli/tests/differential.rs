@@ -194,7 +194,9 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
 
         let level = g.schema().id("level").unwrap();
         let filter = move |gr: &TemporalGraph, node: NodeId, t: TimePoint| {
-            gr.attr_value(node, level, t).as_int().unwrap_or(i64::MIN) >= 2
+            gr.attr_value(node, level, t)
+                .as_int()
+                .is_some_and(|v| v >= 2)
         };
         for filtered in [false, true] {
             let mut line = format!("evolution t1={tok1} t2={tok2} attrs={names}");

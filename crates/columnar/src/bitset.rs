@@ -439,8 +439,8 @@ impl BitVec {
     /// Validates the structural invariants every word-level kernel relies
     /// on: the backing store holds exactly `words_for(nbits)` words, and no
     /// bit beyond `nbits` is set in the final partial word. A dirty tail
-    /// silently corrupts every popcount-based operator (`count_ones_and`,
-    /// `masked_popcounts`, …), so this is checked by `debug_assert!` at
+    /// silently corrupts every popcount-based operator (`count_ones`,
+    /// `count_ones_and`, …), so this is checked by `debug_assert!` at
     /// each mutation seam and compiled out of release builds.
     ///
     /// # Errors
@@ -826,8 +826,8 @@ impl BitMatrix {
     /// Validates the structural invariants of the banded storage: the band
     /// count matches the column count, no band extends past `nrows`, and
     /// the final band is free of bits beyond `ncols` in its partial word (a
-    /// dirty tail corrupts [`masked_popcounts`](Self::masked_popcounts) and
-    /// every other word-level row operator, and would leak stale bits into
+    /// dirty tail corrupts [`row_any`](Self::row_any) and every other
+    /// word-level row operator, and would leak stale bits into
     /// the next [`push_col`](Self::push_col) / [`widen`](Self::widen)).
     ///
     /// # Errors
@@ -967,17 +967,6 @@ impl BitMatrix {
             .all(|(band, &mw)| Self::band_word(band, r) & mw == mw)
     }
 
-    /// Count of set bits in row `r` restricted to `mask`.
-    pub fn row_count_masked(&self, r: usize, mask: &BitVec) -> usize {
-        assert_eq!(mask.len(), self.ncols, "mask width mismatch");
-        assert!(r < self.nrows, "row {r} out of range {}", self.nrows);
-        self.bands
-            .iter()
-            .zip(mask.words.iter())
-            .map(|(band, &mw)| (Self::band_word(band, r) & mw).count_ones() as usize)
-            .sum()
-    }
-
     /// Returns row `r` restricted to `mask` (bits outside `mask` cleared).
     pub fn row_masked(&self, r: usize, mask: &BitVec) -> BitVec {
         assert_eq!(mask.len(), self.ncols, "mask width mismatch");
@@ -1109,38 +1098,6 @@ impl BitMatrix {
         })
     }
 
-    /// Iterates set-bit column positions of `row r & mask` in increasing
-    /// order, masking word by word — no row copy is materialized (contrast
-    /// with [`row_masked`](Self::row_masked), which clones the row).
-    ///
-    /// # Panics
-    /// Panics if the mask width differs from `ncols` or `r` is out of
-    /// range.
-    pub fn iter_row_ones_and<'a>(
-        &'a self,
-        r: usize,
-        mask: &'a BitVec,
-    ) -> impl Iterator<Item = usize> + 'a {
-        assert_eq!(mask.len(), self.ncols, "mask width mismatch");
-        assert!(r < self.nrows, "row {r} out of range {}", self.nrows);
-        self.bands
-            .iter()
-            .zip(mask.words.iter())
-            .enumerate()
-            .flat_map(move |(wi, (band, &mw))| {
-                let mut w = Self::band_word(band, r) & mw;
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        None
-                    } else {
-                        let bit = w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        Some(wi * WORD_BITS + bit)
-                    }
-                })
-            })
-    }
-
     /// Builds the column-major companion of this matrix: one presence
     /// column over the rows per source column (for presence matrices,
     /// "which entities exist at time point `c`" as a single packed vector).
@@ -1231,41 +1188,6 @@ impl BitMatrix {
             }
         }
         t
-    }
-
-    /// Per-row popcounts of `row & mask` for every row, in one pass over the
-    /// packed storage (the bulk form of
-    /// [`row_count_masked`](Self::row_count_masked)).
-    ///
-    /// # Panics
-    /// Panics if the mask width differs from `ncols`.
-    pub fn masked_popcounts(&self, mask: &BitVec) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.nrows);
-        self.masked_popcounts_into(mask, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`masked_popcounts`](Self::masked_popcounts):
-    /// clears `out` and fills it with one count per row, reusing its
-    /// capacity (evaluation loops call this once per candidate mask).
-    ///
-    /// # Panics
-    /// Panics if the mask width differs from `ncols`.
-    pub fn masked_popcounts_into(&self, mask: &BitVec, out: &mut Vec<u32>) {
-        assert_eq!(mask.len(), self.ncols, "mask width mismatch");
-        out.clear();
-        out.resize(self.nrows, 0);
-        // Band-major accumulation: each band contributes its masked
-        // popcount to the rows it materializes (rows beyond are zero), and
-        // bands whose mask word is clear are skipped outright.
-        for (band, &mw) in self.bands.iter().zip(mask.words.iter()) {
-            if mw == 0 {
-                continue;
-            }
-            for (o, &w) in out.iter_mut().zip(band.iter()) {
-                *o += (w & mw).count_ones();
-            }
-        }
     }
 }
 
@@ -1526,8 +1448,6 @@ mod tests {
         assert!(m.row_all(0, &mask));
         assert!(!m.row_any(1, &mask));
         assert!(!m.row_all(1, &mask));
-        assert_eq!(m.row_count_masked(0, &mask), 2);
-        assert_eq!(m.row_count_masked(1, &mask), 0);
         assert_eq!(
             m.row_masked(0, &BitVec::from_indices(4, [1, 2]))
                 .iter_ones()
@@ -1589,40 +1509,6 @@ mod tests {
         let mut m = BitMatrix::new(130);
         m.push_row(&BitVec::from_indices(130, [0, 64, 129]));
         assert_eq!(m.iter_row_ones(0).collect::<Vec<_>>(), vec![0, 64, 129]);
-    }
-
-    #[test]
-    fn matrix_iter_row_ones_and_masks_without_cloning() {
-        let mut m = BitMatrix::new(130);
-        m.push_row(&BitVec::from_indices(130, [0, 5, 64, 100, 129]));
-        m.push_empty_row();
-        let mask = BitVec::from_indices(130, [5, 64, 128, 129]);
-        assert_eq!(
-            m.iter_row_ones_and(0, &mask).collect::<Vec<_>>(),
-            vec![5, 64, 129]
-        );
-        assert_eq!(m.iter_row_ones_and(1, &mask).count(), 0);
-        // must agree with the cloning path for every row
-        for r in 0..m.nrows() {
-            assert_eq!(
-                m.iter_row_ones_and(r, &mask).collect::<Vec<_>>(),
-                m.row_masked(r, &mask).iter_ones().collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn matrix_masked_popcounts_bulk() {
-        let mut m = BitMatrix::new(70);
-        m.push_row(&BitVec::from_indices(70, [0, 1, 65]));
-        m.push_row(&BitVec::from_indices(70, [2, 69]));
-        m.push_empty_row();
-        let mask = BitVec::from_indices(70, [1, 65, 69]);
-        let counts = m.masked_popcounts(&mask);
-        assert_eq!(counts, vec![2, 1, 0]);
-        for (r, &count) in counts.iter().enumerate() {
-            assert_eq!(count as usize, m.row_count_masked(r, &mask));
-        }
     }
 
     #[test]
@@ -1691,39 +1577,6 @@ mod tests {
         let t = BitMatrix::zeros(5, 0).transposed();
         assert_eq!(t.n_cols(), 0);
         assert_eq!(t.source_rows(), 5);
-    }
-
-    #[test]
-    fn matrix_masked_popcounts_zero_width() {
-        let mut m = BitMatrix::new(0);
-        m.push_empty_row();
-        m.push_empty_row();
-        assert_eq!(m.masked_popcounts(&BitVec::zeros(0)), vec![0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mask width mismatch")]
-    fn matrix_masked_popcounts_width_mismatch_panics() {
-        BitMatrix::zeros(2, 8).masked_popcounts(&BitVec::zeros(9));
-    }
-
-    #[test]
-    fn masked_popcounts_into_reuses_buffer() {
-        let mut m = BitMatrix::new(70);
-        m.push_row(&BitVec::from_indices(70, [0, 1, 65]));
-        m.push_row(&BitVec::from_indices(70, [2, 69]));
-        m.push_empty_row();
-        let mask = BitVec::from_indices(70, [1, 65, 69]);
-        let mut buf = vec![7u32; 99]; // stale contents must be discarded
-        m.masked_popcounts_into(&mask, &mut buf);
-        assert_eq!(buf, m.masked_popcounts(&mask));
-        assert_eq!(buf, vec![2, 1, 0]);
-        // zero-width matrices still get one entry per row
-        let mut zw = BitMatrix::new(0);
-        zw.push_empty_row();
-        zw.push_empty_row();
-        zw.masked_popcounts_into(&BitVec::zeros(0), &mut buf);
-        assert_eq!(buf, vec![0, 0]);
     }
 
     #[test]
@@ -1887,7 +1740,7 @@ mod tests {
         b.push_row(&BitVec::zeros(5));
         assert_eq!(a, b);
         assert_eq!(a.row(2), BitVec::zeros(5));
-        assert_eq!(a.masked_popcounts(&BitVec::ones(5)), vec![1, 0, 0]);
+        assert_eq!(a.count_ones(), 1);
         // transposes agree too
         assert_eq!(a.transposed(), b.transposed());
     }

@@ -179,6 +179,35 @@ impl PresenceColumn {
         )
     }
 
+    /// Iterates positions of set bits of `col & other` in increasing order,
+    /// nothing materialized: word by word for a dense column, one bitmap
+    /// probe per ID for a sparse one.
+    ///
+    /// # Panics
+    /// Panics if the column is wider than `other`.
+    pub fn iter_ones_and<'a>(&'a self, other: &'a BitVec) -> impl Iterator<Item = usize> + 'a {
+        check_col_width(self.len(), other.len());
+        let (dense, sparse) = match self {
+            PresenceColumn::Dense(bv) => (Some(bv), None),
+            PresenceColumn::Sparse(s) => (None, Some(s)),
+        };
+        let words = dense
+            .into_iter()
+            .flat_map(|bv| bv.words().iter().zip(other.words()));
+        let dense_ones = words.enumerate().flat_map(|(wi, (&a, &b))| {
+            let mut w = a & b;
+            std::iter::from_fn(move || {
+                let bit = (w != 0).then(|| w.trailing_zeros() as usize)?;
+                w &= w - 1;
+                Some(wi * WORD_BITS + bit)
+            })
+        });
+        let ids = sparse
+            .into_iter()
+            .flat_map(|s| s.ids.iter().map(|&i| i as usize));
+        dense_ones.chain(ids.filter(|&i| other.get(i)))
+    }
+
     /// Materializes the column as a dense [`BitVec`] (tests and one-off
     /// conversions; hot paths use the `*_into` ops instead).
     pub fn to_bitvec(&self) -> BitVec {
@@ -784,6 +813,9 @@ mod tests {
             s.count_ones_and_dense(&other),
             d.count_ones_and_dense(&other)
         );
+        for c in [&s, &d] {
+            assert_eq!(c.iter_ones_and(&other).collect::<Vec<_>>(), [1, 64]);
+        }
     }
 
     #[test]
@@ -932,6 +964,10 @@ mod tests {
                     sel.is_some()
                 );
             }
+            assert!(
+                short.iter_ones_and(&other).eq(full.iter_ones_and(&other)),
+                "iter_ones_and"
+            );
             assert!(short.bits_eq(&full), "bits_eq across widths");
         }
     }

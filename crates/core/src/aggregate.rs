@@ -18,10 +18,10 @@
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use tempo_columnar::{Value, ValueTuple};
+use tempo_columnar::{BitVec, TransposedBitMatrix, Value, ValueTuple};
 use tempo_graph::{
-    AttrId, GraphError, GroupColumns, MatchColumns, MatchKey, NodeId, TemporalGraph, Temporality,
-    TimePoint,
+    AttrId, EdgeId, GraphError, GroupColumns, MatchColumns, MatchKey, NodeId, TemporalGraph,
+    Temporality, TimePoint, TimeSet,
 };
 
 use crate::ops::EventMask;
@@ -460,7 +460,65 @@ impl<W: Clone + Default + PartialEq> PairAccumulator<W> {
     }
 }
 
-pub use tempo_graph::NO_GROUP;
+/// The entities a [`GroupTable`] walk visits, and how it keys them: a node
+/// by its group id, an edge by the ordered pair of its endpoints' ids.
+pub(crate) trait Entities: Copy {
+    /// What an appearance is counted under.
+    type Key: Copy + PartialEq;
+    /// Which of the entities exist at each time point.
+    fn presence(&self) -> &TransposedBitMatrix;
+    /// The key of entity `e` under the group ids `gids` of one time point.
+    fn key(&self, e: usize, gids: &[u32]) -> Self::Key;
+    /// Whether entity `e` passes where a filter lets the nodes of `pass`
+    /// through (an edge needs both endpoints).
+    fn passes(&self, e: usize, pass: &BitVec) -> bool;
+}
+
+/// The nodes of a graph, keyed by group id.
+#[derive(Clone, Copy)]
+pub(crate) struct Nodes<'g>(pub(crate) &'g TemporalGraph);
+
+/// The edges of a graph, keyed by `(source gid, destination gid)`.
+#[derive(Clone, Copy)]
+pub(crate) struct Edges<'g>(pub(crate) &'g TemporalGraph);
+
+impl Entities for Nodes<'_> {
+    type Key = u32;
+
+    fn presence(&self) -> &TransposedBitMatrix {
+        self.0.node_presence_columns()
+    }
+
+    #[inline]
+    fn key(&self, n: usize, gids: &[u32]) -> u32 {
+        gids[n]
+    }
+
+    #[inline]
+    fn passes(&self, n: usize, pass: &BitVec) -> bool {
+        pass.get(n)
+    }
+}
+
+impl Entities for Edges<'_> {
+    type Key = (u32, u32);
+
+    fn presence(&self) -> &TransposedBitMatrix {
+        self.0.edge_presence_columns()
+    }
+
+    #[inline]
+    fn key(&self, e: usize, gids: &[u32]) -> (u32, u32) {
+        let (u, v) = self.0.edge_endpoints(EdgeId(e as u32));
+        (gids[u.index()], gids[v.index()])
+    }
+
+    #[inline]
+    fn passes(&self, e: usize, pass: &BitVec) -> bool {
+        let (u, v) = self.0.edge_endpoints(EdgeId(e as u32));
+        pass.get(u.index()) && pass.get(v.index())
+    }
+}
 
 /// Interned attribute-tuple groups for one `(graph, attrs)` pair — the
 /// aggregation half of the mask → group-id evaluation path.
@@ -468,12 +526,12 @@ pub use tempo_graph::NO_GROUP;
 /// Each node's aggregation tuple is resolved and interned into a dense
 /// `u32` group id **once** (the [`GroupColumns`] of `tempo-graph`, which
 /// this type wraps): per node when every attribute is static, else per
-/// (node, present time point). Aggregating an event ([`EventMask`]) then
-/// counts group ids into dense accumulators —
-/// [`aggregate_masked`](Self::aggregate_masked) — or, for exploration,
-/// short-circuits into a bare count with no accumulator at all
-/// ([`count_distinct`](Self::count_distinct)) — instead of re-building
-/// heap-allocated [`ValueTuple`] hash keys per entity per interval pair.
+/// (node, present time point). Every read query then counts group ids with
+/// one column-major walk into dense accumulators —
+/// [`aggregate_masked`](Self::aggregate_masked), the bare
+/// [`count_distinct`](Self::count_distinct) of exploration, evolution and
+/// measures — instead of re-building heap-allocated [`ValueTuple`] hash
+/// keys per entity per interval pair.
 ///
 /// The table is immutable after construction and `Sync`, so one instance is
 /// shared across all pairs of an exploration run, and the columns behind
@@ -530,7 +588,7 @@ impl GroupTable {
 
     /// True when every aggregation attribute is static (one gid per node).
     pub fn is_static(&self) -> bool {
-        self.cols.static_gids().is_some()
+        self.cols.is_static()
     }
 
     /// The attribute tuple of a group id.
@@ -543,37 +601,108 @@ impl GroupTable {
         self.cols.lookup(tuple)
     }
 
-    /// Group id of node `n` at time `t`, or `None` when absent.
-    pub fn gid_at(&self, n: usize, t: usize) -> Option<u32> {
-        match self.cols.static_gids() {
-            Some(gids) => Some(gids[n]),
-            None => {
-                let gid = self.cols.time_gid(n, t);
-                (gid != NO_GROUP).then_some(gid)
-            }
-        }
-    }
-
-    /// One group id per node, when every aggregation attribute is static.
-    pub(crate) fn static_gids(&self) -> Option<&[u32]> {
-        self.cols.static_gids()
-    }
-
     /// The snapshot's cached match columns of a tuple selector resolved to
     /// `key`; see [`GroupColumns::match_columns`].
     pub(crate) fn match_columns(&self, g: &TemporalGraph, key: MatchKey) -> Arc<MatchColumns> {
         self.cols.match_columns(g, key)
     }
 
-    #[inline]
-    pub(crate) fn time_gid(&self, n: usize, t: usize) -> u32 {
-        let gid = self.cols.time_gid(n, t);
-        debug_assert_ne!(gid, NO_GROUP, "present entity must have a group id");
-        gid
+    /// The one Definition 2.6 walk: calls `visit(e, t, key)` for every
+    /// appearance that counts of a `keep` entity at a point `t` of `scope`,
+    /// one point at a time: the entities of `presence_col[t] ∧ keep`, keyed
+    /// through the group ids of `t`. `pass[t]`, when given, holds the nodes
+    /// a filter lets through at scope point `t`, and an appearance it stops
+    /// does not count.
+    ///
+    /// Under [`AggMode::All`] every appearance counts. Under
+    /// [`AggMode::Distinct`] an appearance counts unless its entity was met
+    /// earlier in the scope and an earlier scope point, searched nearest
+    /// first, shows it with the same key — one bit per entity, no per-entity
+    /// key set. An all-static list without a filter skips the walk: every
+    /// kept entity counts once with its one id (and `t` is the scope's first
+    /// point), since a kept entity exists within the scope.
+    pub(crate) fn walk<E: Entities>(
+        &self,
+        entities: E,
+        scope: &TimeSet,
+        keep: &BitVec,
+        mode: AggMode,
+        pass: Option<&[BitVec]>,
+        mut visit: impl FnMut(usize, usize, E::Key),
+    ) {
+        let presence = entities.presence();
+        let points: Vec<usize> = scope.iter().map(TimePoint::index).collect();
+        let distinct = mode == AggMode::Distinct;
+        if distinct && pass.is_none() && self.is_static() {
+            let (gids, first) = (self.cols.col(0), points.first().copied().unwrap_or(0));
+            for e in keep.iter_ones() {
+                debug_assert!(
+                    points.iter().any(|&t| presence.col(t).get(e)),
+                    "kept entity {e} must appear within scope"
+                );
+                visit(e, first, entities.key(e, gids));
+            }
+            return;
+        }
+        let passes = |e: usize, t: usize| pass.is_none_or(|p| entities.passes(e, &p[t]));
+        let shows = |e: usize, t: usize, key: E::Key| {
+            presence.col(t).get(e) && passes(e, t) && entities.key(e, self.cols.col(t)) == key
+        };
+        let mut met = BitVec::zeros(if distinct { keep.len() } else { 0 });
+        for (i, &t) in points.iter().enumerate() {
+            let gids = self.cols.col(t);
+            for e in presence.col(t).iter_ones_and(keep) {
+                if !passes(e, t) {
+                    continue;
+                }
+                let key = entities.key(e, gids);
+                if distinct {
+                    if met.get(e) && points[..i].iter().rev().any(|&s| shows(e, s, key)) {
+                        continue;
+                    }
+                    met.set(e, true);
+                }
+                visit(e, t, key);
+            }
+        }
+    }
+
+    /// The Definition 2.6 node weights of the `keep` nodes over `scope`
+    /// (see [`walk`](Self::walk)), indexed by group id.
+    pub(crate) fn node_weights(
+        &self,
+        g: &TemporalGraph,
+        scope: &TimeSet,
+        keep: &BitVec,
+        mode: AggMode,
+        pass: Option<&[BitVec]>,
+    ) -> Vec<u64> {
+        let mut acc = vec![0u64; self.n_groups()];
+        self.walk(Nodes(g), scope, keep, mode, pass, |_, _, gid| {
+            acc[gid as usize] += 1;
+        });
+        acc
+    }
+
+    /// The edge half of [`node_weights`](Self::node_weights): weights per
+    /// ordered pair of group ids.
+    pub(crate) fn edge_weights(
+        &self,
+        g: &TemporalGraph,
+        scope: &TimeSet,
+        keep: &BitVec,
+        mode: AggMode,
+        pass: Option<&[BitVec]>,
+    ) -> PairAccumulator<u64> {
+        let mut acc = PairAccumulator::new(self.n_groups());
+        self.walk(Edges(g), scope, keep, mode, pass, |_, _, (s, d)| {
+            *acc.slot(s, d) += 1;
+        });
+        acc
     }
 
     /// Aggregates the event graph described by `mask` directly against the
-    /// source presence matrices: no subgraph is materialized, node weights
+    /// source presence columns: no subgraph is materialized, node weights
     /// accumulate into a dense `Vec` indexed by group id.
     ///
     /// Equivalent to `aggregate(&event_graph(..), attrs, mode)` for the
@@ -587,9 +716,9 @@ impl GroupTable {
         mask: &EventMask,
         mode: AggMode,
     ) -> AggregateGraph {
-        let mut counts = Vec::new();
-        let node_acc = self.node_weights(g, mask, mode, &mut counts);
-        let edge_acc = self.edge_weights(g, mask, mode, &mut counts);
+        let scope = mask.scope();
+        let node_acc = self.node_weights(g, scope, mask.keep_nodes(), mode, None);
+        let edge_acc = self.edge_weights(g, scope, mask.keep_edges(), mode, None);
         let tuples = self.cols.tuples();
         let mut agg = AggregateGraph::new(self.attr_names().to_vec());
         for (gid, &w) in node_acc.iter().enumerate() {
@@ -603,207 +732,30 @@ impl GroupTable {
         agg
     }
 
-    /// The Definition 2.6 node weights of the event graph described by
-    /// `mask`, indexed by group id (0 for a tuple the event graph lacks).
-    /// `counts` is the popcount scratch handed to [`masked_popcounts_into`],
-    /// overwritten in place.
-    ///
-    /// [`masked_popcounts_into`]: tempo_columnar::BitMatrix::masked_popcounts_into
-    pub(crate) fn node_weights(
-        &self,
-        g: &TemporalGraph,
-        mask: &EventMask,
-        mode: AggMode,
-        counts: &mut Vec<u32>,
-    ) -> Vec<u64> {
-        let scope = mask.scope().bits();
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        debug_assert_eq!(scope.check_invariants(), Ok(()));
-        debug_assert_eq!(mask.keep_nodes().check_invariants(), Ok(()));
-        let mut node_acc = vec![0u64; self.n_groups()];
-        match (self.cols.static_gids(), mode) {
-            (Some(gids), AggMode::Distinct) => {
-                for n in mask.keep_nodes().iter_ones() {
-                    debug_assert!(
-                        g.node_presence_matrix().row_count_masked(n, scope) > 0,
-                        "kept node must appear within scope"
-                    );
-                    node_acc[gids[n] as usize] += 1;
-                }
-            }
-            (Some(gids), AggMode::All) => {
-                g.node_presence_matrix()
-                    .masked_popcounts_into(scope, counts);
-                for n in mask.keep_nodes().iter_ones() {
-                    node_acc[gids[n] as usize] += u64::from(counts[n]);
-                }
-            }
-            (None, _) => {
-                // Sorted scratch: binary-search insert keeps per-entity
-                // dedup O(k log k) in the scope size instead of O(k²).
-                let mut seen: Vec<u32> = Vec::new();
-                for n in mask.keep_nodes().iter_ones() {
-                    seen.clear();
-                    for t in g.node_presence_matrix().iter_row_ones_and(n, scope) {
-                        let gid = self.time_gid(n, t);
-                        match mode {
-                            AggMode::All => node_acc[gid as usize] += 1,
-                            AggMode::Distinct => {
-                                if let Err(pos) = seen.binary_search(&gid) {
-                                    seen.insert(pos, gid);
-                                    node_acc[gid as usize] += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        node_acc
-    }
-
-    /// The edge half of [`node_weights`](Self::node_weights): weights per
-    /// ordered pair of group ids.
-    pub(crate) fn edge_weights(
-        &self,
-        g: &TemporalGraph,
-        mask: &EventMask,
-        mode: AggMode,
-        counts: &mut Vec<u32>,
-    ) -> PairAccumulator<u64> {
-        let scope = mask.scope().bits();
-        let mut edge_acc: PairAccumulator<u64> = PairAccumulator::new(self.n_groups());
-        match self.cols.static_gids() {
-            Some(gids) => {
-                let weighted = matches!(mode, AggMode::All);
-                if weighted {
-                    g.edge_presence_matrix()
-                        .masked_popcounts_into(scope, counts);
-                }
-                for e in mask.keep_edges().iter_ones() {
-                    let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                    let w = if weighted { u64::from(counts[e]) } else { 1 };
-                    *edge_acc.slot(gids[u.index()], gids[v.index()]) += w;
-                }
-            }
-            None => {
-                let mut seen: Vec<(u32, u32)> = Vec::new();
-                for e in mask.keep_edges().iter_ones() {
-                    let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                    seen.clear();
-                    for t in g.edge_presence_matrix().iter_row_ones_and(e, scope) {
-                        let pair = (self.time_gid(u.index(), t), self.time_gid(v.index(), t));
-                        match mode {
-                            AggMode::All => *edge_acc.slot(pair.0, pair.1) += 1,
-                            AggMode::Distinct => {
-                                if let Err(pos) = seen.binary_search(&pair) {
-                                    seen.insert(pos, pair);
-                                    *edge_acc.slot(pair.0, pair.1) += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        edge_acc
-    }
-
     /// Counts `result(G)` of the event graph described by `mask` under
-    /// distinct (DIST) semantics — the exploration hot path. No aggregate
-    /// graph, no hash map, no tuple is built: group ids are compared
-    /// directly, and per-entity scans short-circuit on the first match.
+    /// distinct (DIST) semantics: the DIST weights of the targeted side,
+    /// then the one weight or the sum the target names. No aggregate graph
+    /// and no tuple is built.
     ///
     /// Equivalent to `selector.count(&aggregate(&event_graph(..), attrs,
     /// AggMode::Distinct))` with `target` resolved from the selector
     /// (property-tested).
     pub fn count_distinct(&self, g: &TemporalGraph, mask: &EventMask, target: &CountTarget) -> u64 {
-        self.count_distinct_with_scratch(g, mask, target, &mut Vec::new(), &mut Vec::new())
-    }
-
-    /// Buffer-reusing form of [`count_distinct`](Self::count_distinct):
-    /// the per-entity dedup scratches are the caller's, cleared per entity
-    /// rather than reallocated per call, so a cursor counting in a loop
-    /// hoists the allocation across its whole run.
-    pub fn count_distinct_with_scratch(
-        &self,
-        g: &TemporalGraph,
-        mask: &EventMask,
-        target: &CountTarget,
-        seen_gids: &mut Vec<u32>,
-        seen_pairs: &mut Vec<(u32, u32)>,
-    ) -> u64 {
-        let scope = mask.scope().bits();
-        match (target, self.cols.static_gids()) {
+        let (scope, mode) = (mask.scope(), AggMode::Distinct);
+        let nodes = || self.node_weights(g, scope, mask.keep_nodes(), mode, None);
+        let edges = || self.edge_weights(g, scope, mask.keep_edges(), mode, None);
+        match *target {
             // A tuple that occurs nowhere in the source graph can never
             // occur in an event graph of it.
-            (CountTarget::Node(None), _) | (CountTarget::Edge(None), _) => 0,
-            (CountTarget::AllNodes, Some(_)) => mask.keep_nodes().count_ones() as u64,
-            (CountTarget::AllNodes, None) => {
-                let mut total = 0u64;
-                // Sorted scratch, as in aggregate_masked.
-                for n in mask.keep_nodes().iter_ones() {
-                    seen_gids.clear();
-                    for t in g.node_presence_matrix().iter_row_ones_and(n, scope) {
-                        let gid = self.time_gid(n, t);
-                        if let Err(pos) = seen_gids.binary_search(&gid) {
-                            seen_gids.insert(pos, gid);
-                        }
-                    }
-                    total += seen_gids.len() as u64;
-                }
+            CountTarget::Node(None) | CountTarget::Edge(None) => 0,
+            CountTarget::AllNodes => nodes().iter().sum(),
+            CountTarget::Node(Some(gid)) => nodes()[gid as usize],
+            CountTarget::AllEdges => {
+                let mut total = 0;
+                edges().for_each_nonzero(|_, _, &w| total += w);
                 total
             }
-            (CountTarget::Node(Some(gid)), Some(gids)) => mask
-                .keep_nodes()
-                .iter_ones()
-                .filter(|&n| gids[n] == *gid)
-                .count() as u64,
-            (CountTarget::Node(Some(gid)), None) => mask
-                .keep_nodes()
-                .iter_ones()
-                .filter(|&n| {
-                    g.node_presence_matrix()
-                        .iter_row_ones_and(n, scope)
-                        .any(|t| self.time_gid(n, t) == *gid)
-                })
-                .count() as u64,
-            (CountTarget::AllEdges, Some(_)) => mask.keep_edges().count_ones() as u64,
-            (CountTarget::AllEdges, None) => {
-                let mut total = 0u64;
-                for e in mask.keep_edges().iter_ones() {
-                    let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                    seen_pairs.clear();
-                    for t in g.edge_presence_matrix().iter_row_ones_and(e, scope) {
-                        let pair = (self.time_gid(u.index(), t), self.time_gid(v.index(), t));
-                        if let Err(pos) = seen_pairs.binary_search(&pair) {
-                            seen_pairs.insert(pos, pair);
-                        }
-                    }
-                    total += seen_pairs.len() as u64;
-                }
-                total
-            }
-            (CountTarget::Edge(Some((gs, gd))), Some(gids)) => mask
-                .keep_edges()
-                .iter_ones()
-                .filter(|&e| {
-                    let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                    gids[u.index()] == *gs && gids[v.index()] == *gd
-                })
-                .count() as u64,
-            (CountTarget::Edge(Some((gs, gd))), None) => mask
-                .keep_edges()
-                .iter_ones()
-                .filter(|&e| {
-                    let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                    g.edge_presence_matrix()
-                        .iter_row_ones_and(e, scope)
-                        .any(|t| {
-                            self.time_gid(u.index(), t) == *gs && self.time_gid(v.index(), t) == *gd
-                        })
-                })
-                .count() as u64,
+            CountTarget::Edge(Some((s, d))) => *edges().slot(s, d),
         }
     }
 }
@@ -995,13 +947,54 @@ mod tests {
         let mixed = GroupTable::build(&g, &attrs(&g, &["gender", "publications"]));
         assert!(!mixed.is_static());
         // u1 is male with 3 publications at t0
-        let u1 = g.node_id("u1").unwrap().index();
         let m = cat(&g, "gender", "m");
-        let gid = mixed.gid_at(u1, 0).unwrap();
+        let gid = mixed.lookup(&[m.clone(), Value::Int(3)]).unwrap();
         assert_eq!(mixed.tuple(gid), &vec![m, Value::Int(3)]);
         assert_eq!(mixed.lookup(&[Value::Int(999)]), None);
-        // u1 is absent at t2
-        assert_eq!(mixed.gid_at(u1, 2), None);
+    }
+
+    /// Node `u` and edge `u → v` carry tuple A at t0, are absent at t1, carry
+    /// B at t2 and A again at t3; `v` carries X throughout. One scope spans
+    /// all four points, so DIST counts A and B once each and ALL counts
+    /// three appearances.
+    #[test]
+    fn walk_counts_a_tuple_that_returns_once() {
+        use crate::ops::{event_graph, event_mask, Event, SideTest};
+        let (told, tnew) = (TimeSet::range(4, 0, 1), TimeSet::range(4, 2, 3));
+        let (a, x) = (Value::Int(1), Value::Int(9));
+        for g in tempo_testkit::both_layouts(&tempo_testkit::returning_tuple()) {
+            let mask = event_mask(
+                &g,
+                Event::Stability,
+                &told,
+                &tnew,
+                SideTest::Any,
+                SideTest::Any,
+            )
+            .unwrap();
+            let ev = event_graph(
+                &g,
+                Event::Stability,
+                &told,
+                &tnew,
+                SideTest::Any,
+                SideTest::Any,
+            )
+            .unwrap();
+            for names in [&["level"][..], &["kind", "level"][..]] {
+                let table = GroupTable::build(&g, &attrs(&g, names));
+                for (mode, u_a, u_total) in [(AggMode::Distinct, 1, 2), (AggMode::All, 2, 3)] {
+                    let fast = table.aggregate_masked(&g, &mask, mode);
+                    assert_eq!(fast, aggregate(&ev, &attrs(&ev, names), mode), "{names:?}");
+                    if names.len() == 1 {
+                        let (a, x) = (std::slice::from_ref(&a), std::slice::from_ref(&x));
+                        assert_eq!(fast.node_weight(a), u_a);
+                        assert_eq!(fast.total_edge_weight(), u_total);
+                        assert_eq!(fast.edge_weight(a, x), u_a);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

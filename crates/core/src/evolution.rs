@@ -13,14 +13,14 @@
 //! stable.
 //!
 //! [`evolution_aggregate`] computes those weights on interned group ids
-//! (the snapshot's cached [`GroupTable`]) with dense accumulators;
-//! [`evolution_aggregate_naive`] is the tuple-hashing oracle it is tested
-//! against.
+//! (the snapshot's cached [`GroupTable`]) by inclusion–exclusion over three
+//! DIST aggregations; [`evolution_aggregate_naive`] is the tuple-hashing
+//! oracle it is tested against.
 
-use crate::aggregate::{GroupTable, NodeTimeFilter, PairAccumulator};
+use crate::aggregate::{AggMode, GroupTable, NodeTimeFilter};
 use crate::ops::{side_members, SideTest};
 use std::collections::HashMap;
-use tempo_columnar::{BitMatrix, BitVec, TransposedBitMatrix, Value, ValueTuple};
+use tempo_columnar::{BitVec, Value, ValueTuple};
 use tempo_graph::{
     require_non_empty, AttrId, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet,
 };
@@ -180,18 +180,6 @@ impl EvolutionAggregate {
     }
 }
 
-impl EvolutionWeights {
-    /// Counts one (entity, tuple) that shows in 𝒯₁ (`in1`) and/or 𝒯₂ (`in2`).
-    fn record(&mut self, in1: bool, in2: bool) {
-        match (in1, in2) {
-            (true, true) => self.stability += 1,
-            (true, false) => self.shrinkage += 1,
-            (false, true) => self.growth += 1,
-            (false, false) => {}
-        }
-    }
-}
-
 fn add(mut acc: EvolutionWeights, w: &EvolutionWeights) -> EvolutionWeights {
     acc.stability += w.stability;
     acc.growth += w.growth;
@@ -242,137 +230,61 @@ pub fn evolution_aggregate(
     require_non_empty(t1, "𝒯₁")?;
     require_non_empty(t2, "𝒯₂")?;
     let table = GroupTable::cached(g, attrs);
-    let mut nodes = vec![EvolutionWeights::default(); table.n_groups()];
-    let mut edges: PairAccumulator<EvolutionWeights> = PairAccumulator::new(table.n_groups());
     let (node_cols, edge_cols) = (g.node_presence_columns(), g.edge_presence_columns());
-
-    match (table.static_gids(), filter) {
-        // One tuple per entity and every appearance counts: an entity's
-        // class is plain membership in 𝒯₁ and 𝒯₂. (Not the Def. 2.5 event
-        // masks, which also keep the surviving endpoints of a deleted edge.)
-        (Some(gids), None) => {
-            for (members, in1, in2) in membership_classes(node_cols, t1, t2) {
-                for n in members.iter_ones() {
-                    nodes[gids[n] as usize].record(in1, in2);
-                }
-            }
-            for (members, in1, in2) in membership_classes(edge_cols, t1, t2) {
-                for e in members.iter_ones() {
-                    let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-                    edges
-                        .slot(gids[u.index()], gids[v.index()])
-                        .record(in1, in2);
-                }
-            }
-        }
-        // Tuples change over time or appearances are filtered: per entity,
-        // the distinct group ids it shows within 𝒯₁ ∪ 𝒯₂ and on which side.
-        (static_gids, _) => {
-            let scope = t1.union(t2);
-            let gid_at = |n: usize, t: usize| match static_gids {
-                Some(gids) => gids[n],
-                None => table.time_gid(n, t),
-            };
-            let side = |t: usize| {
-                let t = TimePoint(t as u32);
-                (t1.contains(t), t2.contains(t))
-            };
-            let pass = filter.map(|f| pass_bits(g, &scope, f));
-            let passes = |n: usize, t: usize| pass.as_ref().is_none_or(|p| p.get(n, t));
-
-            let mut seen: Vec<(u32, bool, bool)> = Vec::new();
-            for n in side_members(node_cols, &scope, SideTest::Any).iter_ones() {
-                seen.clear();
-                for t in g.node_presence_matrix().iter_row_ones_and(n, scope.bits()) {
-                    if passes(n, t) {
-                        merge_seen(&mut seen, gid_at(n, t), side(t));
-                    }
-                }
-                for &(gid, in1, in2) in &seen {
-                    nodes[gid as usize].record(in1, in2);
-                }
-            }
-            let mut seen: Vec<((u32, u32), bool, bool)> = Vec::new();
-            for e in side_members(edge_cols, &scope, SideTest::Any).iter_ones() {
-                let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-                let (u, v) = (u.index(), v.index());
-                seen.clear();
-                for t in g.edge_presence_matrix().iter_row_ones_and(e, scope.bits()) {
-                    if passes(u, t) && passes(v, t) {
-                        merge_seen(&mut seen, (gid_at(u, t), gid_at(v, t)), side(t));
-                    }
-                }
-                for &((s, d), in1, in2) in &seen {
-                    edges.slot(s, d).record(in1, in2);
-                }
-            }
-        }
-    }
+    let scope = t1.union(t2);
+    // The filter evaluated once per request: column `t` holds the nodes
+    // that exist at scope point `t` and pass (points outside stay empty).
+    let pass: Option<Vec<BitVec>> = filter.map(|f| {
+        let passing = |t: usize| {
+            let at = TimePoint(t as u32);
+            let present = scope.contains(at).then(|| node_cols.col(t).iter_ones());
+            let ones = present.into_iter().flatten();
+            BitVec::from_indices(g.n_nodes(), ones.filter(|&n| f(g, NodeId(n as u32), at)))
+        };
+        (0..g.domain().len()).map(passing).collect()
+    });
+    let pass = pass.as_deref();
+    // Per tuple, the DIST weights over 𝒯₁, 𝒯₂ and 𝒯₁ ∪ 𝒯₂ — the entities
+    // that show it on each side and on either — give every class by
+    // inclusion–exclusion. Members are plain side membership, not the
+    // Def. 2.5 event masks, which also keep a deleted edge's endpoints.
+    let sides = [t1, t2, &scope];
+    let members = |cols| {
+        let [in1, in2] = [t1, t2].map(|side| side_members(cols, side, SideTest::Any));
+        let either = in1.or(&in2);
+        [in1, in2, either]
+    };
+    let (keep_nodes, keep_edges) = (members(node_cols), members(edge_cols));
+    let dist = AggMode::Distinct;
+    let nodes = [0, 1, 2].map(|i| table.node_weights(g, sides[i], &keep_nodes[i], dist, pass));
+    let mut edges = [0, 1, 2].map(|i| table.edge_weights(g, sides[i], &keep_edges[i], dist, pass));
 
     let mut out = EvolutionAggregate {
         attr_names: table.attr_names().to_vec(),
         nodes: HashMap::new(),
         edges: HashMap::new(),
     };
-    for (gid, w) in nodes.iter().enumerate() {
-        if *w != EvolutionWeights::default() {
-            out.nodes.insert(table.tuple(gid as u32).clone(), *w);
-        }
+    for (gid, &either) in nodes[2].iter().enumerate().filter(|(_, &w)| w > 0) {
+        let w = classes(nodes[0][gid], nodes[1][gid], either);
+        out.nodes.insert(table.tuple(gid as u32).clone(), w);
     }
-    edges.for_each_nonzero(|s, d, w| {
+    let [in1, in2, either] = &mut edges;
+    either.for_each_nonzero(|s, d, &either| {
+        let w = classes(*in1.slot(s, d), *in2.slot(s, d), either);
         out.edges
-            .insert((table.tuple(s).clone(), table.tuple(d).clone()), *w);
+            .insert((table.tuple(s).clone(), table.tuple(d).clone()), w);
     });
     Ok(out)
 }
 
-/// The entities present in 𝒯₁ and/or 𝒯₂, split by side: `(members, in 𝒯₁,
-/// in 𝒯₂)` for stability, shrinkage and growth.
-fn membership_classes(
-    cols: &TransposedBitMatrix,
-    t1: &TimeSet,
-    t2: &TimeSet,
-) -> [(BitVec, bool, bool); 3] {
-    let a = side_members(cols, t1, SideTest::Any);
-    let b = side_members(cols, t2, SideTest::Any);
-    let mut only_a = a.clone();
-    only_a.and_not_assign(&b);
-    let mut only_b = b.clone();
-    only_b.and_not_assign(&a);
-    [
-        (a.and(&b), true, true),
-        (only_a, true, false),
-        (only_b, false, true),
-    ]
-}
-
-/// Folds one appearance into an entity's sorted `(key, in 𝒯₁, in 𝒯₂)`
-/// scratch: an entity shows a handful of distinct tuples at most, so a
-/// sorted `Vec` beats a per-entity hash map.
-fn merge_seen<K: Ord + Copy>(seen: &mut Vec<(K, bool, bool)>, key: K, (in1, in2): (bool, bool)) {
-    match seen.binary_search_by_key(&key, |e| e.0) {
-        Ok(i) => {
-            seen[i].1 |= in1;
-            seen[i].2 |= in2;
-        }
-        Err(i) => seen.insert(i, (key, in1, in2)),
+/// The classes of the entities showing one tuple, from how many show it in
+/// 𝒯₁, in 𝒯₂ and in either.
+fn classes(in1: u64, in2: u64, either: u64) -> EvolutionWeights {
+    EvolutionWeights {
+        stability: in1 + in2 - either,
+        growth: either - in1,
+        shrinkage: either - in2,
     }
-}
-
-/// A [`NodeTimeFilter`] evaluated once per request: one bit per
-/// (node, time point of the scope at which the node exists). Edge
-/// appearances then test both endpoints' bits instead of calling the
-/// predicate twice per visit.
-fn pass_bits(g: &TemporalGraph, scope: &TimeSet, filter: &NodeTimeFilter<'_>) -> BitMatrix {
-    let mut pass = BitMatrix::zeros(g.n_nodes(), g.domain().len());
-    for n in 0..g.n_nodes() {
-        for t in g.node_presence_matrix().iter_row_ones_and(n, scope.bits()) {
-            if filter(g, NodeId(n as u32), TimePoint(t as u32)) {
-                pass.set(n, t, true);
-            }
-        }
-    }
-    pass
 }
 
 /// [`evolution_aggregate`] computed the direct way — a hash map of value
@@ -618,6 +530,29 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// `u`'s tuple goes 1 → (absent) → 2 → 1; the filter drops the middle
+    /// appearance, so the tuple 2 is gone and 1 is stable.
+    #[test]
+    fn returning_tuple_with_its_middle_filtered_out() {
+        let g = tempo_testkit::returning_tuple();
+        let level = tempo_testkit::level_attr(&g);
+        let drop_middle = move |gr: &TemporalGraph, n: NodeId, t: TimePoint| {
+            gr.attr_value(n, level, t).as_int() != Some(2)
+        };
+        let (t1, t2) = (TimeSet::range(4, 0, 1), TimeSet::range(4, 2, 3));
+        for g in tempo_testkit::both_layouts(&g) {
+            for f in [None, Some(&drop_middle as &NodeTimeFilter<'_>)] {
+                let evo = evolution_aggregate(&g, &t1, &t2, &[level], f).unwrap();
+                let naive = evolution_aggregate_naive(&g, &t1, &t2, &[level], f).unwrap();
+                assert_eq!(evo, naive, "filtered {}", f.is_some());
+                assert_eq!(evo.node_weights(&[Value::Int(1)]).stability, 1);
+                // only unfiltered does u show 2, in 𝒯₂
+                let grown = u64::from(f.is_none());
+                assert_eq!(evo.node_weights(&[Value::Int(2)]).growth, grown);
             }
         }
     }

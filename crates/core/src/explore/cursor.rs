@@ -23,11 +23,12 @@
 //! time-varying attribute the OR of its per-point columns over the scope,
 //! folded one column at a time wherever the scope grows. Only the All
 //! selectors on a time-varying list over a scope of several points — where
-//! one entity can carry several tuples — write the mask and scan it
-//! ([`GroupTable::count_distinct`]). [`ChainCursor::mask_chain_pair`] is the
-//! mask-only step for callers that aggregate the event themselves. Both
-//! are bit-identical to the materializing oracle at every chain coordinate
-//! (property-tested in `tests/kernel_equivalence.rs`).
+//! one entity can carry several tuples — write the mask and count it with
+//! the group table's column-major walk ([`GroupTable::count_distinct`]).
+//! [`ChainCursor::mask_chain_pair`] is the mask-only step for callers that
+//! aggregate the event themselves. Both are bit-identical to the
+//! materializing oracle at every chain coordinate (property-tested in
+//! `tests/kernel_equivalence.rs`).
 //!
 //! [`GroupColumns::match_columns`]: tempo_graph::GroupColumns::match_columns
 //! [`GroupTable::count_distinct`]: crate::aggregate::GroupTable::count_distinct
@@ -117,10 +118,6 @@ pub struct ChainCursor<'k, 'g> {
     /// Node ids currently set in `incident`, so the next evaluation clears
     /// only those bits (`O(kept edges)`) instead of the whole vector.
     incident_touched: Vec<u32>,
-    /// Dedup scratches for the time-varying distinct count, hoisted so
-    /// the whole run reuses one pair of buffers.
-    seen_gids: Vec<u32>,
-    seen_pairs: Vec<(u32, u32)>,
 }
 
 impl<'k, 'g> ChainCursor<'k, 'g> {
@@ -154,8 +151,6 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
             mask: EventMask::cleared(g),
             incident: BitVec::zeros(g.n_nodes()),
             incident_touched: Vec::new(),
-            seen_gids: Vec::new(),
-            seen_pairs: Vec::new(),
         }
     }
 
@@ -399,13 +394,9 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         }
         self.write_mask();
         let _count_span = metrics::EXPLORE_COUNT_NS.span();
-        self.kernel.table.count_distinct_with_scratch(
-            self.kernel.g,
-            &self.mask,
-            &self.kernel.target,
-            &mut self.seen_gids,
-            &mut self.seen_pairs,
-        )
+        self.kernel
+            .table
+            .count_distinct(self.kernel.g, &self.mask, &self.kernel.target)
     }
 
     /// The mask-only step: positions the cursor on chain pair `(i, j)` as

@@ -50,8 +50,6 @@ pub fn initial_threshold(
             (Some(b), ThresholdStat::Max) => b.max(w),
         })
     };
-    // popcount scratch of the weight passes, unused under DIST
-    let mut popcounts: Vec<u32> = Vec::new();
     let per_pair = (0..n - 1).filter_map(|i| match &cfg.selector {
         // For the per-entity selectors the consecutive-pair result IS the
         // entity weight.
@@ -66,15 +64,15 @@ pub fn initial_threshold(
         // off the dense accumulators, no aggregate graph is rendered.
         all => {
             let mask = cursor.mask_chain_pair(i, 0);
-            let table = kernel.group_table();
+            let (table, scope, dist) = (kernel.group_table(), mask.scope(), AggMode::Distinct);
             if all.is_edge() {
                 let mut best = None;
                 table
-                    .edge_weights(g, mask, AggMode::Distinct, &mut popcounts)
+                    .edge_weights(g, scope, mask.keep_edges(), dist, None)
                     .for_each_nonzero(|_, _, &w| best = pick(best, w));
                 best
             } else {
-                let weights = table.node_weights(g, mask, AggMode::Distinct, &mut popcounts);
+                let weights = table.node_weights(g, scope, mask.keep_nodes(), dist, None);
                 weights.into_iter().filter(|&w| w > 0).fold(None, pick)
             }
         }

@@ -12,10 +12,10 @@
 //! attribute or edge value) count toward COUNT but not toward
 //! SUM/MIN/MAX/AVG.
 
-use crate::aggregate::{GroupTable, PairAccumulator};
+use crate::aggregate::{AggMode, Edges, GroupTable, Nodes, PairAccumulator};
 use std::collections::HashMap;
-use tempo_columnar::{Value, ValueMatrix, ValueTuple};
-use tempo_graph::{AttrId, EdgeId, GraphError, TemporalGraph};
+use tempo_columnar::{BitVec, Value, ValueMatrix, ValueTuple};
+use tempo_graph::{AttrId, GraphError, TemporalGraph, TimeSet};
 
 /// Measure over the nodes of each aggregate group.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -203,26 +203,20 @@ pub fn aggregate_measure(
         .edge_values_matrix()
         .filter(|_| edge_measure.needs_values());
 
+    // Every appearance over the whole domain is one observation.
     let table = GroupTable::cached(g, group);
-    let gid_at = |n: usize, t: usize| match table.static_gids() {
-        Some(gids) => gids[n],
-        None => table.time_gid(n, t),
-    };
+    let nt = g.domain().len();
+    let (domain, all) = (TimeSet::from_indices(nt, 0..nt), AggMode::All);
+    let (nodes, edges) = (BitVec::ones(g.n_nodes()), BitVec::ones(g.n_edges()));
     let mut node_acc = vec![Acc::default(); table.n_groups()];
-    for n in 0..g.n_nodes() {
-        for t in g.node_presence_matrix().iter_row_ones(n) {
-            node_acc[gid_at(n, t) as usize].push(observe(n, t));
-        }
-    }
+    let observe_node = |n, t, gid: u32| node_acc[gid as usize].push(observe(n, t));
+    table.walk(Nodes(g), &domain, &nodes, all, None, observe_node);
     let mut edge_acc: PairAccumulator<Acc> = PairAccumulator::new(table.n_groups());
-    for e in 0..g.n_edges() {
-        let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-        let (u, v) = (u.index(), v.index());
-        for t in g.edge_presence_matrix().iter_row_ones(e) {
-            let obs = edge_values.and_then(|values| values.get(e, t).as_int());
-            edge_acc.slot(gid_at(u, t), gid_at(v, t)).push(obs);
-        }
-    }
+    let observe_edge = |e, t, (s, d): (u32, u32)| {
+        let obs = edge_values.and_then(|values| values.get(e, t).as_int());
+        edge_acc.slot(s, d).push(obs);
+    };
+    table.walk(Edges(g), &domain, &edges, all, None, observe_edge);
 
     let mut out = MeasureAggregate {
         group_names: table.attr_names().to_vec(),

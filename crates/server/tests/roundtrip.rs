@@ -430,6 +430,43 @@ fn arguments_nobody_reads_are_usage_errors() {
     server.shutdown();
 }
 
+/// A `filter=` comparison lets no appearance without a value through: the
+/// appended `za` and `zb` have no `intensity`, so `<=` counts them no more
+/// than `>=` does (a missing cell used to read as `i64::MIN` and pass `<`
+/// and `<=`), in the shell and on the wire.
+#[test]
+fn a_filter_passes_no_appearance_without_a_value() {
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+    let mut shell = Session::new();
+    let append = "live node=za node=zb edge=za,zb static=za,grade,G1 static=zb,grade,G1";
+    for (shell_line, wire_line) in [
+        (
+            "generate school seed=5".to_owned(),
+            "generate g school seed=5".to_owned(),
+        ),
+        (format!("append {append}"), format!("append g {append}")),
+    ] {
+        shell.exec(&shell_line).expect("shell set-up");
+        let (status, _) = c.request(&wire_line);
+        assert!(status.starts_with("OK "), "`{wire_line}`: {status}");
+    }
+    for filter in ["intensity<=-1000", "intensity<-1000"] {
+        let args = format!("t1=#9 t2=#10 attrs=grade filter={filter}");
+        let want = "  edges total: St=0 Gr=0 Shr=0";
+        let (status, payload) = c.request(&format!("evolution g {args}"));
+        assert_eq!(
+            (status.as_str(), &payload[..]),
+            ("OK 1 epoch=2", &[want.to_owned()][..])
+        );
+        let got = shell
+            .exec(&format!("evolution {args}"))
+            .expect("shell evolution");
+        assert_eq!(got, want);
+    }
+    server.shutdown();
+}
+
 /// `help` lists every verb its front serves exactly once, as the usage
 /// text a `usage:` error for that verb shows.
 #[test]

@@ -235,30 +235,23 @@ impl GroupColumns {
             let codes = 0..table.dict().len() as u32;
             codes.take_while(|&c| next.gid(&sources, &[c]) == c).count() as u32
         });
-        // The other columns are computed, `fresh[t - nt_old]` for point `t`.
-        let mut todo = BitVec::zeros(nt);
-        let mut fresh: Vec<Vec<u32>> = (nt_old..nt)
-            .map(|t| {
-                let taken = table.map(|table| table.col_codes(t)).filter(|codes| {
-                    let present = g.node_presence_columns().col(t).count_ones();
-                    codes.iter().filter(|&&c| c < same).count() == present
-                });
-                next.cols.push(taken.map_or_else(Arc::default, Arc::clone));
-                todo.set(t, taken.is_none());
-                vec![NO_GROUP; if taken.is_none() { n_nodes } else { 0 }]
-            })
-            .collect();
-        if !todo.is_zero() {
-            for n in 0..n_nodes {
-                for t in g.node_presence_matrix().iter_row_ones_and(n, &todo) {
-                    let col = &mut fresh[t - nt_old];
-                    col[n] = gid_at(&mut next, n, t);
+        // The other columns are computed, one present node after another.
+        for t in nt_old..nt {
+            let present = g.node_presence_columns().col(t);
+            let taken = table.map(|table| table.col_codes(t)).filter(|codes| {
+                codes.iter().filter(|&&c| c < same).count() == present.count_ones()
+            });
+            let col = match taken {
+                Some(codes) => Arc::clone(codes),
+                None => {
+                    let mut gids = vec![NO_GROUP; n_nodes];
+                    for n in present.iter_ones() {
+                        gids[n] = gid_at(&mut next, n, t);
+                    }
+                    Arc::new(gids)
                 }
-            }
-        }
-        let computed = fresh.into_iter().filter(|gids| !gids.is_empty());
-        for (t, gids) in todo.iter_ones().zip(computed) {
-            next.cols[t] = Arc::new(gids);
+            };
+            next.cols.push(col);
         }
         debug_assert_eq!(next.check_invariants(), Ok(()));
         next
@@ -341,22 +334,24 @@ impl GroupColumns {
         self.index.get(tuple).copied()
     }
 
-    /// One group id per node, when every aggregation attribute is static.
+    /// True when every aggregation attribute is static: a node carries one
+    /// id at every time point.
     #[inline]
-    pub fn static_gids(&self) -> Option<&[u32]> {
-        self.all_static.then(|| self.cols[0].as_slice())
+    pub fn is_static(&self) -> bool {
+        self.all_static
     }
 
-    /// Group id of node `n` at time `t` in the time-varying layout
-    /// ([`NO_GROUP`] where the node is absent).
+    /// The group ids at time point `t`, indexed by node. Valid at the nodes
+    /// present at `t`; elsewhere a column holds [`NO_GROUP`] or ends early.
+    /// An all-static list has one column, with an id for every node, and
+    /// returns it for every `t`.
     ///
     /// # Panics
-    /// Panics if `t` is out of range; meaningless when every attribute is
-    /// static (use [`static_gids`](Self::static_gids)).
+    /// Panics if `t` is out of range on a list with a time-varying
+    /// attribute.
     #[inline]
-    pub fn time_gid(&self, n: usize, t: usize) -> u32 {
-        debug_assert!(!self.all_static, "a static list has one id per node");
-        self.cols[t].get(n).copied().unwrap_or(NO_GROUP)
+    pub fn col(&self, t: usize) -> &[u32] {
+        &self.cols[if self.all_static { 0 } else { t }]
     }
 
     /// The match columns of `key` over `g`, the snapshot these columns were
@@ -399,21 +394,24 @@ impl GroupColumns {
             let (u, v) = g.edge_endpoints(EdgeId(e as u32));
             (u.index(), v.index())
         };
-        match (self.static_gids(), key) {
-            (Some(gids), MatchKey::Node(gid)) => {
+        let is_pair = |gids: &[u32], e: usize, (gs, gd): (u32, u32)| {
+            let (u, v) = endpoints(e);
+            gids[u] == gs && gids[v] == gd
+        };
+        match (self.all_static, key) {
+            (true, MatchKey::Node(gid)) => {
+                let gids = self.col(0);
                 assert_eq!(gids.len(), n_nodes, "columns of another snapshot");
                 let ones = (0..n_nodes).filter(|&n| gids[n] == gid);
                 MatchColumns::Static(BitVec::from_indices(n_nodes, ones))
             }
-            (Some(gids), MatchKey::Edge(gs, gd)) => {
+            (true, MatchKey::Edge(gs, gd)) => {
+                let gids = self.col(0);
                 assert_eq!(gids.len(), n_nodes, "columns of another snapshot");
-                let ones = (0..n_edges).filter(|&e| {
-                    let (u, v) = endpoints(e);
-                    gids[u] == gs && gids[v] == gd
-                });
+                let ones = (0..n_edges).filter(|&e| is_pair(gids, e, (gs, gd)));
                 MatchColumns::Static(BitVec::from_indices(n_edges, ones))
             }
-            (None, key) => {
+            (false, key) => {
                 let nt = self.cols.len();
                 assert_eq!(nt, g.domain().len(), "columns of another snapshot");
                 let cols: Vec<BitVec> = match key {
@@ -425,18 +423,14 @@ impl GroupColumns {
                         };
                         self.cols.iter().map(ones).collect()
                     }
-                    MatchKey::Edge(gs, gd) => {
-                        let mut cols = vec![BitVec::zeros(n_edges); nt];
-                        for e in 0..n_edges {
-                            let (u, v) = endpoints(e);
-                            for t in g.edge_presence_matrix().iter_row_ones(e) {
-                                if self.time_gid(u, t) == gs && self.time_gid(v, t) == gd {
-                                    cols[t].set(e, true);
-                                }
-                            }
-                        }
-                        cols
-                    }
+                    // the endpoints of an edge present at `t` are present
+                    MatchKey::Edge(gs, gd) => (0..nt)
+                        .map(|t| {
+                            let present = g.edge_presence_columns().col(t).iter_ones();
+                            let ones = present.filter(|&e| is_pair(self.col(t), e, (gs, gd)));
+                            BitVec::from_indices(n_edges, ones)
+                        })
+                        .collect(),
                 };
                 let mode = g.sparse_mode();
                 MatchColumns::PerPoint(
@@ -534,17 +528,20 @@ mod tests {
         let g = fig1();
         let (gender, pubs) = attrs(&g);
         let by_gender = GroupColumns::build(&g, &[gender]);
-        assert_eq!(by_gender.static_gids().map(<[u32]>::len), Some(g.n_nodes()));
+        assert!(by_gender.is_static());
+        // one column with an id for every node, read at every point
+        assert_eq!(by_gender.col(2).len(), g.n_nodes());
+        assert_eq!(by_gender.col(0), by_gender.col(2));
         assert_eq!(by_gender.tuples().len(), 2); // m, f
         let mixed = GroupColumns::build(&g, &[gender, pubs]);
-        assert!(mixed.static_gids().is_none());
+        assert!(!mixed.is_static());
         // u1 is male with 3 publications at t0, and absent at t2
         let u1 = g.node_id("u1").unwrap().index();
         let m = g.schema().category(gender, "m").unwrap();
-        let gid = mixed.time_gid(u1, 0);
+        let gid = gid_of(&mixed, u1, 0);
         assert_eq!(mixed.tuples()[gid as usize], vec![m.clone(), Value::Int(3)]);
         assert_eq!(mixed.lookup(&[m, Value::Int(3)]), Some(gid));
-        assert_eq!(mixed.time_gid(u1, 2), NO_GROUP);
+        assert_eq!(gid_of(&mixed, u1, 2), NO_GROUP);
         assert_eq!(mixed.attr_names(), ["gender", "publications"]);
         // every cell decodes to the tuple read off the attribute tables
         let lists: [&[AttrId]; 4] = [&[gender], &[pubs], &[gender, pubs], &[pubs, gender]];
@@ -598,9 +595,15 @@ mod tests {
         assert_eq!(next.group_cols.lock().unwrap().len(), 0);
         let fresh = next.group_columns(&[gender]);
         assert!(!Arc::ptr_eq(&warm, &fresh));
-        let gid = |cols: &GroupColumns| cols.static_gids().unwrap()[u1];
+        let gid = |cols: &GroupColumns| cols.col(0)[u1];
         assert_ne!(warm.lookup(std::slice::from_ref(&f)), Some(gid(&warm)));
         assert_eq!(fresh.lookup(&[f]), Some(gid(&fresh)));
+    }
+
+    /// The group id of cell `(n, t)` as stored: [`NO_GROUP`] past the end
+    /// of a column.
+    fn gid_of(cols: &GroupColumns, n: usize, t: usize) -> u32 {
+        cols.col(t).get(n).copied().unwrap_or(NO_GROUP)
     }
 
     /// The tuple of every (node, point) cell, `None` where absent.
@@ -608,11 +611,10 @@ mod tests {
         let nt = g.domain().len();
         (0..g.n_nodes() * nt)
             .map(|i| {
-                let gid = match cols.static_gids() {
-                    Some(gids) if g.node_presence_matrix().get(i / nt, i % nt) => gids[i / nt],
-                    Some(_) => NO_GROUP,
-                    None => cols.time_gid(i / nt, i % nt),
-                };
+                let (n, t) = (i / nt, i % nt);
+                // a static list's ids say nothing about presence
+                let absent = cols.is_static() && !g.node_presence_matrix().get(n, t);
+                let gid = if absent { NO_GROUP } else { gid_of(cols, n, t) };
                 (gid != NO_GROUP).then(|| cols.tuples()[gid as usize].clone())
             })
             .collect()
@@ -671,7 +673,7 @@ mod tests {
                 // an extension shares every column it started from; the cold
                 // build shares them with the table where the list is `[pubs]`
                 let cold = Arc::ptr_eq(next, &fourth) && **list != [pubs];
-                let shared = cols.static_gids().is_none() && !cold;
+                let shared = !cols.is_static() && !cold;
                 for (ours, theirs) in cols.cols.iter().zip(&old.cols) {
                     assert_eq!(Arc::ptr_eq(ours, theirs), shared, "{list:?}");
                 }
@@ -712,7 +714,7 @@ mod tests {
         assert!((0..4).all(|t| shares(&third, t)) && !shares(&third, 4));
         let cols = third.group_columns(&[pubs]);
         let u3 = third.node_id("u3").unwrap().index();
-        assert_eq!(cols.lookup(&[Value::Null]), Some(cols.time_gid(u3, 4)));
+        assert_eq!(cols.lookup(&[Value::Null]), Some(cols.col(4)[u3]));
         // a value interned after `[Null]` took its id is no longer its own
         // code: the column holding it is computed, the others still shared
         let mut patch = TimepointPatch::new("t5");
@@ -809,7 +811,7 @@ mod tests {
         let cols = by_pubs.match_columns(&g, MatchKey::Node(one));
         for t in 0..g.domain().len() {
             let want: Vec<usize> = (0..g.n_nodes())
-                .filter(|&n| by_pubs.time_gid(n, t) == one)
+                .filter(|&n| gid_of(&by_pubs, n, t) == one)
                 .collect();
             assert_eq!(ones(&cols, t), want, "t{t}");
         }
@@ -820,8 +822,8 @@ mod tests {
                 .filter(|&e| {
                     let (u, v) = g.edge_endpoints(EdgeId(e as u32));
                     g.edge_alive_at(EdgeId(e as u32), TimePoint(t as u32))
-                        && by_pubs.time_gid(u.index(), t) == one
-                        && by_pubs.time_gid(v.index(), t) == one
+                        && gid_of(&by_pubs, u.index(), t) == one
+                        && gid_of(&by_pubs, v.index(), t) == one
                 })
                 .collect();
             assert_eq!(ones(&pair, t), want, "t{t}");

@@ -29,9 +29,12 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
-use tempo_columnar::{BitMatrix, BitVec, SparseMode, ValueTuple};
+use tempo_columnar::{BitMatrix, BitVec, SparseMode, Value, ValueTuple};
 use tempo_datagen::RandomGraphConfig;
-use tempo_graph::{AttrId, EdgeId, GraphStats, NodeId, TemporalGraph, TimePoint, TimeSet};
+use tempo_graph::{
+    AttrId, AttributeSchema, EdgeId, GraphBuilder, GraphStats, NodeId, TemporalGraph, Temporality,
+    TimeDomain, TimePoint, TimeSet,
+};
 
 // ---------------------------------------------------------------- strategies
 
@@ -142,6 +145,37 @@ pub fn kind_attr(g: &TemporalGraph) -> AttrId {
 /// The generator's time-varying attribute.
 pub fn level_attr(g: &TemporalGraph) -> AttrId {
     g.schema().id("level").expect("random graphs have `level`")
+}
+
+/// Four points, two nodes and one edge whose tuple comes back: node `u`
+/// and edge `u → v` carry `level` 1 at `t0`, are absent at `t1`, carry 2 at
+/// `t2` and 1 again at `t3`; `v` carries 9 throughout, and both share the
+/// static `kind`. A scope over all four points holds three appearances of
+/// two distinct tuples.
+pub fn returning_tuple() -> TemporalGraph {
+    let mut schema = AttributeSchema::new();
+    let kind = schema.declare("kind", Temporality::Static).expect("fresh");
+    let level = schema
+        .declare("level", Temporality::TimeVarying)
+        .expect("fresh");
+    let mut b = GraphBuilder::new(TimeDomain::indexed(4), schema);
+    let (u, v) = (b.get_or_add_node("u"), b.get_or_add_node("v"));
+    let k = b.intern_category(kind, "k");
+    let set = |b: &mut GraphBuilder, n: NodeId, t: u32, x: i64| {
+        b.set_time_varying(n, level, TimePoint(t), Value::Int(x))
+            .expect("in the domain");
+    };
+    for n in [u, v] {
+        b.set_static(n, kind, k.clone()).expect("static");
+    }
+    for (t, x) in [(0, 1), (2, 2), (3, 1)] {
+        set(&mut b, u, t, x);
+        b.add_edge_at(u, v, TimePoint(t)).expect("in the domain");
+    }
+    for t in 0..4 {
+        set(&mut b, v, t, 9);
+    }
+    b.build().expect("well-formed")
 }
 
 /// The graph under each forced column layout, dense first: the one caller
