@@ -17,7 +17,9 @@ use std::path::Path;
 use std::sync::Arc;
 use tempo_columnar::ValueTuple;
 use tempo_datagen::{DblpConfig, MovieLensConfig, RandomGraphConfig, SchoolConfig};
-use tempo_graph::{AttrId, GraphStats, GraphVersions, NodeId, TemporalGraph, TimePoint, TimeSet};
+use tempo_graph::{
+    AttrId, GraphError, GraphStats, GraphVersions, NodeId, TemporalGraph, TimePoint, TimeSet,
+};
 
 /// Request-scoped execution limits applied to session commands; the
 /// defaults impose none. A request's own `timeout_ms=` / `limit=` override
@@ -280,24 +282,16 @@ impl Session {
         let t1 = parse_interval(g.domain(), args.req("t1")?)?;
         let t2 = parse_interval(g.domain(), args.req("t2")?)?;
         let attrs = parse_attrs(g, args.req("attrs")?)?;
-        let filter = args
-            .get("filter")
-            .map(|spec| parse_filter(g, spec, args))
-            .transpose()?;
-        let filter_fn = filter.as_ref().map(|(attr, op, threshold)| {
-            let (attr, op, threshold) = (*attr, *op, *threshold);
-            // an appearance without a numeric value passes no comparison
-            move |gr: &TemporalGraph, n: NodeId, t: TimePoint| -> bool {
-                let v = gr.attr_value(n, attr, t).as_int();
-                v.is_some_and(|v| op.eval(v, threshold))
-            }
-        });
+        let filter = match args.get("filter") {
+            Some(spec) => Some(compile_filter(g, parse_filter(g, spec, args)?)?),
+            None => None,
+        };
         let evo = evolution_aggregate(
             g,
             &t1,
             &t2,
             &attrs,
-            filter_fn
+            filter
                 .as_ref()
                 .map(|f| f as &graphtempo::aggregate::NodeTimeFilter<'_>),
         )?;
@@ -418,20 +412,16 @@ impl Session {
         use graphtempo::cube::{GraphCube, Level};
         let g = self.graph()?;
         let attrs = parse_attrs(g, args.req("attrs")?)?;
-        let level_names: Vec<String> = args
-            .req("level")?
-            .split(',')
-            .map(|s| s.trim().to_owned())
-            .collect();
+        let level_ids = parse_attrs(g, args.req("level")?)?;
+        let level_names = level_ids.iter().map(|&a| g.schema().def(a).name());
+        let level = Level::new(level_names.collect());
         let cube = GraphCube::build(g, &attrs, 1);
-        let level = Level::new(level_names);
         let agg = match (args.get("t"), args.get("scope")) {
             (Some(_), Some(_)) => return Err(args.usage()),
             (Some(t), None) => cube.slice(&level, TimePoint(parse_point(g.domain(), t)? as u32))?,
             (None, Some(iv)) => cube.query(&level, &parse_interval(g.domain(), iv)?)?,
             (None, None) => cube.query(&level, &g.domain().all())?,
         };
-        let level_ids = parse_attrs(g, &level.names().join(","))?;
         let mut reply = Reply::line(format!(
             "cube query at level ({}): {} nodes, {} edges",
             level.names().join(","),
@@ -602,8 +592,18 @@ fn parse_numeric_attr(g: &TemporalGraph, name: &str, args: &Args) -> Result<Attr
     Ok(attr)
 }
 
+/// A comma-separated attribute list (`attrs=`, `group=`, the cube's
+/// `level=`); a name given twice is an error, not a tuple that repeats it.
 fn parse_attrs(g: &TemporalGraph, spec: &str) -> Result<Vec<AttrId>, CliError> {
-    spec.split(',').map(|name| parse_attr(g, name)).collect()
+    let mut attrs = Vec::new();
+    for name in spec.split(',') {
+        let attr = parse_attr(g, name)?;
+        if attrs.contains(&attr) {
+            return Err(GraphError::DuplicateAttribute(name.trim().to_owned()).into());
+        }
+        attrs.push(attr);
+    }
+    Ok(attrs)
 }
 
 fn parse_tuple(g: &TemporalGraph, attrs: &[AttrId], spec: &str) -> Result<ValueTuple, CliError> {
@@ -708,6 +708,31 @@ fn parse_filter(
     Err(CliError::Usage(format!(
         "filter {spec:?} must look like publications>4"
     )))
+}
+
+/// A parsed `filter=` as the predicate `evolution` calls per appearance:
+/// the comparison is decided once per dictionary code of the attribute's
+/// matrix, so an appearance costs one code read and no decoded value. An
+/// appearance without a numeric value passes no comparison. The predicate
+/// reads a static attribute's cell whether or not the node exists at `t`;
+/// `evolution_aggregate` asks only about appearances.
+fn compile_filter(
+    g: &TemporalGraph,
+    (attr, op, threshold): (AttrId, FilterOp, i64),
+) -> Result<impl Fn(&TemporalGraph, NodeId, TimePoint) -> bool + '_, CliError> {
+    let (matrix, static_col) = match g.schema().static_slot(attr) {
+        Some(slot) => (g.static_table(), Some(slot)),
+        None => (g.tv_table(attr)?, None),
+    };
+    let dict = matrix.dict().iter();
+    let passes: Vec<bool> = dict
+        .map(|v| v.as_int().is_some_and(|v| op.eval(v, threshold)))
+        .collect();
+    Ok(move |_: &TemporalGraph, n: NodeId, t: TimePoint| {
+        let code = matrix.code(n.index(), static_col.unwrap_or(t.index()));
+        // `NULL_CODE` lies past the table
+        passes.get(code as usize).copied().unwrap_or(false)
+    })
 }
 
 fn render_tuple(g: &TemporalGraph, attrs: &[AttrId], tuple: &ValueTuple) -> String {

@@ -18,6 +18,16 @@ fn words_for(bits: usize) -> usize {
     bits.div_ceil(WORD_BITS)
 }
 
+/// The positions of the set bits of one word, lowest first.
+#[inline]
+pub fn word_ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+        word &= word - 1;
+        Some(bit)
+    })
+}
+
 /// Unrolled word-parallel kernels shared by [`BitVec`] and [`BitMatrix`].
 ///
 /// Every hot ternary primitive routes through these loops, which process
@@ -399,10 +409,10 @@ impl BitVec {
         v
     }
 
-    /// Crate-internal view of the packed words, for the sparse-column
-    /// kernels in [`crate::sparse`].
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`, and
+    /// the final word's bits past `len()` are clear.
     #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[u64] {
         &self.words
     }
 
@@ -647,18 +657,8 @@ impl BitVec {
 
     /// Iterates positions of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * WORD_BITS + b)
-                }
-            })
-        })
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(wi, &w)| word_ones(w).map(move |b| wi * WORD_BITS + b))
     }
 
     /// Position of the lowest set bit, if any.
@@ -1085,16 +1085,7 @@ impl BitMatrix {
     pub fn iter_row_ones(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(r < self.nrows, "row {r} out of range {}", self.nrows);
         self.bands.iter().enumerate().flat_map(move |(wi, band)| {
-            let mut w = Self::band_word(band, r);
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * WORD_BITS + b)
-                }
-            })
+            word_ones(Self::band_word(band, r)).map(move |b| wi * WORD_BITS + b)
         })
     }
 

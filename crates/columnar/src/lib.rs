@@ -45,11 +45,11 @@ mod matrix;
 mod sparse;
 mod value;
 
-pub use bitset::{BitMatrix, BitVec, TransposedBitMatrix};
+pub use bitset::{word_ones, BitMatrix, BitVec, TransposedBitMatrix};
 pub use csv::{read_frame, write_frame};
 pub use error::ColumnarError;
 pub use frame::Frame;
 pub use interner::Interner;
 pub use matrix::{ValueMatrix, NULL_CODE};
-pub use sparse::{PresenceColumn, SparseMode};
+pub use sparse::{BlockWords, PresenceColumn, SparseMode};
 pub use value::{Value, ValueTuple};

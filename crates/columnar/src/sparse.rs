@@ -19,7 +19,7 @@
 //! construction. Dense operands of one call must still agree with each
 //! other exactly; only the column itself may be short.
 
-use crate::bitset::{kernels, BitVec};
+use crate::bitset::{kernels, word_ones, BitVec};
 
 /// Number of bits per storage word (kept in sync with `bitset`).
 const WORD_BITS: usize = 64;
@@ -194,18 +194,30 @@ impl PresenceColumn {
         let words = dense
             .into_iter()
             .flat_map(|bv| bv.words().iter().zip(other.words()));
-        let dense_ones = words.enumerate().flat_map(|(wi, (&a, &b))| {
-            let mut w = a & b;
-            std::iter::from_fn(move || {
-                let bit = (w != 0).then(|| w.trailing_zeros() as usize)?;
-                w &= w - 1;
-                Some(wi * WORD_BITS + bit)
-            })
-        });
+        let dense_ones = words
+            .enumerate()
+            .flat_map(|(wi, (&a, &b))| word_ones(a & b).map(move |bit| wi * WORD_BITS + bit));
         let ids = sparse
             .into_iter()
             .flat_map(|s| s.ids.iter().map(|&i| i as usize));
         dense_ones.chain(ids.filter(|&i| other.get(i)))
+    }
+
+    /// A reader of the column's 64-entity words, asked for in non-decreasing
+    /// word order ([`BlockWords::word`]): a dense column reads its word `b`,
+    /// and zero past `len()` (zero-extension); a sparse one advances a
+    /// cursor through its IDs, so one pass over the words costs O(nnz).
+    pub fn block_words(&self) -> BlockWords<'_> {
+        match self {
+            PresenceColumn::Dense(bv) => BlockWords {
+                words: bv.words(),
+                ids: &[],
+            },
+            PresenceColumn::Sparse(s) => BlockWords {
+                words: &[],
+                ids: &s.ids,
+            },
+        }
     }
 
     /// Materializes the column as a dense [`BitVec`] (tests and one-off
@@ -659,6 +671,39 @@ fn sparse_dense_intersect_count(ids: &[u32], bv: &BitVec) -> usize {
     count
 }
 
+/// The word reader of [`PresenceColumn::block_words`]: one of its two
+/// slices is empty, so neither representation branches per word.
+#[derive(Debug)]
+pub struct BlockWords<'a> {
+    /// A dense column's words.
+    words: &'a [u64],
+    /// A sparse column's IDs not yet passed.
+    ids: &'a [u32],
+}
+
+impl BlockWords<'_> {
+    /// Word `b` of the column: bit `i` is entity `64·b + i`.
+    ///
+    /// A sparse column reads correctly only while `b` does not decrease
+    /// from one call to the next: the IDs below word `b` are passed for good.
+    #[inline]
+    pub fn word(&mut self, b: usize) -> u64 {
+        let start = b * WORD_BITS;
+        while self.ids.first().is_some_and(|&id| (id as usize) < start) {
+            self.ids = &self.ids[1..];
+        }
+        let mut w = self.words.get(b).copied().unwrap_or(0);
+        for &id in self.ids {
+            let i = id as usize - start;
+            if i >= WORD_BITS {
+                break;
+            }
+            w |= 1 << i;
+        }
+        w
+    }
+}
+
 impl SparseIds {
     /// Sparse columns only require the operand to cover the ID space
     /// (zero-extension lets the column be shorter than the operand; every
@@ -763,6 +808,29 @@ mod tests {
         assert_eq!(s.to_bitvec(), d.to_bitvec());
         assert_eq!(s.check_invariants(), Ok(()));
         assert_eq!(d.check_invariants(), Ok(()));
+    }
+
+    /// Both layouts read the same words, skipped words included; a column
+    /// shorter than the entity space reads zero past its end.
+    #[test]
+    fn block_words_read_both_layouts_alike() {
+        let ids = [0usize, 5, 63, 64, 65, 129, 200];
+        let want = |b: usize| {
+            let bits = ids.iter().filter(|&&i| i / 64 == b);
+            bits.fold(0u64, |w, &i| w | 1 << (i % 64))
+        };
+        for c in [sparse(201, &ids), dense(201, &ids)] {
+            let mut all = c.block_words();
+            assert_eq!(
+                (0..6).map(|b| all.word(b)).collect::<Vec<_>>(),
+                (0..6).map(want).collect::<Vec<_>>()
+            );
+            // words 1 and 2 skipped, word 3 asked twice
+            let mut some = c.block_words();
+            for b in [0, 3, 3, 5] {
+                assert_eq!(some.word(b), want(b), "word {b} of {c:?}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use tempo_columnar::{BitVec, TransposedBitMatrix, Value, ValueTuple};
+use tempo_columnar::{word_ones, BitVec, TransposedBitMatrix, Value, ValueTuple};
 use tempo_graph::{
     AttrId, EdgeId, GraphError, GroupColumns, MatchColumns, MatchKey, NodeId, TemporalGraph,
     Temporality, TimePoint, TimeSet,
@@ -410,6 +410,10 @@ pub fn rollup(agg: &AggregateGraph, keep: &[&str]) -> Result<AggregateGraph, Gra
 /// Group-pair grids up to this many cells are accumulated densely.
 const DENSE_PAIR_CELLS: usize = 1 << 16;
 
+/// Entities per word of a presence column, and scope points per chunk of
+/// the DIST walk's tile.
+const WORD_BITS: usize = 64;
+
 /// Weights per ordered group-id pair `(src, dst)` — the edge side of the
 /// dense node accumulators. A `n_groups²` grid indexed `src * n_groups +
 /// dst` while that is small (one add per kept edge appearance, no hashing);
@@ -464,7 +468,7 @@ impl<W: Clone + Default + PartialEq> PairAccumulator<W> {
 /// by its group id, an edge by the ordered pair of its endpoints' ids.
 pub(crate) trait Entities: Copy {
     /// What an appearance is counted under.
-    type Key: Copy + PartialEq;
+    type Key: Copy + PartialEq + Default;
     /// Which of the entities exist at each time point.
     fn presence(&self) -> &TransposedBitMatrix;
     /// The key of entity `e` under the group ids `gids` of one time point.
@@ -609,18 +613,27 @@ impl GroupTable {
 
     /// The one Definition 2.6 walk: calls `visit(e, t, key)` for every
     /// appearance that counts of a `keep` entity at a point `t` of `scope`,
-    /// one point at a time: the entities of `presence_col[t] ∧ keep`, keyed
-    /// through the group ids of `t`. `pass[t]`, when given, holds the nodes
-    /// a filter lets through at scope point `t`, and an appearance it stops
-    /// does not count.
+    /// keyed through the group ids of `t`. `pass[t]`, when given, holds the
+    /// nodes a filter lets through at scope point `t`, and an appearance it
+    /// stops does not count.
     ///
-    /// Under [`AggMode::All`] every appearance counts. Under
-    /// [`AggMode::Distinct`] an appearance counts unless its entity was met
-    /// earlier in the scope and an earlier scope point, searched nearest
-    /// first, shows it with the same key — one bit per entity, no per-entity
-    /// key set. An all-static list without a filter skips the walk: every
-    /// kept entity counts once with its one id (and `t` is the scope's first
-    /// point), since a kept entity exists within the scope.
+    /// Under [`AggMode::All`] every appearance counts, one point at a time:
+    /// the entities of `presence_col[t] ∧ keep`. Under [`AggMode::Distinct`]
+    /// an appearance counts the first time its entity shows its key in the
+    /// scope. The walk then takes the kept entities 64 at a time, word `b`
+    /// of `keep` and of every scope point's presence column, in scope order:
+    /// an entity's first passing appearance counts at once, and its key
+    /// waits in a 64-entry row; a later one, on a list with a time-varying
+    /// attribute, is set in a tile of one mask per entity and 64-point chunk
+    /// of the scope. Each entity with later appearances then keys them in
+    /// scope order against a list that starts with its first key. An entity
+    /// that appears once never meets the list, and an all-static list keys
+    /// only first appearances. Nothing as long as the entities is allocated:
+    /// one cursor per scope point, the row, the tile and the list.
+    ///
+    /// An all-static list without a filter skips the walk: every kept entity
+    /// counts once with its one id (and `t` is the scope's first point),
+    /// since a kept entity exists within the scope.
     pub(crate) fn walk<E: Entities>(
         &self,
         entities: E,
@@ -632,37 +645,81 @@ impl GroupTable {
     ) {
         let presence = entities.presence();
         let points: Vec<usize> = scope.iter().map(TimePoint::index).collect();
-        let distinct = mode == AggMode::Distinct;
-        if distinct && pass.is_none() && self.is_static() {
-            let (gids, first) = (self.cols.col(0), points.first().copied().unwrap_or(0));
-            for e in keep.iter_ones() {
-                debug_assert!(
-                    points.iter().any(|&t| presence.col(t).get(e)),
-                    "kept entity {e} must appear within scope"
-                );
-                visit(e, first, entities.key(e, gids));
-            }
-            return;
-        }
         let passes = |e: usize, t: usize| pass.is_none_or(|p| entities.passes(e, &p[t]));
-        let shows = |e: usize, t: usize, key: E::Key| {
-            presence.col(t).get(e) && passes(e, t) && entities.key(e, self.cols.col(t)) == key
-        };
-        let mut met = BitVec::zeros(if distinct { keep.len() } else { 0 });
-        for (i, &t) in points.iter().enumerate() {
-            let gids = self.cols.col(t);
-            for e in presence.col(t).iter_ones_and(keep) {
-                if !passes(e, t) {
-                    continue;
-                }
-                let key = entities.key(e, gids);
-                if distinct {
-                    if met.get(e) && points[..i].iter().rev().any(|&s| shows(e, s, key)) {
-                        continue;
+        let (cols, all_static) = (&*self.cols, self.is_static());
+        match mode {
+            AggMode::All => {
+                for &t in &points {
+                    let gids = cols.col(t);
+                    for e in presence.col(t).iter_ones_and(keep) {
+                        if passes(e, t) {
+                            visit(e, t, entities.key(e, gids));
+                        }
                     }
-                    met.set(e, true);
                 }
-                visit(e, t, key);
+                return;
+            }
+            AggMode::Distinct if all_static && pass.is_none() => {
+                let (gids, first) = (cols.col(0), points.first().copied().unwrap_or(0));
+                for e in keep.iter_ones() {
+                    debug_assert!(
+                        points.iter().any(|&t| presence.col(t).get(e)),
+                        "kept entity {e} must appear within scope"
+                    );
+                    visit(e, first, entities.key(e, gids));
+                }
+                return;
+            }
+            AggMode::Distinct => {}
+        }
+        debug_assert!(points.iter().all(|&t| presence.col(t).len() <= keep.len()));
+        let mut cursors: Vec<_> = points
+            .iter()
+            .map(|&t| presence.col(t).block_words())
+            .collect();
+        let mut first_keys = [E::Key::default(); WORD_BITS];
+        // entity `lane` of the word at hand shows again at scope point
+        // `64·c + i` iff bit `i` of `tile[lane · chunks + c]` is set
+        let chunks = points.len().div_ceil(WORD_BITS);
+        let mut tile = vec![0u64; WORD_BITS * chunks];
+        let mut keys: Vec<E::Key> = Vec::new();
+        for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
+            let entity = |lane: usize| b * WORD_BITS + lane;
+            let (mut seen, mut again) = (0u64, 0u64);
+            for ((i, cursor), &t) in cursors.iter_mut().enumerate().zip(&points) {
+                let mut shown = cursor.word(b) & kept;
+                if pass.is_some() {
+                    for lane in word_ones(shown).filter(|&lane| !passes(entity(lane), t)) {
+                        shown &= !(1 << lane);
+                    }
+                }
+                let gids = cols.col(t);
+                for lane in word_ones(shown & !seen) {
+                    first_keys[lane] = entities.key(entity(lane), gids);
+                    visit(entity(lane), t, first_keys[lane]);
+                }
+                if !all_static {
+                    let (c, bit) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
+                    for lane in word_ones(shown & seen) {
+                        tile[lane * chunks + c] |= bit;
+                    }
+                    again |= shown & seen;
+                }
+                seen |= shown;
+            }
+            for lane in word_ones(again) {
+                keys.clear();
+                keys.push(first_keys[lane]);
+                for (c, mask) in tile[lane * chunks..][..chunks].iter_mut().enumerate() {
+                    for i in word_ones(std::mem::take(mask)) {
+                        let t = points[c * WORD_BITS + i];
+                        let key = entities.key(entity(lane), cols.col(t));
+                        if !keys.contains(&key) {
+                            keys.push(key);
+                            visit(entity(lane), t, key);
+                        }
+                    }
+                }
             }
         }
     }

@@ -12,9 +12,12 @@
 //!   layout and column layout;
 //! * `explore` vs `explore_naive`, and budget cancellation;
 //! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
-//!   consecutive pairs' materialized aggregates.
+//!   consecutive pairs' materialized aggregates;
+//! * the DIST walk across 64-entity words and 64-point chunks of a scope,
+//!   through `aggregate_masked`, `count_distinct` and `evolution_aggregate`.
 
-use graphtempo::aggregate::{aggregate, AggMode, CountTarget, GroupTable};
+use graphtempo::aggregate::{aggregate, AggMode, CountTarget, GroupTable, NodeTimeFilter};
+use graphtempo::evolution::{evolution_aggregate, evolution_aggregate_naive};
 use graphtempo::explore::{
     evaluate_pair_materialized, explore, explore_budgeted, explore_naive, initial_threshold,
     suggest_k, Budget, ChainCursor, ExploreConfig, ExploreKernel, ExtendSide, Selector, Semantics,
@@ -24,10 +27,12 @@ use graphtempo::ops::{event_graph, event_mask, Event, SideTest};
 use proptest::prelude::*;
 use tempo_columnar::Value;
 use tempo_datagen::RandomGraphConfig;
-use tempo_graph::{AttrId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet};
+use tempo_graph::{
+    AttrId, GraphError, GraphVersions, NodeId, TemporalGraph, TimePoint, TimeSet, TimepointPatch,
+};
 use tempo_testkit::{
     both_layouts, chain_len, chain_pair, event_mask_rowwise, graph_strategy, interval, kind_attr,
-    level_attr, naive_threshold,
+    level_attr, naive_threshold, returning_tuple,
 };
 
 /// The attribute sets exercised everywhere below: all-static,
@@ -523,4 +528,98 @@ fn single_timepoint_domain_errors_everywhere() {
     assert!(explore(&g, &cfg).is_err());
     assert!(explore_naive(&g, &cfg).is_err());
     assert!(suggest_k(&g, &cfg).is_err());
+}
+
+/// The DIST walk against its oracles where the proptests' graphs (at most
+/// 39 nodes and 6 points) never reach: hundreds of nodes, so the kept
+/// entities span several 64-entity words, and 70–130 points, so a scope
+/// of 𝒯₁ ∪ 𝒯₂ with a one-point gap between them spans two 64-point chunks.
+/// Each graph is checked under both column layouts and, appended one
+/// point, with the old presence columns zero-extended; the returning tuple
+/// checks one entity whose key goes A → (absent) → B → A.
+#[test]
+fn distinct_walk_crosses_words_and_chunks() {
+    for (timepoints, seed) in [(70, 3), (130, 4)] {
+        let g = RandomGraphConfig {
+            pool: 320,
+            timepoints,
+            active_per_tp: 120,
+            edges_per_tp: 160,
+            node_persistence: 0.7,
+            edge_persistence: 0.5,
+            kinds: 3,
+            levels: 4,
+            seed,
+        }
+        .generate()
+        .unwrap();
+        // a gap of one point, and the appended point in 𝒯₂
+        let sides = |n: usize| {
+            (
+                TimeSet::range(n, 0, n / 3),
+                TimeSet::range(n, n / 3 + 2, n - 1),
+            )
+        };
+        let (t1, t2) = sides(timepoints);
+        assert!(t1.len() + t2.len() > 64);
+        for g in both_layouts(&g) {
+            assert_walks_match_oracles(&g, &t1, &t2);
+        }
+        // the appended epoch carries the old columns forward unwidened
+        let _ = (g.node_presence_columns(), g.edge_presence_columns());
+        let mut patch = TimepointPatch::new("appended");
+        let level = level_attr(&g);
+        patch.set_time_varying("fresh", level, Value::Int(2));
+        patch.add_edge("fresh", "n0").add_edge("n1", "fresh");
+        let g = GraphVersions::new(g).append_timepoint(&patch).unwrap();
+        assert!(g.node_presence_columns().col(0).len() < g.n_nodes());
+        let (t1, t2) = sides(timepoints + 1);
+        assert_walks_match_oracles(&g, &t1, &t2);
+    }
+    let (t1, t2) = (TimeSet::range(4, 0, 1), TimeSet::range(4, 2, 3));
+    for g in both_layouts(&returning_tuple()) {
+        assert_walks_match_oracles(&g, &t1, &t2);
+    }
+}
+
+/// DIST `aggregate_masked` and `count_distinct` over the union 𝒯₁ ∪ 𝒯₂
+/// against the materialized union graph, and `evolution_aggregate`
+/// between 𝒯₁ and 𝒯₂ against its oracle with and without a `level >= 2`
+/// filter, on the static, time-varying and mixed lists.
+fn assert_walks_match_oracles(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) {
+    let scope = t1.union(t2);
+    let any = SideTest::Any;
+    let mask = event_mask(g, Event::Stability, &scope, &scope, any, any).unwrap();
+    let sub = event_graph(g, Event::Stability, &scope, &scope, any, any).unwrap();
+    let level = level_attr(g);
+    let filter = move |gr: &TemporalGraph, n: NodeId, t: TimePoint| {
+        gr.attr_value(n, level, t).as_int().is_some_and(|v| v >= 2)
+    };
+    for attrs in attr_sets(g) {
+        #[allow(clippy::disallowed_methods)] // the oracle side builds its table uncached
+        let table = GroupTable::build(g, &attrs);
+        let dist = aggregate(&sub, &attrs, AggMode::Distinct);
+        assert_eq!(
+            table.aggregate_masked(g, &mask, AggMode::Distinct),
+            dist,
+            "{attrs:?}"
+        );
+        for (target, selector) in [
+            (CountTarget::AllNodes, Selector::AllNodes),
+            (CountTarget::AllEdges, Selector::AllEdges),
+        ] {
+            assert_eq!(
+                table.count_distinct(g, &mask, &target),
+                selector.count(&dist)
+            );
+        }
+        for f in [None, Some(&filter as &NodeTimeFilter<'_>)] {
+            assert_eq!(
+                evolution_aggregate(g, t1, t2, &attrs, f).unwrap(),
+                evolution_aggregate_naive(g, t1, t2, &attrs, f).unwrap(),
+                "{attrs:?} filtered {}",
+                f.is_some()
+            );
+        }
+    }
 }

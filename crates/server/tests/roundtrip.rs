@@ -129,17 +129,29 @@ fn protocol_roundtrip_and_graceful_shutdown() {
     assert!(status.starts_with("ERR timeout:"), "got {status}");
 
     // neither a client's verb nor its arguments name a series: 100 junk
-    // verbs and 20 distinct attribute lists later the table is the same
+    // verbs and all 15 ordered attribute lists later the table is the same
     for i in 0..100 {
         let (status, _) = c.request(&format!("junk{i} g attrs=x"));
         assert!(status.starts_with("ERR "), "junk{i}: {status}");
     }
     let names = ["grade", "class", "intensity"];
-    for i in 0..20 {
-        // a rotation of the three names, then `i` repeats of one of them
-        let mut attrs: Vec<&str> = (0..3).map(|k| names[(i + k) % 3]).collect();
-        attrs.extend(vec![names[i % 3]; i]);
-        let request = format!("cube g attrs={} level={}", attrs.join(","), names[i % 3]);
+    let others = |used: &[&str]| {
+        names
+            .into_iter()
+            .filter(|n| !used.contains(n))
+            .collect::<Vec<_>>()
+    };
+    let mut lists: Vec<Vec<&str>> = Vec::new();
+    for a in names {
+        lists.push(vec![a]);
+        for b in others(&[a]) {
+            lists.push(vec![a, b]);
+            lists.extend(others(&[a, b]).into_iter().map(|c| vec![a, b, c]));
+        }
+    }
+    assert_eq!(lists.len(), 15);
+    for attrs in &lists {
+        let request = format!("cube g attrs={} level={}", attrs.join(","), attrs[0]);
         let (status, _) = c.request(&request);
         assert!(status.starts_with("OK "), "{request}: {status}");
     }
@@ -463,6 +475,35 @@ fn a_filter_passes_no_appearance_without_a_value() {
             .exec(&format!("evolution {args}"))
             .expect("shell evolution");
         assert_eq!(got, want);
+    }
+    server.shutdown();
+}
+
+/// An attribute named twice in one list is refused in the shell and on the
+/// wire, not answered as a tuple that repeats it (`attrs=grade,grade` used
+/// to answer `(G1,G1)`-style tuples and take a group-cache slot).
+#[test]
+fn a_repeated_attribute_is_refused() {
+    let server = spawn(test_config()).expect("spawn server");
+    let mut c = Client::connect(server.addr());
+    let mut shell = Session::new();
+    shell
+        .exec("generate school seed=5")
+        .expect("shell generate");
+    let (status, _) = c.request("generate g school seed=5");
+    assert!(status.starts_with("OK "), "generate failed: {status}");
+    let refused = "duplicate attribute \"grade\"";
+    let shell_err = shell
+        .exec("agg dist attrs=grade,grade")
+        .expect_err("a repeated attribute");
+    assert_eq!(shell_err.to_string(), refused);
+    for args in [
+        "agg g dist attrs=grade,grade",
+        "measure g group=grade,intensity,grade",
+        "cube g attrs=grade,intensity level=grade,grade",
+    ] {
+        let (status, _) = c.request(args);
+        assert_eq!(status, format!("ERR {refused}"), "wire `{args}`");
     }
     server.shutdown();
 }

@@ -1,27 +1,52 @@
-//! Footprint regression: what a generated graph keeps on the heap.
+//! Footprint regression: what a generated graph keeps on the heap, and what
+//! one DIST walk allocates.
 //!
 //! The benchmark gates `peak_rss_mb` relative to the parent commit (5 %), so
-//! a slow erosion over several changes would pass it every time. This test
-//! holds the absolute numbers the dictionary-coded layout reached: the live
-//! heap of a quarter-scale DBLP graph, and the bytes of value storage per
-//! materialised cell (a `u32` code; 24-byte `Value`s before).
+//! a slow erosion over several changes would pass it every time. These tests
+//! hold absolute numbers instead: the live heap of a quarter-scale DBLP
+//! graph, the bytes of value storage per materialised cell (a `u32` code;
+//! 24-byte `Value`s before), and the high-water mark of one DIST count over
+//! the whole of DBLP, which must not hold anything as long as the entities.
 
+use graphtempo::aggregate::{CountTarget, GroupTable};
+use graphtempo::ops::{event_mask, Event, SideTest};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use tempo_datagen::DblpConfig;
 
 /// Bytes currently allocated through the global allocator.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// The system allocator with a running total of live bytes.
+/// The most bytes `LIVE` has held since the last [`reset_peak`].
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Taken by each test for its whole run, so nothing else allocates while
+/// one measures.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Adds `size` live bytes and raises the high-water mark to match.
+fn grow(size: usize) {
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+/// Starts a new high-water mark at the bytes live now, and returns them.
+fn reset_peak() -> usize {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
+/// The system allocator with a running total of live bytes and its peak.
 struct Counting;
 
 // SAFETY: every request is passed to `System` unchanged and its result
 // returned unchanged, so `System`'s guarantees are this allocator's; the
-// counter is a statistic no allocation depends on.
+// counters are statistics no allocation depends on.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +58,8 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        // counted as the moment both blocks are live
+        grow(new_size);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -43,9 +69,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The one test of this binary, so nothing else allocates while it measures.
 #[test]
 fn generated_graph_stays_small() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let before = LIVE.load(Ordering::Relaxed);
     let g = DblpConfig::scaled(0.25).generate().unwrap();
     let live = LIVE.load(Ordering::Relaxed) - before;
@@ -71,5 +97,37 @@ fn generated_graph_stays_small() {
     assert!(
         bytes <= 6 * cells,
         "{bytes} B of value storage for {cells} materialised cells"
+    );
+}
+
+/// One DIST edge count over all 21 points of DBLP on `gender,publications`
+/// peaks at its `n_groups²` accumulator plus walk state the size of the
+/// scope. A per-entity array (one bit per edge, or a first key per edge)
+/// would not fit.
+#[test]
+fn a_distinct_count_allocates_nothing_per_entity() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = DblpConfig::scaled(1.0).generate().unwrap();
+    let attrs = ["gender", "publications"].map(|a| g.schema().id(a).unwrap());
+    let table = GroupTable::cached(&g, &attrs);
+    let all = g.domain().all();
+    let any = SideTest::Any;
+    let mask = event_mask(&g, Event::Stability, &all, &all, any, any).unwrap();
+    assert_eq!(all.len(), 21);
+
+    let before = reset_peak();
+    let count = table.count_distinct(&g, &mask, &CountTarget::AllEdges);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let bound = table.n_groups().pow(2) * 8 + (64 << 10);
+    println!(
+        "{peak} B peak for {count} (edge, tuple) pairs of {} edges",
+        g.n_edges()
+    );
+    assert!(count > 0);
+    assert!(
+        peak < bound,
+        "{peak} B peak, bound {bound} B ({} groups, {} edges)",
+        table.n_groups(),
+        g.n_edges()
     );
 }
