@@ -14,6 +14,10 @@
 //! presence-column policies. The oracles and the generators live in
 //! `tempo-testkit`.
 //!
+//! A second property holds the per-point presence counts and the shell
+//! `metrics` overlaps, which read the presence columns, to row probes at
+//! every epoch, including one whose parent never built its columns.
+//!
 //! The appends rewrite static cells, add nodes and edges and record edge
 //! values, so an answer computed from group ids or match columns cached on
 //! an earlier epoch would differ from the oracle.
@@ -26,6 +30,7 @@ use graphtempo_cli::{CliError, QueryLimits, Session};
 use proptest::prelude::*;
 use std::sync::Arc;
 use tempo_columnar::Value;
+use tempo_graph::metrics::{density_at, edge_jaccard, node_jaccard, turnover_profile};
 use tempo_graph::{AttrId, NodeId, TemporalGraph, TimePoint};
 use tempo_testkit::{
     both_layouts, graph_config, interval, naive_explore, naive_measure, naive_stats, naive_suggest,
@@ -280,6 +285,63 @@ fn check_epoch(session: &mut Session, seed: u64) -> Result<(), TestCaseError> {
     check_exploration(session, seed)
 }
 
+/// Jaccard similarity of two points' presence, one probe per row.
+fn probe_jaccard(a: &[bool], b: &[bool]) -> f64 {
+    let both = a.iter().zip(b).filter(|&(&x, &y)| x && y).count();
+    let either = a.iter().zip(b).filter(|&(&x, &y)| x || y).count();
+    if either == 0 {
+        0.0
+    } else {
+        both as f64 / either as f64
+    }
+}
+
+/// The per-point presence counts (`nodes_at`, `edges_at`, `density_at`)
+/// and the shell `metrics` table's overlaps (`node_jaccard`,
+/// `edge_jaccard`, `turnover_profile`), which read the presence columns,
+/// against `node_alive_at` / `edge_alive_at` probed one row at a time.
+fn check_presence_counts(g: &TemporalGraph) -> Result<(), TestCaseError> {
+    let points: Vec<TimePoint> = g.domain().iter().collect();
+    let node_rows: Vec<Vec<bool>> = points
+        .iter()
+        .map(|&t| g.node_ids().map(|n| g.node_alive_at(n, t)).collect())
+        .collect();
+    let edge_rows: Vec<Vec<bool>> = points
+        .iter()
+        .map(|&t| g.edge_ids().map(|e| g.edge_alive_at(e, t)).collect())
+        .collect();
+    let ones = |rows: &[bool]| rows.iter().filter(|&&x| x).count();
+    for (i, &t) in points.iter().enumerate() {
+        let (n, e) = (ones(&node_rows[i]), ones(&edge_rows[i]));
+        prop_assert_eq!(g.nodes_at(t), n, "nodes at {:?}", t);
+        prop_assert_eq!(g.edges_at(t), e, "edges at {:?}", t);
+        let density = if n < 2 {
+            0.0
+        } else {
+            e as f64 / (n * (n - 1)) as f64
+        };
+        prop_assert_eq!(density_at(g, t), density, "density at {:?}", t);
+        for (j, &u) in points.iter().enumerate() {
+            let (nj, ej) = (
+                probe_jaccard(&node_rows[i], &node_rows[j]),
+                probe_jaccard(&edge_rows[i], &edge_rows[j]),
+            );
+            prop_assert_eq!(node_jaccard(g, t, u), nj, "nodes {:?} {:?}", t, u);
+            prop_assert_eq!(edge_jaccard(g, t, u), ej, "edges {:?} {:?}", t, u);
+        }
+    }
+    let profile: Vec<(f64, f64)> = (1..points.len())
+        .map(|i| {
+            (
+                probe_jaccard(&node_rows[i - 1], &node_rows[i]),
+                probe_jaccard(&edge_rows[i - 1], &edge_rows[i]),
+            )
+        })
+        .collect();
+    prop_assert_eq!(turnover_profile(g), profile);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -300,6 +362,25 @@ proptest! {
                 session.exec(&format!("append y{i}{tokens}")).unwrap();
                 check_epoch(&mut session, seed.rotate_left(7 * i as u32 + 5))?;
             }
+        }
+    }
+
+    #[test]
+    fn presence_counts_equal_row_probes_at_every_epoch(
+        cfg in graph_config(),
+        patches in proptest::collection::vec(patch_tokens(), 1..4),
+    ) {
+        let g = cfg.generate().expect("random generator produces valid graphs");
+        for g in both_layouts(&g) {
+            let base = Arc::new(g);
+            let mut session = Session::for_snapshot(Arc::clone(&base), QueryLimits::default());
+            // the base is read only after the appends: the first appended
+            // epoch's parent never built its columns, every later one's did
+            for (i, tokens) in patches.iter().enumerate() {
+                session.exec(&format!("append y{i}{tokens}")).unwrap();
+                check_presence_counts(&session.graph_arc().expect("session holds a graph"))?;
+            }
+            check_presence_counts(&base)?;
         }
     }
 }

@@ -982,16 +982,6 @@ impl BitMatrix {
         }
     }
 
-    /// Count of set bits in column `c` (one pass over a single band).
-    pub fn col_count(&self, c: usize) -> usize {
-        assert!(c < self.ncols, "column out of range");
-        let mask = 1u64 << (c % WORD_BITS);
-        self.bands[c / WORD_BITS]
-            .iter()
-            .filter(|&&w| w & mask != 0)
-            .count()
-    }
-
     /// Total number of set bits.
     pub fn count_ones(&self) -> usize {
         self.bands
@@ -1485,14 +1475,19 @@ mod tests {
         let _ = BitMatrix::new(3).widen(2);
     }
 
+    /// Set bits of column `c`, counted one `get(r, c)` at a time.
+    fn column_ones(m: &BitMatrix, c: usize) -> usize {
+        (0..m.nrows()).filter(|&r| m.get(r, c)).count()
+    }
+
     #[test]
-    fn matrix_col_count() {
+    fn matrix_column_ones() {
         let mut m = BitMatrix::new(3);
         m.push_row(&BitVec::from_indices(3, [0, 1]));
         m.push_row(&BitVec::from_indices(3, [1]));
-        assert_eq!(m.col_count(0), 1);
-        assert_eq!(m.col_count(1), 2);
-        assert_eq!(m.col_count(2), 0);
+        assert_eq!(column_ones(&m, 0), 1);
+        assert_eq!(column_ones(&m, 1), 2);
+        assert_eq!(column_ones(&m, 2), 0);
     }
 
     #[test]
@@ -1553,9 +1548,9 @@ mod tests {
                 assert_eq!(t.col(c).get(r), m.get(r, c), "({r},{c})");
             }
         }
-        // column popcounts agree with the row-major col_count
+        // column popcounts agree with the row-major bits
         for c in 0..m.ncols() {
-            assert_eq!(t.col(c).count_ones(), m.col_count(c));
+            assert_eq!(t.col(c).count_ones(), column_ones(&m, c));
         }
     }
 
@@ -1678,7 +1673,7 @@ mod tests {
             by_row.push_row(&BitVec::from_indices(3, bits));
         }
         assert_eq!(by_col, by_row);
-        assert_eq!(by_col.col_count(0), by_row.col_count(0));
+        assert_eq!(column_ones(&by_col, 0), column_ones(&by_row, 0));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use graphtempo::materialize::TimepointStore;
 use graphtempo::ops::Event;
 use tempo_columnar::Value;
 use tempo_datagen::RandomGraphConfig;
-use tempo_graph::{GraphVersions, TemporalGraph, TimepointPatch};
+use tempo_graph::{GraphStats, GraphVersions, TemporalGraph, TimepointPatch};
 
 fn graph() -> TemporalGraph {
     RandomGraphConfig {
@@ -137,6 +137,17 @@ fn registry_matches_reported_outcomes() {
     assert_eq!(delta("aggregate.group_table.cache_hits"), 3);
     assert_eq!(delta("explore.match_cols.builds"), 1);
     assert_eq!(delta("explore.match_cols.hits"), 1);
+
+    // -- `stats` on that epoch counts the columns it carried forward: no
+    // transpose per request --
+    let before = ins.snapshot();
+    let stats = GraphStats::compute(&next);
+    assert_eq!(stats.nodes_per_tp.len(), g.domain().len() + 1);
+    let after = ins.snapshot();
+    assert_eq!(
+        after.counter("graph.transpose_builds"),
+        before.counter("graph.transpose_builds")
+    );
 
     // -- materialization: build latency --
     let before = ins.snapshot();

@@ -475,14 +475,16 @@ impl TemporalGraph {
             .collect()
     }
 
-    /// Number of nodes existing at time `t`.
+    /// Number of nodes existing at time `t`: the popcount of its node
+    /// presence column.
     pub fn nodes_at(&self, t: TimePoint) -> usize {
-        self.node_presence.col_count(t.index())
+        self.node_presence_columns().col(t.index()).count_ones()
     }
 
-    /// Number of edges existing at time `t`.
+    /// Number of edges existing at time `t`: the popcount of its edge
+    /// presence column.
     pub fn edges_at(&self, t: TimePoint) -> usize {
-        self.edge_presence.col_count(t.index())
+        self.edge_presence_columns().col(t.index()).count_ones()
     }
 
     /// Raw node presence matrix (the paper's array **V**).

@@ -54,6 +54,6 @@ pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{EdgeId, NodeId, TemporalGraph};
 pub use groups::{GroupColumns, MatchColumns, MatchKey, NO_GROUP};
-pub use stats::{attr_domain_size_at, GraphStats};
+pub use stats::GraphStats;
 pub use time::{require_non_empty, Interval, TimeDomain, TimePoint, TimeSet};
 pub use versions::{GraphVersions, TimepointPatch};

@@ -1,10 +1,7 @@
 //! Dataset statistics: the per-timepoint profiles of Tables 3 and 4.
 
 use crate::graph::TemporalGraph;
-use crate::time::TimePoint;
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use tempo_columnar::Value;
 
 /// Per-timepoint and aggregate statistics of a temporal graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,29 +60,10 @@ impl GraphStats {
     }
 }
 
-/// Number of distinct values an attribute takes at a single time point
-/// (drives the aggregate-graph size discussed with Fig. 5).
-pub fn attr_domain_size_at(g: &TemporalGraph, attr_name: &str, t: TimePoint) -> usize {
-    let Ok(attr) = g.schema().id(attr_name) else {
-        return 0;
-    };
-    let mut seen: HashSet<Value> = HashSet::new();
-    for n in g.node_ids() {
-        if g.node_alive_at(n, t) {
-            let v = g.attr_value(n, attr, t);
-            if !v.is_null() {
-                seen.insert(v);
-            }
-        }
-    }
-    seen.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::fig1;
-    use crate::time::TimePoint;
 
     #[test]
     fn fig1_stats() {
@@ -104,15 +82,5 @@ mod tests {
         assert!(table.contains("#Nodes"));
         assert!(table.contains("#Edges"));
         assert!(table.contains('4'));
-    }
-
-    #[test]
-    fn attr_domains() {
-        let g = fig1();
-        // t0 publications values: {3, 1, 1, 2} → 3 distinct
-        assert_eq!(attr_domain_size_at(&g, "publications", TimePoint(0)), 3);
-        // gender at t0: {m, f} → 2 distinct
-        assert_eq!(attr_domain_size_at(&g, "gender", TimePoint(0)), 2);
-        assert_eq!(attr_domain_size_at(&g, "nope", TimePoint(0)), 0);
     }
 }
