@@ -16,7 +16,7 @@
 //!
 //! A second property holds the per-point presence counts and the shell
 //! `metrics` overlaps, which read the presence columns, to row probes at
-//! every epoch, including one whose parent never built its columns.
+//! every epoch.
 //!
 //! The appends rewrite static cells, add nodes and edges and record edge
 //! values, so an answer computed from group ids or match columns cached on
@@ -374,8 +374,6 @@ proptest! {
         for g in both_layouts(&g) {
             let base = Arc::new(g);
             let mut session = Session::for_snapshot(Arc::clone(&base), QueryLimits::default());
-            // the base is read only after the appends: the first appended
-            // epoch's parent never built its columns, every later one's did
             for (i, tokens) in patches.iter().enumerate() {
                 session.exec(&format!("append y{i}{tokens}")).unwrap();
                 check_presence_counts(&session.graph_arc().expect("session holds a graph"))?;

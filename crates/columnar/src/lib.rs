@@ -6,16 +6,18 @@
 //! The GraphTempo paper (EDBT 2023, §4) represents a temporal attributed
 //! graph with four kinds of labeled arrays:
 //!
-//! * **V** — one binary row per node over the time domain ([`BitMatrix`]),
-//! * **E** — one binary row per edge over the time domain ([`BitMatrix`]),
+//! * **V** — one binary column per time point over the nodes
+//!   ([`PresenceColumns`]),
+//! * **E** — one binary column per time point over the edges
+//!   ([`PresenceColumns`]),
 //! * **S** — one row per node holding its static attribute values,
 //! * **A_i** — for each time-varying attribute, one row per node and one
 //!   column per time point ([`ValueMatrix`]).
 //!
-//! The presence arrays are bit-packed ([`BitVec`], the row-major
-//! [`BitMatrix`] and its column-major [`TransposedBitMatrix`], hybrid
-//! dense/sparse [`PresenceColumn`]s) because every temporal operator and
-//! every aggregation of the `graphtempo` crate is a mask over them.
+//! The presence arrays are bit-packed (a [`PresenceColumns`] list of hybrid
+//! dense/sparse [`PresenceColumn`]s, masks as [`BitVec`]s) because every
+//! temporal operator and every aggregation of the `graphtempo` crate is a
+//! mask over them.
 //! [`Frame`] is the row container the arrays are written to and read from
 //! disk as (one delimited text file each).
 //!
@@ -45,11 +47,11 @@ mod matrix;
 mod sparse;
 mod value;
 
-pub use bitset::{word_ones, BitMatrix, BitVec, TransposedBitMatrix};
+pub use bitset::{word_ones, BitVec};
 pub use csv::{read_frame, write_frame};
 pub use error::ColumnarError;
 pub use frame::Frame;
 pub use interner::Interner;
 pub use matrix::{ValueMatrix, NULL_CODE};
-pub use sparse::{BlockWords, PresenceColumn, SparseMode};
+pub use sparse::{BlockWords, PresenceColumn, PresenceColumns, SparseMode};
 pub use value::{Value, ValueTuple};

@@ -1,7 +1,7 @@
-//! Hybrid dense/sparse presence columns.
+//! Hybrid dense/sparse presence columns, and the per-time-point column list
+//! that is a graph's presence.
 //!
-//! A transposed presence column ("which entities exist at time point `t`")
-//! is often extremely sparse on large graphs: a 1M-node graph stores each
+//! A presence column ("which entities exist at time point `t`") is often extremely sparse on large graphs: a 1M-node graph stores each
 //! column as 15 625 packed words even when only a few hundred nodes are
 //! alive. [`PresenceColumn`] keeps the dense [`BitVec`] layout for columns
 //! where word-parallel folds win, and switches to a sorted-ID list when the
@@ -19,13 +19,16 @@
 //! construction. Dense operands of one call must still agree with each
 //! other exactly; only the column itself may be short.
 
+use std::sync::Arc;
+
 use crate::bitset::{kernels, word_ones, BitVec};
 
 /// Number of bits per storage word (kept in sync with `bitset`).
 const WORD_BITS: usize = 64;
 
 /// Representation policy for presence columns built by
-/// [`BitMatrix::transposed_with`](crate::BitMatrix::transposed_with).
+/// [`PresenceColumn::from_bitvec`] (and re-laid out by
+/// [`PresenceColumns::transposed_with`]).
 ///
 /// The policy is always an explicit parameter, and everything the program
 /// serves runs under [`SparseMode::Auto`]: no option, environment variable
@@ -81,7 +84,7 @@ pub struct SparseIds {
     ids: Vec<u32>,
 }
 
-/// One transposed presence column in either representation.
+/// One presence column in either representation.
 ///
 /// Equality is structural: a dense and a sparse column holding the same
 /// bits compare *unequal*. Compare contents via
@@ -113,13 +116,7 @@ impl PresenceColumn {
         }
     }
 
-    /// Crate-internal constructor from pre-packed words (the blocked
-    /// transpose builds column words directly).
-    pub(crate) fn from_raw_words(nbits: usize, words: Vec<u64>, mode: SparseMode) -> Self {
-        Self::from_bitvec(BitVec::from_raw_words(nbits, words), mode)
-    }
-
-    /// Width of the column in bits (source-matrix rows).
+    /// Width of the column in bits (the entity rows it spans).
     #[inline]
     pub fn len(&self) -> usize {
         match self {
@@ -160,8 +157,7 @@ impl PresenceColumn {
 
     /// True if both columns hold the same set of bits, ignoring stored
     /// width (zero-extension) and representation. This is the equality an
-    /// incrementally maintained transposed index satisfies against a
-    /// from-scratch rebuild.
+    /// appended epoch's columns satisfy against a from-scratch build.
     pub fn bits_eq(&self, other: &PresenceColumn) -> bool {
         self.iter_ones().eq(other.iter_ones())
     }
@@ -655,6 +651,166 @@ impl PresenceColumn {
     }
 }
 
+/// The presence array of one side of a graph (the paper's **V** or **E**):
+/// one [`PresenceColumn`] over the entity rows per time point.
+///
+/// A column answers "which entities exist at time point `t`?" as one
+/// vector, the layout every read folds with `acc |= col[t]` /
+/// `acc &= col[t]` in O(rows/64) words per point (or O(nnz) when the column
+/// chose the sparse representation).
+///
+/// Columns are individually `Arc`-shared, so cloning the list for a new
+/// epoch copies only its spine; appending a time point is
+/// [`grow_rows`](Self::grow_rows) + [`push_col`](Self::push_col), with every
+/// prior column left physically shared and read as zero-extended up to the
+/// new `source_rows` (an entity created after a column's time point is
+/// absent at it by construction).
+#[must_use = "a column list built and dropped is a lost result"]
+#[derive(Clone, Debug)]
+pub struct PresenceColumns {
+    source_rows: usize,
+    cols: Vec<Arc<PresenceColumn>>,
+}
+
+impl PartialEq for PresenceColumns {
+    fn eq(&self, other: &Self) -> bool {
+        // semantic equality under zero-extension: carried-forward columns
+        // may be stored shorter than freshly built ones
+        self.source_rows == other.source_rows
+            && self.cols.len() == other.cols.len()
+            && self
+                .cols
+                .iter()
+                .zip(&other.cols)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a.bits_eq(b))
+    }
+}
+
+impl Eq for PresenceColumns {}
+
+impl PresenceColumns {
+    /// An empty list (no time points) over `source_rows` entity rows.
+    pub fn new(source_rows: usize) -> Self {
+        PresenceColumns {
+            source_rows,
+            cols: Vec::new(),
+        }
+    }
+
+    /// Number of columns (time points).
+    #[inline]
+    pub fn n_cols(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Number of entity rows. Columns may be stored shorter
+    /// (zero-extended): a column appended at an earlier epoch spans only
+    /// the entities that existed then.
+    #[inline]
+    pub fn source_rows(&self) -> usize {
+        self.source_rows
+    }
+
+    /// The presence column of time point `c`.
+    ///
+    /// # Panics
+    /// Panics if `c` is out of range.
+    #[inline]
+    pub fn col(&self, c: usize) -> &PresenceColumn {
+        self.cols[c].as_ref()
+    }
+
+    /// Number of columns stored in the sparse sorted-ID representation.
+    #[must_use]
+    pub fn n_sparse_cols(&self) -> usize {
+        self.cols.iter().filter(|c| c.is_sparse()).count()
+    }
+
+    /// Number of columns stored in the dense packed-word representation.
+    #[must_use]
+    pub fn n_dense_cols(&self) -> usize {
+        self.cols.len() - self.n_sparse_cols()
+    }
+
+    /// Appends one column (a freshly appended time point). The column
+    /// picks its own dense/sparse representation upstream
+    /// ([`PresenceColumn::from_bitvec`]); prior columns are untouched and
+    /// stay `Arc`-shared with earlier epochs.
+    ///
+    /// # Panics
+    /// Panics if the column spans more bits than `source_rows`.
+    pub fn push_col(&mut self, col: PresenceColumn) {
+        assert!(
+            col.len() <= self.source_rows,
+            "pushed column spans {} bits, more than source_rows {}",
+            col.len(),
+            self.source_rows
+        );
+        self.cols.push(Arc::new(col));
+    }
+
+    /// Declares a larger row span (entities appended since the columns were
+    /// built). Existing columns keep their stored width and are read as
+    /// zero-extended: a new entity is absent at every old time point.
+    ///
+    /// # Panics
+    /// Panics if `rows` is smaller than the current span.
+    pub fn grow_rows(&mut self, rows: usize) {
+        assert!(
+            rows >= self.source_rows,
+            "grow_rows cannot shrink: {} -> {rows}",
+            self.source_rows
+        );
+        self.source_rows = rows;
+    }
+
+    /// Count of columns physically shared (same allocation) with `other`: a
+    /// test/bench hook for asserting that an append shares the prior
+    /// columns instead of copying them.
+    pub fn shared_cols(&self, other: &PresenceColumns) -> usize {
+        self.cols
+            .iter()
+            .zip(&other.cols)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+
+    /// The same columns re-laid out under `mode`, each at its stored width:
+    /// what `TemporalGraph::set_sparse_mode` does to a graph's presence.
+    ///
+    /// Nothing is transposed; the name stays because
+    /// `benchmark/src/layers.rs:496` calls this method by it.
+    pub fn transposed_with(&self, mode: SparseMode) -> PresenceColumns {
+        PresenceColumns {
+            source_rows: self.source_rows,
+            cols: (self.cols.iter())
+                .map(|c| Arc::new(PresenceColumn::from_bitvec(c.to_bitvec(), mode)))
+                .collect(),
+        }
+    }
+
+    /// Validates the structural invariants: every column spans at most
+    /// `source_rows` bits (shorter columns are zero-extended) and
+    /// satisfies [`PresenceColumn::check_invariants`].
+    ///
+    /// # Errors
+    /// Returns a description of the first violated invariant.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (c, col) in self.cols.iter().enumerate() {
+            if col.len() > self.source_rows {
+                return Err(format!(
+                    "presence column {c} spans {} bits, more than source_rows {}",
+                    col.len(),
+                    self.source_rows
+                ));
+            }
+            col.check_invariants()
+                .map_err(|e| format!("presence column {c}: {e}"))?;
+        }
+        Ok(())
+    }
+}
+
 /// Probe count of sorted IDs against a dense bitmap that may be *shorter*
 /// than the ID space: IDs past the bitmap's storage cannot intersect
 /// (zero-extension) and terminate the scan early since the list is sorted.
@@ -1051,6 +1207,68 @@ mod tests {
                 assert_eq!(b.count_ones_and(&a), 2, "{b:?} x {a:?}");
             }
         }
+    }
+
+    #[test]
+    fn push_col_and_grow_rows_match_a_full_build() {
+        let bits =
+            |n: usize, c: usize| BitVec::from_indices(n, (0..n).filter(|r| (r + c) % (c + 2) == 1));
+        let mut t = PresenceColumns::new(70);
+        for c in 0..3 {
+            t.push_col(PresenceColumn::from_bitvec(bits(70, c), SparseMode::Auto));
+        }
+        let before = t.clone();
+        // grow the entity space and append a time point
+        t.grow_rows(80);
+        t.push_col(PresenceColumn::from_bitvec(bits(80, 3), SparseMode::Auto));
+        assert_eq!(t.check_invariants(), Ok(()));
+        assert_eq!((t.n_cols(), t.source_rows()), (4, 80));
+        assert_eq!(t.shared_cols(&before), 3);
+        // the same bits built at full width compare equal
+        let mut full = PresenceColumns::new(80);
+        for c in 0..4 {
+            let mut bv = bits(if c < 3 { 70 } else { 80 }, c);
+            bv.grow(80);
+            full.push_col(PresenceColumn::from_bitvec(bv, SparseMode::ForceDense));
+        }
+        assert_eq!(t, full);
+        // zero-extension: old columns read absent for new entities
+        assert!((0..3).all(|c| (70..80).all(|r| !t.col(c).get(r))));
+    }
+
+    #[test]
+    fn transposed_with_relays_out_every_column() {
+        let mut t = PresenceColumns::new(130);
+        t.push_col(dense(130, &[0, 64, 129]));
+        t.push_col(dense(100, &[]));
+        for mode in [
+            SparseMode::ForceSparse,
+            SparseMode::ForceDense,
+            SparseMode::Auto,
+        ] {
+            let r = t.transposed_with(mode);
+            assert_eq!(r, t);
+            assert_eq!(r.check_invariants(), Ok(()));
+            assert_eq!(r.col(1).len(), 100, "stored width kept");
+            let sparse = (0..2).filter(|&c| r.col(c).is_sparse()).count();
+            // Auto: three ones in 130 bits stay dense, the empty column goes sparse
+            let want = match mode {
+                SparseMode::ForceSparse => 2,
+                SparseMode::Auto => 1,
+                SparseMode::ForceDense => 0,
+            };
+            assert_eq!(
+                (sparse, r.n_sparse_cols(), r.n_dense_cols()),
+                (want, want, 2 - want)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than source_rows")]
+    fn push_col_too_wide_panics() {
+        let mut t = PresenceColumns::new(10);
+        t.push_col(dense(11, &[]));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::io::Cursor;
 use tempo_columnar::{
-    read_frame, write_frame, BitMatrix, BitVec, Frame, PresenceColumn, SparseMode, Value,
+    read_frame, write_frame, BitVec, Frame, PresenceColumn, PresenceColumns, SparseMode, Value,
     ValueMatrix, NULL_CODE,
 };
 
@@ -393,23 +393,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn matrix_restrict_columns_preserves_cells(
-        rows in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 12), 1..20),
-        keep in proptest::collection::vec(0usize..12, 1..6),
-    ) {
-        let mut m = BitMatrix::new(12);
-        for r in &rows {
-            m.push_row(&BitVec::from_bools(r));
-        }
-        let restricted = m.restrict_columns(&keep);
-        for (ri, row) in rows.iter().enumerate() {
-            for (new_c, &old_c) in keep.iter().enumerate() {
-                prop_assert_eq!(restricted.get(ri, new_c), row[old_c]);
-            }
-        }
-    }
-
     /// Every `BitVec` operation preserves `check_invariants`: tail-word
     /// hygiene must hold by construction, not by luck — a dirty tail would
     /// silently corrupt every popcount-based kernel downstream.
@@ -449,32 +432,27 @@ proptest! {
         }
     }
 
-    /// Every `BitMatrix` construction/reshaping op yields a matrix whose
-    /// structural invariants hold, and the transposed companion agrees
-    /// cell-for-cell with its source.
+    /// A column list built under one layout and re-laid out under each
+    /// other keeps its structural invariants and reads back the cells it
+    /// was built from, stored widths included.
     #[test]
-    fn bitmatrix_ops_preserve_invariants(
-        rows in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 70), 1..12),
-        keep in proptest::collection::vec(0usize..70, 1..8),
+    fn presence_columns_relayout_keeps_cells(
+        cols in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 0..70), 1..6),
     ) {
-        let mut m = BitMatrix::new(70);
-        prop_assert_eq!(m.check_invariants(), Ok(()));
-        for r in &rows {
-            m.push_row(&BitVec::from_bools(r));
-            prop_assert_eq!(m.check_invariants(), Ok(()));
+        let rows = cols.iter().map(Vec::len).max().unwrap_or(0);
+        let mut built = PresenceColumns::new(rows);
+        for c in &cols {
+            built.push_col(PresenceColumn::from_bitvec(BitVec::from_bools(c), SparseMode::Auto));
         }
-        m.push_empty_row();
-        prop_assert_eq!(m.check_invariants(), Ok(()));
-
-        prop_assert_eq!(m.restrict_columns(&keep).check_invariants(), Ok(()));
-        prop_assert_eq!(m.widen(133).check_invariants(), Ok(()));
-        prop_assert_eq!(m.select_rows(&[0, rows.len()]).check_invariants(), Ok(()));
-
-        let t = m.transposed();
-        prop_assert_eq!(t.check_invariants(), Ok(()));
-        for r in 0..m.nrows() {
-            for c in 0..m.ncols() {
-                prop_assert_eq!(m.get(r, c), t.col(c).get(r));
+        for mode in [SparseMode::ForceDense, SparseMode::ForceSparse, SparseMode::Auto] {
+            let t = built.transposed_with(mode);
+            prop_assert_eq!(t.check_invariants(), Ok(()));
+            prop_assert_eq!(&t, &built);
+            for (c, bits) in cols.iter().enumerate() {
+                prop_assert_eq!(t.col(c).len(), bits.len());
+                for r in 0..rows {
+                    prop_assert_eq!(t.col(c).get(r), bits.get(r).copied().unwrap_or(false));
+                }
             }
         }
     }

@@ -12,13 +12,13 @@
 //! [`GroupTable::aggregate_masked`] is what every read query runs (group ids
 //! counted into dense accumulators under an [`EventMask`]; the paper's §4.2
 //! static fast path is its one-id-per-node layout), and [`aggregate`] is the
-//! direct hash aggregation over the presence matrices of a materialized
+//! direct hash aggregation over the presence columns of a materialized
 //! graph it is checked against.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use tempo_columnar::{word_ones, BitVec, TransposedBitMatrix, Value, ValueTuple};
+use tempo_columnar::{word_ones, BitVec, PresenceColumns, Value, ValueTuple};
 use tempo_graph::{
     AttrId, EdgeId, GraphError, GroupColumns, MatchColumns, MatchKey, NodeId, TemporalGraph,
     Temporality, TimePoint, TimeSet,
@@ -314,7 +314,11 @@ pub fn aggregate_filtered(
         AggMode::Distinct => {
             let mut seen: HashSet<(usize, ValueTuple)> = HashSet::new();
             for n in 0..g.n_nodes() {
-                for t in g.node_presence_matrix().iter_row_ones(n) {
+                for t in g
+                    .node_timestamp(NodeId(n as u32))
+                    .iter()
+                    .map(TimePoint::index)
+                {
                     if !passes(n, t) {
                         continue;
                     }
@@ -327,7 +331,11 @@ pub fn aggregate_filtered(
         }
         AggMode::All => {
             for n in 0..g.n_nodes() {
-                for t in g.node_presence_matrix().iter_row_ones(n) {
+                for t in g
+                    .node_timestamp(NodeId(n as u32))
+                    .iter()
+                    .map(TimePoint::index)
+                {
                     if !passes(n, t) {
                         continue;
                     }
@@ -344,7 +352,11 @@ pub fn aggregate_filtered(
             let mut seen: HashSet<(usize, (ValueTuple, ValueTuple))> = HashSet::new();
             for e in 0..g.n_edges() {
                 let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                for t in g.edge_presence_matrix().iter_row_ones(e) {
+                for t in g
+                    .edge_timestamp(tempo_graph::EdgeId(e as u32))
+                    .iter()
+                    .map(TimePoint::index)
+                {
                     if !passes(u.index(), t) || !passes(v.index(), t) {
                         continue;
                     }
@@ -359,7 +371,11 @@ pub fn aggregate_filtered(
         AggMode::All => {
             for e in 0..g.n_edges() {
                 let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                for t in g.edge_presence_matrix().iter_row_ones(e) {
+                for t in g
+                    .edge_timestamp(tempo_graph::EdgeId(e as u32))
+                    .iter()
+                    .map(TimePoint::index)
+                {
                     if !passes(u.index(), t) || !passes(v.index(), t) {
                         continue;
                     }
@@ -470,7 +486,7 @@ pub(crate) trait Entities: Copy {
     /// What an appearance is counted under.
     type Key: Copy + PartialEq + Default;
     /// Which of the entities exist at each time point.
-    fn presence(&self) -> &TransposedBitMatrix;
+    fn presence(&self) -> &PresenceColumns;
     /// The key of entity `e` under the group ids `gids` of one time point.
     fn key(&self, e: usize, gids: &[u32]) -> Self::Key;
     /// Whether entity `e` passes where a filter lets the nodes of `pass`
@@ -489,7 +505,7 @@ pub(crate) struct Edges<'g>(pub(crate) &'g TemporalGraph);
 impl Entities for Nodes<'_> {
     type Key = u32;
 
-    fn presence(&self) -> &TransposedBitMatrix {
+    fn presence(&self) -> &PresenceColumns {
         self.0.node_presence_columns()
     }
 
@@ -507,7 +523,7 @@ impl Entities for Nodes<'_> {
 impl Entities for Edges<'_> {
     type Key = (u32, u32);
 
-    fn presence(&self) -> &TransposedBitMatrix {
+    fn presence(&self) -> &PresenceColumns {
         self.0.edge_presence_columns()
     }
 

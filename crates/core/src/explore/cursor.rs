@@ -1,4 +1,5 @@
-//! Chain-incremental pair evaluation over the transposed presence index.
+//! Chain-incremental pair evaluation over the per-time-point presence
+//! columns.
 //!
 //! Deriving both sides' memberships from scratch for an interval pair
 //! walks every node and edge row and tests it against 𝒯old and 𝒯new
@@ -8,7 +9,7 @@
 //! time point per step. Membership under
 //! union semantics therefore evolves as `acc |= column[t]`; under
 //! intersection as `acc &= column[t]` — a whole-vector OR/AND against one
-//! column of the transposed presence index
+//! presence column
 //! ([`TemporalGraph::node_presence_columns`]), i.e. `O(entity-words)` per
 //! step independent of interval length.
 //!
@@ -38,7 +39,7 @@ use super::{ExtendSide, Semantics};
 use crate::aggregate::CountTarget;
 use crate::ops::{Event, EventMask};
 use std::sync::Arc;
-use tempo_columnar::{BitVec, PresenceColumn, TransposedBitMatrix};
+use tempo_columnar::{BitVec, PresenceColumn, PresenceColumns};
 use tempo_graph::{EdgeId, MatchColumns, MatchKey, TemporalGraph, TimePoint};
 use tempo_instrument::metrics;
 
@@ -88,8 +89,8 @@ fn selection<'a>(matches: &'a MatchColumns, scope_match: &'a BitVec) -> &'a BitV
 /// write the mask also split it into `mask_ns` / `count_ns`.
 pub struct ChainCursor<'k, 'g> {
     kernel: &'k ExploreKernel<'g>,
-    node_cols: &'g TransposedBitMatrix,
-    edge_cols: &'g TransposedBitMatrix,
+    node_cols: &'g PresenceColumns,
+    edge_cols: &'g PresenceColumns,
     /// Domain length.
     n: usize,
     /// Whether the selector counts edges; a node selector also needs the
@@ -103,7 +104,7 @@ pub struct ChainCursor<'k, 'g> {
     /// Time point of the fixed reference side of the loaded chain.
     ref_t: usize,
     /// Extended-side membership accumulators (`|=` under union, `&=` under
-    /// intersection, one transposed column per step).
+    /// intersection, one presence column per step).
     ext_nodes: BitVec,
     ext_edges: BitVec,
     /// OR of the selector's per-point match columns over the mask's scope
@@ -121,9 +122,9 @@ pub struct ChainCursor<'k, 'g> {
 }
 
 impl<'k, 'g> ChainCursor<'k, 'g> {
-    /// Builds a cursor over a shared kernel: borrows (building on first use)
-    /// the graph's transposed presence indexes and the selector's cached
-    /// match columns.
+    /// Builds a cursor over a shared kernel: borrows the graph's presence
+    /// columns and (building on first use) the selector's cached match
+    /// columns.
     pub fn new(kernel: &'k ExploreKernel<'g>) -> Self {
         metrics::EXPLORE_CURSOR_BUILDS.inc();
         let g = kernel.g;
@@ -199,7 +200,7 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     }
 
     /// Extends the loaded chain by one time point: one whole-vector OR/AND
-    /// against the added point's transposed columns.
+    /// against the added point's presence columns.
     fn advance(&mut self) {
         #[allow(clippy::expect_used)]
         let i = self

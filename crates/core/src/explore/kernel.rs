@@ -13,7 +13,7 @@
 //! version, not per run) and the selector resolved to a [`CountTarget`]
 //! (group ids, not tuples). The [`ChainCursor`](super::ChainCursor) built
 //! over it computes each pair's membership with whole-vector AND/ANDNOT
-//! against the transposed presence columns and counts matching group ids
+//! against the per-time-point presence columns and counts matching group ids
 //! directly. No subgraph, no row clones, no per-pair hash keys.
 
 use super::{ExploreConfig, ExtendSide, Selector};

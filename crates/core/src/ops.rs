@@ -18,8 +18,10 @@
 //! answer from [`event_mask`], which selects the same rows without copying
 //! them.
 
-use tempo_columnar::{BitMatrix, BitVec, Interner, TransposedBitMatrix, Value, ValueMatrix};
-use tempo_graph::{require_non_empty, GraphError, NodeId, TemporalGraph, TimeSet};
+use tempo_columnar::{
+    BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, Value, ValueMatrix,
+};
+use tempo_graph::{require_non_empty, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet};
 
 /// How an entity's timestamp is tested against one side interval.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -59,7 +61,7 @@ pub enum Event {
 /// [`event_graph`] copies the selected entities into a fresh
 /// [`TemporalGraph`], an `EventMask` merely records *which* rows of `g`
 /// belong to the event graph and over which `scope` their timestamps count.
-/// Aggregation can then run directly against the source presence matrices
+/// Aggregation can then run directly against the source presence columns
 /// (see `graphtempo::aggregate::GroupTable`).
 #[must_use = "a mask computed and dropped is a lost result"]
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -128,11 +130,10 @@ impl EventMask {
     }
 }
 
-/// The entities that are members of `side` under `test`, over the
-/// transposed presence index: the OR (`Any`) or AND (`All`) of the side's
-/// time-point columns — one whole-vector pass per point instead of one
-/// row test per entity.
-pub(crate) fn side_members(cols: &TransposedBitMatrix, side: &TimeSet, test: SideTest) -> BitVec {
+/// The entities that are members of `side` under `test`, over the presence
+/// columns: the OR (`Any`) or AND (`All`) of the side's time-point columns —
+/// one whole-vector pass per point instead of one row test per entity.
+pub(crate) fn side_members(cols: &PresenceColumns, side: &TimeSet, test: SideTest) -> BitVec {
     let mut members = BitVec::zeros(cols.source_rows());
     let mut points = side.iter();
     if let Some(first) = points.next() {
@@ -150,8 +151,8 @@ pub(crate) fn side_members(cols: &TransposedBitMatrix, side: &TimeSet, test: Sid
 /// Computes the [`EventMask`] of the §3 event operators for a pair of
 /// intervals under explicit side semantics — the selection half of
 /// [`event_graph`] with no subgraph materialization: membership is decided
-/// column-wise against the graph's transposed presence indexes
-/// ([`TemporalGraph::node_presence_columns`], built on first use).
+/// column-wise against the graph's presence columns
+/// ([`TemporalGraph::node_presence_columns`]).
 ///
 /// # Errors
 /// Returns an error if either interval is empty.
@@ -167,7 +168,7 @@ pub fn event_mask(
     require_non_empty(tnew, "𝒯new")?;
     let (keep_nodes, keep_edges, scope) = match event {
         Event::Stability => {
-            let in_both = |cols: &TransposedBitMatrix| {
+            let in_both = |cols: &PresenceColumns| {
                 let mut keep = side_members(cols, told, old_test);
                 keep.and_assign(&side_members(cols, tnew, new_test));
                 keep
@@ -221,47 +222,86 @@ fn difference_masks(
     (keep_nodes, keep_edges)
 }
 
+/// For each row set in `keep`, its position among them (`u32::MAX`
+/// elsewhere): the row numbers of a materialized subgraph.
+pub(crate) fn positions(keep: &BitVec) -> Vec<u32> {
+    let mut new_row = vec![u32::MAX; keep.len()];
+    for (i, r) in keep.iter_ones().enumerate() {
+        new_row[r] = i as u32;
+    }
+    new_row
+}
+
+/// The presence of a materialized subgraph: one column per item of `cols`,
+/// each item's rows (all set in `keep`) renumbered by [`positions`].
+pub(crate) fn kept_columns<I: Iterator<Item = usize>>(
+    cols: impl Iterator<Item = I>,
+    keep: &BitVec,
+) -> PresenceColumns {
+    let (new_row, n) = (positions(keep), keep.count_ones());
+    let mut out = PresenceColumns::new(n);
+    for rows in cols {
+        let bits = BitVec::from_indices(n, rows.map(|r| new_row[r] as usize));
+        out.push_col(PresenceColumn::from_bitvec(bits, SparseMode::Auto));
+    }
+    out
+}
+
+/// `cols` restricted to the rows set in `keep` inside `scope`, and empty
+/// outside it.
+fn scoped<'a>(
+    cols: &'a PresenceColumns,
+    keep: &'a BitVec,
+    scope: &'a TimeSet,
+) -> impl Iterator<Item = impl Iterator<Item = usize> + 'a> + 'a {
+    (0..cols.n_cols()).map(move |t| {
+        let inside = scope.contains(TimePoint(t as u32));
+        inside
+            .then(|| cols.col(t).iter_ones_and(keep))
+            .into_iter()
+            .flatten()
+    })
+}
+
 /// Materializes the subgraph of `g` induced by the kept node and edge rows,
 /// with all timestamps and time-varying values masked to `scope`.
 fn materialize_subgraph(
     g: &TemporalGraph,
-    keep_nodes: &[usize],
-    keep_edges: &[usize],
+    keep_nodes: &BitVec,
+    keep_edges: &BitVec,
     scope: &TimeSet,
 ) -> Result<TemporalGraph, GraphError> {
     let nt = g.domain().len();
+    let node_rows: Vec<usize> = keep_nodes.iter_ones().collect();
+    let remap = positions(keep_nodes);
     let mut names = Interner::new();
-    let mut remap = vec![u32::MAX; g.n_nodes()];
-    let mut node_presence = BitMatrix::new(nt);
-    for &r in keep_nodes {
-        let name = g.node_name(NodeId(r as u32)).to_owned();
-        let new_id = names.intern(name);
-        remap[r] = new_id;
-        node_presence.push_row(&g.node_presence_matrix().row_masked(r, scope.bits()));
+    for &r in &node_rows {
+        names.intern(g.node_name(NodeId(r as u32)).to_owned());
     }
+    let (node_cols, edge_cols) = (g.node_presence_columns(), g.edge_presence_columns());
+    let node_presence = kept_columns(scoped(node_cols, keep_nodes, scope), keep_nodes);
+    let edge_presence = kept_columns(scoped(edge_cols, keep_edges, scope), keep_edges);
 
-    let mut edges = Vec::with_capacity(keep_edges.len());
-    let mut edge_presence = BitMatrix::new(nt);
+    let mut edges = Vec::with_capacity(keep_edges.count_ones());
     let mut edge_values = g.edge_values_matrix().map(|_| ValueMatrix::new(nt));
-    for &r in keep_edges {
-        let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(r as u32));
+    for r in keep_edges.iter_ones() {
+        let e = tempo_graph::EdgeId(r as u32);
+        let (u, v) = g.edge_endpoints(e);
         let (nu, nv) = (remap[u.index()], remap[v.index()]);
         debug_assert!(
             nu != u32::MAX && nv != u32::MAX,
             "kept edge must have kept endpoints"
         );
         edges.push((NodeId(nu), NodeId(nv)));
-        let masked = g.edge_presence_matrix().row_masked(r, scope.bits());
         if let (Some(out), Some(src)) = (&mut edge_values, g.edge_values_matrix()) {
             let new_r = out.push_null_row();
-            for t in masked.iter_ones() {
-                out.set(new_r, t, src.get(r, t).clone());
+            for t in g.edge_timestamp(e).intersect(scope).iter() {
+                out.set(new_r, t.index(), src.get(r, t.index()).clone());
             }
         }
-        edge_presence.push_row(&masked);
     }
 
-    let static_table = g.static_table().select_rows(keep_nodes);
+    let static_table = g.static_table().select_rows(&node_rows);
 
     let schema = g.schema().clone();
     let mut tv_tables = Vec::new();
@@ -271,10 +311,10 @@ fn materialize_subgraph(
             .tv_table(attr)
             .expect("invariant: id came from time_varying_ids, so a table exists");
         let mut tbl = ValueMatrix::new(nt);
-        for (new_r, &r) in keep_nodes.iter().enumerate() {
+        for (new_r, &r) in node_rows.iter().enumerate() {
             tbl.push_null_row();
-            for t in node_presence.iter_row_ones(new_r) {
-                tbl.set(new_r, t, src.get(r, t).clone());
+            for t in g.node_timestamp(NodeId(r as u32)).intersect(scope).iter() {
+                tbl.set(new_r, t.index(), src.get(r, t.index()).clone());
             }
         }
         tv_tables.push(tbl);
@@ -300,12 +340,8 @@ fn materialize_subgraph(
 /// Returns an error if `t1` is empty or materialization fails.
 pub fn project(g: &TemporalGraph, t1: &TimeSet) -> Result<TemporalGraph, GraphError> {
     require_non_empty(t1, "𝒯₁")?;
-    let keep_nodes: Vec<usize> = (0..g.n_nodes())
-        .filter(|&r| g.node_presence_matrix().row_all(r, t1.bits()))
-        .collect();
-    let keep_edges: Vec<usize> = (0..g.n_edges())
-        .filter(|&r| g.edge_presence_matrix().row_all(r, t1.bits()))
-        .collect();
+    let keep_nodes = side_members(g.node_presence_columns(), t1, SideTest::All);
+    let keep_edges = side_members(g.edge_presence_columns(), t1, SideTest::All);
     materialize_subgraph(g, &keep_nodes, &keep_edges, t1)
 }
 
@@ -346,12 +382,8 @@ pub fn union(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) -> Result<TemporalGr
     require_non_empty(t1, "𝒯₁")?;
     require_non_empty(t2, "𝒯₂")?;
     let scope = t1.union(t2);
-    let keep_nodes: Vec<usize> = (0..g.n_nodes())
-        .filter(|&r| g.node_presence_matrix().row_any(r, scope.bits()))
-        .collect();
-    let keep_edges: Vec<usize> = (0..g.n_edges())
-        .filter(|&r| g.edge_presence_matrix().row_any(r, scope.bits()))
-        .collect();
+    let keep_nodes = side_members(g.node_presence_columns(), &scope, SideTest::Any);
+    let keep_edges = side_members(g.edge_presence_columns(), &scope, SideTest::Any);
     materialize_subgraph(g, &keep_nodes, &keep_edges, &scope)
 }
 
@@ -406,7 +438,7 @@ pub fn event_graph(
     new_test: SideTest,
 ) -> Result<TemporalGraph, GraphError> {
     let mask = event_mask(g, event, told, tnew, old_test, new_test)?;
-    materialize_subgraph(g, &mask.node_rows(), &mask.edge_rows(), mask.scope())
+    materialize_subgraph(g, mask.keep_nodes(), mask.keep_edges(), mask.scope())
 }
 
 /// Convenience: renders an aggregate value tuple for error messages/tests.
@@ -427,7 +459,6 @@ pub(crate) fn render_tuple(
 mod tests {
     use super::*;
     use tempo_graph::fixtures::fig1;
-    use tempo_graph::TimePoint;
 
     fn ts(points: &[usize]) -> TimeSet {
         TimeSet::from_indices(3, points.iter().copied())

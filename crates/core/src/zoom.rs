@@ -14,9 +14,9 @@
 //! latest covered fine point at which the node exists (the most recent
 //! observation), matching the "latest snapshot wins" convention.
 
-use crate::ops::SideTest;
-use tempo_columnar::{BitMatrix, Value, ValueMatrix};
-use tempo_graph::{GraphError, TemporalGraph, TimeDomain, TimeSet};
+use crate::ops::{kept_columns, positions, side_members, SideTest};
+use tempo_columnar::{BitVec, Value, ValueMatrix};
+use tempo_graph::{EdgeId, GraphError, NodeId, TemporalGraph, TimeDomain, TimeSet};
 
 /// A partition of a time domain into consecutive groups.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,72 +154,63 @@ pub fn zoom_out(
         })
         .collect();
 
-    let coarse_row =
-        |tau: &TimeSet| -> Vec<bool> { masks.iter().map(|m| semantics.member(tau, m)).collect() };
+    // Each coarse point's members over the fine rows: the OR (any) or AND
+    // (all) of its window's columns. An edge additionally needs both
+    // endpoints there (an intersection-zoomed edge can span a group its
+    // endpoint only partially covers — drop those bits).
+    let coarse_nodes: Vec<BitVec> = (masks.iter())
+        .map(|m| side_members(g.node_presence_columns(), m, semantics))
+        .collect();
+    let coarse_edges: Vec<BitVec> = (masks.iter().zip(&coarse_nodes))
+        .map(|(m, nodes)| {
+            let members = side_members(g.edge_presence_columns(), m, semantics);
+            let ends_present = |&e: &usize| {
+                let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+                nodes.get(u.index()) && nodes.get(v.index())
+            };
+            BitVec::from_indices(g.n_edges(), members.iter_ones().filter(ends_present))
+        })
+        .collect();
+    // Entities with no coarse presence are dropped; the rest keep their
+    // order.
+    let any = |coarse: &[BitVec], n: usize| {
+        let mut any = BitVec::zeros(n);
+        coarse.iter().for_each(|c| any.or_assign(c));
+        any
+    };
+    let (kept_nodes, kept_edges) = (
+        any(&coarse_nodes, g.n_nodes()),
+        any(&coarse_edges, g.n_edges()),
+    );
+    let node_presence = kept_columns(coarse_nodes.iter().map(BitVec::iter_ones), &kept_nodes);
+    let edge_presence = kept_columns(coarse_edges.iter().map(BitVec::iter_ones), &kept_edges);
+    let node_row = positions(&kept_nodes);
+    let keep_nodes: Vec<usize> = kept_nodes.iter_ones().collect();
 
-    // Nodes.
-    let mut keep_nodes: Vec<usize> = Vec::new();
-    let mut node_rows: Vec<Vec<bool>> = Vec::new();
-    for n in g.node_ids() {
-        let row = coarse_row(&g.node_timestamp(n));
-        if row.iter().any(|&b| b) {
-            keep_nodes.push(n.index());
-            node_rows.push(row);
-        }
-    }
-    // Explicit old-row → new-row map for the kept nodes. The interner also
-    // assigns codes in keep order (asserted below), but edge endpoint
-    // lookup must not depend on that internal coincidence.
-    let mut new_index = vec![usize::MAX; g.n_nodes()];
     let mut names = tempo_columnar::Interner::new();
-    let mut node_presence = BitMatrix::new(coarse_n);
-    for (new_i, &old) in keep_nodes.iter().enumerate() {
-        let code = names.intern(g.node_name(tempo_graph::NodeId(old as u32)).to_owned());
-        debug_assert_eq!(code as usize, new_i, "fresh names intern in keep order");
-        new_index[old] = new_i;
-        node_presence.push_row(&tempo_columnar::BitVec::from_bools(&node_rows[new_i]));
+    for &old in &keep_nodes {
+        names.intern(g.node_name(NodeId(old as u32)).to_owned());
     }
-
-    // Edges: keep those with coarse presence AND both endpoints present at
-    // every coarse point the edge claims (an intersection-zoomed edge can
-    // span a group its endpoint only partially covers — drop those bits).
-    let mut edges = Vec::new();
-    let mut edge_presence = BitMatrix::new(coarse_n);
+    let mut edges = Vec::with_capacity(kept_edges.count_ones());
     let mut edge_values = g.edge_values_matrix().map(|_| ValueMatrix::new(coarse_n));
-    for e in g.edge_ids() {
-        let (u, v) = g.edge_endpoints(e);
-        let (ui, vi) = (new_index[u.index()], new_index[v.index()]);
-        if ui == usize::MAX || vi == usize::MAX {
-            continue;
-        }
-        let mut row = coarse_row(&g.edge_timestamp(e));
-        let urow = &node_rows[ui];
-        let vrow = &node_rows[vi];
-        for (i, b) in row.iter_mut().enumerate() {
-            *b = *b && urow[i] && vrow[i];
-        }
-        if row.iter().any(|&b| b) {
-            edges.push((
-                tempo_graph::NodeId(ui as u32),
-                tempo_graph::NodeId(vi as u32),
-            ));
-            if let (Some(out), Some(src)) = (&mut edge_values, g.edge_values_matrix()) {
-                let new_r = out.push_null_row();
-                for (ci, present) in row.iter().enumerate() {
-                    if !present {
-                        continue;
-                    }
-                    let (a, b) = granularity.group(ci);
-                    let latest = (a..=b)
-                        .rev()
-                        .map(|t| src.get(e.index(), t))
-                        .find(|v| !v.is_null())
-                        .cloned()
-                        .unwrap_or(Value::Null);
-                    out.set(new_r, ci, latest);
+    for e in kept_edges.iter_ones() {
+        let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+        edges.push((NodeId(node_row[u.index()]), NodeId(node_row[v.index()])));
+        if let (Some(out), Some(src)) = (&mut edge_values, g.edge_values_matrix()) {
+            let new_r = out.push_null_row();
+            for (ci, coarse) in coarse_edges.iter().enumerate() {
+                if !coarse.get(e) {
+                    continue;
                 }
+                let (a, b) = granularity.group(ci);
+                let latest = (a..=b)
+                    .rev()
+                    .map(|t| src.get(e, t))
+                    .find(|v| !v.is_null())
+                    .cloned()
+                    .unwrap_or(Value::Null);
+                out.set(new_r, ci, latest);
             }
-            edge_presence.push_row(&tempo_columnar::BitVec::from_bools(&row));
         }
     }
 
@@ -236,8 +227,8 @@ pub fn zoom_out(
         let mut tbl = ValueMatrix::new(coarse_n);
         for (new_i, &old) in keep_nodes.iter().enumerate() {
             tbl.push_null_row();
-            for (ci, present) in node_rows[new_i].iter().enumerate() {
-                if !present {
+            for (ci, coarse) in coarse_nodes.iter().enumerate() {
+                if !coarse.get(old) {
                     continue;
                 }
                 let (a, b) = granularity.group(ci);

@@ -92,10 +92,6 @@ fn registry_matches_reported_outcomes() {
         hist_delta("explore.cursor.step_ns"),
         expected_evals - chains
     );
-    // the transposed presence indexes are built once (nodes + edges) and
-    // cached on the graph across runs
-    assert_eq!(delta("graph.transpose_builds"), 2);
-    assert_eq!(hist_delta("graph.transpose_build_ns"), 2);
     // every pair of every chain is either evaluated or pruned
     let n = g.domain().len() as u64;
     assert_eq!(
@@ -104,7 +100,7 @@ fn registry_matches_reported_outcomes() {
     );
 
     // -- the snapshot's caches, across one append: a cached attribute list
-    // is extended, not rebuilt, and each transposed index gains one column;
+    // is extended, not rebuilt, and each side's presence gains one column;
     // a tuple selector's match columns are built once per snapshot --
     let before = ins.snapshot();
     let mut patch = TimepointPatch::new("appended");
@@ -128,8 +124,14 @@ fn registry_matches_reported_outcomes() {
     }
     let after = ins.snapshot();
     let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(delta("graph.index.append_cols"), 2);
-    assert_eq!(delta("graph.transpose_builds"), 0);
+    let nt = g.domain().len();
+    for (cols, parent) in [
+        (next.node_presence_columns(), g.node_presence_columns()),
+        (next.edge_presence_columns(), g.edge_presence_columns()),
+    ] {
+        assert_eq!(cols.n_cols(), nt + 1);
+        assert_eq!(cols.shared_cols(parent), nt);
+    }
     assert_eq!(delta("aggregate.group_table.cache_extends"), 1);
     assert_eq!(delta("aggregate.group_table.cache_misses"), 0);
     assert_eq!(delta("aggregate.group_tables_built"), 0);
@@ -138,15 +140,12 @@ fn registry_matches_reported_outcomes() {
     assert_eq!(delta("explore.match_cols.builds"), 1);
     assert_eq!(delta("explore.match_cols.hits"), 1);
 
-    // -- `stats` on that epoch counts the columns it carried forward: no
-    // transpose per request --
-    let before = ins.snapshot();
+    // -- `stats` on that epoch counts the columns it carried forward --
     let stats = GraphStats::compute(&next);
-    assert_eq!(stats.nodes_per_tp.len(), g.domain().len() + 1);
-    let after = ins.snapshot();
+    assert_eq!(stats.nodes_per_tp.len(), nt + 1);
     assert_eq!(
-        after.counter("graph.transpose_builds"),
-        before.counter("graph.transpose_builds")
+        stats.nodes_per_tp[nt],
+        next.node_presence_columns().col(nt).count_ones()
     );
 
     // -- materialization: build latency --

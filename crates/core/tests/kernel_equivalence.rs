@@ -566,7 +566,6 @@ fn distinct_walk_crosses_words_and_chunks() {
             assert_walks_match_oracles(&g, &t1, &t2);
         }
         // the appended epoch carries the old columns forward unwidened
-        let _ = (g.node_presence_columns(), g.edge_presence_columns());
         let mut patch = TimepointPatch::new("appended");
         let level = level_attr(&g);
         patch.set_time_varying("fresh", level, Value::Int(2));

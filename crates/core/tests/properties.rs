@@ -49,7 +49,7 @@ proptest! {
     ) {
         let n = g.domain().len();
         let (t1, t2) = (interval(n, s1), interval(n, s2));
-        let alive_t1 = g.edges_alive_any(&t1).len();
+        let alive_t1 = g.edge_ids().filter(|&e| g.edge_timestamp(e).intersects(&t1)).count();
         let stable = intersection(&g, &t1, &t2).unwrap().n_edges();
         let deleted = difference(&g, &t1, &t2).unwrap().n_edges();
         prop_assert_eq!(alive_t1, stable + deleted);

@@ -60,12 +60,6 @@ metrics! {
     Counter EXPLORE_MATCH_COLS_HITS = "explore.match_cols.hits";
     /// Interval pairs a monotonicity shortcut skipped.
     Counter EXPLORE_PRUNED = "explore.pruned";
-    /// Presence columns appended to a transposed index, one per append and index.
-    Counter GRAPH_INDEX_APPEND_COLS = "graph.index.append_cols";
-    /// Time to transpose one presence matrix.
-    Histogram GRAPH_TRANSPOSE_BUILD_NS = "graph.transpose_build_ns";
-    /// Presence matrices transposed from scratch (appends extend instead).
-    Counter GRAPH_TRANSPOSE_BUILDS = "graph.transpose_builds";
     /// Time to build a per-time-point aggregate store.
     Histogram MATERIALIZE_STORE_BUILD_NS = "materialize.store_build_ns";
     /// Requests answered `ERR` other than a timeout.

@@ -5,7 +5,9 @@ use crate::error::GraphError;
 use crate::graph::{NodeId, TemporalGraph};
 use crate::time::{TimeDomain, TimePoint, TimeSet};
 use std::collections::HashMap;
-use tempo_columnar::{BitMatrix, Interner, Value, ValueMatrix};
+use tempo_columnar::{
+    BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, Value, ValueMatrix,
+};
 
 /// Incrementally builds a [`TemporalGraph`].
 ///
@@ -13,17 +15,21 @@ use tempo_columnar::{BitMatrix, Interner, Value, ValueMatrix};
 /// at `t` marks both endpoints present at `t`; setting a time-varying value
 /// marks the node present); the `_unchecked` variants skip that so tests and
 /// loaders can surface validation errors from [`GraphBuilder::build`].
+///
+/// Presence is kept as one growable bitmap per time point and side, widened
+/// on demand as entities arrive; [`build`](GraphBuilder::build) turns each
+/// into the graph's [`PresenceColumn`] for that point.
 #[derive(Debug)]
 pub struct GraphBuilder {
     domain: TimeDomain,
     schema: AttributeSchema,
     node_names: Interner<String>,
-    node_presence: BitMatrix,
+    node_presence: Vec<BitVec>,
     static_table: ValueMatrix,
     tv_tables: Vec<ValueMatrix>,
     edges: Vec<(NodeId, NodeId)>,
     edge_index: HashMap<(u32, u32), u32>,
-    edge_presence: BitMatrix,
+    edge_presence: Vec<BitVec>,
     edge_values: ValueMatrix,
     edge_values_used: bool,
 }
@@ -38,12 +44,12 @@ impl GraphBuilder {
             domain,
             schema,
             node_names: Interner::new(),
-            node_presence: BitMatrix::new(nt),
+            node_presence: vec![BitVec::zeros(0); nt],
             static_table: ValueMatrix::new(n_static),
             tv_tables: (0..n_tv).map(|_| ValueMatrix::new(nt)).collect(),
             edges: Vec::new(),
             edge_index: HashMap::new(),
-            edge_presence: BitMatrix::new(nt),
+            edge_presence: vec![BitVec::zeros(0); nt],
             edge_values: ValueMatrix::new(nt),
             edge_values_used: false,
         }
@@ -52,7 +58,7 @@ impl GraphBuilder {
     /// Resumes construction from an existing graph with `new_labels`
     /// appended to its time domain — the incremental-update path for an
     /// evolving graph: all existing presence, attributes and edges carry
-    /// over, and the new time points start empty.
+    /// over, and the new time points start as empty columns.
     ///
     /// # Errors
     /// Returns an error if a new label duplicates an existing one.
@@ -61,10 +67,17 @@ impl GraphBuilder {
         labels.extend(new_labels.iter().map(|s| (*s).to_owned()));
         let domain = TimeDomain::new(labels)?;
         let nt = domain.len();
+        let bitmaps = |cols: &PresenceColumns| {
+            let mut v: Vec<BitVec> = (0..cols.n_cols())
+                .map(|t| cols.col(t).to_bitvec())
+                .collect();
+            v.resize(nt, BitVec::zeros(0));
+            v
+        };
         Ok(GraphBuilder {
             domain,
-            node_presence: g.node_presence.widen(nt),
-            edge_presence: g.edge_presence.widen(nt),
+            node_presence: bitmaps(&g.node_presence),
+            edge_presence: bitmaps(&g.edge_presence),
             tv_tables: g.tv_tables.iter().map(|t| t.widen(nt)).collect(),
             schema: g.schema,
             node_names: g.node_names,
@@ -136,7 +149,6 @@ impl GraphBuilder {
 
     fn register_node(&mut self, name: &str) -> NodeId {
         let code = self.node_names.intern(name.to_owned());
-        self.node_presence.push_empty_row();
         self.static_table
             .push_row(vec![Value::Null; self.static_table.ncols()]);
         for tbl in &mut self.tv_tables {
@@ -159,6 +171,15 @@ impl GraphBuilder {
         Ok(())
     }
 
+    /// Sets node `n`'s bit in the column of `t` (both already checked).
+    fn mark_node(&mut self, n: NodeId, t: TimePoint) {
+        mark(
+            &mut self.node_presence[t.index()],
+            n.index(),
+            self.node_names.len(),
+        );
+    }
+
     /// Marks node `n` present at time `t`.
     ///
     /// # Errors
@@ -166,7 +187,7 @@ impl GraphBuilder {
     pub fn set_presence(&mut self, n: NodeId, t: TimePoint) -> Result<(), GraphError> {
         self.check_node(n)?;
         self.check_time(t)?;
-        self.node_presence.set(n.index(), t.index(), true);
+        self.mark_node(n, t);
         Ok(())
     }
 
@@ -184,7 +205,7 @@ impl GraphBuilder {
             )));
         }
         for t in times.iter() {
-            self.node_presence.set(n.index(), t.index(), true);
+            self.mark_node(n, t);
         }
         Ok(())
     }
@@ -219,7 +240,7 @@ impl GraphBuilder {
         value: Value,
     ) -> Result<(), GraphError> {
         self.set_time_varying_unchecked(n, attr, t, value)?;
-        self.node_presence.set(n.index(), t.index(), true);
+        self.mark_node(n, t);
         Ok(())
     }
 
@@ -252,7 +273,6 @@ impl GraphBuilder {
             None => {
                 let i = self.edges.len() as u32;
                 self.edges.push((u, v));
-                self.edge_presence.push_empty_row();
                 self.edge_values.push_null_row();
                 self.edge_index.insert((u.0, v.0), i);
                 i
@@ -267,8 +287,8 @@ impl GraphBuilder {
     /// Returns an error for unknown nodes or time points.
     pub fn add_edge_at(&mut self, u: NodeId, v: NodeId, t: TimePoint) -> Result<(), GraphError> {
         self.add_edge_at_unchecked(u, v, t)?;
-        self.node_presence.set(u.index(), t.index(), true);
-        self.node_presence.set(v.index(), t.index(), true);
+        self.mark_node(u, t);
+        self.mark_node(v, t);
         Ok(())
     }
 
@@ -287,7 +307,11 @@ impl GraphBuilder {
         self.check_node(v)?;
         self.check_time(t)?;
         let row = self.edge_row(u, v);
-        self.edge_presence.set(row as usize, t.index(), true);
+        mark(
+            &mut self.edge_presence[t.index()],
+            row as usize,
+            self.edges.len(),
+        );
         Ok(())
     }
 
@@ -339,19 +363,41 @@ impl GraphBuilder {
         self.tv_tables
             .iter_mut()
             .for_each(ValueMatrix::shrink_to_fit);
+        let node_presence = columns(self.node_presence, self.node_names.len());
+        let edge_presence = columns(self.edge_presence, self.edges.len());
         TemporalGraph::assemble(
             self.domain,
             self.schema,
             self.node_names,
-            self.node_presence,
+            node_presence,
             self.edges,
             Some(self.edge_index),
-            self.edge_presence,
+            edge_presence,
             self.static_table,
             self.tv_tables,
             self.edge_values_used.then_some(self.edge_values),
         )
     }
+}
+
+/// Sets bit `r` of a builder column, first widening it to all `rows`
+/// entities registered so far when it is too short.
+fn mark(col: &mut BitVec, r: usize, rows: usize) {
+    if r >= col.len() {
+        col.grow(rows);
+    }
+    col.set(r, true);
+}
+
+/// The graph's columns from the builder's bitmaps, each widened to `rows`
+/// and laid out dense or sparse by its own density.
+fn columns(bitmaps: Vec<BitVec>, rows: usize) -> PresenceColumns {
+    let mut cols = PresenceColumns::new(rows);
+    for mut bv in bitmaps {
+        bv.grow(rows);
+        cols.push_col(PresenceColumn::from_bitvec(bv, SparseMode::Auto));
+    }
+    cols
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //!
 //! A [`TemporalGraph`] stores, following §4 of the paper:
 //!
-//! * a node presence bit matrix **V** (`|V| × |𝒯|`),
-//! * an edge presence bit matrix **E** (`|E| × |𝒯|`),
+//! * the node presence array **V**: one bit column over the nodes per time
+//!   point,
+//! * the edge presence array **E**: one bit column over the edges per time
+//!   point,
 //! * a static attribute table **S** (`|V| × #static`),
 //! * one value matrix **A_i** (`|V| × |𝒯|`) per time-varying attribute.
 //!
@@ -16,10 +18,8 @@ use crate::error::GraphError;
 use crate::groups::{CachedColumns, GroupColumns, GroupColumnsCache};
 use crate::time::{TimeDomain, TimePoint, TimeSet};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use tempo_columnar::{
-    BitMatrix, Interner, SparseMode, TransposedBitMatrix, Value, ValueMatrix, NULL_CODE,
-};
+use std::sync::{Arc, Mutex};
+use tempo_columnar::{Interner, PresenceColumns, SparseMode, Value, ValueMatrix, NULL_CODE};
 
 /// Dense node identifier (row in the node arrays).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -55,22 +55,20 @@ pub struct TemporalGraph {
     pub(crate) domain: TimeDomain,
     pub(crate) schema: AttributeSchema,
     pub(crate) node_names: Interner<String>,
-    pub(crate) node_presence: BitMatrix,
+    /// **V**: one presence column over the node rows per time point.
+    pub(crate) node_presence: PresenceColumns,
     pub(crate) edges: Vec<(NodeId, NodeId)>,
     pub(crate) edge_index: HashMap<(u32, u32), u32>,
-    pub(crate) edge_presence: BitMatrix,
+    /// **E**: one presence column over the edge rows per time point.
+    pub(crate) edge_presence: PresenceColumns,
     pub(crate) static_table: ValueMatrix,
     pub(crate) tv_tables: Vec<ValueMatrix>,
     pub(crate) edge_values: Option<ValueMatrix>,
-    /// Representation policy for the cached presence-column indexes. Kept
+    /// Representation policy of the presence columns an append adds. Kept
     /// per graph (never read from the environment) so graphs built under
     /// different policies can coexist in one process; see
     /// [`TemporalGraph::set_sparse_mode`].
     pub(crate) sparse_mode: SparseMode,
-    /// Lazily built column-major (time-major) presence indexes, shared
-    /// across threads. A clone of the graph carries the cached value along.
-    pub(crate) node_cols: OnceLock<TransposedBitMatrix>,
-    pub(crate) edge_cols: OnceLock<TransposedBitMatrix>,
     /// Lazily built group-id columns, keyed by the ordered attribute list
     /// (clones share the cache; see [`TemporalGraph::group_columns`]).
     pub(crate) group_cols: Arc<Mutex<GroupColumnsCache>>,
@@ -94,9 +92,9 @@ impl TemporalGraph {
         domain: TimeDomain,
         schema: AttributeSchema,
         node_names: Interner<String>,
-        node_presence: BitMatrix,
+        node_presence: PresenceColumns,
         edges: Vec<(NodeId, NodeId)>,
-        edge_presence: BitMatrix,
+        edge_presence: PresenceColumns,
         static_table: ValueMatrix,
         tv_tables: Vec<ValueMatrix>,
         edge_values: Option<ValueMatrix>,
@@ -124,31 +122,18 @@ impl TemporalGraph {
         domain: TimeDomain,
         schema: AttributeSchema,
         node_names: Interner<String>,
-        node_presence: BitMatrix,
+        node_presence: PresenceColumns,
         edges: Vec<(NodeId, NodeId)>,
         edge_index: Option<HashMap<(u32, u32), u32>>,
-        edge_presence: BitMatrix,
+        edge_presence: PresenceColumns,
         static_table: ValueMatrix,
         tv_tables: Vec<ValueMatrix>,
         edge_values: Option<ValueMatrix>,
     ) -> Result<Self, GraphError> {
         let nt = domain.len();
         let nv = node_names.len();
-        if node_presence.nrows() != nv || node_presence.ncols() != nt {
-            return Err(GraphError::Format(format!(
-                "node presence shape {}x{} does not match {nv} nodes x {nt} time points",
-                node_presence.nrows(),
-                node_presence.ncols()
-            )));
-        }
-        if edge_presence.nrows() != edges.len() || edge_presence.ncols() != nt {
-            return Err(GraphError::Format(format!(
-                "edge presence shape {}x{} does not match {} edges x {nt} time points",
-                edge_presence.nrows(),
-                edge_presence.ncols(),
-                edges.len()
-            )));
-        }
+        check_shape("node", &node_presence, nv, nt)?;
+        check_shape("edge", &edge_presence, edges.len(), nt)?;
         let n_static = schema.static_ids().len();
         if static_table.nrows() != nv || static_table.ncols() != n_static {
             return Err(GraphError::Format(format!(
@@ -216,8 +201,6 @@ impl TemporalGraph {
             tv_tables,
             edge_values,
             sparse_mode: SparseMode::Auto,
-            node_cols: OnceLock::new(),
-            edge_cols: OnceLock::new(),
             group_cols: Arc::default(),
             epoch: 0,
         };
@@ -226,59 +209,60 @@ impl TemporalGraph {
     }
 
     /// Verifies the semantic invariants of Definition 2.1:
-    /// * the presence bit matrices are structurally sound (row stride and
-    ///   per-row tail hygiene per [`BitMatrix::check_invariants`]) and
-    ///   shaped `nodes × |domain|` / `edges × |domain|`;
+    /// * the presence columns are structurally sound (per
+    ///   [`PresenceColumns::check_invariants`]) and span `nodes` / `edges`
+    ///   rows at `|domain|` points;
     /// * an edge exists at `t` only if both endpoints exist at `t`;
     /// * a time-varying attribute has a value at `t` only if the node exists
     ///   at `t`.
+    ///
+    /// The walk goes column by column, but of several violations of one
+    /// kind it reports the one a row-major walk meets first: the lowest
+    /// row, then the earliest point.
     ///
     /// # Errors
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), GraphError> {
         self.node_presence
             .check_invariants()
-            .map_err(|e| GraphError::Format(format!("node presence matrix: {e}")))?;
+            .map_err(|e| GraphError::Format(format!("node presence: {e}")))?;
         self.edge_presence
             .check_invariants()
-            .map_err(|e| GraphError::Format(format!("edge presence matrix: {e}")))?;
+            .map_err(|e| GraphError::Format(format!("edge presence: {e}")))?;
         let nt = self.domain.len();
-        if self.node_presence.nrows() != self.n_nodes() || self.node_presence.ncols() != nt {
-            return Err(GraphError::Format(format!(
-                "node presence shape {}x{} does not match {} nodes x {nt} time points",
-                self.node_presence.nrows(),
-                self.node_presence.ncols(),
-                self.n_nodes()
-            )));
-        }
-        if self.edge_presence.nrows() != self.n_edges() || self.edge_presence.ncols() != nt {
-            return Err(GraphError::Format(format!(
-                "edge presence shape {}x{} does not match {} edges x {nt} time points",
-                self.edge_presence.nrows(),
-                self.edge_presence.ncols(),
-                self.n_edges()
-            )));
-        }
-        for (ei, &(u, v)) in self.edges.iter().enumerate() {
-            for t in self.edge_presence.iter_row_ones(ei) {
-                if !self.node_presence.get(u.index(), t) || !self.node_presence.get(v.index(), t) {
-                    return Err(GraphError::EdgeWithoutEndpoint {
-                        src: self.node_name(u).to_owned(),
-                        dst: self.node_name(v).to_owned(),
-                        time: self.domain.label(TimePoint(t as u32)).to_owned(),
-                    });
-                }
-            }
+        check_shape("node", &self.node_presence, self.n_nodes(), nt)?;
+        check_shape("edge", &self.edge_presence, self.n_edges(), nt)?;
+        // per point the lowest edge row with an absent endpoint
+        let bad_edge = (0..nt)
+            .filter_map(|t| {
+                let nodes = self.node_presence.col(t);
+                let mut edges = self.edge_presence.col(t).iter_ones();
+                edges
+                    .find(|&e| {
+                        let (u, v) = self.edges[e];
+                        !nodes.get(u.index()) || !nodes.get(v.index())
+                    })
+                    .map(|e| (e, t))
+            })
+            .min();
+        if let Some((e, t)) = bad_edge {
+            let (u, v) = self.edges[e];
+            return Err(GraphError::EdgeWithoutEndpoint {
+                src: self.node_name(u).to_owned(),
+                dst: self.node_name(v).to_owned(),
+                time: self.domain.label(TimePoint(t as u32)).to_owned(),
+            });
         }
         // The first (row, time) cell of `tbl`, in row-major order, that holds
         // a value where `presence` has no bit: one pass over the materialized
         // codes, a bit test per value.
-        let stray = |tbl: &ValueMatrix, presence: &BitMatrix| {
+        let stray = |tbl: &ValueMatrix, presence: &PresenceColumns| {
             (0..tbl.ncols())
                 .flat_map(|t| {
                     let codes = tbl.col_codes(t).iter().enumerate();
+                    let present = presence.col(t);
                     codes.filter_map(move |(r, &code)| {
-                        (code != NULL_CODE && !presence.get(r, t)).then_some((r, t))
+                        (code != NULL_CODE && !present.get(r)).then_some((r, t))
                     })
                 })
                 .min()
@@ -375,36 +359,38 @@ impl TemporalGraph {
         self.edge_index.get(&(u.0, v.0)).map(|&i| EdgeId(i))
     }
 
-    /// The timestamp `τu(u)` of a node as a [`TimeSet`].
+    /// The timestamp `τu(u)` of a node as a [`TimeSet`]: one probe of
+    /// each point's column.
     ///
     /// # Panics
     /// Panics if the id is out of range.
     pub fn node_timestamp(&self, n: NodeId) -> TimeSet {
-        TimeSet::from_bits(self.node_presence.row(n.index()))
+        timestamp(&self.node_presence, n.index())
     }
 
-    /// The timestamp `τe(e)` of an edge as a [`TimeSet`].
+    /// The timestamp `τe(e)` of an edge as a [`TimeSet`]; see
+    /// [`node_timestamp`](Self::node_timestamp).
     ///
     /// # Panics
     /// Panics if the id is out of range.
     pub fn edge_timestamp(&self, e: EdgeId) -> TimeSet {
-        TimeSet::from_bits(self.edge_presence.row(e.index()))
+        timestamp(&self.edge_presence, e.index())
     }
 
-    /// True if node `n` exists at time `t`.
+    /// True if node `n` exists at time `t`: a probe of `t`'s column.
     ///
     /// # Panics
     /// Panics if out of range.
     pub fn node_alive_at(&self, n: NodeId, t: TimePoint) -> bool {
-        self.node_presence.get(n.index(), t.index())
+        alive(&self.node_presence, n.index(), t)
     }
 
-    /// True if edge `e` exists at time `t`.
+    /// True if edge `e` exists at time `t`: a probe of `t`'s column.
     ///
     /// # Panics
     /// Panics if out of range.
     pub fn edge_alive_at(&self, e: EdgeId, t: TimePoint) -> bool {
-        self.edge_presence.get(e.index(), t.index())
+        alive(&self.edge_presence, e.index(), t)
     }
 
     /// The value of attribute `attr` for node `n` at time `t`.
@@ -458,69 +444,53 @@ impl TemporalGraph {
         Ok(self.static_table.get(n.index(), slot).clone())
     }
 
-    /// Node ids whose timestamp intersects `mask` ("exists in at least one
-    /// point of 𝒯" — union-style membership).
-    pub fn nodes_alive_any(&self, mask: &TimeSet) -> Vec<NodeId> {
-        (0..self.n_nodes())
-            .filter(|&r| self.node_presence.row_any(r, mask.bits()))
-            .map(|r| NodeId(r as u32))
-            .collect()
-    }
-
-    /// Edge ids whose timestamp intersects `mask`.
-    pub fn edges_alive_any(&self, mask: &TimeSet) -> Vec<EdgeId> {
-        (0..self.n_edges())
-            .filter(|&r| self.edge_presence.row_any(r, mask.bits()))
-            .map(|r| EdgeId(r as u32))
-            .collect()
-    }
-
     /// Number of nodes existing at time `t`: the popcount of its node
     /// presence column.
     pub fn nodes_at(&self, t: TimePoint) -> usize {
-        self.node_presence_columns().col(t.index()).count_ones()
+        self.node_presence.col(t.index()).count_ones()
     }
 
     /// Number of edges existing at time `t`: the popcount of its edge
     /// presence column.
     pub fn edges_at(&self, t: TimePoint) -> usize {
-        self.edge_presence_columns().col(t.index()).count_ones()
+        self.edge_presence.col(t.index()).count_ones()
     }
 
-    /// Raw node presence matrix (the paper's array **V**).
-    pub fn node_presence_matrix(&self) -> &BitMatrix {
+    /// The node presence array **V**: one column over the node rows per
+    /// time point.
+    pub fn node_presence_columns(&self) -> &PresenceColumns {
         &self.node_presence
     }
 
-    /// Raw edge presence matrix (the paper's array **E**).
-    pub fn edge_presence_matrix(&self) -> &BitMatrix {
+    /// The edge presence array **E**: one column over the edge rows per
+    /// time point.
+    pub fn edge_presence_columns(&self) -> &PresenceColumns {
         &self.edge_presence
     }
 
-    /// Column-major (time-major) view of the node presence matrix: one
-    /// bitset over node rows per time point. Built lazily on first use,
-    /// cached for the lifetime of the graph, and shared across threads —
-    /// the index backing chain-incremental exploration.
-    pub fn node_presence_columns(&self) -> &TransposedBitMatrix {
-        self.node_cols
-            .get_or_init(|| self.build_transposed(&self.node_presence))
+    /// Alias of [`node_presence_columns`](Self::node_presence_columns),
+    /// kept for `benchmark/src/layers.rs`.
+    #[doc(hidden)]
+    pub fn node_presence_matrix(&self) -> &PresenceColumns {
+        self.node_presence_columns()
     }
 
-    /// Column-major (time-major) view of the edge presence matrix; see
-    /// [`node_presence_columns`](Self::node_presence_columns).
-    pub fn edge_presence_columns(&self) -> &TransposedBitMatrix {
-        self.edge_cols
-            .get_or_init(|| self.build_transposed(&self.edge_presence))
+    /// Alias of [`edge_presence_columns`](Self::edge_presence_columns),
+    /// kept for `benchmark/src/layers.rs`.
+    #[doc(hidden)]
+    pub fn edge_presence_matrix(&self) -> &PresenceColumns {
+        self.edge_presence_columns()
     }
 
-    /// The presence-column representation policy used when the transposed
-    /// indexes are built.
+    /// The representation policy of the presence columns appended to this
+    /// graph.
     pub fn sparse_mode(&self) -> SparseMode {
         self.sparse_mode
     }
 
-    /// Sets the representation policy for the transposed presence-column
-    /// indexes, dropping any index already built under a different policy.
+    /// Sets the representation policy and re-lays out every presence
+    /// column under it (and drops the group-id columns, whose match
+    /// columns follow the policy too).
     ///
     /// This is a test seam, not configuration: every graph the shell and
     /// the server build keeps the default [`SparseMode::Auto`], which picks
@@ -533,25 +503,11 @@ impl TemporalGraph {
     pub fn set_sparse_mode(&mut self, mode: SparseMode) {
         if self.sparse_mode != mode {
             self.sparse_mode = mode;
-            self.invalidate_index_caches();
+            self.node_presence = self.node_presence.transposed_with(mode);
+            self.edge_presence = self.edge_presence.transposed_with(mode);
+            // a clone shares the cache through its `Arc`: un-share it
+            self.group_cols = Arc::default();
         }
-    }
-
-    /// Drops — and, crucially, *un-shares* — every lazily built index
-    /// cache: the `node_cols`/`edge_cols` transposed-presence locks and the
-    /// group-id columns, exactly as
-    /// [`set_sparse_mode`](Self::set_sparse_mode) does on a policy change.
-    ///
-    /// A clone shares `group_cols` through its `Arc`, so every mutation
-    /// seam (the builder and append paths) must call this — or install
-    /// freshly built indexes into fresh locks — before publishing mutated
-    /// matrices or attribute tables; otherwise a mutated clone keeps
-    /// serving group ids built from the pre-mutation data, and inserting
-    /// new ones would poison the pristine original's cache too.
-    pub(crate) fn invalidate_index_caches(&mut self) {
-        self.node_cols = OnceLock::new();
-        self.edge_cols = OnceLock::new();
-        self.group_cols = Arc::default();
     }
 
     /// The group-id columns of this snapshot for the ordered attribute list
@@ -601,12 +557,6 @@ impl TemporalGraph {
         built
     }
 
-    fn build_transposed(&self, m: &BitMatrix) -> TransposedBitMatrix {
-        let _span = tempo_instrument::metrics::GRAPH_TRANSPOSE_BUILD_NS.span();
-        tempo_instrument::metrics::GRAPH_TRANSPOSE_BUILDS.inc();
-        m.transposed_with(self.sparse_mode)
-    }
-
     /// Raw static attribute table (the paper's array **S**).
     pub fn static_table(&self) -> &ValueMatrix {
         &self.static_table
@@ -649,6 +599,45 @@ impl TemporalGraph {
     }
 }
 
+/// Errors unless `cols` spans `rows` entity rows at `nt` points.
+fn check_shape(
+    side: &str,
+    cols: &PresenceColumns,
+    rows: usize,
+    nt: usize,
+) -> Result<(), GraphError> {
+    if cols.source_rows() != rows || cols.n_cols() != nt {
+        return Err(GraphError::Format(format!(
+            "{side} presence shape {}x{} does not match {rows} {side}s x {nt} time points",
+            cols.source_rows(),
+            cols.n_cols()
+        )));
+    }
+    Ok(())
+}
+
+/// Whether row `r` is set in column `t`.
+///
+/// # Panics
+/// Panics if `r` or `t` is out of range.
+fn alive(cols: &PresenceColumns, r: usize, t: TimePoint) -> bool {
+    assert!(
+        r < cols.source_rows(),
+        "row {r} out of range {}",
+        cols.source_rows()
+    );
+    cols.col(t.index()).get(r)
+}
+
+/// The points whose column has row `r` set.
+///
+/// # Panics
+/// Panics if `r` is out of range.
+fn timestamp(cols: &PresenceColumns, r: usize) -> TimeSet {
+    let nt = cols.n_cols();
+    TimeSet::from_indices(nt, (0..nt).filter(|&t| alive(cols, r, TimePoint(t as u32))))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,41 +650,21 @@ mod tests {
     }
 
     #[test]
-    fn transposed_presence_columns_match_matrices() {
+    fn presence_columns_are_the_counts_and_probes() {
         let g = fig1_graph();
         let nc = g.node_presence_columns();
         assert_eq!(nc.n_cols(), g.domain().len());
         assert_eq!(nc.source_rows(), g.n_nodes());
-        for t in 0..g.domain().len() {
-            for r in 0..g.n_nodes() {
-                assert_eq!(nc.col(t).get(r), g.node_presence_matrix().get(r, t));
+        for t in g.domain().iter() {
+            for n in g.node_ids() {
+                assert_eq!(nc.col(t.index()).get(n.index()), g.node_alive_at(n, t));
             }
-            assert_eq!(nc.col(t).count_ones(), g.nodes_at(TimePoint(t as u32)));
+            assert_eq!(nc.col(t.index()).count_ones(), g.nodes_at(t));
+            let ec = g.edge_presence_columns();
+            assert_eq!(ec.col(t.index()).count_ones(), g.edges_at(t));
         }
-        let ec = g.edge_presence_columns();
-        for t in 0..g.domain().len() {
-            assert_eq!(ec.col(t).count_ones(), g.edges_at(TimePoint(t as u32)));
-        }
-        // the index is cached: repeated calls return the same allocation
-        assert!(std::ptr::eq(nc, g.node_presence_columns()));
-        // a clone carries the cache along without rebuilding
-        let g2 = g.clone();
-        assert_eq!(g2.node_presence_columns(), nc);
-    }
-
-    // A clone that is about to mutate its matrices must drop the presence
-    // columns it carried along (the same way `set_sparse_mode` does) or it
-    // keeps serving columns built from the pre-mutation data. The group-id
-    // half of the seam is checked in `groups.rs`.
-    #[test]
-    fn invalidated_clone_serves_fresh_columns() {
-        let g = fig1_graph();
-        let warm_cols = g.node_presence_columns() as *const _;
-        let mut c = g.clone();
-        c.invalidate_index_caches();
-        assert!(!std::ptr::eq(warm_cols, c.node_presence_columns()));
-        // the pristine original keeps its own warm cache
-        assert!(std::ptr::eq(warm_cols, g.node_presence_columns()));
+        // a clone shares every column
+        assert_eq!(g.clone().node_presence_columns().shared_cols(nc), 3);
     }
 
     // Regression for the env-driven policy: building one graph used to
@@ -713,13 +682,14 @@ mod tests {
             assert!(!b.node_presence_columns().col(t).is_sparse());
             assert!(!b.edge_presence_columns().col(t).is_sparse());
         }
-        // flipping the policy after a build drops the cached index …
+        // flipping the policy re-lays out the columns …
         a.set_sparse_mode(SparseMode::ForceDense);
         assert!(!a.node_presence_columns().col(0).is_sparse());
-        // … while re-setting the same policy keeps it
-        let before = a.node_presence_columns() as *const _;
+        assert_eq!(a.node_presence_columns(), b.node_presence_columns());
+        // … while re-setting the same policy keeps them
+        let before = a.node_presence_columns().clone();
         a.set_sparse_mode(SparseMode::ForceDense);
-        assert!(std::ptr::eq(before, a.node_presence_columns()));
+        assert_eq!(a.node_presence_columns().shared_cols(&before), 3);
     }
 
     #[test]
@@ -768,17 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn alive_queries() {
-        let g = fig1_graph();
-        let t0t1 = TimeSet::range(3, 0, 1);
-        let alive = g.nodes_alive_any(&t0t1);
-        assert_eq!(alive.len(), 4); // u1..u4 (u5 only at t2)
-        let t2 = TimeSet::point(3, TimePoint(2));
-        assert_eq!(g.nodes_alive_any(&t2).len(), 3);
-        assert!(!g.edges_alive_any(&t2).is_empty());
-    }
-
-    #[test]
     fn edge_lookup() {
         let g = fig1_graph();
         let u1 = g.node_id("u1").unwrap();
@@ -801,6 +760,52 @@ mod tests {
             b.build(),
             Err(GraphError::EdgeWithoutEndpoint { .. })
         ));
+    }
+
+    // With two offenders of a kind, `validate` names the one a row-major
+    // walk meets first: the lower row, even when the other one sits at an
+    // earlier time point.
+    #[test]
+    fn validate_names_the_lowest_row_first() {
+        let mut b = GraphBuilder::new(TimeDomain::indexed(3), AttributeSchema::new());
+        let [u, v, w] = ["u", "v", "w"].map(|name| b.add_node(name).unwrap());
+        for t in 0..3 {
+            b.set_presence(u, TimePoint(t)).unwrap();
+        }
+        b.set_presence(v, TimePoint(0)).unwrap();
+        b.set_presence(w, TimePoint(1)).unwrap();
+        // row 0, (u, v), is bad at t2; row 1, (u, w), at t0
+        b.add_edge_at_unchecked(u, v, TimePoint(2)).unwrap();
+        b.add_edge_at_unchecked(u, w, TimePoint(0)).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::EdgeWithoutEndpoint {
+                src: "u".into(),
+                dst: "v".into(),
+                time: "t2".into(),
+            }
+        );
+
+        let mut schema = AttributeSchema::new();
+        schema.declare("pubs", Temporality::TimeVarying).unwrap();
+        let mut b = GraphBuilder::new(TimeDomain::indexed(3), schema);
+        let pubs = b.schema().id("pubs").unwrap();
+        let [x, y] = ["x", "y"].map(|name| b.add_node(name).unwrap());
+        b.set_presence(x, TimePoint(0)).unwrap();
+        b.set_presence(y, TimePoint(1)).unwrap();
+        // row 0 holds a stray value at t2, row 1 at t0
+        b.set_time_varying_unchecked(x, pubs, TimePoint(2), Value::Int(1))
+            .unwrap();
+        b.set_time_varying_unchecked(y, pubs, TimePoint(0), Value::Int(2))
+            .unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::AttributePresenceMismatch {
+                node: "x".into(),
+                attr: "pubs".into(),
+                time: "t2".into(),
+            }
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Group-id columns: each node's aggregation tuple interned to a dense
 //! `u32`, per `(graph, ordered attribute list)`.
 //!
-//! This is the second lazily built index on a [`TemporalGraph`], next to
-//! the transposed presence columns: read queries
+//! This is the one lazily built index on a [`TemporalGraph`], read beside
+//! its presence columns: read queries
 //! (aggregation, evolution, exploration) count group ids into dense
 //! accumulators instead of hashing a heap-allocated [`ValueTuple`] per
 //! appearance. The columns are derived from the attribute tables only, so
@@ -576,8 +576,9 @@ mod tests {
         let (gender, pubs) = attrs(&g);
         let warm = g.group_columns(&[gender]);
 
+        // a clone about to be mutated starts its own cache
         let mut c = g.clone();
-        c.invalidate_index_caches();
+        c.group_cols = Arc::default();
         assert!(!Arc::ptr_eq(&warm, &c.group_columns(&[gender])));
         let _ = c.group_columns(&[pubs]);
         // the clone's builds did not reach the original's cache
@@ -613,7 +614,8 @@ mod tests {
             .map(|i| {
                 let (n, t) = (i / nt, i % nt);
                 // a static list's ids say nothing about presence
-                let absent = cols.is_static() && !g.node_presence_matrix().get(n, t);
+                let absent =
+                    cols.is_static() && !g.node_alive_at(NodeId(n as u32), TimePoint(t as u32));
                 let gid = if absent { NO_GROUP } else { gid_of(cols, n, t) };
                 (gid != NO_GROUP).then(|| cols.tuples()[gid as usize].clone())
             })
@@ -845,7 +847,7 @@ mod tests {
 
         // a mutated clone builds its own columns, and its own matches
         let mut c = g.clone();
-        c.invalidate_index_caches();
+        c.group_cols = Arc::default();
         let theirs = c.group_columns(&[gender]);
         assert!(!Arc::ptr_eq(
             &warm_nodes,

@@ -6,8 +6,8 @@
 //! time points represented as a [`TimeSet`] — and nodes carry static and
 //! time-varying attributes declared in an [`AttributeSchema`].
 //!
-//! Storage follows §4 of the paper: binary presence matrices for nodes and
-//! edges, a static attribute table, and one value matrix per time-varying
+//! Storage follows §4 of the paper: binary presence arrays for nodes and
+//! edges (one bit column per time point), a static attribute table, and one value matrix per time-varying
 //! attribute (all built on `tempo-columnar`).
 //!
 //! ```

@@ -7,7 +7,7 @@
 
 use crate::graph::TemporalGraph;
 use crate::time::TimePoint;
-use tempo_columnar::TransposedBitMatrix;
+use tempo_columnar::PresenceColumns;
 
 /// Density of the snapshot at `t`: edges over ordered node pairs
 /// (directed, no self-loops). Zero for fewer than two nodes.
@@ -41,7 +41,7 @@ pub fn edge_jaccard(g: &TemporalGraph, t1: TimePoint, t2: TimePoint) -> f64 {
 
 /// Jaccard similarity of two presence columns, from three popcounts:
 /// |A ∩ B| word by word, and |A ∪ B| = |A| + |B| − |A ∩ B|.
-fn column_jaccard(cols: &TransposedBitMatrix, t1: TimePoint, t2: TimePoint) -> f64 {
+fn column_jaccard(cols: &PresenceColumns, t1: TimePoint, t2: TimePoint) -> f64 {
     let (a, b) = (cols.col(t1.index()), cols.col(t2.index()));
     let both = a.count_ones_and(b);
     let either = a.count_ones() + b.count_ones() - both;

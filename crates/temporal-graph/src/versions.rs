@@ -10,19 +10,16 @@
 //!
 //! Appending a timepoint is cheap in the history length `T`:
 //!
-//! * the presence matrices share their `Arc`-backed word bands with the
-//!   previous epoch — [`BitMatrix::push_col`] touches only the tail band
-//!   (and new-entity rows push in O(1));
+//! * presence is one column per time point and side, each `Arc`-shared:
+//!   the new epoch clones the previous epoch's column lists (their spines
+//!   only), declares the new entities with
+//!   [`PresenceColumns::grow_rows`] and adds one
+//!   [`PresenceColumns::push_col`] per side for the new timepoint, laid out
+//!   dense or sparse under the graph's [`SparseMode`]; no old column is
+//!   copied or touched;
 //! * attribute tables share their dictionary and their `Arc`-backed code
 //!   columns, with one [`ValueMatrix::push_col`] per time-varying table,
 //!   interned straight from the patch's `(row, value)` cells;
-//! * the transposed presence indexes are maintained *incrementally*: the
-//!   previous epoch's [`TransposedBitMatrix`] (all of whose columns are
-//!   `Arc`-shared) is carried forward with
-//!   [`TransposedBitMatrix::grow_rows`] plus one
-//!   [`TransposedBitMatrix::push_col`] for the new timepoint — with
-//!   per-column dense/sparse re-selection under the graph's
-//!   [`SparseMode`] — instead of re-transposing all `T` columns;
 //! * the group-id columns are carried forward as *bases*: the new epoch's
 //!   cache (un-shared from the old one) names the previous epoch's columns,
 //!   and the first request per attribute list extends them by the appended
@@ -32,7 +29,9 @@
 //!   empty.
 //!
 //! Total per-append cost is `O(V + E + Δ)` — independent of `T` — where
-//! `Δ` is the patch size; the benchmark's `ingest_mixed` workload measures
+//! `Δ` is the patch size (the `O(V + E)` is the interner, edge list and edge
+//! index, which are still copied whole, and the two new columns); the
+//! benchmark's `ingest_mixed` workload measures
 //! it as `graph.append_ms` and `graph.append_late_over_early`.
 
 use crate::attrs::AttrId;
@@ -41,11 +40,8 @@ use crate::graph::{NodeId, TemporalGraph};
 use crate::time::TimeDomain;
 use std::collections::BTreeSet;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use tempo_columnar::{
-    BitMatrix, BitVec, Interner, PresenceColumn, SparseMode, TransposedBitMatrix, Value,
-    ValueMatrix,
-};
+use std::sync::{Arc, Mutex};
+use tempo_columnar::{BitVec, Interner, PresenceColumn, SparseMode, Value, ValueMatrix};
 
 /// Everything that happens at one new timepoint, addressed by entity
 /// *names* (new nodes are registered on first reference, exactly like
@@ -205,10 +201,8 @@ impl GraphVersions {
     /// [`current`](Self::current).
     ///
     /// Cost is `O(V + E + patch)` — independent of the history length:
-    /// presence matrices share word bands with the previous epoch, value
-    /// matrices share column chunks, and the transposed presence indexes
-    /// (when already built on the previous epoch) are carried forward by
-    /// appending a single column instead of re-transposing.
+    /// the presence column lists and the value matrices share every old
+    /// column with the previous epoch, and each side gains one column.
     ///
     /// # Errors
     /// Returns an error if the patch's label duplicates an existing time
@@ -224,7 +218,7 @@ impl GraphVersions {
         let t_new = domain.len() - 1;
 
         // COW working copies: O(V + E) pointer-sized state (interner and
-        // edge list), Arc clones for every matrix band / column chunk.
+        // edge list), Arc clones for every presence column / column chunk.
         let mut node_names = g.node_names.clone();
         let mut node_presence = g.node_presence.clone();
         let mut edges = g.edges.clone();
@@ -240,7 +234,6 @@ impl GraphVersions {
         fn get_or_add(
             name: &str,
             names: &mut Interner<String>,
-            node_presence: &mut BitMatrix,
             static_table: &mut ValueMatrix,
             tv_tables: &mut [ValueMatrix],
         ) -> u32 {
@@ -248,7 +241,6 @@ impl GraphVersions {
                 Some(c) => c,
                 None => {
                     let c = names.intern(name.to_owned());
-                    node_presence.push_empty_row();
                     static_table.push_null_row();
                     for tbl in tv_tables.iter_mut() {
                         tbl.push_null_row();
@@ -268,7 +260,6 @@ impl GraphVersions {
             present_nodes.insert(get_or_add(
                 name,
                 &mut node_names,
-                &mut node_presence,
                 &mut static_table,
                 &mut tv_tables,
             ));
@@ -284,13 +275,7 @@ impl GraphVersions {
                         name: schema.def(*attr).name().to_owned(),
                         expected: "static",
                     })?;
-            let row = get_or_add(
-                name,
-                &mut node_names,
-                &mut node_presence,
-                &mut static_table,
-                &mut tv_tables,
-            );
+            let row = get_or_add(name, &mut node_names, &mut static_table, &mut tv_tables);
             rewrote_static |= (row as usize) < g.n_nodes();
             static_table.set(row as usize, slot, value.clone());
         }
@@ -301,25 +286,18 @@ impl GraphVersions {
                     expected: "time-varying",
                 }
             })?;
-            let row = get_or_add(
-                name,
-                &mut node_names,
-                &mut node_presence,
-                &mut static_table,
-                &mut tv_tables,
-            );
+            let row = get_or_add(name, &mut node_names, &mut static_table, &mut tv_tables);
             present_nodes.insert(row);
             tv_cells[slot].push((row as usize, value.clone()));
         }
 
-        // Resolves a (possibly new) edge row; a new row pushes an empty
-        // presence row and (when the graph carries them) a null value row.
+        // Resolves a (possibly new) edge row; a new row pushes (when the
+        // graph carries them) a null value row.
         fn edge_row(
             u: u32,
             v: u32,
             edges: &mut Vec<(NodeId, NodeId)>,
             edge_index: &mut HashMap<(u32, u32), u32>,
-            edge_presence: &mut BitMatrix,
             edge_values: &mut Option<ValueMatrix>,
         ) -> u32 {
             match edge_index.get(&(u, v)) {
@@ -327,7 +305,6 @@ impl GraphVersions {
                 None => {
                     let i = edges.len() as u32;
                     edges.push((NodeId(u), NodeId(v)));
-                    edge_presence.push_empty_row();
                     if let Some(ev) = edge_values {
                         ev.push_null_row();
                     }
@@ -353,42 +330,25 @@ impl GraphVersions {
                 .iter()
                 .map(|(u, v, val)| (u, v, Some(val))),
         ) {
-            let ur = get_or_add(
-                u,
-                &mut node_names,
-                &mut node_presence,
-                &mut static_table,
-                &mut tv_tables,
-            );
-            let vr = get_or_add(
-                v,
-                &mut node_names,
-                &mut node_presence,
-                &mut static_table,
-                &mut tv_tables,
-            );
+            let ur = get_or_add(u, &mut node_names, &mut static_table, &mut tv_tables);
+            let vr = get_or_add(v, &mut node_names, &mut static_table, &mut tv_tables);
             present_nodes.insert(ur);
             present_nodes.insert(vr);
-            let row = edge_row(
-                ur,
-                vr,
-                &mut edges,
-                &mut edge_index,
-                &mut edge_presence,
-                &mut edge_values,
-            );
+            let row = edge_row(ur, vr, &mut edges, &mut edge_index, &mut edge_values);
             present_edges.insert(row);
             if let Some(val) = val {
                 ev_cells.push((row as usize, val.clone()));
             }
         }
 
-        // Append the new presence column: only the tail band (and any
-        // new-entity rows) of each matrix allocates.
-        let nc = node_presence.push_col(present_nodes.iter().map(|&r| r as usize));
-        debug_assert_eq!(nc, t_new);
-        let ec = edge_presence.push_col(present_edges.iter().map(|&r| r as usize));
-        debug_assert_eq!(ec, t_new);
+        // One new presence column per side, over every entity so far; the
+        // old columns stay shared and read the new rows as absent.
+        let mode = g.sparse_mode;
+        node_presence.grow_rows(node_names.len());
+        node_presence.push_col(column(node_names.len(), &present_nodes, mode));
+        edge_presence.grow_rows(edges.len());
+        edge_presence.push_col(column(edges.len(), &present_edges, mode));
+        debug_assert_eq!(node_presence.n_cols(), t_new + 1);
 
         // later cells of a row win, like repeated builder sets
         for (tbl, cells) in tv_tables.iter_mut().zip(tv_cells) {
@@ -397,23 +357,6 @@ impl GraphVersions {
         if let Some(ev) = &mut edge_values {
             ev.push_col(ev_cells);
         }
-
-        // Carry the transposed presence indexes forward incrementally:
-        // grow the row space, then append one column for the new
-        // timepoint (re-selecting dense vs sparse for just that column)
-        // instead of re-transposing all T columns.
-        let node_cols = carry_forward(
-            g.node_cols.get(),
-            node_names.len(),
-            &present_nodes,
-            g.sparse_mode,
-        );
-        let edge_cols = carry_forward(
-            g.edge_cols.get(),
-            edges.len(),
-            &present_edges,
-            g.sparse_mode,
-        );
 
         let next = TemporalGraph {
             domain,
@@ -426,9 +369,7 @@ impl GraphVersions {
             static_table,
             tv_tables,
             edge_values,
-            sparse_mode: g.sparse_mode,
-            node_cols,
-            edge_cols,
+            sparse_mode: mode,
             // Group ids of old cells stay valid unless the patch rewrote
             // one of the static cells they were derived from; the new
             // epoch's own cache names the old columns as bases to extend.
@@ -450,29 +391,11 @@ impl GraphVersions {
     }
 }
 
-/// Carries a transposed presence index into the next epoch: clone the
-/// `Arc`-shared columns, grow the row space, append the new timepoint's
-/// column under the graph's representation policy. Returns an empty lock
-/// (lazy full rebuild on first use) when the previous epoch never built
-/// the index.
-fn carry_forward(
-    prev: Option<&TransposedBitMatrix>,
-    new_rows: usize,
-    present: &BTreeSet<u32>,
-    mode: SparseMode,
-) -> OnceLock<TransposedBitMatrix> {
-    let lock = OnceLock::new();
-    if let Some(prev) = prev {
-        let mut t = prev.clone();
-        t.grow_rows(new_rows);
-        let bv = BitVec::from_indices(new_rows, present.iter().map(|&r| r as usize));
-        let col = PresenceColumn::from_bitvec(bv, mode);
-        tempo_instrument::metrics::GRAPH_INDEX_APPEND_COLS.inc();
-        t.push_col(col);
-        debug_assert_eq!(t.check_invariants(), Ok(()));
-        let _ = lock.set(t);
-    }
-    lock
+/// The appended point's presence column over `rows` entities, laid out
+/// under `mode`.
+fn column(rows: usize, present: &BTreeSet<u32>, mode: SparseMode) -> PresenceColumn {
+    let bv = BitVec::from_indices(rows, present.iter().map(|&r| r as usize));
+    PresenceColumn::from_bitvec(bv, mode)
 }
 
 #[cfg(test)]
@@ -501,14 +424,12 @@ mod tests {
         for n in a.node_ids() {
             assert_eq!(a.node_name(n), b.node_name(n));
         }
-        assert_eq!(a.node_presence_matrix(), b.node_presence_matrix());
-        assert_eq!(a.edge_presence_matrix(), b.edge_presence_matrix());
+        assert_eq!(a.node_presence_columns(), b.node_presence_columns());
+        assert_eq!(a.edge_presence_columns(), b.edge_presence_columns());
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.static_table(), b.static_table());
         assert_eq!(a.tv_tables, b.tv_tables);
         assert_eq!(a.edge_values, b.edge_values);
-        assert_eq!(a.node_presence_columns(), b.node_presence_columns());
-        assert_eq!(a.edge_presence_columns(), b.edge_presence_columns());
     }
 
     #[test]
@@ -535,7 +456,6 @@ mod tests {
     fn readers_of_an_old_epoch_keep_an_unchanged_view() {
         let mut v = GraphVersions::new(fixtures::fig1());
         let old = v.current();
-        let _warm = old.node_presence_columns();
         let new = v.append_timepoint(&pubs_patch()).unwrap();
         assert_eq!(old.domain().len(), 3);
         assert_eq!(old.n_nodes(), 5);
@@ -548,32 +468,39 @@ mod tests {
     }
 
     #[test]
-    fn transposed_indexes_carry_forward_incrementally() {
+    fn an_append_shares_every_old_column_and_adds_one() {
         let mut v = GraphVersions::new(fixtures::fig1());
         let old = v.current();
-        let old_nc = old.node_presence_columns().clone();
-        let _ = old.edge_presence_columns();
         let new = v.append_timepoint(&pubs_patch()).unwrap();
-        let nc = new.node_presence_columns();
-        // all three old columns are Arc-shared, one appended column
-        assert_eq!(nc.n_cols(), 4);
-        assert_eq!(nc.shared_cols(&old_nc), 3);
-        assert_eq!(nc.source_rows(), new.n_nodes());
-        for t in 0..4 {
-            for r in 0..new.n_nodes() {
-                assert_eq!(nc.col(t).get(r), new.node_presence_matrix().get(r, t));
-            }
+        for (nc, old_nc, rows) in [
+            (
+                new.node_presence_columns(),
+                old.node_presence_columns(),
+                new.n_nodes(),
+            ),
+            (
+                new.edge_presence_columns(),
+                old.edge_presence_columns(),
+                new.n_edges(),
+            ),
+        ] {
+            // all three old columns are Arc-shared, one appended column
+            assert_eq!(nc.n_cols(), 4);
+            assert_eq!(nc.shared_cols(old_nc), 3);
+            assert_eq!(nc.source_rows(), rows);
+            assert_eq!(nc.col(3).len(), rows);
         }
-    }
-
-    #[test]
-    fn append_without_warm_index_leaves_lazy_rebuild() {
-        let mut v = GraphVersions::new(fixtures::fig1());
-        let new = v.append_timepoint(&pubs_patch()).unwrap();
-        // never built on epoch 0 → built lazily (and correctly) on demand
-        let nc = new.node_presence_columns();
-        assert_eq!(nc.n_cols(), 4);
-        assert_eq!(nc.source_rows(), 6);
+        // u2, u3 and u6 are present at the new point, and only there for u6
+        let present: Vec<&str> = (new.node_ids())
+            .filter(|&n| new.node_alive_at(n, TimePoint(3)))
+            .map(|n| new.node_name(n))
+            .collect();
+        assert_eq!(present, ["u2", "u3", "u6"]);
+        let u6 = new.node_id("u6").unwrap();
+        assert_eq!(
+            new.node_timestamp(u6).iter().collect::<Vec<_>>(),
+            [TimePoint(3)]
+        );
     }
 
     #[test]
@@ -582,7 +509,6 @@ mod tests {
             let mut g = fixtures::fig1();
             g.set_sparse_mode(mode);
             let mut v = GraphVersions::new(g);
-            let _ = v.current().node_presence_columns();
             let new = v.append_timepoint(&pubs_patch()).unwrap();
             assert_eq!(new.sparse_mode(), mode);
             let nc = new.node_presence_columns();
@@ -597,8 +523,6 @@ mod tests {
         // touching every `w` entity lands dense, the next one touching a
         // single edge of the same ~200-row graph lands sparse.
         let mut v = GraphVersions::new(fixtures::fig1());
-        let _ = v.current().node_presence_columns();
-        let _ = v.current().edge_presence_columns();
         let mut wide = TimepointPatch::new("t3");
         for i in 0..200 {
             wide.add_edge(format!("w{i}"), format!("w{}", i + 1));
@@ -646,7 +570,6 @@ mod tests {
     #[test]
     fn successive_appends_stack_and_bump_epochs() {
         let mut v = GraphVersions::new(fixtures::fig1());
-        let _ = v.current().node_presence_columns();
         for (i, label) in ["t3", "t4", "t5"].iter().enumerate() {
             let mut p = TimepointPatch::new(*label);
             p.mark_node("u1").add_edge("u1", "u4");

@@ -1,7 +1,8 @@
 //! Property-based tests of the time algebra and graph construction.
 
 use proptest::prelude::*;
-use tempo_columnar::Value;
+use std::collections::BTreeMap;
+use tempo_columnar::{SparseMode, Value};
 use tempo_graph::io::{load_dir, save_dir};
 use tempo_graph::{AttributeSchema, GraphBuilder, Temporality, TimeDomain, TimePoint, TimeSet};
 
@@ -123,7 +124,9 @@ proptest! {
         // time-varying attributes holding `Cat`, `Str` and `Int` cells, and
         // integer and string edge values must survive save_dir → load_dir
         // cell for cell (modulo category re-interning: a label comes back as
-        // a category of the same name).
+        // a category of the same name), under either column layout. Beside
+        // the builder runs a naive presence grid per side, recorded from the
+        // same calls, that the built graph must read back.
         let mut schema = AttributeSchema::new();
         schema.declare("team", Temporality::Static).unwrap();
         schema.declare("level", Temporality::Static).unwrap();
@@ -140,8 +143,11 @@ proptest! {
                 b.set_static(n, level, Value::Int(i as i64 % 2)).unwrap();
             }
         }
+        let mut node_grid = vec![vec![false; 5]; 4];
+        let mut edge_grid: BTreeMap<(usize, usize), Vec<bool>> = BTreeMap::new();
         for &(n, t) in &presence {
             b.set_presence(nodes[n], TimePoint(t as u32)).unwrap();
+            node_grid[n][t] = true;
         }
         for &(u, v, t, w) in &edges {
             if u == v {
@@ -150,6 +156,9 @@ proptest! {
             // implies edge + endpoint presence at t
             let value = if w % 5 == 0 { Value::Str(format!("w{w}")) } else { Value::Int(w) };
             b.set_edge_value(nodes[u], nodes[v], TimePoint(t as u32), value).unwrap();
+            edge_grid.entry((u, v)).or_insert_with(|| vec![false; 5])[t] = true;
+            node_grid[u][t] = true;
+            node_grid[v][t] = true;
         }
         for &(n, t, r) in &roles {
             // a category where r is even, a bare string where it is odd
@@ -157,58 +166,77 @@ proptest! {
             let v = if r % 2 == 0 { b.intern_category(role, label) } else { Value::from(label) };
             // implies node presence at t
             b.set_time_varying(nodes[n], role, TimePoint(t as u32), v).unwrap();
+            node_grid[n][t] = true;
         }
         for &(n, t, l) in &loads {
             b.set_time_varying(nodes[n], load, TimePoint(t as u32), Value::Int(l)).unwrap();
+            node_grid[n][t] = true;
         }
-        let g = b.build().unwrap();
+        let built = b.build().unwrap();
 
-        let dir = roundtrip_dir();
-        save_dir(&g, &dir).unwrap();
-        let h = load_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-
-        prop_assert_eq!(h.n_nodes(), g.n_nodes());
-        prop_assert_eq!(h.n_edges(), g.n_edges());
-        prop_assert_eq!(h.domain().labels(), g.domain().labels());
-        prop_assert!(h.validate().is_ok());
-        for n in g.node_ids() {
-            let hn = h.node_id(g.node_name(n)).expect("node survives");
-            prop_assert_eq!(
-                h.node_timestamp(hn).iter().collect::<Vec<_>>(),
-                g.node_timestamp(n).iter().collect::<Vec<_>>(),
-                "presence of {}", g.node_name(n)
-            );
+        for mode in [SparseMode::ForceDense, SparseMode::ForceSparse] {
+            let mut g = built.clone();
+            g.set_sparse_mode(mode);
+            prop_assert_eq!(g.n_edges(), edge_grid.len());
             for t in g.domain().iter() {
-                // categorical values compare by rendered label (codes are
-                // re-interned on load)
-                for a in ids {
-                    let ha = h.schema().id(g.schema().def(a).name()).unwrap();
+                for (n, row) in nodes.iter().zip(&node_grid) {
+                    prop_assert_eq!(g.node_alive_at(*n, t), row[t.index()], "{:?} {:?} at {:?}", mode, n, t);
+                }
+                for (&(u, v), row) in &edge_grid {
+                    let e = g.edge_between(nodes[u], nodes[v]).expect("recorded edge exists");
+                    prop_assert_eq!(g.edge_alive_at(e, t), row[t.index()], "{:?} n{}->n{} at {:?}", mode, u, v, t);
+                }
+                prop_assert_eq!(g.nodes_at(t), node_grid.iter().filter(|row| row[t.index()]).count());
+                prop_assert_eq!(g.edges_at(t), edge_grid.values().filter(|row| row[t.index()]).count());
+            }
+
+            let dir = roundtrip_dir();
+            save_dir(&g, &dir).unwrap();
+            let h = load_dir(&dir).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+
+            prop_assert_eq!(h.n_nodes(), g.n_nodes());
+            prop_assert_eq!(h.n_edges(), g.n_edges());
+            prop_assert_eq!(h.domain().labels(), g.domain().labels());
+            prop_assert!(h.validate().is_ok());
+            for n in g.node_ids() {
+                let hn = h.node_id(g.node_name(n)).expect("node survives");
+                prop_assert_eq!(
+                    h.node_timestamp(hn).iter().collect::<Vec<_>>(),
+                    g.node_timestamp(n).iter().collect::<Vec<_>>(),
+                    "presence of {}", g.node_name(n)
+                );
+                for t in g.domain().iter() {
+                    // categorical values compare by rendered label (codes are
+                    // re-interned on load)
+                    for a in ids {
+                        let ha = h.schema().id(g.schema().def(a).name()).unwrap();
+                        prop_assert_eq!(
+                            h.schema().def(ha).render(&h.attr_value(hn, ha, t)),
+                            g.schema().def(a).render(&g.attr_value(n, a, t)),
+                            "{} of {} at {:?}", g.schema().def(a).name(), g.node_name(n), t
+                        );
+                    }
+                    prop_assert_eq!(h.attr_value(hn, load, t), g.attr_value(n, load, t));
+                }
+            }
+            prop_assert_eq!(h.has_edge_values(), g.has_edge_values());
+            for e in g.edge_ids() {
+                let (u, v) = g.edge_endpoints(e);
+                let hu = h.node_id(g.node_name(u)).unwrap();
+                let hv = h.node_id(g.node_name(v)).unwrap();
+                let he = h.edge_between(hu, hv).expect("edge survives");
+                prop_assert_eq!(
+                    h.edge_timestamp(he).iter().collect::<Vec<_>>(),
+                    g.edge_timestamp(e).iter().collect::<Vec<_>>()
+                );
+                for t in g.domain().iter() {
                     prop_assert_eq!(
-                        h.schema().def(ha).render(&h.attr_value(hn, ha, t)),
-                        g.schema().def(a).render(&g.attr_value(n, a, t)),
-                        "{} of {} at {:?}", g.schema().def(a).name(), g.node_name(n), t
+                        h.edge_value(he, t),
+                        g.edge_value(e, t),
+                        "edge value ({}, {}) at {:?}", g.node_name(u), g.node_name(v), t
                     );
                 }
-                prop_assert_eq!(h.attr_value(hn, load, t), g.attr_value(n, load, t));
-            }
-        }
-        prop_assert_eq!(h.has_edge_values(), g.has_edge_values());
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let hu = h.node_id(g.node_name(u)).unwrap();
-            let hv = h.node_id(g.node_name(v)).unwrap();
-            let he = h.edge_between(hu, hv).expect("edge survives");
-            prop_assert_eq!(
-                h.edge_timestamp(he).iter().collect::<Vec<_>>(),
-                g.edge_timestamp(e).iter().collect::<Vec<_>>()
-            );
-            for t in g.domain().iter() {
-                prop_assert_eq!(
-                    h.edge_value(he, t),
-                    g.edge_value(e, t),
-                    "edge value ({}, {}) at {:?}", g.node_name(u), g.node_name(v), t
-                );
             }
         }
     }

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
-use tempo_columnar::{BitMatrix, BitVec, SparseMode, Value, ValueTuple};
+use tempo_columnar::{BitVec, SparseMode, Value, ValueTuple};
 use tempo_datagen::RandomGraphConfig;
 use tempo_graph::{
     AttrId, AttributeSchema, EdgeId, GraphBuilder, GraphStats, NodeId, TemporalGraph, Temporality,
@@ -574,9 +574,8 @@ pub fn naive_suggest(g: &TemporalGraph, cfg: &ExploreConfig) -> String {
 }
 
 /// The row-wise oracle for `event_mask`: membership decided entity by
-/// entity against the row-major presence matrices (what `event_mask` did
-/// before it moved onto the transposed columns). Returns the kept node and
-/// edge rows.
+/// entity on its timestamp (`event_mask` folds whole presence columns
+/// instead). Returns the kept node and edge rows.
 pub fn event_mask_rowwise(
     g: &TemporalGraph,
     event: Event,
@@ -585,11 +584,11 @@ pub fn event_mask_rowwise(
     old_test: SideTest,
     new_test: SideTest,
 ) -> (BitVec, BitVec) {
-    let member = |m: &BitMatrix, r: usize, side: &TimeSet, test: SideTest| match test {
-        SideTest::Any => m.row_any(r, side.bits()),
-        SideTest::All => m.row_all(r, side.bits()),
-    };
-    let (nodes_m, edges_m) = (g.node_presence_matrix(), g.edge_presence_matrix());
+    let nodes_m: Vec<TimeSet> = g.node_ids().map(|n| g.node_timestamp(n)).collect();
+    let edges_m: Vec<TimeSet> = g.edge_ids().map(|e| g.edge_timestamp(e)).collect();
+    let (nodes_m, edges_m) = (&nodes_m[..], &edges_m[..]);
+    let member =
+        |rows: &[TimeSet], r: usize, side: &TimeSet, test: SideTest| test.member(&rows[r], side);
     let mut keep_nodes = BitVec::zeros(g.n_nodes());
     let mut keep_edges = BitVec::zeros(g.n_edges());
     // stability keeps members of both sides; a difference keeps members of

@@ -1,7 +1,6 @@
 //! Property test for the versioned copy-on-write snapshot layer: a graph
 //! built by N successive [`GraphVersions::append_timepoint`] calls must be
-//! bit-identical — presence matrices, transposed presence columns,
-//! attribute values, all twelve Table-1 explore strategies, aggregation,
+//! bit-identical — presence columns, attribute values, all twelve Table-1 explore strategies, aggregation,
 //! and zoom — to a graph built from scratch over the same history, at
 //! **every** intermediate epoch, under both presence-column policies.
 //!
@@ -142,26 +141,16 @@ fn assert_identical(inc: &TemporalGraph, reb: &TemporalGraph, ctx: &str) {
     for (a, b) in inc.node_ids().zip(reb.node_ids()) {
         assert_eq!(inc.node_name(a), reb.node_name(b), "{ctx}: node order");
     }
-    // raw presence matrices and the transposed per-timepoint indexes
-    assert_eq!(
-        inc.node_presence_matrix(),
-        reb.node_presence_matrix(),
-        "{ctx}: node presence"
-    );
-    assert_eq!(
-        inc.edge_presence_matrix(),
-        reb.edge_presence_matrix(),
-        "{ctx}: edge presence"
-    );
+    // the per-time-point presence columns, bit for bit
     assert_eq!(
         inc.node_presence_columns(),
         reb.node_presence_columns(),
-        "{ctx}: transposed node columns"
+        "{ctx}: node presence"
     );
     assert_eq!(
         inc.edge_presence_columns(),
         reb.edge_presence_columns(),
-        "{ctx}: transposed edge columns"
+        "{ctx}: edge presence"
     );
     assert_eq!(
         inc.edge_values_matrix(),
@@ -217,13 +206,13 @@ fn assert_identical(inc: &TemporalGraph, reb: &TemporalGraph, ctx: &str) {
     let za = zoom_out(inc, &gran, SideTest::Any).unwrap();
     let zb = zoom_out(reb, &gran, SideTest::Any).unwrap();
     assert_eq!(
-        za.node_presence_matrix(),
-        zb.node_presence_matrix(),
+        za.node_presence_columns(),
+        zb.node_presence_columns(),
         "{ctx}: zoomed node presence"
     );
     assert_eq!(
-        za.edge_presence_matrix(),
-        zb.edge_presence_matrix(),
+        za.edge_presence_columns(),
+        zb.edge_presence_columns(),
         "{ctx}: zoomed edge presence"
     );
 }
@@ -251,10 +240,6 @@ proptest! {
 
             let mut versions = GraphVersions::new(g0);
             for (i, patch) in patches.iter().enumerate() {
-                // warm the transposed indexes so each append exercises the
-                // incremental carry-forward rather than a lazy rebuild
-                let _ = versions.current().node_presence_columns();
-                let _ = versions.current().edge_presence_columns();
                 let inc = versions.append_timepoint(patch).unwrap();
                 prop_assert_eq!(inc.epoch(), (i + 1) as u64, "epoch stamps count appends");
 
