@@ -214,92 +214,6 @@ pub(crate) mod kernels {
             .any(|(x, y)| x & y != 0)
     }
 
-    /// `Σ popcount(a[i] & b[i] & c[i])`, four-lane accumulation as in
-    /// [`count_ones_and`].
-    #[inline]
-    pub(crate) fn count_ones_and3(a: &[u64], b: &[u64], c: &[u64]) -> usize {
-        debug_assert!(a.len() == b.len() && b.len() == c.len());
-        let mut ac = a.chunks_exact(CHUNK);
-        let mut bc = b.chunks_exact(CHUNK);
-        let mut cc = c.chunks_exact(CHUNK);
-        let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
-        for ((x, y), z) in (&mut ac).zip(&mut bc).zip(&mut cc) {
-            c0 += u64::from((x[0] & y[0] & z[0]).count_ones());
-            c1 += u64::from((x[1] & y[1] & z[1]).count_ones());
-            c2 += u64::from((x[2] & y[2] & z[2]).count_ones());
-            c3 += u64::from((x[3] & y[3] & z[3]).count_ones());
-        }
-        let mut rest = 0u64;
-        for ((x, y), z) in ac
-            .remainder()
-            .iter()
-            .zip(bc.remainder())
-            .zip(cc.remainder())
-        {
-            rest += u64::from((x & y & z).count_ones());
-        }
-        (c0 + c1 + c2 + c3 + rest) as usize
-    }
-
-    /// `Σ popcount(k[i] & (!d[i] | r[i]))` — the fused Definition-2.5 node
-    /// count (kept = member of the keep side, not of the drop side unless
-    /// rescued by an incident kept edge) with no mask materialized. Tail
-    /// hygiene: `!d` sets bits past the logical width in the final word,
-    /// but `k`'s clean tail masks them back off.
-    #[inline]
-    pub(crate) fn count_difference(k: &[u64], d: &[u64], r: &[u64]) -> usize {
-        debug_assert!(k.len() == d.len() && d.len() == r.len());
-        let mut kc = k.chunks_exact(CHUNK);
-        let mut dc = d.chunks_exact(CHUNK);
-        let mut rc = r.chunks_exact(CHUNK);
-        let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
-        for ((x, y), z) in (&mut kc).zip(&mut dc).zip(&mut rc) {
-            c0 += u64::from((x[0] & (!y[0] | z[0])).count_ones());
-            c1 += u64::from((x[1] & (!y[1] | z[1])).count_ones());
-            c2 += u64::from((x[2] & (!y[2] | z[2])).count_ones());
-            c3 += u64::from((x[3] & (!y[3] | z[3])).count_ones());
-        }
-        let mut rest = 0u64;
-        for ((x, y), z) in kc
-            .remainder()
-            .iter()
-            .zip(dc.remainder())
-            .zip(rc.remainder())
-        {
-            rest += u64::from((x & (!y | z)).count_ones());
-        }
-        (c0 + c1 + c2 + c3 + rest) as usize
-    }
-
-    /// [`count_difference`] restricted to a selector mask:
-    /// `Σ popcount(k[i] & (!d[i] | r[i]) & s[i])`.
-    #[inline]
-    pub(crate) fn count_difference_sel(k: &[u64], d: &[u64], r: &[u64], s: &[u64]) -> usize {
-        debug_assert!(k.len() == d.len() && d.len() == r.len() && r.len() == s.len());
-        let mut kc = k.chunks_exact(CHUNK);
-        let mut dc = d.chunks_exact(CHUNK);
-        let mut rc = r.chunks_exact(CHUNK);
-        let mut sc = s.chunks_exact(CHUNK);
-        let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
-        for (((x, y), z), w) in (&mut kc).zip(&mut dc).zip(&mut rc).zip(&mut sc) {
-            c0 += u64::from((x[0] & (!y[0] | z[0]) & w[0]).count_ones());
-            c1 += u64::from((x[1] & (!y[1] | z[1]) & w[1]).count_ones());
-            c2 += u64::from((x[2] & (!y[2] | z[2]) & w[2]).count_ones());
-            c3 += u64::from((x[3] & (!y[3] | z[3]) & w[3]).count_ones());
-        }
-        let mut rest = 0u64;
-        for (((x, y), z), w) in kc
-            .remainder()
-            .iter()
-            .zip(dc.remainder())
-            .zip(rc.remainder())
-            .zip(sc.remainder())
-        {
-            rest += u64::from((x & (!y | z) & w).count_ones());
-        }
-        (c0 + c1 + c2 + c3 + rest) as usize
-    }
-
     /// True if `a[i] & b[i] == b[i]` for every word (`a ⊇ b`), testing a
     /// whole chunk per branch.
     #[inline]

@@ -447,181 +447,6 @@ impl PresenceColumn {
         }
     }
 
-    /// `popcount(col & other)` against a dense mask: word-parallel for a
-    /// dense column, one bitmap probe per ID for a sparse one.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than `other`.
-    pub fn count_ones_and_dense(&self, other: &BitVec) -> usize {
-        match self {
-            PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), other.len());
-                let wl = bv.words().len();
-                kernels::count_ones_and(bv.words(), &other.words()[..wl])
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(other);
-                let ow = other.words();
-                let mut count = 0usize;
-                for &id in &s.ids {
-                    let (w, b) = (id as usize / WORD_BITS, id as usize % WORD_BITS);
-                    count += ((ow[w] >> b) & 1) as usize;
-                }
-                count
-            }
-        }
-    }
-
-    /// `popcount(col & a & b)`: word-parallel for a dense column, two
-    /// bitmap probes per ID for a sparse one.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than the operands, or `a` and `b`
-    /// disagree in width.
-    pub fn count_ones_and2(&self, a: &BitVec, b: &BitVec) -> usize {
-        check_same_width(a.len(), b.len());
-        match self {
-            PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), a.len());
-                let wl = bv.words().len();
-                kernels::count_ones_and3(bv.words(), &a.words()[..wl], &b.words()[..wl])
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(a);
-                let (aw, bw) = (a.words(), b.words());
-                let mut count = 0usize;
-                for &id in &s.ids {
-                    let (w, bit) = (id as usize / WORD_BITS, id as usize % WORD_BITS);
-                    count += ((aw[w] & bw[w]) >> bit & 1) as usize;
-                }
-                count
-            }
-        }
-    }
-
-    /// `popcount(col & (!drop | rescue) [& sel])`, the fused Definition-2.5
-    /// node count with the column as the *keep* side: a kept-side entity
-    /// survives unless it is on the drop side and not rescued by an
-    /// incident kept edge. Word-parallel for a dense column; two or three
-    /// bitmap probes per ID for a sparse one. No mask is materialized.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than the operands, or the dense
-    /// operands disagree in width.
-    pub fn count_difference_keep(
-        &self,
-        drop: &BitVec,
-        rescue: &BitVec,
-        sel: Option<&BitVec>,
-    ) -> usize {
-        check_same_width(drop.len(), rescue.len());
-        if let Some(m) = sel {
-            check_same_width(drop.len(), m.len());
-        }
-        match self {
-            PresenceColumn::Dense(bv) => {
-                // the column is the keep side: bits past its width are
-                // zero, so only the word prefix can contribute
-                check_col_width(bv.len(), drop.len());
-                let wl = bv.words().len();
-                match sel {
-                    None => kernels::count_difference(
-                        bv.words(),
-                        &drop.words()[..wl],
-                        &rescue.words()[..wl],
-                    ),
-                    Some(m) => kernels::count_difference_sel(
-                        bv.words(),
-                        &drop.words()[..wl],
-                        &rescue.words()[..wl],
-                        &m.words()[..wl],
-                    ),
-                }
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(drop);
-                let (dw, rw) = (drop.words(), rescue.words());
-                let sw = sel.map(|m| {
-                    s.check_width(m);
-                    m.words()
-                });
-                let mut count = 0usize;
-                for &id in &s.ids {
-                    let (w, bit) = (id as usize / WORD_BITS, id as usize % WORD_BITS);
-                    let kept = (!dw[w] | rw[w]) >> bit & 1;
-                    let selected = sw.map_or(1, |m| m[w] >> bit & 1);
-                    count += (kept & selected) as usize;
-                }
-                count
-            }
-        }
-    }
-
-    /// `popcount(keep & (!col | rescue) [& sel])`, the fused
-    /// Definition-2.5 node count with the column as the *drop* side
-    /// (subtrahend). The sparse path counts the dense keep side once and
-    /// subtracts the IDs it actually removes
-    /// (`|keep ∩ sel| − |keep ∩ col ∩ !rescue ∩ sel|`).
-    ///
-    /// # Panics
-    /// Panics if the column is wider than the operands, or the dense
-    /// operands disagree in width.
-    pub fn count_difference_drop(
-        &self,
-        keep: &BitVec,
-        rescue: &BitVec,
-        sel: Option<&BitVec>,
-    ) -> usize {
-        check_same_width(keep.len(), rescue.len());
-        if let Some(m) = sel {
-            check_same_width(keep.len(), m.len());
-        }
-        match self {
-            PresenceColumn::Dense(bv) => {
-                // the column is the drop side: past its width `!col` is
-                // all ones, so every selected keep bit there survives —
-                // fused prefix count plus a plain popcount suffix
-                check_col_width(bv.len(), keep.len());
-                let wl = bv.words().len();
-                let kw = keep.words();
-                let prefix = match sel {
-                    None => kernels::count_difference(&kw[..wl], bv.words(), &rescue.words()[..wl]),
-                    Some(m) => kernels::count_difference_sel(
-                        &kw[..wl],
-                        bv.words(),
-                        &rescue.words()[..wl],
-                        &m.words()[..wl],
-                    ),
-                };
-                let suffix = match sel {
-                    None => kernels::count_ones(&kw[wl..]),
-                    Some(m) => kernels::count_ones_and(&kw[wl..], &m.words()[wl..]),
-                };
-                prefix + suffix
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(keep);
-                let (kw, rw) = (keep.words(), rescue.words());
-                let sw = sel.map(|m| {
-                    s.check_width(m);
-                    m.words()
-                });
-                let base = match sel {
-                    None => keep.count_ones(),
-                    Some(m) => keep.count_ones_and(m),
-                };
-                let mut removed = 0usize;
-                for &id in &s.ids {
-                    let (w, bit) = (id as usize / WORD_BITS, id as usize % WORD_BITS);
-                    let dropped = (kw[w] & !rw[w]) >> bit & 1;
-                    let selected = sw.map_or(1, |m| m[w] >> bit & 1);
-                    removed += (dropped & selected) as usize;
-                }
-                base - removed
-            }
-        }
-    }
-
     /// `popcount(col & other)` between two columns: word-parallel for
     /// dense×dense, a bitmap probe per ID when exactly one side is sparse,
     /// and a galloping sorted-list intersection for sparse×sparse.
@@ -1033,10 +858,6 @@ mod tests {
             assert_eq!(so, dd, "{name}");
         }
 
-        assert_eq!(
-            s.count_ones_and_dense(&other),
-            d.count_ones_and_dense(&other)
-        );
         for c in [&s, &d] {
             assert_eq!(c.iter_ones_and(&other).collect::<Vec<_>>(), [1, 64]);
         }
@@ -1164,30 +985,6 @@ mod tests {
             full.or_and_into(&other, &mut want);
             assert_eq!(got, want, "or_and_into");
 
-            assert_eq!(
-                short.count_ones_and_dense(&other),
-                full.count_ones_and_dense(&other),
-                "count_ones_and_dense"
-            );
-            assert_eq!(
-                short.count_ones_and2(&other, &acc0),
-                full.count_ones_and2(&other, &acc0),
-                "count_ones_and2"
-            );
-            for sel in [None, Some(&acc0)] {
-                assert_eq!(
-                    short.count_difference_keep(&other, &acc0, sel),
-                    full.count_difference_keep(&other, &acc0, sel),
-                    "count_difference_keep sel={}",
-                    sel.is_some()
-                );
-                assert_eq!(
-                    short.count_difference_drop(&other, &acc0, sel),
-                    full.count_difference_drop(&other, &acc0, sel),
-                    "count_difference_drop sel={}",
-                    sel.is_some()
-                );
-            }
             assert!(
                 short.iter_ones_and(&other).eq(full.iter_ones_and(&other)),
                 "iter_ones_and"

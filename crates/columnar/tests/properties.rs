@@ -20,33 +20,24 @@ fn threshold_bits(vals: &[u32], t: u32) -> BitVec {
     BitVec::from_bools(&vals.iter().map(|&v| v < t).collect::<Vec<bool>>())
 }
 
-/// One presence-column test case: the column bits plus three independent
+/// One presence-column test case: the column bits plus two independent
 /// same-width operand vectors, each at its own random density.
-fn column_case() -> impl Strategy<Value = (BitVec, BitVec, BitVec, BitVec)> {
-    (
-        0usize..WIDTHS.len(),
-        0u32..101,
-        0u32..101,
-        0u32..101,
-        0u32..101,
-    )
-        .prop_flat_map(|(wi, tc, ta, tb, tr)| {
-            let n = WIDTHS[wi];
-            (
-                proptest::collection::vec(0u32..100, n),
-                proptest::collection::vec(0u32..100, n),
-                proptest::collection::vec(0u32..100, n),
-                proptest::collection::vec(0u32..100, n),
-            )
-                .prop_map(move |(c, a, b, r)| {
-                    (
-                        threshold_bits(&c, tc),
-                        threshold_bits(&a, ta),
-                        threshold_bits(&b, tb),
-                        threshold_bits(&r, tr),
-                    )
-                })
-        })
+fn column_case() -> impl Strategy<Value = (BitVec, BitVec, BitVec)> {
+    (0usize..WIDTHS.len(), 0u32..101, 0u32..101, 0u32..101).prop_flat_map(|(wi, tc, ta, tb)| {
+        let n = WIDTHS[wi];
+        (
+            proptest::collection::vec(0u32..100, n),
+            proptest::collection::vec(0u32..100, n),
+            proptest::collection::vec(0u32..100, n),
+        )
+            .prop_map(move |(c, a, b)| {
+                (
+                    threshold_bits(&c, tc),
+                    threshold_bits(&a, ta),
+                    threshold_bits(&b, tb),
+                )
+            })
+    })
 }
 
 fn bitvec_strategy(max_bits: usize) -> impl Strategy<Value = BitVec> {
@@ -64,14 +55,6 @@ fn bitvec_pair(max_bits: usize) -> impl Strategy<Value = (BitVec, BitVec)> {
         )
             .prop_map(|(a, b)| (BitVec::from_bools(&a), BitVec::from_bools(&b)))
     })
-}
-
-/// Naive per-bit reference for the fused Definition-2.5 difference count:
-/// `popcount(keep & (!drop | rescue) [& sel])`.
-fn naive_difference(keep: &BitVec, drop: &BitVec, rescue: &BitVec, sel: Option<&BitVec>) -> usize {
-    (0..keep.len())
-        .filter(|&i| keep.get(i) && (!drop.get(i) || rescue.get(i)) && sel.is_none_or(|m| m.get(i)))
-        .count()
 }
 
 /// A cell value from a small draw: nulls, repeats and all three payload
@@ -252,7 +235,7 @@ proptest! {
     /// round-trip through `to_bitvec` is lossless — at densities from
     /// all-zero to all-one and widths crossing the 63/64/65 tails.
     #[test]
-    fn presence_column_representations_agree((bits, _a, _b, _r) in column_case()) {
+    fn presence_column_representations_agree((bits, _a, _b) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
         let auto = PresenceColumn::from_bitvec(bits.clone(), SparseMode::Auto);
@@ -276,7 +259,7 @@ proptest! {
     /// (with clean invariants) whichever representation the column uses,
     /// and matches naive `BitVec` algebra.
     #[test]
-    fn presence_column_folds_match_dense((bits, a, b, _r) in column_case()) {
+    fn presence_column_folds_match_dense((bits, a, b) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
         let n = bits.len();
@@ -319,37 +302,16 @@ proptest! {
         prop_assert_eq!(&acc_sparse, &a.or(&bits.and(&b)));
     }
 
-    /// Every count kernel returns the same value whichever representation
-    /// either column uses, and matches a naive per-bit count — including
-    /// the fused difference counts with and without a selector mask.
+    /// The column × column intersection count returns the same value
+    /// whichever representation either column uses, and matches a naive
+    /// per-bit count.
     #[test]
-    fn presence_column_counts_match_naive((bits, a, b, r) in column_case()) {
+    fn presence_column_counts_match_naive((bits, a, _b) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
-        let n = bits.len();
-        for col in [&dense, &sparse] {
-            prop_assert_eq!(col.count_ones_and_dense(&a), bits.count_ones_and(&a));
-            prop_assert_eq!(
-                col.count_ones_and2(&a, &b),
-                (0..n).filter(|&i| bits.get(i) && a.get(i) && b.get(i)).count()
-            );
-            for sel in [None, Some(&b)] {
-                prop_assert_eq!(
-                    col.count_difference_keep(&a, &r, sel),
-                    naive_difference(&bits, &a, &r, sel),
-                    "count_difference_keep"
-                );
-                prop_assert_eq!(
-                    col.count_difference_drop(&a, &r, sel),
-                    naive_difference(&a, &bits, &r, sel),
-                    "count_difference_drop"
-                );
-            }
-        }
-        // column × column intersection count, all four representation pairs
         let other_dense = PresenceColumn::from_bitvec(a.clone(), SparseMode::ForceDense);
         let other_sparse = PresenceColumn::from_bitvec(a.clone(), SparseMode::ForceSparse);
-        let expect = bits.count_ones_and(&a);
+        let expect = (0..bits.len()).filter(|&i| bits.get(i) && a.get(i)).count();
         for x in [&dense, &sparse] {
             for y in [&other_dense, &other_sparse] {
                 prop_assert_eq!(x.count_ones_and(y), expect);

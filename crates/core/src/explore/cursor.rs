@@ -13,23 +13,23 @@
 //! ([`TemporalGraph::node_presence_columns`]), i.e. `O(entity-words)` per
 //! step independent of interval length.
 //!
-//! [`ChainCursor`] holds those accumulators and fuses the membership test
-//! into the count: a stability evaluation is one
-//! `popcount(ref & ext [& match])` sweep and a difference evaluation one
-//! `popcount(keep & (!drop | incident) [& match])` sweep (the
-//! Definition-2.5 incident-node fix-up recomputed only over the kept-edge
-//! set bits), with no node keep-mask write at all. `match` is the tuple
-//! selector's cached match vector ([`GroupColumns::match_columns`]): the
-//! vector itself on an all-static attribute list, and on a list with a
-//! time-varying attribute the OR of its per-point columns over the scope,
-//! folded one column at a time wherever the scope grows. Only the All
-//! selectors on a time-varying list over a scope of several points — where
-//! one entity can carry several tuples — write the mask and count it with
-//! the group table's column-major walk ([`GroupTable::count_distinct`]).
-//! [`ChainCursor::mask_chain_pair`] is the mask-only step for callers that
-//! aggregate the event themselves. Both are bit-identical to the
-//! materializing oracle at every chain coordinate (property-tested in
-//! `tests/kernel_equivalence.rs`).
+//! [`ChainCursor`] holds those accumulators and evaluates a pair in two
+//! steps, mask then count. The mask step writes the keep set of the side
+//! the selector reads — `ref & ext` for stability, `keep & !drop` for a
+//! difference event, whose node side also takes the Definition-2.5
+//! endpoints of the kept edges (recomputed only over the kept-edge set
+//! bits). The count step is a popcount of that keep set, intersected with
+//! a tuple selector's cached match vector
+//! ([`GroupColumns::match_columns`]: the vector itself on an all-static
+//! attribute list, and on a list with a time-varying attribute the OR of
+//! its per-point columns over the scope, folded one column at a time
+//! wherever the scope grows). Only the All selectors on a time-varying list
+//! over a scope of several points — where one entity can carry several
+//! tuples — count with the group table's column-major walk
+//! ([`GroupTable::count_distinct`]). [`ChainCursor::mask_chain_pair`] is
+//! the mask step alone, for callers that aggregate the event themselves.
+//! Both are bit-identical to the materializing oracle at every chain
+//! coordinate (property-tested in `tests/kernel_equivalence.rs`).
 //!
 //! [`GroupColumns::match_columns`]: tempo_graph::GroupColumns::match_columns
 //! [`GroupTable::count_distinct`]: crate::aggregate::GroupTable::count_distinct
@@ -85,16 +85,17 @@ fn selection<'a>(matches: &'a MatchColumns, scope_match: &'a BitVec) -> &'a BitV
 ///
 /// Built once per exploration run and driven forward through `(i, j)`
 /// chain coordinates by [`ChainCursor::evaluate_chain_pair`]. Every
-/// evaluation is recorded in `explore.evaluations` / `eval_ns`; those that
-/// write the mask also split it into `mask_ns` / `count_ns`.
+/// evaluation is recorded in `explore.evaluations` / `eval_ns`, and split
+/// into `mask_ns` / `count_ns` unless the selector's tuple occurs nowhere.
 pub struct ChainCursor<'k, 'g> {
     kernel: &'k ExploreKernel<'g>,
     node_cols: &'g PresenceColumns,
     edge_cols: &'g PresenceColumns,
     /// Domain length.
     n: usize,
-    /// Whether the selector counts edges; a node selector also needs the
-    /// kept edges, which rescue their endpoints (Definition 2.5).
+    /// Whether the selector counts edges; a node selector under a
+    /// difference event also needs the kept edges, which rescue their
+    /// endpoints (Definition 2.5).
     edges: bool,
     fast: FastCount,
     /// Reference index of the chain currently loaded, if any.
@@ -111,8 +112,8 @@ pub struct ChainCursor<'k, 'g> {
     /// (empty unless the selector has [`MatchColumns::PerPoint`] columns).
     scope_match: BitVec,
     /// Reusable output mask, rewritten in place. The scope is kept current
-    /// for every pair; the keep sets are those of the pair only after
-    /// [`mask_chain_pair`](Self::mask_chain_pair).
+    /// for every pair; the keep sets `write_mask` writes
+    /// are those of the pair once it is evaluated.
     mask: EventMask,
     /// Scratch for the Definition-2.5 incident-node fix-up.
     incident: BitVec,
@@ -267,69 +268,11 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         )
     }
 
-    /// Count-only evaluation: membership test and count fused into one
-    /// word-parallel (or sparse ID-probe) pass — the node keep mask is
-    /// never materialized. Difference events still write the kept-*edge*
-    /// mask (the incident fix-up iterates its set bits, and edges are the
-    /// short dimension here). Returns `None` when one entity can count more
-    /// than once: an All selector on a time-varying list, unless the scope
-    /// is a single point, where every kept entity carries exactly one tuple.
-    fn fused_count(&mut self) -> Option<u64> {
-        let sel = match &self.fast {
-            FastCount::Zero => return Some(0),
-            FastCount::Pop(matches) => matches.as_deref().map(|m| selection(m, &self.scope_match)),
-            FastCount::Table if self.mask.scope().len() == 1 => None,
-            FastCount::Table => return None,
-        };
-        let edges = self.edges;
-        let ref_nodes = self.node_cols.col(self.ref_t);
-        let ref_edges = self.edge_cols.col(self.ref_t);
-        let count = match self.kernel.cfg.event {
-            Event::Stability => {
-                let (reference, ext) = if edges {
-                    (ref_edges, &self.ext_edges)
-                } else {
-                    (ref_nodes, &self.ext_nodes)
-                };
-                match sel {
-                    None => reference.count_ones_and_dense(ext),
-                    Some(m) => reference.count_ones_and2(ext, m),
-                }
-            }
-            Event::Growth | Event::Shrinkage => {
-                let ref_is_keep = self.ref_is_keep();
-                let (_, keep_edges, _) = self.mask.parts_mut();
-                write_difference(ref_edges, ref_is_keep, &self.ext_edges, keep_edges);
-                if edges {
-                    // an edge target never reads the node side, so the
-                    // incident pass is skipped with it
-                    match sel {
-                        None => keep_edges.count_ones(),
-                        Some(m) => keep_edges.count_ones_and(m),
-                    }
-                } else {
-                    rebuild_incident(
-                        self.kernel.g,
-                        keep_edges,
-                        &mut self.incident,
-                        &mut self.incident_touched,
-                    );
-                    if ref_is_keep {
-                        ref_nodes.count_difference_keep(&self.ext_nodes, &self.incident, sel)
-                    } else {
-                        ref_nodes.count_difference_drop(&self.ext_nodes, &self.incident, sel)
-                    }
-                }
-            }
-        };
-        Some(count as u64)
-    }
-
     /// Rewrites the mask's keep sets for the current pair: whole-vector
     /// AND/ANDNOT for membership, set-bit iteration only for the kept edges'
-    /// endpoints (Definition 2.5). An edge selector never reads the kept
-    /// nodes, so for it only the kept edges are written and the incident
-    /// pass is skipped.
+    /// endpoints (Definition 2.5). Only the side the selector reads is
+    /// written, except that a node selector under a difference event also
+    /// needs the kept edges, which rescue their endpoints.
     fn write_mask(&mut self) {
         let nodes = !self.edges;
         let _mask_span = metrics::EXPLORE_MASK_NS.span();
@@ -341,10 +284,12 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         match self.kernel.cfg.event {
             Event::Stability => {
                 let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
-                // AND is commutative, so which side is old/new is moot.
-                ref_edges.and_into(&self.ext_edges, keep_edges);
+                // AND is commutative, so which side is old/new is moot, and
+                // with no incident rescue the sides are independent.
                 if nodes {
                     ref_nodes.and_into(&self.ext_nodes, keep_nodes);
+                } else {
+                    ref_edges.and_into(&self.ext_edges, keep_edges);
                 }
             }
             Event::Growth | Event::Shrinkage => {
@@ -390,22 +335,37 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         self.seek(i, j);
         let _eval_span = metrics::EXPLORE_EVAL_NS.span();
         metrics::EXPLORE_EVALUATIONS.inc();
-        if let Some(count) = self.fused_count() {
-            return count;
+        if let FastCount::Zero = self.fast {
+            return 0;
         }
         self.write_mask();
         let _count_span = metrics::EXPLORE_COUNT_NS.span();
-        self.kernel
-            .table
-            .count_distinct(self.kernel.g, &self.mask, &self.kernel.target)
+        let keep = if self.edges {
+            self.mask.keep_edges()
+        } else {
+            self.mask.keep_nodes()
+        };
+        let kernel = self.kernel;
+        match &self.fast {
+            FastCount::Pop(Some(m)) => keep.count_ones_and(selection(m, &self.scope_match)) as u64,
+            FastCount::Table if self.mask.scope().len() > 1 => {
+                kernel
+                    .table
+                    .count_distinct(kernel.g, &self.mask, &kernel.target)
+            }
+            // every kept entity counts once; over a single point that holds
+            // for a time-varying list too
+            _ => keep.count_ones() as u64,
+        }
     }
 
     /// The mask-only step: positions the cursor on chain pair `(i, j)` as
     /// [`evaluate_chain_pair`](Self::evaluate_chain_pair) does and returns
     /// the pair's event mask without counting anything: its scope and the
-    /// keep sets the kernel's selector concerns — kept edges for an edge
-    /// selector (the kept nodes are then unspecified), kept nodes and edges
-    /// for a node selector. Recorded as an evaluation.
+    /// keep set of the side the kernel's selector reads — kept edges for an
+    /// edge selector, kept nodes for a node selector, plus the kept edges
+    /// for a node selector under a difference event. The other side's keep
+    /// set is unspecified. Recorded as an evaluation.
     ///
     /// # Panics
     /// Panics if `(i, j)` is outside the domain's chain table.

@@ -7,9 +7,10 @@
 //! * `GroupTable::aggregate_masked` vs `aggregate` of the materialized
 //!   subgraph, `count_distinct` vs `Selector::count`;
 //! * both `ChainCursor` steps (`evaluate_chain_pair`, and `mask_chain_pair`
-//!   counted by `count_distinct`) vs `evaluate_pair_materialized` at every
-//!   chain coordinate of every Table-1 row, selector shape, group-table
-//!   layout and column layout;
+//!   counted by `count_distinct`) vs `evaluate_pair_materialized`, and the
+//!   mask of `mask_chain_pair` vs `event_mask` bit for bit, at every chain
+//!   coordinate of every Table-1 row, selector shape, group-table layout
+//!   and column layout;
 //! * `explore` vs `explore_naive`, and budget cancellation;
 //! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
 //!   consecutive pairs' materialized aggregates;
@@ -101,21 +102,35 @@ fn table1_configs(g: &TemporalGraph, attr_lists: &[Vec<AttrId>], k: u64) -> Vec<
 /// Drives two cursors over each column layout through every chain
 /// coordinate — one counting with `evaluate_chain_pair`, one handing the
 /// mask of `mask_chain_pair` to `count_distinct` — and checks each count
-/// against the materializing oracle (computed once per coordinate: it does
-/// not depend on the layout). The second cursor of a layout finds the
-/// selector's match columns cached by the first.
+/// against the materializing oracle and the mask against `event_mask` on
+/// the scope and every keep set the selector reads (both oracles computed
+/// once per coordinate: they do not depend on the layout). The second
+/// cursor of a layout finds the selector's match columns cached by the
+/// first.
 fn assert_cursors_match_oracle(
     layouts: &[TemporalGraph],
     cfg: &ExploreConfig,
 ) -> Result<(), TestCaseError> {
     let g = &layouts[0];
     let n = g.domain().len();
+    // the fixed reference side is a single point, where Any and All agree
+    let (old_test, new_test) = match cfg.extend {
+        ExtendSide::Old => (cfg.semantics.side_test(), SideTest::Any),
+        ExtendSide::New => (SideTest::Any, cfg.semantics.side_test()),
+    };
+    // an edge selector reads the kept edges; a node selector the kept
+    // nodes, and under a difference event the kept edges that rescue their
+    // endpoints
+    let read_edges = cfg.selector.is_edge() || cfg.event != Event::Stability;
+    let read_nodes = !cfg.selector.is_edge();
     let mut expected = Vec::new();
     for i in 0..n - 1 {
         for j in 0..chain_len(n, i, cfg.extend) {
             let pair = chain_pair(n, i, j, cfg.extend);
             let want = evaluate_pair_materialized(g, cfg, &pair.told, &pair.tnew).unwrap();
-            expected.push((i, j, want));
+            let mask =
+                event_mask(g, cfg.event, &pair.told, &pair.tnew, old_test, new_test).unwrap();
+            expected.push((i, j, want, mask));
         }
     }
     for g in layouts {
@@ -129,26 +144,42 @@ fn assert_cursors_match_oracle(
         };
         let mut counting = ChainCursor::new(&kernel);
         let mut masking = ChainCursor::new(&kernel);
-        for &(i, j, want) in &expected {
-            let masked = table.count_distinct(g, masking.mask_chain_pair(i, j), &target);
-            for (name, got) in [
-                ("counting", counting.evaluate_chain_pair(i, j)),
-                ("masking", masked),
-            ] {
-                prop_assert_eq!(
-                    got,
-                    want,
-                    "{} cursor vs oracle: {:?}/{:?}/{:?} selector={:?} attrs={:?} {:?} i={} j={}",
-                    name,
+        for &(i, j, want, ref oracle) in &expected {
+            let at = || {
+                format!(
+                    "{:?}/{:?}/{:?} selector={:?} attrs={:?} {:?} i={i} j={j}",
                     cfg.event,
                     cfg.extend,
                     cfg.semantics,
                     cfg.selector,
                     cfg.attrs,
-                    g.sparse_mode(),
-                    i,
-                    j
+                    g.sparse_mode()
+                )
+            };
+            let mask = masking.mask_chain_pair(i, j);
+            prop_assert_eq!(mask.scope(), oracle.scope(), "mask scope: {}", at());
+            if read_nodes {
+                prop_assert_eq!(
+                    mask.keep_nodes(),
+                    oracle.keep_nodes(),
+                    "kept nodes: {}",
+                    at()
                 );
+            }
+            if read_edges {
+                prop_assert_eq!(
+                    mask.keep_edges(),
+                    oracle.keep_edges(),
+                    "kept edges: {}",
+                    at()
+                );
+            }
+            let masked = table.count_distinct(g, mask, &target);
+            for (name, got) in [
+                ("counting", counting.evaluate_chain_pair(i, j)),
+                ("masking", masked),
+            ] {
+                prop_assert_eq!(got, want, "{} cursor vs oracle: {}", name, at());
             }
         }
     }

@@ -36,7 +36,7 @@ metrics! {
     Histogram GROUP_TABLE_BUILD_NS = "aggregate.group_table_build_ns";
     /// Group-id column sets built from scratch, cached or not.
     Counter GROUP_TABLES_BUILT = "aggregate.group_tables_built";
-    /// Time counting a written event mask (the non-popcount evaluations).
+    /// Time counting an evaluation's written event mask.
     Histogram EXPLORE_COUNT_NS = "explore.count_ns";
     /// Chain cursors built: one per exploration run or threshold scan.
     Counter EXPLORE_CURSOR_BUILDS = "explore.cursor.builds";
@@ -52,7 +52,7 @@ metrics! {
     Counter EXPLORE_EVALUATIONS = "explore.evaluations";
     /// Time to set up one exploration kernel (group table + count target).
     Histogram EXPLORE_KERNEL_BUILD_NS = "explore.kernel_build_ns";
-    /// Time writing an event mask (the non-popcount evaluations).
+    /// Time writing an evaluation's event mask.
     Histogram EXPLORE_MASK_NS = "explore.mask_ns";
     /// Selector match columns built for a tuple selector.
     Counter EXPLORE_MATCH_COLS_BUILDS = "explore.match_cols.builds";

@@ -242,11 +242,6 @@ impl TimeSet {
         Interval::new(TimePoint(start as u32), TimePoint(end as u32)).to_set(domain_len)
     }
 
-    /// Wraps an existing bit vector.
-    pub fn from_bits(bits: BitVec) -> Self {
-        TimeSet { bits }
-    }
-
     /// Adds a point to the set in place (the exploration cursor grows its
     /// scope by one point per extension step).
     ///
