@@ -633,19 +633,24 @@ impl GroupTable {
     /// nodes a filter lets through at scope point `t`, and an appearance it
     /// stops does not count.
     ///
+    /// Both modes read the presence columns one 64-entity word at a time,
+    /// for each non-zero word `b` of `keep`: word `b` of a column
+    /// ([`block_words`](tempo_columnar::PresenceColumn::block_words), zero
+    /// past the column's end) ∧ word `b` of `keep`.
+    ///
     /// Under [`AggMode::All`] every appearance counts, one point at a time:
-    /// the entities of `presence_col[t] ∧ keep`. Under [`AggMode::Distinct`]
-    /// an appearance counts the first time its entity shows its key in the
-    /// scope. The walk then takes the kept entities 64 at a time, word `b`
-    /// of `keep` and of every scope point's presence column, in scope order:
-    /// an entity's first passing appearance counts at once, and its key
-    /// waits in a 64-entry row; a later one, on a list with a time-varying
-    /// attribute, is set in a tile of one mask per entity and 64-point chunk
-    /// of the scope. Each entity with later appearances then keys them in
-    /// scope order against a list that starts with its first key. An entity
-    /// that appears once never meets the list, and an all-static list keys
-    /// only first appearances. Nothing as long as the entities is allocated:
-    /// one cursor per scope point, the row, the tile and the list.
+    /// the set bits of each such word. Under [`AggMode::Distinct`] an
+    /// appearance counts the first time its entity shows its key in the
+    /// scope. The walk then takes word `b` of every scope point's column in
+    /// scope order: an entity's first passing appearance counts at once, and
+    /// its key waits in a 64-entry row; a later one, on a list with a
+    /// time-varying attribute, is set in a tile of one mask per entity and
+    /// 64-point chunk of the scope. Each entity with later appearances then
+    /// keys them in scope order against a list that starts with its first
+    /// key. An entity that appears once never meets the list, and an
+    /// all-static list keys only first appearances. Nothing as long as the
+    /// entities is allocated: one cursor per scope point, the row, the tile
+    /// and the list.
     ///
     /// An all-static list without a filter skips the walk: every kept entity
     /// counts once with its one id (and `t` is the scope's first point),
@@ -663,13 +668,17 @@ impl GroupTable {
         let points: Vec<usize> = scope.iter().map(TimePoint::index).collect();
         let passes = |e: usize, t: usize| pass.is_none_or(|p| entities.passes(e, &p[t]));
         let (cols, all_static) = (&*self.cols, self.is_static());
+        debug_assert!(points.iter().all(|&t| presence.col(t).len() <= keep.len()));
         match mode {
             AggMode::All => {
                 for &t in &points {
-                    let gids = cols.col(t);
-                    for e in presence.col(t).iter_ones_and(keep) {
-                        if passes(e, t) {
-                            visit(e, t, entities.key(e, gids));
+                    let (gids, mut words) = (cols.col(t), presence.col(t).block_words());
+                    for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
+                        for lane in word_ones(words.word(b) & kept) {
+                            let e = b * WORD_BITS + lane;
+                            if passes(e, t) {
+                                visit(e, t, entities.key(e, gids));
+                            }
                         }
                     }
                 }
@@ -688,7 +697,6 @@ impl GroupTable {
             }
             AggMode::Distinct => {}
         }
-        debug_assert!(points.iter().all(|&t| presence.col(t).len() <= keep.len()));
         let mut cursors: Vec<_> = points
             .iter()
             .map(|&t| presence.col(t).block_words())

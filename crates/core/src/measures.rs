@@ -47,12 +47,6 @@ pub enum EdgeMeasure {
     AvgValues,
 }
 
-impl EdgeMeasure {
-    fn needs_values(self) -> bool {
-        !matches!(self, EdgeMeasure::Count)
-    }
-}
-
 /// Streaming accumulator for one group.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Acc {
@@ -175,33 +169,31 @@ pub fn aggregate_measure(
     node_measure: NodeMeasure,
     edge_measure: EdgeMeasure,
 ) -> Result<MeasureAggregate, GraphError> {
-    if edge_measure.needs_values() && !g.has_edge_values() {
-        return Err(GraphError::UnknownAttribute(
-            "edge values (graph has none)".to_owned(),
-        ));
-    }
-    // Where the measured attribute's cells live, resolved once.
-    enum Cells<'g> {
-        Static(usize),
-        TimeVarying(&'g ValueMatrix),
-    }
+    let edge_values = match edge_measure {
+        EdgeMeasure::Count => None,
+        _ => Some(g.edge_values_matrix().ok_or_else(|| {
+            GraphError::UnknownAttribute("edge values (graph has none)".to_owned())
+        })?),
+    };
+    // The measured attribute's code cells (and static slot), resolved once.
     let measured = match node_measure {
         NodeMeasure::Count => None,
         NodeMeasure::Sum(a) | NodeMeasure::Min(a) | NodeMeasure::Max(a) | NodeMeasure::Avg(a) => {
             Some(match g.schema().static_slot(a) {
-                Some(slot) => Cells::Static(slot),
-                None => Cells::TimeVarying(g.tv_table(a)?),
+                Some(slot) => (g.static_table(), Some(slot)),
+                None => (g.tv_table(a)?, None),
             })
         }
     };
-    let observe = |n: usize, t: usize| match &measured {
-        None => None,
-        Some(Cells::Static(slot)) => g.static_table().get(n, *slot).as_int(),
-        Some(Cells::TimeVarying(cells)) => cells.get(n, t).as_int(),
+    // One number per dictionary code, built once per request; `NULL_CODE`
+    // lies past the table and reads as no observation.
+    let numbers =
+        |m: &ValueMatrix| -> Vec<Option<i64>> { m.dict().iter().map(Value::as_int).collect() };
+    let node_numbers = measured.map(|(cells, slot)| (cells, slot, numbers(cells)));
+    let observe = |n: usize, t: usize| {
+        let (cells, slot, numbers) = node_numbers.as_ref()?;
+        *numbers.get(cells.code(n, slot.unwrap_or(t)) as usize)?
     };
-    let edge_values = g
-        .edge_values_matrix()
-        .filter(|_| edge_measure.needs_values());
 
     // Every appearance over the whole domain is one observation.
     let table = GroupTable::cached(g, group);
@@ -211,12 +203,6 @@ pub fn aggregate_measure(
     let mut node_acc = vec![Acc::default(); table.n_groups()];
     let observe_node = |n, t, gid: u32| node_acc[gid as usize].push(observe(n, t));
     table.walk(Nodes(g), &domain, &nodes, all, None, observe_node);
-    let mut edge_acc: PairAccumulator<Acc> = PairAccumulator::new(table.n_groups());
-    let observe_edge = |e, t, (s, d): (u32, u32)| {
-        let obs = edge_values.and_then(|values| values.get(e, t).as_int());
-        edge_acc.slot(s, d).push(obs);
-    };
-    table.walk(Edges(g), &domain, &edges, all, None, observe_edge);
 
     let mut out = MeasureAggregate {
         group_names: table.attr_names().to_vec(),
@@ -229,12 +215,26 @@ pub fn aggregate_measure(
             out.nodes.insert(table.tuple(gid as u32).clone(), v);
         }
     }
-    edge_acc.for_each_nonzero(|s, d, acc| {
-        if let Some(v) = acc.finish_edge(edge_measure) {
+    let mut edge = |s: u32, d: u32, v: Option<f64>| {
+        if let Some(v) = v {
             out.edges
                 .insert((table.tuple(s).clone(), table.tuple(d).clone()), v);
         }
-    });
+    };
+    let Some(values) = edge_values else {
+        // COUNT is the ALL weight
+        let weights = table.edge_weights(g, &domain, &edges, all, None);
+        weights.for_each_nonzero(|s, d, &w| edge(s, d, Some(w as f64)));
+        return Ok(out);
+    };
+    let numbers = numbers(values);
+    let mut edge_acc: PairAccumulator<Acc> = PairAccumulator::new(table.n_groups());
+    let observe_edge = |e, t, (s, d): (u32, u32)| {
+        let obs = numbers.get(values.code(e, t) as usize).copied().flatten();
+        edge_acc.slot(s, d).push(obs);
+    };
+    table.walk(Edges(g), &domain, &edges, all, None, observe_edge);
+    edge_acc.for_each_nonzero(|s, d, acc| edge(s, d, acc.finish_edge(edge_measure)));
     Ok(out)
 }
 

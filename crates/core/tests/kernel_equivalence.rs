@@ -15,25 +15,32 @@
 //! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
 //!   consecutive pairs' materialized aggregates;
 //! * the DIST walk across 64-entity words and 64-point chunks of a scope,
-//!   through `aggregate_masked`, `count_distinct` and `evolution_aggregate`.
+//!   through `aggregate_masked`, `count_distinct` and `evolution_aggregate`;
+//! * the ALL walk on the same graphs, through `aggregate_masked`, every
+//!   `GraphCube` level and `aggregate_measure`, and `aggregate_measure` of
+//!   a static numeric attribute and of edge values against `naive_measure`.
 
-use graphtempo::aggregate::{aggregate, AggMode, CountTarget, GroupTable, NodeTimeFilter};
+use graphtempo::aggregate::{aggregate, rollup, AggMode, CountTarget, GroupTable, NodeTimeFilter};
+use graphtempo::cube::GraphCube;
 use graphtempo::evolution::{evolution_aggregate, evolution_aggregate_naive};
 use graphtempo::explore::{
     evaluate_pair_materialized, explore, explore_budgeted, explore_naive, initial_threshold,
     suggest_k, Budget, ChainCursor, ExploreConfig, ExploreKernel, ExtendSide, Selector, Semantics,
     ThresholdStat,
 };
-use graphtempo::ops::{event_graph, event_mask, Event, SideTest};
+use graphtempo::measures::{aggregate_measure, EdgeMeasure, MeasureAggregate, NodeMeasure};
+use graphtempo::ops::{event_graph, event_mask, union, Event, SideTest};
 use proptest::prelude::*;
+use std::sync::Arc;
 use tempo_columnar::Value;
 use tempo_datagen::RandomGraphConfig;
 use tempo_graph::{
-    AttrId, GraphError, GraphVersions, NodeId, TemporalGraph, TimePoint, TimeSet, TimepointPatch,
+    AttrId, AttributeSchema, GraphBuilder, GraphError, GraphVersions, NodeId, TemporalGraph,
+    Temporality, TimeDomain, TimePoint, TimeSet, TimepointPatch,
 };
 use tempo_testkit::{
     both_layouts, chain_len, chain_pair, event_mask_rowwise, graph_strategy, interval, kind_attr,
-    level_attr, naive_threshold, returning_tuple,
+    level_attr, naive_measure, naive_threshold, render_tuple, returning_tuple, Reduce,
 };
 
 /// The attribute sets exercised everywhere below: all-static,
@@ -561,15 +568,16 @@ fn single_timepoint_domain_errors_everywhere() {
     assert!(suggest_k(&g, &cfg).is_err());
 }
 
-/// The DIST walk against its oracles where the proptests' graphs (at most
-/// 39 nodes and 6 points) never reach: hundreds of nodes, so the kept
-/// entities span several 64-entity words, and 70–130 points, so a scope
-/// of 𝒯₁ ∪ 𝒯₂ with a one-point gap between them spans two 64-point chunks.
-/// Each graph is checked under both column layouts and, appended one
-/// point, with the old presence columns zero-extended; the returning tuple
-/// checks one entity whose key goes A → (absent) → B → A.
-#[test]
-fn distinct_walk_crosses_words_and_chunks() {
+/// The graphs the two walk tests below share, each with its 𝒯₁ and 𝒯₂,
+/// where the proptests' graphs (at most 39 nodes and 6 points) never reach:
+/// hundreds of nodes, so the kept entities span several 64-entity words,
+/// and 70–130 points, so a scope of 𝒯₁ ∪ 𝒯₂ with a one-point gap between
+/// them spans two 64-point chunks. Each graph comes under both column
+/// layouts and, appended one point, with the old presence columns
+/// zero-extended; the returning tuple has one entity whose key goes
+/// A → (absent) → B → A.
+fn walk_cases() -> Vec<(TemporalGraph, TimeSet, TimeSet)> {
+    let mut cases = Vec::new();
     for (timepoints, seed) in [(70, 3), (130, 4)] {
         let g = RandomGraphConfig {
             pool: 320,
@@ -594,7 +602,7 @@ fn distinct_walk_crosses_words_and_chunks() {
         let (t1, t2) = sides(timepoints);
         assert!(t1.len() + t2.len() > 64);
         for g in both_layouts(&g) {
-            assert_walks_match_oracles(&g, &t1, &t2);
+            cases.push((g, t1.clone(), t2.clone()));
         }
         // the appended epoch carries the old columns forward unwidened
         let mut patch = TimepointPatch::new("appended");
@@ -604,12 +612,182 @@ fn distinct_walk_crosses_words_and_chunks() {
         let g = GraphVersions::new(g).append_timepoint(&patch).unwrap();
         assert!(g.node_presence_columns().col(0).len() < g.n_nodes());
         let (t1, t2) = sides(timepoints + 1);
-        assert_walks_match_oracles(&g, &t1, &t2);
+        cases.push((Arc::unwrap_or_clone(g), t1, t2));
     }
     let (t1, t2) = (TimeSet::range(4, 0, 1), TimeSet::range(4, 2, 3));
     for g in both_layouts(&returning_tuple()) {
+        cases.push((g, t1.clone(), t2.clone()));
+    }
+    cases
+}
+
+/// The DIST walk against its oracles on [`walk_cases`].
+#[test]
+fn distinct_walk_crosses_words_and_chunks() {
+    for (g, t1, t2) in walk_cases() {
         assert_walks_match_oracles(&g, &t1, &t2);
     }
+}
+
+/// The ALL walk against its oracles on [`walk_cases`]: `aggregate_masked`
+/// under each event between 𝒯₁ and 𝒯₂ (whose keep sets leave out entities
+/// present within the scope) against `aggregate` of the event graph, every
+/// cube level over 𝒯₁ ∪ 𝒯₂ against `rollup` of the base level's ALL
+/// aggregate, and whole-domain `aggregate_measure` against `naive_measure`,
+/// its COUNT edges in full against the ALL aggregate.
+#[test]
+fn all_walk_crosses_words_and_chunks() {
+    for (g, t1, t2) in walk_cases() {
+        let (all, any) = (AggMode::All, SideTest::Any);
+        for event in EVENTS {
+            let mask = event_mask(&g, event, &t1, &t2, any, any).unwrap();
+            let sub = event_graph(&g, event, &t1, &t2, any, any).unwrap();
+            for attrs in attr_sets(&g) {
+                #[allow(clippy::disallowed_methods)] // the oracle side builds its table uncached
+                let table = GroupTable::build(&g, &attrs);
+                let want = aggregate(&sub, &attrs, all);
+                assert_eq!(
+                    table.aggregate_masked(&g, &mask, all),
+                    want,
+                    "{event:?} {attrs:?}"
+                );
+            }
+        }
+        let base = vec![kind_attr(&g), level_attr(&g)];
+        let scope = t1.union(&t2);
+        let union_all = aggregate(&union(&g, &t1, &t2).unwrap(), &base, all);
+        let cube = GraphCube::build(&g, &base, 1);
+        for level in cube.all_levels() {
+            let names: Vec<&str> = level.names().iter().map(String::as_str).collect();
+            let want = rollup(&union_all, &names).unwrap();
+            assert_eq!(cube.query(&level, &scope).unwrap(), want, "{level:?}");
+        }
+        let level = level_attr(&g);
+        for attrs in attr_sets(&g) {
+            for (spec, node, reduce) in node_measures(level) {
+                let got = aggregate_measure(&g, &attrs, node, EdgeMeasure::Count).unwrap();
+                let want = naive_measure(&g, &attrs, spec, reduce, Reduce::Count);
+                assert_eq!(render_measure(&g, &attrs, spec, &got), want, "{attrs:?}");
+            }
+            let (count, node) = (EdgeMeasure::Count, NodeMeasure::Count);
+            let counts = aggregate_measure(&g, &attrs, node, count).unwrap();
+            let weights = aggregate(&g, &attrs, all);
+            assert_eq!(counts.iter_edges().len(), weights.n_edges(), "{attrs:?}");
+            for ((s, d), w) in weights.iter_edges() {
+                assert_eq!(counts.edge_value(s, d), Some(w as f64), "{attrs:?}");
+            }
+        }
+    }
+}
+
+/// `measure` where the random graphs do not reach: a static integer
+/// attribute with `Null` cells and negative values, and edge values, on
+/// more than 64 nodes under both column layouts and on an appended epoch
+/// whose edge values and static cells take codes past its parent's
+/// dictionaries. Every node and edge reduction is checked against
+/// `naive_measure`, grouped so that no reply has more than the ten edge
+/// rows `measure` prints.
+#[test]
+fn measure_reads_static_numbers_and_appended_edge_values() {
+    let mut schema = AttributeSchema::new();
+    let kind = schema.declare("kind", Temporality::Static).unwrap();
+    let score = schema.declare("score", Temporality::Static).unwrap();
+    let level = schema.declare("level", Temporality::TimeVarying).unwrap();
+    let mut b = GraphBuilder::new(TimeDomain::indexed(5), schema);
+    let n = 150;
+    let name = |i: usize| format!("n{i}");
+    let ids: Vec<NodeId> = (0..n).map(|i| b.get_or_add_node(&name(i))).collect();
+    for (i, &u) in ids.iter().enumerate() {
+        let k = b.intern_category(kind, &format!("k{}", i % 3));
+        b.set_static(u, kind, k).unwrap();
+        if i % 7 != 0 {
+            // every seventh score stays Null
+            b.set_static(u, score, Value::Int(i as i64 % 11 - 5))
+                .unwrap();
+        }
+        for t in (0..5).filter(|t| (i + t) % 3 != 0) {
+            let x = Value::Int(((i + t) % 4) as i64);
+            b.set_time_varying(u, level, TimePoint(t as u32), x)
+                .unwrap();
+        }
+    }
+    for (i, &u) in ids.iter().enumerate() {
+        let v = ids[(i * 7 + 1) % n];
+        for t in (0..5).filter(|t| (i + 2 * t) % 4 != 0) {
+            let t = TimePoint(t as u32);
+            match i % 5 {
+                // an edge without a value counts but observes nothing
+                0 => b.add_edge_at(u, v, t).unwrap(),
+                r => b.set_edge_value(u, v, t, Value::Int(r as i64 - 3)).unwrap(),
+            }
+        }
+    }
+    let g = b.build().unwrap();
+    let mut patch = TimepointPatch::new("appended");
+    for i in (0..n).step_by(4) {
+        let v = (i * 7 + 1) % n;
+        patch.set_edge_value(name(i), name(v), Value::Int(100 + i as i64));
+    }
+    patch.set_static("fresh", score, Value::Int(-40));
+    patch.set_static("fresh", kind, g.schema().category(kind, "k0").unwrap());
+    patch.set_edge_value("fresh", "n3", Value::Int(-100));
+    for g in both_layouts(&g) {
+        let appended = GraphVersions::new(g.clone())
+            .append_timepoint(&patch)
+            .unwrap();
+        let values = |g: &TemporalGraph| g.edge_values_matrix().unwrap().dict().len();
+        assert!(values(&appended) > values(&g));
+        for g in [&g, &*appended] {
+            for attrs in [vec![kind], vec![kind, score]] {
+                for (spec, node, reduce) in node_measures(score) {
+                    for (edge, edge_reduce) in EDGE_MEASURES {
+                        let got = aggregate_measure(g, &attrs, node, edge).unwrap();
+                        let want = naive_measure(g, &attrs, spec, reduce, edge_reduce);
+                        let got = render_measure(g, &attrs, spec, &got);
+                        assert_eq!(got, want, "{spec} {edge:?} {attrs:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A `node=` spec, its measure, and its oracle's reduction.
+type NodeCase = (&'static str, NodeMeasure, (Reduce, Option<AttrId>));
+
+/// Each node measure of `attr`.
+fn node_measures(attr: AttrId) -> [NodeCase; 5] {
+    [
+        ("count", NodeMeasure::Count, (Reduce::Count, None)),
+        ("sum", NodeMeasure::Sum(attr), (Reduce::Sum, Some(attr))),
+        ("min", NodeMeasure::Min(attr), (Reduce::Min, Some(attr))),
+        ("max", NodeMeasure::Max(attr), (Reduce::Max, Some(attr))),
+        ("avg", NodeMeasure::Avg(attr), (Reduce::Avg, Some(attr))),
+    ]
+}
+
+const EDGE_MEASURES: [(EdgeMeasure, Reduce); 5] = [
+    (EdgeMeasure::Count, Reduce::Count),
+    (EdgeMeasure::SumValues, Reduce::Sum),
+    (EdgeMeasure::MinValues, Reduce::Min),
+    (EdgeMeasure::MaxValues, Reduce::Max),
+    (EdgeMeasure::AvgValues, Reduce::Avg),
+];
+
+/// A measure as `measure` prints it (and `naive_measure` renders it).
+fn render_measure(g: &TemporalGraph, group: &[AttrId], spec: &str, m: &MeasureAggregate) -> String {
+    let mut out = format!(
+        "measure {spec} grouped by ({})\n",
+        m.group_names().join(",")
+    );
+    for (tuple, v) in m.iter_nodes() {
+        out += &format!("  node {} = {v:.3}\n", render_tuple(g, group, tuple));
+    }
+    for ((s, d), v) in m.iter_edges().into_iter().take(10) {
+        let (s, d) = (render_tuple(g, group, s), render_tuple(g, group, d));
+        out += &format!("  edge {s} -> {d} = {v:.3}\n");
+    }
+    out.trim_end().to_owned()
 }
 
 /// DIST `aggregate_masked` and `count_distinct` over the union 𝒯₁ ∪ 𝒯₂
