@@ -27,7 +27,7 @@ pub fn word_ones(mut word: u64) -> impl Iterator<Item = usize> {
 /// Unrolled word-parallel kernels shared by [`BitVec`] and the presence
 /// columns.
 ///
-/// Every hot ternary primitive routes through these loops, which process
+/// The whole-vector folds and counts route through these loops, which process
 /// [`CHUNK`](kernels::CHUNK) words per iteration as straight-line code. The
 /// compiler turns each chunk body into wide vector loads/stores (256-bit on
 /// x86-64, 128-bit on aarch64) — no `unsafe`, no explicit SIMD types, no
@@ -36,75 +36,6 @@ pub fn word_ones(mut word: u64) -> impl Iterator<Item = usize> {
 pub(crate) mod kernels {
     /// Words per unrolled iteration.
     pub(crate) const CHUNK: usize = 4;
-
-    /// `out[i] = a[i] & b[i]`.
-    #[inline]
-    pub(crate) fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        let mut oc = out.chunks_exact_mut(CHUNK);
-        let mut ac = a.chunks_exact(CHUNK);
-        let mut bc = b.chunks_exact(CHUNK);
-        for ((o, x), y) in (&mut oc).zip(&mut ac).zip(&mut bc) {
-            o[0] = x[0] & y[0];
-            o[1] = x[1] & y[1];
-            o[2] = x[2] & y[2];
-            o[3] = x[3] & y[3];
-        }
-        for ((o, x), y) in oc
-            .into_remainder()
-            .iter_mut()
-            .zip(ac.remainder())
-            .zip(bc.remainder())
-        {
-            *o = x & y;
-        }
-    }
-
-    /// `out[i] = a[i] & !b[i]`.
-    #[inline]
-    pub(crate) fn and_not_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        let mut oc = out.chunks_exact_mut(CHUNK);
-        let mut ac = a.chunks_exact(CHUNK);
-        let mut bc = b.chunks_exact(CHUNK);
-        for ((o, x), y) in (&mut oc).zip(&mut ac).zip(&mut bc) {
-            o[0] = x[0] & !y[0];
-            o[1] = x[1] & !y[1];
-            o[2] = x[2] & !y[2];
-            o[3] = x[3] & !y[3];
-        }
-        for ((o, x), y) in oc
-            .into_remainder()
-            .iter_mut()
-            .zip(ac.remainder())
-            .zip(bc.remainder())
-        {
-            *o = x & !y;
-        }
-    }
-
-    /// `out[i] |= a[i] & b[i]`.
-    #[inline]
-    pub(crate) fn or_and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        let mut oc = out.chunks_exact_mut(CHUNK);
-        let mut ac = a.chunks_exact(CHUNK);
-        let mut bc = b.chunks_exact(CHUNK);
-        for ((o, x), y) in (&mut oc).zip(&mut ac).zip(&mut bc) {
-            o[0] |= x[0] & y[0];
-            o[1] |= x[1] & y[1];
-            o[2] |= x[2] & y[2];
-            o[3] |= x[3] & y[3];
-        }
-        for ((o, x), y) in oc
-            .into_remainder()
-            .iter_mut()
-            .zip(ac.remainder())
-            .zip(bc.remainder())
-        {
-            *o |= x & y;
-        }
-    }
 
     /// `out[i] |= a[i]`.
     #[inline]
@@ -137,23 +68,6 @@ pub(crate) mod kernels {
         }
         for (o, x) in oc.into_remainder().iter_mut().zip(ac.remainder()) {
             *o &= x;
-        }
-    }
-
-    /// `out[i] &= !a[i]`.
-    #[inline]
-    pub(crate) fn and_not_assign(a: &[u64], out: &mut [u64]) {
-        debug_assert_eq!(a.len(), out.len());
-        let mut oc = out.chunks_exact_mut(CHUNK);
-        let mut ac = a.chunks_exact(CHUNK);
-        for (o, x) in (&mut oc).zip(&mut ac) {
-            o[0] &= !x[0];
-            o[1] &= !x[1];
-            o[2] &= !x[2];
-            o[3] &= !x[3];
-        }
-        for (o, x) in oc.into_remainder().iter_mut().zip(ac.remainder()) {
-            *o &= !x;
         }
     }
 
@@ -468,37 +382,14 @@ impl BitVec {
         self.debug_validate();
     }
 
-    /// Ternary AND: writes `self & other` into `out` without allocating.
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn and_into(&self, other: &BitVec, out: &mut BitVec) {
-        self.check_width(other);
-        self.check_width(out);
-        kernels::and_into(&self.words, &other.words, &mut out.words);
-    }
-
-    /// Ternary AND-NOT: writes `self & !other` into `out` without
-    /// allocating.
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn and_not_into(&self, other: &BitVec, out: &mut BitVec) {
-        self.check_width(other);
-        self.check_width(out);
-        kernels::and_not_into(&self.words, &other.words, &mut out.words);
-        out.clear_tail();
-        out.debug_validate();
-    }
-
-    /// Fused OR-of-AND: `self |= a & b`, one pass over the packed words.
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn or_and_assign(&mut self, a: &BitVec, b: &BitVec) {
-        self.check_width(a);
-        self.check_width(b);
-        kernels::or_and_into(&a.words, &b.words, &mut self.words);
+    /// Overwrites the packed words with `words`, one item per word in
+    /// order (extra items are ignored, and a word without an item keeps its
+    /// bits), then clears every bit past `len()` the items set: the writer
+    /// for callers that compute whole 64-entity words.
+    pub fn write_words(&mut self, words: impl IntoIterator<Item = u64>) {
+        for (out, w) in self.words.iter_mut().zip(words) {
+            *out = w;
+        }
         self.clear_tail();
         self.debug_validate();
     }
@@ -519,17 +410,6 @@ impl BitVec {
     pub fn and_assign(&mut self, other: &BitVec) {
         self.check_width(other);
         kernels::and_assign(&other.words, &mut self.words);
-    }
-
-    /// In-place bitwise AND-NOT (`self &= !other`).
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn and_not_assign(&mut self, other: &BitVec) {
-        self.check_width(other);
-        kernels::and_not_assign(&other.words, &mut self.words);
-        self.clear_tail();
-        self.debug_validate();
     }
 
     /// Returns `self & mask` as a new vector.
@@ -656,9 +536,6 @@ mod tests {
         let b = BitVec::from_indices(10, [3, 4]);
         assert_eq!(a.and(&b).iter_ones().collect::<Vec<_>>(), vec![3]);
         assert_eq!(a.or(&b).iter_ones().collect::<Vec<_>>(), vec![1, 3, 4, 5]);
-        let mut d = a.clone();
-        d.and_not_assign(&b);
-        assert_eq!(d.iter_ones().collect::<Vec<_>>(), vec![1, 5]);
         assert_eq!(a.count_ones_and(&b), 1);
     }
 
@@ -671,21 +548,8 @@ mod tests {
     }
 
     #[test]
-    fn ternary_ops_match_assign_forms() {
+    fn copy_from_and_clear_all_reuse_the_buffer() {
         let a = BitVec::from_indices(130, [0, 5, 64, 100, 129]);
-        let b = BitVec::from_indices(130, [5, 64, 128]);
-        let mut out = BitVec::ones(130);
-        a.and_into(&b, &mut out);
-        assert_eq!(out, a.and(&b));
-        a.and_not_into(&b, &mut out);
-        let mut expect = a.clone();
-        expect.and_not_assign(&b);
-        assert_eq!(out, expect);
-        // fused |= a & b
-        let mut acc = BitVec::from_indices(130, [1]);
-        acc.or_and_assign(&a, &b);
-        assert_eq!(acc.iter_ones().collect::<Vec<_>>(), vec![1, 5, 64]);
-        // copy_from + clear_all reuse the buffer
         let mut buf = BitVec::zeros(130);
         buf.copy_from(&a);
         assert_eq!(buf, a);
@@ -695,12 +559,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn ternary_width_mismatch_panics() {
-        let a = BitVec::zeros(10);
-        let b = BitVec::zeros(10);
-        let mut out = BitVec::zeros(11);
-        a.and_into(&b, &mut out);
+    fn write_words_keeps_the_tail_clean() {
+        let mut v = BitVec::zeros(130);
+        v.write_words([u64::MAX, 1 << 63, u64::MAX]);
+        assert_eq!(v.check_invariants(), Ok(()));
+        assert_eq!(v.count_ones(), 64 + 1 + 2);
+        assert_eq!(v.iter_ones().skip(64).collect::<Vec<_>>(), [127, 128, 129]);
     }
 
     #[test]

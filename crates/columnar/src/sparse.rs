@@ -7,17 +7,16 @@
 //! where word-parallel folds win, and switches to a sorted-ID list when the
 //! column holds fewer set bits than the dense form holds *words* — at that
 //! point walking the IDs touches strictly less memory than reading the
-//! words. The op surface mirrors the dense accumulator kernels used by the
-//! chain-incremental cursor, so callers fold either representation into a
-//! dense accumulator without branching at every word.
+//! words. The op surface is the three folds of a column into a dense
+//! accumulator (`copy_into`, `or_into`, `and_assign_into`), so callers
+//! fold either representation without branching at every word.
 //!
 //! Columns are **zero-extended**: a column may be *shorter* than the dense
 //! operands it folds into, in which case its missing suffix reads as all
 //! zeros. This is what lets a versioned snapshot carry a time point's
 //! column forward unchanged while the entity space keeps growing —
 //! entities created after the column's epoch are absent at it by
-//! construction. Dense operands of one call must still agree with each
-//! other exactly; only the column itself may be short.
+//! construction.
 
 use std::sync::Arc;
 
@@ -58,12 +57,6 @@ fn check_col_width(col: usize, operand: usize) {
         col <= operand,
         "presence column wider than operand: {col} vs {operand}"
     );
-}
-
-/// Asserts two dense operands of one call agree exactly.
-#[inline]
-fn check_same_width(a: usize, b: usize) {
-    assert_eq!(a, b, "bit vector width mismatch: {a} vs {b}");
 }
 
 /// Whether a column goes sparse: the `mode` policy, vetoed for columns
@@ -337,112 +330,6 @@ impl PresenceColumn {
                     next = w + 1;
                 }
                 words[next..].fill(0);
-            }
-        }
-    }
-
-    /// `out = col & other`.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than the operands, or `other` and
-    /// `out` disagree in width.
-    pub fn and_into(&self, other: &BitVec, out: &mut BitVec) {
-        check_same_width(other.len(), out.len());
-        match self {
-            PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), other.len());
-                let wl = bv.words().len();
-                kernels::and_into(bv.words(), &other.words()[..wl], &mut out.words_mut()[..wl]);
-                out.words_mut()[wl..].fill(0);
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(other);
-                out.clear_all();
-                let ow = other.words();
-                let dst = out.words_mut();
-                for &id in &s.ids {
-                    let (w, b) = (id as usize / WORD_BITS, id as usize % WORD_BITS);
-                    dst[w] |= ow[w] & (1u64 << b);
-                }
-            }
-        }
-    }
-
-    /// `out = col & !other`.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than the operands, or `other` and
-    /// `out` disagree in width.
-    pub fn and_not_into(&self, other: &BitVec, out: &mut BitVec) {
-        check_same_width(other.len(), out.len());
-        match self {
-            PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), other.len());
-                let wl = bv.words().len();
-                kernels::and_not_into(bv.words(), &other.words()[..wl], &mut out.words_mut()[..wl]);
-                out.words_mut()[wl..].fill(0);
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(other);
-                out.clear_all();
-                let ow = other.words();
-                let dst = out.words_mut();
-                for &id in &s.ids {
-                    let (w, b) = (id as usize / WORD_BITS, id as usize % WORD_BITS);
-                    dst[w] |= !ow[w] & (1u64 << b);
-                }
-            }
-        }
-    }
-
-    /// `out = other & !col` (the column as the *subtrahend*; difference
-    /// events need both orders). Bits of `other` past the column's stored
-    /// width survive untouched (the column is zero there).
-    ///
-    /// # Panics
-    /// Panics if the column is wider than the operands, or `other` and
-    /// `out` disagree in width.
-    pub fn and_not_from(&self, other: &BitVec, out: &mut BitVec) {
-        check_same_width(other.len(), out.len());
-        match self {
-            PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), other.len());
-                out.copy_from(other);
-                let wl = bv.words().len();
-                kernels::and_not_assign(bv.words(), &mut out.words_mut()[..wl]);
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(other);
-                out.copy_from(other);
-                let dst = out.words_mut();
-                for &id in &s.ids {
-                    dst[id as usize / WORD_BITS] &= !(1u64 << (id as usize % WORD_BITS));
-                }
-            }
-        }
-    }
-
-    /// `acc |= col & other`, the fused incident-endpoint fix-up fold.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than the operands, or `other` and
-    /// `acc` disagree in width.
-    pub fn or_and_into(&self, other: &BitVec, acc: &mut BitVec) {
-        check_same_width(other.len(), acc.len());
-        match self {
-            PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), other.len());
-                let wl = bv.words().len();
-                kernels::or_and_into(bv.words(), &other.words()[..wl], &mut acc.words_mut()[..wl]);
-            }
-            PresenceColumn::Sparse(s) => {
-                s.check_width(other);
-                let ow = other.words();
-                let dst = acc.words_mut();
-                for &id in &s.ids {
-                    let (w, b) = (id as usize / WORD_BITS, id as usize % WORD_BITS);
-                    dst[w] |= ow[w] & (1u64 << b);
-                }
             }
         }
     }
@@ -822,39 +709,24 @@ mod tests {
         let d = dense(130, &col_ids);
         let mut so = BitVec::zeros(130);
         let mut dd = BitVec::zeros(130);
-
-        for (name, op) in [
-            (
-                "copy_into",
-                (|c: &PresenceColumn, _o: &BitVec, out: &mut BitVec| c.copy_into(out))
-                    as fn(&PresenceColumn, &BitVec, &mut BitVec),
-            ),
-            ("and_into", |c, o, out| c.and_into(o, out)),
-            ("and_not_into", |c, o, out| c.and_not_into(o, out)),
-            ("and_not_from", |c, o, out| c.and_not_from(o, out)),
-        ] {
-            so.clear_all();
-            dd.clear_all();
-            op(&s, &other, &mut so);
-            op(&d, &other, &mut dd);
-            assert_eq!(so, dd, "{name}");
-        }
+        s.copy_into(&mut so);
+        d.copy_into(&mut dd);
+        assert_eq!(so, dd, "copy_into");
 
         // accumulating ops start from a non-trivial accumulator
         let acc0 = BitVec::from_indices(130, [2, 63, 128]);
         for (name, op) in [
             (
                 "or_into",
-                (|c: &PresenceColumn, _o: &BitVec, acc: &mut BitVec| c.or_into(acc))
-                    as fn(&PresenceColumn, &BitVec, &mut BitVec),
+                (|c: &PresenceColumn, acc: &mut BitVec| c.or_into(acc))
+                    as fn(&PresenceColumn, &mut BitVec),
             ),
-            ("and_assign_into", |c, _o, acc| c.and_assign_into(acc)),
-            ("or_and_into", |c, o, acc| c.or_and_into(o, acc)),
+            ("and_assign_into", |c, acc| c.and_assign_into(acc)),
         ] {
             so.copy_from(&acc0);
             dd.copy_from(&acc0);
-            op(&s, &other, &mut so);
-            op(&d, &other, &mut dd);
+            op(&s, &mut so);
+            op(&d, &mut dd);
             assert_eq!(so, dd, "{name}");
         }
 
@@ -921,15 +793,6 @@ mod tests {
         d.and_assign_into(&mut acc);
     }
 
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn dense_operand_pair_mismatch_panics() {
-        let d = dense(10, &[3]);
-        let other = BitVec::zeros(12);
-        let mut out = BitVec::zeros(11);
-        d.and_into(&other, &mut out);
-    }
-
     /// Every op on a short column against wider operands must agree with
     /// the same op on the column explicitly zero-extended to full width.
     #[test]
@@ -955,18 +818,6 @@ mod tests {
             full.copy_into(&mut want);
             assert_eq!(got, want, "copy_into");
 
-            short.and_into(&other, &mut got);
-            full.and_into(&other, &mut want);
-            assert_eq!(got, want, "and_into");
-
-            short.and_not_into(&other, &mut got);
-            full.and_not_into(&other, &mut want);
-            assert_eq!(got, want, "and_not_into");
-
-            short.and_not_from(&other, &mut got);
-            full.and_not_from(&other, &mut want);
-            assert_eq!(got, want, "and_not_from");
-
             got.copy_from(&acc0);
             want.copy_from(&acc0);
             short.or_into(&mut got);
@@ -978,12 +829,6 @@ mod tests {
             short.and_assign_into(&mut got);
             full.and_assign_into(&mut want);
             assert_eq!(got, want, "and_assign_into");
-
-            got.copy_from(&acc0);
-            want.copy_from(&acc0);
-            short.or_and_into(&other, &mut got);
-            full.or_and_into(&other, &mut want);
-            assert_eq!(got, want, "or_and_into");
 
             assert!(
                 short.iter_ones_and(&other).eq(full.iter_ones_and(&other)),

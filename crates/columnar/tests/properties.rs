@@ -20,23 +20,16 @@ fn threshold_bits(vals: &[u32], t: u32) -> BitVec {
     BitVec::from_bools(&vals.iter().map(|&v| v < t).collect::<Vec<bool>>())
 }
 
-/// One presence-column test case: the column bits plus two independent
-/// same-width operand vectors, each at its own random density.
-fn column_case() -> impl Strategy<Value = (BitVec, BitVec, BitVec)> {
-    (0usize..WIDTHS.len(), 0u32..101, 0u32..101, 0u32..101).prop_flat_map(|(wi, tc, ta, tb)| {
+/// One presence-column test case: the column bits plus an independent
+/// same-width operand vector, each at its own random density.
+fn column_case() -> impl Strategy<Value = (BitVec, BitVec)> {
+    (0usize..WIDTHS.len(), 0u32..101, 0u32..101).prop_flat_map(|(wi, tc, ta)| {
         let n = WIDTHS[wi];
         (
             proptest::collection::vec(0u32..100, n),
             proptest::collection::vec(0u32..100, n),
-            proptest::collection::vec(0u32..100, n),
         )
-            .prop_map(move |(c, a, b)| {
-                (
-                    threshold_bits(&c, tc),
-                    threshold_bits(&a, ta),
-                    threshold_bits(&b, tb),
-                )
-            })
+            .prop_map(move |(c, a)| (threshold_bits(&c, tc), threshold_bits(&a, ta)))
     })
 }
 
@@ -235,7 +228,7 @@ proptest! {
     /// round-trip through `to_bitvec` is lossless — at densities from
     /// all-zero to all-one and widths crossing the 63/64/65 tails.
     #[test]
-    fn presence_column_representations_agree((bits, _a, _b) in column_case()) {
+    fn presence_column_representations_agree((bits, _a) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
         let auto = PresenceColumn::from_bitvec(bits.clone(), SparseMode::Auto);
@@ -259,54 +252,39 @@ proptest! {
     /// (with clean invariants) whichever representation the column uses,
     /// and matches naive `BitVec` algebra.
     #[test]
-    fn presence_column_folds_match_dense((bits, a, b) in column_case()) {
+    fn presence_column_folds_match_dense((bits, a) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
-        let n = bits.len();
-        type Fold = fn(&PresenceColumn, &BitVec, &mut BitVec);
-        let folds: [(&str, Fold); 6] = [
-            ("copy_into", |c, _o, out| c.copy_into(out)),
-            ("or_into", |c, _o, out| c.or_into(out)),
-            ("and_assign_into", |c, _o, out| c.and_assign_into(out)),
-            ("and_into", |c, o, out| c.and_into(o, out)),
-            ("and_not_into", |c, o, out| c.and_not_into(o, out)),
-            ("and_not_from", |c, o, out| c.and_not_from(o, out)),
+        type Fold = fn(&PresenceColumn, &mut BitVec);
+        let folds: [(&str, Fold); 3] = [
+            ("copy_into", |c, out| c.copy_into(out)),
+            ("or_into", |c, out| c.or_into(out)),
+            ("and_assign_into", |c, out| c.and_assign_into(out)),
         ];
         for (name, f) in folds {
             // seed the output/accumulator with `a` so accumulator folds
             // (or_into / and_assign_into) start from a meaningful state
             let mut from_dense = a.clone();
             let mut from_sparse = a.clone();
-            f(&dense, &b, &mut from_dense);
-            f(&sparse, &b, &mut from_sparse);
+            f(&dense, &mut from_dense);
+            f(&sparse, &mut from_sparse);
             prop_assert_eq!(&from_dense, &from_sparse, "fold {} diverged", name);
             prop_assert_eq!(from_sparse.check_invariants(), Ok(()));
             let expect: BitVec = match name {
                 "copy_into" => bits.clone(),
                 "or_into" => a.or(&bits),
                 "and_assign_into" => a.and(&bits),
-                "and_into" => bits.and(&b),
-                "and_not_into" => BitVec::from_indices(n, bits.iter_ones().filter(|&i| !b.get(i))),
-                "and_not_from" => BitVec::from_indices(n, b.iter_ones().filter(|&i| !bits.get(i))),
                 _ => unreachable!(),
             };
             prop_assert_eq!(&from_sparse, &expect, "fold {} wrong", name);
         }
-        // or_and_into: acc |= col & other
-        let mut acc_dense = a.clone();
-        let mut acc_sparse = a.clone();
-        dense.or_and_into(&b, &mut acc_dense);
-        sparse.or_and_into(&b, &mut acc_sparse);
-        prop_assert_eq!(&acc_dense, &acc_sparse);
-        prop_assert_eq!(acc_sparse.check_invariants(), Ok(()));
-        prop_assert_eq!(&acc_sparse, &a.or(&bits.and(&b)));
     }
 
     /// The column × column intersection count returns the same value
     /// whichever representation either column uses, and matches a naive
     /// per-bit count.
     #[test]
-    fn presence_column_counts_match_naive((bits, a, _b) in column_case()) {
+    fn presence_column_counts_match_naive((bits, a) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
         let other_dense = PresenceColumn::from_bitvec(a.clone(), SparseMode::ForceDense);
@@ -337,10 +315,6 @@ proptest! {
         prop_assert_eq!(a.intersects(&b), !a.and(&b).is_zero());
         // contains_all ⟺ and == b
         prop_assert_eq!(a.contains_all(&b), a.and(&b) == b);
-        // and-not removes exactly the intersection
-        let mut c = a.clone();
-        c.and_not_assign(&b);
-        prop_assert_eq!(c.count_ones(), a.count_ones() - a.and(&b).count_ones());
     }
 
     #[test]
@@ -373,18 +347,16 @@ proptest! {
         prop_assert_eq!(c.check_invariants(), Ok(()));
         c.or_assign(&b);
         prop_assert_eq!(c.check_invariants(), Ok(()));
-        c.and_not_assign(&b);
-        prop_assert_eq!(c.check_invariants(), Ok(()));
-        c.or_and_assign(&a, &b);
-        prop_assert_eq!(c.check_invariants(), Ok(()));
         c.copy_from(&b);
         prop_assert_eq!(c.check_invariants(), Ok(()));
 
-        let mut out = BitVec::ones(n);
-        a.and_into(&b, &mut out);
+        // a word writer that sets the bits past `len()` leaves them clear
+        let mut out = BitVec::zeros(n);
+        out.write_words(a.words().iter().map(|&w| !w));
         prop_assert_eq!(out.check_invariants(), Ok(()));
-        a.and_not_into(&b, &mut out);
-        prop_assert_eq!(out.check_invariants(), Ok(()));
+        prop_assert_eq!(out.count_ones(), n - a.count_ones());
+        out.write_words(std::iter::repeat(u64::MAX));
+        prop_assert_eq!(&out, &BitVec::ones(n));
 
         c.clear_all();
         prop_assert_eq!(c.check_invariants(), Ok(()));

@@ -13,34 +13,38 @@
 //! ([`TemporalGraph::node_presence_columns`]), i.e. `O(entity-words)` per
 //! step independent of interval length.
 //!
-//! [`ChainCursor`] holds those accumulators and evaluates a pair in two
-//! steps, mask then count. The mask step writes the keep set of the side
-//! the selector reads — `ref & ext` for stability, `keep & !drop` for a
-//! difference event, whose node side also takes the Definition-2.5
-//! endpoints of the kept edges (recomputed only over the kept-edge set
-//! bits). The count step is a popcount of that keep set, intersected with
-//! a tuple selector's cached match vector
+//! [`ChainCursor`] holds those accumulators, for the sides the selector
+//! reads only, beside the chain's reference column: read in place when it
+//! is dense and as wide as the entities, and copied once per chain into a
+//! scratch vector otherwise. An evaluation hands the two sides' words to
+//! [`event_words`], the one writer of Definitions 2.4–2.5, once per side
+//! read. For a node selector under a difference event the kept edges come
+//! first and go straight into the rescue set of their endpoints. The
+//! selector's side is then counted — a popcount of the keep words,
+//! intersected with a tuple selector's cached match vector
 //! ([`GroupColumns::match_columns`]: the vector itself on an all-static
 //! attribute list, and on a list with a time-varying attribute the OR of
 //! its per-point columns over the scope, folded one column at a time
-//! wherever the scope grows). Only the All selectors on a time-varying list
-//! over a scope of several points — where one entity can carry several
-//! tuples — count with the group table's column-major walk
-//! ([`GroupTable::count_distinct`]). [`ChainCursor::mask_chain_pair`] is
-//! the mask step alone, for callers that aggregate the event themselves.
-//! Both are bit-identical to the materializing oracle at every chain
-//! coordinate (property-tested in `tests/kernel_equivalence.rs`).
+//! wherever the scope grows) — with no keep vector written. Only where a
+//! mask is read are the keep words stored: by the All selectors on a
+//! time-varying list over a scope of several points, where one entity can
+//! carry several tuples and the group table's column-major walk counts
+//! ([`GroupTable::count_distinct`]), and by
+//! [`ChainCursor::mask_chain_pair`], for callers that aggregate the event
+//! themselves. Both are bit-identical to the materializing oracle at every
+//! chain coordinate (property-tested in `tests/kernel_equivalence.rs`).
 //!
+//! [`TemporalGraph::node_presence_columns`]: tempo_graph::TemporalGraph::node_presence_columns
 //! [`GroupColumns::match_columns`]: tempo_graph::GroupColumns::match_columns
 //! [`GroupTable::count_distinct`]: crate::aggregate::GroupTable::count_distinct
 
 use super::kernel::ExploreKernel;
 use super::{ExtendSide, Semantics};
 use crate::aggregate::CountTarget;
-use crate::ops::{Event, EventMask};
+use crate::ops::{event_words, rescue, Event, EventMask, WordSink};
 use std::sync::Arc;
 use tempo_columnar::{BitVec, PresenceColumn, PresenceColumns};
-use tempo_graph::{EdgeId, MatchColumns, MatchKey, TemporalGraph, TimePoint};
+use tempo_graph::{MatchColumns, MatchKey, TimePoint};
 use tempo_instrument::metrics;
 
 /// How the cursor turns the current pair into `result(G)`.
@@ -81,45 +85,96 @@ fn selection<'a>(matches: &'a MatchColumns, scope_match: &'a BitVec) -> &'a BitV
     }
 }
 
+/// The node or edge side of the loaded chain, as full-width words.
+struct Side<'g> {
+    cols: &'g PresenceColumns,
+    /// Extended-side membership (`|=` under union, `&=` under
+    /// intersection, one presence column per step).
+    ext: BitVec,
+    /// Time point of the fixed reference side.
+    ref_t: usize,
+    /// The reference column at full width, unless it is read in place.
+    reference: BitVec,
+}
+
+impl<'g> Side<'g> {
+    fn new(cols: &'g PresenceColumns) -> Self {
+        Side {
+            cols,
+            ext: BitVec::zeros(cols.source_rows()),
+            ref_t: 0,
+            reference: BitVec::zeros(cols.source_rows()),
+        }
+    }
+
+    /// Loads a chain's base pair: the extended side is point `ext_t`, the
+    /// reference point `ref_t`, whose column is copied unless it can be
+    /// read in place.
+    fn load(&mut self, ext_t: usize, ref_t: usize) {
+        self.cols.col(ext_t).copy_into(&mut self.ext);
+        self.ref_t = ref_t;
+        if self.in_place().is_none() {
+            self.cols.col(ref_t).copy_into(&mut self.reference);
+        }
+        debug_assert_eq!(self.ext.check_invariants(), Ok(()));
+    }
+
+    /// The reference column's words, when it is dense and as wide as the
+    /// entities.
+    fn in_place(&self) -> Option<&[u64]> {
+        match self.cols.col(self.ref_t) {
+            PresenceColumn::Dense(bv) if bv.len() == self.ext.len() => Some(bv.words()),
+            _ => None,
+        }
+    }
+
+    /// Folds point `t` into the extended side.
+    fn extend(&mut self, t: usize, semantics: Semantics) {
+        match semantics {
+            Semantics::Union => self.cols.col(t).or_into(&mut self.ext),
+            Semantics::Intersection => self.cols.col(t).and_assign_into(&mut self.ext),
+        }
+        debug_assert_eq!(self.ext.check_invariants(), Ok(()));
+    }
+
+    /// The `(𝒯old, 𝒯new)` members of the current pair.
+    fn old_new(&self, extend: ExtendSide) -> (&[u64], &[u64]) {
+        let reference = self.in_place().unwrap_or(self.reference.words());
+        match extend {
+            ExtendSide::New => (reference, self.ext.words()),
+            ExtendSide::Old => (self.ext.words(), reference),
+        }
+    }
+}
+
 /// Incremental evaluator for the pairs of one reference chain at a time.
 ///
 /// Built once per exploration run and driven forward through `(i, j)`
 /// chain coordinates by [`ChainCursor::evaluate_chain_pair`]. Every
-/// evaluation is recorded in `explore.evaluations` / `eval_ns`, and split
-/// into `mask_ns` / `count_ns` unless the selector's tuple occurs nowhere.
+/// evaluation is recorded in `explore.evaluations` / `eval_ns`.
 pub struct ChainCursor<'k, 'g> {
     kernel: &'k ExploreKernel<'g>,
-    node_cols: &'g PresenceColumns,
-    edge_cols: &'g PresenceColumns,
     /// Domain length.
     n: usize,
-    /// Whether the selector counts edges; a node selector under a
-    /// difference event also needs the kept edges, which rescue their
-    /// endpoints (Definition 2.5).
-    edges: bool,
+    /// The node side, read by a node selector.
+    nodes: Option<Side<'g>>,
+    /// The edge side, read by an edge selector and, under a difference
+    /// event, by a node selector: kept edges rescue their endpoints
+    /// (Definition 2.5).
+    edges: Option<Side<'g>>,
     fast: FastCount,
     /// Reference index of the chain currently loaded, if any.
     current_ref: Option<usize>,
     /// Steps taken from the base pair (chain coordinate `j`).
     step: usize,
-    /// Time point of the fixed reference side of the loaded chain.
-    ref_t: usize,
-    /// Extended-side membership accumulators (`|=` under union, `&=` under
-    /// intersection, one presence column per step).
-    ext_nodes: BitVec,
-    ext_edges: BitVec,
     /// OR of the selector's per-point match columns over the mask's scope
     /// (empty unless the selector has [`MatchColumns::PerPoint`] columns).
     scope_match: BitVec,
     /// Reusable output mask, rewritten in place. The scope is kept current
-    /// for every pair; the keep sets `write_mask` writes
-    /// are those of the pair once it is evaluated.
+    /// for every pair; the keep sets are those of the last stored pair.
     mask: EventMask,
-    /// Scratch for the Definition-2.5 incident-node fix-up.
+    /// The nodes the kept edges rescue (Definition 2.5).
     incident: BitVec,
-    /// Node ids currently set in `incident`, so the next evaluation clears
-    /// only those bits (`O(kept edges)`) instead of the whole vector.
-    incident_touched: Vec<u32>,
 }
 
 impl<'k, 'g> ChainCursor<'k, 'g> {
@@ -129,31 +184,36 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     pub fn new(kernel: &'k ExploreKernel<'g>) -> Self {
         metrics::EXPLORE_CURSOR_BUILDS.inc();
         let g = kernel.g;
-        let edges = kernel.cfg.selector.is_edge();
+        let edge_selector = kernel.cfg.selector.is_edge();
+        let rescues = !edge_selector && kernel.cfg.event != Event::Stability;
         let fast = FastCount::resolve(kernel);
         let scope_match = match &fast {
             FastCount::Pop(Some(m)) if matches!(**m, MatchColumns::PerPoint(_)) => {
-                BitVec::zeros(if edges { g.n_edges() } else { g.n_nodes() })
+                BitVec::zeros(if edge_selector {
+                    g.n_edges()
+                } else {
+                    g.n_nodes()
+                })
             }
             _ => BitVec::zeros(0),
         };
         ChainCursor {
             kernel,
-            node_cols: g.node_presence_columns(),
-            edge_cols: g.edge_presence_columns(),
             n: g.domain().len(),
-            edges,
+            nodes: (!edge_selector).then(|| Side::new(g.node_presence_columns())),
+            edges: (edge_selector || rescues).then(|| Side::new(g.edge_presence_columns())),
             fast,
             current_ref: None,
             step: 0,
-            ref_t: 0,
-            ext_nodes: BitVec::zeros(g.n_nodes()),
-            ext_edges: BitVec::zeros(g.n_edges()),
             scope_match,
             mask: EventMask::cleared(g),
-            incident: BitVec::zeros(g.n_nodes()),
-            incident_touched: Vec::new(),
+            incident: BitVec::zeros(if rescues { g.n_nodes() } else { 0 }),
         }
+    }
+
+    /// The sides the selector reads.
+    fn sides(&mut self) -> impl Iterator<Item = &mut Side<'g>> {
+        self.nodes.iter_mut().chain(self.edges.iter_mut())
     }
 
     /// Adds time point `t` to the scope, and the entities the selector
@@ -180,11 +240,9 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
             ExtendSide::New => (i + 1, i),
             ExtendSide::Old => (i, i + 1),
         };
-        self.ref_t = ref_t;
-        self.node_cols.col(ext_t0).copy_into(&mut self.ext_nodes);
-        self.edge_cols.col(ext_t0).copy_into(&mut self.ext_edges);
-        debug_assert_eq!(self.ext_nodes.check_invariants(), Ok(()));
-        debug_assert_eq!(self.ext_edges.check_invariants(), Ok(()));
+        for side in self.sides() {
+            side.load(ext_t0, ref_t);
+        }
         // Base scope per event: stability spans both sides, growth lives in
         // 𝒯new, shrinkage in 𝒯old.
         let (_, _, scope) = self.mask.parts_mut();
@@ -201,7 +259,7 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
     }
 
     /// Extends the loaded chain by one time point: one whole-vector OR/AND
-    /// against the added point's presence columns.
+    /// against the added point's presence column on each side read.
     fn advance(&mut self) {
         #[allow(clippy::expect_used)]
         let i = self
@@ -221,19 +279,10 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
             t_added < self.n,
             "new side extends at most to the domain end"
         );
-        let (node_col, edge_col) = (self.node_cols.col(t_added), self.edge_cols.col(t_added));
-        match self.kernel.cfg.semantics {
-            Semantics::Union => {
-                node_col.or_into(&mut self.ext_nodes);
-                edge_col.or_into(&mut self.ext_edges);
-            }
-            Semantics::Intersection => {
-                node_col.and_assign_into(&mut self.ext_nodes);
-                edge_col.and_assign_into(&mut self.ext_edges);
-            }
+        let semantics = self.kernel.cfg.semantics;
+        for side in self.sides() {
+            side.extend(t_added, semantics);
         }
-        debug_assert_eq!(self.ext_nodes.check_invariants(), Ok(()));
-        debug_assert_eq!(self.ext_edges.check_invariants(), Ok(()));
         // The scope follows the side(s) the event draws its timestamps
         // from, so it only grows when that side is the extended one.
         let scope_tracks_ext = match self.kernel.cfg.event {
@@ -257,67 +306,44 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         }
     }
 
-    /// Whether the current config keeps the reference column's side of the
-    /// pair under a difference event (growth keeps 𝒯new, shrinkage keeps
-    /// 𝒯old; the reference column holds the old side under
-    /// `ExtendSide::New` and the new side under `Old`).
-    fn ref_is_keep(&self) -> bool {
-        matches!(
-            (self.kernel.cfg.event, self.kernel.cfg.extend),
-            (Event::Growth, ExtendSide::Old) | (Event::Shrinkage, ExtendSide::New)
-        )
-    }
-
-    /// Rewrites the mask's keep sets for the current pair: whole-vector
-    /// AND/ANDNOT for membership, set-bit iteration only for the kept edges'
-    /// endpoints (Definition 2.5). Only the side the selector reads is
-    /// written, except that a node selector under a difference event also
-    /// needs the kept edges, which rescue their endpoints.
-    fn write_mask(&mut self) {
-        let nodes = !self.edges;
-        let _mask_span = metrics::EXPLORE_MASK_NS.span();
-        // One pair side is always the fixed reference column (dense or
-        // sparse); the other is the dense extension accumulator. Every op
-        // below lets the column pick its own fold.
-        let ref_nodes = self.node_cols.col(self.ref_t);
-        let ref_edges = self.edge_cols.col(self.ref_t);
-        match self.kernel.cfg.event {
-            Event::Stability => {
-                let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
-                // AND is commutative, so which side is old/new is moot, and
-                // with no incident rescue the sides are independent.
-                if nodes {
-                    ref_nodes.and_into(&self.ext_nodes, keep_nodes);
-                } else {
-                    ref_edges.and_into(&self.ext_edges, keep_edges);
-                }
-            }
-            Event::Growth | Event::Shrinkage => {
-                // Kept edges are member of the keep side and not of the
-                // drop side; kept nodes likewise, except a node incident
-                // to a kept edge is kept regardless of the drop test
-                // (Definition 2.5).
-                let ref_is_keep = self.ref_is_keep();
-                let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
-                write_difference(ref_edges, ref_is_keep, &self.ext_edges, keep_edges);
-                if nodes {
-                    rebuild_incident(
-                        self.kernel.g,
-                        keep_edges,
-                        &mut self.incident,
-                        &mut self.incident_touched,
-                    );
-                    write_difference(ref_nodes, ref_is_keep, &self.ext_nodes, keep_nodes);
-                    if ref_is_keep {
-                        ref_nodes.or_and_into(&self.incident, keep_nodes);
-                    } else {
-                        keep_nodes.or_and_assign(&self.incident, &self.ext_nodes);
-                    }
-                }
+    /// Runs [`event_words`] on the current pair for each side read. With
+    /// `store`, the keep sets are written into the mask and 0 is returned;
+    /// otherwise the selector's side is counted, within a tuple selector's
+    /// match vector, and nothing is written. Kept edges that rescue nodes
+    /// are stored too when `store` is set, and go straight into the
+    /// rescue set otherwise.
+    fn keep_words(&mut self, store: bool) -> u64 {
+        let (cfg, g) = (self.kernel.cfg, self.kernel.g);
+        let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
+        let sel = match &self.fast {
+            FastCount::Pop(Some(m)) => Some(selection(m, &self.scope_match)),
+            _ => None,
+        };
+        let mut count = 0;
+        if let Some(edges) = &self.edges {
+            let (old, new) = edges.old_new(cfg.extend);
+            let rescues = self.nodes.is_some();
+            let sink = match (store, rescues) {
+                (true, _) => WordSink::Store(keep_edges),
+                (false, true) => WordSink::Rescue(g, &mut self.incident),
+                (false, false) => WordSink::Count(sel),
+            };
+            count = event_words(cfg.event, old, new, None, sink);
+            if store && rescues {
+                rescue(g, keep_edges.words().iter().copied(), &mut self.incident);
             }
         }
-        debug_assert_eq!(self.mask.keep_nodes().check_invariants(), Ok(()));
-        debug_assert_eq!(self.mask.keep_edges().check_invariants(), Ok(()));
+        if let Some(nodes) = &self.nodes {
+            let (old, new) = nodes.old_new(cfg.extend);
+            let rescued = (cfg.event != Event::Stability).then(|| self.incident.words());
+            let sink = if store {
+                WordSink::Store(keep_nodes)
+            } else {
+                WordSink::Count(sel)
+            };
+            count = event_words(cfg.event, old, new, rescued, sink);
+        }
+        count
     }
 
     /// Evaluates chain pair `(i, j)`: pair `j` of reference `i`'s chain
@@ -335,27 +361,18 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         self.seek(i, j);
         let _eval_span = metrics::EXPLORE_EVAL_NS.span();
         metrics::EXPLORE_EVALUATIONS.inc();
-        if let FastCount::Zero = self.fast {
-            return 0;
-        }
-        self.write_mask();
-        let _count_span = metrics::EXPLORE_COUNT_NS.span();
-        let keep = if self.edges {
-            self.mask.keep_edges()
-        } else {
-            self.mask.keep_nodes()
-        };
-        let kernel = self.kernel;
-        match &self.fast {
-            FastCount::Pop(Some(m)) => keep.count_ones_and(selection(m, &self.scope_match)) as u64,
+        match self.fast {
+            FastCount::Zero => 0,
             FastCount::Table if self.mask.scope().len() > 1 => {
+                self.keep_words(true);
+                let kernel = self.kernel;
                 kernel
                     .table
                     .count_distinct(kernel.g, &self.mask, &kernel.target)
             }
             // every kept entity counts once; over a single point that holds
             // for a time-varying list too
-            _ => keep.count_ones() as u64,
+            _ => self.keep_words(false),
         }
     }
 
@@ -373,41 +390,8 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         self.seek(i, j);
         let _eval_span = metrics::EXPLORE_EVAL_NS.span();
         metrics::EXPLORE_EVALUATIONS.inc();
-        self.write_mask();
+        self.keep_words(true);
         &self.mask
-    }
-}
-
-/// `out` = the members of a difference event's keep side that are not
-/// members of its drop side; `reference` holds the keep side when
-/// `ref_is_keep`, the extension accumulator `ext` otherwise.
-fn write_difference(reference: &PresenceColumn, ref_is_keep: bool, ext: &BitVec, out: &mut BitVec) {
-    if ref_is_keep {
-        reference.and_not_into(ext, out);
-    } else {
-        reference.and_not_from(ext, out);
-    }
-}
-
-/// Rebuilds the Definition-2.5 incident-endpoint rescue set from the kept
-/// edges, clearing only the bits the previous rebuild set (`O(kept edges)`
-/// instead of an `O(nodes)` vector clear).
-fn rebuild_incident(
-    g: &TemporalGraph,
-    keep_edges: &BitVec,
-    incident: &mut BitVec,
-    touched: &mut Vec<u32>,
-) {
-    for &i in touched.iter() {
-        incident.set(i as usize, false);
-    }
-    touched.clear();
-    for e in keep_edges.iter_ones() {
-        let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-        for n in [u, v] {
-            incident.set(n.index(), true);
-            touched.push(n.0);
-        }
     }
 }
 

@@ -12,9 +12,10 @@
 //! node's attribute tuple interned to a dense group id once per snapshot
 //! version, not per run) and the selector resolved to a [`CountTarget`]
 //! (group ids, not tuples). The [`ChainCursor`](super::ChainCursor) built
-//! over it computes each pair's membership with whole-vector AND/ANDNOT
-//! against the per-time-point presence columns and counts matching group ids
-//! directly. No subgraph, no row clones, no per-pair hash keys.
+//! over it folds the per-time-point presence columns into each pair's side
+//! members and counts the pair's keep words, Definitions 2.4–2.5 written by
+//! the one function `event_mask` also calls. No subgraph, no row clones,
+//! no per-pair hash keys.
 
 use super::{ExploreConfig, ExtendSide, Selector};
 use crate::aggregate::{aggregate, AggMode, CountTarget, GroupTable};

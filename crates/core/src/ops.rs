@@ -19,9 +19,11 @@
 //! them.
 
 use tempo_columnar::{
-    BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, Value, ValueMatrix,
+    word_ones, BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, Value, ValueMatrix,
 };
-use tempo_graph::{require_non_empty, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet};
+use tempo_graph::{
+    require_non_empty, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet,
+};
 
 /// How an entity's timestamp is tested against one side interval.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -148,11 +150,91 @@ pub(crate) fn side_members(cols: &PresenceColumns, side: &TimeSet, test: SideTes
     members
 }
 
+/// What [`event_words`] does with the words of one side's keep set.
+pub(crate) enum WordSink<'a> {
+    /// Writes them into a keep set as wide as the side.
+    Store(&'a mut BitVec),
+    /// Counts their set bits, within the selection when one is given.
+    Count(Option<&'a BitVec>),
+    /// Reads them as kept edges and writes the nodes they rescue
+    /// ([`rescue`]).
+    Rescue(&'a TemporalGraph, &'a mut BitVec),
+}
+
+impl WordSink<'_> {
+    /// Drains `words`, each optional operand zipped into an arm of its own;
+    /// the count for [`WordSink::Count`], 0 otherwise.
+    #[inline]
+    fn consume(self, words: impl Iterator<Item = u64>) -> u64 {
+        let ones = |w: u64| u64::from(w.count_ones());
+        match self {
+            WordSink::Store(out) => {
+                out.write_words(words);
+                0
+            }
+            WordSink::Count(None) => words.map(ones).sum(),
+            WordSink::Count(Some(sel)) => words.zip(sel.words()).map(|(w, &s)| ones(w & s)).sum(),
+            WordSink::Rescue(g, incident) => {
+                rescue(g, words, incident);
+                0
+            }
+        }
+    }
+}
+
+/// The event membership of one side (nodes or edges), the one place
+/// Definitions 2.4–2.5 are written: word `b` of `old` and `new` holds the
+/// side's members of 𝒯old and 𝒯new among entities `64·b ..`, and the keep
+/// words go to `sink`. Stability keeps `old ∧ new`, growth
+/// `new ∧ (¬old ∨ rescued)` and shrinkage `old ∧ (¬new ∨ rescued)`, where
+/// `rescued` (the node side of a difference event only; see [`rescue`])
+/// holds the endpoints of the kept edges. All operands are full width.
+#[inline]
+pub(crate) fn event_words(
+    event: Event,
+    old: &[u64],
+    new: &[u64],
+    rescued: Option<&[u64]>,
+    sink: WordSink<'_>,
+) -> u64 {
+    debug_assert_eq!(old.len(), new.len());
+    let (keep, drop) = match event {
+        Event::Growth => (new, old),
+        Event::Stability | Event::Shrinkage => (old, new),
+    };
+    let sides = keep.iter().zip(drop);
+    match (event, rescued) {
+        (Event::Stability, _) => sink.consume(sides.map(|(k, d)| k & d)),
+        (_, None) => sink.consume(sides.map(|(k, d)| k & !d)),
+        (_, Some(r)) => sink.consume(sides.zip(r).map(|((k, d), r)| k & (!d | r))),
+    }
+}
+
+/// Clears `incident`, then sets both endpoints of every edge set in
+/// `kept_edges` (word `b` covering edges `64·b ..`): the nodes a
+/// difference event keeps whatever their own drop test says (the
+/// `∃(u,v) ∈ E₋` clause of Definition 2.5).
+pub(crate) fn rescue(
+    g: &TemporalGraph,
+    kept_edges: impl IntoIterator<Item = u64>,
+    incident: &mut BitVec,
+) {
+    incident.clear_all();
+    for (b, w) in kept_edges.into_iter().enumerate() {
+        for bit in word_ones(w) {
+            let (u, v) = g.edge_endpoints(EdgeId((b * 64 + bit) as u32));
+            incident.set(u.index(), true);
+            incident.set(v.index(), true);
+        }
+    }
+}
+
 /// Computes the [`EventMask`] of the §3 event operators for a pair of
 /// intervals under explicit side semantics — the selection half of
-/// [`event_graph`] with no subgraph materialization: membership is decided
-/// column-wise against the graph's presence columns
-/// ([`TemporalGraph::node_presence_columns`]).
+/// [`event_graph`] with no subgraph materialization: each side's members
+/// are folded from the graph's presence columns
+/// ([`TemporalGraph::node_presence_columns`]) and handed to
+/// `event_words`, edges first so that they can rescue their endpoints.
 ///
 /// # Errors
 /// Returns an error if either interval is empty.
@@ -166,60 +248,41 @@ pub fn event_mask(
 ) -> Result<EventMask, GraphError> {
     require_non_empty(told, "𝒯old")?;
     require_non_empty(tnew, "𝒯new")?;
-    let (keep_nodes, keep_edges, scope) = match event {
-        Event::Stability => {
-            let in_both = |cols: &PresenceColumns| {
-                let mut keep = side_members(cols, told, old_test);
-                keep.and_assign(&side_members(cols, tnew, new_test));
-                keep
-            };
-            (
-                in_both(g.node_presence_columns()),
-                in_both(g.edge_presence_columns()),
-                told.union(tnew),
-            )
-        }
-        Event::Growth => {
-            let (keep_nodes, keep_edges) = difference_masks(g, tnew, new_test, told, old_test);
-            (keep_nodes, keep_edges, tnew.clone())
-        }
-        Event::Shrinkage => {
-            let (keep_nodes, keep_edges) = difference_masks(g, told, old_test, tnew, new_test);
-            (keep_nodes, keep_edges, told.clone())
-        }
+    let keep = |cols: &PresenceColumns, rescued: Option<&[u64]>| {
+        let (old, new) = (
+            side_members(cols, told, old_test),
+            side_members(cols, tnew, new_test),
+        );
+        let mut keep = BitVec::zeros(cols.source_rows());
+        event_words(
+            event,
+            old.words(),
+            new.words(),
+            rescued,
+            WordSink::Store(&mut keep),
+        );
+        keep
+    };
+    let keep_edges = keep(g.edge_presence_columns(), None);
+    let incident = (event != Event::Stability).then(|| {
+        let mut incident = BitVec::zeros(g.n_nodes());
+        rescue(g, keep_edges.words().iter().copied(), &mut incident);
+        incident
+    });
+    let keep_nodes = keep(
+        g.node_presence_columns(),
+        incident.as_ref().map(BitVec::words),
+    );
+    let scope = match event {
+        Event::Stability => told.union(tnew),
+        Event::Growth => tnew.clone(),
+        Event::Shrinkage => told.clone(),
     };
     Ok(EventMask {
         keep_nodes,
         keep_edges,
         scope,
     })
-}
-
-/// Mask form of the difference selection (Definition 2.5): edges member of
-/// `keep_side` and not of `drop_side`; nodes member of `keep_side` and
-/// either not member of `drop_side` or incident to a kept edge.
-fn difference_masks(
-    g: &TemporalGraph,
-    keep_side: &TimeSet,
-    keep_test: SideTest,
-    drop_side: &TimeSet,
-    drop_test: SideTest,
-) -> (BitVec, BitVec) {
-    let (node_cols, edge_cols) = (g.node_presence_columns(), g.edge_presence_columns());
-    let mut keep_edges = side_members(edge_cols, keep_side, keep_test);
-    keep_edges.and_not_assign(&side_members(edge_cols, drop_side, drop_test));
-    let mut incident = BitVec::zeros(g.n_nodes());
-    for r in keep_edges.iter_ones() {
-        let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(r as u32));
-        incident.set(u.index(), true);
-        incident.set(v.index(), true);
-    }
-    // keep & (!drop | incident)  ==  (keep & !drop) | (keep & incident)
-    let in_keep = side_members(node_cols, keep_side, keep_test);
-    let mut keep_nodes = in_keep.clone();
-    keep_nodes.and_not_assign(&side_members(node_cols, drop_side, drop_test));
-    keep_nodes.or_and_assign(&in_keep, &incident);
-    (keep_nodes, keep_edges)
 }
 
 /// For each row set in `keep`, its position among them (`u32::MAX`
@@ -285,7 +348,7 @@ fn materialize_subgraph(
     let mut edges = Vec::with_capacity(keep_edges.count_ones());
     let mut edge_values = g.edge_values_matrix().map(|_| ValueMatrix::new(nt));
     for r in keep_edges.iter_ones() {
-        let e = tempo_graph::EdgeId(r as u32);
+        let e = EdgeId(r as u32);
         let (u, v) = g.edge_endpoints(e);
         let (nu, nv) = (remap[u.index()], remap[v.index()]);
         debug_assert!(
@@ -350,10 +413,7 @@ pub fn project(g: &TemporalGraph, t1: &TimeSet) -> Result<TemporalGraph, GraphEr
 ///
 /// # Errors
 /// Returns an error if materialization fails.
-pub fn project_point(
-    g: &TemporalGraph,
-    t: tempo_graph::TimePoint,
-) -> Result<TemporalGraph, GraphError> {
+pub fn project_point(g: &TemporalGraph, t: TimePoint) -> Result<TemporalGraph, GraphError> {
     project(g, &TimeSet::point(g.domain().len(), t))
 }
 

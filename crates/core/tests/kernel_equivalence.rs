@@ -534,6 +534,71 @@ fn empty_masks_agree() {
     assert!(cursor.mask_chain_pair(1, 0).keep_nodes().is_zero());
 }
 
+/// On an appended epoch the old presence columns are stored more than 64
+/// entities short of the entity space, so the cursor copies its reference
+/// column to full width (and the column folds zero-extend) where the
+/// proptests' graphs never make it: both cursors against the oracle for
+/// every Table-1 configuration, and `event_mask` against the row-wise
+/// oracle on sides before, across and after the appended point.
+#[test]
+fn cursors_match_oracle_on_appended_epochs() {
+    let g = RandomGraphConfig {
+        pool: 150,
+        timepoints: 5,
+        active_per_tp: 90,
+        edges_per_tp: 120,
+        node_persistence: 0.6,
+        edge_persistence: 0.5,
+        kinds: 3,
+        levels: 4,
+        seed: 5,
+    }
+    .generate()
+    .unwrap();
+    let level = level_attr(&g);
+    let mut patch = TimepointPatch::new("appended");
+    for i in 0..80 {
+        let fresh = format!("fresh{i}");
+        patch.set_time_varying(fresh.clone(), level, Value::Int(i % 4 + 1));
+        patch.add_edge(fresh, format!("n{}", i % 40));
+    }
+    let appended = both_layouts(&g).map(|g| {
+        let g = GraphVersions::new(g).append_timepoint(&patch).unwrap();
+        Arc::unwrap_or_clone(g)
+    });
+    let g = &appended[0];
+    assert!(g.node_presence_columns().col(0).len() + 64 < g.n_nodes());
+    for cfg in table1_configs(g, &attr_sets(g), 1) {
+        assert_cursors_match_oracle(&appended, &cfg).unwrap();
+    }
+    let n = g.domain().len();
+    let point = |t: usize| TimeSet::range(n, t, t);
+    let sides = [
+        point(0),
+        point(n - 2),
+        point(n - 1),
+        TimeSet::range(n, 0, 2),
+        TimeSet::range(n, 3, n - 1),
+        g.domain().all(),
+    ];
+    for g in &appended {
+        for event in EVENTS {
+            for told in &sides {
+                for tnew in &sides {
+                    for (old_test, new_test) in TESTS.iter().flat_map(|&o| TESTS.map(|n| (o, n))) {
+                        let mask = event_mask(g, event, told, tnew, old_test, new_test).unwrap();
+                        let (nodes, edges) =
+                            event_mask_rowwise(g, event, told, tnew, old_test, new_test);
+                        let at = format!("{event:?} {old_test:?}/{new_test:?} {told:?} {tnew:?}");
+                        assert_eq!(mask.keep_nodes(), &nodes, "{at} {:?}", g.sparse_mode());
+                        assert_eq!(mask.keep_edges(), &edges, "{at} {:?}", g.sparse_mode());
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A single-timepoint graph is rejected identically by every exploration
 /// entry point (there is no consecutive pair to explore). The random
 /// generator clamps to two timepoints, so the graph is built by hand.
