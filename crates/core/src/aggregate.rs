@@ -24,7 +24,7 @@ use tempo_graph::{
     Temporality, TimePoint, TimeSet,
 };
 
-use crate::ops::EventMask;
+use crate::ops::{side_members, EventMask, SideTest};
 
 /// Borrowed view of an aggregate edge key, letting [`AggregateGraph::edge_weight`]
 /// probe the edge map from two slices without allocating owned tuples.
@@ -430,6 +430,34 @@ const DENSE_PAIR_CELLS: usize = 1 << 16;
 /// the DIST walk's tile.
 const WORD_BITS: usize = 64;
 
+/// Side tag bit of a scope point in the first side of a
+/// [`GroupTable::walk_distinct`], and of a key that shows there.
+pub(crate) const SIDE_1: u8 = 1;
+
+/// Side tag bit of the second side.
+pub(crate) const SIDE_2: u8 = 2;
+
+/// The points of the union of `sides` in order, and the tag of each: bit
+/// `i` set when the point is in `sides[i]`.
+fn side_tags<const SIDES: usize>(sides: [&TimeSet; SIDES]) -> (Vec<usize>, Vec<u8>) {
+    let words = sides.map(|side| side.bits().words());
+    let n_words = words.iter().map(|w| w.len()).max().unwrap_or(0);
+    let (mut points, mut tags) = (Vec::new(), Vec::new());
+    for b in 0..n_words {
+        let on = words.map(|w| w.get(b).copied().unwrap_or(0));
+        for lane in word_ones(on.iter().fold(0, |any, w| any | w)) {
+            points.push(b * WORD_BITS + lane);
+            tags.push(lane_sides(&on, lane));
+        }
+    }
+    (points, tags)
+}
+
+/// The side tag of entity `lane` of a word: bit `s` from word `on[s]`.
+fn lane_sides<const SIDES: usize>(on: &[u64; SIDES], lane: usize) -> u8 {
+    (on.iter().enumerate()).fold(0, |tag, (s, word)| tag | ((word >> lane & 1) as u8) << s)
+}
+
 /// Weights per ordered group-id pair `(src, dst)` — the edge side of the
 /// dense node accumulators. A `n_groups²` grid indexed `src * n_groups +
 /// dst` while that is small (one add per kept edge appearance, no hashing);
@@ -547,7 +575,7 @@ impl Entities for Edges<'_> {
 /// `u32` group id **once** (the [`GroupColumns`] of `tempo-graph`, which
 /// this type wraps): per node when every attribute is static, else per
 /// (node, present time point). Every read query then counts group ids with
-/// one column-major walk into dense accumulators —
+/// a column-major walk into dense accumulators —
 /// [`aggregate_masked`](Self::aggregate_masked), the bare
 /// [`count_distinct`](Self::count_distinct) of exploration, evolution and
 /// measures — instead of re-building heap-allocated [`ValueTuple`] hash
@@ -627,76 +655,106 @@ impl GroupTable {
         self.cols.match_columns(g, key)
     }
 
-    /// The one Definition 2.6 walk: calls `visit(e, t, key)` for every
-    /// appearance that counts of a `keep` entity at a point `t` of `scope`,
-    /// keyed through the group ids of `t`. `pass[t]`, when given, holds the
-    /// nodes a filter lets through at scope point `t`, and an appearance it
-    /// stops does not count.
+    /// The Definition 2.6 ALL walk: calls `visit(e, t, key)` for every
+    /// appearance of a `keep` entity at a point `t` of `scope`, keyed
+    /// through the group ids of `t`.
     ///
-    /// Both modes read the presence columns one 64-entity word at a time,
-    /// for each non-zero word `b` of `keep`: word `b` of a column
-    /// ([`block_words`](tempo_columnar::PresenceColumn::block_words), zero
-    /// past the column's end) ∧ word `b` of `keep`.
-    ///
-    /// Under [`AggMode::All`] every appearance counts, one point at a time:
-    /// the set bits of each such word. Under [`AggMode::Distinct`] an
-    /// appearance counts the first time its entity shows its key in the
-    /// scope. The walk then takes word `b` of every scope point's column in
-    /// scope order: an entity's first passing appearance counts at once, and
-    /// its key waits in a 64-entry row; a later one, on a list with a
-    /// time-varying attribute, is set in a tile of one mask per entity and
-    /// 64-point chunk of the scope. Each entity with later appearances then
-    /// keys them in scope order against a list that starts with its first
-    /// key. An entity that appears once never meets the list, and an
-    /// all-static list keys only first appearances. Nothing as long as the
-    /// entities is allocated: one cursor per scope point, the row, the tile
-    /// and the list.
-    ///
-    /// An all-static list without a filter skips the walk: every kept entity
-    /// counts once with its one id (and `t` is the scope's first point),
-    /// since a kept entity exists within the scope.
-    pub(crate) fn walk<E: Entities>(
+    /// It reads the presence columns one 64-entity word at a time, as the
+    /// DIST walk does: for each non-zero word `b` of `keep`, word `b` of a
+    /// column ([`block_words`](tempo_columnar::PresenceColumn::block_words),
+    /// zero past the column's end) ∧ word `b` of `keep`, and visits the set
+    /// bits of each such word, one point at a time.
+    pub(crate) fn walk_all<E: Entities>(
         &self,
         entities: E,
         scope: &TimeSet,
         keep: &BitVec,
-        mode: AggMode,
-        pass: Option<&[BitVec]>,
         mut visit: impl FnMut(usize, usize, E::Key),
     ) {
         let presence = entities.presence();
-        let points: Vec<usize> = scope.iter().map(TimePoint::index).collect();
-        let passes = |e: usize, t: usize| pass.is_none_or(|p| entities.passes(e, &p[t]));
-        let (cols, all_static) = (&*self.cols, self.is_static());
-        debug_assert!(points.iter().all(|&t| presence.col(t).len() <= keep.len()));
-        match mode {
-            AggMode::All => {
-                for &t in &points {
-                    let (gids, mut words) = (cols.col(t), presence.col(t).block_words());
-                    for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
-                        for lane in word_ones(words.word(b) & kept) {
-                            let e = b * WORD_BITS + lane;
-                            if passes(e, t) {
-                                visit(e, t, entities.key(e, gids));
-                            }
-                        }
-                    }
+        for t in scope.iter().map(TimePoint::index) {
+            debug_assert!(presence.col(t).len() <= keep.len());
+            let (gids, mut words) = (self.cols.col(t), presence.col(t).block_words());
+            for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
+                for lane in word_ones(words.word(b) & kept) {
+                    let e = b * WORD_BITS + lane;
+                    visit(e, t, entities.key(e, gids));
                 }
-                return;
             }
-            AggMode::Distinct if all_static && pass.is_none() => {
-                let (gids, first) = (cols.col(0), points.first().copied().unwrap_or(0));
+        }
+    }
+
+    /// The one Definition 2.6 DIST walk: calls `visit(e, key, on)` once for
+    /// every distinct (entity, key) that a `keep` entity shows over the
+    /// scope, the union of `sides`, keyed through the group ids of the
+    /// points it appears at. `on` tags the sides the key shows on: bit `i`
+    /// ([`SIDE_1`], [`SIDE_2`]) is set when the entity shows the key at a
+    /// point of `sides[i]`. `pass[t]`, when given, holds the nodes a filter
+    /// lets through at scope point `t`, and an appearance it stops does not
+    /// count.
+    ///
+    /// The walk goes 64 entities at a time: for each non-zero word `b` of
+    /// `keep`, word `b` of every scope point's column
+    /// ([`block_words`](tempo_columnar::PresenceColumn::block_words), zero
+    /// past the column's end) in scope order, ∧ word `b` of `keep`. An
+    /// entity's first passing appearance is keyed at once, and its key
+    /// waits in a 64-entry row; a later one, on a list with a time-varying
+    /// attribute, is set in a tile of one mask per entity and 64-point
+    /// chunk of the scope. Each entity with later appearances then keys
+    /// them in scope order against a list that starts with its first key.
+    /// An entity that appears once never meets the list, and an all-static
+    /// list keys only first appearances. Nothing as long as the entities is
+    /// allocated: one cursor per scope point, the row, the tile and the
+    /// list.
+    ///
+    /// With one side every tag is [`SIDE_1`], and a key is visited as soon
+    /// as it is met. With two, a key is visited once its word is done, when
+    /// all of its sides are known: the row carries, per side, a word of the
+    /// entities whose first key shows there (every appearance on an
+    /// all-static list, the first on another), and the list, beside its
+    /// keys, one tag per key.
+    ///
+    /// An all-static list without a filter reads no cursor: a kept entity
+    /// exists within the scope and has one id, so with one side it counts
+    /// once, and with two its tags are its bits in each side's column OR
+    /// ([`side_members`]).
+    pub(crate) fn walk_distinct<E: Entities, const SIDES: usize>(
+        &self,
+        entities: E,
+        sides: [&TimeSet; SIDES],
+        keep: &BitVec,
+        pass: Option<&[BitVec]>,
+        mut visit: impl FnMut(usize, E::Key, u8),
+    ) {
+        const { assert!(SIDES == 1 || SIDES == 2) };
+        let presence = entities.presence();
+        let (cols, all_static) = (&*self.cols, self.is_static());
+        if all_static && pass.is_none() {
+            let gids = cols.col(0);
+            if SIDES == 1 {
                 for e in keep.iter_ones() {
                     debug_assert!(
-                        points.iter().any(|&t| presence.col(t).get(e)),
+                        sides[0].iter().any(|t| presence.col(t.index()).get(e)),
                         "kept entity {e} must appear within scope"
                     );
-                    visit(e, first, entities.key(e, gids));
+                    visit(e, entities.key(e, gids), SIDE_1);
                 }
                 return;
             }
-            AggMode::Distinct => {}
+            let members = sides.map(|side| side_members(presence, side, SideTest::Any));
+            for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
+                let on = members.each_ref().map(|m| m.words()[b]);
+                for lane in word_ones(kept) {
+                    debug_assert_ne!(lane_sides(&on, lane), 0, "kept entities appear in scope");
+                    let e = b * WORD_BITS + lane;
+                    visit(e, entities.key(e, gids), lane_sides(&on, lane));
+                }
+            }
+            return;
         }
+        let (points, tags) = side_tags(sides);
+        let passes = |e: usize, t: usize| pass.is_none_or(|p| entities.passes(e, &p[t]));
+        debug_assert!(points.iter().all(|&t| presence.col(t).len() <= keep.len()));
         let mut cursors: Vec<_> = points
             .iter()
             .map(|&t| presence.col(t).block_words())
@@ -706,10 +764,13 @@ impl GroupTable {
         // `64·c + i` iff bit `i` of `tile[lane · chunks + c]` is set
         let chunks = points.len().div_ceil(WORD_BITS);
         let mut tile = vec![0u64; WORD_BITS * chunks];
-        let mut keys: Vec<E::Key> = Vec::new();
+        // an entity's keys and, with two sides, the sides each shows on
+        let (mut keys, mut key_sides) = (Vec::<E::Key>::new(), Vec::<u8>::new());
         for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
             let entity = |lane: usize| b * WORD_BITS + lane;
-            let (mut seen, mut again) = (0u64, 0u64);
+            // `on[s]`: the entities whose first key shows on side `s` as
+            // far as the row knows (two sides only)
+            let (mut seen, mut again, mut on) = (0u64, 0u64, [0u64; SIDES]);
             for ((i, cursor), &t) in cursors.iter_mut().enumerate().zip(&points) {
                 let mut shown = cursor.word(b) & kept;
                 if pass.is_some() {
@@ -720,7 +781,17 @@ impl GroupTable {
                 let gids = cols.col(t);
                 for lane in word_ones(shown & !seen) {
                     first_keys[lane] = entities.key(entity(lane), gids);
-                    visit(entity(lane), t, first_keys[lane]);
+                    if SIDES == 1 {
+                        visit(entity(lane), first_keys[lane], SIDE_1);
+                    }
+                }
+                if SIDES == 2 {
+                    let firsts = if all_static { shown } else { shown & !seen };
+                    for (s, on) in on.iter_mut().enumerate() {
+                        if tags[i] >> s & 1 != 0 {
+                            *on |= firsts;
+                        }
+                    }
                 }
                 if !all_static {
                     let (c, bit) = (i / WORD_BITS, 1u64 << (i % WORD_BITS));
@@ -731,17 +802,39 @@ impl GroupTable {
                 }
                 seen |= shown;
             }
+            if SIDES == 2 {
+                for lane in word_ones(seen & !again) {
+                    visit(entity(lane), first_keys[lane], lane_sides(&on, lane));
+                }
+            }
             for lane in word_ones(again) {
                 keys.clear();
                 keys.push(first_keys[lane]);
+                if SIDES == 2 {
+                    key_sides.clear();
+                    key_sides.push(lane_sides(&on, lane));
+                }
                 for (c, mask) in tile[lane * chunks..][..chunks].iter_mut().enumerate() {
                     for i in word_ones(std::mem::take(mask)) {
-                        let t = points[c * WORD_BITS + i];
-                        let key = entities.key(entity(lane), cols.col(t));
-                        if !keys.contains(&key) {
-                            keys.push(key);
-                            visit(entity(lane), t, key);
+                        let at = c * WORD_BITS + i;
+                        let key = entities.key(entity(lane), cols.col(points[at]));
+                        match keys.iter().position(|k| *k == key) {
+                            Some(k) if SIDES == 2 => key_sides[k] |= tags[at],
+                            Some(_) => {}
+                            None => {
+                                keys.push(key);
+                                if SIDES == 1 {
+                                    visit(entity(lane), key, SIDE_1);
+                                } else {
+                                    key_sides.push(tags[at]);
+                                }
+                            }
                         }
+                    }
+                }
+                if SIDES == 2 {
+                    for (&key, &sides) in keys.iter().zip(&key_sides) {
+                        visit(entity(lane), key, sides);
                     }
                 }
             }
@@ -749,19 +842,23 @@ impl GroupTable {
     }
 
     /// The Definition 2.6 node weights of the `keep` nodes over `scope`
-    /// (see [`walk`](Self::walk)), indexed by group id.
+    /// (see [`walk_all`](Self::walk_all) and
+    /// [`walk_distinct`](Self::walk_distinct)), indexed by group id.
     pub(crate) fn node_weights(
         &self,
         g: &TemporalGraph,
         scope: &TimeSet,
         keep: &BitVec,
         mode: AggMode,
-        pass: Option<&[BitVec]>,
     ) -> Vec<u64> {
         let mut acc = vec![0u64; self.n_groups()];
-        self.walk(Nodes(g), scope, keep, mode, pass, |_, _, gid| {
-            acc[gid as usize] += 1;
-        });
+        let mut count = |gid: u32| acc[gid as usize] += 1;
+        match mode {
+            AggMode::All => self.walk_all(Nodes(g), scope, keep, |_, _, gid| count(gid)),
+            AggMode::Distinct => {
+                self.walk_distinct(Nodes(g), [scope], keep, None, |_, gid, _| count(gid));
+            }
+        }
         acc
     }
 
@@ -773,12 +870,15 @@ impl GroupTable {
         scope: &TimeSet,
         keep: &BitVec,
         mode: AggMode,
-        pass: Option<&[BitVec]>,
     ) -> PairAccumulator<u64> {
         let mut acc = PairAccumulator::new(self.n_groups());
-        self.walk(Edges(g), scope, keep, mode, pass, |_, _, (s, d)| {
-            *acc.slot(s, d) += 1;
-        });
+        let mut count = |(s, d): (u32, u32)| *acc.slot(s, d) += 1;
+        match mode {
+            AggMode::All => self.walk_all(Edges(g), scope, keep, |_, _, pair| count(pair)),
+            AggMode::Distinct => {
+                self.walk_distinct(Edges(g), [scope], keep, None, |_, pair, _| count(pair));
+            }
+        }
         acc
     }
 
@@ -798,8 +898,8 @@ impl GroupTable {
         mode: AggMode,
     ) -> AggregateGraph {
         let scope = mask.scope();
-        let node_acc = self.node_weights(g, scope, mask.keep_nodes(), mode, None);
-        let edge_acc = self.edge_weights(g, scope, mask.keep_edges(), mode, None);
+        let node_acc = self.node_weights(g, scope, mask.keep_nodes(), mode);
+        let edge_acc = self.edge_weights(g, scope, mask.keep_edges(), mode);
         let tuples = self.cols.tuples();
         let mut agg = AggregateGraph::new(self.attr_names().to_vec());
         for (gid, &w) in node_acc.iter().enumerate() {
@@ -823,8 +923,8 @@ impl GroupTable {
     /// (property-tested).
     pub fn count_distinct(&self, g: &TemporalGraph, mask: &EventMask, target: &CountTarget) -> u64 {
         let (scope, mode) = (mask.scope(), AggMode::Distinct);
-        let nodes = || self.node_weights(g, scope, mask.keep_nodes(), mode, None);
-        let edges = || self.edge_weights(g, scope, mask.keep_edges(), mode, None);
+        let nodes = || self.node_weights(g, scope, mask.keep_nodes(), mode);
+        let edges = || self.edge_weights(g, scope, mask.keep_edges(), mode);
         match *target {
             // A tuple that occurs nowhere in the source graph can never
             // occur in an event graph of it.
@@ -1073,6 +1173,43 @@ mod tests {
                         assert_eq!(fast.total_edge_weight(), u_total);
                         assert_eq!(fast.edge_weight(a, x), u_a);
                     }
+                }
+            }
+        }
+    }
+
+    /// The two-sided walk over the returning tuple with 𝒯₁ = {t0, t1} and
+    /// 𝒯₂ = {t2, t3}: `u` (and `u → v`) shows A on both sides and B on
+    /// 𝒯₂ only, each once; with the sides swapped, B is on 𝒯₁ only.
+    #[test]
+    fn walk_tags_a_tuple_that_returns_on_the_other_side() {
+        let (early, late) = (TimeSet::range(4, 0, 1), TimeSet::range(4, 2, 3));
+        let both = SIDE_1 | SIDE_2;
+        for g in tempo_testkit::both_layouts(&tempo_testkit::returning_tuple()) {
+            for names in [&["level"][..], &["kind", "level"][..]] {
+                let table = GroupTable::build(&g, &attrs(&g, names));
+                let gid = |level: i64| {
+                    let kind = (names.len() == 2).then(|| cat(&g, "kind", "k"));
+                    let tuple: ValueTuple = kind.into_iter().chain([Value::Int(level)]).collect();
+                    table.lookup(&tuple).unwrap()
+                };
+                let (a, b, x) = (gid(1), gid(2), gid(9));
+                for (sides, b_side) in [([&early, &late], SIDE_2), ([&late, &early], SIDE_1)] {
+                    let mut nodes = Vec::new();
+                    let keep = BitVec::ones(g.n_nodes());
+                    table.walk_distinct(Nodes(&g), sides, &keep, None, |e, key, on| {
+                        nodes.push((e, key, on));
+                    });
+                    nodes.sort_unstable();
+                    let want = [(0, a, both), (0, b, b_side), (1, x, both)];
+                    assert_eq!(nodes, want, "{names:?}");
+                    let mut edges = Vec::new();
+                    let keep = BitVec::ones(g.n_edges());
+                    table.walk_distinct(Edges(&g), sides, &keep, None, |e, key, on| {
+                        edges.push((e, key, on));
+                    });
+                    edges.sort_unstable();
+                    assert_eq!(edges, [(0, (a, x), both), (0, (b, x), b_side)], "{names:?}");
                 }
             }
         }

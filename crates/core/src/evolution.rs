@@ -13,11 +13,11 @@
 //! stable.
 //!
 //! [`evolution_aggregate`] computes those weights on interned group ids
-//! (the snapshot's cached [`GroupTable`]) by inclusion–exclusion over three
-//! DIST aggregations; [`evolution_aggregate_naive`] is the tuple-hashing
-//! oracle it is tested against.
+//! (the snapshot's cached [`GroupTable`]) in one DIST walk over 𝒯₁ ∪ 𝒯₂
+//! that tags each (entity, tuple) with its sides; [`evolution_aggregate_naive`]
+//! is the tuple-hashing oracle it is tested against.
 
-use crate::aggregate::{AggMode, GroupTable, NodeTimeFilter};
+use crate::aggregate::{Edges, GroupTable, NodeTimeFilter, Nodes, PairAccumulator, SIDE_1, SIDE_2};
 use crate::ops::{side_members, SideTest};
 use std::collections::HashMap;
 use tempo_columnar::{BitVec, Value, ValueTuple};
@@ -180,6 +180,18 @@ impl EvolutionAggregate {
     }
 }
 
+impl EvolutionWeights {
+    /// Counts one (entity, tuple) by the sides the walk saw it on: 𝒯₂ only
+    /// ([`SIDE_2`]) is growth, 𝒯₁ only ([`SIDE_1`]) shrinkage, both stability.
+    fn count(&mut self, sides: u8) {
+        *match sides {
+            SIDE_2 => &mut self.growth,
+            SIDE_1 => &mut self.shrinkage,
+            _ => &mut self.stability,
+        } += 1;
+    }
+}
+
 fn add(mut acc: EvolutionWeights, w: &EvolutionWeights) -> EvolutionWeights {
     acc.stability += w.stability;
     acc.growth += w.growth;
@@ -244,47 +256,34 @@ pub fn evolution_aggregate(
         (0..g.domain().len()).map(passing).collect()
     });
     let pass = pass.as_deref();
-    // Per tuple, the DIST weights over 𝒯₁, 𝒯₂ and 𝒯₁ ∪ 𝒯₂ — the entities
-    // that show it on each side and on either — give every class by
-    // inclusion–exclusion. Members are plain side membership, not the
-    // Def. 2.5 event masks, which also keep a deleted edge's endpoints.
-    let sides = [t1, t2, &scope];
-    let members = |cols| {
-        let [in1, in2] = [t1, t2].map(|side| side_members(cols, side, SideTest::Any));
-        let either = in1.or(&in2);
-        [in1, in2, either]
-    };
-    let (keep_nodes, keep_edges) = (members(node_cols), members(edge_cols));
-    let dist = AggMode::Distinct;
-    let nodes = [0, 1, 2].map(|i| table.node_weights(g, sides[i], &keep_nodes[i], dist, pass));
-    let mut edges = [0, 1, 2].map(|i| table.edge_weights(g, sides[i], &keep_edges[i], dist, pass));
+    // The sides an (entity, tuple) shows on are its class. The kept entities
+    // are plain side membership, not the Def. 2.5 event masks, which also
+    // keep a deleted edge's endpoints.
+    let mut nodes = vec![EvolutionWeights::default(); table.n_groups()];
+    let keep = side_members(node_cols, &scope, SideTest::Any);
+    table.walk_distinct(Nodes(g), [t1, t2], &keep, pass, |_, gid, on| {
+        nodes[gid as usize].count(on)
+    });
+    let mut edges = PairAccumulator::<EvolutionWeights>::new(table.n_groups());
+    let keep = side_members(edge_cols, &scope, SideTest::Any);
+    table.walk_distinct(Edges(g), [t1, t2], &keep, pass, |_, (s, d), on| {
+        edges.slot(s, d).count(on)
+    });
 
     let mut out = EvolutionAggregate {
         attr_names: table.attr_names().to_vec(),
         nodes: HashMap::new(),
         edges: HashMap::new(),
     };
-    for (gid, &either) in nodes[2].iter().enumerate().filter(|(_, &w)| w > 0) {
-        let w = classes(nodes[0][gid], nodes[1][gid], either);
+    let shown = nodes.iter().enumerate();
+    for (gid, &w) in shown.filter(|(_, &w)| w != EvolutionWeights::default()) {
         out.nodes.insert(table.tuple(gid as u32).clone(), w);
     }
-    let [in1, in2, either] = &mut edges;
-    either.for_each_nonzero(|s, d, &either| {
-        let w = classes(*in1.slot(s, d), *in2.slot(s, d), either);
+    edges.for_each_nonzero(|s, d, &w| {
         out.edges
             .insert((table.tuple(s).clone(), table.tuple(d).clone()), w);
     });
     Ok(out)
-}
-
-/// The classes of the entities showing one tuple, from how many show it in
-/// 𝒯₁, in 𝒯₂ and in either.
-fn classes(in1: u64, in2: u64, either: u64) -> EvolutionWeights {
-    EvolutionWeights {
-        stability: in1 + in2 - either,
-        growth: either - in1,
-        shrinkage: either - in2,
-    }
 }
 
 /// [`evolution_aggregate`] computed the direct way — a hash map of value

@@ -68,11 +68,11 @@ pub fn initial_threshold(
             if all.is_edge() {
                 let mut best = None;
                 table
-                    .edge_weights(g, scope, mask.keep_edges(), dist, None)
+                    .edge_weights(g, scope, mask.keep_edges(), dist)
                     .for_each_nonzero(|_, _, &w| best = pick(best, w));
                 best
             } else {
-                let weights = table.node_weights(g, scope, mask.keep_nodes(), dist, None);
+                let weights = table.node_weights(g, scope, mask.keep_nodes(), dist);
                 weights.into_iter().filter(|&w| w > 0).fold(None, pick)
             }
         }

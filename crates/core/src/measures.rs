@@ -202,7 +202,7 @@ pub fn aggregate_measure(
     let (nodes, edges) = (BitVec::ones(g.n_nodes()), BitVec::ones(g.n_edges()));
     let mut node_acc = vec![Acc::default(); table.n_groups()];
     let observe_node = |n, t, gid: u32| node_acc[gid as usize].push(observe(n, t));
-    table.walk(Nodes(g), &domain, &nodes, all, None, observe_node);
+    table.walk_all(Nodes(g), &domain, &nodes, observe_node);
 
     let mut out = MeasureAggregate {
         group_names: table.attr_names().to_vec(),
@@ -223,7 +223,7 @@ pub fn aggregate_measure(
     };
     let Some(values) = edge_values else {
         // COUNT is the ALL weight
-        let weights = table.edge_weights(g, &domain, &edges, all, None);
+        let weights = table.edge_weights(g, &domain, &edges, all);
         weights.for_each_nonzero(|s, d, &w| edge(s, d, Some(w as f64)));
         return Ok(out);
     };
@@ -233,7 +233,7 @@ pub fn aggregate_measure(
         let obs = numbers.get(values.code(e, t) as usize).copied().flatten();
         edge_acc.slot(s, d).push(obs);
     };
-    table.walk(Edges(g), &domain, &edges, all, None, observe_edge);
+    table.walk_all(Edges(g), &domain, &edges, observe_edge);
     edge_acc.for_each_nonzero(|s, d, acc| edge(s, d, acc.finish_edge(edge_measure)));
     Ok(out)
 }

@@ -15,7 +15,9 @@
 //! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
 //!   consecutive pairs' materialized aggregates;
 //! * the DIST walk across 64-entity words and 64-point chunks of a scope,
-//!   through `aggregate_masked`, `count_distinct` and `evolution_aggregate`;
+//!   through `aggregate_masked`, `count_distinct` and `evolution_aggregate`,
+//!   the last also with its two sides overlapping, reversed, equal and
+//!   interleaved;
 //! * the ALL walk on the same graphs, through `aggregate_masked`, every
 //!   `GraphCube` level and `aggregate_measure`, and `aggregate_measure` of
 //!   a static numeric attribute and of edge values against `naive_measure`.
@@ -633,16 +635,13 @@ fn single_timepoint_domain_errors_everywhere() {
     assert!(suggest_k(&g, &cfg).is_err());
 }
 
-/// The graphs the two walk tests below share, each with its 𝒯₁ and 𝒯₂,
-/// where the proptests' graphs (at most 39 nodes and 6 points) never reach:
-/// hundreds of nodes, so the kept entities span several 64-entity words,
-/// and 70–130 points, so a scope of 𝒯₁ ∪ 𝒯₂ with a one-point gap between
-/// them spans two 64-point chunks. Each graph comes under both column
-/// layouts and, appended one point, with the old presence columns
-/// zero-extended; the returning tuple has one entity whose key goes
-/// A → (absent) → B → A.
-fn walk_cases() -> Vec<(TemporalGraph, TimeSet, TimeSet)> {
-    let mut cases = Vec::new();
+/// The graphs the walk tests below share, where the proptests' graphs (at
+/// most 39 nodes and 6 points) never reach: hundreds of nodes, so the kept
+/// entities span several 64-entity words, and 70–130 points, so a scope
+/// spans two 64-point chunks. Each graph comes under both column layouts
+/// and, appended one point, with the old presence columns zero-extended.
+fn walk_graphs() -> Vec<TemporalGraph> {
+    let mut graphs = Vec::new();
     for (timepoints, seed) in [(70, 3), (130, 4)] {
         let g = RandomGraphConfig {
             pool: 320,
@@ -657,18 +656,7 @@ fn walk_cases() -> Vec<(TemporalGraph, TimeSet, TimeSet)> {
         }
         .generate()
         .unwrap();
-        // a gap of one point, and the appended point in 𝒯₂
-        let sides = |n: usize| {
-            (
-                TimeSet::range(n, 0, n / 3),
-                TimeSet::range(n, n / 3 + 2, n - 1),
-            )
-        };
-        let (t1, t2) = sides(timepoints);
-        assert!(t1.len() + t2.len() > 64);
-        for g in both_layouts(&g) {
-            cases.push((g, t1.clone(), t2.clone()));
-        }
+        graphs.extend(both_layouts(&g));
         // the appended epoch carries the old columns forward unwidened
         let mut patch = TimepointPatch::new("appended");
         let level = level_attr(&g);
@@ -676,14 +664,67 @@ fn walk_cases() -> Vec<(TemporalGraph, TimeSet, TimeSet)> {
         patch.add_edge("fresh", "n0").add_edge("n1", "fresh");
         let g = GraphVersions::new(g).append_timepoint(&patch).unwrap();
         assert!(g.node_presence_columns().col(0).len() < g.n_nodes());
-        let (t1, t2) = sides(timepoints + 1);
-        cases.push((Arc::unwrap_or_clone(g), t1, t2));
+        graphs.push(Arc::unwrap_or_clone(g));
+    }
+    graphs
+}
+
+/// [`walk_graphs`], each with a 𝒯₁ and a 𝒯₂ that leave a one-point gap
+/// between them (on an appended epoch the appended point is in 𝒯₂), so
+/// that 𝒯₁ ∪ 𝒯₂ spans two 64-point chunks; and the returning tuple under
+/// both layouts, whose one entity's key goes A → (absent) → B → A.
+fn walk_cases() -> Vec<(TemporalGraph, TimeSet, TimeSet)> {
+    let mut cases = Vec::new();
+    for g in walk_graphs() {
+        let n = g.domain().len();
+        let (t1, t2) = (
+            TimeSet::range(n, 0, n / 3),
+            TimeSet::range(n, n / 3 + 2, n - 1),
+        );
+        assert!(t1.len() + t2.len() > 64);
+        cases.push((g, t1, t2));
     }
     let (t1, t2) = (TimeSet::range(4, 0, 1), TimeSet::range(4, 2, 3));
     for g in both_layouts(&returning_tuple()) {
         cases.push((g, t1.clone(), t2.clone()));
     }
     cases
+}
+
+/// `evolution_aggregate` against its oracle on [`walk_graphs`] for every
+/// way the two sides can lie: overlapping, 𝒯₂ entirely before 𝒯₁, equal,
+/// and interleaved (even points against odd ones, so both sides run
+/// through every 64-point chunk) — on every list, with and without a
+/// `level >= 2` filter.
+#[test]
+fn evolution_matches_oracle_on_every_side_shape() {
+    for g in walk_graphs() {
+        let n = g.domain().len();
+        let range = |first: usize, last: usize| TimeSet::range(n, first, last);
+        let parity = |p: usize| TimeSet::from_indices(n, (p..n).step_by(2));
+        let shapes = [
+            ("overlapping", range(0, 2 * n / 3), range(n / 3, n - 1)),
+            ("reversed", range(n / 2, n - 1), range(0, n / 2 - 1)),
+            ("equal", range(n / 4, n - 1), range(n / 4, n - 1)),
+            ("interleaved", parity(0), parity(1)),
+        ];
+        let level = level_attr(&g);
+        let filter = move |gr: &TemporalGraph, n: NodeId, t: TimePoint| {
+            gr.attr_value(n, level, t).as_int().is_some_and(|v| v >= 2)
+        };
+        for (shape, t1, t2) in &shapes {
+            for attrs in attr_sets(&g) {
+                for f in [None, Some(&filter as &NodeTimeFilter<'_>)] {
+                    assert_eq!(
+                        evolution_aggregate(&g, t1, t2, &attrs, f).unwrap(),
+                        evolution_aggregate_naive(&g, t1, t2, &attrs, f).unwrap(),
+                        "{shape} over {n} points, {attrs:?} filtered {}",
+                        f.is_some()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The DIST walk against its oracles on [`walk_cases`].
