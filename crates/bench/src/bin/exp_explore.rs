@@ -39,7 +39,7 @@ fn all_cases(g: &TemporalGraph, selector: &Selector) -> Vec<ExploreConfig> {
 fn pruning_study(g: &TemporalGraph, cases: &[ExploreConfig]) {
     println!(
         "{:<12} {:<6} {:<4} {:>4} {:>8} {:>8} {:>9} {:>9} {:>6}",
-        "event", "extend", "sem", "k", "evals", "naive", "time(s)", "naive(s)", "same"
+        "event", "extend", "sem", "k", "evals", "naive", "time(ms)", "naive(ms)", "same"
     );
     for cfg in cases {
         let (fast, fast_t) = timed(|| explore(g, cfg).expect("explore"));
@@ -55,8 +55,8 @@ fn pruning_study(g: &TemporalGraph, cases: &[ExploreConfig]) {
             cfg.k,
             fast.evaluations,
             slow.evaluations,
-            secs(fast_t),
-            secs(slow_t),
+            secs(fast_t) * 1e3,
+            secs(slow_t) * 1e3,
             fast.pairs == slow.pairs
         );
         assert_eq!(fast.pairs, slow.pairs, "pruned results must match naive");

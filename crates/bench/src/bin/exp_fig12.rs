@@ -53,7 +53,7 @@ fn main() {
                 100.0 * w.stability as f64 / total as f64
             );
         }
-        let e = evo.edge_totals();
+        let e = evo.total_edge_weight();
         let etotal = (e.stability + e.growth + e.shrinkage).max(1);
         println!(
             "edges    {:>8} {:>8} {:>8} {:>8.1}%  (collaborations between active authors)",

@@ -9,13 +9,15 @@ use graphtempo::evolution::evolution_aggregate;
 use graphtempo::explore::{
     explore_budgeted, suggest_k, Budget, ExploreConfig, ExtendSide, Selector, Semantics,
 };
-use graphtempo::export::{aggregate_edges_frame, aggregate_nodes_frame, aggregate_to_dot};
+use graphtempo::export::{
+    aggregate_edges_frame, aggregate_nodes_frame, aggregate_to_dot, render_tuple,
+};
 use graphtempo::ops::{event_mask, Event, EventMask, SideTest};
 use graphtempo::zoom::{zoom_out, Granularity};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
-use tempo_columnar::ValueTuple;
+use tempo_columnar::{Value, ValueTuple};
 use tempo_datagen::{DblpConfig, MovieLensConfig, RandomGraphConfig, SchoolConfig};
 use tempo_graph::{
     AttrId, GraphError, GraphStats, GraphVersions, NodeId, TemporalGraph, TimePoint, TimeSet,
@@ -257,21 +259,17 @@ impl Session {
             agg.total_node_weight(),
             agg.total_edge_weight()
         ));
+        let tuple = |t: &[Value]| render_tuple(Some(g), &attrs, t);
         let mut nodes = agg.iter_nodes();
         nodes.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
-        for (tuple, w) in nodes.into_iter().take(top) {
-            reply
-                .rows
-                .push(format!("  node {} w={w}", render_tuple(g, &attrs, tuple)));
+        for (t, w) in nodes.into_iter().take(top) {
+            reply.rows.push(format!("  node ({}) w={w}", tuple(t)));
         }
         let mut edges = agg.iter_edges();
         edges.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
         for ((s, d), w) in edges.into_iter().take(top) {
-            reply.rows.push(format!(
-                "  edge {} -> {} w={w}",
-                render_tuple(g, &attrs, s),
-                render_tuple(g, &attrs, d)
-            ));
+            let (s, d) = (tuple(s), tuple(d));
+            reply.rows.push(format!("  edge ({s}) -> ({d}) w={w}"));
         }
         self.last_agg = Some(agg);
         Ok(reply)
@@ -297,19 +295,11 @@ impl Session {
         )?;
         let mut reply = Reply::default();
         for (tuple, w) in evo.iter_nodes() {
-            reply.rows.push(format!(
-                "  node {}: St={} Gr={} Shr={}",
-                render_tuple(g, &attrs, tuple),
-                w.stability,
-                w.growth,
-                w.shrinkage
-            ));
+            let tuple = render_tuple(Some(g), &attrs, tuple);
+            reply.rows.push(format!("  node ({tuple}): {w}"));
         }
-        let e = evo.edge_totals();
-        reply.rows.push(format!(
-            "  edges total: St={} Gr={} Shr={}",
-            e.stability, e.growth, e.shrinkage
-        ));
+        let e = evo.total_edge_weight();
+        reply.rows.push(format!("  edges total: {e}"));
         Ok(reply)
     }
 
@@ -431,9 +421,8 @@ impl Session {
         let mut nodes = agg.iter_nodes();
         nodes.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
         for (tuple, w) in nodes.into_iter().take(10) {
-            reply
-                .rows
-                .push(format!("  {} w={w}", render_tuple(g, &level_ids, tuple)));
+            let tuple = render_tuple(Some(g), &level_ids, tuple);
+            reply.rows.push(format!("  ({tuple}) w={w}"));
         }
         self.last_agg = Some(agg);
         Ok(reply)
@@ -468,22 +457,17 @@ impl Session {
         let m = aggregate_measure(g, &group, node_measure, edge_measure)?;
         let mut reply = Reply::line(format!(
             "measure {node_spec} grouped by ({})",
-            m.group_names().join(",")
+            m.attr_names().join(",")
         ));
-        for (tuple, v) in m.iter_nodes() {
-            reply.rows.push(format!(
-                "  node {} = {v:.3}",
-                render_tuple(g, &group, tuple)
-            ));
+        let tuple = |t: &[Value]| render_tuple(Some(g), &group, t);
+        for (t, v) in m.iter_nodes() {
+            reply.rows.push(format!("  node ({}) = {v:.3}", tuple(t)));
         }
         let mut edges = m.iter_edges();
         edges.truncate(10);
         for ((s, d), v) in edges {
-            reply.rows.push(format!(
-                "  edge {} -> {} = {v:.3}",
-                render_tuple(g, &group, s),
-                render_tuple(g, &group, d)
-            ));
+            let (s, d) = (tuple(s), tuple(d));
+            reply.rows.push(format!("  edge ({s}) -> ({d}) = {v:.3}"));
         }
         Ok(reply)
     }
@@ -735,15 +719,6 @@ fn compile_filter(
     })
 }
 
-fn render_tuple(g: &TemporalGraph, attrs: &[AttrId], tuple: &ValueTuple) -> String {
-    let parts: Vec<String> = attrs
-        .iter()
-        .zip(tuple)
-        .map(|(&a, v)| g.schema().def(a).render(v))
-        .collect();
-    format!("({})", parts.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,6 +818,40 @@ mod tests {
         s.exec(&format!("export nodes {}", nodes.display()))
             .unwrap();
         assert!(std::fs::read_to_string(&nodes).unwrap().contains("weight"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `export` writes the last `agg` or `cube` answer; every file is
+    /// pinned whole on Fig. 1.
+    #[test]
+    fn export_files_on_fig1() {
+        let fig1 = Arc::new(tempo_graph::fixtures::fig1());
+        let mut s = Session::for_snapshot(fig1, QueryLimits::default());
+        let dir = std::env::temp_dir().join(format!("gt_cli_export_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let export = |s: &mut Session, what: &str| {
+            let path = dir.join(what);
+            s.exec(&format!("export {what} {}", path.display()))
+                .unwrap();
+            std::fs::read_to_string(&path).unwrap()
+        };
+        s.exec("agg dist attrs=gender").unwrap();
+        let dot = |m: u64, f: u64, mf: u64, ff: u64| {
+            format!(
+                "digraph aggregate {{\n  label=\"aggregate on (gender)\";\n  \
+                 \"m\" [label=\"m\\nw={m}\"];\n  \"f\" [label=\"f\\nw={f}\"];\n  \
+                 \"m\" -> \"f\" [label=\"{mf}\"];\n  \"f\" -> \"f\" [label=\"{ff}\"];\n}}\n"
+            )
+        };
+        assert_eq!(export(&mut s, "dot"), dot(2, 3, 2, 2));
+        assert_eq!(export(&mut s, "nodes"), "gender\tweight\n#0\t2\n#1\t3\n");
+        assert_eq!(
+            export(&mut s, "edges"),
+            "src_gender\tdst_gender\tweight\n#0\t#1\t2\n#1\t#1\t2\n"
+        );
+        s.exec("cube attrs=gender,publications level=gender")
+            .unwrap();
+        assert_eq!(export(&mut s, "dot"), dot(3, 7, 3, 4));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

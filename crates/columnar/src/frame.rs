@@ -57,7 +57,7 @@ impl Frame {
     ///
     /// # Errors
     /// Returns an error if the column does not exist.
-    pub fn col_index(&self, name: &str) -> Result<usize, ColumnarError> {
+    fn col_index(&self, name: &str) -> Result<usize, ColumnarError> {
         self.columns
             .iter()
             .position(|c| c == name)

@@ -41,14 +41,6 @@ impl Value {
         }
     }
 
-    /// Returns the categorical code, if this is a `Cat`.
-    pub fn as_cat(&self) -> Option<u32> {
-        match self {
-            Value::Cat(c) => Some(*c),
-            _ => None,
-        }
-    }
-
     /// Returns the string payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -136,9 +128,7 @@ mod tests {
     fn accessors() {
         assert!(Value::Null.is_null());
         assert_eq!(Value::Int(7).as_int(), Some(7));
-        assert_eq!(Value::Cat(3).as_cat(), Some(3));
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
-        assert_eq!(Value::Int(7).as_cat(), None);
         assert_eq!(Value::Cat(1).as_int(), None);
     }
 

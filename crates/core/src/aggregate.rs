@@ -15,8 +15,8 @@
 //! direct hash aggregation over the presence columns of a materialized
 //! graph it is checked against.
 
-use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Add;
 use std::sync::Arc;
 use tempo_columnar::{word_ones, BitVec, PresenceColumns, Value, ValueTuple};
 use tempo_graph::{
@@ -24,49 +24,8 @@ use tempo_graph::{
     Temporality, TimePoint, TimeSet,
 };
 
+use crate::export::render_tuple;
 use crate::ops::{side_members, EventMask, SideTest};
-
-/// Borrowed view of an aggregate edge key, letting [`AggregateGraph::edge_weight`]
-/// probe the edge map from two slices without allocating owned tuples.
-///
-/// Safe as a [`Borrow`] target because `(ValueTuple, ValueTuple)` and
-/// `(&[Value], &[Value])` hash identically (tuples hash field by field,
-/// `Vec` and slice both hash as length-prefixed element sequences).
-trait PairKey {
-    fn key(&self) -> (&[Value], &[Value]);
-}
-
-impl PairKey for (ValueTuple, ValueTuple) {
-    fn key(&self) -> (&[Value], &[Value]) {
-        (&self.0, &self.1)
-    }
-}
-
-impl PairKey for (&[Value], &[Value]) {
-    fn key(&self) -> (&[Value], &[Value]) {
-        (self.0, self.1)
-    }
-}
-
-impl std::hash::Hash for dyn PairKey + '_ {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
-}
-
-impl PartialEq for dyn PairKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn PairKey + '_ {}
-
-impl<'a> Borrow<dyn PairKey + 'a> for (ValueTuple, ValueTuple) {
-    fn borrow(&self) -> &(dyn PairKey + 'a) {
-        self
-    }
-}
 
 /// Distinct (DIST) vs non-distinct (ALL) weight semantics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -77,30 +36,62 @@ pub enum AggMode {
     All,
 }
 
-/// A weighted aggregate graph `G'(V', E', W_V', W_E', A')`.
+/// A weighted aggregate graph `G'(V', E', W_V', W_E', A')` (Definition 2.6).
 ///
 /// Nodes are attribute tuples; edges are ordered pairs of attribute tuples
-/// (the underlying graphs are directed). Weights are COUNT aggregates.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AggregateGraph {
+/// (the underlying graphs are directed). Definition 2.6 leaves the weight
+/// functions open, and `W` is what each entity carries: a COUNT
+/// ([`AggregateGraph`]), the stability / growth / shrinkage weights of
+/// Fig. 4b ([`EvolutionAggregate`](crate::evolution::EvolutionAggregate))
+/// or a measure ([`MeasureAggregate`](crate::measures::MeasureAggregate)).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Aggregate<W> {
     attr_names: Vec<String>,
-    nodes: HashMap<ValueTuple, u64>,
-    edges: HashMap<(ValueTuple, ValueTuple), u64>,
+    pub(crate) nodes: HashMap<ValueTuple, W>,
+    pub(crate) edges: HashMap<(ValueTuple, ValueTuple), W>,
 }
 
-impl AggregateGraph {
+/// An aggregate graph whose weights are COUNT aggregates.
+pub type AggregateGraph = Aggregate<u64>;
+
+impl<W: Copy> Aggregate<W> {
     /// Creates an empty aggregate graph over the given attribute names.
     pub fn new(attr_names: Vec<String>) -> Self {
-        AggregateGraph {
+        Aggregate {
             attr_names,
             nodes: HashMap::new(),
             edges: HashMap::new(),
         }
     }
 
+    /// The aggregate graph of `table`'s groups: the kept `(gid, weight)`
+    /// nodes and `((src gid, dst gid), weight)` edges, each group id
+    /// resolved to its attribute tuple.
+    pub(crate) fn from_groups(
+        table: &GroupTable,
+        nodes: impl IntoIterator<Item = (u32, W)>,
+        edges: impl IntoIterator<Item = ((u32, u32), W)>,
+    ) -> Self {
+        let tuple = |gid: u32| table.tuple(gid).clone();
+        Aggregate {
+            attr_names: table.attr_names().to_vec(),
+            nodes: nodes.into_iter().map(|(gid, w)| (tuple(gid), w)).collect(),
+            edges: (edges.into_iter())
+                .map(|((s, d), w)| ((tuple(s), tuple(d)), w))
+                .collect(),
+        }
+    }
+
     /// Names of the aggregation attributes, in tuple order.
     pub fn attr_names(&self) -> &[String] {
         &self.attr_names
+    }
+
+    /// The ids of the aggregation attributes in `g`'s schema, skipping
+    /// names it does not know.
+    pub(crate) fn attr_ids(&self, g: &TemporalGraph) -> Vec<AttrId> {
+        let ids = self.attr_names.iter().map(|n| g.schema().id(n));
+        ids.filter_map(Result::ok).collect()
     }
 
     /// Number of aggregate nodes (distinct attribute tuples).
@@ -113,29 +104,60 @@ impl AggregateGraph {
         self.edges.len()
     }
 
-    /// Weight of an aggregate node (0 when absent).
-    pub fn node_weight(&self, tuple: &[Value]) -> u64 {
-        self.nodes.get(tuple).copied().unwrap_or(0)
+    /// Weight of an aggregate node, if the tuple is one.
+    pub fn node(&self, tuple: &[Value]) -> Option<W> {
+        self.nodes.get(tuple).copied()
     }
 
-    /// Weight of an aggregate edge (0 when absent).
-    pub fn edge_weight(&self, src: &[Value], dst: &[Value]) -> u64 {
-        self.edges
-            .get(&(src, dst) as &dyn PairKey)
-            .copied()
-            .unwrap_or(0)
+    /// Weight of an aggregate edge, if the tuple pair is one.
+    pub fn edge(&self, src: &[Value], dst: &[Value]) -> Option<W> {
+        self.edges.get(&(src.to_vec(), dst.to_vec())).copied()
+    }
+
+    /// Iterates nodes sorted by tuple (deterministic order).
+    pub fn iter_nodes(&self) -> Vec<(&ValueTuple, W)> {
+        sorted_by_key(&self.nodes)
+    }
+
+    /// Iterates edges sorted by tuple pair (deterministic order).
+    pub fn iter_edges(&self) -> Vec<(&(ValueTuple, ValueTuple), W)> {
+        sorted_by_key(&self.edges)
+    }
+}
+
+/// The weights that have a zero (`W::default()`) and add up: COUNT, the
+/// evolution weights and the measures.
+impl<W: Copy + Default + Add<Output = W>> Aggregate<W> {
+    /// Weight of an aggregate node (zero when absent).
+    pub fn node_weight(&self, tuple: &[Value]) -> W {
+        self.node(tuple).unwrap_or_default()
+    }
+
+    /// Weight of an aggregate edge (zero when absent).
+    pub fn edge_weight(&self, src: &[Value], dst: &[Value]) -> W {
+        self.edge(src, dst).unwrap_or_default()
     }
 
     /// Sum of all node weights.
-    pub fn total_node_weight(&self) -> u64 {
-        self.nodes.values().sum()
+    pub fn total_node_weight(&self) -> W {
+        self.nodes.values().fold(W::default(), |sum, &w| sum + w)
     }
 
     /// Sum of all edge weights.
-    pub fn total_edge_weight(&self) -> u64 {
-        self.edges.values().sum()
+    pub fn total_edge_weight(&self) -> W {
+        self.edges.values().fold(W::default(), |sum, &w| sum + w)
     }
+}
 
+/// The entries of `map` sorted by key; the keys are unique, so the order
+/// is total.
+fn sorted_by_key<K: Ord, W: Copy>(map: &HashMap<K, W>) -> Vec<(&K, W)> {
+    let mut v: Vec<_> = map.iter().map(|(k, &w)| (k, w)).collect();
+    v.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    v
+}
+
+impl Aggregate<u64> {
     /// Adds `w` to a node tuple's weight.
     pub fn add_node_weight(&mut self, tuple: ValueTuple, w: u64) {
         if w > 0 {
@@ -148,20 +170,6 @@ impl AggregateGraph {
         if w > 0 {
             *self.edges.entry((src, dst)).or_insert(0) += w;
         }
-    }
-
-    /// Iterates nodes sorted by tuple (deterministic order).
-    pub fn iter_nodes(&self) -> Vec<(&ValueTuple, u64)> {
-        let mut v: Vec<_> = self.nodes.iter().map(|(k, &w)| (k, w)).collect();
-        v.sort();
-        v
-    }
-
-    /// Iterates edges sorted by tuple pair (deterministic order).
-    pub fn iter_edges(&self) -> Vec<(&(ValueTuple, ValueTuple), u64)> {
-        let mut v: Vec<_> = self.edges.iter().map(|(k, &w)| (k, w)).collect();
-        v.sort();
-        v
     }
 
     /// Pointwise weight addition (used by the T-distributive union of
@@ -181,25 +189,15 @@ impl AggregateGraph {
     /// through the source graph's schema.
     pub fn render(&self, g: &TemporalGraph) -> String {
         use std::fmt::Write as _;
-        let attrs: Vec<AttrId> = self
-            .attr_names
-            .iter()
-            .filter_map(|n| g.schema().id(n).ok())
-            .collect();
-        let fmt_tuple = |tuple: &ValueTuple| -> String {
-            if attrs.len() == tuple.len() {
-                crate::ops::render_tuple(g, &attrs, tuple)
-            } else {
-                format!("{tuple:?}")
-            }
-        };
+        let attrs = self.attr_ids(g);
+        let tuple = |t: &[Value]| render_tuple(Some(g), &attrs, t);
         let mut out = String::new();
         let _ = writeln!(out, "aggregate on ({})", self.attr_names.join(","));
-        for (tuple, w) in self.iter_nodes() {
-            let _ = writeln!(out, "  node {} w={w}", fmt_tuple(tuple));
+        for (t, w) in self.iter_nodes() {
+            let _ = writeln!(out, "  node ({}) w={w}", tuple(t));
         }
         for ((s, d), w) in self.iter_edges() {
-            let _ = writeln!(out, "  edge {} -> {} w={w}", fmt_tuple(s), fmt_tuple(d));
+            let _ = writeln!(out, "  edge ({}) -> ({}) w={w}", tuple(s), tuple(d));
         }
         out
     }
@@ -468,7 +466,7 @@ pub(crate) enum PairAccumulator<W> {
     Sparse(HashMap<(u32, u32), W>),
 }
 
-impl<W: Clone + Default + PartialEq> PairAccumulator<W> {
+impl<W: Copy + Default + PartialEq> PairAccumulator<W> {
     pub(crate) fn new(n_groups: usize) -> Self {
         match n_groups.checked_mul(n_groups) {
             Some(cells) if cells <= DENSE_PAIR_CELLS => PairAccumulator::Dense {
@@ -490,21 +488,24 @@ impl<W: Clone + Default + PartialEq> PairAccumulator<W> {
         }
     }
 
-    /// Visits every pair whose weight differs from `W::default()`.
-    pub(crate) fn for_each_nonzero(&self, mut f: impl FnMut(u32, u32, &W)) {
-        let zero = W::default();
-        match self {
+    /// The pairs whose weight differs from `W::default()`, with their
+    /// weights.
+    pub(crate) fn nonzero(&self) -> impl Iterator<Item = ((u32, u32), W)> + '_ {
+        let (dense, sparse) = match self {
             PairAccumulator::Dense { n_groups, cells } => {
-                for (i, w) in cells.iter().enumerate().filter(|(_, w)| **w != zero) {
-                    f((i / n_groups) as u32, (i % n_groups) as u32, w);
-                }
+                let n = *n_groups;
+                let pair = move |i: usize| ((i / n) as u32, (i % n) as u32);
+                let cells = cells.iter().enumerate();
+                (Some(cells.map(move |(i, &w)| (pair(i), w))), None)
             }
-            PairAccumulator::Sparse(map) => {
-                for (&(s, d), w) in map.iter().filter(|(_, w)| **w != zero) {
-                    f(s, d, w);
-                }
-            }
-        }
+            PairAccumulator::Sparse(map) => (None, Some(map.iter().map(|(&k, &w)| (k, w)))),
+        };
+        let zero = W::default();
+        let pairs = dense
+            .into_iter()
+            .flatten()
+            .chain(sparse.into_iter().flatten());
+        pairs.filter(move |&(_, w)| w != zero)
     }
 }
 
@@ -898,19 +899,10 @@ impl GroupTable {
         mode: AggMode,
     ) -> AggregateGraph {
         let scope = mask.scope();
-        let node_acc = self.node_weights(g, scope, mask.keep_nodes(), mode);
-        let edge_acc = self.edge_weights(g, scope, mask.keep_edges(), mode);
-        let tuples = self.cols.tuples();
-        let mut agg = AggregateGraph::new(self.attr_names().to_vec());
-        for (gid, &w) in node_acc.iter().enumerate() {
-            if w > 0 {
-                agg.add_node_weight(tuples[gid].clone(), w);
-            }
-        }
-        edge_acc.for_each_nonzero(|s, d, &w| {
-            agg.add_edge_weight(tuples[s as usize].clone(), tuples[d as usize].clone(), w);
-        });
-        agg
+        let nodes = self.node_weights(g, scope, mask.keep_nodes(), mode);
+        let edges = self.edge_weights(g, scope, mask.keep_edges(), mode);
+        let kept = (0..).zip(nodes).filter(|&(_, w)| w > 0);
+        AggregateGraph::from_groups(self, kept, edges.nonzero())
     }
 
     /// Counts `result(G)` of the event graph described by `mask` under
@@ -931,11 +923,7 @@ impl GroupTable {
             CountTarget::Node(None) | CountTarget::Edge(None) => 0,
             CountTarget::AllNodes => nodes().iter().sum(),
             CountTarget::Node(Some(gid)) => nodes()[gid as usize],
-            CountTarget::AllEdges => {
-                let mut total = 0;
-                edges().for_each_nonzero(|_, _, &w| total += w);
-                total
-            }
+            CountTarget::AllEdges => edges().nonzero().map(|(_, w)| w).sum(),
             CountTarget::Edge(Some((s, d))) => *edges().slot(s, d),
         }
     }
@@ -1302,8 +1290,7 @@ mod tests {
     #[test]
     fn pair_accumulator_dense_and_sparse_agree() {
         let collect = |acc: &PairAccumulator<u64>| {
-            let mut out = Vec::new();
-            acc.for_each_nonzero(|s, d, &w| out.push((s, d, w)));
+            let mut out: Vec<_> = acc.nonzero().map(|((s, d), w)| (s, d, w)).collect();
             out.sort_unstable();
             out
         };

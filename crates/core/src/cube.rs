@@ -34,11 +34,6 @@ impl Level {
     pub fn names(&self) -> &[String] {
         &self.0
     }
-
-    /// True if this level keeps a subset of `other`'s attributes.
-    pub fn is_subset_of(&self, other: &Level) -> bool {
-        self.0.iter().all(|n| other.0.contains(n))
-    }
 }
 
 /// The OLAP cube over a graph and a dimension set (ALL semantics — the
@@ -205,9 +200,6 @@ mod tests {
         assert_eq!(cube.base_level().names(), &["gender", "publications"]);
         let levels = cube.all_levels();
         assert_eq!(levels.len(), 3); // {G}, {P}, {G,P}
-        let g_level = Level::new(vec!["gender"]);
-        assert!(g_level.is_subset_of(&cube.base_level()));
-        assert!(!cube.base_level().is_subset_of(&g_level));
     }
 
     #[test]

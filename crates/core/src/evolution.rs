@@ -17,10 +17,14 @@
 //! that tags each (entity, tuple) with its sides; [`evolution_aggregate_naive`]
 //! is the tuple-hashing oracle it is tested against.
 
-use crate::aggregate::{Edges, GroupTable, NodeTimeFilter, Nodes, PairAccumulator, SIDE_1, SIDE_2};
+use crate::aggregate::{
+    Aggregate, Edges, GroupTable, NodeTimeFilter, Nodes, PairAccumulator, SIDE_1, SIDE_2,
+};
 use crate::ops::{side_members, SideTest};
 use std::collections::HashMap;
-use tempo_columnar::{BitVec, Value, ValueTuple};
+use std::fmt;
+use std::ops::Add;
+use tempo_columnar::{BitVec, ValueTuple};
 use tempo_graph::{
     require_non_empty, AttrId, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet,
 };
@@ -129,56 +133,7 @@ pub struct EvolutionWeights {
 
 /// The aggregated evolution graph: per attribute tuple (nodes) and tuple
 /// pair (edges), the three evolution weights.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EvolutionAggregate {
-    attr_names: Vec<String>,
-    nodes: HashMap<ValueTuple, EvolutionWeights>,
-    edges: HashMap<(ValueTuple, ValueTuple), EvolutionWeights>,
-}
-
-impl EvolutionAggregate {
-    /// Names of the aggregation attributes.
-    pub fn attr_names(&self) -> &[String] {
-        &self.attr_names
-    }
-
-    /// Weights of an aggregate node (zeros when absent).
-    pub fn node_weights(&self, tuple: &[Value]) -> EvolutionWeights {
-        self.nodes.get(tuple).copied().unwrap_or_default()
-    }
-
-    /// Weights of an aggregate edge (zeros when absent).
-    pub fn edge_weights(&self, src: &[Value], dst: &[Value]) -> EvolutionWeights {
-        self.edges
-            .get(&(src.to_vec(), dst.to_vec()))
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Aggregate nodes sorted by tuple.
-    pub fn iter_nodes(&self) -> Vec<(&ValueTuple, EvolutionWeights)> {
-        let mut v: Vec<_> = self.nodes.iter().map(|(k, &w)| (k, w)).collect();
-        v.sort_by(|a, b| a.0.cmp(b.0));
-        v
-    }
-
-    /// Aggregate edges sorted by tuple pair.
-    pub fn iter_edges(&self) -> Vec<(&(ValueTuple, ValueTuple), EvolutionWeights)> {
-        let mut v: Vec<_> = self.edges.iter().map(|(k, &w)| (k, w)).collect();
-        v.sort_by(|a, b| a.0.cmp(b.0));
-        v
-    }
-
-    /// Sums the three weights over all aggregate nodes.
-    pub fn node_totals(&self) -> EvolutionWeights {
-        self.nodes.values().fold(EvolutionWeights::default(), add)
-    }
-
-    /// Sums the three weights over all aggregate edges.
-    pub fn edge_totals(&self) -> EvolutionWeights {
-        self.edges.values().fold(EvolutionWeights::default(), add)
-    }
-}
+pub type EvolutionAggregate = Aggregate<EvolutionWeights>;
 
 impl EvolutionWeights {
     /// Counts one (entity, tuple) by the sides the walk saw it on: 𝒯₂ only
@@ -192,11 +147,28 @@ impl EvolutionWeights {
     }
 }
 
-fn add(mut acc: EvolutionWeights, w: &EvolutionWeights) -> EvolutionWeights {
-    acc.stability += w.stability;
-    acc.growth += w.growth;
-    acc.shrinkage += w.shrinkage;
-    acc
+impl Add for EvolutionWeights {
+    type Output = EvolutionWeights;
+
+    fn add(self, w: EvolutionWeights) -> EvolutionWeights {
+        EvolutionWeights {
+            stability: self.stability + w.stability,
+            growth: self.growth + w.growth,
+            shrinkage: self.shrinkage + w.shrinkage,
+        }
+    }
+}
+
+/// The weights as the `evolution` verb and the DOT export print them.
+impl fmt::Display for EvolutionWeights {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let EvolutionWeights {
+            stability,
+            growth,
+            shrinkage,
+        } = self;
+        write!(f, "St={stability} Gr={growth} Shr={shrinkage}")
+    }
 }
 
 /// Aggregates the evolution of `g` between `t1` and `t2` on `attrs`,
@@ -226,7 +198,7 @@ fn add(mut acc: EvolutionWeights, w: &EvolutionWeights) -> EvolutionWeights {
 /// .unwrap();
 /// // Fig. 4b: node (f,1) is stable on u2, grows on u4, shrinks on u3
 /// let f = g.schema().category(attrs[0], "f").unwrap();
-/// let w = evo.node_weights(&[f, Value::Int(1)]);
+/// let w = evo.node_weight(&[f, Value::Int(1)]);
 /// assert_eq!((w.stability, w.growth, w.shrinkage), (1, 1, 1));
 /// ```
 ///
@@ -270,20 +242,9 @@ pub fn evolution_aggregate(
         edges.slot(s, d).count(on)
     });
 
-    let mut out = EvolutionAggregate {
-        attr_names: table.attr_names().to_vec(),
-        nodes: HashMap::new(),
-        edges: HashMap::new(),
-    };
-    let shown = nodes.iter().enumerate();
-    for (gid, &w) in shown.filter(|(_, &w)| w != EvolutionWeights::default()) {
-        out.nodes.insert(table.tuple(gid as u32).clone(), w);
-    }
-    edges.for_each_nonzero(|s, d, &w| {
-        out.edges
-            .insert((table.tuple(s).clone(), table.tuple(d).clone()), w);
-    });
-    Ok(out)
+    let zero = EvolutionWeights::default();
+    let shown = (0..).zip(nodes).filter(|&(_, w)| w != zero);
+    Ok(Aggregate::from_groups(&table, shown, edges.nonzero()))
 }
 
 /// [`evolution_aggregate`] computed the direct way — a hash map of value
@@ -331,11 +292,7 @@ pub fn evolution_aggregate_naive(
         node_sets.push(tuples);
     }
 
-    let mut out = EvolutionAggregate {
-        attr_names,
-        nodes: HashMap::new(),
-        edges: HashMap::new(),
-    };
+    let mut out = EvolutionAggregate::new(attr_names);
     for tuples in &node_sets {
         for (tuple, &(in1, in2)) in tuples {
             let w = out.nodes.entry(tuple.clone()).or_default();
@@ -382,6 +339,7 @@ pub fn evolution_aggregate_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_columnar::Value;
     use tempo_graph::fixtures::fig1;
 
     fn ts(points: &[usize]) -> TimeSet {
@@ -440,7 +398,7 @@ mod tests {
             .schema()
             .category(g.schema().id("gender").unwrap(), "m")
             .unwrap();
-        let w_f1 = evo.node_weights(&[f.clone(), Value::Int(1)]);
+        let w_f1 = evo.node_weight(&[f.clone(), Value::Int(1)]);
         assert_eq!(
             w_f1,
             EvolutionWeights {
@@ -450,12 +408,12 @@ mod tests {
             }
         );
         // (f,2): u4's t0 tuple disappears
-        let w_f2 = evo.node_weights(&[f, Value::Int(2)]);
+        let w_f2 = evo.node_weight(&[f, Value::Int(2)]);
         assert_eq!(w_f2.shrinkage, 1);
         assert_eq!(w_f2.stability, 0);
         // (m,3): u1's t0 tuple disappears; (m,1) grows at t1
-        assert_eq!(evo.node_weights(&[m.clone(), Value::Int(3)]).shrinkage, 1);
-        assert_eq!(evo.node_weights(&[m, Value::Int(1)]).growth, 1);
+        assert_eq!(evo.node_weight(&[m.clone(), Value::Int(3)]).shrinkage, 1);
+        assert_eq!(evo.node_weight(&[m, Value::Int(1)]).growth, 1);
     }
 
     #[test]
@@ -471,12 +429,12 @@ mod tests {
             .category(g.schema().id("gender").unwrap(), "f")
             .unwrap();
         // (f,1)->(f,1): u3->u2 shrinks at t0, u4->u2 grows at t1
-        let w = evo.edge_weights(&[f.clone(), Value::Int(1)], &[f.clone(), Value::Int(1)]);
+        let w = evo.edge_weight(&[f.clone(), Value::Int(1)], &[f.clone(), Value::Int(1)]);
         assert_eq!(w.shrinkage, 1);
         assert_eq!(w.growth, 1);
         assert_eq!(w.stability, 0);
         // (f,2)->(f,1): u4->u2's t0 pair shrinks
-        let w = evo.edge_weights(&[f.clone(), Value::Int(2)], &[f, Value::Int(1)]);
+        let w = evo.edge_weight(&[f.clone(), Value::Int(2)], &[f, Value::Int(1)]);
         assert_eq!(w.shrinkage, 1);
     }
 
@@ -488,7 +446,7 @@ mod tests {
         let gender = vec![g.schema().id("gender").unwrap()];
         let evo_agg = evolution_aggregate(&g, &ts(&[0]), &ts(&[1]), &gender, None).unwrap();
         let evo = EvolutionGraph::compute(&g, &ts(&[0]), &ts(&[1])).unwrap();
-        let totals = evo_agg.node_totals();
+        let totals = evo_agg.total_node_weight();
         assert_eq!(
             totals.stability as usize,
             evo.count_nodes(EvolutionClass::Stability)
@@ -501,7 +459,7 @@ mod tests {
             totals.growth as usize,
             evo.count_nodes(EvolutionClass::Growth)
         );
-        let e_totals = evo_agg.edge_totals();
+        let e_totals = evo_agg.total_edge_weight();
         assert_eq!(
             e_totals.stability as usize,
             evo.count_edges(EvolutionClass::Stability)
@@ -548,10 +506,10 @@ mod tests {
                 let evo = evolution_aggregate(&g, &t1, &t2, &[level], f).unwrap();
                 let naive = evolution_aggregate_naive(&g, &t1, &t2, &[level], f).unwrap();
                 assert_eq!(evo, naive, "filtered {}", f.is_some());
-                assert_eq!(evo.node_weights(&[Value::Int(1)]).stability, 1);
+                assert_eq!(evo.node_weight(&[Value::Int(1)]).stability, 1);
                 // only unfiltered does u show 2, in 𝒯₂
                 let grown = u64::from(f.is_none());
-                assert_eq!(evo.node_weights(&[Value::Int(2)]).growth, grown);
+                assert_eq!(evo.node_weight(&[Value::Int(2)]).growth, grown);
             }
         }
     }
@@ -565,7 +523,7 @@ mod tests {
             gr.attr_value(n, pubs, t).as_int().unwrap_or(0) >= 2
         };
         let evo = evolution_aggregate(&g, &ts(&[0]), &ts(&[1]), &gender, Some(&filter)).unwrap();
-        let totals = evo.node_totals();
+        let totals = evo.total_node_weight();
         // only u1@t0 (m,3) and u4@t0 (f,2) pass; both vanish by t1
         assert_eq!(totals.stability, 0);
         assert_eq!(totals.shrinkage, 2);

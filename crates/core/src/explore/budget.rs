@@ -47,12 +47,6 @@ impl Budget {
         self
     }
 
-    /// True when the budget imposes no limits at all.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
-    }
-
     /// Checkpoint: passes while the budget holds.
     ///
     /// # Errors
@@ -87,7 +81,6 @@ mod tests {
     #[test]
     fn unlimited_always_passes() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         for _ in 0..3 {
             assert_eq!(b.check(), Ok(()));
         }
@@ -96,7 +89,6 @@ mod tests {
     #[test]
     fn zero_deadline_fails_immediately() {
         let b = Budget::unlimited().with_deadline_ms(0);
-        assert!(!b.is_unlimited());
         assert!(matches!(b.check(), Err(GraphError::Cancelled(_))));
     }
 

@@ -4,28 +4,24 @@
 //! renders them as Graphviz DOT (the paper's Figs. 3–4 are exactly such
 //! drawings) and as TSV frames for downstream tooling.
 
-use crate::aggregate::AggregateGraph;
-use crate::evolution::EvolutionAggregate;
+use crate::aggregate::{Aggregate, AggregateGraph};
+use crate::evolution::{EvolutionAggregate, EvolutionWeights};
 use std::fmt::Write as _;
-use tempo_columnar::{ColumnarError, Frame, Value, ValueTuple};
+use tempo_columnar::{ColumnarError, Frame, Value};
 use tempo_graph::{AttrId, TemporalGraph};
 
-fn tuple_label(g: Option<&TemporalGraph>, attrs: &[AttrId], tuple: &ValueTuple) -> String {
-    match g {
-        Some(g) if attrs.len() == tuple.len() => {
-            let parts: Vec<String> = attrs
-                .iter()
-                .zip(tuple)
-                .map(|(&a, v)| g.schema().def(a).render(v))
-                .collect();
-            parts.join(",")
-        }
-        _ => tuple
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-    }
+/// The text of an attribute tuple, `f,1`: each value as its attribute
+/// renders it (a category by its label). Without a source graph, or with
+/// attribute ids that do not match the tuple, each value prints bare
+/// (a category by its code, `#1,1`).
+pub fn render_tuple(source: Option<&TemporalGraph>, attrs: &[AttrId], tuple: &[Value]) -> String {
+    let parts: Vec<String> = match source {
+        Some(g) if attrs.len() == tuple.len() => (attrs.iter().zip(tuple))
+            .map(|(&a, v)| g.schema().def(a).render(v))
+            .collect(),
+        _ => tuple.iter().map(Value::to_string).collect(),
+    };
+    parts.join(",")
 }
 
 /// Renders an aggregate graph as Graphviz DOT (directed).
@@ -33,66 +29,48 @@ fn tuple_label(g: Option<&TemporalGraph>, attrs: &[AttrId], tuple: &ValueTuple) 
 /// When the source graph is supplied, categorical codes resolve to their
 /// labels (e.g. `f,1` instead of `#1,1`).
 pub fn aggregate_to_dot(agg: &AggregateGraph, source: Option<&TemporalGraph>) -> String {
-    let attrs: Vec<AttrId> = source
-        .map(|g| {
-            agg.attr_names()
-                .iter()
-                .filter_map(|n| g.schema().id(n).ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut out = String::from("digraph aggregate {\n");
-    let _ = writeln!(
-        out,
-        "  label=\"aggregate on ({})\";",
-        agg.attr_names().join(",")
-    );
-    for (tuple, w) in agg.iter_nodes() {
-        let label = tuple_label(source, &attrs, tuple);
-        let _ = writeln!(out, "  \"{label}\" [label=\"{label}\\nw={w}\"];");
-    }
-    for ((src, dst), w) in agg.iter_edges() {
-        let s = tuple_label(source, &attrs, src);
-        let d = tuple_label(source, &attrs, dst);
-        let _ = writeln!(out, "  \"{s}\" -> \"{d}\" [label=\"{w}\"];");
-    }
-    out.push_str("}\n");
-    out
+    to_dot(
+        agg,
+        source,
+        ("aggregate", ""),
+        |w| format!("w={w}"),
+        |w| w.to_string(),
+    )
 }
 
 /// Renders an aggregated evolution graph as DOT, annotating every entity
 /// with its stability/growth/shrinkage weights (the paper's Fig. 4b).
 pub fn evolution_to_dot(evo: &EvolutionAggregate, source: Option<&TemporalGraph>) -> String {
-    let attrs: Vec<AttrId> = source
-        .map(|g| {
-            evo.attr_names()
-                .iter()
-                .filter_map(|n| g.schema().id(n).ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut out = String::from("digraph evolution {\n");
-    let _ = writeln!(
-        out,
-        "  label=\"evolution on ({}) [St/Gr/Shr]\";",
-        evo.attr_names().join(",")
-    );
-    for (tuple, w) in evo.iter_nodes() {
-        let label = tuple_label(source, &attrs, tuple);
+    let weights = |w: EvolutionWeights| w.to_string();
+    to_dot(evo, source, ("evolution", " [St/Gr/Shr]"), weights, weights)
+}
+
+/// `digraph <kind>`, titled `<kind> on (<attributes>)<legend>`: a node per
+/// aggregate node, labelled with its tuple and `node_label` of its weight,
+/// and an edge per aggregate edge, labelled with `edge_label` of its weight.
+fn to_dot<W: Copy>(
+    agg: &Aggregate<W>,
+    source: Option<&TemporalGraph>,
+    (kind, legend): (&str, &str),
+    node_label: impl Fn(W) -> String,
+    edge_label: impl Fn(W) -> String,
+) -> String {
+    let attrs = source.map(|g| agg.attr_ids(g)).unwrap_or_default();
+    let tuple = |t: &[Value]| render_tuple(source, &attrs, t);
+    let mut out = format!("digraph {kind} {{\n");
+    let names = agg.attr_names().join(",");
+    let _ = writeln!(out, "  label=\"{kind} on ({names}){legend}\";");
+    for (t, w) in agg.iter_nodes() {
+        let label = tuple(t);
         let _ = writeln!(
             out,
-            "  \"{label}\" [label=\"{label}\\nSt={} Gr={} Shr={}\"];",
-            w.stability, w.growth, w.shrinkage
+            "  \"{label}\" [label=\"{label}\\n{}\"];",
+            node_label(w)
         );
     }
-    for ((src, dst), w) in evo.iter_edges() {
-        let s = tuple_label(source, &attrs, src);
-        let d = tuple_label(source, &attrs, dst);
-        let _ = writeln!(
-            out,
-            "  \"{s}\" -> \"{d}\" [label=\"St={} Gr={} Shr={}\"];",
-            w.stability, w.growth, w.shrinkage
-        );
+    for ((s, d), w) in agg.iter_edges() {
+        let (s, d, w) = (tuple(s), tuple(d), edge_label(w));
+        let _ = writeln!(out, "  \"{s}\" -> \"{d}\" [label=\"{w}\"];");
     }
     out.push_str("}\n");
     out
@@ -182,6 +160,70 @@ mod tests {
         assert!(dot.contains("St="));
         assert!(dot.contains("Gr="));
         assert!(dot.contains("Shr="));
+    }
+
+    /// Fig. 1 aggregated (DIST) on (gender, publications).
+    fn pair_agg() -> (TemporalGraph, AggregateGraph) {
+        let g = fig1();
+        let attrs = ["gender", "publications"].map(|n| g.schema().id(n).unwrap());
+        let agg = aggregate(&g, &attrs, AggMode::Distinct);
+        (g, agg)
+    }
+
+    #[test]
+    fn aggregate_dot_bytes() {
+        let (g, agg) = pair_agg();
+        let expected = "digraph aggregate {
+  label=\"aggregate on (gender,publications)\";
+  \"m,1\" [label=\"m,1\\nw=1\"];
+  \"m,3\" [label=\"m,3\\nw=2\"];
+  \"f,1\" [label=\"f,1\\nw=3\"];
+  \"f,2\" [label=\"f,2\\nw=1\"];
+  \"m,1\" -> \"f,1\" [label=\"1\"];
+  \"m,3\" -> \"f,1\" [label=\"2\"];
+  \"f,1\" -> \"f,1\" [label=\"2\"];
+  \"f,2\" -> \"f,1\" [label=\"1\"];
+}
+";
+        assert_eq!(aggregate_to_dot(&agg, Some(&g)), expected);
+        let codes = expected.replace("m,", "#0,").replace("f,", "#1,");
+        assert_eq!(aggregate_to_dot(&agg, None), codes);
+    }
+
+    #[test]
+    fn evolution_dot_bytes() {
+        let g = fig1();
+        let attrs = vec![g.schema().id("gender").unwrap()];
+        let (t1, t2) = (TimeSet::from_indices(3, [0]), TimeSet::from_indices(3, [1]));
+        let evo = evolution_aggregate(&g, &t1, &t2, &attrs, None).unwrap();
+        let expected = "digraph evolution {
+  label=\"evolution on (gender) [St/Gr/Shr]\";
+  \"m\" [label=\"m\\nSt=1 Gr=0 Shr=0\"];
+  \"f\" [label=\"f\\nSt=2 Gr=0 Shr=1\"];
+  \"m\" -> \"f\" [label=\"St=1 Gr=0 Shr=0\"];
+  \"f\" -> \"f\" [label=\"St=1 Gr=0 Shr=1\"];
+}
+";
+        assert_eq!(evolution_to_dot(&evo, Some(&g)), expected);
+    }
+
+    #[test]
+    fn frame_tsv_bytes() {
+        let (_, agg) = pair_agg();
+        let tsv = |f: Frame| {
+            let mut out = Vec::new();
+            tempo_columnar::write_frame(&f, &mut out, '\t').unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(
+            tsv(aggregate_nodes_frame(&agg).unwrap()),
+            "gender\tpublications\tweight\n#0\t1\t1\n#0\t3\t2\n#1\t1\t3\n#1\t2\t1\n"
+        );
+        assert_eq!(
+            tsv(aggregate_edges_frame(&agg).unwrap()),
+            "src_gender\tsrc_publications\tdst_gender\tdst_publications\tweight\n\
+             #0\t1\t#1\t1\t1\n#0\t3\t#1\t1\t2\n#1\t1\t#1\t1\t2\n#1\t2\t#1\t1\t1\n"
+        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod measures;
 pub mod ops;
 pub mod zoom;
 
-pub use aggregate::{AggMode, AggregateGraph, CountTarget, GroupTable};
+pub use aggregate::{AggMode, Aggregate, AggregateGraph, CountTarget, GroupTable};
 pub use cube::{GraphCube, Level};
 pub use evolution::{EvolutionAggregate, EvolutionClass, EvolutionGraph, EvolutionWeights};
 pub use explore::{

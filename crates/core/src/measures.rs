@@ -12,9 +12,8 @@
 //! attribute or edge value) count toward COUNT but not toward
 //! SUM/MIN/MAX/AVG.
 
-use crate::aggregate::{AggMode, Edges, GroupTable, Nodes, PairAccumulator};
-use std::collections::HashMap;
-use tempo_columnar::{BitVec, Value, ValueMatrix, ValueTuple};
+use crate::aggregate::{AggMode, Aggregate, Edges, GroupTable, Nodes, PairAccumulator};
+use tempo_columnar::{BitVec, Value, ValueMatrix};
 use tempo_graph::{AttrId, GraphError, TemporalGraph, TimeSet};
 
 /// Measure over the nodes of each aggregate group.
@@ -73,69 +72,33 @@ impl Acc {
         }
     }
 
-    fn finish_node(&self, m: NodeMeasure) -> Option<f64> {
-        match m {
-            NodeMeasure::Count => Some(self.count as f64),
-            NodeMeasure::Sum(_) => Some(self.sum as f64),
-            NodeMeasure::Min(_) => (self.observed > 0).then_some(self.min as f64),
-            NodeMeasure::Max(_) => (self.observed > 0).then_some(self.max as f64),
-            NodeMeasure::Avg(_) => {
-                (self.observed > 0).then(|| self.sum as f64 / self.observed as f64)
-            }
+    /// The group's measure under `reduce`; `None` for a MIN / MAX / AVG
+    /// of a group that observed no value.
+    fn finish(&self, reduce: Reduce) -> Option<f64> {
+        let observed = (self.observed > 0).then_some(self);
+        match reduce {
+            Reduce::Count => Some(self.count as f64),
+            Reduce::Sum => Some(self.sum as f64),
+            Reduce::Min => observed.map(|a| a.min as f64),
+            Reduce::Max => observed.map(|a| a.max as f64),
+            Reduce::Avg => observed.map(|a| a.sum as f64 / a.observed as f64),
         }
     }
+}
 
-    fn finish_edge(&self, m: EdgeMeasure) -> Option<f64> {
-        match m {
-            EdgeMeasure::Count => Some(self.count as f64),
-            EdgeMeasure::SumValues => Some(self.sum as f64),
-            EdgeMeasure::MinValues => (self.observed > 0).then_some(self.min as f64),
-            EdgeMeasure::MaxValues => (self.observed > 0).then_some(self.max as f64),
-            EdgeMeasure::AvgValues => {
-                (self.observed > 0).then(|| self.sum as f64 / self.observed as f64)
-            }
-        }
-    }
+/// How a group's observations reduce to its measure: the operation that
+/// [`NodeMeasure`] and [`EdgeMeasure`] share.
+#[derive(Clone, Copy)]
+enum Reduce {
+    Count,
+    Sum,
+    Min,
+    Max,
+    Avg,
 }
 
 /// An aggregate graph whose weights come from arbitrary measures.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MeasureAggregate {
-    group_names: Vec<String>,
-    nodes: HashMap<ValueTuple, f64>,
-    edges: HashMap<(ValueTuple, ValueTuple), f64>,
-}
-
-impl MeasureAggregate {
-    /// Names of the grouping attributes.
-    pub fn group_names(&self) -> &[String] {
-        &self.group_names
-    }
-
-    /// Measure value of an aggregate node, if the group had observations.
-    pub fn node_value(&self, tuple: &[Value]) -> Option<f64> {
-        self.nodes.get(tuple).copied()
-    }
-
-    /// Measure value of an aggregate edge, if the pair had observations.
-    pub fn edge_value(&self, src: &[Value], dst: &[Value]) -> Option<f64> {
-        self.edges.get(&(src.to_vec(), dst.to_vec())).copied()
-    }
-
-    /// Aggregate nodes sorted by tuple.
-    pub fn iter_nodes(&self) -> Vec<(&ValueTuple, f64)> {
-        let mut v: Vec<_> = self.nodes.iter().map(|(k, &w)| (k, w)).collect();
-        v.sort_by(|a, b| a.0.cmp(b.0));
-        v
-    }
-
-    /// Aggregate edges sorted by tuple pair.
-    pub fn iter_edges(&self) -> Vec<(&(ValueTuple, ValueTuple), f64)> {
-        let mut v: Vec<_> = self.edges.iter().map(|(k, &w)| (k, w)).collect();
-        v.sort_by(|a, b| a.0.cmp(b.0));
-        v
-    }
-}
+pub type MeasureAggregate = Aggregate<f64>;
 
 /// Aggregates `g` grouped by `group`, computing `node_measure` per
 /// aggregate node and `edge_measure` per aggregate edge.
@@ -157,7 +120,7 @@ impl MeasureAggregate {
 /// .unwrap();
 /// let f = g.schema().category(gender, "f").unwrap();
 /// // female appearances: u2 (1,1,1) + u3 (1) + u4 (2,1,1) = 8
-/// assert_eq!(agg.node_value(&[f]), Some(8.0));
+/// assert_eq!(agg.node(&[f]), Some(8.0));
 /// ```
 ///
 /// # Errors
@@ -169,6 +132,20 @@ pub fn aggregate_measure(
     node_measure: NodeMeasure,
     edge_measure: EdgeMeasure,
 ) -> Result<MeasureAggregate, GraphError> {
+    let (node_reduce, measured) = match node_measure {
+        NodeMeasure::Count => (Reduce::Count, None),
+        NodeMeasure::Sum(a) => (Reduce::Sum, Some(a)),
+        NodeMeasure::Min(a) => (Reduce::Min, Some(a)),
+        NodeMeasure::Max(a) => (Reduce::Max, Some(a)),
+        NodeMeasure::Avg(a) => (Reduce::Avg, Some(a)),
+    };
+    let edge_reduce = match edge_measure {
+        EdgeMeasure::Count => Reduce::Count,
+        EdgeMeasure::SumValues => Reduce::Sum,
+        EdgeMeasure::MinValues => Reduce::Min,
+        EdgeMeasure::MaxValues => Reduce::Max,
+        EdgeMeasure::AvgValues => Reduce::Avg,
+    };
     let edge_values = match edge_measure {
         EdgeMeasure::Count => None,
         _ => Some(g.edge_values_matrix().ok_or_else(|| {
@@ -176,14 +153,12 @@ pub fn aggregate_measure(
         })?),
     };
     // The measured attribute's code cells (and static slot), resolved once.
-    let measured = match node_measure {
-        NodeMeasure::Count => None,
-        NodeMeasure::Sum(a) | NodeMeasure::Min(a) | NodeMeasure::Max(a) | NodeMeasure::Avg(a) => {
-            Some(match g.schema().static_slot(a) {
-                Some(slot) => (g.static_table(), Some(slot)),
-                None => (g.tv_table(a)?, None),
-            })
-        }
+    let measured = match measured {
+        None => None,
+        Some(a) => Some(match g.schema().static_slot(a) {
+            Some(slot) => (g.static_table(), Some(slot)),
+            None => (g.tv_table(a)?, None),
+        }),
     };
     // One number per dictionary code, built once per request; `NULL_CODE`
     // lies past the table and reads as no observation.
@@ -204,28 +179,14 @@ pub fn aggregate_measure(
     let observe_node = |n, t, gid: u32| node_acc[gid as usize].push(observe(n, t));
     table.walk_all(Nodes(g), &domain, &nodes, observe_node);
 
-    let mut out = MeasureAggregate {
-        group_names: table.attr_names().to_vec(),
-        nodes: HashMap::new(),
-        edges: HashMap::new(),
-    };
     // every node has a static group id, even one that never appears
-    for (gid, acc) in node_acc.iter().enumerate().filter(|(_, a)| a.count > 0) {
-        if let Some(v) = acc.finish_node(node_measure) {
-            out.nodes.insert(table.tuple(gid as u32).clone(), v);
-        }
-    }
-    let mut edge = |s: u32, d: u32, v: Option<f64>| {
-        if let Some(v) = v {
-            out.edges
-                .insert((table.tuple(s).clone(), table.tuple(d).clone()), v);
-        }
-    };
+    let observed = (0..).zip(node_acc).filter(|(_, acc)| acc.count > 0);
+    let nodes = observed.filter_map(|(gid, acc)| Some((gid, acc.finish(node_reduce)?)));
     let Some(values) = edge_values else {
         // COUNT is the ALL weight
         let weights = table.edge_weights(g, &domain, &edges, all);
-        weights.for_each_nonzero(|s, d, &w| edge(s, d, Some(w as f64)));
-        return Ok(out);
+        let counts = weights.nonzero().map(|(pair, w)| (pair, w as f64));
+        return Ok(MeasureAggregate::from_groups(&table, nodes, counts));
     };
     let numbers = numbers(values);
     let mut edge_acc: PairAccumulator<Acc> = PairAccumulator::new(table.n_groups());
@@ -234,8 +195,9 @@ pub fn aggregate_measure(
         edge_acc.slot(s, d).push(obs);
     };
     table.walk_all(Edges(g), &domain, &edges, observe_edge);
-    edge_acc.for_each_nonzero(|s, d, acc| edge(s, d, acc.finish_edge(edge_measure)));
-    Ok(out)
+    let measured = edge_acc.nonzero();
+    let edges = measured.filter_map(|(pair, acc)| Some((pair, acc.finish(edge_reduce)?)));
+    Ok(MeasureAggregate::from_groups(&table, nodes, edges))
 }
 
 #[cfg(test)]
@@ -258,10 +220,10 @@ mod tests {
         let m = aggregate_measure(&g, &[gender], NodeMeasure::Count, EdgeMeasure::Count).unwrap();
         let all = crate::aggregate::aggregate(&g, &[gender], crate::aggregate::AggMode::All);
         for (tuple, w) in all.iter_nodes() {
-            assert_eq!(m.node_value(tuple), Some(w as f64));
+            assert_eq!(m.node(tuple), Some(w as f64));
         }
         for ((s, d), w) in all.iter_edges() {
-            assert_eq!(m.edge_value(s, d), Some(w as f64));
+            assert_eq!(m.edge(s, d), Some(w as f64));
         }
     }
 
@@ -274,19 +236,19 @@ mod tests {
         // female appearances: u2 1,1,1; u3 1; u4 2,1,1 → sum 8, min 1, max 2
         let sum =
             aggregate_measure(&g, &[gender], NodeMeasure::Sum(pubs), EdgeMeasure::Count).unwrap();
-        assert_eq!(sum.node_value(std::slice::from_ref(&f)), Some(8.0));
+        assert_eq!(sum.node(std::slice::from_ref(&f)), Some(8.0));
         // male appearances: u1 3,1; u5 3 → sum 7
-        assert_eq!(sum.node_value(std::slice::from_ref(&m_var)), Some(7.0));
+        assert_eq!(sum.node(std::slice::from_ref(&m_var)), Some(7.0));
         let min =
             aggregate_measure(&g, &[gender], NodeMeasure::Min(pubs), EdgeMeasure::Count).unwrap();
-        assert_eq!(min.node_value(std::slice::from_ref(&f)), Some(1.0));
+        assert_eq!(min.node(std::slice::from_ref(&f)), Some(1.0));
         let max =
             aggregate_measure(&g, &[gender], NodeMeasure::Max(pubs), EdgeMeasure::Count).unwrap();
-        assert_eq!(max.node_value(std::slice::from_ref(&f)), Some(2.0));
-        assert_eq!(max.node_value(std::slice::from_ref(&m_var)), Some(3.0));
+        assert_eq!(max.node(std::slice::from_ref(&f)), Some(2.0));
+        assert_eq!(max.node(std::slice::from_ref(&m_var)), Some(3.0));
         let avg =
             aggregate_measure(&g, &[gender], NodeMeasure::Avg(pubs), EdgeMeasure::Count).unwrap();
-        let got = avg.node_value(&[f]).unwrap();
+        let got = avg.node(&[f]).unwrap();
         assert!((got - 8.0 / 7.0).abs() < 1e-9, "avg {got}");
     }
 
@@ -312,13 +274,13 @@ mod tests {
         let sum =
             aggregate_measure(&g, &[kind], NodeMeasure::Count, EdgeMeasure::SumValues).unwrap();
         assert_eq!(
-            sum.edge_value(std::slice::from_ref(&k), std::slice::from_ref(&k)),
+            sum.edge(std::slice::from_ref(&k), std::slice::from_ref(&k)),
             Some(7.0)
         );
         let avg =
             aggregate_measure(&g, &[kind], NodeMeasure::Count, EdgeMeasure::AvgValues).unwrap();
         assert!(
-            (avg.edge_value(std::slice::from_ref(&k), std::slice::from_ref(&k))
+            (avg.edge(std::slice::from_ref(&k), std::slice::from_ref(&k))
                 .unwrap()
                 - 7.0 / 3.0)
                 .abs()
@@ -327,7 +289,7 @@ mod tests {
         let max =
             aggregate_measure(&g, &[kind], NodeMeasure::Count, EdgeMeasure::MaxValues).unwrap();
         assert_eq!(
-            max.edge_value(std::slice::from_ref(&k), std::slice::from_ref(&k)),
+            max.edge(std::slice::from_ref(&k), std::slice::from_ref(&k)),
             Some(4.0)
         );
     }
@@ -358,9 +320,9 @@ mod tests {
         // score never set → Min has no observation
         let min =
             aggregate_measure(&g, &[kind], NodeMeasure::Min(score), EdgeMeasure::Count).unwrap();
-        assert_eq!(min.node_value(std::slice::from_ref(&k)), None);
+        assert_eq!(min.node(std::slice::from_ref(&k)), None);
         // but Count still sees the appearance
         let count = aggregate_measure(&g, &[kind], NodeMeasure::Count, EdgeMeasure::Count).unwrap();
-        assert_eq!(count.node_value(std::slice::from_ref(&k)), Some(1.0));
+        assert_eq!(count.node(std::slice::from_ref(&k)), Some(1.0));
     }
 }

@@ -19,7 +19,7 @@
 //! them.
 
 use tempo_columnar::{
-    word_ones, BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, Value, ValueMatrix,
+    word_ones, BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, ValueMatrix,
 };
 use tempo_graph::{
     require_non_empty, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet,
@@ -499,20 +499,6 @@ pub fn event_graph(
 ) -> Result<TemporalGraph, GraphError> {
     let mask = event_mask(g, event, told, tnew, old_test, new_test)?;
     materialize_subgraph(g, mask.keep_nodes(), mask.keep_edges(), mask.scope())
-}
-
-/// Convenience: renders an aggregate value tuple for error messages/tests.
-pub(crate) fn render_tuple(
-    g: &TemporalGraph,
-    attrs: &[tempo_graph::AttrId],
-    tuple: &[Value],
-) -> String {
-    let parts: Vec<String> = attrs
-        .iter()
-        .zip(tuple)
-        .map(|(&a, v)| g.schema().def(a).render(v))
-        .collect();
-    format!("({})", parts.join(","))
 }
 
 #[cfg(test)]

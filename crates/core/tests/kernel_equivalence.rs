@@ -780,7 +780,7 @@ fn all_walk_crosses_words_and_chunks() {
             let weights = aggregate(&g, &attrs, all);
             assert_eq!(counts.iter_edges().len(), weights.n_edges(), "{attrs:?}");
             for ((s, d), w) in weights.iter_edges() {
-                assert_eq!(counts.edge_value(s, d), Some(w as f64), "{attrs:?}");
+                assert_eq!(counts.edge(s, d), Some(w as f64), "{attrs:?}");
             }
         }
     }
@@ -882,10 +882,7 @@ const EDGE_MEASURES: [(EdgeMeasure, Reduce); 5] = [
 
 /// A measure as `measure` prints it (and `naive_measure` renders it).
 fn render_measure(g: &TemporalGraph, group: &[AttrId], spec: &str, m: &MeasureAggregate) -> String {
-    let mut out = format!(
-        "measure {spec} grouped by ({})\n",
-        m.group_names().join(",")
-    );
+    let mut out = format!("measure {spec} grouped by ({})\n", m.attr_names().join(","));
     for (tuple, v) in m.iter_nodes() {
         out += &format!("  node {} = {v:.3}\n", render_tuple(g, group, tuple));
     }

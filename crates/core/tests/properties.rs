@@ -331,10 +331,10 @@ proptest! {
         let m = aggregate_measure(&g, &[kind], NodeMeasure::Count, EdgeMeasure::Count).unwrap();
         let all = aggregate(&g, &[kind], AggMode::All);
         for (tuple, w) in all.iter_nodes() {
-            prop_assert_eq!(m.node_value(tuple), Some(w as f64));
+            prop_assert_eq!(m.node(tuple), Some(w as f64));
         }
         for ((s, d), w) in all.iter_edges() {
-            prop_assert_eq!(m.edge_value(s, d), Some(w as f64));
+            prop_assert_eq!(m.edge(s, d), Some(w as f64));
         }
         // sum/min/max/avg relations per group
         let sum = aggregate_measure(&g, &[kind], NodeMeasure::Sum(level), EdgeMeasure::Count).unwrap();
@@ -344,10 +344,10 @@ proptest! {
         for (tuple, w) in all.iter_nodes() {
             let count = w as f64;
             if let (Some(s), Some(lo), Some(hi), Some(mean)) = (
-                sum.node_value(tuple),
-                min.node_value(tuple),
-                max.node_value(tuple),
-                avg.node_value(tuple),
+                sum.node(tuple),
+                min.node(tuple),
+                max.node(tuple),
+                avg.node(tuple),
             ) {
                 prop_assert!(lo <= hi);
                 prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);

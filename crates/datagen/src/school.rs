@@ -57,7 +57,7 @@ impl Default for SchoolConfig {
 
 impl SchoolConfig {
     /// Total students.
-    pub fn n_students(&self) -> usize {
+    fn n_students(&self) -> usize {
         self.grades * self.classes_per_grade * self.students_per_class
     }
 

@@ -3,7 +3,7 @@
 use crate::attrs::{AttrId, AttributeSchema};
 use crate::error::GraphError;
 use crate::graph::{NodeId, TemporalGraph};
-use crate::time::{TimeDomain, TimePoint, TimeSet};
+use crate::time::{TimeDomain, TimePoint};
 use std::collections::HashMap;
 use tempo_columnar::{
     BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, Value, ValueMatrix,
@@ -191,25 +191,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Marks node `n` present at every point of `times`.
-    ///
-    /// # Errors
-    /// Returns an error for an unknown node or a domain-size mismatch.
-    pub fn set_presence_set(&mut self, n: NodeId, times: &TimeSet) -> Result<(), GraphError> {
-        self.check_node(n)?;
-        if times.domain_len() != self.domain.len() {
-            return Err(GraphError::UnknownTimePoint(format!(
-                "time set over domain of {} in graph of {}",
-                times.domain_len(),
-                self.domain.len()
-            )));
-        }
-        for t in times.iter() {
-            self.mark_node(n, t);
-        }
-        Ok(())
-    }
-
     /// Sets the value of a static attribute for a node.
     ///
     /// # Errors
@@ -312,22 +293,6 @@ impl GraphBuilder {
             row as usize,
             self.edges.len(),
         );
-        Ok(())
-    }
-
-    /// Records that edge `(u, v)` exists at every point of `times`.
-    ///
-    /// # Errors
-    /// Returns an error for unknown nodes or a domain-size mismatch.
-    pub fn add_edge_span(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        times: &TimeSet,
-    ) -> Result<(), GraphError> {
-        for t in times.iter() {
-            self.add_edge_at(u, v, t)?;
-        }
         Ok(())
     }
 
@@ -487,8 +452,6 @@ mod tests {
         let u = b.add_node("u").unwrap();
         assert!(b.set_presence(u, TimePoint(9)).is_err());
         assert!(b.set_presence(NodeId(7), TimePoint(0)).is_err());
-        let other = TimeSet::empty(5);
-        assert!(b.set_presence_set(u, &other).is_err());
     }
 
     #[test]
@@ -573,20 +536,5 @@ mod tests {
             GraphBuilder::from_graph(g, &["t1"]),
             Err(GraphError::DuplicateTimeLabel(_))
         ));
-    }
-
-    #[test]
-    fn presence_set_and_edge_span() {
-        let mut b = GraphBuilder::new(TimeDomain::indexed(4), schema());
-        let u = b.add_node("u").unwrap();
-        let v = b.add_node("v").unwrap();
-        b.set_presence_set(u, &TimeSet::from_indices(4, [0, 2]))
-            .unwrap();
-        b.add_edge_span(v, u, &TimeSet::from_indices(4, [2, 3]))
-            .unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.node_timestamp(u).len(), 3); // {0,2} ∪ {3} via edge span
-        let e = g.edge_between(v, u).unwrap();
-        assert_eq!(g.edge_timestamp(e).len(), 2);
     }
 }

@@ -346,11 +346,6 @@ impl TimeSet {
         out
     }
 
-    /// True if the set is one contiguous interval.
-    pub fn is_contiguous(&self) -> bool {
-        self.intervals().len() == 1
-    }
-
     /// Renders the set using a domain's labels, e.g. `[2000, 2004]`.
     ///
     /// # Panics
@@ -485,8 +480,6 @@ mod tests {
                 Interval::new(TimePoint(7), TimePoint(8)),
             ]
         );
-        assert!(!s.is_contiguous());
-        assert!(TimeSet::range(10, 3, 6).is_contiguous());
     }
 
     #[test]

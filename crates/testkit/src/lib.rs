@@ -264,7 +264,7 @@ pub fn render_evolution(g: &TemporalGraph, attrs: &[AttrId], evo: &EvolutionAggr
             w.shrinkage
         );
     }
-    let e = evo.edge_totals();
+    let e = evo.total_edge_weight();
     let _ = writeln!(
         out,
         "  edges total: St={} Gr={} Shr={}",

@@ -58,7 +58,7 @@ fn main() {
                 w.shrinkage
             );
         }
-        let e = evo.edge_totals();
+        let e = evo.total_edge_weight();
         println!(
             "  collaborations: stable {}, grown {}, shrunk {}",
             e.stability, e.growth, e.shrinkage

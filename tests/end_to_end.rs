@@ -150,7 +150,7 @@ fn evolution_aggregate_consistent_with_operators() {
     let t1 = TimeSet::range(n, 0, 2);
     let t2 = TimeSet::range(n, 3, n - 1);
     let evo = evolution_aggregate(&g, &t1, &t2, &[gender], None).unwrap();
-    let totals = evo.node_totals();
+    let totals = evo.total_node_weight();
     let stable = intersection(&g, &t1, &t2).unwrap();
     assert_eq!(totals.stability as usize, stable.n_nodes());
     let gone = difference(&g, &t1, &t2).unwrap();

@@ -106,7 +106,7 @@ fn fig4_evolution() {
 
     // Fig. 4b: node (f,1) has stability 1 (u2), growth 1 (u4), shrinkage 1 (u3)
     let agg = evolution_aggregate(&g, &ts(&[0]), &ts(&[1]), &attrs, None).unwrap();
-    let w = agg.node_weights(&[f, Value::Int(1)]);
+    let w = agg.node_weight(&[f, Value::Int(1)]);
     assert_eq!((w.stability, w.growth, w.shrinkage), (1, 1, 1));
 }
 
