@@ -1,15 +1,18 @@
 //! Exploration pruning study (§3, implicit in the paper): evaluations and
 //! wall-clock time of the monotonicity-pruned strategies versus naive
 //! enumeration of every interval pair, across all twelve Table-1 cases.
-//! Every case asserts that the pruned answer equals the naive one.
+//! Every case asserts that the pruned answer equals the naive one. Each
+//! side's time is the best of `REPS` runs, as in the figure binaries.
 
 use graphtempo::explore::{
     explore, explore_naive, suggest_k, ExploreConfig, ExtendSide, Selector, Semantics,
 };
 use graphtempo::ops::Event;
 use tempo_bench::datasets::{attrs, dblp};
-use tempo_bench::report::{secs, timed};
+use tempo_bench::report::{secs, timed_min};
 use tempo_graph::TemporalGraph;
+
+const REPS: usize = 5;
 
 fn all_cases(g: &TemporalGraph, selector: &Selector) -> Vec<ExploreConfig> {
     let gender = attrs(g, &["gender"])[0];
@@ -42,8 +45,8 @@ fn pruning_study(g: &TemporalGraph, cases: &[ExploreConfig]) {
         "event", "extend", "sem", "k", "evals", "naive", "time(ms)", "naive(ms)", "same"
     );
     for cfg in cases {
-        let (fast, fast_t) = timed(|| explore(g, cfg).expect("explore"));
-        let (slow, slow_t) = timed(|| explore_naive(g, cfg).expect("naive"));
+        let (fast, fast_t) = timed_min(REPS, || explore(g, cfg).expect("explore"));
+        let (slow, slow_t) = timed_min(REPS, || explore_naive(g, cfg).expect("naive"));
         println!(
             "{:<12} {:<6} {:<4} {:>4} {:>8} {:>8} {:>9.3} {:>9.3} {:>6}",
             format!("{:?}", cfg.event),

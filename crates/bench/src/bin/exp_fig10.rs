@@ -6,10 +6,12 @@
 //! time-varying attributes (the paper reports 8–20× for static and up to
 //! 78× for time-varying on DBLP).
 //!
-//! The `masked` series is the same baseline over what the served queries
-//! run — one [`GroupTable::aggregate_masked`] pass over the scope's union
-//! mask on cached group ids — so the two rows of an attribute say where
-//! combining a precomputed store still beats evaluating directly.
+//! The `masked` series is the same baseline over the group-id walk the
+//! served queries run — one [`GroupTable::aggregate_masked`] pass over the
+//! scope's union mask on cached group ids; the served `cube` walks the
+//! same appearances without building the mask
+//! ([`GroupTable::aggregate_union`]) — so the two rows of an attribute say
+//! where combining a precomputed store still beats evaluating directly.
 
 use graphtempo::aggregate::{aggregate, AggMode, GroupTable};
 use graphtempo::materialize::TimepointStore;

@@ -7,8 +7,8 @@
 //! single attributes on MovieLens, 6–21× for DBLP).
 //!
 //! Each series comes with a `masked` twin: the same baseline over
-//! [`aggregate_at_point`] — one masked pass over cached group ids, what
-//! the served queries run — so the pair says where rolling up a
+//! [`aggregate_at_point`] — one walk of the point's presence columns over
+//! cached group ids, what the served queries run — so the pair says where rolling up a
 //! precomputed aggregate still beats evaluating the coarser level directly.
 
 use graphtempo::aggregate::{aggregate, rollup, AggMode};

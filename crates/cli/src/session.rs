@@ -230,28 +230,22 @@ impl Session {
         let mode = args.one_of(args.pos(0)?, &modes)?;
         let attrs = parse_attrs(g, args.req("attrs")?)?;
         let top: usize = args.num("top")?.unwrap_or(10);
-        let mask = match (args.get("op"), args.get("t1"), args.get("t2")) {
+        let table = GroupTable::cached(g, &attrs);
+        let interval = |t| parse_interval(g.domain(), t);
+        let agg = match (args.get("op"), args.get("t1"), args.get("t2")) {
             // the whole graph: everything that exists at some point
-            (None, None, None) => {
-                let all = g.domain().all();
-                event_mask(
-                    g,
-                    Event::Stability,
-                    &all,
-                    &all,
-                    SideTest::Any,
-                    SideTest::Any,
-                )?
+            (None, None, None) => table.aggregate_union(g, &g.domain().all(), mode),
+            // in 𝒯₁ or 𝒯₂ = exists at a point of 𝒯₁ ∪ 𝒯₂
+            (Some("union"), Some(t1), Some(t2)) => {
+                table.aggregate_union(g, &interval(t1)?.union(&interval(t2)?), mode)
             }
             (Some(op), Some(t1), Some(t2)) => {
-                let t1 = parse_interval(g.domain(), t1)?;
-                let t2 = parse_interval(g.domain(), t2)?;
-                set_operator_mask(g, op, &t1, &t2)?
+                let mask = set_operator_mask(g, op, &interval(t1)?, &interval(t2)?)?;
+                table.aggregate_masked(g, &mask, mode)
             }
             // an operator takes both intervals, and nothing else reads them
             _ => return Err(args.usage()),
         };
-        let agg = GroupTable::cached(g, &attrs).aggregate_masked(g, &mask, mode);
         let mut reply = Reply::line(format!(
             "aggregate: {} nodes, {} edges (node weight {}, edge weight {})",
             agg.n_nodes(),
@@ -532,8 +526,8 @@ impl Session {
             }
             "nodes" | "edges" => {
                 let frame = match what {
-                    "nodes" => aggregate_nodes_frame(agg),
-                    _ => aggregate_edges_frame(agg),
+                    "nodes" => aggregate_nodes_frame(agg, self.graph.as_deref()),
+                    _ => aggregate_edges_frame(agg, self.graph.as_deref()),
                 };
                 let f = frame.map_err(tempo_graph::GraphError::from)?;
                 let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
@@ -844,10 +838,10 @@ mod tests {
             )
         };
         assert_eq!(export(&mut s, "dot"), dot(2, 3, 2, 2));
-        assert_eq!(export(&mut s, "nodes"), "gender\tweight\n#0\t2\n#1\t3\n");
+        assert_eq!(export(&mut s, "nodes"), "gender\tweight\nm\t2\nf\t3\n");
         assert_eq!(
             export(&mut s, "edges"),
-            "src_gender\tdst_gender\tweight\n#0\t#1\t2\n#1\t#1\t2\n"
+            "src_gender\tdst_gender\tweight\nm\tf\t2\nf\tf\t2\n"
         );
         s.exec("cube attrs=gender,publications level=gender")
             .unwrap();

@@ -8,12 +8,15 @@
 //! * **ALL** ([`AggMode::All`]) — every appearance at every time point
 //!   counts.
 //!
-//! One production implementation and one oracle, tested equivalent:
-//! [`GroupTable::aggregate_masked`] is what every read query runs (group ids
-//! counted into dense accumulators under an [`EventMask`]; the paper's §4.2
-//! static fast path is its one-id-per-node layout), and [`aggregate`] is the
-//! direct hash aggregation over the presence columns of a materialized
-//! graph it is checked against.
+//! One production implementation and one oracle, tested equivalent: the
+//! [`GroupTable`] walk is what every read query runs (group ids counted into
+//! dense accumulators; the paper's §4.2 static fast path is its
+//! one-id-per-node layout). It reads the scope's presence columns, and
+//! narrows them by a keep set only where a Def. 2.5 event does
+//! ([`GroupTable::aggregate_masked`] under an [`EventMask`]); the union
+//! graph of Def. 2.3 is the scope itself ([`GroupTable::aggregate_union`]).
+//! [`aggregate`] is the direct hash aggregation over the presence columns
+//! of a materialized graph it is checked against.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Add;
@@ -25,7 +28,7 @@ use tempo_graph::{
 };
 
 use crate::export::render_tuple;
-use crate::ops::{side_members, EventMask, SideTest};
+use crate::ops::EventMask;
 
 /// Distinct (DIST) vs non-distinct (ALL) weight semantics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -306,81 +309,33 @@ pub fn aggregate_filtered(
     let passes = |n: usize, t: usize| -> bool {
         filter.is_none_or(|f| f(g, NodeId(n as u32), TimePoint(t as u32)))
     };
-
-    // Nodes.
-    match mode {
-        AggMode::Distinct => {
-            let mut seen: HashSet<(usize, ValueTuple)> = HashSet::new();
-            for n in 0..g.n_nodes() {
-                for t in g
-                    .node_timestamp(NodeId(n as u32))
-                    .iter()
-                    .map(TimePoint::index)
-                {
-                    if !passes(n, t) {
-                        continue;
-                    }
-                    let tuple = tuple_at(g, &resolved, &tv_tables, n, t);
-                    if seen.insert((n, tuple.clone())) {
-                        agg.add_node_weight(tuple, 1);
-                    }
-                }
+    // DIST counts an (entity, tuple) the first time it is seen
+    let distinct = mode == AggMode::Distinct;
+    let mut seen: HashSet<(usize, ValueTuple)> = HashSet::new();
+    for n in 0..g.n_nodes() {
+        let points = g.node_timestamp(NodeId(n as u32));
+        for t in points.iter().map(TimePoint::index) {
+            if !passes(n, t) {
+                continue;
             }
-        }
-        AggMode::All => {
-            for n in 0..g.n_nodes() {
-                for t in g
-                    .node_timestamp(NodeId(n as u32))
-                    .iter()
-                    .map(TimePoint::index)
-                {
-                    if !passes(n, t) {
-                        continue;
-                    }
-                    let tuple = tuple_at(g, &resolved, &tv_tables, n, t);
-                    agg.add_node_weight(tuple, 1);
-                }
+            let tuple = tuple_at(g, &resolved, &tv_tables, n, t);
+            if !distinct || seen.insert((n, tuple.clone())) {
+                agg.add_node_weight(tuple, 1);
             }
         }
     }
-
-    // Edges.
-    match mode {
-        AggMode::Distinct => {
-            let mut seen: HashSet<(usize, (ValueTuple, ValueTuple))> = HashSet::new();
-            for e in 0..g.n_edges() {
-                let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                for t in g
-                    .edge_timestamp(tempo_graph::EdgeId(e as u32))
-                    .iter()
-                    .map(TimePoint::index)
-                {
-                    if !passes(u.index(), t) || !passes(v.index(), t) {
-                        continue;
-                    }
-                    let tu = tuple_at(g, &resolved, &tv_tables, u.index(), t);
-                    let tv = tuple_at(g, &resolved, &tv_tables, v.index(), t);
-                    if seen.insert((e, (tu.clone(), tv.clone()))) {
-                        agg.add_edge_weight(tu, tv, 1);
-                    }
-                }
+    let mut seen: HashSet<(usize, (ValueTuple, ValueTuple))> = HashSet::new();
+    for e in 0..g.n_edges() {
+        let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+        let points = g.edge_timestamp(EdgeId(e as u32));
+        for t in points.iter().map(TimePoint::index) {
+            if !passes(u.index(), t) || !passes(v.index(), t) {
+                continue;
             }
-        }
-        AggMode::All => {
-            for e in 0..g.n_edges() {
-                let (u, v) = g.edge_endpoints(tempo_graph::EdgeId(e as u32));
-                for t in g
-                    .edge_timestamp(tempo_graph::EdgeId(e as u32))
-                    .iter()
-                    .map(TimePoint::index)
-                {
-                    if !passes(u.index(), t) || !passes(v.index(), t) {
-                        continue;
-                    }
-                    let tu = tuple_at(g, &resolved, &tv_tables, u.index(), t);
-                    let tv = tuple_at(g, &resolved, &tv_tables, v.index(), t);
-                    agg.add_edge_weight(tu, tv, 1);
-                }
+            let tu = tuple_at(g, &resolved, &tv_tables, u.index(), t);
+            let tv = tuple_at(g, &resolved, &tv_tables, v.index(), t);
+            if !distinct || seen.insert((e, (tu.clone(), tv.clone()))) {
+                agg.add_edge_weight(tu, tv, 1);
             }
         }
     }
@@ -449,6 +404,16 @@ fn side_tags<const SIDES: usize>(sides: [&TimeSet; SIDES]) -> (Vec<usize>, Vec<u
         }
     }
     (points, tags)
+}
+
+/// The 64-entity words a walk reads, with their kept entities: the
+/// non-zero words of `keep`, or, with no keep set, every word of `rows`
+/// entities, all kept (the scope's columns alone decide what is visited).
+fn kept_words(keep: Option<&BitVec>, rows: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let words = keep.map(BitVec::words);
+    let kept = move |b: usize| (b, words.map_or(!0, |w| w[b]));
+    let n_words = words.map_or(rows.div_ceil(WORD_BITS), <[u64]>::len);
+    (0..n_words).map(kept).filter(|&(_, w)| w != 0)
 }
 
 /// The side tag of entity `lane` of a word: bit `s` from word `on[s]`.
@@ -657,26 +622,28 @@ impl GroupTable {
     }
 
     /// The Definition 2.6 ALL walk: calls `visit(e, t, key)` for every
-    /// appearance of a `keep` entity at a point `t` of `scope`, keyed
-    /// through the group ids of `t`.
+    /// appearance of an entity at a point `t` of `scope`, keyed through the
+    /// group ids of `t`. `keep`, when given, narrows the entities to its
+    /// own; `None` visits every entity the scope's columns show.
     ///
     /// It reads the presence columns one 64-entity word at a time, as the
-    /// DIST walk does: for each non-zero word `b` of `keep`, word `b` of a
-    /// column ([`block_words`](tempo_columnar::PresenceColumn::block_words),
-    /// zero past the column's end) ∧ word `b` of `keep`, and visits the set
-    /// bits of each such word, one point at a time.
+    /// DIST walk does: for each non-zero word `b` of `keep` (each word of
+    /// the entities without one), word `b` of a column
+    /// ([`block_words`](tempo_columnar::PresenceColumn::block_words), zero
+    /// past the column's end) ∧ word `b` of `keep`, and visits the set bits
+    /// of each such word, one point at a time.
     pub(crate) fn walk_all<E: Entities>(
         &self,
         entities: E,
         scope: &TimeSet,
-        keep: &BitVec,
+        keep: Option<&BitVec>,
         mut visit: impl FnMut(usize, usize, E::Key),
     ) {
         let presence = entities.presence();
         for t in scope.iter().map(TimePoint::index) {
-            debug_assert!(presence.col(t).len() <= keep.len());
+            debug_assert!(keep.is_none_or(|keep| presence.col(t).len() <= keep.len()));
             let (gids, mut words) = (self.cols.col(t), presence.col(t).block_words());
-            for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
+            for (b, kept) in kept_words(keep, presence.source_rows()) {
                 for lane in word_ones(words.word(b) & kept) {
                     let e = b * WORD_BITS + lane;
                     visit(e, t, entities.key(e, gids));
@@ -686,16 +653,18 @@ impl GroupTable {
     }
 
     /// The one Definition 2.6 DIST walk: calls `visit(e, key, on)` once for
-    /// every distinct (entity, key) that a `keep` entity shows over the
-    /// scope, the union of `sides`, keyed through the group ids of the
-    /// points it appears at. `on` tags the sides the key shows on: bit `i`
-    /// ([`SIDE_1`], [`SIDE_2`]) is set when the entity shows the key at a
-    /// point of `sides[i]`. `pass[t]`, when given, holds the nodes a filter
-    /// lets through at scope point `t`, and an appearance it stops does not
-    /// count.
+    /// every distinct (entity, key) that an entity shows over the scope,
+    /// the union of `sides`, keyed through the group ids of the points it
+    /// appears at. `keep`, when given, narrows the entities to its own;
+    /// `None` visits every entity the scope's columns show. `on` tags the
+    /// sides the key shows on: bit `i` ([`SIDE_1`], [`SIDE_2`]) is set when
+    /// the entity shows the key at a point of `sides[i]`. `pass[t]`, when
+    /// given, holds the nodes a filter lets through at scope point `t`, and
+    /// an appearance it stops does not count.
     ///
     /// The walk goes 64 entities at a time: for each non-zero word `b` of
-    /// `keep`, word `b` of every scope point's column
+    /// `keep` (each word of the entities without one), word `b` of every
+    /// scope point's column
     /// ([`block_words`](tempo_columnar::PresenceColumn::block_words), zero
     /// past the column's end) in scope order, ∧ word `b` of `keep`. An
     /// entity's first passing appearance is keyed at once, and its key
@@ -715,51 +684,57 @@ impl GroupTable {
     /// all-static list, the first on another), and the list, beside its
     /// keys, one tag per key.
     ///
-    /// An all-static list without a filter reads no cursor: a kept entity
-    /// exists within the scope and has one id, so with one side it counts
-    /// once, and with two its tags are its bits in each side's column OR
-    /// ([`side_members`]).
+    /// An all-static list without a filter keys each entity once, with its
+    /// one id: per word, the OR of each side's column words are the
+    /// entities that show on that side. With one side and a keep set, whose
+    /// entities all exist within the scope, the kept word is that OR.
     pub(crate) fn walk_distinct<E: Entities, const SIDES: usize>(
         &self,
         entities: E,
         sides: [&TimeSet; SIDES],
-        keep: &BitVec,
+        keep: Option<&BitVec>,
         pass: Option<&[BitVec]>,
         mut visit: impl FnMut(usize, E::Key, u8),
     ) {
         const { assert!(SIDES == 1 || SIDES == 2) };
         let presence = entities.presence();
         let (cols, all_static) = (&*self.cols, self.is_static());
+        let (points, tags) = side_tags(sides);
+        let spans = |k: &BitVec| points.iter().all(|&t| presence.col(t).len() <= k.len());
+        debug_assert!(keep.is_none_or(spans));
+        let mut cursors: Vec<_> = points
+            .iter()
+            .map(|&t| presence.col(t).block_words())
+            .collect();
+        let words = kept_words(keep, presence.source_rows());
         if all_static && pass.is_none() {
             let gids = cols.col(0);
-            if SIDES == 1 {
-                for e in keep.iter_ones() {
+            for (b, kept) in words {
+                let mut on = [0u64; SIDES];
+                if SIDES == 1 && keep.is_some() {
+                    on[0] = kept;
+                } else {
+                    for (cursor, &tag) in cursors.iter_mut().zip(&tags) {
+                        let word = cursor.word(b);
+                        for (s, on) in on.iter_mut().enumerate() {
+                            if tag >> s & 1 != 0 {
+                                *on |= word;
+                            }
+                        }
+                    }
+                }
+                for lane in word_ones(kept & on.iter().fold(0, |any, w| any | w)) {
+                    let e = b * WORD_BITS + lane;
                     debug_assert!(
-                        sides[0].iter().any(|t| presence.col(t.index()).get(e)),
+                        points.iter().any(|&t| presence.col(t).get(e)),
                         "kept entity {e} must appear within scope"
                     );
-                    visit(e, entities.key(e, gids), SIDE_1);
-                }
-                return;
-            }
-            let members = sides.map(|side| side_members(presence, side, SideTest::Any));
-            for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
-                let on = members.each_ref().map(|m| m.words()[b]);
-                for lane in word_ones(kept) {
-                    debug_assert_ne!(lane_sides(&on, lane), 0, "kept entities appear in scope");
-                    let e = b * WORD_BITS + lane;
                     visit(e, entities.key(e, gids), lane_sides(&on, lane));
                 }
             }
             return;
         }
-        let (points, tags) = side_tags(sides);
         let passes = |e: usize, t: usize| pass.is_none_or(|p| entities.passes(e, &p[t]));
-        debug_assert!(points.iter().all(|&t| presence.col(t).len() <= keep.len()));
-        let mut cursors: Vec<_> = points
-            .iter()
-            .map(|&t| presence.col(t).block_words())
-            .collect();
         let mut first_keys = [E::Key::default(); WORD_BITS];
         // entity `lane` of the word at hand shows again at scope point
         // `64·c + i` iff bit `i` of `tile[lane · chunks + c]` is set
@@ -767,13 +742,16 @@ impl GroupTable {
         let mut tile = vec![0u64; WORD_BITS * chunks];
         // an entity's keys and, with two sides, the sides each shows on
         let (mut keys, mut key_sides) = (Vec::<E::Key>::new(), Vec::<u8>::new());
-        for (b, &kept) in keep.words().iter().enumerate().filter(|(_, &w)| w != 0) {
+        for (b, kept) in words {
             let entity = |lane: usize| b * WORD_BITS + lane;
             // `on[s]`: the entities whose first key shows on side `s` as
             // far as the row knows (two sides only)
             let (mut seen, mut again, mut on) = (0u64, 0u64, [0u64; SIDES]);
             for ((i, cursor), &t) in cursors.iter_mut().enumerate().zip(&points) {
                 let mut shown = cursor.word(b) & kept;
+                if shown == 0 {
+                    continue;
+                }
                 if pass.is_some() {
                     for lane in word_ones(shown).filter(|&lane| !passes(entity(lane), t)) {
                         shown &= !(1 << lane);
@@ -842,14 +820,14 @@ impl GroupTable {
         }
     }
 
-    /// The Definition 2.6 node weights of the `keep` nodes over `scope`
-    /// (see [`walk_all`](Self::walk_all) and
+    /// The Definition 2.6 node weights of the `keep` nodes (all for `None`)
+    /// over `scope` (see [`walk_all`](Self::walk_all) and
     /// [`walk_distinct`](Self::walk_distinct)), indexed by group id.
     pub(crate) fn node_weights(
         &self,
         g: &TemporalGraph,
         scope: &TimeSet,
-        keep: &BitVec,
+        keep: Option<&BitVec>,
         mode: AggMode,
     ) -> Vec<u64> {
         let mut acc = vec![0u64; self.n_groups()];
@@ -869,7 +847,7 @@ impl GroupTable {
         &self,
         g: &TemporalGraph,
         scope: &TimeSet,
-        keep: &BitVec,
+        keep: Option<&BitVec>,
         mode: AggMode,
     ) -> PairAccumulator<u64> {
         let mut acc = PairAccumulator::new(self.n_groups());
@@ -881,6 +859,41 @@ impl GroupTable {
             }
         }
         acc
+    }
+
+    /// The aggregate graph over `scope` of the nodes and edges `mask`
+    /// keeps, or of every one the scope shows without a mask.
+    fn aggregate_kept(
+        &self,
+        g: &TemporalGraph,
+        scope: &TimeSet,
+        mask: Option<&EventMask>,
+        mode: AggMode,
+    ) -> AggregateGraph {
+        let nodes = self.node_weights(g, scope, mask.map(EventMask::keep_nodes), mode);
+        let edges = self.edge_weights(g, scope, mask.map(EventMask::keep_edges), mode);
+        let kept = (0..).zip(nodes).filter(|&(_, w)| w > 0);
+        AggregateGraph::from_groups(self, kept, edges.nonzero())
+    }
+
+    /// Aggregates the union graph of `g` over `scope` (Definition 2.3 with
+    /// both sides `scope`): every node and edge that exists at a point of
+    /// the scope, over those points. The walk reads the scope's presence
+    /// columns and no keep set; no graph is built.
+    ///
+    /// Equivalent to `aggregate(&union(g, scope, scope), attrs, mode)`
+    /// (property-tested).
+    ///
+    /// # Panics
+    /// Panics if `g` is not the graph this table was built from, or `scope`
+    /// reaches past its time domain.
+    pub fn aggregate_union(
+        &self,
+        g: &TemporalGraph,
+        scope: &TimeSet,
+        mode: AggMode,
+    ) -> AggregateGraph {
+        self.aggregate_kept(g, scope, None, mode)
     }
 
     /// Aggregates the event graph described by `mask` directly against the
@@ -898,11 +911,7 @@ impl GroupTable {
         mask: &EventMask,
         mode: AggMode,
     ) -> AggregateGraph {
-        let scope = mask.scope();
-        let nodes = self.node_weights(g, scope, mask.keep_nodes(), mode);
-        let edges = self.edge_weights(g, scope, mask.keep_edges(), mode);
-        let kept = (0..).zip(nodes).filter(|&(_, w)| w > 0);
-        AggregateGraph::from_groups(self, kept, edges.nonzero())
+        self.aggregate_kept(g, mask.scope(), Some(mask), mode)
     }
 
     /// Counts `result(G)` of the event graph described by `mask` under
@@ -915,8 +924,8 @@ impl GroupTable {
     /// (property-tested).
     pub fn count_distinct(&self, g: &TemporalGraph, mask: &EventMask, target: &CountTarget) -> u64 {
         let (scope, mode) = (mask.scope(), AggMode::Distinct);
-        let nodes = || self.node_weights(g, scope, mask.keep_nodes(), mode);
-        let edges = || self.edge_weights(g, scope, mask.keep_edges(), mode);
+        let nodes = || self.node_weights(g, scope, Some(mask.keep_nodes()), mode);
+        let edges = || self.edge_weights(g, scope, Some(mask.keep_edges()), mode);
         match *target {
             // A tuple that occurs nowhere in the source graph can never
             // occur in an event graph of it.
@@ -1184,16 +1193,14 @@ mod tests {
                 let (a, b, x) = (gid(1), gid(2), gid(9));
                 for (sides, b_side) in [([&early, &late], SIDE_2), ([&late, &early], SIDE_1)] {
                     let mut nodes = Vec::new();
-                    let keep = BitVec::ones(g.n_nodes());
-                    table.walk_distinct(Nodes(&g), sides, &keep, None, |e, key, on| {
+                    table.walk_distinct(Nodes(&g), sides, None, None, |e, key, on| {
                         nodes.push((e, key, on));
                     });
                     nodes.sort_unstable();
                     let want = [(0, a, both), (0, b, b_side), (1, x, both)];
                     assert_eq!(nodes, want, "{names:?}");
                     let mut edges = Vec::new();
-                    let keep = BitVec::ones(g.n_edges());
-                    table.walk_distinct(Edges(&g), sides, &keep, None, |e, key, on| {
+                    table.walk_distinct(Edges(&g), sides, None, None, |e, key, on| {
                         edges.push((e, key, on));
                     });
                     edges.sort_unstable();

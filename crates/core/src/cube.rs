@@ -11,13 +11,13 @@
 //! [`GraphCube`] is the navigation over those levels — roll-up, drill-down,
 //! the attribute lattice — and answers any (subset, scope) OLAP query.
 //! Distributivity says the finest-level store could answer it; the cube
-//! evaluates the answer directly instead, as one masked ALL aggregation at
-//! the *requested* level over the scope's union mask on the snapshot's
-//! cached group ids (equal to rolling up the T-distributive union of the
-//! store, and cheaper than building it — see EXPERIMENTS.md, Fig. 10/11).
+//! evaluates the answer directly instead, as one ALL walk of the scope's
+//! union graph ([`GroupTable::aggregate_union`]) at the *requested* level
+//! on the snapshot's cached group ids (equal to rolling up the
+//! T-distributive union of the store, and cheaper than building it — see
+//! EXPERIMENTS.md, Fig. 10/11).
 
-use crate::aggregate::AggregateGraph;
-use crate::materialize::aggregate_union_all;
+use crate::aggregate::{AggMode, AggregateGraph, GroupTable};
 use tempo_graph::{require_non_empty, AttrId, GraphError, TemporalGraph, TimePoint, TimeSet};
 
 /// A cuboid address: which attribute dimensions are kept, by name.
@@ -105,7 +105,7 @@ impl<'g> GraphCube<'g> {
                 self.domain_len()
             )));
         }
-        aggregate_union_all(self.g, &ids, scope)
+        Ok(GroupTable::cached(self.g, &ids).aggregate_union(self.g, scope, AggMode::All))
     }
 
     /// Rolls up one dimension (removes it), returning the coarser level.

@@ -20,7 +20,6 @@
 use crate::aggregate::{
     Aggregate, Edges, GroupTable, NodeTimeFilter, Nodes, PairAccumulator, SIDE_1, SIDE_2,
 };
-use crate::ops::{side_members, SideTest};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Add;
@@ -214,8 +213,7 @@ pub fn evolution_aggregate(
     require_non_empty(t1, "𝒯₁")?;
     require_non_empty(t2, "𝒯₂")?;
     let table = GroupTable::cached(g, attrs);
-    let (node_cols, edge_cols) = (g.node_presence_columns(), g.edge_presence_columns());
-    let scope = t1.union(t2);
+    let (node_cols, scope) = (g.node_presence_columns(), t1.union(t2));
     // The filter evaluated once per request: column `t` holds the nodes
     // that exist at scope point `t` and pass (points outside stay empty).
     let pass: Option<Vec<BitVec>> = filter.map(|f| {
@@ -228,17 +226,15 @@ pub fn evolution_aggregate(
         (0..g.domain().len()).map(passing).collect()
     });
     let pass = pass.as_deref();
-    // The sides an (entity, tuple) shows on are its class. The kept entities
-    // are plain side membership, not the Def. 2.5 event masks, which also
-    // keep a deleted edge's endpoints.
+    // The sides an (entity, tuple) shows on are its class. The walk visits
+    // what the two sides' columns show, not the Def. 2.5 event masks, which
+    // also keep a deleted edge's endpoints.
     let mut nodes = vec![EvolutionWeights::default(); table.n_groups()];
-    let keep = side_members(node_cols, &scope, SideTest::Any);
-    table.walk_distinct(Nodes(g), [t1, t2], &keep, pass, |_, gid, on| {
+    table.walk_distinct(Nodes(g), [t1, t2], None, pass, |_, gid, on| {
         nodes[gid as usize].count(on)
     });
     let mut edges = PairAccumulator::<EvolutionWeights>::new(table.n_groups());
-    let keep = side_members(edge_cols, &scope, SideTest::Any);
-    table.walk_distinct(Edges(g), [t1, t2], &keep, pass, |_, (s, d), on| {
+    table.walk_distinct(Edges(g), [t1, t2], None, pass, |_, (s, d), on| {
         edges.slot(s, d).count(on)
     });
 

@@ -66,10 +66,10 @@ pub fn initial_threshold(
             let mask = cursor.mask_chain_pair(i, 0);
             let (table, scope, dist) = (kernel.group_table(), mask.scope(), AggMode::Distinct);
             if all.is_edge() {
-                let weights = table.edge_weights(g, scope, mask.keep_edges(), dist);
+                let weights = table.edge_weights(g, scope, Some(mask.keep_edges()), dist);
                 weights.nonzero().map(|(_, w)| w).fold(None, pick)
             } else {
-                let weights = table.node_weights(g, scope, mask.keep_nodes(), dist);
+                let weights = table.node_weights(g, scope, Some(mask.keep_nodes()), dist);
                 weights.into_iter().filter(|&w| w > 0).fold(None, pick)
             }
         }

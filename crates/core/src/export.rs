@@ -7,7 +7,7 @@
 use crate::aggregate::{Aggregate, AggregateGraph};
 use crate::evolution::{EvolutionAggregate, EvolutionWeights};
 use std::fmt::Write as _;
-use tempo_columnar::{ColumnarError, Frame, Value};
+use tempo_columnar::{ColumnarError, Frame, Value, ValueTuple};
 use tempo_graph::{AttrId, TemporalGraph};
 
 /// The text of an attribute tuple, `f,1`: each value as its attribute
@@ -15,13 +15,25 @@ use tempo_graph::{AttrId, TemporalGraph};
 /// attribute ids that do not match the tuple, each value prints bare
 /// (a category by its code, `#1,1`).
 pub fn render_tuple(source: Option<&TemporalGraph>, attrs: &[AttrId], tuple: &[Value]) -> String {
-    let parts: Vec<String> = match source {
-        Some(g) if attrs.len() == tuple.len() => (attrs.iter().zip(tuple))
-            .map(|(&a, v)| g.schema().def(a).render(v))
-            .collect(),
-        _ => tuple.iter().map(Value::to_string).collect(),
-    };
+    let parts: Vec<String> = (labelled(source, attrs, tuple).iter())
+        .map(Value::to_string)
+        .collect();
     parts.join(",")
+}
+
+/// The values of `tuple` as [`render_tuple`] prints them: a category as its
+/// label, when `source` and `attrs` resolve it, and every other value as
+/// it is.
+fn labelled(source: Option<&TemporalGraph>, attrs: &[AttrId], tuple: &[Value]) -> Vec<Value> {
+    match source {
+        Some(g) if attrs.len() == tuple.len() => (attrs.iter().zip(tuple))
+            .map(|(&a, v)| match v {
+                Value::Cat(_) => Value::Str(g.schema().def(a).render(v)),
+                v => v.clone(),
+            })
+            .collect(),
+        _ => tuple.to_vec(),
+    }
 }
 
 /// Renders an aggregate graph as Graphviz DOT (directed).
@@ -77,41 +89,51 @@ fn to_dot<W: Copy>(
 }
 
 /// Converts an aggregate graph's nodes into a frame: one column per
-/// attribute plus `weight`.
+/// attribute plus `weight`. When the source graph is supplied, categorical
+/// codes resolve to their labels, as in [`aggregate_to_dot`].
 ///
 /// # Errors
 /// Returns an error if the attribute names collide with `weight`.
-pub fn aggregate_nodes_frame(agg: &AggregateGraph) -> Result<Frame, ColumnarError> {
-    let mut cols: Vec<String> = agg.attr_names().to_vec();
-    cols.push("weight".to_owned());
-    let mut f = Frame::new(cols)?;
-    for (tuple, w) in agg.iter_nodes() {
-        let mut row = tuple.clone();
-        row.push(Value::Int(w as i64));
-        f.push_row(row)?;
-    }
-    Ok(f)
+pub fn aggregate_nodes_frame(
+    agg: &AggregateGraph,
+    source: Option<&TemporalGraph>,
+) -> Result<Frame, ColumnarError> {
+    let rows = agg.iter_nodes().into_iter().map(|(t, w)| (vec![t], w));
+    weighted_frame(agg, source, agg.attr_names().to_vec(), rows)
 }
 
 /// Converts an aggregate graph's edges into a frame: `src_*` and `dst_*`
-/// columns per attribute plus `weight`.
+/// columns per attribute plus `weight`, labelled as in
+/// [`aggregate_nodes_frame`].
 ///
 /// # Errors
 /// Returns an error if the generated column names collide.
-pub fn aggregate_edges_frame(agg: &AggregateGraph) -> Result<Frame, ColumnarError> {
-    let mut cols: Vec<String> = agg
-        .attr_names()
-        .iter()
-        .map(|n| format!("src_{n}"))
-        .collect();
-    cols.extend(agg.attr_names().iter().map(|n| format!("dst_{n}")));
+pub fn aggregate_edges_frame(
+    agg: &AggregateGraph,
+    source: Option<&TemporalGraph>,
+) -> Result<Frame, ColumnarError> {
+    let side = |side: &'static str| (agg.attr_names().iter()).map(move |n| format!("{side}_{n}"));
+    let rows = agg
+        .iter_edges()
+        .into_iter()
+        .map(|((s, d), w)| (vec![s, d], w));
+    weighted_frame(agg, source, side("src").chain(side("dst")).collect(), rows)
+}
+
+/// A frame of `cols` and `weight`: a row per list of tuples and its weight,
+/// each tuple's values as [`render_tuple`] prints them.
+fn weighted_frame<'a>(
+    agg: &AggregateGraph,
+    source: Option<&TemporalGraph>,
+    mut cols: Vec<String>,
+    rows: impl Iterator<Item = (Vec<&'a ValueTuple>, u64)>,
+) -> Result<Frame, ColumnarError> {
+    let attrs = source.map(|g| agg.attr_ids(g)).unwrap_or_default();
     cols.push("weight".to_owned());
     let mut f = Frame::new(cols)?;
-    for ((src, dst), w) in agg.iter_edges() {
-        let mut row = src.clone();
-        row.extend(dst.iter().cloned());
-        row.push(Value::Int(w as i64));
-        f.push_row(row)?;
+    for (tuples, w) in rows {
+        let labels = tuples.iter().flat_map(|t| labelled(source, &attrs, t));
+        f.push_row(labels.chain([Value::Int(w as i64)]).collect())?;
     }
     Ok(f)
 }
@@ -209,27 +231,32 @@ mod tests {
 
     #[test]
     fn frame_tsv_bytes() {
-        let (_, agg) = pair_agg();
+        let (g, agg) = pair_agg();
         let tsv = |f: Frame| {
             let mut out = Vec::new();
             tempo_columnar::write_frame(&f, &mut out, '\t').unwrap();
             String::from_utf8(out).unwrap()
         };
+        let nodes = "gender\tpublications\tweight\nm\t1\t1\nm\t3\t2\nf\t1\t3\nf\t2\t1\n";
+        let edges = "src_gender\tsrc_publications\tdst_gender\tdst_publications\tweight\n\
+             m\t1\tf\t1\t1\nm\t3\tf\t1\t2\nf\t1\tf\t1\t2\nf\t2\tf\t1\t1\n";
+        assert_eq!(tsv(aggregate_nodes_frame(&agg, Some(&g)).unwrap()), nodes);
+        assert_eq!(tsv(aggregate_edges_frame(&agg, Some(&g)).unwrap()), edges);
+        let codes = |s: &str| s.replace("m\t", "#0\t").replace("f\t", "#1\t");
         assert_eq!(
-            tsv(aggregate_nodes_frame(&agg).unwrap()),
-            "gender\tpublications\tweight\n#0\t1\t1\n#0\t3\t2\n#1\t1\t3\n#1\t2\t1\n"
+            tsv(aggregate_nodes_frame(&agg, None).unwrap()),
+            codes(nodes)
         );
         assert_eq!(
-            tsv(aggregate_edges_frame(&agg).unwrap()),
-            "src_gender\tsrc_publications\tdst_gender\tdst_publications\tweight\n\
-             #0\t1\t#1\t1\t1\n#0\t3\t#1\t1\t2\n#1\t1\t#1\t1\t2\n#1\t2\t#1\t1\t1\n"
+            tsv(aggregate_edges_frame(&agg, None).unwrap()),
+            codes(edges)
         );
     }
 
     #[test]
     fn frames_roundtrip_weights() {
         let (_, agg) = gender_agg();
-        let nodes = aggregate_nodes_frame(&agg).unwrap();
+        let nodes = aggregate_nodes_frame(&agg, None).unwrap();
         assert_eq!(nodes.columns().last().map(String::as_str), Some("weight"));
         let total: i64 = nodes
             .iter_rows()
@@ -237,7 +264,7 @@ mod tests {
             .sum();
         assert_eq!(total as u64, agg.total_node_weight());
 
-        let edges = aggregate_edges_frame(&agg).unwrap();
+        let edges = aggregate_edges_frame(&agg, None).unwrap();
         assert_eq!(edges.ncols(), 3); // src_gender, dst_gender, weight
         let etotal: i64 = edges
             .iter_rows()

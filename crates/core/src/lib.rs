@@ -12,9 +12,11 @@
 //!   [`ops::event_graph`] parameterized by union/intersection membership
 //!   semantics;
 //! * **Attribute aggregation** (§2.2) — distinct (DIST) and non-distinct
-//!   (ALL) weights through [`aggregate::GroupTable::aggregate_masked`]
-//!   (interned group ids under an [`ops::EventMask`], no graph built), with
-//!   the tuple-hashing oracle [`aggregate::aggregate`];
+//!   (ALL) weights counted from interned group ids over the scope's presence
+//!   columns, no graph built: [`aggregate::GroupTable::aggregate_union`] for
+//!   the union graph, [`aggregate::GroupTable::aggregate_masked`] where an
+//!   [`ops::EventMask`] narrows the scope; with the tuple-hashing oracle
+//!   [`aggregate::aggregate`];
 //! * **Evolution graphs** (§2.3) — [`evolution::EvolutionGraph`]
 //!   classification and [`evolution::evolution_aggregate`] with
 //!   stability/growth/shrinkage weights;

@@ -12,32 +12,12 @@
 //!   roll-up of the finer aggregate ([`crate::aggregate::rollup`]).
 //!
 //! The store is the paper's §4.3 as a library and what Fig. 10/11 measure;
-//! each of its points is one [`GroupTable::aggregate_masked`] pass over the
+//! each of its points is one [`GroupTable::aggregate_union`] walk over the
 //! snapshot's cached group ids, the same evaluation the served `cube`
 //! command runs directly at the requested level and scope.
 
 use crate::aggregate::{AggMode, AggregateGraph, GroupTable};
-use crate::ops::{event_mask, Event, SideTest};
 use tempo_graph::{AttrId, GraphError, TemporalGraph, TimePoint, TimeSet};
-
-/// The ALL-aggregate on `attrs` of the union graph of `g` over `scope`
-/// (Definition 2.3 with both sides `scope`), counted from the snapshot's
-/// cached group ids with no graph built.
-pub(crate) fn aggregate_union_all(
-    g: &TemporalGraph,
-    attrs: &[AttrId],
-    scope: &TimeSet,
-) -> Result<AggregateGraph, GraphError> {
-    let mask = event_mask(
-        g,
-        Event::Stability,
-        scope,
-        scope,
-        SideTest::Any,
-        SideTest::Any,
-    )?;
-    Ok(GroupTable::cached(g, attrs).aggregate_masked(g, &mask, AggMode::All))
-}
 
 /// Computes the ALL-aggregate of the single time point `t` directly from
 /// the source graph (equivalent to aggregating the projection on `t`, but
@@ -46,10 +26,9 @@ pub(crate) fn aggregate_union_all(
 /// # Panics
 /// Panics if `t` is outside `g`'s time domain or an id is not from `g`'s
 /// schema.
-#[allow(clippy::expect_used)]
 pub fn aggregate_at_point(g: &TemporalGraph, attrs: &[AttrId], t: TimePoint) -> AggregateGraph {
-    aggregate_union_all(g, attrs, &TimeSet::point(g.domain().len(), t))
-        .expect("invariant: a single time point is a non-empty scope")
+    let point = TimeSet::point(g.domain().len(), t);
+    GroupTable::cached(g, attrs).aggregate_union(g, &point, AggMode::All)
 }
 
 /// Precomputed per-timepoint ALL-aggregates on a fixed attribute set.
@@ -114,10 +93,8 @@ impl TimepointStore {
             )));
         }
         let added = nt - self.per_tp.len();
-        for t in self.per_tp.len()..nt {
-            self.per_tp
-                .push(aggregate_at_point(g, &self.attrs, TimePoint(t as u32)));
-        }
+        let points = (self.per_tp.len()..nt).map(|t| TimePoint(t as u32));
+        (self.per_tp).extend(points.map(|t| aggregate_at_point(g, &self.attrs, t)));
         Ok(added)
     }
 
@@ -154,13 +131,8 @@ impl TimepointStore {
                 self.per_tp.len()
             )));
         }
-        let mut iter = scope.iter();
-        #[allow(clippy::expect_used)]
-        let first = iter
-            .next()
-            .expect("invariant: scope emptiness is rejected above");
-        let mut acc = self.per_tp[first.index()].clone();
-        for t in iter {
+        let mut acc = AggregateGraph::new(self.per_tp[0].attr_names().to_vec());
+        for t in scope.iter() {
             acc.merge_add(&self.per_tp[t.index()]);
         }
         Ok(acc)

@@ -13,8 +13,8 @@
 //! SUM/MIN/MAX/AVG.
 
 use crate::aggregate::{AggMode, Aggregate, Edges, GroupTable, Nodes, PairAccumulator};
-use tempo_columnar::{BitVec, Value, ValueMatrix};
-use tempo_graph::{AttrId, GraphError, TemporalGraph, TimeSet};
+use tempo_columnar::{Value, ValueMatrix};
+use tempo_graph::{AttrId, GraphError, TemporalGraph};
 
 /// Measure over the nodes of each aggregate group.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -172,19 +172,17 @@ pub fn aggregate_measure(
 
     // Every appearance over the whole domain is one observation.
     let table = GroupTable::cached(g, group);
-    let nt = g.domain().len();
-    let (domain, all) = (TimeSet::from_indices(nt, 0..nt), AggMode::All);
-    let (nodes, edges) = (BitVec::ones(g.n_nodes()), BitVec::ones(g.n_edges()));
+    let (domain, all) = (g.domain().all(), AggMode::All);
     let mut node_acc = vec![Acc::default(); table.n_groups()];
     let observe_node = |n, t, gid: u32| node_acc[gid as usize].push(observe(n, t));
-    table.walk_all(Nodes(g), &domain, &nodes, observe_node);
+    table.walk_all(Nodes(g), &domain, None, observe_node);
 
     // every node has a static group id, even one that never appears
     let observed = (0..).zip(node_acc).filter(|(_, acc)| acc.count > 0);
     let nodes = observed.filter_map(|(gid, acc)| Some((gid, acc.finish(node_reduce)?)));
     let Some(values) = edge_values else {
         // COUNT is the ALL weight
-        let weights = table.edge_weights(g, &domain, &edges, all);
+        let weights = table.edge_weights(g, &domain, None, all);
         let counts = weights.nonzero().map(|(pair, w)| (pair, w as f64));
         return Ok(MeasureAggregate::from_groups(&table, nodes, counts));
     };
@@ -194,7 +192,7 @@ pub fn aggregate_measure(
         let obs = numbers.get(values.code(e, t) as usize).copied().flatten();
         edge_acc.slot(s, d).push(obs);
     };
-    table.walk_all(Edges(g), &domain, &edges, observe_edge);
+    table.walk_all(Edges(g), &domain, None, observe_edge);
     let measured = edge_acc.nonzero();
     let edges = measured.filter_map(|(pair, acc)| Some((pair, acc.finish(edge_reduce)?)));
     Ok(MeasureAggregate::from_groups(&table, nodes, edges))

@@ -20,11 +20,14 @@
 //!   interleaved;
 //! * the ALL walk on the same graphs, through `aggregate_masked`, every
 //!   `GraphCube` level and `aggregate_measure`, and `aggregate_measure` of
-//!   a static numeric attribute and of edge values against `naive_measure`.
+//!   a static numeric attribute and of edge values against `naive_measure`;
+//! * the walk of a scope's own columns, with no keep set
+//!   (`aggregate_union`, `evolution_aggregate`), against the same walk
+//!   under the union's keep set and the materialized union graph.
 
 use graphtempo::aggregate::{aggregate, rollup, AggMode, CountTarget, GroupTable, NodeTimeFilter};
 use graphtempo::cube::GraphCube;
-use graphtempo::evolution::{evolution_aggregate, evolution_aggregate_naive};
+use graphtempo::evolution::{evolution_aggregate, evolution_aggregate_naive, EvolutionWeights};
 use graphtempo::explore::{
     evaluate_pair_materialized, explore, explore_budgeted, explore_naive, initial_threshold,
     suggest_k, Budget, ChainCursor, ExploreConfig, ExploreKernel, ExtendSide, Selector, Semantics,
@@ -639,7 +642,8 @@ fn single_timepoint_domain_errors_everywhere() {
 /// most 39 nodes and 6 points) never reach: hundreds of nodes, so the kept
 /// entities span several 64-entity words, and 70–130 points, so a scope
 /// spans two 64-point chunks. Each graph comes under both column layouts
-/// and, appended one point, with the old presence columns zero-extended.
+/// and, appended one point, with the old presence columns zero-extended
+/// (again under both layouts): its one new node starts a word of its own.
 fn walk_graphs() -> Vec<TemporalGraph> {
     let mut graphs = Vec::new();
     for (timepoints, seed) in [(70, 3), (130, 4)] {
@@ -663,8 +667,10 @@ fn walk_graphs() -> Vec<TemporalGraph> {
         patch.set_time_varying("fresh", level, Value::Int(2));
         patch.add_edge("fresh", "n0").add_edge("n1", "fresh");
         let g = GraphVersions::new(g).append_timepoint(&patch).unwrap();
-        assert!(g.node_presence_columns().col(0).len() < g.n_nodes());
-        graphs.push(Arc::unwrap_or_clone(g));
+        for g in both_layouts(&g) {
+            assert!(g.node_presence_columns().col(0).len() < g.n_nodes());
+            graphs.push(g);
+        }
     }
     graphs
 }
@@ -722,6 +728,62 @@ fn evolution_matches_oracle_on_every_side_shape() {
                         f.is_some()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The walk of a scope's own columns (no keep set) on [`walk_cases`], on
+/// the static, time-varying and mixed lists, over one side (𝒯₁), 𝒯₁ ∪ 𝒯₂
+/// and the whole domain: ALL and DIST `aggregate_union` against the walk
+/// under the union's keep set (`aggregate_masked` of
+/// `event_mask(Stability, s, s, Any, Any)`) and against `aggregate` of the
+/// materialized `union`. The two-sided walk, `evolution_aggregate` between
+/// 𝒯₁ and 𝒯₂, counts each (entity, tuple) of 𝒯₁ ∪ 𝒯₂ under one class, so
+/// its three weights add up to the DIST weights under the keep set; with
+/// and without a filter it matches its oracle.
+#[test]
+fn scope_walk_matches_keep_set_walk() {
+    let (any, dist) = (SideTest::Any, AggMode::Distinct);
+    for (g, t1, t2) in walk_cases() {
+        let level = level_attr(&g);
+        let filter = move |gr: &TemporalGraph, n: NodeId, t: TimePoint| {
+            gr.attr_value(n, level, t).as_int().is_some_and(|v| v >= 2)
+        };
+        let domain = g.domain().all();
+        for (a, b) in [(&t1, &t1), (&t1, &t2), (&domain, &domain)] {
+            let scope = a.union(b);
+            let mask = event_mask(&g, Event::Stability, &scope, &scope, any, any).unwrap();
+            // the union over the whole domain is the graph itself
+            let sub = (a != &domain).then(|| union(&g, a, b).unwrap());
+            let sub = sub.as_ref().unwrap_or(&g);
+            for attrs in attr_sets(&g) {
+                let table = GroupTable::cached(&g, &attrs);
+                for mode in [AggMode::All, dist] {
+                    let walked = table.aggregate_union(&g, &scope, mode);
+                    let what = format!("{mode:?} {attrs:?} over {} points", scope.len());
+                    assert_eq!(walked, table.aggregate_masked(&g, &mask, mode), "{what}");
+                    assert_eq!(walked, aggregate(sub, &attrs, mode), "{what}");
+                }
+            }
+        }
+        let both = t1.union(&t2);
+        let mask = event_mask(&g, Event::Stability, &both, &both, any, any).unwrap();
+        let classes = |w: EvolutionWeights| w.stability + w.growth + w.shrinkage;
+        for attrs in attr_sets(&g) {
+            let kept = GroupTable::cached(&g, &attrs).aggregate_masked(&g, &mask, dist);
+            let evo = evolution_aggregate(&g, &t1, &t2, &attrs, None).unwrap();
+            let nodes = evo.iter_nodes().into_iter().map(|(t, w)| (t, classes(w)));
+            let edges = evo.iter_edges().into_iter().map(|(p, w)| (p, classes(w)));
+            assert!(nodes.eq(kept.iter_nodes()), "{attrs:?}");
+            assert!(edges.eq(kept.iter_edges()), "{attrs:?}");
+            for f in [None, Some(&filter as &NodeTimeFilter<'_>)] {
+                assert_eq!(
+                    evolution_aggregate(&g, &t1, &t2, &attrs, f).unwrap(),
+                    evolution_aggregate_naive(&g, &t1, &t2, &attrs, f).unwrap(),
+                    "{attrs:?} filtered {}",
+                    f.is_some()
+                );
             }
         }
     }
@@ -894,18 +956,13 @@ fn render_measure(g: &TemporalGraph, group: &[AttrId], spec: &str, m: &MeasureAg
 }
 
 /// DIST `aggregate_masked` and `count_distinct` over the union 𝒯₁ ∪ 𝒯₂
-/// against the materialized union graph, and `evolution_aggregate`
-/// between 𝒯₁ and 𝒯₂ against its oracle with and without a `level >= 2`
-/// filter, on the static, time-varying and mixed lists.
+/// against the materialized union graph, on the static, time-varying and
+/// mixed lists.
 fn assert_walks_match_oracles(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) {
     let scope = t1.union(t2);
     let any = SideTest::Any;
     let mask = event_mask(g, Event::Stability, &scope, &scope, any, any).unwrap();
     let sub = event_graph(g, Event::Stability, &scope, &scope, any, any).unwrap();
-    let level = level_attr(g);
-    let filter = move |gr: &TemporalGraph, n: NodeId, t: TimePoint| {
-        gr.attr_value(n, level, t).as_int().is_some_and(|v| v >= 2)
-    };
     for attrs in attr_sets(g) {
         #[allow(clippy::disallowed_methods)] // the oracle side builds its table uncached
         let table = GroupTable::build(g, &attrs);
@@ -922,14 +979,6 @@ fn assert_walks_match_oracles(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) {
             assert_eq!(
                 table.count_distinct(g, &mask, &target),
                 selector.count(&dist)
-            );
-        }
-        for f in [None, Some(&filter as &NodeTimeFilter<'_>)] {
-            assert_eq!(
-                evolution_aggregate(g, t1, t2, &attrs, f).unwrap(),
-                evolution_aggregate_naive(g, t1, t2, &attrs, f).unwrap(),
-                "{attrs:?} filtered {}",
-                f.is_some()
             );
         }
     }

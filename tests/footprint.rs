@@ -5,10 +5,12 @@
 //! a slow erosion over several changes would pass it every time. These tests
 //! hold absolute numbers instead: the live heap of a quarter-scale DBLP
 //! graph, the bytes of value storage per materialised cell (a `u32` code;
-//! 24-byte `Value`s before), and the high-water mark of one DIST count over
-//! the whole of DBLP, which must not hold anything as long as the entities.
+//! 24-byte `Value`s before), and the high-water mark of one DIST count and
+//! of the whole-graph `agg` and `cube` reads over the whole of DBLP, which
+//! must not hold anything as long as the entities.
 
-use graphtempo::aggregate::{CountTarget, GroupTable};
+use graphtempo::aggregate::{AggMode, AggregateGraph, CountTarget, GroupTable};
+use graphtempo::cube::{GraphCube, Level};
 use graphtempo::ops::{event_mask, Event, SideTest};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -130,4 +132,36 @@ fn a_distinct_count_allocates_nothing_per_entity() {
         table.n_groups(),
         g.n_edges()
     );
+}
+
+/// Whole-graph `agg dist`, `agg all` and `cube … level=gender` on the
+/// all-static `gender` list of DBLP, through the calls `Session` makes once
+/// the snapshot holds the list's group ids. Each peaks below half of one
+/// edge-length bit vector: the walk reads the scope's presence columns and
+/// stores no keep set.
+#[test]
+fn whole_graph_reads_allocate_nothing_per_entity() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = DblpConfig::scaled(1.0).generate().unwrap();
+    let [gender, pubs] = ["gender", "publications"].map(|a| g.schema().id(a).unwrap());
+    let all = g.domain().all();
+    let agg = |mode| GroupTable::cached(&g, &[gender]).aggregate_union(&g, &all, mode);
+    let cube = GraphCube::build(&g, &[gender, pubs], 1);
+    let level = Level::new(vec!["gender"]);
+    let calls: [(&str, &dyn Fn() -> AggregateGraph); 3] = [
+        ("agg dist", &|| agg(AggMode::Distinct)),
+        ("agg all", &|| agg(AggMode::All)),
+        ("cube level=gender", &|| cube.query(&level, &all).unwrap()),
+    ];
+    assert!(GroupTable::cached(&g, &[gender]).is_static());
+
+    let bound = g.n_edges() / 16;
+    for (what, call) in calls {
+        let before = reset_peak();
+        let answer = call();
+        let peak = PEAK.load(Ordering::Relaxed) - before;
+        println!("{what}: {peak} B peak, bound {bound} B");
+        assert!(answer.total_edge_weight() > 0, "{what}");
+        assert!(peak < bound, "{what}: {peak} B peak, bound {bound} B");
+    }
 }
