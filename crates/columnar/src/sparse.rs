@@ -554,13 +554,18 @@ impl BlockWords<'_> {
     ///
     /// A sparse column reads correctly only while `b` does not decrease
     /// from one call to the next: the IDs below word `b` are passed for good.
+    /// A column with no IDs left, every dense one among them, returns its
+    /// stored word (zero past its end) at once.
     #[inline]
     pub fn word(&mut self, b: usize) -> u64 {
+        let mut w = self.words.get(b).copied().unwrap_or(0);
+        if self.ids.is_empty() {
+            return w;
+        }
         let start = b * WORD_BITS;
         while self.ids.first().is_some_and(|&id| (id as usize) < start) {
             self.ids = &self.ids[1..];
         }
-        let mut w = self.words.get(b).copied().unwrap_or(0);
         for &id in self.ids {
             let i = id as usize - start;
             if i >= WORD_BITS {

@@ -542,10 +542,11 @@ impl Entities for Edges<'_> {
 /// this type wraps): per node when every attribute is static, else per
 /// (node, present time point). Every read query then counts group ids with
 /// a column-major walk into dense accumulators —
-/// [`aggregate_masked`](Self::aggregate_masked), the bare
-/// [`count_distinct`](Self::count_distinct) of exploration, evolution and
-/// measures — instead of re-building heap-allocated [`ValueTuple`] hash
-/// keys per entity per interval pair.
+/// [`aggregate_masked`](Self::aggregate_masked),
+/// [`aggregate_union`](Self::aggregate_union), and the DIST weights the
+/// exploration cursor, evolution and measures read — instead of
+/// re-building heap-allocated [`ValueTuple`] hash keys per entity per
+/// interval pair.
 ///
 /// The table is immutable after construction and `Sync`, so one instance is
 /// shared across all pairs of an exploration run, and the columns behind
@@ -913,59 +914,6 @@ impl GroupTable {
     ) -> AggregateGraph {
         self.aggregate_kept(g, mask.scope(), Some(mask), mode)
     }
-
-    /// Counts `result(G)` of the event graph described by `mask` under
-    /// distinct (DIST) semantics: the DIST weights of the targeted side,
-    /// then the one weight or the sum the target names. No aggregate graph
-    /// and no tuple is built.
-    ///
-    /// Equivalent to `selector.count(&aggregate(&event_graph(..), attrs,
-    /// AggMode::Distinct))` with `target` resolved from the selector
-    /// (property-tested).
-    pub fn count_distinct(&self, g: &TemporalGraph, mask: &EventMask, target: &CountTarget) -> u64 {
-        let (scope, mode) = (mask.scope(), AggMode::Distinct);
-        let nodes = || self.node_weights(g, scope, Some(mask.keep_nodes()), mode);
-        let edges = || self.edge_weights(g, scope, Some(mask.keep_edges()), mode);
-        match *target {
-            // A tuple that occurs nowhere in the source graph can never
-            // occur in an event graph of it.
-            CountTarget::Node(None) | CountTarget::Edge(None) => 0,
-            CountTarget::AllNodes => nodes().iter().sum(),
-            CountTarget::Node(Some(gid)) => nodes()[gid as usize],
-            CountTarget::AllEdges => edges().nonzero().map(|(_, w)| w).sum(),
-            CountTarget::Edge(Some((s, d))) => *edges().slot(s, d),
-        }
-    }
-}
-
-/// What [`GroupTable::count_distinct`] counts, with selector tuples
-/// pre-resolved to group ids once per run. `None` ids mean the requested
-/// tuple occurs nowhere in the source graph, so the count is always zero.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CountTarget {
-    /// Sum of all aggregate node weights.
-    AllNodes,
-    /// Sum of all aggregate edge weights.
-    AllEdges,
-    /// Weight of one aggregate node.
-    Node(Option<u32>),
-    /// Weight of one aggregate edge.
-    Edge(Option<(u32, u32)>),
-}
-
-impl CountTarget {
-    /// Resolves a node-tuple target against the table.
-    pub fn node(table: &GroupTable, tuple: &[Value]) -> CountTarget {
-        CountTarget::Node(table.lookup(tuple))
-    }
-
-    /// Resolves an edge-tuple-pair target against the table.
-    pub fn edge(table: &GroupTable, src: &[Value], dst: &[Value]) -> CountTarget {
-        CountTarget::Edge(match (table.lookup(src), table.lookup(dst)) {
-            (Some(s), Some(d)) => Some((s, d)),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1250,51 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn count_distinct_matches_selector_count() {
-        use crate::explore::Selector;
-        use crate::ops::{event_graph, event_mask, Event, SideTest};
-        let g = fig1();
-        let told = TimeSet::from_indices(3, [0, 1]);
-        let tnew = TimeSet::from_indices(3, [2]);
-        let f = cat(&g, "gender", "f");
-        for names in [&["gender"][..], &["gender", "publications"][..]] {
-            let ga = attrs(&g, names);
-            let table = GroupTable::build(&g, &ga);
-            let node_tuple: ValueTuple = if names.len() == 1 {
-                vec![f.clone()]
-            } else {
-                vec![f.clone(), Value::Int(1)]
-            };
-            let selectors = [
-                Selector::AllNodes,
-                Selector::AllEdges,
-                Selector::NodeTuple(node_tuple.clone()),
-                Selector::EdgeTuple(node_tuple.clone(), node_tuple.clone()),
-            ];
-            let targets = [
-                CountTarget::AllNodes,
-                CountTarget::AllEdges,
-                CountTarget::node(&table, &node_tuple),
-                CountTarget::edge(&table, &node_tuple, &node_tuple),
-            ];
-            for event in [Event::Stability, Event::Growth, Event::Shrinkage] {
-                let mask =
-                    event_mask(&g, event, &told, &tnew, SideTest::Any, SideTest::Any).unwrap();
-                let ev =
-                    event_graph(&g, event, &told, &tnew, SideTest::Any, SideTest::Any).unwrap();
-                let agg = aggregate(&ev, &attrs(&ev, names), AggMode::Distinct);
-                for (sel, target) in selectors.iter().zip(&targets) {
-                    assert_eq!(
-                        table.count_distinct(&g, &mask, target),
-                        sel.count(&agg),
-                        "{event:?} selector {sel:?} attrs {names:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pair_accumulator_dense_and_sparse_agree() {
         let collect = |acc: &PairAccumulator<u64>| {
             let mut out: Vec<_> = acc.nonzero().map(|((s, d), w)| (s, d, w)).collect();
@@ -1314,24 +1217,5 @@ mod tests {
         *sparse.slot(1, 1) += 0;
         assert_eq!(collect(&sparse), vec![(0, 2, 7), (2, 1, 1)]);
         assert_eq!(collect(&dense), collect(&sparse));
-    }
-
-    #[test]
-    fn count_target_unknown_tuple_is_zero() {
-        use crate::ops::{event_mask, Event, SideTest};
-        let g = fig1();
-        let table = GroupTable::build(&g, &attrs(&g, &["gender"]));
-        let target = CountTarget::node(&table, &[Value::Int(12345)]);
-        assert_eq!(target, CountTarget::Node(None));
-        let mask = event_mask(
-            &g,
-            Event::Stability,
-            &TimeSet::from_indices(3, [0]),
-            &TimeSet::from_indices(3, [1]),
-            SideTest::Any,
-            SideTest::Any,
-        )
-        .unwrap();
-        assert_eq!(table.count_distinct(&g, &mask, &target), 0);
     }
 }

@@ -215,12 +215,15 @@ pub fn evolution_aggregate(
     let table = GroupTable::cached(g, attrs);
     let (node_cols, scope) = (g.node_presence_columns(), t1.union(t2));
     // The filter evaluated once per request: column `t` holds the nodes
-    // that exist at scope point `t` and pass (points outside stay empty).
+    // that exist at scope point `t` and pass. A point outside the scope
+    // gets an empty column, which allocates nothing: the walk reads none.
     let pass: Option<Vec<BitVec>> = filter.map(|f| {
         let passing = |t: usize| {
             let at = TimePoint(t as u32);
-            let present = scope.contains(at).then(|| node_cols.col(t).iter_ones());
-            let ones = present.into_iter().flatten();
+            if !scope.contains(at) {
+                return BitVec::zeros(0);
+            }
+            let ones = node_cols.col(t).iter_ones();
             BitVec::from_indices(g.n_nodes(), ones.filter(|&n| f(g, NodeId(n as u32), at)))
         };
         (0..g.domain().len()).map(passing).collect()

@@ -13,38 +13,35 @@
 //! ([`TemporalGraph::node_presence_columns`]), i.e. `O(entity-words)` per
 //! step independent of interval length.
 //!
-//! [`ChainCursor`] holds those accumulators, for the sides the selector
-//! reads only, beside the chain's reference column: read in place when it
-//! is dense and as wide as the entities, and copied once per chain into a
-//! scratch vector otherwise. An evaluation hands the two sides' words to
-//! [`event_words`], the one writer of Definitions 2.4–2.5, once per side
-//! read. For a node selector under a difference event the kept edges come
-//! first and go straight into the rescue set of their endpoints. The
-//! selector's side is then counted — a popcount of the keep words,
-//! intersected with a tuple selector's cached match vector
-//! ([`GroupColumns::match_columns`]: the vector itself on an all-static
-//! attribute list, and on a list with a time-varying attribute the OR of
-//! its per-point columns over the scope, folded one column at a time
-//! wherever the scope grows) — with no keep vector written. Only where a
-//! mask is read are the keep words stored: by the All selectors on a
-//! time-varying list over a scope of several points, where one entity can
-//! carry several tuples and the group table's column-major walk counts
-//! ([`GroupTable::count_distinct`]), and by
-//! [`ChainCursor::mask_chain_pair`], for callers that aggregate the event
-//! themselves. Both are bit-identical to the materializing oracle at every
-//! chain coordinate (property-tested in `tests/kernel_equivalence.rs`).
+//! [`ChainCursor`] is the one per-run object of an exploration: it takes
+//! the snapshot's cached [`GroupTable`] for the run's attribute list,
+//! resolves the selector once (a tuple to the snapshot's cached match
+//! columns, a tuple that occurs nowhere to a zero count), and holds the
+//! selector's side as an extended-side accumulator beside the chain's
+//! reference column (read in place when it is dense and as wide as the
+//! entities, else copied once per chain). An evaluation hands the two
+//! sides' words to [`event_words`], the one writer of Definitions 2.4–2.5;
+//! for a node selector under a difference event the kept edges go first,
+//! straight into the rescue set of their endpoints. The keep words are then
+//! counted — a popcount, within a tuple selector's match vector
+//! ([`GroupColumns::match_columns`]; on a list with a time-varying
+//! attribute the OR of its per-point columns over the scope) — and written
+//! nowhere, except into the cursor's one keep set where it is read: by the
+//! All selectors on a time-varying list over several points, whose count
+//! sums the kept entities' DIST weights, by the §3.5 scan, which takes
+//! their min or max, and by [`ChainCursor::keep_chain_pair`]. Counts and
+//! keep sets are bit-identical to the materializing oracle at every chain
+//! coordinate (property-tested in `tests/kernel_equivalence.rs`).
 //!
 //! [`TemporalGraph::node_presence_columns`]: tempo_graph::TemporalGraph::node_presence_columns
 //! [`GroupColumns::match_columns`]: tempo_graph::GroupColumns::match_columns
-//! [`GroupTable::count_distinct`]: crate::aggregate::GroupTable::count_distinct
 
-use super::kernel::ExploreKernel;
-use super::{ExtendSide, Semantics};
-use crate::aggregate::CountTarget;
-use crate::ops::{event_words, rescue, Event, EventMask, WordSink};
+use super::{ExploreConfig, ExtendSide, Selector, Semantics};
+use crate::aggregate::{AggMode, GroupTable};
+use crate::ops::{event_words, Event, WordSink};
 use std::sync::Arc;
 use tempo_columnar::{BitVec, PresenceColumn, PresenceColumns};
-use tempo_graph::{MatchColumns, MatchKey, TimePoint};
+use tempo_graph::{MatchColumns, MatchKey, TemporalGraph, TimePoint, TimeSet};
 use tempo_instrument::metrics;
 
 /// How the cursor turns the current pair into `result(G)`.
@@ -61,18 +58,20 @@ enum FastCount {
 }
 
 impl FastCount {
-    fn resolve(kernel: &ExploreKernel<'_>) -> FastCount {
-        let tuple = |key| FastCount::Pop(Some(kernel.table.match_columns(kernel.g, key)));
-        match &kernel.target {
-            // A tuple absent from the source graph can never appear in an
-            // event graph of it (same shortcut as count_distinct).
-            CountTarget::Node(None) | CountTarget::Edge(None) => FastCount::Zero,
-            CountTarget::Node(Some(gid)) => tuple(MatchKey::Node(*gid)),
-            CountTarget::Edge(Some((gs, gd))) => tuple(MatchKey::Edge(*gs, *gd)),
-            CountTarget::AllNodes | CountTarget::AllEdges if kernel.table.is_static() => {
-                FastCount::Pop(None)
-            }
-            CountTarget::AllNodes | CountTarget::AllEdges => FastCount::Table,
+    fn resolve(g: &TemporalGraph, table: &GroupTable, selector: &Selector) -> FastCount {
+        let tuple = |key| FastCount::Pop(Some(table.match_columns(g, key)));
+        // A tuple absent from the source graph can never appear in an
+        // event graph of it.
+        match selector {
+            Selector::NodeTuple(t) => table
+                .lookup(t)
+                .map_or(FastCount::Zero, |gid| tuple(MatchKey::Node(gid))),
+            Selector::EdgeTuple(s, d) => match (table.lookup(s), table.lookup(d)) {
+                (Some(gs), Some(gd)) => tuple(MatchKey::Edge(gs, gd)),
+                _ => FastCount::Zero,
+            },
+            Selector::AllNodes | Selector::AllEdges if table.is_static() => FastCount::Pop(None),
+            Selector::AllNodes | Selector::AllEdges => FastCount::Table,
         }
     }
 }
@@ -149,78 +148,93 @@ impl<'g> Side<'g> {
 
 /// Incremental evaluator for the pairs of one reference chain at a time.
 ///
-/// Built once per exploration run and driven forward through `(i, j)`
-/// chain coordinates by [`ChainCursor::evaluate_chain_pair`]. Every
-/// evaluation is recorded in `explore.evaluations` / `eval_ns`.
-pub struct ChainCursor<'k, 'g> {
-    kernel: &'k ExploreKernel<'g>,
+/// Built once per exploration run or threshold scan and driven forward
+/// through `(i, j)` chain coordinates by
+/// [`ChainCursor::evaluate_chain_pair`]. Every evaluation is recorded in
+/// `explore.evaluations` / `eval_ns`.
+pub struct ChainCursor<'g> {
+    g: &'g TemporalGraph,
+    cfg: &'g ExploreConfig,
+    /// The snapshot's cached group table for `cfg.attrs`.
+    table: GroupTable,
     /// Domain length.
     n: usize,
-    /// The node side, read by a node selector.
-    nodes: Option<Side<'g>>,
-    /// The edge side, read by an edge selector and, under a difference
-    /// event, by a node selector: kept edges rescue their endpoints
-    /// (Definition 2.5).
-    edges: Option<Side<'g>>,
+    /// The selector's side: nodes for a node selector, edges for an edge
+    /// selector.
+    side: Side<'g>,
+    /// The edge side of a node selector under a difference event: kept
+    /// edges rescue their endpoints (Definition 2.5).
+    rescuing: Option<Side<'g>>,
     fast: FastCount,
     /// Reference index of the chain currently loaded, if any.
     current_ref: Option<usize>,
     /// Steps taken from the base pair (chain coordinate `j`).
     step: usize,
-    /// OR of the selector's per-point match columns over the mask's scope
-    /// (empty unless the selector has [`MatchColumns::PerPoint`] columns).
+    /// The event graph's time scope for the current pair.
+    scope: TimeSet,
+    /// OR of the selector's per-point match columns over the scope (empty
+    /// unless the selector has [`MatchColumns::PerPoint`] columns).
     scope_match: BitVec,
-    /// Reusable output mask, rewritten in place. The scope is kept current
-    /// for every pair; the keep sets are those of the last stored pair.
-    mask: EventMask,
+    /// The selector's side's keep set of the last stored pair, rewritten in
+    /// place.
+    keep: BitVec,
     /// The nodes the kept edges rescue (Definition 2.5).
     incident: BitVec,
 }
 
-impl<'k, 'g> ChainCursor<'k, 'g> {
-    /// Builds a cursor over a shared kernel: borrows the graph's presence
-    /// columns and (building on first use) the selector's cached match
-    /// columns.
-    pub fn new(kernel: &'k ExploreKernel<'g>) -> Self {
+impl<'g> ChainCursor<'g> {
+    /// Builds the cursor for one exploration run: takes the snapshot's
+    /// cached group table for `cfg.attrs`, resolves the selector to group
+    /// ids (building the selector's match columns on first use per
+    /// snapshot) and borrows the graph's presence columns.
+    ///
+    /// # Panics
+    /// Panics if any attribute id is not from `g`'s schema.
+    pub fn new(g: &'g TemporalGraph, cfg: &'g ExploreConfig) -> Self {
+        let _span = metrics::EXPLORE_KERNEL_BUILD_NS.span();
         metrics::EXPLORE_CURSOR_BUILDS.inc();
-        let g = kernel.g;
-        let edge_selector = kernel.cfg.selector.is_edge();
-        let rescues = !edge_selector && kernel.cfg.event != Event::Stability;
-        let fast = FastCount::resolve(kernel);
+        let table = GroupTable::cached(g, &cfg.attrs);
+        let fast = FastCount::resolve(g, &table, &cfg.selector);
+        let (side, rescuing) = if cfg.selector.is_edge() {
+            (Side::new(g.edge_presence_columns()), None)
+        } else {
+            let rescues = cfg.event != Event::Stability;
+            let edges = rescues.then(|| Side::new(g.edge_presence_columns()));
+            (Side::new(g.node_presence_columns()), edges)
+        };
+        let width = side.ext.len();
         let scope_match = match &fast {
             FastCount::Pop(Some(m)) if matches!(**m, MatchColumns::PerPoint(_)) => {
-                BitVec::zeros(if edge_selector {
-                    g.n_edges()
-                } else {
-                    g.n_nodes()
-                })
+                BitVec::zeros(width)
             }
             _ => BitVec::zeros(0),
         };
         ChainCursor {
-            kernel,
+            g,
+            cfg,
+            table,
             n: g.domain().len(),
-            nodes: (!edge_selector).then(|| Side::new(g.node_presence_columns())),
-            edges: (edge_selector || rescues).then(|| Side::new(g.edge_presence_columns())),
+            side,
+            incident: BitVec::zeros(if rescuing.is_some() { g.n_nodes() } else { 0 }),
+            rescuing,
             fast,
             current_ref: None,
             step: 0,
+            scope: TimeSet::empty(g.domain().len()),
             scope_match,
-            mask: EventMask::cleared(g),
-            incident: BitVec::zeros(if rescues { g.n_nodes() } else { 0 }),
+            keep: BitVec::zeros(width),
         }
     }
 
-    /// The sides the selector reads.
+    /// The sides an evaluation reads.
     fn sides(&mut self) -> impl Iterator<Item = &mut Side<'g>> {
-        self.nodes.iter_mut().chain(self.edges.iter_mut())
+        std::iter::once(&mut self.side).chain(self.rescuing.as_mut())
     }
 
     /// Adds time point `t` to the scope, and the entities the selector
     /// matches at `t` to the scope's match vector.
     fn grow_scope(&mut self, t: usize) {
-        let (_, _, scope) = self.mask.parts_mut();
-        scope.insert(TimePoint(t as u32));
+        self.scope.insert(TimePoint(t as u32));
         if let FastCount::Pop(Some(m)) = &self.fast {
             if let MatchColumns::PerPoint(cols) = &**m {
                 cols[t].or_into(&mut self.scope_match);
@@ -236,7 +250,7 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         self.step = 0;
         // The extended side starts as the single base point; the other side
         // is the fixed reference. A one-point interval is one column.
-        let (ext_t0, ref_t) = match self.kernel.cfg.extend {
+        let (ext_t0, ref_t) = match self.cfg.extend {
             ExtendSide::New => (i + 1, i),
             ExtendSide::Old => (i, i + 1),
         };
@@ -245,10 +259,9 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         }
         // Base scope per event: stability spans both sides, growth lives in
         // 𝒯new, shrinkage in 𝒯old.
-        let (_, _, scope) = self.mask.parts_mut();
-        scope.clear();
+        self.scope.clear();
         self.scope_match.clear_all();
-        match self.kernel.cfg.event {
+        match self.cfg.event {
             Event::Stability => {
                 self.grow_scope(i);
                 self.grow_scope(i + 1);
@@ -269,7 +282,7 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         metrics::EXPLORE_CURSOR_STEPS.inc();
         self.step += 1;
         #[allow(clippy::expect_used)]
-        let t_added = match self.kernel.cfg.extend {
+        let t_added = match self.cfg.extend {
             ExtendSide::New => i + 1 + self.step,
             ExtendSide::Old => i
                 .checked_sub(self.step)
@@ -279,16 +292,16 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
             t_added < self.n,
             "new side extends at most to the domain end"
         );
-        let semantics = self.kernel.cfg.semantics;
+        let semantics = self.cfg.semantics;
         for side in self.sides() {
             side.extend(t_added, semantics);
         }
         // The scope follows the side(s) the event draws its timestamps
         // from, so it only grows when that side is the extended one.
-        let scope_tracks_ext = match self.kernel.cfg.event {
+        let scope_tracks_ext = match self.cfg.event {
             Event::Stability => true,
-            Event::Growth => self.kernel.cfg.extend == ExtendSide::New,
-            Event::Shrinkage => self.kernel.cfg.extend == ExtendSide::Old,
+            Event::Growth => self.cfg.extend == ExtendSide::New,
+            Event::Shrinkage => self.cfg.extend == ExtendSide::Old,
         };
         if scope_tracks_ext {
             self.grow_scope(t_added);
@@ -306,44 +319,46 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         }
     }
 
-    /// Runs [`event_words`] on the current pair for each side read. With
-    /// `store`, the keep sets are written into the mask and 0 is returned;
-    /// otherwise the selector's side is counted, within a tuple selector's
-    /// match vector, and nothing is written. Kept edges that rescue nodes
-    /// are stored too when `store` is set, and go straight into the
-    /// rescue set otherwise.
+    /// Runs [`event_words`] on the current pair: first, for a node selector
+    /// under a difference event, on the edges, whose kept words go straight
+    /// into the rescue set; then on the selector's side. With `store`, its
+    /// keep words are written into the keep set and 0 is returned;
+    /// otherwise they are counted, within a tuple selector's match vector,
+    /// and nothing is written.
     fn keep_words(&mut self, store: bool) -> u64 {
-        let (cfg, g) = (self.kernel.cfg, self.kernel.g);
-        let (keep_nodes, keep_edges, _) = self.mask.parts_mut();
+        let (event, extend) = (self.cfg.event, self.cfg.extend);
+        if let Some(edges) = &self.rescuing {
+            let (old, new) = edges.old_new(extend);
+            let sink = WordSink::Rescue(self.g, &mut self.incident);
+            event_words(event, old, new, None, sink);
+        }
+        let rescued = self.rescuing.is_some().then(|| self.incident.words());
         let sel = match &self.fast {
             FastCount::Pop(Some(m)) => Some(selection(m, &self.scope_match)),
             _ => None,
         };
-        let mut count = 0;
-        if let Some(edges) = &self.edges {
-            let (old, new) = edges.old_new(cfg.extend);
-            let rescues = self.nodes.is_some();
-            let sink = match (store, rescues) {
-                (true, _) => WordSink::Store(keep_edges),
-                (false, true) => WordSink::Rescue(g, &mut self.incident),
-                (false, false) => WordSink::Count(sel),
-            };
-            count = event_words(cfg.event, old, new, None, sink);
-            if store && rescues {
-                rescue(g, keep_edges.words().iter().copied(), &mut self.incident);
-            }
+        let sink = if store {
+            WordSink::Store(&mut self.keep)
+        } else {
+            WordSink::Count(sel)
+        };
+        let (old, new) = self.side.old_new(extend);
+        event_words(event, old, new, rescued, sink)
+    }
+
+    /// Folds `f` over the non-zero DIST weights of the stored keep set over
+    /// the scope: one weight per group id for a node selector, per ordered
+    /// pair of group ids for an edge selector. The count of an All selector
+    /// is their sum, and §3.5 takes their min or max.
+    pub(super) fn fold_weights<B>(&self, init: B, f: impl FnMut(B, u64) -> B) -> B {
+        let (g, scope, keep, dist) = (self.g, &self.scope, Some(&self.keep), AggMode::Distinct);
+        if self.cfg.selector.is_edge() {
+            let weights = self.table.edge_weights(g, scope, keep, dist);
+            weights.nonzero().map(|(_, w)| w).fold(init, f)
+        } else {
+            let weights = self.table.node_weights(g, scope, keep, dist);
+            weights.into_iter().filter(|&w| w > 0).fold(init, f)
         }
-        if let Some(nodes) = &self.nodes {
-            let (old, new) = nodes.old_new(cfg.extend);
-            let rescued = (cfg.event != Event::Stability).then(|| self.incident.words());
-            let sink = if store {
-                WordSink::Store(keep_nodes)
-            } else {
-                WordSink::Count(sel)
-            };
-            count = event_words(cfg.event, old, new, rescued, sink);
-        }
-        count
     }
 
     /// Evaluates chain pair `(i, j)`: pair `j` of reference `i`'s chain
@@ -363,12 +378,9 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         metrics::EXPLORE_EVALUATIONS.inc();
         match self.fast {
             FastCount::Zero => 0,
-            FastCount::Table if self.mask.scope().len() > 1 => {
+            FastCount::Table if self.scope.len() > 1 => {
                 self.keep_words(true);
-                let kernel = self.kernel;
-                kernel
-                    .table
-                    .count_distinct(kernel.g, &self.mask, &kernel.target)
+                self.fold_weights(0, |sum, w| sum + w)
             }
             // every kept entity counts once; over a single point that holds
             // for a time-varying list too
@@ -376,31 +388,28 @@ impl<'k, 'g> ChainCursor<'k, 'g> {
         }
     }
 
-    /// The mask-only step: positions the cursor on chain pair `(i, j)` as
-    /// [`evaluate_chain_pair`](Self::evaluate_chain_pair) does and returns
-    /// the pair's event mask without counting anything: its scope and the
-    /// keep set of the side the kernel's selector reads — kept edges for an
-    /// edge selector, kept nodes for a node selector, plus the kept edges
-    /// for a node selector under a difference event. The other side's keep
-    /// set is unspecified. Recorded as an evaluation.
+    /// The keep-only step: positions the cursor on chain pair `(i, j)` as
+    /// [`evaluate_chain_pair`](Self::evaluate_chain_pair) does, stores the
+    /// keep set of the selector's side (kept edges for an edge selector,
+    /// kept nodes for a node selector) and returns it with the pair's scope,
+    /// without counting anything. Recorded as an evaluation.
     ///
     /// # Panics
     /// Panics if `(i, j)` is outside the domain's chain table.
-    pub fn mask_chain_pair(&mut self, i: usize, j: usize) -> &EventMask {
+    pub fn keep_chain_pair(&mut self, i: usize, j: usize) -> (&TimeSet, &BitVec) {
         self.seek(i, j);
         let _eval_span = metrics::EXPLORE_EVAL_NS.span();
         metrics::EXPLORE_EVALUATIONS.inc();
         self.keep_words(true);
-        &self.mask
+        (&self.scope, &self.keep)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::engine::chain;
-    use super::super::kernel::evaluate_pair_materialized;
     use super::*;
-    use crate::explore::{ExploreConfig, Selector};
+    use crate::explore::evaluate_pair_materialized;
     use tempo_graph::fixtures::fig1;
 
     /// Jumping straight to the deepest pair (the intersection-increasing
@@ -420,8 +429,7 @@ mod tests {
             selector: Selector::AllEdges,
         };
         let n = g.domain().len();
-        let kernel = ExploreKernel::new(&g, &cfg);
-        let mut cursor = ChainCursor::new(&kernel);
+        let mut cursor = ChainCursor::new(&g, &cfg);
         let pairs = chain(n, 0, cfg.extend);
         let deep = pairs.len() - 1;
         let expect = |j: usize| {
@@ -430,9 +438,9 @@ mod tests {
         // jump straight to the deepest pair, then back to the base pair
         assert_eq!(cursor.evaluate_chain_pair(0, deep), expect(deep));
         assert_eq!(cursor.evaluate_chain_pair(0, 0), expect(0));
-        // and the mask's scope matches the reloaded pair
+        // and the scope matches the reloaded pair
         assert_eq!(
-            cursor.mask_chain_pair(0, 0).scope(),
+            cursor.keep_chain_pair(0, 0).0,
             &pairs[0].told.union(&pairs[0].tnew)
         );
     }

@@ -4,7 +4,6 @@
 
 use super::budget::Budget;
 use super::cursor::ChainCursor;
-use super::kernel::ExploreKernel;
 use super::{direction, ExploreConfig, ExtendSide};
 use tempo_graph::{GraphError, TemporalGraph, TimePoint, TimeSet};
 
@@ -116,8 +115,7 @@ pub fn explore_budgeted(
     budget: &Budget,
 ) -> Result<ExploreOutcome, GraphError> {
     let n = check_domain(g)?;
-    let kernel = ExploreKernel::new(g, cfg);
-    let mut cursor = ChainCursor::new(&kernel);
+    let mut cursor = ChainCursor::new(g, cfg);
     let mut out = ExploreOutcome {
         pairs: Vec::new(),
         evaluations: 0,
@@ -145,7 +143,7 @@ pub(super) fn check_domain(g: &TemporalGraph) -> Result<usize, GraphError> {
 /// budget is polled before every evaluation — the engine's cancellation
 /// checkpoints.
 fn explore_reference(
-    cursor: &mut ChainCursor<'_, '_>,
+    cursor: &mut ChainCursor<'_>,
     cfg: &ExploreConfig,
     n: usize,
     i: usize,

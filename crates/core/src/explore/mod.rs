@@ -19,11 +19,16 @@
 //! | shrinkage | new | ∪ | decreasing | base pairs only |
 //! | shrinkage | old | ∩ | decreasing | I-Explore |
 //! | shrinkage | new | ∩ | increasing | longest-interval check |
+//!
+//! Every strategy and the §3.5 threshold scan evaluate through one object
+//! per run, the [`ChainCursor`]: it resolves the selector against the
+//! snapshot's cached group table and walks the chains incrementally. The
+//! oracles, [`evaluate_pair_materialized`] and [`explore_naive`], evaluate
+//! each pair from a materialized event graph instead.
 
 mod budget;
 mod cursor;
 mod engine;
-mod kernel;
 mod naive;
 mod solve;
 mod threshold;
@@ -31,8 +36,7 @@ mod threshold;
 pub use budget::Budget;
 pub use cursor::ChainCursor;
 pub use engine::{explore, explore_budgeted, ExploreOutcome, IntervalPair};
-pub use kernel::{evaluate_pair_materialized, ExploreKernel};
-pub use naive::explore_naive;
+pub use naive::{evaluate_pair_materialized, explore_naive};
 pub use solve::{solve_problem, EventReport, ProblemReport};
 pub use threshold::{initial_threshold, suggest_k, ThresholdStat};
 

@@ -1,4 +1,5 @@
-//! Exhaustive exploration baseline.
+//! Exhaustive exploration baseline, and the materializing pair evaluation
+//! it runs every pair through.
 //!
 //! Evaluates *every* pair in every reference chain and applies the
 //! minimal/maximal definitions (Definitions 3.4 and 3.5) literally, without
@@ -9,9 +10,36 @@
 //! the cursor's counts against an independent implementation.
 
 use super::engine::{chain, check_domain, ExploreOutcome, IntervalPair};
-use super::kernel::evaluate_pair_materialized;
-use super::{ExploreConfig, Semantics};
-use tempo_graph::{GraphError, TemporalGraph};
+use super::{ExploreConfig, ExtendSide, Semantics};
+use crate::aggregate::{aggregate, AggMode};
+use crate::ops::{event_graph, SideTest};
+use tempo_graph::{GraphError, TemporalGraph, TimeSet};
+
+/// Reference implementation of one pair evaluation: materializes the event
+/// graph with [`event_graph`] — every node name re-interned, static rows
+/// copied, time-varying cells cloned — and aggregates it from scratch with
+/// the hash aggregation. The naive oracle evaluates through it, so the
+/// pruned cursor path is continuously cross-validated against an
+/// independent implementation; no served verb calls it.
+///
+/// # Errors
+/// Returns an error if either interval is empty or an operator fails.
+pub fn evaluate_pair_materialized(
+    g: &TemporalGraph,
+    cfg: &ExploreConfig,
+    told: &TimeSet,
+    tnew: &TimeSet,
+) -> Result<u64, GraphError> {
+    // The extended side uses the chosen semantics; the fixed reference
+    // side is a single point (Any ≡ All).
+    let (old_test, new_test) = match cfg.extend {
+        ExtendSide::Old => (cfg.semantics.side_test(), SideTest::Any),
+        ExtendSide::New => (SideTest::Any, cfg.semantics.side_test()),
+    };
+    let ev = event_graph(g, cfg.event, told, tnew, old_test, new_test)?;
+    let agg = aggregate(&ev, &cfg.attrs, AggMode::Distinct);
+    Ok(cfg.selector.count(&agg))
+}
 
 /// Runs the naive exploration: all chains fully evaluated, then the
 /// minimal (union semantics) or maximal (intersection semantics) qualifying
@@ -61,7 +89,7 @@ pub fn explore_naive(g: &TemporalGraph, cfg: &ExploreConfig) -> Result<ExploreOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, ExploreConfig, ExtendSide, Selector, Semantics};
+    use crate::explore::{explore, Selector};
     use crate::ops::Event;
     use tempo_graph::fixtures::fig1;
 

@@ -6,9 +6,7 @@
 //! `k` is tuned upward), the maximum when it is decreasing (tuned downward).
 
 use super::cursor::ChainCursor;
-use super::kernel::ExploreKernel;
 use super::{direction, Direction, ExploreConfig, Selector};
-use crate::aggregate::AggMode;
 use tempo_graph::{GraphError, TemporalGraph};
 
 /// Which statistic of the consecutive-pair weights to take.
@@ -41,8 +39,7 @@ pub fn initial_threshold(
     // The consecutive pair (𝒯ᵢ, 𝒯ᵢ₊₁) is chain pair (i, 0), so the scan
     // rides the chain-incremental cursor over the snapshot's cached group
     // table and match columns.
-    let kernel = ExploreKernel::new(g, cfg);
-    let mut cursor = ChainCursor::new(&kernel);
+    let mut cursor = ChainCursor::new(g, cfg);
     let pick = |best: Option<u64>, w: u64| {
         Some(match (best, stat) {
             (None, _) => w,
@@ -59,19 +56,12 @@ pub fn initial_threshold(
         // For the All selectors, take the stat over the individual entity
         // weights of the aggregate graph, per §3.5 ("the minimum or maximum
         // weight of the given type of entity"). With single-point sides the
-        // Any and All membership tests coincide, so the cursor's mask is
-        // exactly the event mask the aggregate needs; the weights are read
-        // off the dense accumulators, no aggregate graph is rendered.
-        all => {
-            let mask = cursor.mask_chain_pair(i, 0);
-            let (table, scope, dist) = (kernel.group_table(), mask.scope(), AggMode::Distinct);
-            if all.is_edge() {
-                let weights = table.edge_weights(g, scope, Some(mask.keep_edges()), dist);
-                weights.nonzero().map(|(_, w)| w).fold(None, pick)
-            } else {
-                let weights = table.node_weights(g, scope, Some(mask.keep_nodes()), dist);
-                weights.into_iter().filter(|&w| w > 0).fold(None, pick)
-            }
+        // Any and All membership tests coincide, so the cursor's keep set is
+        // exactly the event's; the weights are read off the dense
+        // accumulators, no aggregate graph is rendered.
+        Selector::AllNodes | Selector::AllEdges => {
+            cursor.keep_chain_pair(i, 0);
+            cursor.fold_weights(None, pick)
         }
     });
     let best = per_pair.fold(None, pick);

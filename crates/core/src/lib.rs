@@ -68,12 +68,12 @@ pub mod measures;
 pub mod ops;
 pub mod zoom;
 
-pub use aggregate::{AggMode, Aggregate, AggregateGraph, CountTarget, GroupTable};
+pub use aggregate::{AggMode, Aggregate, AggregateGraph, GroupTable};
 pub use cube::{GraphCube, Level};
 pub use evolution::{EvolutionAggregate, EvolutionClass, EvolutionGraph, EvolutionWeights};
 pub use explore::{
-    explore, explore_naive, suggest_k, Direction, ExploreConfig, ExploreKernel, ExploreOutcome,
-    ExtendSide, IntervalPair, Selector, Semantics, ThresholdStat,
+    explore, explore_naive, suggest_k, Direction, ExploreConfig, ExploreOutcome, ExtendSide,
+    IntervalPair, Selector, Semantics, ThresholdStat,
 };
 pub use measures::{aggregate_measure, EdgeMeasure, MeasureAggregate, NodeMeasure};
 pub use ops::{

@@ -59,12 +59,14 @@ pub enum Event {
 /// The membership result of an event operator, expressed as packed bitmasks
 /// over the *source* graph's node and edge rows.
 ///
-/// This is the zero-materialization half of the exploration kernel: where
-/// [`event_graph`] copies the selected entities into a fresh
+/// Where [`event_graph`] copies the selected entities into a fresh
 /// [`TemporalGraph`], an `EventMask` merely records *which* rows of `g`
 /// belong to the event graph and over which `scope` their timestamps count.
 /// Aggregation can then run directly against the source presence columns
-/// (see `graphtempo::aggregate::GroupTable`).
+/// (see `graphtempo::aggregate::GroupTable`). [`event_mask`] is its one
+/// constructor; `agg op=intersect|diff`, the operator verbs and the oracles
+/// read it. Exploration stores no mask: its cursor keeps one keep set of the
+/// selector's side.
 #[must_use = "a mask computed and dropped is a lost result"]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventMask {
@@ -114,21 +116,6 @@ impl EventMask {
     /// Source row indices of kept edges, ascending.
     pub fn edge_rows(&self) -> Vec<usize> {
         self.keep_edges.iter_ones().collect()
-    }
-
-    /// Allocates an all-clear mask shaped for `g` (crate-internal: the
-    /// chain cursor owns one mask and rewrites it in place per step).
-    pub(crate) fn cleared(g: &TemporalGraph) -> EventMask {
-        EventMask {
-            keep_nodes: BitVec::zeros(g.n_nodes()),
-            keep_edges: BitVec::zeros(g.n_edges()),
-            scope: TimeSet::empty(g.domain().len()),
-        }
-    }
-
-    /// Mutable access to the three components for in-place rewriting.
-    pub(crate) fn parts_mut(&mut self) -> (&mut BitVec, &mut BitVec, &mut TimeSet) {
-        (&mut self.keep_nodes, &mut self.keep_edges, &mut self.scope)
     }
 }
 

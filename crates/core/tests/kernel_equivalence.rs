@@ -5,19 +5,18 @@
 //! * the column-wise `event_mask` vs its row-wise oracle and vs
 //!   `event_graph`;
 //! * `GroupTable::aggregate_masked` vs `aggregate` of the materialized
-//!   subgraph, `count_distinct` vs `Selector::count`;
-//! * both `ChainCursor` steps (`evaluate_chain_pair`, and `mask_chain_pair`
-//!   counted by `count_distinct`) vs `evaluate_pair_materialized`, and the
-//!   mask of `mask_chain_pair` vs `event_mask` bit for bit, at every chain
-//!   coordinate of every Table-1 row, selector shape, group-table layout
-//!   and column layout;
+//!   subgraph;
+//! * the one exploration object, `ChainCursor`: its count
+//!   (`evaluate_chain_pair`) vs `evaluate_pair_materialized`, and its keep
+//!   step (`keep_chain_pair`) vs the scope and the selector's side of
+//!   `event_mask` bit for bit, at every chain coordinate of every Table-1
+//!   row, selector shape, group-table layout and column layout;
 //! * `explore` vs `explore_naive`, and budget cancellation;
 //! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
 //!   consecutive pairs' materialized aggregates;
 //! * the DIST walk across 64-entity words and 64-point chunks of a scope,
-//!   through `aggregate_masked`, `count_distinct` and `evolution_aggregate`,
-//!   the last also with its two sides overlapping, reversed, equal and
-//!   interleaved;
+//!   through `aggregate_masked` and `evolution_aggregate`, the last also
+//!   with its two sides overlapping, reversed, equal and interleaved;
 //! * the ALL walk on the same graphs, through `aggregate_masked`, every
 //!   `GraphCube` level and `aggregate_measure`, and `aggregate_measure` of
 //!   a static numeric attribute and of edge values against `naive_measure`;
@@ -25,13 +24,12 @@
 //!   (`aggregate_union`, `evolution_aggregate`), against the same walk
 //!   under the union's keep set and the materialized union graph.
 
-use graphtempo::aggregate::{aggregate, rollup, AggMode, CountTarget, GroupTable, NodeTimeFilter};
+use graphtempo::aggregate::{aggregate, rollup, AggMode, GroupTable, NodeTimeFilter};
 use graphtempo::cube::GraphCube;
 use graphtempo::evolution::{evolution_aggregate, evolution_aggregate_naive, EvolutionWeights};
 use graphtempo::explore::{
     evaluate_pair_materialized, explore, explore_budgeted, explore_naive, initial_threshold,
-    suggest_k, Budget, ChainCursor, ExploreConfig, ExploreKernel, ExtendSide, Selector, Semantics,
-    ThresholdStat,
+    suggest_k, Budget, ChainCursor, ExploreConfig, ExtendSide, Selector, Semantics, ThresholdStat,
 };
 use graphtempo::measures::{aggregate_measure, EdgeMeasure, MeasureAggregate, NodeMeasure};
 use graphtempo::ops::{event_graph, event_mask, union, Event, SideTest};
@@ -112,13 +110,12 @@ fn table1_configs(g: &TemporalGraph, attr_lists: &[Vec<AttrId>], k: u64) -> Vec<
 }
 
 /// Drives two cursors over each column layout through every chain
-/// coordinate — one counting with `evaluate_chain_pair`, one handing the
-/// mask of `mask_chain_pair` to `count_distinct` — and checks each count
-/// against the materializing oracle and the mask against `event_mask` on
-/// the scope and every keep set the selector reads (both oracles computed
-/// once per coordinate: they do not depend on the layout). The second
-/// cursor of a layout finds the selector's match columns cached by the
-/// first.
+/// coordinate — one counting with `evaluate_chain_pair`, one storing with
+/// `keep_chain_pair` — and checks each count against the materializing
+/// oracle, and each scope and keep set against the scope and the
+/// selector's side of `event_mask` (both oracles computed once per
+/// coordinate: they do not depend on the layout). The second cursor of a
+/// layout finds the selector's match columns cached by the first.
 fn assert_cursors_match_oracle(
     layouts: &[TemporalGraph],
     cfg: &ExploreConfig,
@@ -130,11 +127,6 @@ fn assert_cursors_match_oracle(
         ExtendSide::Old => (cfg.semantics.side_test(), SideTest::Any),
         ExtendSide::New => (SideTest::Any, cfg.semantics.side_test()),
     };
-    // an edge selector reads the kept edges; a node selector the kept
-    // nodes, and under a difference event the kept edges that rescue their
-    // endpoints
-    let read_edges = cfg.selector.is_edge() || cfg.event != Event::Stability;
-    let read_nodes = !cfg.selector.is_edge();
     let mut expected = Vec::new();
     for i in 0..n - 1 {
         for j in 0..chain_len(n, i, cfg.extend) {
@@ -146,16 +138,8 @@ fn assert_cursors_match_oracle(
         }
     }
     for g in layouts {
-        let kernel = ExploreKernel::new(g, cfg);
-        let table = kernel.group_table();
-        let target = match &cfg.selector {
-            Selector::AllNodes => CountTarget::AllNodes,
-            Selector::AllEdges => CountTarget::AllEdges,
-            Selector::NodeTuple(t) => CountTarget::node(table, t),
-            Selector::EdgeTuple(s, d) => CountTarget::edge(table, s, d),
-        };
-        let mut counting = ChainCursor::new(&kernel);
-        let mut masking = ChainCursor::new(&kernel);
+        let mut counting = ChainCursor::new(g, cfg);
+        let mut keeping = ChainCursor::new(g, cfg);
         for &(i, j, want, ref oracle) in &expected {
             let at = || {
                 format!(
@@ -168,31 +152,16 @@ fn assert_cursors_match_oracle(
                     g.sparse_mode()
                 )
             };
-            let mask = masking.mask_chain_pair(i, j);
-            prop_assert_eq!(mask.scope(), oracle.scope(), "mask scope: {}", at());
-            if read_nodes {
-                prop_assert_eq!(
-                    mask.keep_nodes(),
-                    oracle.keep_nodes(),
-                    "kept nodes: {}",
-                    at()
-                );
-            }
-            if read_edges {
-                prop_assert_eq!(
-                    mask.keep_edges(),
-                    oracle.keep_edges(),
-                    "kept edges: {}",
-                    at()
-                );
-            }
-            let masked = table.count_distinct(g, mask, &target);
-            for (name, got) in [
-                ("counting", counting.evaluate_chain_pair(i, j)),
-                ("masking", masked),
-            ] {
-                prop_assert_eq!(got, want, "{} cursor vs oracle: {}", name, at());
-            }
+            let (scope, keep) = keeping.keep_chain_pair(i, j);
+            prop_assert_eq!(scope, oracle.scope(), "scope: {}", at());
+            let side = if cfg.selector.is_edge() {
+                oracle.keep_edges()
+            } else {
+                oracle.keep_nodes()
+            };
+            prop_assert_eq!(keep, side, "keep set: {}", at());
+            let got = counting.evaluate_chain_pair(i, j);
+            prop_assert_eq!(got, want, "cursor vs oracle: {}", at());
         }
     }
     Ok(())
@@ -305,51 +274,14 @@ proptest! {
         }
     }
 
-    /// `count_distinct` against the mask equals `Selector::count` on the
-    /// distinct aggregate of the materialized event graph — for the All
-    /// selectors and for every per-entity tuple the aggregate contains.
-    #[test]
-    fn count_distinct_matches_selector_count(
-        g in graph_strategy(), s1 in any::<u64>(), s2 in any::<u64>()
-    ) {
-        let n = g.domain().len();
-        let (told, tnew) = (interval(n, s1), interval(n, s2));
-        for attrs in attr_sets(&g) {
-            #[allow(clippy::disallowed_methods)] // the oracle side builds its table uncached
-            let table = GroupTable::build(&g, &attrs);
-            for event in EVENTS {
-                let mask = event_mask(&g, event, &told, &tnew, SideTest::Any, SideTest::Any)
-                    .unwrap();
-                let sub = event_graph(&g, event, &told, &tnew, SideTest::Any, SideTest::Any)
-                    .unwrap();
-                let agg = aggregate(&sub, &attrs, AggMode::Distinct);
-                prop_assert_eq!(
-                    table.count_distinct(&g, &mask, &CountTarget::AllNodes),
-                    Selector::AllNodes.count(&agg)
-                );
-                prop_assert_eq!(
-                    table.count_distinct(&g, &mask, &CountTarget::AllEdges),
-                    Selector::AllEdges.count(&agg)
-                );
-                for (tuple, w) in agg.iter_nodes() {
-                    let target = CountTarget::node(&table, tuple);
-                    prop_assert_eq!(table.count_distinct(&g, &mask, &target), w);
-                }
-                for ((src, dst), w) in agg.iter_edges() {
-                    let target = CountTarget::edge(&table, src, dst);
-                    prop_assert_eq!(table.count_distinct(&g, &mask, &target), w);
-                }
-            }
-        }
-    }
-
-    /// Both cursor steps evaluate every chain coordinate to the oracle's
-    /// count — across all twelve Table-1 rows, every selector shape
+    /// The cursor's count equals the oracle's, and its keep set and scope
+    /// the event mask's, at every chain coordinate — across all twelve Table-1 rows, every selector shape
     /// (present and absent tuples), the three group-table layouts (on
     /// static `kind` every count is a popcount; on time-varying `level` and
     /// the mixed list the tuple selectors are popcounts against the scope's
-    /// folded match columns and the All selectors the distinct scan, or a
-    /// popcount where the scope is one point) and both column layouts.
+    /// folded match columns and the All selectors the sum of the DIST
+    /// weights, or a popcount where the scope is one point) and both column
+    /// layouts.
     #[test]
     fn cursors_match_oracle_at_every_coordinate(g in graph_strategy()) {
         let layouts = both_layouts(&g);
@@ -447,8 +379,8 @@ proptest! {
         prop_assert_eq!(free.evaluations, plain.evaluations);
     }
 
-    /// `initial_threshold` — the cursor's mask step plus the dense weight
-    /// passes — equals the naive scan for both statistics, every event, extend
+    /// `initial_threshold` — the cursor's keep step plus the fold of the
+    /// DIST weights — equals the naive scan for both statistics, every event, extend
     /// side, semantics, selector shape, group-table layout and column
     /// layout; `suggest_k` picks the statistic the direction table names.
     #[test]
@@ -523,20 +455,19 @@ fn empty_masks_agree() {
         attrs: vec![kind],
         selector: Selector::AllNodes,
     };
-    let kernel = ExploreKernel::new(&g, &cfg);
-    let mut cursor = ChainCursor::new(&kernel);
+    let mut cursor = ChainCursor::new(&g, &cfg);
     assert_eq!(
         cursor.evaluate_chain_pair(0, 0),
         2,
         "a and c vanish after t0"
     );
-    assert!(cursor.mask_chain_pair(0, 0).keep_edges().count_ones() > 0);
+    assert_eq!(cursor.keep_chain_pair(0, 0).1.count_ones(), 2);
     assert_eq!(
         cursor.evaluate_chain_pair(1, 0),
         0,
         "t1 and t2 are both empty"
     );
-    assert!(cursor.mask_chain_pair(1, 0).keep_nodes().is_zero());
+    assert!(cursor.keep_chain_pair(1, 0).1.is_zero());
 }
 
 /// On an appended epoch the old presence columns are stored more than 64
@@ -955,9 +886,8 @@ fn render_measure(g: &TemporalGraph, group: &[AttrId], spec: &str, m: &MeasureAg
     out.trim_end().to_owned()
 }
 
-/// DIST `aggregate_masked` and `count_distinct` over the union 𝒯₁ ∪ 𝒯₂
-/// against the materialized union graph, on the static, time-varying and
-/// mixed lists.
+/// DIST `aggregate_masked` over the union 𝒯₁ ∪ 𝒯₂ against the
+/// materialized union graph, on the static, time-varying and mixed lists.
 fn assert_walks_match_oracles(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) {
     let scope = t1.union(t2);
     let any = SideTest::Any;
@@ -972,14 +902,5 @@ fn assert_walks_match_oracles(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) {
             dist,
             "{attrs:?}"
         );
-        for (target, selector) in [
-            (CountTarget::AllNodes, Selector::AllNodes),
-            (CountTarget::AllEdges, Selector::AllEdges),
-        ] {
-            assert_eq!(
-                table.count_distinct(g, &mask, &target),
-                selector.count(&dist)
-            );
-        }
     }
 }

@@ -48,7 +48,8 @@ metrics! {
     Histogram EXPLORE_EVAL_NS = "explore.eval_ns";
     /// Interval pairs evaluated; the sum of `ExploreOutcome::evaluations`.
     Counter EXPLORE_EVALUATIONS = "explore.evaluations";
-    /// Time to set up one exploration kernel (group table + count target).
+    /// Time to set up one chain cursor (group table, resolved selector, side
+    /// accumulators).
     Histogram EXPLORE_KERNEL_BUILD_NS = "explore.kernel_build_ns";
     /// Selector match columns built for a tuple selector.
     Counter EXPLORE_MATCH_COLS_BUILDS = "explore.match_cols.builds";

@@ -5,17 +5,21 @@
 //! a slow erosion over several changes would pass it every time. These tests
 //! hold absolute numbers instead: the live heap of a quarter-scale DBLP
 //! graph, the bytes of value storage per materialised cell (a `u32` code;
-//! 24-byte `Value`s before), and the high-water mark of one DIST count and
-//! of the whole-graph `agg` and `cube` reads over the whole of DBLP, which
-//! must not hold anything as long as the entities.
+//! 24-byte `Value`s before), and the high-water marks of one DIST count,
+//! of the whole-graph `agg` and `cube` reads over the whole of
+//! DBLP and of a filtered two-point `evolution`, none of which may hold
+//! anything as long as the entities.
 
-use graphtempo::aggregate::{AggMode, AggregateGraph, CountTarget, GroupTable};
+use graphtempo::aggregate::{AggMode, AggregateGraph, GroupTable};
 use graphtempo::cube::{GraphCube, Level};
-use graphtempo::ops::{event_mask, Event, SideTest};
+use graphtempo::evolution::evolution_aggregate;
+use graphtempo::explore::{ChainCursor, ExploreConfig, ExtendSide, Selector, Semantics};
+use graphtempo::ops::Event;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use tempo_datagen::DblpConfig;
+use tempo_graph::{NodeId, TimePoint, TimeSet};
 
 /// Bytes currently allocated through the global allocator.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -102,34 +106,47 @@ fn generated_graph_stays_small() {
     );
 }
 
-/// One DIST edge count over all 21 points of DBLP on `gender,publications`
-/// peaks at its `n_groups²` accumulator plus walk state the size of the
-/// scope. A per-entity array (one bit per edge, or a first key per edge)
-/// would not fit.
+/// One DIST edge count over all 21 points of DBLP on
+/// `gender,publications` — an `explore` evaluation of the All-edge selector
+/// on a list with a time-varying attribute, which sums the DIST weights of
+/// the cursor's keep set — peaks at its `n_groups²` accumulator plus walk
+/// state the size of the scope. A per-entity array would not fit: one bit
+/// per edge is twice the bound's `n_edges / 16` bytes, and a first key per
+/// edge far more.
 #[test]
 fn a_distinct_count_allocates_nothing_per_entity() {
     let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let g = DblpConfig::scaled(1.0).generate().unwrap();
-    let attrs = ["gender", "publications"].map(|a| g.schema().id(a).unwrap());
-    let table = GroupTable::cached(&g, &attrs);
-    let all = g.domain().all();
-    let any = SideTest::Any;
-    let mask = event_mask(&g, Event::Stability, &all, &all, any, any).unwrap();
-    assert_eq!(all.len(), 21);
+    let cfg = ExploreConfig {
+        event: Event::Stability,
+        extend: ExtendSide::Old,
+        semantics: Semantics::Union,
+        k: 1,
+        attrs: ["gender", "publications"]
+            .map(|a| g.schema().id(a).unwrap())
+            .to_vec(),
+        selector: Selector::AllEdges,
+    };
+    let n_groups = GroupTable::cached(&g, &cfg.attrs).n_groups();
+    // the last pair of the last reference's chain, ({0..19}, {20}), scopes
+    // all 21 points; the cursor is positioned there before the count is
+    // measured
+    let mut cursor = ChainCursor::new(&g, &cfg);
+    let last = g.domain().len() - 2;
+    assert_eq!(cursor.keep_chain_pair(last, last).0.len(), 21);
 
     let before = reset_peak();
-    let count = table.count_distinct(&g, &mask, &CountTarget::AllEdges);
+    let count = cursor.evaluate_chain_pair(last, last);
     let peak = PEAK.load(Ordering::Relaxed) - before;
-    let bound = table.n_groups().pow(2) * 8 + (64 << 10);
+    let bound = n_groups.pow(2) * 8 + g.n_edges() / 16;
     println!(
-        "{peak} B peak for {count} (edge, tuple) pairs of {} edges",
+        "{peak} B peak, bound {bound} B, for {count} (edge, tuple) pairs of {} edges",
         g.n_edges()
     );
     assert!(count > 0);
     assert!(
         peak < bound,
-        "{peak} B peak, bound {bound} B ({} groups, {} edges)",
-        table.n_groups(),
+        "{peak} B peak, bound {bound} B ({n_groups} groups, {} edges)",
         g.n_edges()
     );
 }
@@ -164,4 +181,32 @@ fn whole_graph_reads_allocate_nothing_per_entity() {
         assert!(answer.total_edge_weight() > 0, "{what}");
         assert!(peak < bound, "{what}: {peak} B peak, bound {bound} B");
     }
+}
+
+/// `evolution t1=#15 t2=#16 attrs=gender filter=publications>4` on DBLP
+/// evaluates its filter into one pass column per point of the scope, and
+/// none outside it: the whole request peaks below half a byte per node.
+#[test]
+fn a_filtered_evolution_allocates_only_for_its_scope() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = DblpConfig::scaled(1.0).generate().unwrap();
+    let [gender, pubs] = ["gender", "publications"].map(|a| g.schema().id(a).unwrap());
+    let matrix = g.tv_table(pubs).unwrap();
+    let filter = |_: &_, n: NodeId, t: TimePoint| {
+        matrix
+            .get(n.index(), t.index())
+            .as_int()
+            .is_some_and(|v| v > 4)
+    };
+    let n = g.domain().len();
+    let [t1, t2] = [15, 16].map(|t| TimeSet::range(n, t, t));
+    assert!(GroupTable::cached(&g, &[gender]).is_static());
+
+    let before = reset_peak();
+    let evo = evolution_aggregate(&g, &t1, &t2, &[gender], Some(&filter)).unwrap();
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let bound = g.n_nodes() / 2;
+    println!("{peak} B peak, bound {bound} B");
+    assert!(evo.total_edge_weight().stability > 0);
+    assert!(peak < bound, "{peak} B peak, bound {bound} B");
 }
