@@ -218,13 +218,6 @@ impl BitVec {
         &self.words
     }
 
-    /// Crate-internal mutable view of the packed words. Callers must keep
-    /// the tail clean (only set bits below `len()`).
-    #[inline]
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Widens the vector to `nbits` bits; the new bits are clear (a
     /// presence column growing with the entities appended after it).
     ///
@@ -382,16 +375,48 @@ impl BitVec {
         self.debug_validate();
     }
 
-    /// Overwrites the packed words with `words`, one item per word in
-    /// order (extra items are ignored, and a word without an item keeps its
-    /// bits), then clears every bit past `len()` the items set: the writer
-    /// for callers that compute whole 64-entity words.
-    pub fn write_words(&mut self, words: impl IntoIterator<Item = u64>) {
-        for (out, w) in self.words.iter_mut().zip(words) {
-            *out = w;
+    /// Makes the vector `nbits` wide and fills it with `words`, one item
+    /// per word in order (extra items are ignored, and a word without an
+    /// item reads zero), then clears every bit past `nbits` the items set:
+    /// the writer for callers that compute whole 64-entity words. The
+    /// allocation is reused when it is large enough, and no word is
+    /// written twice.
+    pub fn set_words(&mut self, nbits: usize, words: impl IntoIterator<Item = u64>) {
+        let n = words_for(nbits);
+        self.nbits = nbits;
+        self.words.clear();
+        if self.words.capacity() < n {
+            // a fresh block: the old words need no copy
+            self.words = Vec::new();
+            self.words.reserve_exact(n);
         }
+        self.words.extend(words.into_iter().take(n));
+        self.words.resize(n, 0);
         self.clear_tail();
         self.debug_validate();
+    }
+
+    /// Drops the trailing zero words: the vector ends at its last non-zero
+    /// word (or at `len()`, if that is sooner), and frees what it no
+    /// longer stores.
+    pub(crate) fn trim(&mut self) {
+        let n = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |w| w + 1);
+        self.nbits = self.nbits.min(n * WORD_BITS);
+        self.words.truncate(n);
+        self.words.shrink_to_fit();
+        self.debug_validate();
+    }
+
+    /// The width and the words at once, for the folds that set an
+    /// accumulator to the width of what it holds. Callers keep
+    /// `words.len()` at the width's word count and the tail clean.
+    #[inline]
+    pub(crate) fn raw_mut(&mut self) -> (&mut usize, &mut Vec<u64>) {
+        (&mut self.nbits, &mut self.words)
     }
 
     /// In-place bitwise OR.
@@ -559,12 +584,30 @@ mod tests {
     }
 
     #[test]
-    fn write_words_keeps_the_tail_clean() {
-        let mut v = BitVec::zeros(130);
-        v.write_words([u64::MAX, 1 << 63, u64::MAX]);
+    fn set_words_keeps_the_tail_clean() {
+        let mut v = BitVec::ones(300);
+        v.set_words(130, [u64::MAX, 1 << 63, u64::MAX, u64::MAX]);
         assert_eq!(v.check_invariants(), Ok(()));
+        assert_eq!(v.len(), 130);
         assert_eq!(v.count_ones(), 64 + 1 + 2);
         assert_eq!(v.iter_ones().skip(64).collect::<Vec<_>>(), [127, 128, 129]);
+        // a word without an item reads zero
+        v.set_words(200, [1]);
+        assert_eq!((v.len(), v.words().len()), (200, 4));
+        assert_eq!(v.iter_ones().collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn trim_ends_at_the_last_non_zero_word() {
+        let mut v = BitVec::from_indices(300, [3, 70]);
+        v.trim();
+        assert_eq!((v.len(), v.words().len()), (128, 2));
+        let mut v = BitVec::from_indices(130, [129]);
+        v.trim();
+        assert_eq!((v.len(), v.words().len()), (130, 3));
+        let mut v = BitVec::zeros(130);
+        v.trim();
+        assert_eq!((v.len(), v.words().len()), (0, 0));
     }
 
     #[test]

@@ -1,22 +1,32 @@
 //! Hybrid dense/sparse presence columns, and the per-time-point column list
 //! that is a graph's presence.
 //!
-//! A presence column ("which entities exist at time point `t`") is often extremely sparse on large graphs: a 1M-node graph stores each
-//! column as 15 625 packed words even when only a few hundred nodes are
-//! alive. [`PresenceColumn`] keeps the dense [`BitVec`] layout for columns
-//! where word-parallel folds win, and switches to a sorted-ID list when the
-//! column holds fewer set bits than the dense form holds *words* — at that
-//! point walking the IDs touches strictly less memory than reading the
-//! words. The op surface is the three folds of a column into a dense
-//! accumulator (`copy_into`, `or_into`, `and_assign_into`), so callers
-//! fold either representation without branching at every word.
+//! A presence column ("which entities exist at time point `t`") holds its
+//! bits in a prefix of the entity space: entity IDs are handed out in
+//! order of first appearance, so the bits of time point `t` end where the
+//! entities of `t` end. Every column is therefore **stored only up to its
+//! last non-zero word** ([`PresenceColumn::from_bitvec`], the one
+//! constructor, drops the rest), and reads zero past its end. At 4× DBLP
+//! that keeps about a third of the edge words.
 //!
-//! Columns are **zero-extended**: a column may be *shorter* than the dense
-//! operands it folds into, in which case its missing suffix reads as all
-//! zeros. This is what lets a versioned snapshot carry a time point's
-//! column forward unchanged while the entity space keeps growing —
-//! entities created after the column's epoch are absent at it by
-//! construction.
+//! [`PresenceColumn`] keeps the dense [`BitVec`] layout for columns where
+//! word-parallel folds win, and switches to a sorted-ID list when the
+//! column holds fewer set bits than its *stored* dense form holds words
+//! (`nnz · 64 ≤ nbits`, on the trimmed width) — at that point walking the
+//! IDs touches strictly less memory than reading the words. The op surface
+//! is the three folds of a column into an accumulator (`copy_into`,
+//! `or_into`, `and_assign_into`), so callers fold either representation
+//! without branching at every word. An accumulator takes the width of what
+//! it holds: a copy the column's stored width, an OR the hull of both
+//! widths and an AND their intersection, so no fold touches a word past
+//! the operands' ends.
+//!
+//! Columns are **zero-extended**: a column may be *shorter* than the
+//! entity space and than the operands it meets, and its missing suffix
+//! reads as all zeros. This is also what lets a versioned snapshot carry a
+//! time point's column forward unchanged while the entity space keeps
+//! growing — entities created after the column's epoch are absent at it
+//! by construction.
 
 use std::sync::Arc;
 
@@ -36,7 +46,8 @@ const WORD_BITS: usize = 64;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SparseMode {
     /// Pick per column: sparse iff the column has fewer set bits than the
-    /// dense form has words (`nnz * 64 <= nbits`).
+    /// dense form stores words (`nnz * 64 <= nbits`, on the width trimmed
+    /// to the last non-zero word).
     #[default]
     Auto,
     /// Every column stays dense (the pre-hybrid layout).
@@ -93,11 +104,13 @@ pub enum PresenceColumn {
 }
 
 impl PresenceColumn {
-    /// Wraps a [`BitVec`] choosing the representation per `mode`.
+    /// Wraps a [`BitVec`], first trimmed to its last non-zero word, then
+    /// laid out per `mode` on the trimmed width.
     ///
     /// Columns wider than the `u32` ID range can never go sparse: the
     /// policy is overridden to dense instead of failing the build.
-    pub fn from_bitvec(bv: BitVec, mode: SparseMode) -> Self {
+    pub fn from_bitvec(mut bv: BitVec, mode: SparseMode) -> Self {
+        bv.trim();
         if choose_representation(bv.len(), bv.count_ones(), mode) {
             let ids: Vec<u32> = bv.iter_ones().map(|i| i as u32).collect();
             PresenceColumn::Sparse(SparseIds {
@@ -109,7 +122,8 @@ impl PresenceColumn {
         }
     }
 
-    /// Width of the column in bits (the entity rows it spans).
+    /// Stored width of the column in bits: it ends at the word of its last
+    /// set bit, and reads zero past it.
     #[inline]
     pub fn len(&self) -> usize {
         match self {
@@ -223,14 +237,36 @@ impl PresenceColumn {
     /// Validates the representation invariants: a dense column satisfies
     /// [`BitVec::check_invariants`]; a sparse column's IDs are strictly
     /// increasing and all below `len()` (the galloping intersection and
-    /// every word-walk kernel assume sorted unique in-range IDs).
+    /// every word-walk kernel assume sorted unique in-range IDs). Either
+    /// column ends at the word of its last set bit: a dense one whose last
+    /// stored word is zero, or a sparse one whose width runs past its last
+    /// ID's word, was built without trimming.
     ///
     /// # Errors
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         match self {
-            PresenceColumn::Dense(bv) => bv.check_invariants(),
+            PresenceColumn::Dense(bv) => {
+                bv.check_invariants()?;
+                match bv.words().last() {
+                    Some(&0) => Err(format!(
+                        "dense column of {} bits stored past its last set word",
+                        bv.len()
+                    )),
+                    _ => Ok(()),
+                }
+            }
             PresenceColumn::Sparse(s) => {
+                let end = s
+                    .ids
+                    .last()
+                    .map_or(0, |&i| (i as usize / WORD_BITS + 1) * WORD_BITS);
+                if s.nbits > end {
+                    return Err(format!(
+                        "sparse column of {} bits runs past its last ID's word (ends at {end})",
+                        s.nbits
+                    ));
+                }
                 for w in s.ids.windows(2) {
                     if w[0] >= w[1] {
                         return Err(format!(
@@ -249,77 +285,63 @@ impl PresenceColumn {
         }
     }
 
-    /// Overwrites `out` with this column's bits (`out = col`), zeroing any
-    /// suffix of `out` beyond the column's stored width.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than `out`.
+    /// Overwrites `out` with this column's bits (`out = col`): `out` takes
+    /// the column's stored width.
     pub fn copy_into(&self, out: &mut BitVec) {
         match self {
-            PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), out.len());
-                let wl = bv.words().len();
-                let words = out.words_mut();
-                words[..wl].copy_from_slice(bv.words());
-                words[wl..].fill(0);
-            }
+            PresenceColumn::Dense(bv) => out.set_words(bv.len(), bv.words().iter().copied()),
             PresenceColumn::Sparse(s) => {
-                s.check_width(out);
-                out.clear_all();
-                let words = out.words_mut();
-                for &id in &s.ids {
-                    words[id as usize / WORD_BITS] |= 1u64 << (id as usize % WORD_BITS);
-                }
+                out.set_words(s.nbits, []);
+                s.set_ids(out.raw_mut().1);
             }
         }
     }
 
-    /// `acc |= col`, the cursor's union-extension fold.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than `acc`.
+    /// `acc |= col`, the cursor's union-extension fold: `acc` takes the
+    /// hull of both widths, and the column's words past `acc`'s end are
+    /// copied, not ORed into zeros.
     pub fn or_into(&self, acc: &mut BitVec) {
+        let (nbits, words) = acc.raw_mut();
+        *nbits = (*nbits).max(self.len());
         match self {
             PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), acc.len());
-                let wl = bv.words().len();
-                kernels::or_assign(bv.words(), &mut acc.words_mut()[..wl]);
+                let n = words.len().min(bv.words().len());
+                kernels::or_assign(&bv.words()[..n], &mut words[..n]);
+                words.reserve_exact(bv.words().len() - n);
+                words.extend_from_slice(&bv.words()[n..]);
             }
             PresenceColumn::Sparse(s) => {
-                s.check_width(acc);
-                let words = acc.words_mut();
-                for &id in &s.ids {
-                    words[id as usize / WORD_BITS] |= 1u64 << (id as usize % WORD_BITS);
-                }
+                let n = nbits.div_ceil(WORD_BITS);
+                words.reserve_exact(n - words.len());
+                words.resize(n, 0);
+                s.set_ids(words);
             }
         }
     }
 
-    /// `acc &= col`, the cursor's intersection-extension fold. The sparse
-    /// path zeroes the gaps between occupied words with slice fills
-    /// (memset-speed) and masks only the words the ID list touches, so the
-    /// traffic is one write stream plus O(nnz) — less than the dense
-    /// two-read-one-write AND, not just competitive with it.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than `acc`.
+    /// `acc &= col`, the cursor's intersection-extension fold: `acc` takes
+    /// the intersection of both widths, so nothing past the shorter one is
+    /// zeroed. The sparse path zeroes the gaps between occupied words with
+    /// slice fills (memset-speed) and masks only the words the ID list
+    /// touches, so the traffic is one write stream plus O(nnz) — less than
+    /// the dense two-read-one-write AND, not just competitive with it.
     pub fn and_assign_into(&self, acc: &mut BitVec) {
+        let (nbits, words) = acc.raw_mut();
+        *nbits = (*nbits).min(self.len());
+        words.truncate(nbits.div_ceil(WORD_BITS));
         match self {
             PresenceColumn::Dense(bv) => {
-                check_col_width(bv.len(), acc.len());
-                let wl = bv.words().len();
-                let words = acc.words_mut();
-                kernels::and_assign(bv.words(), &mut words[..wl]);
-                // zero-extension: the column is all-zero past its width
-                words[wl..].fill(0);
+                let n = words.len();
+                kernels::and_assign(&bv.words()[..n], words);
             }
             PresenceColumn::Sparse(s) => {
-                s.check_width(acc);
-                let words = acc.words_mut();
                 let mut next = 0usize; // first word not yet finalized
                 let mut p = 0usize;
                 while p < s.ids.len() {
                     let w = s.ids[p] as usize / WORD_BITS;
+                    if w >= words.len() {
+                        break;
+                    }
                     let mut mask = 0u64;
                     while p < s.ids.len() && s.ids[p] as usize / WORD_BITS == w {
                         mask |= 1u64 << (s.ids[p] as usize % WORD_BITS);
@@ -578,12 +600,12 @@ impl BlockWords<'_> {
 }
 
 impl SparseIds {
-    /// Sparse columns only require the operand to cover the ID space
-    /// (zero-extension lets the column be shorter than the operand; every
-    /// stored ID is below `nbits`, hence in range for the operand too).
+    /// Sets the column's bits in `words`, which cover its width.
     #[inline]
-    fn check_width(&self, other: &BitVec) {
-        check_col_width(self.nbits, other.len());
+    fn set_ids(&self, words: &mut [u64]) {
+        for &id in &self.ids {
+            words[id as usize / WORD_BITS] |= 1u64 << (id as usize % WORD_BITS);
+        }
     }
 }
 
@@ -728,8 +750,8 @@ mod tests {
             ),
             ("and_assign_into", |c, acc| c.and_assign_into(acc)),
         ] {
-            so.copy_from(&acc0);
-            dd.copy_from(&acc0);
+            so = acc0.clone();
+            dd = acc0.clone();
             op(&s, &mut so);
             op(&d, &mut dd);
             assert_eq!(so, dd, "{name}");
@@ -786,16 +808,81 @@ mod tests {
     #[should_panic(expected = "wider than operand")]
     fn column_wider_than_operand_panics() {
         let s = sparse(12, &[3]);
-        let mut acc = BitVec::zeros(11);
-        s.or_into(&mut acc);
+        s.iter_ones_and(&BitVec::zeros(11)).for_each(drop);
     }
 
     #[test]
     #[should_panic(expected = "wider than operand")]
     fn dense_column_wider_than_operand_panics() {
         let d = dense(12, &[3]);
-        let mut acc = BitVec::zeros(11);
-        d.and_assign_into(&mut acc);
+        d.iter_ones_and(&BitVec::zeros(11)).for_each(drop);
+    }
+
+    /// Both layouts keep a column only up to the word of its last set bit,
+    /// and pick the layout by the density of that trimmed width.
+    #[test]
+    fn from_bitvec_trims_before_it_picks_the_layout() {
+        // two ones in 300 bits: sparse on the full width, dense on the one
+        // word they sit in
+        let bits = || BitVec::from_indices(300, [3, 5]);
+        let auto = PresenceColumn::from_bitvec(bits(), SparseMode::Auto);
+        assert!(!auto.is_sparse());
+        for c in [auto, sparse(300, &[3, 5]), dense(300, &[3, 5])] {
+            assert_eq!((c.len(), c.count_ones()), (64, 2), "{c:?}");
+            assert_eq!(c.check_invariants(), Ok(()));
+        }
+        // a column whose last word is partial keeps its exact width
+        assert_eq!(dense(130, &[129]).len(), 130);
+        assert_eq!(sparse(130, &[129]).len(), 130);
+        // an empty column stores nothing
+        for c in [dense(130, &[]), sparse(130, &[])] {
+            assert_eq!((c.len(), c.is_empty()), (0, true));
+            assert!(!c.get(3));
+        }
+    }
+
+    /// A column stored past its last set word fails its invariants in
+    /// either layout.
+    #[test]
+    fn untrimmed_columns_fail_their_invariants() {
+        let dense = PresenceColumn::Dense(BitVec::from_indices(200, [3]));
+        assert!(dense.check_invariants().is_err());
+        let sparse = PresenceColumn::Sparse(SparseIds {
+            nbits: 200,
+            ids: vec![3],
+        });
+        assert!(sparse.check_invariants().is_err());
+        let empty = PresenceColumn::Sparse(SparseIds {
+            nbits: 1,
+            ids: vec![],
+        });
+        assert!(empty.check_invariants().is_err());
+    }
+
+    /// An accumulator takes the width of what it holds: a copy the
+    /// column's, an OR the hull of both and an AND their intersection.
+    #[test]
+    fn folds_take_the_width_of_what_they_hold() {
+        let (short, long) = ([1usize, 63], [2usize, 64, 129]);
+        for (s, l) in [
+            (sparse(130, &short), sparse(130, &long)),
+            (dense(130, &short), dense(130, &long)),
+        ] {
+            assert_eq!((s.len(), l.len()), (64, 130));
+            let mut acc = BitVec::zeros(0);
+            s.copy_into(&mut acc);
+            assert_eq!(acc.len(), 64);
+            l.or_into(&mut acc);
+            assert_eq!(acc.len(), 130);
+            assert_eq!(acc.iter_ones().collect::<Vec<_>>(), [1, 2, 63, 64, 129]);
+            s.and_assign_into(&mut acc);
+            assert_eq!(acc.len(), 64);
+            assert_eq!(acc.iter_ones().collect::<Vec<_>>(), [1, 63]);
+            l.copy_into(&mut acc);
+            s.or_into(&mut acc);
+            assert_eq!(acc.len(), 130);
+            assert_eq!(acc.check_invariants(), Ok(()));
+        }
     }
 
     /// Every op on a short column against wider operands must agree with
@@ -818,22 +905,23 @@ mod tests {
             );
             let mut got = BitVec::zeros(wide);
             let mut want = BitVec::zeros(wide);
+            let same = |a: &BitVec, b: &BitVec| a.iter_ones().eq(b.iter_ones());
 
             short.copy_into(&mut got);
             full.copy_into(&mut want);
-            assert_eq!(got, want, "copy_into");
+            assert!(same(&got, &want), "copy_into");
 
-            got.copy_from(&acc0);
-            want.copy_from(&acc0);
+            got = acc0.clone();
+            want = acc0.clone();
             short.or_into(&mut got);
             full.or_into(&mut want);
             assert_eq!(got, want, "or_into");
 
-            got.copy_from(&acc0);
-            want.copy_from(&acc0);
+            got = acc0.clone();
+            want = acc0.clone();
             short.and_assign_into(&mut got);
             full.and_assign_into(&mut want);
-            assert_eq!(got, want, "and_assign_into");
+            assert!(same(&got, &want), "and_assign_into");
 
             assert!(
                 short.iter_ones_and(&other).eq(full.iter_ones_and(&other)),
@@ -887,6 +975,7 @@ mod tests {
     fn transposed_with_relays_out_every_column() {
         let mut t = PresenceColumns::new(130);
         t.push_col(dense(130, &[0, 64, 129]));
+        t.push_col(dense(130, &[3, 5]));
         t.push_col(dense(100, &[]));
         for mode in [
             SparseMode::ForceSparse,
@@ -896,17 +985,23 @@ mod tests {
             let r = t.transposed_with(mode);
             assert_eq!(r, t);
             assert_eq!(r.check_invariants(), Ok(()));
-            assert_eq!(r.col(1).len(), 100, "stored width kept");
-            let sparse = (0..2).filter(|&c| r.col(c).is_sparse()).count();
-            // Auto: three ones in 130 bits stay dense, the empty column goes sparse
+            let widths: Vec<usize> = (0..3).map(|c| r.col(c).len()).collect();
+            assert_eq!(
+                widths,
+                [130, 64, 0],
+                "stored widths end at the last set word"
+            );
+            let sparse = (0..3).filter(|&c| r.col(c).is_sparse()).count();
+            // Auto: three ones in 130 bits stay dense, two ones in their one
+            // stored word stay dense, the empty column goes sparse
             let want = match mode {
-                SparseMode::ForceSparse => 2,
+                SparseMode::ForceSparse => 3,
                 SparseMode::Auto => 1,
                 SparseMode::ForceDense => 0,
             };
             assert_eq!(
                 (sparse, r.n_sparse_cols(), r.n_dense_cols()),
-                (want, want, 2 - want)
+                (want, want, 3 - want)
             );
         }
     }
@@ -915,7 +1010,7 @@ mod tests {
     #[should_panic(expected = "more than source_rows")]
     fn push_col_too_wide_panics() {
         let mut t = PresenceColumns::new(10);
-        t.push_col(dense(11, &[]));
+        t.push_col(dense(11, &[10]));
     }
 
     #[test]

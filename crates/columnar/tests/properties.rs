@@ -33,6 +33,32 @@ fn column_case() -> impl Strategy<Value = (BitVec, BitVec)> {
     })
 }
 
+/// The width a column built from `bits` stores: up to the word of its last
+/// set bit, and no wider than `bits`.
+fn stored_width(bits: &BitVec) -> usize {
+    bits.last_one()
+        .map_or(0, |l| bits.len().min((l / 64 + 1) * 64))
+}
+
+/// `bits` at the width a column built from them stores.
+fn trimmed(bits: &BitVec) -> BitVec {
+    BitVec::from_indices(stored_width(bits), bits.iter_ones())
+}
+
+/// Columns of unequal stored widths: each is `WIDTHS`-wide at a random
+/// density, with its bits cut off past a random end (so that it may end
+/// words before its width, or reach its last word).
+fn uneven_columns() -> impl Strategy<Value = Vec<BitVec>> {
+    let column = (0usize..WIDTHS.len(), 0u32..101, 0usize..200).prop_flat_map(|(wi, t, end)| {
+        let n = WIDTHS[wi];
+        proptest::collection::vec(0u32..100, n).prop_map(move |vals| {
+            let bits = threshold_bits(&vals, t);
+            BitVec::from_indices(n, bits.iter_ones().filter(|&i| i < end))
+        })
+    });
+    proptest::collection::vec(column, 2..5)
+}
+
 fn bitvec_strategy(max_bits: usize) -> impl Strategy<Value = BitVec> {
     (1..max_bits).prop_flat_map(|n| {
         proptest::collection::vec(any::<bool>(), n).prop_map(|bits| BitVec::from_bools(&bits))
@@ -224,19 +250,21 @@ proptest! {
     }
 
     /// Both `PresenceColumn` representations of the same bits satisfy the
-    /// container contract: invariants hold, accessors agree, and the
-    /// round-trip through `to_bitvec` is lossless — at densities from
+    /// container contract: invariants hold, each is stored up to the word
+    /// of its last set bit, accessors agree, and the round-trip through
+    /// `to_bitvec` is lossless up to that width — at densities from
     /// all-zero to all-one and widths crossing the 63/64/65 tails.
     #[test]
     fn presence_column_representations_agree((bits, _a) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
         let sparse = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceSparse);
         let auto = PresenceColumn::from_bitvec(bits.clone(), SparseMode::Auto);
+        let width = stored_width(&bits);
         for col in [&dense, &sparse, &auto] {
             prop_assert_eq!(col.check_invariants(), Ok(()));
-            prop_assert_eq!(col.len(), bits.len());
+            prop_assert_eq!(col.len(), width);
             prop_assert_eq!(col.count_ones(), bits.count_ones());
-            prop_assert_eq!(&col.to_bitvec(), &bits);
+            prop_assert_eq!(&col.to_bitvec(), &trimmed(&bits));
             prop_assert_eq!(col.iter_ones().collect::<Vec<_>>(), bits.iter_ones().collect::<Vec<_>>());
             for i in [0, bits.len() / 2, bits.len() - 1] {
                 prop_assert_eq!(col.get(i), bits.get(i));
@@ -244,13 +272,16 @@ proptest! {
         }
         prop_assert!(!dense.is_sparse());
         prop_assert!(sparse.is_sparse());
-        // the auto pick is by the documented density rule, never by luck
-        prop_assert_eq!(auto.is_sparse(), bits.count_ones() * 64 <= bits.len());
+        // the auto pick is by the documented density rule on the stored
+        // width, never by luck
+        prop_assert_eq!(auto.is_sparse(), bits.count_ones() * 64 <= width);
     }
 
     /// Every in-place fold of the op surface produces bit-identical output
     /// (with clean invariants) whichever representation the column uses,
-    /// and matches naive `BitVec` algebra.
+    /// and matches naive `BitVec` algebra at the width the fold takes: the
+    /// column's stored width for a copy, the hull for an OR and the
+    /// intersection for an AND.
     #[test]
     fn presence_column_folds_match_dense((bits, a) in column_case()) {
         let dense = PresenceColumn::from_bitvec(bits.clone(), SparseMode::ForceDense);
@@ -271,9 +302,12 @@ proptest! {
             prop_assert_eq!(&from_dense, &from_sparse, "fold {} diverged", name);
             prop_assert_eq!(from_sparse.check_invariants(), Ok(()));
             let expect: BitVec = match name {
-                "copy_into" => bits.clone(),
+                "copy_into" => trimmed(&bits),
                 "or_into" => a.or(&bits),
-                "and_assign_into" => a.and(&bits),
+                "and_assign_into" => {
+                    let width = a.len().min(stored_width(&bits));
+                    BitVec::from_indices(width, a.and(&bits).iter_ones())
+                }
                 _ => unreachable!(),
             };
             prop_assert_eq!(&from_sparse, &expect, "fold {} wrong", name);
@@ -293,6 +327,46 @@ proptest! {
         for x in [&dense, &sparse] {
             for y in [&other_dense, &other_sparse] {
                 prop_assert_eq!(x.count_ones_and(y), expect);
+            }
+        }
+    }
+
+    /// Folds and counts across columns of unequal stored widths, in every
+    /// layout: a chain that copies the first column, then ORs and ANDs the
+    /// others in turn (growing past a column's end and shrinking below
+    /// it), matches the same algebra on the columns zero-extended to one
+    /// width, bit for bit and in the width it takes.
+    #[test]
+    fn presence_column_folds_across_stored_widths(cols in uneven_columns()) {
+        let wide = cols.iter().map(BitVec::len).max().unwrap_or(0);
+        let extended = |bits: &BitVec| BitVec::from_indices(wide, bits.iter_ones());
+        for mode in [SparseMode::ForceDense, SparseMode::ForceSparse, SparseMode::Auto] {
+            let built: Vec<PresenceColumn> =
+                cols.iter().map(|c| PresenceColumn::from_bitvec(c.clone(), mode)).collect();
+            for (op, and) in [("or", false), ("and", true)] {
+                let mut acc = BitVec::zeros(wide);
+                built[0].copy_into(&mut acc);
+                let (mut want, mut width) = (extended(&cols[0]), stored_width(&cols[0]));
+                for (col, bits) in built.iter().zip(&cols).skip(1) {
+                    if and {
+                        col.and_assign_into(&mut acc);
+                        want.and_assign(&extended(bits));
+                        width = width.min(col.len());
+                    } else {
+                        col.or_into(&mut acc);
+                        want.or_assign(&extended(bits));
+                        width = width.max(col.len());
+                    }
+                    prop_assert_eq!(acc.check_invariants(), Ok(()));
+                    prop_assert_eq!(acc.len(), width, "{} width under {:?}", op, mode);
+                    prop_assert!(acc.iter_ones().eq(want.iter_ones()), "{} bits under {:?}", op, mode);
+                }
+            }
+            for (a, x) in built.iter().zip(&cols) {
+                for (b, y) in built.iter().zip(&cols) {
+                    let naive = extended(x).count_ones_and(&extended(y));
+                    prop_assert_eq!(a.count_ones_and(b), naive);
+                }
             }
         }
     }
@@ -352,10 +426,10 @@ proptest! {
 
         // a word writer that sets the bits past `len()` leaves them clear
         let mut out = BitVec::zeros(n);
-        out.write_words(a.words().iter().map(|&w| !w));
+        out.set_words(n, a.words().iter().map(|&w| !w));
         prop_assert_eq!(out.check_invariants(), Ok(()));
         prop_assert_eq!(out.count_ones(), n - a.count_ones());
-        out.write_words(std::iter::repeat(u64::MAX));
+        out.set_words(n, std::iter::repeat(u64::MAX));
         prop_assert_eq!(&out, &BitVec::ones(n));
 
         c.clear_all();
@@ -368,7 +442,8 @@ proptest! {
 
     /// A column list built under one layout and re-laid out under each
     /// other keeps its structural invariants and reads back the cells it
-    /// was built from, stored widths included.
+    /// was built from, each column stored up to the word of its last set
+    /// bit.
     #[test]
     fn presence_columns_relayout_keeps_cells(
         cols in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 0..70), 1..6),
@@ -383,7 +458,7 @@ proptest! {
             prop_assert_eq!(t.check_invariants(), Ok(()));
             prop_assert_eq!(&t, &built);
             for (c, bits) in cols.iter().enumerate() {
-                prop_assert_eq!(t.col(c).len(), bits.len());
+                prop_assert_eq!(t.col(c).len(), stored_width(&BitVec::from_bools(bits)));
                 for r in 0..rows {
                     prop_assert_eq!(t.col(c).get(r), bits.get(r).copied().unwrap_or(false));
                 }

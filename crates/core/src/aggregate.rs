@@ -406,14 +406,24 @@ fn side_tags<const SIDES: usize>(sides: [&TimeSet; SIDES]) -> (Vec<usize>, Vec<u
     (points, tags)
 }
 
-/// The 64-entity words a walk reads, with their kept entities: the
-/// non-zero words of `keep`, or, with no keep set, every word of `rows`
-/// entities, all kept (the scope's columns alone decide what is visited).
-fn kept_words(keep: Option<&BitVec>, rows: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+/// The 64-entity words a walk reads, with their kept entities, below word
+/// `end` (where the columns it reads end): the non-zero words of `keep`,
+/// which reads zero past its stored width, or, with no keep set, every
+/// word, all kept (the scope's columns alone decide what is visited).
+fn kept_words(keep: Option<&BitVec>, end: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
     let words = keep.map(BitVec::words);
     let kept = move |b: usize| (b, words.map_or(!0, |w| w[b]));
-    let n_words = words.map_or(rows.div_ceil(WORD_BITS), <[u64]>::len);
+    let n_words = words.map_or(end, |w| w.len().min(end));
     (0..n_words).map(kept).filter(|&(_, w)| w != 0)
+}
+
+/// The words the presence columns of `points` store: the hull of their
+/// stored widths.
+fn hull_words(presence: &PresenceColumns, points: impl IntoIterator<Item = usize>) -> usize {
+    let words = points
+        .into_iter()
+        .map(|t| presence.col(t).len().div_ceil(WORD_BITS));
+    words.max().unwrap_or(0)
 }
 
 /// The side tag of entity `lane` of a word: bit `s` from word `on[s]`.
@@ -628,11 +638,11 @@ impl GroupTable {
     /// own; `None` visits every entity the scope's columns show.
     ///
     /// It reads the presence columns one 64-entity word at a time, as the
-    /// DIST walk does: for each non-zero word `b` of `keep` (each word of
-    /// the entities without one), word `b` of a column
-    /// ([`block_words`](tempo_columnar::PresenceColumn::block_words), zero
-    /// past the column's end) ∧ word `b` of `keep`, and visits the set bits
-    /// of each such word, one point at a time.
+    /// DIST walk does: for each non-zero word `b` of `keep` (each word
+    /// without one) below the end of a column, word `b` of that column
+    /// ([`block_words`](tempo_columnar::PresenceColumn::block_words)) ∧
+    /// word `b` of `keep`, and visits the set bits of each such word, one
+    /// point at a time.
     pub(crate) fn walk_all<E: Entities>(
         &self,
         entities: E,
@@ -642,9 +652,8 @@ impl GroupTable {
     ) {
         let presence = entities.presence();
         for t in scope.iter().map(TimePoint::index) {
-            debug_assert!(keep.is_none_or(|keep| presence.col(t).len() <= keep.len()));
             let (gids, mut words) = (self.cols.col(t), presence.col(t).block_words());
-            for (b, kept) in kept_words(keep, presence.source_rows()) {
+            for (b, kept) in kept_words(keep, hull_words(presence, [t])) {
                 for lane in word_ones(words.word(b) & kept) {
                     let e = b * WORD_BITS + lane;
                     visit(e, t, entities.key(e, gids));
@@ -664,8 +673,8 @@ impl GroupTable {
     /// an appearance it stops does not count.
     ///
     /// The walk goes 64 entities at a time: for each non-zero word `b` of
-    /// `keep` (each word of the entities without one), word `b` of every
-    /// scope point's column
+    /// `keep` (each word without one) below the hull of the scope columns'
+    /// stored widths, word `b` of every scope point's column
     /// ([`block_words`](tempo_columnar::PresenceColumn::block_words), zero
     /// past the column's end) in scope order, ∧ word `b` of `keep`. An
     /// entity's first passing appearance is keyed at once, and its key
@@ -701,13 +710,11 @@ impl GroupTable {
         let presence = entities.presence();
         let (cols, all_static) = (&*self.cols, self.is_static());
         let (points, tags) = side_tags(sides);
-        let spans = |k: &BitVec| points.iter().all(|&t| presence.col(t).len() <= k.len());
-        debug_assert!(keep.is_none_or(spans));
         let mut cursors: Vec<_> = points
             .iter()
             .map(|&t| presence.col(t).block_words())
             .collect();
-        let words = kept_words(keep, presence.source_rows());
+        let words = kept_words(keep, hull_words(presence, points.iter().copied()));
         if all_static && pass.is_none() {
             let gids = cols.col(0);
             for (b, kept) in words {

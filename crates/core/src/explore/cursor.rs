@@ -18,11 +18,22 @@
 //! resolves the selector once (a tuple to the snapshot's cached match
 //! columns, a tuple that occurs nowhere to a zero count), and holds the
 //! selector's side as an extended-side accumulator beside the chain's
-//! reference column (read in place when it is dense and as wide as the
-//! entities, else copied once per chain). An evaluation hands the two
-//! sides' words to [`event_words`], the one writer of Definitions 2.4–2.5;
-//! for a node selector under a difference event the kept edges go first,
-//! straight into the rescue set of their endpoints. The keep words are then
+//! reference column.
+//!
+//! Every operand is read only as far as it is stored. A presence column
+//! ends at its last non-zero word, and each accumulator carries its own
+//! width: a load takes the column's, an OR step the hull of both and an
+//! AND step their intersection, so no step touches a word past its
+//! operands, and nothing is allocated wider than what it holds. The
+//! reference column is read in place, and so is the extended side while
+//! it is still its base column: the first step copies it, so a chain that
+//! never steps copies nothing (a sparse column is copied on load). The
+//! keep set and the match vector are allocated on first write.
+//!
+//! An evaluation hands the two sides to [`event_words`], the one writer of
+//! Definitions 2.4–2.5; for a node selector under a difference event the
+//! kept edges go first, straight into the rescue set of their endpoints.
+//! The keep words are then
 //! counted — a popcount, within a tuple selector's match vector
 //! ([`GroupColumns::match_columns`]; on a list with a time-varying
 //! attribute the OR of its per-point columns over the scope) — and written
@@ -84,15 +95,28 @@ fn selection<'a>(matches: &'a MatchColumns, scope_match: &'a BitVec) -> &'a BitV
     }
 }
 
-/// The node or edge side of the loaded chain, as full-width words.
+/// A column's bits: a dense column's own, a sparse one's from `copy`.
+fn in_place<'a>(col: &'a PresenceColumn, copy: &'a BitVec) -> &'a BitVec {
+    match col {
+        PresenceColumn::Dense(bv) => bv,
+        PresenceColumn::Sparse(_) => copy,
+    }
+}
+
+/// The node or edge side of the loaded chain, each operand at its stored
+/// width.
 struct Side<'g> {
     cols: &'g PresenceColumns,
-    /// Extended-side membership (`|=` under union, `&=` under
-    /// intersection, one presence column per step).
+    /// The extended side's one time point, while the chain has not stepped
+    /// and the side is that point's column.
+    base: Option<usize>,
+    /// Extended-side membership once the chain steps (`|=` under union,
+    /// `&=` under intersection, one presence column per step), or a sparse
+    /// base column's copy.
     ext: BitVec,
     /// Time point of the fixed reference side.
     ref_t: usize,
-    /// The reference column at full width, unless it is read in place.
+    /// A sparse reference column's copy.
     reference: BitVec,
 }
 
@@ -100,35 +124,32 @@ impl<'g> Side<'g> {
     fn new(cols: &'g PresenceColumns) -> Self {
         Side {
             cols,
-            ext: BitVec::zeros(cols.source_rows()),
+            base: None,
+            ext: BitVec::zeros(0),
             ref_t: 0,
-            reference: BitVec::zeros(cols.source_rows()),
+            reference: BitVec::zeros(0),
         }
     }
 
     /// Loads a chain's base pair: the extended side is point `ext_t`, the
-    /// reference point `ref_t`, whose column is copied unless it can be
-    /// read in place.
+    /// reference point `ref_t`. Both are read in place; only a sparse
+    /// column is copied.
     fn load(&mut self, ext_t: usize, ref_t: usize) {
-        self.cols.col(ext_t).copy_into(&mut self.ext);
-        self.ref_t = ref_t;
-        if self.in_place().is_none() {
-            self.cols.col(ref_t).copy_into(&mut self.reference);
-        }
-        debug_assert_eq!(self.ext.check_invariants(), Ok(()));
-    }
-
-    /// The reference column's words, when it is dense and as wide as the
-    /// entities.
-    fn in_place(&self) -> Option<&[u64]> {
-        match self.cols.col(self.ref_t) {
-            PresenceColumn::Dense(bv) if bv.len() == self.ext.len() => Some(bv.words()),
-            _ => None,
+        (self.base, self.ref_t) = (Some(ext_t), ref_t);
+        for (t, copy) in [(ext_t, &mut self.ext), (ref_t, &mut self.reference)] {
+            if self.cols.col(t).is_sparse() {
+                self.cols.col(t).copy_into(copy);
+            }
         }
     }
 
-    /// Folds point `t` into the extended side.
+    /// Folds point `t` into the extended side, which the first step copies
+    /// from its base column (a sparse one is already in `ext`).
     fn extend(&mut self, t: usize, semantics: Semantics) {
+        let cols = self.cols;
+        if let Some(base) = self.base.take().filter(|&b| !cols.col(b).is_sparse()) {
+            cols.col(base).copy_into(&mut self.ext);
+        }
         match semantics {
             Semantics::Union => self.cols.col(t).or_into(&mut self.ext),
             Semantics::Intersection => self.cols.col(t).and_assign_into(&mut self.ext),
@@ -137,11 +158,15 @@ impl<'g> Side<'g> {
     }
 
     /// The `(𝒯old, 𝒯new)` members of the current pair.
-    fn old_new(&self, extend: ExtendSide) -> (&[u64], &[u64]) {
-        let reference = self.in_place().unwrap_or(self.reference.words());
+    fn old_new(&self, extend: ExtendSide) -> (&BitVec, &BitVec) {
+        let reference = in_place(self.cols.col(self.ref_t), &self.reference);
+        let ext = match self.base {
+            Some(t) => in_place(self.cols.col(t), &self.ext),
+            None => &self.ext,
+        };
         match extend {
-            ExtendSide::New => (reference, self.ext.words()),
-            ExtendSide::Old => (self.ext.words(), reference),
+            ExtendSide::New => (reference, ext),
+            ExtendSide::Old => (ext, reference),
         }
     }
 }
@@ -172,11 +197,12 @@ pub struct ChainCursor<'g> {
     step: usize,
     /// The event graph's time scope for the current pair.
     scope: TimeSet,
-    /// OR of the selector's per-point match columns over the scope (empty
-    /// unless the selector has [`MatchColumns::PerPoint`] columns).
+    /// OR of the selector's per-point match columns over the scope, at its
+    /// stored width (empty unless the selector has
+    /// [`MatchColumns::PerPoint`] columns).
     scope_match: BitVec,
-    /// The selector's side's keep set of the last stored pair, rewritten in
-    /// place.
+    /// The selector's side's keep set of the last stored pair, at its
+    /// stored width, rewritten in place.
     keep: BitVec,
     /// The nodes the kept edges rescue (Definition 2.5).
     incident: BitVec,
@@ -191,7 +217,7 @@ impl<'g> ChainCursor<'g> {
     /// # Panics
     /// Panics if any attribute id is not from `g`'s schema.
     pub fn new(g: &'g TemporalGraph, cfg: &'g ExploreConfig) -> Self {
-        let _span = metrics::EXPLORE_KERNEL_BUILD_NS.span();
+        let _span = metrics::EXPLORE_CURSOR_BUILD_NS.span();
         metrics::EXPLORE_CURSOR_BUILDS.inc();
         let table = GroupTable::cached(g, &cfg.attrs);
         let fast = FastCount::resolve(g, &table, &cfg.selector);
@@ -201,13 +227,6 @@ impl<'g> ChainCursor<'g> {
             let rescues = cfg.event != Event::Stability;
             let edges = rescues.then(|| Side::new(g.edge_presence_columns()));
             (Side::new(g.node_presence_columns()), edges)
-        };
-        let width = side.ext.len();
-        let scope_match = match &fast {
-            FastCount::Pop(Some(m)) if matches!(**m, MatchColumns::PerPoint(_)) => {
-                BitVec::zeros(width)
-            }
-            _ => BitVec::zeros(0),
         };
         ChainCursor {
             g,
@@ -221,8 +240,8 @@ impl<'g> ChainCursor<'g> {
             current_ref: None,
             step: 0,
             scope: TimeSet::empty(g.domain().len()),
-            scope_match,
-            keep: BitVec::zeros(width),
+            scope_match: BitVec::zeros(0),
+            keep: BitVec::zeros(0),
         }
     }
 
@@ -260,7 +279,7 @@ impl<'g> ChainCursor<'g> {
         // Base scope per event: stability spans both sides, growth lives in
         // 𝒯new, shrinkage in 𝒯old.
         self.scope.clear();
-        self.scope_match.clear_all();
+        self.scope_match.set_words(0, []);
         match self.cfg.event {
             Event::Stability => {
                 self.grow_scope(i);
@@ -332,7 +351,7 @@ impl<'g> ChainCursor<'g> {
             let sink = WordSink::Rescue(self.g, &mut self.incident);
             event_words(event, old, new, None, sink);
         }
-        let rescued = self.rescuing.is_some().then(|| self.incident.words());
+        let rescued = self.rescuing.is_some().then_some(&self.incident);
         let sel = match &self.fast {
             FastCount::Pop(Some(m)) => Some(selection(m, &self.scope_match)),
             _ => None,

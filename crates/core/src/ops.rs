@@ -121,7 +121,9 @@ impl EventMask {
 
 /// The entities that are members of `side` under `test`, over the presence
 /// columns: the OR (`Any`) or AND (`All`) of the side's time-point columns —
-/// one whole-vector pass per point instead of one row test per entity.
+/// one whole-vector pass per point instead of one row test per entity —
+/// as wide as the entities (the folds narrow it to the columns' widths in
+/// its own allocation).
 pub(crate) fn side_members(cols: &PresenceColumns, side: &TimeSet, test: SideTest) -> BitVec {
     let mut members = BitVec::zeros(cols.source_rows());
     let mut points = side.iter();
@@ -134,12 +136,13 @@ pub(crate) fn side_members(cols: &PresenceColumns, side: &TimeSet, test: SideTes
             SideTest::All => cols.col(t.index()).and_assign_into(&mut members),
         }
     }
+    members.grow(cols.source_rows());
     members
 }
 
 /// What [`event_words`] does with the words of one side's keep set.
 pub(crate) enum WordSink<'a> {
-    /// Writes them into a keep set as wide as the side.
+    /// Writes them into a keep set, which takes their width.
     Store(&'a mut BitVec),
     /// Counts their set bits, within the selection when one is given.
     Count(Option<&'a BitVec>),
@@ -149,20 +152,33 @@ pub(crate) enum WordSink<'a> {
 }
 
 impl WordSink<'_> {
-    /// Drains `words`, each optional operand zipped into an arm of its own;
-    /// the count for [`WordSink::Count`], 0 otherwise.
+    /// Drains the keep words of an `nbits`-wide keep set: `head`, where
+    /// both sides are stored, then `tail`, the words of the keep side past
+    /// the end of the drop side, each in a loop of its own. The count for
+    /// [`WordSink::Count`], 0 otherwise.
     #[inline]
-    fn consume(self, words: impl Iterator<Item = u64>) -> u64 {
+    fn consume(self, nbits: usize, head: impl ExactSizeIterator<Item = u64>, tail: &[u64]) -> u64 {
         let ones = |w: u64| u64::from(w.count_ones());
+        let m = head.len();
         match self {
             WordSink::Store(out) => {
-                out.write_words(words);
+                out.set_words(nbits, head.chain(tail.iter().copied()));
                 0
             }
-            WordSink::Count(None) => words.map(ones).sum(),
-            WordSink::Count(Some(sel)) => words.zip(sel.words()).map(|(w, &s)| ones(w & s)).sum(),
+            WordSink::Count(None) => {
+                head.map(ones).sum::<u64>() + tail.iter().map(|&w| ones(w)).sum::<u64>()
+            }
+            WordSink::Count(Some(sel)) => {
+                let (sel_head, sel_tail) = sel.words().split_at(m.min(sel.words().len()));
+                let head = head.zip(sel_head).map(|(w, &s)| ones(w & s)).sum::<u64>();
+                head + tail
+                    .iter()
+                    .zip(sel_tail)
+                    .map(|(&w, &s)| ones(w & s))
+                    .sum::<u64>()
+            }
             WordSink::Rescue(g, incident) => {
-                rescue(g, words, incident);
+                rescue(g, head.chain(tail.iter().copied()), incident);
                 0
             }
         }
@@ -175,25 +191,42 @@ impl WordSink<'_> {
 /// words go to `sink`. Stability keeps `old ∧ new`, growth
 /// `new ∧ (¬old ∨ rescued)` and shrinkage `old ∧ (¬new ∨ rescued)`, where
 /// `rescued` (the node side of a difference event only; see [`rescue`])
-/// holds the endpoints of the kept edges. All operands are full width.
+/// holds the endpoints of the kept edges.
+///
+/// The operands may differ in width, and each reads zero past its end.
+/// Stability runs over the shorter of `old` and `new`; a difference event
+/// over its keep side (`new` for growth, `old` for shrinkage), whose words
+/// past the end of the drop side are kept as they are. `rescued` covers
+/// the keep side.
 #[inline]
 pub(crate) fn event_words(
     event: Event,
-    old: &[u64],
-    new: &[u64],
-    rescued: Option<&[u64]>,
+    old: &BitVec,
+    new: &BitVec,
+    rescued: Option<&BitVec>,
     sink: WordSink<'_>,
 ) -> u64 {
-    debug_assert_eq!(old.len(), new.len());
     let (keep, drop) = match event {
         Event::Growth => (new, old),
         Event::Stability | Event::Shrinkage => (old, new),
     };
-    let sides = keep.iter().zip(drop);
+    let (k, d) = (keep.words(), drop.words());
+    let m = k.len().min(d.len());
+    let sides = k[..m].iter().zip(&d[..m]);
     match (event, rescued) {
-        (Event::Stability, _) => sink.consume(sides.map(|(k, d)| k & d)),
-        (_, None) => sink.consume(sides.map(|(k, d)| k & !d)),
-        (_, Some(r)) => sink.consume(sides.zip(r).map(|((k, d), r)| k & (!d | r))),
+        (Event::Stability, _) => {
+            let nbits = keep.len().min(drop.len());
+            sink.consume(nbits, sides.map(|(k, d)| k & d), &[])
+        }
+        (_, None) => sink.consume(keep.len(), sides.map(|(k, d)| k & !d), &k[m..]),
+        (_, Some(r)) => {
+            debug_assert!(
+                r.words().len() >= k.len(),
+                "rescue set narrower than the keep side"
+            );
+            let sides = sides.zip(&r.words()[..m]);
+            sink.consume(keep.len(), sides.map(|((k, d), r)| k & (!d | r)), &k[m..])
+        }
     }
 }
 
@@ -235,19 +268,13 @@ pub fn event_mask(
 ) -> Result<EventMask, GraphError> {
     require_non_empty(told, "𝒯old")?;
     require_non_empty(tnew, "𝒯new")?;
-    let keep = |cols: &PresenceColumns, rescued: Option<&[u64]>| {
+    let keep = |cols: &PresenceColumns, rescued: Option<&BitVec>| {
         let (old, new) = (
             side_members(cols, told, old_test),
             side_members(cols, tnew, new_test),
         );
-        let mut keep = BitVec::zeros(cols.source_rows());
-        event_words(
-            event,
-            old.words(),
-            new.words(),
-            rescued,
-            WordSink::Store(&mut keep),
-        );
+        let mut keep = BitVec::zeros(0);
+        event_words(event, &old, &new, rescued, WordSink::Store(&mut keep));
         keep
     };
     let keep_edges = keep(g.edge_presence_columns(), None);
@@ -256,10 +283,7 @@ pub fn event_mask(
         rescue(g, keep_edges.words().iter().copied(), &mut incident);
         incident
     });
-    let keep_nodes = keep(
-        g.node_presence_columns(),
-        incident.as_ref().map(BitVec::words),
-    );
+    let keep_nodes = keep(g.node_presence_columns(), incident.as_ref());
     let scope = match event {
         Event::Stability => told.union(tnew),
         Event::Growth => tnew.clone(),
@@ -656,6 +680,55 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `event_words` on operands of unequal widths, the shorter on either
+    /// side, for each event, with and without a rescue set, through the
+    /// store and count sinks, against a bit-by-bit reading of the operands
+    /// zero-extended to one width. The keep set takes the width of the
+    /// shorter side under stability and of the keep side otherwise.
+    #[test]
+    fn event_words_reads_unequal_widths_as_zero_extended() {
+        let short = BitVec::from_indices(130, (0..130).filter(|i| i % 3 != 2));
+        let long = BitVec::from_indices(300, (0..300).filter(|i| i % 5 != 1));
+        let rescued = BitVec::from_indices(300, (0..300).filter(|i| i % 7 == 3));
+        let sel = BitVec::from_indices(200, (0..200).filter(|i| i % 2 == 1));
+        let bit = |v: &BitVec, i: usize| i < v.len() && v.get(i);
+        for (old, new) in [(&short, &long), (&long, &short), (&short, &short)] {
+            for event in [Event::Stability, Event::Growth, Event::Shrinkage] {
+                for r in [None, Some(&rescued)] {
+                    let kept = |i: usize| {
+                        let (o, n, r) = (bit(old, i), bit(new, i), r.is_some_and(|r| bit(r, i)));
+                        match event {
+                            Event::Stability => o && n,
+                            Event::Growth => n && (!o || r),
+                            Event::Shrinkage => o && (!n || r),
+                        }
+                    };
+                    let want: Vec<usize> = (0..300).filter(|&i| kept(i)).collect();
+                    let width = match event {
+                        Event::Stability => old.len().min(new.len()),
+                        Event::Growth => new.len(),
+                        Event::Shrinkage => old.len(),
+                    };
+                    let at = format!(
+                        "{event:?} {} vs {} rescued {}",
+                        old.len(),
+                        new.len(),
+                        r.is_some()
+                    );
+                    let mut keep = BitVec::ones(500);
+                    event_words(event, old, new, r, WordSink::Store(&mut keep));
+                    assert_eq!(keep.check_invariants(), Ok(()), "{at}");
+                    assert_eq!(keep.len(), width, "{at}");
+                    assert_eq!(keep.iter_ones().collect::<Vec<_>>(), want, "{at}");
+                    let count = |sel| event_words(event, old, new, r, WordSink::Count(sel));
+                    assert_eq!(count(None), want.len() as u64, "{at}");
+                    let in_sel = want.iter().filter(|&&i| bit(&sel, i)).count();
+                    assert_eq!(count(Some(&sel)), in_sel as u64, "{at}");
                 }
             }
         }

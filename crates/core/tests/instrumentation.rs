@@ -69,9 +69,9 @@ fn registry_matches_reported_outcomes() {
     };
     // one latency sample per evaluation
     assert_eq!(hist_delta("explore.eval_ns"), expected_evals);
-    // one kernel per explore() call, all over the one group table the
+    // one cursor per explore() call, all over the one group table the
     // snapshot caches for the attribute list
-    assert_eq!(hist_delta("explore.kernel_build_ns"), runs);
+    assert_eq!(hist_delta("explore.cursor.build_ns"), runs);
     assert_eq!(delta("aggregate.group_tables_built"), 1);
     assert_eq!(hist_delta("aggregate.group_table_build_ns"), 1);
     assert_eq!(delta("aggregate.group_table.cache_misses"), 1);
@@ -131,7 +131,7 @@ fn registry_matches_reported_outcomes() {
     assert_eq!(delta("aggregate.group_table.cache_extends"), 1);
     assert_eq!(delta("aggregate.group_table.cache_misses"), 0);
     assert_eq!(delta("aggregate.group_tables_built"), 0);
-    // the second `cached` and the two kernels
+    // the second `cached` and the two cursors
     assert_eq!(delta("aggregate.group_table.cache_hits"), 3);
     assert_eq!(delta("explore.match_cols.builds"), 1);
     assert_eq!(delta("explore.match_cols.hits"), 1);

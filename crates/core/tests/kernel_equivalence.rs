@@ -22,7 +22,10 @@
 //!   a static numeric attribute and of edge values against `naive_measure`;
 //! * the walk of a scope's own columns, with no keep set
 //!   (`aggregate_union`, `evolution_aggregate`), against the same walk
-//!   under the union's keep set and the materialized union graph.
+//!   under the union's keep set and the materialized union graph;
+//! * all of the cursor's operands at unequal stored widths: columns that
+//!   end at different words, an extended side that grows past the
+//!   reference's width and shrinks below it.
 
 use graphtempo::aggregate::{aggregate, rollup, AggMode, GroupTable, NodeTimeFilter};
 use graphtempo::cube::GraphCube;
@@ -159,7 +162,15 @@ fn assert_cursors_match_oracle(
             } else {
                 oracle.keep_nodes()
             };
-            prop_assert_eq!(keep, side, "keep set: {}", at());
+            // the keep set is stored only as wide as its operands, and
+            // reads zero past that
+            prop_assert!(keep.len() <= side.len(), "keep set width: {}", at());
+            prop_assert_eq!(
+                keep.iter_ones().collect::<Vec<_>>(),
+                side.iter_ones().collect::<Vec<_>>(),
+                "keep set: {}",
+                at()
+            );
             let got = counting.evaluate_chain_pair(i, j);
             prop_assert_eq!(got, want, "cursor vs oracle: {}", at());
         }
@@ -518,6 +529,85 @@ fn cursors_match_oracle_on_appended_epochs() {
         g.domain().all(),
     ];
     for g in &appended {
+        for event in EVENTS {
+            for told in &sides {
+                for tnew in &sides {
+                    for (old_test, new_test) in TESTS.iter().flat_map(|&o| TESTS.map(|n| (o, n))) {
+                        let mask = event_mask(g, event, told, tnew, old_test, new_test).unwrap();
+                        let (nodes, edges) =
+                            event_mask_rowwise(g, event, told, tnew, old_test, new_test);
+                        let at = format!("{event:?} {old_test:?}/{new_test:?} {told:?} {tnew:?}");
+                        assert_eq!(mask.keep_nodes(), &nodes, "{at} {:?}", g.sparse_mode());
+                        assert_eq!(mask.keep_edges(), &edges, "{at} {:?}", g.sparse_mode());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A graph whose presence columns end at different words, the way entity
+/// ids handed out in order of first appearance make them: the nodes of
+/// point `t` lie below `ENDS[t]` (less a few holes), so the node columns
+/// end at words 1, 3, 5, 2, 6 and 4, and each edge column ends where the
+/// first-seen id of its last edge sits.
+fn uneven_widths() -> TemporalGraph {
+    const ENDS: [usize; 6] = [70, 200, 330, 140, 400, 260];
+    let mut schema = AttributeSchema::new();
+    let kind = schema.declare("kind", Temporality::Static).unwrap();
+    let level = schema.declare("level", Temporality::TimeVarying).unwrap();
+    let mut b = GraphBuilder::new(TimeDomain::indexed(ENDS.len()), schema);
+    let ids: Vec<NodeId> = (0..400)
+        .map(|i| b.get_or_add_node(&format!("n{i}")))
+        .collect();
+    for (i, &u) in ids.iter().enumerate() {
+        let k = b.intern_category(kind, &format!("k{}", i % 3));
+        b.set_static(u, kind, k).unwrap();
+    }
+    for (t, &end) in ENDS.iter().enumerate() {
+        let present = |i: usize| i < end && (i * 13 + t) % 11 != 5;
+        let at = TimePoint(t as u32);
+        for i in (0..400).filter(|&i| present(i)) {
+            b.set_presence(ids[i], at).unwrap();
+            let x = Value::Int(((i + t) % 3 + 1) as i64);
+            b.set_time_varying(ids[i], level, at, x).unwrap();
+        }
+        for i in (0..400).filter(|&i| present(i)) {
+            let p = (i * 7 + 3) % 400;
+            if p != i && present(p) {
+                b.add_edge_at(ids[i], ids[p], at).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// On [`uneven_widths`], the extended side of a chain grows past the
+/// reference column's width and shrinks below it, and `event_words` meets
+/// the shorter side on either hand, for every event, with rescue under the
+/// difference events: both cursors against the oracle for every Table-1
+/// configuration in both layouts, and `event_mask` against the row-wise
+/// oracle on every pair of points and of two-point runs.
+#[test]
+fn cursors_match_oracle_on_uneven_stored_widths() {
+    let g = uneven_widths();
+    let widths = |g: &TemporalGraph| {
+        let nodes = (0..6).map(|t| g.node_presence_columns().col(t).len());
+        nodes.collect::<Vec<_>>()
+    };
+    assert_eq!(widths(&g), [128, 256, 384, 192, 400, 320]);
+    let edges: Vec<usize> = (0..6)
+        .map(|t| g.edge_presence_columns().col(t).len())
+        .collect();
+    assert!(edges.windows(2).any(|w| w[1] < w[0]), "{edges:?}");
+    let layouts = both_layouts(&g);
+    for cfg in table1_configs(&g, &attr_sets(&g), 1) {
+        assert_cursors_match_oracle(&layouts, &cfg).unwrap();
+    }
+    let n = g.domain().len();
+    let mut sides: Vec<TimeSet> = (0..n).map(|t| TimeSet::range(n, t, t)).collect();
+    sides.extend((0..n - 1).map(|t| TimeSet::range(n, t, t + 1)));
+    for g in &layouts {
         for event in EVENTS {
             for told in &sides {
                 for tnew in &sides {

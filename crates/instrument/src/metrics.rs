@@ -36,6 +36,9 @@ metrics! {
     Histogram GROUP_TABLE_BUILD_NS = "aggregate.group_table_build_ns";
     /// Group-id column sets built from scratch, cached or not.
     Counter GROUP_TABLES_BUILT = "aggregate.group_tables_built";
+    /// Time to set up one chain cursor (group table, resolved selector,
+    /// side accumulators).
+    Histogram EXPLORE_CURSOR_BUILD_NS = "explore.cursor.build_ns";
     /// Chain cursors built: one per exploration run or threshold scan.
     Counter EXPLORE_CURSOR_BUILDS = "explore.cursor.builds";
     /// Reference chains loaded into a cursor.
@@ -48,9 +51,6 @@ metrics! {
     Histogram EXPLORE_EVAL_NS = "explore.eval_ns";
     /// Interval pairs evaluated; the sum of `ExploreOutcome::evaluations`.
     Counter EXPLORE_EVALUATIONS = "explore.evaluations";
-    /// Time to set up one chain cursor (group table, resolved selector, side
-    /// accumulators).
-    Histogram EXPLORE_KERNEL_BUILD_NS = "explore.kernel_build_ns";
     /// Selector match columns built for a tuple selector.
     Counter EXPLORE_MATCH_COLS_BUILDS = "explore.match_cols.builds";
     /// Selector match columns found cached on the snapshot.

@@ -518,23 +518,33 @@ mod tests {
             );
         }
         // Auto, the only mode anything served runs under, picks each
-        // appended column's layout from that column's own density
-        // (`nnz * 64 <= rows`), for nodes and for edges: a time point
-        // touching every `w` entity lands dense, the next one touching a
-        // single edge of the same ~200-row graph lands sparse.
+        // appended column's layout from that column's own density on the
+        // width it stores, up to its last set word (`nnz * 64 <= nbits`),
+        // for nodes and for edges: a time point touching every `w` entity
+        // lands dense; the next one, touching a single edge at the end of
+        // the same ~200-row graph, lands sparse on both sides; one touching
+        // a single edge at its start stores one word per side, where two
+        // nodes are dense and one edge is sparse.
         let mut v = GraphVersions::new(fixtures::fig1());
         let mut wide = TimepointPatch::new("t3");
         for i in 0..200 {
             wide.add_edge(format!("w{i}"), format!("w{}", i + 1));
         }
-        let mut narrow = TimepointPatch::new("t4");
-        narrow.add_edge("w0", "w1");
-        for (patch, sparse) in [(wide, false), (narrow, true)] {
+        let mut late = TimepointPatch::new("t4");
+        late.add_edge("w199", "w200");
+        let mut early = TimepointPatch::new("t5");
+        early.add_edge("w0", "w1");
+        for (patch, sparse, width) in [
+            (wide, (false, false), (206, 204)),
+            (late, (true, true), (206, 204)),
+            (early, (false, true), (64, 64)),
+        ] {
             let new = v.append_timepoint(&patch).unwrap();
             assert_eq!(new.sparse_mode(), SparseMode::Auto);
             let t = new.domain().len() - 1;
-            assert_eq!(new.node_presence_columns().col(t).is_sparse(), sparse);
-            assert_eq!(new.edge_presence_columns().col(t).is_sparse(), sparse);
+            let (nodes, edges) = (new.node_presence_columns(), new.edge_presence_columns());
+            assert_eq!((nodes.col(t).is_sparse(), edges.col(t).is_sparse()), sparse);
+            assert_eq!((nodes.col(t).len(), edges.col(t).len()), width);
         }
     }
 

@@ -8,12 +8,13 @@
 //! 24-byte `Value`s before), and the high-water marks of one DIST count,
 //! of the whole-graph `agg` and `cube` reads over the whole of
 //! DBLP and of a filtered two-point `evolution`, none of which may hold
-//! anything as long as the entities.
+//! anything as long as the entities, and of a popcount `explore`, which
+//! holds one accumulator no wider than the columns it reads.
 
 use graphtempo::aggregate::{AggMode, AggregateGraph, GroupTable};
 use graphtempo::cube::{GraphCube, Level};
 use graphtempo::evolution::evolution_aggregate;
-use graphtempo::explore::{ChainCursor, ExploreConfig, ExtendSide, Selector, Semantics};
+use graphtempo::explore::{explore, ChainCursor, ExploreConfig, ExtendSide, Selector, Semantics};
 use graphtempo::ops::Event;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -208,5 +209,41 @@ fn a_filtered_evolution_allocates_only_for_its_scope() {
     let bound = g.n_nodes() / 2;
     println!("{peak} B peak, bound {bound} B");
     assert!(evo.total_edge_weight().stability > 0);
+    assert!(peak < bound, "{peak} B peak, bound {bound} B");
+}
+
+/// `explore event=stability semantics=intersect extend=new k=1
+/// attrs=gender` with the All-edge selector on DBLP — the `Pop` arm, whose
+/// count is a popcount of the keep words and which writes nothing but its
+/// extended side — peaks below one and a half edge-length bit vectors: the
+/// reference column and the base of each chain are read in place, no keep
+/// set is allocated, and the extended side is as wide as the columns it
+/// holds, which only the last chain's reach the last edge. A cursor that
+/// allocated its extended side, a reference copy and a keep set at full
+/// width would hold three such vectors.
+#[test]
+fn a_popcount_explore_allocates_only_what_it_writes() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = DblpConfig::scaled(1.0).generate().unwrap();
+    let cfg = ExploreConfig {
+        event: Event::Stability,
+        extend: ExtendSide::New,
+        semantics: Semantics::Intersection,
+        k: 1,
+        attrs: vec![g.schema().id("gender").unwrap()],
+        selector: Selector::AllEdges,
+    };
+    assert!(GroupTable::cached(&g, &cfg.attrs).is_static());
+
+    let before = reset_peak();
+    let outcome = explore(&g, &cfg).unwrap();
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let bound = g.n_edges() * 3 / 16;
+    println!(
+        "{peak} B peak, bound {bound} B, {} evaluations, {} pairs",
+        outcome.evaluations,
+        outcome.pairs.len()
+    );
+    assert!(!outcome.pairs.is_empty());
     assert!(peak < bound, "{peak} B peak, bound {bound} B");
 }
