@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use crate::bitset::{kernels, word_ones, BitVec};
+use crate::bitset::{kernels, BitVec};
 
 /// Number of bits per storage word (kept in sync with `bitset`).
 const WORD_BITS: usize = 64;
@@ -59,16 +59,6 @@ pub enum SparseMode {
 
 /// Widest bit-space a sparse column can address with `u32` entity IDs.
 const SPARSE_MAX_BITS: usize = u32::MAX as usize + 1;
-
-/// Asserts the column fits inside a dense operand (shorter columns are
-/// legal and read as zero-extended).
-#[inline]
-fn check_col_width(col: usize, operand: usize) {
-    assert!(
-        col <= operand,
-        "presence column wider than operand: {col} vs {operand}"
-    );
-}
 
 /// Whether a column goes sparse: the `mode` policy, vetoed for columns
 /// wider than the `u32` ID range.
@@ -180,30 +170,6 @@ impl PresenceColumn {
                 .into_iter()
                 .flat_map(|s| s.ids.iter().map(|&i| i as usize)),
         )
-    }
-
-    /// Iterates positions of set bits of `col & other` in increasing order,
-    /// nothing materialized: word by word for a dense column, one bitmap
-    /// probe per ID for a sparse one.
-    ///
-    /// # Panics
-    /// Panics if the column is wider than `other`.
-    pub fn iter_ones_and<'a>(&'a self, other: &'a BitVec) -> impl Iterator<Item = usize> + 'a {
-        check_col_width(self.len(), other.len());
-        let (dense, sparse) = match self {
-            PresenceColumn::Dense(bv) => (Some(bv), None),
-            PresenceColumn::Sparse(s) => (None, Some(s)),
-        };
-        let words = dense
-            .into_iter()
-            .flat_map(|bv| bv.words().iter().zip(other.words()));
-        let dense_ones = words
-            .enumerate()
-            .flat_map(|(wi, (&a, &b))| word_ones(a & b).map(move |bit| wi * WORD_BITS + bit));
-        let ids = sparse
-            .into_iter()
-            .flat_map(|s| s.ids.iter().map(|&i| i as usize));
-        dense_ones.chain(ids.filter(|&i| other.get(i)))
     }
 
     /// A reader of the column's 64-entity words, asked for in non-decreasing
@@ -731,7 +697,6 @@ mod tests {
     #[test]
     fn fold_ops_match_dense_oracle() {
         let col_ids = [1usize, 63, 64, 100];
-        let other = BitVec::from_indices(130, [1, 64, 99, 129]);
         let s = sparse(130, &col_ids);
         let d = dense(130, &col_ids);
         let mut so = BitVec::zeros(130);
@@ -755,10 +720,6 @@ mod tests {
             op(&s, &mut so);
             op(&d, &mut dd);
             assert_eq!(so, dd, "{name}");
-        }
-
-        for c in [&s, &d] {
-            assert_eq!(c.iter_ones_and(&other).collect::<Vec<_>>(), [1, 64]);
         }
     }
 
@@ -802,20 +763,6 @@ mod tests {
             none.and_assign_into(&mut acc);
             assert!(acc.is_zero());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "wider than operand")]
-    fn column_wider_than_operand_panics() {
-        let s = sparse(12, &[3]);
-        s.iter_ones_and(&BitVec::zeros(11)).for_each(drop);
-    }
-
-    #[test]
-    #[should_panic(expected = "wider than operand")]
-    fn dense_column_wider_than_operand_panics() {
-        let d = dense(12, &[3]);
-        d.iter_ones_and(&BitVec::zeros(11)).for_each(drop);
     }
 
     /// Both layouts keep a column only up to the word of its last set bit,
@@ -891,7 +838,6 @@ mod tests {
     fn short_columns_fold_as_zero_extended() {
         let col_ids = [1usize, 63, 64, 69];
         let wide = 130usize;
-        let other = BitVec::from_indices(wide, [1, 64, 69, 99, 129]);
         let acc0 = BitVec::from_indices(wide, [2, 63, 69, 100, 128]);
         for short in [sparse(70, &col_ids), dense(70, &col_ids)] {
             // oracle: same bits stored at the full operand width
@@ -923,10 +869,6 @@ mod tests {
             full.and_assign_into(&mut want);
             assert!(same(&got, &want), "and_assign_into");
 
-            assert!(
-                short.iter_ones_and(&other).eq(full.iter_ones_and(&other)),
-                "iter_ones_and"
-            );
             assert!(short.bits_eq(&full), "bits_eq across widths");
         }
     }

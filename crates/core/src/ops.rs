@@ -18,12 +18,8 @@
 //! answer from [`event_mask`], which selects the same rows without copying
 //! them.
 
-use tempo_columnar::{
-    word_ones, BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, ValueMatrix,
-};
-use tempo_graph::{
-    require_non_empty, EdgeId, GraphError, NodeId, TemporalGraph, TimePoint, TimeSet,
-};
+use tempo_columnar::{word_ones, BitVec, PresenceColumns};
+use tempo_graph::{require_non_empty, EdgeId, GraphError, TemporalGraph, TimePoint, TimeSet};
 
 /// How an entity's timestamp is tested against one side interval.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -296,127 +292,15 @@ pub fn event_mask(
     })
 }
 
-/// For each row set in `keep`, its position among them (`u32::MAX`
-/// elsewhere): the row numbers of a materialized subgraph.
-pub(crate) fn positions(keep: &BitVec) -> Vec<u32> {
-    let mut new_row = vec![u32::MAX; keep.len()];
-    for (i, r) in keep.iter_ones().enumerate() {
-        new_row[r] = i as u32;
-    }
-    new_row
-}
-
-/// The presence of a materialized subgraph: one column per item of `cols`,
-/// each item's rows (all set in `keep`) renumbered by [`positions`].
-pub(crate) fn kept_columns<I: Iterator<Item = usize>>(
-    cols: impl Iterator<Item = I>,
-    keep: &BitVec,
-) -> PresenceColumns {
-    let (new_row, n) = (positions(keep), keep.count_ones());
-    let mut out = PresenceColumns::new(n);
-    for rows in cols {
-        let bits = BitVec::from_indices(n, rows.map(|r| new_row[r] as usize));
-        out.push_col(PresenceColumn::from_bitvec(bits, SparseMode::Auto));
-    }
-    out
-}
-
-/// `cols` restricted to the rows set in `keep` inside `scope`, and empty
-/// outside it.
-fn scoped<'a>(
-    cols: &'a PresenceColumns,
-    keep: &'a BitVec,
-    scope: &'a TimeSet,
-) -> impl Iterator<Item = impl Iterator<Item = usize> + 'a> + 'a {
-    (0..cols.n_cols()).map(move |t| {
-        let inside = scope.contains(TimePoint(t as u32));
-        inside
-            .then(|| cols.col(t).iter_ones_and(keep))
-            .into_iter()
-            .flatten()
-    })
-}
-
-/// Materializes the subgraph of `g` induced by the kept node and edge rows,
-/// with all timestamps and time-varying values masked to `scope`.
-fn materialize_subgraph(
-    g: &TemporalGraph,
-    keep_nodes: &BitVec,
-    keep_edges: &BitVec,
-    scope: &TimeSet,
-) -> Result<TemporalGraph, GraphError> {
-    let nt = g.domain().len();
-    let node_rows: Vec<usize> = keep_nodes.iter_ones().collect();
-    let remap = positions(keep_nodes);
-    let mut names = Interner::new();
-    for &r in &node_rows {
-        names.intern(g.node_name(NodeId(r as u32)).to_owned());
-    }
-    let (node_cols, edge_cols) = (g.node_presence_columns(), g.edge_presence_columns());
-    let node_presence = kept_columns(scoped(node_cols, keep_nodes, scope), keep_nodes);
-    let edge_presence = kept_columns(scoped(edge_cols, keep_edges, scope), keep_edges);
-
-    let mut edges = Vec::with_capacity(keep_edges.count_ones());
-    let mut edge_values = g.edge_values_matrix().map(|_| ValueMatrix::new(nt));
-    for r in keep_edges.iter_ones() {
-        let e = EdgeId(r as u32);
-        let (u, v) = g.edge_endpoints(e);
-        let (nu, nv) = (remap[u.index()], remap[v.index()]);
-        debug_assert!(
-            nu != u32::MAX && nv != u32::MAX,
-            "kept edge must have kept endpoints"
-        );
-        edges.push((NodeId(nu), NodeId(nv)));
-        if let (Some(out), Some(src)) = (&mut edge_values, g.edge_values_matrix()) {
-            let new_r = out.push_null_row();
-            for t in g.edge_timestamp(e).intersect(scope).iter() {
-                out.set(new_r, t.index(), src.get(r, t.index()).clone());
-            }
-        }
-    }
-
-    let static_table = g.static_table().select_rows(&node_rows);
-
-    let schema = g.schema().clone();
-    let mut tv_tables = Vec::new();
-    for &attr in &schema.time_varying_ids() {
-        #[allow(clippy::expect_used)]
-        let src = g
-            .tv_table(attr)
-            .expect("invariant: id came from time_varying_ids, so a table exists");
-        let mut tbl = ValueMatrix::new(nt);
-        for (new_r, &r) in node_rows.iter().enumerate() {
-            tbl.push_null_row();
-            for t in g.node_timestamp(NodeId(r as u32)).intersect(scope).iter() {
-                tbl.set(new_r, t.index(), src.get(r, t.index()).clone());
-            }
-        }
-        tv_tables.push(tbl);
-    }
-
-    TemporalGraph::from_parts_with_edge_values(
-        g.domain().clone(),
-        schema,
-        names,
-        node_presence,
-        edges,
-        edge_presence,
-        static_table,
-        tv_tables,
-        edge_values,
-    )
-}
-
 /// Time projection (Definition 2.2): the subgraph of entities that exist
-/// throughout `𝒯₁` (i.e. `𝒯₁ ⊆ τ`), with timestamps restricted to `𝒯₁`.
+/// throughout `𝒯₁` (i.e. `𝒯₁ ⊆ τ`), with timestamps restricted to `𝒯₁` —
+/// the [`event_graph`] of stability between `𝒯₁` and itself under `All`.
 ///
 /// # Errors
 /// Returns an error if `t1` is empty or materialization fails.
 pub fn project(g: &TemporalGraph, t1: &TimeSet) -> Result<TemporalGraph, GraphError> {
     require_non_empty(t1, "𝒯₁")?;
-    let keep_nodes = side_members(g.node_presence_columns(), t1, SideTest::All);
-    let keep_edges = side_members(g.edge_presence_columns(), t1, SideTest::All);
-    materialize_subgraph(g, &keep_nodes, &keep_edges, t1)
+    event_graph(g, Event::Stability, t1, t1, SideTest::All, SideTest::All)
 }
 
 /// The projection of a single time point — the paper's per-timepoint graph
@@ -429,7 +313,8 @@ pub fn project_point(g: &TemporalGraph, t: TimePoint) -> Result<TemporalGraph, G
 }
 
 /// Union operator (Definition 2.3): entities existing at some point of
-/// `𝒯₁` **or** `𝒯₂`; timestamps restricted to `𝒯₁ ∪ 𝒯₂`.
+/// `𝒯₁` **or** `𝒯₂`; timestamps restricted to `𝒯₁ ∪ 𝒯₂` — the
+/// [`event_graph`] of stability between `𝒯₁ ∪ 𝒯₂` and itself under `Any`.
 ///
 /// ```
 /// use graphtempo::ops::union;
@@ -453,9 +338,14 @@ pub fn union(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) -> Result<TemporalGr
     require_non_empty(t1, "𝒯₁")?;
     require_non_empty(t2, "𝒯₂")?;
     let scope = t1.union(t2);
-    let keep_nodes = side_members(g.node_presence_columns(), &scope, SideTest::Any);
-    let keep_edges = side_members(g.edge_presence_columns(), &scope, SideTest::Any);
-    materialize_subgraph(g, &keep_nodes, &keep_edges, &scope)
+    event_graph(
+        g,
+        Event::Stability,
+        &scope,
+        &scope,
+        SideTest::Any,
+        SideTest::Any,
+    )
 }
 
 /// Intersection operator (Definition 2.4): entities existing at some point
@@ -509,13 +399,29 @@ pub fn event_graph(
     new_test: SideTest,
 ) -> Result<TemporalGraph, GraphError> {
     let mask = event_mask(g, event, told, tnew, old_test, new_test)?;
-    materialize_subgraph(g, mask.keep_nodes(), mask.keep_edges(), mask.scope())
+    let nt = g.domain().len();
+    // each point holds its kept rows inside the scope; outside it the point
+    // is an empty side, whose members are none
+    let held = |cols: &PresenceColumns, keep: &BitVec| -> Vec<BitVec> {
+        let points =
+            (0..nt).map(|t| TimeSet::point(nt, TimePoint(t as u32)).intersect(mask.scope()));
+        points
+            .map(|p| side_members(cols, &p, SideTest::Any).and(keep))
+            .collect()
+    };
+    let (nodes, edges) = (
+        held(g.node_presence_columns(), mask.keep_nodes()),
+        held(g.edge_presence_columns(), mask.keep_edges()),
+    );
+    let windows: Vec<(usize, usize)> = (0..nt).map(|t| (t, t)).collect();
+    g.derive(g.domain().clone(), &nodes, &edges, &windows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tempo_graph::fixtures::fig1;
+    use tempo_graph::NodeId;
 
     fn ts(points: &[usize]) -> TimeSet {
         TimeSet::from_indices(3, points.iter().copied())

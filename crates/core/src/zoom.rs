@@ -10,13 +10,15 @@
 //! point) or intersection semantics (at *every* covered point) — the same
 //! two semantics of §3.1.
 //!
-//! Time-varying attribute values at a coarse point are taken from the
-//! latest covered fine point at which the node exists (the most recent
-//! observation), matching the "latest snapshot wins" convention.
+//! Time-varying attribute and edge values at a coarse point are the latest
+//! non-null value over its covered fine points (the most recent
+//! observation), matching the "latest snapshot wins" convention. The
+//! zoomed graph is built by [`TemporalGraph::derive`], as Alg. 1's
+//! operators build theirs.
 
-use crate::ops::{kept_columns, positions, side_members, SideTest};
-use tempo_columnar::{BitVec, Value, ValueMatrix};
-use tempo_graph::{EdgeId, GraphError, NodeId, TemporalGraph, TimeDomain, TimeSet};
+use crate::ops::{side_members, SideTest};
+use tempo_columnar::BitVec;
+use tempo_graph::{EdgeId, GraphError, TemporalGraph, TimeDomain, TimeSet};
 
 /// A partition of a time domain into consecutive groups.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,24 +46,8 @@ impl Granularity {
                 "window of {window} points over a domain of {n} points"
             )));
         }
-        let mut groups = Vec::new();
-        let mut labels = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = (start + window - 1).min(n - 1);
-            groups.push((start, end));
-            if start == end {
-                labels.push(domain.labels()[start].clone());
-            } else {
-                labels.push(format!(
-                    "{}..{}",
-                    domain.labels()[start],
-                    domain.labels()[end]
-                ));
-            }
-            start = end + 1;
-        }
-        Ok(Granularity { groups, labels })
+        let cuts: Vec<usize> = (window..n).step_by(window).collect();
+        Self::from_cuts(domain, &cuts)
     }
 
     /// Builds a granularity from explicit group boundaries: `cuts[i]` is the
@@ -145,13 +131,9 @@ pub fn zoom_out(
     semantics: SideTest,
 ) -> Result<TemporalGraph, GraphError> {
     let fine_n = g.domain().len();
-    let coarse_n = granularity.len();
     let coarse_domain = TimeDomain::new(granularity.labels().to_vec())?;
-    let masks: Vec<TimeSet> = (0..coarse_n)
-        .map(|i| {
-            let (a, b) = granularity.group(i);
-            TimeSet::range(fine_n, a, b)
-        })
+    let masks: Vec<TimeSet> = (granularity.groups.iter())
+        .map(|&(a, b)| TimeSet::range(fine_n, a, b))
         .collect();
 
     // Each coarse point's members over the fine rows: the OR (any) or AND
@@ -171,95 +153,18 @@ pub fn zoom_out(
             BitVec::from_indices(g.n_edges(), members.iter_ones().filter(ends_present))
         })
         .collect();
-    // Entities with no coarse presence are dropped; the rest keep their
-    // order.
-    let any = |coarse: &[BitVec], n: usize| {
-        let mut any = BitVec::zeros(n);
-        coarse.iter().for_each(|c| any.or_assign(c));
-        any
-    };
-    let (kept_nodes, kept_edges) = (
-        any(&coarse_nodes, g.n_nodes()),
-        any(&coarse_edges, g.n_edges()),
-    );
-    let node_presence = kept_columns(coarse_nodes.iter().map(BitVec::iter_ones), &kept_nodes);
-    let edge_presence = kept_columns(coarse_edges.iter().map(BitVec::iter_ones), &kept_edges);
-    let node_row = positions(&kept_nodes);
-    let keep_nodes: Vec<usize> = kept_nodes.iter_ones().collect();
-
-    let mut names = tempo_columnar::Interner::new();
-    for &old in &keep_nodes {
-        names.intern(g.node_name(NodeId(old as u32)).to_owned());
-    }
-    let mut edges = Vec::with_capacity(kept_edges.count_ones());
-    let mut edge_values = g.edge_values_matrix().map(|_| ValueMatrix::new(coarse_n));
-    for e in kept_edges.iter_ones() {
-        let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-        edges.push((NodeId(node_row[u.index()]), NodeId(node_row[v.index()])));
-        if let (Some(out), Some(src)) = (&mut edge_values, g.edge_values_matrix()) {
-            let new_r = out.push_null_row();
-            for (ci, coarse) in coarse_edges.iter().enumerate() {
-                if !coarse.get(e) {
-                    continue;
-                }
-                let (a, b) = granularity.group(ci);
-                let latest = (a..=b)
-                    .rev()
-                    .map(|t| src.get(e, t))
-                    .find(|v| !v.is_null())
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                out.set(new_r, ci, latest);
-            }
-        }
-    }
-
-    // Static attributes carry over; time-varying values take the latest
-    // covered observation.
-    let static_table = g.static_table().select_rows(&keep_nodes);
-    let schema = g.schema().clone();
-    let mut tv_tables = Vec::new();
-    for &attr in &schema.time_varying_ids() {
-        #[allow(clippy::expect_used)]
-        let src = g
-            .tv_table(attr)
-            .expect("invariant: id came from time_varying_ids, so a table exists");
-        let mut tbl = ValueMatrix::new(coarse_n);
-        for (new_i, &old) in keep_nodes.iter().enumerate() {
-            tbl.push_null_row();
-            for (ci, coarse) in coarse_nodes.iter().enumerate() {
-                if !coarse.get(old) {
-                    continue;
-                }
-                let (a, b) = granularity.group(ci);
-                let latest = (a..=b)
-                    .rev()
-                    .map(|t| src.get(old, t))
-                    .find(|v| !v.is_null())
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                tbl.set(new_i, ci, latest);
-            }
-        }
-        tv_tables.push(tbl);
-    }
-
-    TemporalGraph::from_parts_with_edge_values(
+    g.derive(
         coarse_domain,
-        schema,
-        names,
-        node_presence,
-        edges,
-        edge_presence,
-        static_table,
-        tv_tables,
-        edge_values,
+        &coarse_nodes,
+        &coarse_edges,
+        &granularity.groups,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_columnar::Value;
     use tempo_graph::fixtures::fig1;
     use tempo_graph::TimePoint;
 

@@ -9,14 +9,37 @@ use graphtempo::materialize::{aggregate_at_point, TimepointStore};
 use graphtempo::ops::{
     difference, event_graph, event_mask, intersection, project_point, union, Event, SideTest,
 };
+use graphtempo::zoom::{zoom_out, Granularity};
 use proptest::prelude::*;
-use tempo_graph::{AttrId, TemporalGraph, TimePoint, TimeSet};
-use tempo_testkit::{graph_strategy, interval, kind_attr, level_attr};
+use tempo_columnar::Value;
+use tempo_graph::{AttrId, GraphBuilder, TemporalGraph, TimePoint, TimeSet};
+use tempo_testkit::{both_layouts, graph_strategy, interval, kind_attr, level_attr};
 
 fn names(g: &TemporalGraph) -> Vec<String> {
     let mut v: Vec<String> = g.node_ids().map(|n| g.node_name(n).to_owned()).collect();
     v.sort();
     v
+}
+
+/// `g` with a value on the edge cells where `(e + t) % 3 != 0`, so a
+/// window's latest non-null value is not always its last point's.
+fn with_edge_values(g: &TemporalGraph) -> TemporalGraph {
+    let mut b = GraphBuilder::from_graph(g.clone(), &[]).unwrap();
+    for e in g.edge_ids() {
+        let (u, v) = g.edge_endpoints(e);
+        for t in g.edge_timestamp(e).iter() {
+            if (e.index() + t.index()) % 3 != 0 {
+                let value = Value::Int(((e.index() * 7 + t.index()) % 5) as i64);
+                b.set_edge_value(u, v, t, value).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The first non-null of `values`, `Null` if there is none.
+fn first_non_null(mut values: impl Iterator<Item = Value>) -> Value {
+    values.find(|v| !v.is_null()).unwrap_or(Value::Null)
 }
 
 proptest! {
@@ -298,7 +321,6 @@ proptest! {
     /// keeps a subset of it.
     #[test]
     fn zoom_entity_relations(g in graph_strategy(), window in 2usize..4) {
-        use graphtempo::zoom::{zoom_out, Granularity};
         prop_assume!(window < g.domain().len());
         let gran = Granularity::windows(g.domain(), window).unwrap();
         let any = zoom_out(&g, &gran, SideTest::Any).unwrap();
@@ -314,6 +336,77 @@ proptest! {
         prop_assert!(all.n_nodes() <= any.n_nodes());
         prop_assert!(all.n_edges() <= any.n_edges());
         prop_assert!(all.validate().is_ok());
+    }
+
+    /// Union zoom-out with one-point windows is the union of the whole
+    /// domain, cell for cell: the zoom and Alg. 1's operators build their
+    /// graphs through one constructor.
+    #[test]
+    fn unit_window_zoom_is_the_whole_domain_union(g in graph_strategy()) {
+        let whole = g.domain().all();
+        let names = |g: &TemporalGraph| {
+            g.node_ids().map(|n| g.node_name(n).to_owned()).collect::<Vec<_>>()
+        };
+        let edges = |g: &TemporalGraph| {
+            g.edge_ids().map(|e| g.edge_endpoints(e)).collect::<Vec<_>>()
+        };
+        for g in both_layouts(&with_edge_values(&g)) {
+            let gran = Granularity::windows(g.domain(), 1).unwrap();
+            let z = zoom_out(&g, &gran, SideTest::Any).unwrap();
+            let u = union(&g, &whole, &whole).unwrap();
+            prop_assert_eq!(z.domain().labels(), u.domain().labels());
+            prop_assert_eq!(names(&z), names(&u));
+            prop_assert_eq!(z.node_presence_columns(), u.node_presence_columns());
+            prop_assert_eq!(edges(&z), edges(&u));
+            prop_assert_eq!(z.edge_presence_columns(), u.edge_presence_columns());
+            prop_assert_eq!(z.static_table(), u.static_table());
+            for attr in g.schema().time_varying_ids() {
+                prop_assert_eq!(z.tv_table(attr).unwrap(), u.tv_table(attr).unwrap());
+            }
+            prop_assert!(z.has_edge_values() == g.has_edge_values());
+            prop_assert_eq!(z.edge_values_matrix(), u.edge_values_matrix());
+        }
+    }
+
+    /// A zoomed time-varying or edge-value cell is the latest non-null fine
+    /// value of its window where the entity holds the coarse point, and
+    /// `Null` elsewhere.
+    #[test]
+    fn zoomed_values_are_the_latest_of_their_window(g in graph_strategy(), window in 2usize..4) {
+        for g in both_layouts(&with_edge_values(&g)) {
+            let gran = Granularity::windows(g.domain(), window).unwrap();
+            for semantics in [SideTest::Any, SideTest::All] {
+                let z = zoom_out(&g, &gran, semantics).unwrap();
+                let source = |n| g.node_id(z.node_name(n)).unwrap();
+                for c in 0..gran.len() {
+                    let (a, b) = gran.group(c);
+                    let coarse = TimePoint(c as u32);
+                    let fine = (a..=b).rev().map(|t| TimePoint(t as u32));
+                    for attr in g.schema().time_varying_ids() {
+                        for n in z.node_ids() {
+                            let values = fine.clone().map(|t| g.attr_value(source(n), attr, t));
+                            let want = match z.node_alive_at(n, coarse) {
+                                true => first_non_null(values),
+                                false => Value::Null,
+                            };
+                            let at = format!("{semantics:?} node {} at {c}", z.node_name(n));
+                            prop_assert_eq!(z.attr_value(n, attr, coarse), want, "{}", at);
+                        }
+                    }
+                    for e in z.edge_ids() {
+                        let (u, v) = z.edge_endpoints(e);
+                        let old = g.edge_between(source(u), source(v)).unwrap();
+                        let values = fine.clone().map(|t| g.edge_value(old, t));
+                        let want = match z.edge_alive_at(e, coarse) {
+                            true => first_non_null(values),
+                            false => Value::Null,
+                        };
+                        let at = format!("{semantics:?} edge {e:?} at {c}");
+                        prop_assert_eq!(z.edge_value(e, coarse), want, "{}", at);
+                    }
+                }
+            }
+        }
     }
 }
 

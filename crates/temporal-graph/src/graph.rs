@@ -19,7 +19,9 @@ use crate::groups::{CachedColumns, GroupColumns, GroupColumnsCache};
 use crate::time::{TimeDomain, TimePoint, TimeSet};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use tempo_columnar::{Interner, PresenceColumns, SparseMode, Value, ValueMatrix, NULL_CODE};
+use tempo_columnar::{
+    BitVec, Interner, PresenceColumn, PresenceColumns, SparseMode, Value, ValueMatrix, NULL_CODE,
+};
 
 /// Dense node identifier (row in the node arrays).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -84,39 +86,13 @@ impl TemporalGraph {
     /// only when both endpoints are present, time-varying values only
     /// where the node is present, and — for the optional edge-value matrix
     /// (`|E| × |𝒯|`) — a non-null cell only where the edge is present.
+    /// A caller that already holds the `(source, destination) → row` index
+    /// of `edges` (the builder, which deduplicated edges through it) passes
+    /// it as `Some`, which is trusted and kept; `None` is built here with
+    /// the endpoint and duplicate checks.
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts_with_edge_values(
-        domain: TimeDomain,
-        schema: AttributeSchema,
-        node_names: Interner<String>,
-        node_presence: PresenceColumns,
-        edges: Vec<(NodeId, NodeId)>,
-        edge_presence: PresenceColumns,
-        static_table: ValueMatrix,
-        tv_tables: Vec<ValueMatrix>,
-        edge_values: Option<ValueMatrix>,
-    ) -> Result<Self, GraphError> {
-        Self::assemble(
-            domain,
-            schema,
-            node_names,
-            node_presence,
-            edges,
-            None,
-            edge_presence,
-            static_table,
-            tv_tables,
-            edge_values,
-        )
-    }
-
-    /// [`TemporalGraph::from_parts_with_edge_values`] for a caller that may
-    /// already hold the `(source, destination) → row` index of `edges` (the
-    /// builder, which deduplicated edges through it): `Some` is trusted and
-    /// kept, `None` is built here with the endpoint and duplicate checks.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         domain: TimeDomain,
@@ -206,6 +182,79 @@ impl TemporalGraph {
         };
         g.validate()?;
         Ok(g)
+    }
+
+    /// A graph derived from this one over `domain`: output point `i` holds
+    /// the node rows set in `nodes[i]` and the edge rows set in `edges[i]`
+    /// (each as wide as this graph's nodes or edges). Rows held at no
+    /// output point are dropped; the rest keep their order, names, static
+    /// values and endpoints. A time-varying or edge-value cell at `i` is
+    /// the latest non-null value of this graph over the inclusive fine
+    /// range `windows[i]`, where the row holds `i`, and `Null` elsewhere.
+    /// Alg. 1's operators derive with each point its own window, the time
+    /// zoom with one window per coarse point.
+    ///
+    /// # Errors
+    /// Returns the first model invariant the result violates.
+    ///
+    /// # Panics
+    /// Panics unless `nodes`, `edges` and `windows` hold one item per
+    /// output point, each row set as wide as this graph's rows and each
+    /// window inside this graph's domain.
+    pub fn derive(
+        &self,
+        domain: TimeDomain,
+        nodes: &[BitVec],
+        edges: &[BitVec],
+        windows: &[(usize, usize)],
+    ) -> Result<TemporalGraph, GraphError> {
+        let (node_rows, node_row, node_presence) = renumber(nodes, self.n_nodes());
+        let (edge_rows, _, edge_presence) = renumber(edges, self.n_edges());
+        let mut names = Interner::new();
+        for &r in &node_rows {
+            names.intern(self.node_name(NodeId(r as u32)).to_owned());
+        }
+        let kept_edges = edge_rows.iter().map(|&e| {
+            let (u, v) = self.edges[e];
+            let (nu, nv) = (node_row[u.index()], node_row[v.index()]);
+            debug_assert!(
+                nu != u32::MAX && nv != u32::MAX,
+                "kept edge must have kept endpoints"
+            );
+            (NodeId(nu), NodeId(nv))
+        });
+        // written row by row, so the values enter the dictionary in the
+        // order they are met
+        let cells = |src: &ValueMatrix, rows: &[usize], held: &[BitVec]| {
+            let mut out = ValueMatrix::new(windows.len());
+            for (i, &r) in rows.iter().enumerate() {
+                out.push_null_row();
+                let held_windows = windows.iter().enumerate();
+                for (c, &(a, b)) in held_windows.filter(|&(c, _)| held[c].get(r)) {
+                    let mut window = (a..=b).rev().map(|t| src.get(r, t));
+                    if let Some(latest) = window.find(|v| !v.is_null()) {
+                        out.set(i, c, latest.clone());
+                    }
+                }
+            }
+            out
+        };
+        let tv_tables = (self.tv_tables.iter())
+            .map(|tbl| cells(tbl, &node_rows, nodes))
+            .collect();
+        let edge_values = (self.edge_values.as_ref()).map(|ev| cells(ev, &edge_rows, edges));
+        Self::assemble(
+            domain,
+            self.schema.clone(),
+            names,
+            node_presence,
+            kept_edges.collect(),
+            None,
+            edge_presence,
+            self.static_table.select_rows(&node_rows),
+            tv_tables,
+            edge_values,
+        )
     }
 
     /// Verifies the semantic invariants of Definition 2.1:
@@ -614,6 +663,28 @@ fn check_shape(
         )));
     }
     Ok(())
+}
+
+/// The rows of `n` set in any of `held` (ascending), each row's position
+/// among them (`u32::MAX` for the others), and `held` renumbered onto them
+/// as presence columns.
+///
+/// # Panics
+/// Panics if a set of `held` is not `n` wide.
+fn renumber(held: &[BitVec], n: usize) -> (Vec<usize>, Vec<u32>, PresenceColumns) {
+    let mut any = BitVec::zeros(n);
+    held.iter().for_each(|h| any.or_assign(h));
+    let rows: Vec<usize> = any.iter_ones().collect();
+    let mut new_row = vec![u32::MAX; n];
+    for (i, &r) in rows.iter().enumerate() {
+        new_row[r] = i as u32;
+    }
+    let mut cols = PresenceColumns::new(rows.len());
+    for h in held {
+        let bits = BitVec::from_indices(rows.len(), h.iter_ones().map(|r| new_row[r] as usize));
+        cols.push_col(PresenceColumn::from_bitvec(bits, SparseMode::Auto));
+    }
+    (rows, new_row, cols)
 }
 
 /// Whether row `r` is set in column `t`.

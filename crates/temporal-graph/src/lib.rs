@@ -55,5 +55,5 @@ pub use error::GraphError;
 pub use graph::{EdgeId, NodeId, TemporalGraph};
 pub use groups::{GroupColumns, MatchColumns, MatchKey, NO_GROUP};
 pub use stats::GraphStats;
-pub use time::{require_non_empty, Interval, TimeDomain, TimePoint, TimeSet};
+pub use time::{require_non_empty, TimeDomain, TimePoint, TimeSet};
 pub use versions::{GraphVersions, TimepointPatch};

@@ -3,9 +3,8 @@
 //! GraphTempo assumes a finite ordered set of elementary time points
 //! (`t_0 … t_{n-1}`: years for DBLP, months for MovieLens). A temporal
 //! graph's timestamps `τu(u)` / `τe(e)` are *sets of intervals* over that
-//! domain — represented here as [`TimeSet`], a bitset over the domain.
-//! Contiguous runs are exposed as [`Interval`]s, the unit the exploration
-//! strategies of §3 extend through the union/intersection semi-lattices.
+//! domain — represented here as [`TimeSet`], a bitset over the domain,
+//! whose maximal contiguous runs [`TimeSet::intervals`] lists.
 
 use crate::error::GraphError;
 use std::fmt;
@@ -109,76 +108,6 @@ impl TimeDomain {
     }
 }
 
-/// A contiguous inclusive range of time points `[start, end]`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Interval {
-    /// First point of the interval.
-    pub start: TimePoint,
-    /// Last point of the interval (inclusive).
-    pub end: TimePoint,
-}
-
-impl fmt::Debug for Interval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.start == self.end {
-            write!(f, "[{:?}]", self.start)
-        } else {
-            write!(f, "[{:?},{:?}]", self.start, self.end)
-        }
-    }
-}
-
-impl Interval {
-    /// Creates an interval; `start` must not exceed `end`.
-    ///
-    /// # Panics
-    /// Panics if `start > end`.
-    pub fn new(start: TimePoint, end: TimePoint) -> Self {
-        assert!(start <= end, "interval start must not exceed end");
-        Interval { start, end }
-    }
-
-    /// A single-point interval.
-    pub fn point(t: TimePoint) -> Self {
-        Interval { start: t, end: t }
-    }
-
-    /// Number of points covered.
-    pub fn len(&self) -> usize {
-        self.end.index() - self.start.index() + 1
-    }
-
-    /// Intervals always cover at least one point; always `false`.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// True if `t` lies within the interval.
-    pub fn contains(&self, t: TimePoint) -> bool {
-        self.start <= t && t <= self.end
-    }
-
-    /// Converts to a [`TimeSet`] over a domain of `domain_len` points.
-    ///
-    /// # Panics
-    /// Panics if the interval exceeds the domain.
-    pub fn to_set(&self, domain_len: usize) -> TimeSet {
-        assert!(
-            self.end.index() < domain_len,
-            "interval end {:?} outside domain of {domain_len}",
-            self.end
-        );
-        TimeSet {
-            bits: BitVec::from_indices(domain_len, self.start.index()..=self.end.index()),
-        }
-    }
-
-    /// Iterates the points of the interval in order.
-    pub fn iter(&self) -> impl Iterator<Item = TimePoint> {
-        (self.start.0..=self.end.0).map(TimePoint)
-    }
-}
-
 /// A set of time points over a fixed domain — the paper's set of
 /// intervals 𝒯, stored as a bitset.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -190,15 +119,15 @@ impl fmt::Debug for TimeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "𝒯{{")?;
         let mut first = true;
-        for iv in self.intervals() {
+        for (start, end) in self.intervals() {
             if !first {
                 write!(f, ",")?;
             }
             first = false;
-            if iv.start == iv.end {
-                write!(f, "{:?}", iv.start)?;
+            if start == end {
+                write!(f, "{start:?}")?;
             } else {
-                write!(f, "{:?}..{:?}", iv.start, iv.end)?;
+                write!(f, "{start:?}..{end:?}")?;
             }
         }
         write!(f, "}}")
@@ -239,7 +168,7 @@ impl TimeSet {
     /// Panics if the range exceeds the domain or is reversed.
     pub fn range(domain_len: usize, start: usize, end: usize) -> Self {
         assert!(start <= end, "range start must not exceed end");
-        Interval::new(TimePoint(start as u32), TimePoint(end as u32)).to_set(domain_len)
+        Self::from_indices(domain_len, start..=end)
     }
 
     /// Adds a point to the set in place (the exploration cursor grows its
@@ -326,22 +255,15 @@ impl TimeSet {
         self.bits.iter_ones().map(|i| TimePoint(i as u32))
     }
 
-    /// Decomposes the set into maximal contiguous [`Interval`]s.
-    pub fn intervals(&self) -> Vec<Interval> {
-        let mut out = Vec::new();
-        let mut run: Option<(u32, u32)> = None;
+    /// Decomposes the set into its maximal contiguous runs, each as its
+    /// inclusive `(first, last)` points, in order.
+    pub fn intervals(&self) -> Vec<(TimePoint, TimePoint)> {
+        let mut out: Vec<(TimePoint, TimePoint)> = Vec::new();
         for t in self.iter() {
-            match run {
-                Some((s, e)) if e + 1 == t.0 => run = Some((s, t.0)),
-                Some((s, e)) => {
-                    out.push(Interval::new(TimePoint(s), TimePoint(e)));
-                    run = Some((t.0, t.0));
-                }
-                None => run = Some((t.0, t.0)),
+            match out.last_mut() {
+                Some((_, end)) if end.0 + 1 == t.0 => *end = t,
+                _ => out.push((t, t)),
             }
-        }
-        if let Some((s, e)) = run {
-            out.push(Interval::new(TimePoint(s), TimePoint(e)));
         }
         out
     }
@@ -357,12 +279,12 @@ impl TimeSet {
         }
         let parts: Vec<String> = self
             .intervals()
-            .iter()
-            .map(|iv| {
-                if iv.start == iv.end {
-                    format!("[{}]", domain.label(iv.start))
+            .into_iter()
+            .map(|(start, end)| {
+                if start == end {
+                    format!("[{}]", domain.label(start))
                 } else {
-                    format!("[{}, {}]", domain.label(iv.start), domain.label(iv.end))
+                    format!("[{}, {}]", domain.label(start), domain.label(end))
                 }
             })
             .collect();
@@ -417,23 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_basics() {
-        let iv = Interval::new(TimePoint(1), TimePoint(3));
-        assert_eq!(iv.len(), 3);
-        assert!(iv.contains(TimePoint(2)));
-        assert!(!iv.contains(TimePoint(0)));
-        assert_eq!(iv.iter().collect::<Vec<_>>().len(), 3);
-        let s = iv.to_set(5);
-        assert_eq!(s.iter().map(|t| t.0).collect::<Vec<_>>(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "start must not exceed end")]
-    fn interval_reversed_panics() {
-        Interval::new(TimePoint(3), TimePoint(1));
-    }
-
-    #[test]
     fn set_ops() {
         let a = TimeSet::from_indices(6, [0, 1, 2]);
         let b = TimeSet::from_indices(6, [2, 3]);
@@ -472,14 +377,8 @@ mod tests {
     fn intervals_decomposition() {
         let s = TimeSet::from_indices(10, [0, 1, 2, 5, 7, 8]);
         let ivs = s.intervals();
-        assert_eq!(
-            ivs,
-            vec![
-                Interval::new(TimePoint(0), TimePoint(2)),
-                Interval::point(TimePoint(5)),
-                Interval::new(TimePoint(7), TimePoint(8)),
-            ]
-        );
+        let run = |a, b| (TimePoint(a), TimePoint(b));
+        assert_eq!(ivs, vec![run(0, 2), run(5, 5), run(7, 8)]);
     }
 
     #[test]

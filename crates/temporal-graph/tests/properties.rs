@@ -59,19 +59,19 @@ proptest! {
         );
         // rebuilding from maximal intervals gives back the set
         let mut rebuilt = TimeSet::empty(n);
-        for iv in s.intervals() {
-            rebuilt = rebuilt.union(&iv.to_set(n));
+        for (start, end) in s.intervals() {
+            rebuilt = rebuilt.union(&TimeSet::range(n, start.index(), end.index()));
         }
         prop_assert_eq!(&rebuilt, &s);
         // intervals are maximal: consecutive intervals are separated by a gap
         let ivs = s.intervals();
         for w in ivs.windows(2) {
-            prop_assert!(w[0].end.index() + 1 < w[1].start.index());
+            prop_assert!(w[0].1.index() + 1 < w[1].0.index());
         }
         // min/max agree with interval ends
         if let (Some(first), Some(last)) = (ivs.first(), ivs.last()) {
-            prop_assert_eq!(s.min(), Some(first.start));
-            prop_assert_eq!(s.max(), Some(last.end));
+            prop_assert_eq!(s.min(), Some(first.0));
+            prop_assert_eq!(s.max(), Some(last.1));
         } else {
             prop_assert!(s.is_empty());
         }
