@@ -9,8 +9,11 @@
 use graphtempo::aggregate::{aggregate, AggMode};
 use graphtempo::ops::project_point;
 use tempo_bench::datasets::{attrs, dblp, movielens};
-use tempo_bench::report::{print_series, secs, timed, Series};
+use tempo_bench::report::{print_series, secs, timed_min, Series};
 use tempo_graph::TemporalGraph;
+
+/// Each cell is the best of this many runs.
+const REPS: usize = 5;
 
 fn series_for(g: &TemporalGraph, combos: &[&[&str]]) -> Vec<Series> {
     let mut out = Vec::new();
@@ -19,7 +22,7 @@ fn series_for(g: &TemporalGraph, combos: &[&[&str]]) -> Vec<Series> {
         let mut s = Series::new(&combo.join("+"));
         for t in g.domain().iter() {
             let proj = project_point(g, t).expect("projection of a domain point");
-            let (_, d) = timed(|| aggregate(&proj, &ids, AggMode::Distinct));
+            let (_, d) = timed_min(REPS, || aggregate(&proj, &ids, AggMode::Distinct));
             s.push(g.domain().label(t), secs(d));
         }
         out.push(s);

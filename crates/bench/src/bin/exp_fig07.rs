@@ -12,8 +12,11 @@
 use graphtempo::aggregate::{aggregate, AggMode};
 use graphtempo::ops::{event_graph, Event, SideTest};
 use tempo_bench::datasets::{attrs, dblp, movielens};
-use tempo_bench::report::{print_series, secs, timed, Series};
+use tempo_bench::report::{print_series, secs, timed_min, Series};
 use tempo_graph::{TemporalGraph, TimePoint, TimeSet};
+
+/// Each cell is the best of this many runs.
+const REPS: usize = 5;
 
 fn run(g: &TemporalGraph, attr_names: &[&str], title: &str) {
     let n = g.domain().len();
@@ -26,7 +29,7 @@ fn run(g: &TemporalGraph, attr_names: &[&str], title: &str) {
         let t1 = TimeSet::range(n, 0, end - 1);
         let t2 = TimeSet::point(n, TimePoint(end as u32));
         // entities alive at EVERY point of [0, end-1] and at `end`
-        let (ix, op_time) = timed(|| {
+        let (ix, op_time) = timed_min(REPS, || {
             event_graph(g, Event::Stability, &t1, &t2, SideTest::All, SideTest::Any)
                 .expect("intersection of non-empty intervals")
         });
@@ -41,7 +44,7 @@ fn run(g: &TemporalGraph, attr_names: &[&str], title: &str) {
         op_series.push(&label, secs(op_time));
         for (i, name) in attr_names.iter().enumerate() {
             let ids = attrs(&ix, &[name]);
-            let (_, d) = timed(|| aggregate(&ix, &ids, AggMode::Distinct));
+            let (_, d) = timed_min(REPS, || aggregate(&ix, &ids, AggMode::Distinct));
             series[i].push(&label, secs(op_time) + secs(d));
         }
     }

@@ -10,8 +10,11 @@
 use graphtempo::aggregate::{aggregate, AggMode};
 use graphtempo::ops::difference;
 use tempo_bench::datasets::{attrs, dblp, movielens};
-use tempo_bench::report::{print_series, secs, timed, Series};
+use tempo_bench::report::{print_series, secs, timed_min, Series};
 use tempo_graph::{TemporalGraph, TimePoint, TimeSet};
+
+/// Each cell is the best of this many runs.
+const REPS: usize = 5;
 
 fn run(g: &TemporalGraph, attr_names: &[&str], title: &str) {
     let n = g.domain().len();
@@ -24,13 +27,13 @@ fn run(g: &TemporalGraph, attr_names: &[&str], title: &str) {
     }
     for start in (0..n - 1).rev() {
         let told = TimeSet::range(n, start, n - 2);
-        let (d, op_time) = timed(|| difference(g, &tnew, &told).expect("difference"));
+        let (d, op_time) = timed_min(REPS, || difference(g, &tnew, &told).expect("difference"));
         let label = g.domain().label(TimePoint(start as u32)).to_owned();
         op_series.push(&label, secs(op_time));
         for (i, name) in attr_names.iter().enumerate() {
             let ids = attrs(&d, &[name]);
-            let (_, t_dist) = timed(|| aggregate(&d, &ids, AggMode::Distinct));
-            let (_, t_all) = timed(|| aggregate(&d, &ids, AggMode::All));
+            let (_, t_dist) = timed_min(REPS, || aggregate(&d, &ids, AggMode::Distinct));
+            let (_, t_all) = timed_min(REPS, || aggregate(&d, &ids, AggMode::All));
             series[2 * i].push(&label, secs(op_time) + secs(t_dist));
             series[2 * i + 1].push(&label, secs(op_time) + secs(t_all));
         }

@@ -349,6 +349,19 @@ impl PresenceColumn {
             }
         }
     }
+
+    /// `popcount(col & bv)` against a packed vector of any stored width: a
+    /// word-parallel fold over the common prefix for a dense column, a
+    /// bitmap probe per ID for a sparse one.
+    pub fn count_ones_and_bits(&self, bv: &BitVec) -> usize {
+        match self {
+            PresenceColumn::Dense(col) => {
+                let n = col.words().len().min(bv.words().len());
+                kernels::count_ones_and(&col.words()[..n], &bv.words()[..n])
+            }
+            PresenceColumn::Sparse(s) => sparse_dense_intersect_count(&s.ids, bv),
+        }
+    }
 }
 
 /// The presence array of one side of a graph (the paper's **V** or **E**):

@@ -335,7 +335,8 @@ proptest! {
     /// layout: a chain that copies the first column, then ORs and ANDs the
     /// others in turn (growing past a column's end and shrinking below
     /// it), matches the same algebra on the columns zero-extended to one
-    /// width, bit for bit and in the width it takes.
+    /// width, bit for bit and in the width it takes; and a column's count
+    /// against another's bits, as a column or as a packed vector.
     #[test]
     fn presence_column_folds_across_stored_widths(cols in uneven_columns()) {
         let wide = cols.iter().map(BitVec::len).max().unwrap_or(0);
@@ -366,6 +367,8 @@ proptest! {
                 for (b, y) in built.iter().zip(&cols) {
                     let naive = extended(x).count_ones_and(&extended(y));
                     prop_assert_eq!(a.count_ones_and(b), naive);
+                    // against a packed vector at its own width
+                    prop_assert_eq!(a.count_ones_and_bits(y), naive);
                 }
             }
         }

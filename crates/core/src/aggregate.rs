@@ -23,8 +23,8 @@ use std::ops::Add;
 use std::sync::Arc;
 use tempo_columnar::{word_ones, BitVec, PresenceColumns, Value, ValueTuple};
 use tempo_graph::{
-    AttrId, EdgeId, GraphError, GroupColumns, MatchColumns, MatchKey, NodeId, TemporalGraph,
-    Temporality, TimePoint, TimeSet,
+    AttrId, EdgeId, GraphError, GroupColumns, MatchColumns, MatchKey, NodeId, Repeats,
+    TemporalGraph, Temporality, TimePoint, TimeSet,
 };
 
 use crate::export::render_tuple;
@@ -496,6 +496,8 @@ pub(crate) trait Entities: Copy {
     /// Whether entity `e` passes where a filter lets the nodes of `pass`
     /// through (an edge needs both endpoints).
     fn passes(&self, e: usize, pass: &BitVec) -> bool;
+    /// The appearances that repeat a key under `cols` ([`Repeats`]).
+    fn repeats(&self, cols: &GroupColumns) -> Arc<Repeats>;
 }
 
 /// The nodes of a graph, keyed by group id.
@@ -522,6 +524,10 @@ impl Entities for Nodes<'_> {
     fn passes(&self, n: usize, pass: &BitVec) -> bool {
         pass.get(n)
     }
+
+    fn repeats(&self, cols: &GroupColumns) -> Arc<Repeats> {
+        cols.node_repeats(self.0)
+    }
 }
 
 impl Entities for Edges<'_> {
@@ -541,6 +547,10 @@ impl Entities for Edges<'_> {
     fn passes(&self, e: usize, pass: &BitVec) -> bool {
         let (u, v) = self.0.edge_endpoints(EdgeId(e as u32));
         pass.get(u.index()) && pass.get(v.index())
+    }
+
+    fn repeats(&self, cols: &GroupColumns) -> Arc<Repeats> {
+        cols.edge_repeats(self.0)
     }
 }
 
@@ -630,6 +640,12 @@ impl GroupTable {
     /// `key`; see [`GroupColumns::match_columns`].
     pub(crate) fn match_columns(&self, g: &TemporalGraph, key: MatchKey) -> Arc<MatchColumns> {
         self.cols.match_columns(g, key)
+    }
+
+    /// The snapshot's repeat index of `entities` under these columns; see
+    /// [`GroupColumns::node_repeats`].
+    pub(crate) fn repeats<E: Entities>(&self, entities: E) -> Arc<Repeats> {
+        entities.repeats(&self.cols)
     }
 
     /// The Definition 2.6 ALL walk: calls `visit(e, t, key)` for every

@@ -38,21 +38,35 @@
 //! ([`GroupColumns::match_columns`]; on a list with a time-varying
 //! attribute the OR of its per-point columns over the scope) — and written
 //! nowhere, except into the cursor's one keep set where it is read: by the
-//! All selectors on a time-varying list over several points, whose count
-//! sums the kept entities' DIST weights, by the §3.5 scan, which takes
-//! their min or max, and by [`ChainCursor::keep_chain_pair`]. Counts and
-//! keep sets are bit-identical to the materializing oracle at every chain
-//! coordinate (property-tested in `tests/kernel_equivalence.rs`).
+//! All selectors on a time-varying list over several points, by the §3.5
+//! scan, which takes the min or max of the kept entities' DIST weights,
+//! and by [`ChainCursor::keep_chain_pair`]. Counts and keep sets are
+//! bit-identical to the materializing oracle at every chain coordinate
+//! (property-tested in `tests/kernel_equivalence.rs`).
+//!
+//! The All selectors on a time-varying list count one per distinct
+//! (entity, tuple) over the scope, and walk nothing: every scope the cursor
+//! evaluates is an interval `[lo, hi]` (stability `[i, i+1+j]` or
+//! `[i−j, i+1]`, growth 𝒯new, shrinkage 𝒯old), and an appearance at `t` is
+//! the first of its key there unless the entity showed the key at a point
+//! of `[lo, t)`. The snapshot's repeat index of the selector's side
+//! ([`GroupColumns::node_repeats`], [`GroupColumns::edge_repeats`]) lists,
+//! per point, each appearance that repeats a key with the latest earlier
+//! point it showed it at, so with `K` the keep set the count is
+//! `Σ_t |K ∧ P_t|` less the entries of the scope's points whose earlier
+//! point is at least `lo` and whose entity is in `K`.
 //!
 //! [`TemporalGraph::node_presence_columns`]: tempo_graph::TemporalGraph::node_presence_columns
 //! [`GroupColumns::match_columns`]: tempo_graph::GroupColumns::match_columns
+//! [`GroupColumns::node_repeats`]: tempo_graph::GroupColumns::node_repeats
+//! [`GroupColumns::edge_repeats`]: tempo_graph::GroupColumns::edge_repeats
 
 use super::{ExploreConfig, ExtendSide, Selector, Semantics};
-use crate::aggregate::{AggMode, GroupTable};
+use crate::aggregate::{AggMode, Edges, GroupTable, Nodes};
 use crate::ops::{event_words, Event, WordSink};
 use std::sync::Arc;
 use tempo_columnar::{BitVec, PresenceColumn, PresenceColumns};
-use tempo_graph::{MatchColumns, MatchKey, TemporalGraph, TimePoint, TimeSet};
+use tempo_graph::{MatchColumns, MatchKey, Repeats, TemporalGraph, TimePoint, TimeSet};
 use tempo_instrument::metrics;
 
 /// How the cursor turns the current pair into `result(G)`.
@@ -64,8 +78,10 @@ enum FastCount {
     /// selector, whose kept set is intersected with its match vector.
     Pop(Option<Arc<MatchColumns>>),
     /// All selector on a list with a time-varying attribute: an entity
-    /// counts once per distinct tuple it carries within the scope.
-    Table,
+    /// counts once per distinct tuple it carries within the scope. The
+    /// snapshot's repeat index of the selector's side lists the
+    /// appearances that repeat one.
+    Table(Arc<Repeats>),
 }
 
 impl FastCount {
@@ -82,7 +98,8 @@ impl FastCount {
                 _ => FastCount::Zero,
             },
             Selector::AllNodes | Selector::AllEdges if table.is_static() => FastCount::Pop(None),
-            Selector::AllNodes | Selector::AllEdges => FastCount::Table,
+            Selector::AllNodes => FastCount::Table(table.repeats(Nodes(g))),
+            Selector::AllEdges => FastCount::Table(table.repeats(Edges(g))),
         }
     }
 }
@@ -93,6 +110,34 @@ fn selection<'a>(matches: &'a MatchColumns, scope_match: &'a BitVec) -> &'a BitV
         MatchColumns::Static(all_points) => all_points,
         MatchColumns::PerPoint(_) => scope_match,
     }
+}
+
+/// The DIST count of the entities of `keep` over `scope`, an interval
+/// `[lo, hi]`: their appearances at the scope's points in `presence`, less
+/// those that `repeats` lists with an earlier point at or after `lo`.
+fn distinct_count(
+    presence: &PresenceColumns,
+    repeats: &Repeats,
+    scope: &TimeSet,
+    keep: &BitVec,
+) -> u64 {
+    let lo = scope.min().map_or(0, TimePoint::index);
+    debug_assert!(
+        scope
+            .max()
+            .is_none_or(|hi| hi.index() + 1 - lo == scope.len()),
+        "the scope is an interval"
+    );
+    let kept = |e: u32| (e as usize) < keep.len() && keep.get(e as usize);
+    let at = |t: TimePoint| {
+        let shown = presence.col(t.index()).count_ones_and_bits(keep);
+        let again = repeats.at(t.index()).iter();
+        shown
+            - again
+                .filter(|&&(e, prev)| prev as usize >= lo && kept(e))
+                .count()
+    };
+    scope.iter().map(at).sum::<usize>() as u64
 }
 
 /// A column's bits: a dense column's own, a sparse one's from `copy`.
@@ -211,8 +256,9 @@ pub struct ChainCursor<'g> {
 impl<'g> ChainCursor<'g> {
     /// Builds the cursor for one exploration run: takes the snapshot's
     /// cached group table for `cfg.attrs`, resolves the selector to group
-    /// ids (building the selector's match columns on first use per
-    /// snapshot) and borrows the graph's presence columns.
+    /// ids (building the selector's match columns, or an All selector's
+    /// repeat index on a time-varying list, on first use per snapshot) and
+    /// borrows the graph's presence columns.
     ///
     /// # Panics
     /// Panics if any attribute id is not from `g`'s schema.
@@ -367,8 +413,7 @@ impl<'g> ChainCursor<'g> {
 
     /// Folds `f` over the non-zero DIST weights of the stored keep set over
     /// the scope: one weight per group id for a node selector, per ordered
-    /// pair of group ids for an edge selector. The count of an All selector
-    /// is their sum, and §3.5 takes their min or max.
+    /// pair of group ids for an edge selector. §3.5 takes their min or max.
     pub(super) fn fold_weights<B>(&self, init: B, f: impl FnMut(B, u64) -> B) -> B {
         let (g, scope, keep, dist) = (self.g, &self.scope, Some(&self.keep), AggMode::Distinct);
         if self.cfg.selector.is_edge() {
@@ -395,16 +440,15 @@ impl<'g> ChainCursor<'g> {
         self.seek(i, j);
         let _eval_span = metrics::EXPLORE_EVAL_NS.span();
         metrics::EXPLORE_EVALUATIONS.inc();
-        match self.fast {
-            FastCount::Zero => 0,
-            FastCount::Table if self.scope.len() > 1 => {
-                self.keep_words(true);
-                self.fold_weights(0, |sum, w| sum + w)
-            }
+        let repeats = match &self.fast {
+            FastCount::Zero => return 0,
+            FastCount::Table(repeats) if self.scope.len() > 1 => Arc::clone(repeats),
             // every kept entity counts once; over a single point that holds
             // for a time-varying list too
-            _ => self.keep_words(false),
-        }
+            _ => return self.keep_words(false),
+        };
+        self.keep_words(true);
+        distinct_count(self.side.cols, &repeats, &self.scope, &self.keep)
     }
 
     /// The keep-only step: positions the cursor on chain pair `(i, j)` as

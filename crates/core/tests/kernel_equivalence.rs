@@ -25,7 +25,10 @@
 //!   under the union's keep set and the materialized union graph;
 //! * all of the cursor's operands at unequal stored widths: columns that
 //!   end at different words, an extended side that grows past the
-//!   reference's width and shrinks below it.
+//!   reference's width and shrinks below it;
+//! * the repeat index the All selectors' count reads, against a scan of
+//!   every (entity, point), on random graphs and their appended epochs, and
+//!   the count's `prev ≥ lo` rule on a tuple that comes back.
 
 use graphtempo::aggregate::{aggregate, rollup, AggMode, GroupTable, NodeTimeFilter};
 use graphtempo::cube::GraphCube;
@@ -41,8 +44,8 @@ use std::sync::Arc;
 use tempo_columnar::Value;
 use tempo_datagen::RandomGraphConfig;
 use tempo_graph::{
-    AttrId, AttributeSchema, GraphBuilder, GraphError, GraphVersions, NodeId, TemporalGraph,
-    Temporality, TimeDomain, TimePoint, TimeSet, TimepointPatch,
+    AttrId, AttributeSchema, EdgeId, GraphBuilder, GraphError, GraphVersions, NodeId,
+    TemporalGraph, Temporality, TimeDomain, TimePoint, TimeSet, TimepointPatch,
 };
 use tempo_testkit::{
     both_layouts, chain_len, chain_pair, event_mask_rowwise, graph_strategy, interval, kind_attr,
@@ -992,5 +995,152 @@ fn assert_walks_match_oracles(g: &TemporalGraph, t1: &TimeSet, t2: &TimeSet) {
             dist,
             "{attrs:?}"
         );
+    }
+}
+
+/// Per point, what the repeat index must list: `(entity, prev)` for each
+/// appearance whose key the entity showed at an earlier point, `prev` the
+/// latest one, in entity order. `keys[e][t]` is entity `e`'s key at `t`,
+/// `None` where it is absent.
+fn scanned_repeats<K: PartialEq>(keys: &[Vec<Option<K>>], n: usize) -> Vec<Vec<(u32, u32)>> {
+    (0..n)
+        .map(|t| {
+            let mut at = Vec::new();
+            for (e, row) in keys.iter().enumerate() {
+                let Some(key) = &row[t] else { continue };
+                if let Some(prev) = (0..t).rev().find(|&p| row[p].as_ref() == Some(key)) {
+                    at.push((e as u32, prev as u32));
+                }
+            }
+            at
+        })
+        .collect()
+}
+
+/// Both sides' repeat indexes of `g` on `attrs` against [`scanned_repeats`]
+/// of keys read off `attr_value`: a node's tuple, and an edge's ordered
+/// pair of its endpoints' tuples.
+fn assert_repeats_match_scan(g: &TemporalGraph, attrs: &[AttrId]) -> Result<(), TestCaseError> {
+    let n = g.domain().len();
+    let tuple = |v: NodeId, t: TimePoint| -> Vec<Value> {
+        attrs.iter().map(|&a| g.attr_value(v, a, t)).collect()
+    };
+    let node_keys: Vec<Vec<_>> = (0..g.n_nodes())
+        .map(|v| {
+            let v = NodeId(v as u32);
+            g.domain()
+                .iter()
+                .map(|t| g.node_alive_at(v, t).then(|| tuple(v, t)))
+                .collect()
+        })
+        .collect();
+    let edge_keys: Vec<Vec<_>> = (0..g.n_edges())
+        .map(|e| {
+            let e = EdgeId(e as u32);
+            let (u, v) = g.edge_endpoints(e);
+            g.domain()
+                .iter()
+                .map(|t| g.edge_alive_at(e, t).then(|| (tuple(u, t), tuple(v, t))))
+                .collect()
+        })
+        .collect();
+    let cols = g.group_columns(attrs);
+    let sides = [
+        (
+            "nodes",
+            cols.node_repeats(g),
+            scanned_repeats(&node_keys, n),
+        ),
+        (
+            "edges",
+            cols.edge_repeats(g),
+            scanned_repeats(&edge_keys, n),
+        ),
+    ];
+    for (side, repeats, want) in sides {
+        for (t, want) in want.iter().enumerate() {
+            prop_assert_eq!(
+                repeats.at(t),
+                &want[..],
+                "{} at t{} on {:?}",
+                side,
+                t,
+                attrs
+            );
+        }
+        prop_assert_eq!(repeats.len(), want.iter().map(Vec::len).sum::<usize>());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The repeat index of each side, on the static, time-varying and
+    /// mixed lists, lists exactly the appearances a scan of every (entity,
+    /// point) finds, with the latest earlier point of the same key — on a
+    /// random graph, and on its next epoch, whose group ids extend the
+    /// first's and whose appended point gives old nodes new and old
+    /// `level` values and old and new nodes edges.
+    #[test]
+    fn repeat_index_matches_a_scan(
+        g in graph_strategy(),
+        levels in proptest::collection::vec((0usize..45, 1i64..5), 0..8),
+        edges in proptest::collection::vec((0usize..45, 0usize..45), 0..8),
+    ) {
+        let lists = attr_sets(&g);
+        for attrs in &lists {
+            assert_repeats_match_scan(&g, attrs)?;
+        }
+        let level = level_attr(&g);
+        let mut patch = TimepointPatch::new("appended");
+        for (v, x) in levels {
+            patch.set_time_varying(format!("n{v}"), level, Value::Int(x));
+        }
+        for (u, v) in edges.into_iter().filter(|(u, v)| u != v) {
+            patch.add_edge(format!("n{u}"), format!("n{v}"));
+        }
+        let next = GraphVersions::new(g).append_timepoint(&patch).unwrap();
+        for attrs in &lists {
+            assert_repeats_match_scan(&next, attrs)?;
+        }
+    }
+}
+
+/// The All selectors' count on the returning tuple (`u` and `u → v` carry
+/// `level` 1 at t0, are absent at t1, carry 2 at t2 and 1 again at t3), in
+/// both layouts: the cursor against the materializing oracle at every chain
+/// coordinate of the twelve Table-1 rows, on the time-varying and the mixed
+/// list. The t3 appearance repeats the key of t0, so a scope that starts
+/// at t0 counts it once and one that starts at t2 counts it anew.
+#[test]
+fn a_returning_tuple_counts_from_where_the_scope_starts() {
+    let layouts = both_layouts(&returning_tuple());
+    let g = &layouts[0];
+    let lists = [vec![level_attr(g)], vec![kind_attr(g), level_attr(g)]];
+    let all = |cfg: &ExploreConfig| matches!(cfg.selector, Selector::AllNodes | Selector::AllEdges);
+    let configs: Vec<ExploreConfig> = table1_configs(g, &lists, 1)
+        .into_iter()
+        .filter(all)
+        .collect();
+    assert_eq!(configs.len(), 2 * 2 * 12);
+    for cfg in &configs {
+        assert_cursors_match_oracle(&layouts, cfg).unwrap();
+    }
+    let edges = |event, extend| ExploreConfig {
+        event,
+        extend,
+        semantics: Semantics::Union,
+        k: 1,
+        attrs: lists[0].clone(),
+        selector: Selector::AllEdges,
+    };
+    // ({t0}, {t1..t3}) under stability scopes t0..t3: keys 1, 2, 1
+    let stability = edges(Event::Stability, ExtendSide::New);
+    // ({t1}, {t2, t3}) under growth scopes t2..t3: keys 2, 1
+    let growth = edges(Event::Growth, ExtendSide::New);
+    for g in &layouts {
+        assert_eq!(ChainCursor::new(g, &stability).evaluate_chain_pair(0, 2), 2);
+        assert_eq!(ChainCursor::new(g, &growth).evaluate_chain_pair(1, 1), 2);
     }
 }

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use tempo_columnar::Value;
 use tempo_graph::{
     AttributeSchema, GraphBuilder, GraphError, TemporalGraph, Temporality, TimeDomain, TimePoint,
@@ -108,7 +108,8 @@ impl SchoolConfig {
                 continue;
             }
             let present_set: HashSet<usize> = present.iter().copied().collect();
-            let mut contacts: HashSet<(usize, usize)> = HashSet::new();
+            // ordered, so the day's edges are added in one order per seed
+            let mut contacts: BTreeSet<(usize, usize)> = BTreeSet::new();
             let mut degree = vec![0usize; n];
             let target = (present.len() as f64 * self.contacts_per_child / 2.0) as usize;
             let mut attempts = 0;

@@ -53,7 +53,7 @@ pub use attrs::{AttrDef, AttrId, AttributeSchema, Temporality};
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{EdgeId, NodeId, TemporalGraph};
-pub use groups::{GroupColumns, MatchColumns, MatchKey, NO_GROUP};
+pub use groups::{GroupColumns, MatchColumns, MatchKey, Repeats, NO_GROUP};
 pub use stats::GraphStats;
 pub use time::{require_non_empty, TimeDomain, TimePoint, TimeSet};
 pub use versions::{GraphVersions, TimepointPatch};

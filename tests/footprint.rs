@@ -9,7 +9,9 @@
 //! of the whole-graph `agg` and `cube` reads over the whole of
 //! DBLP and of a filtered two-point `evolution`, none of which may hold
 //! anything as long as the entities, and of a popcount `explore`, which
-//! holds one accumulator no wider than the columns it reads.
+//! holds one accumulator no wider than the columns it reads; and the bytes
+//! a DIST-counting `explore` allocates in all, once the snapshot's indexes
+//! are built.
 
 use graphtempo::aggregate::{AggMode, AggregateGraph, GroupTable};
 use graphtempo::cube::{GraphCube, Level};
@@ -28,12 +30,16 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// The most bytes `LIVE` has held since the last [`reset_peak`].
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+/// Bytes allocated since the process started, freed or not.
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
 /// Taken by each test for its whole run, so nothing else allocates while
 /// one measures.
 static MEASURING: Mutex<()> = Mutex::new(());
 
 /// Adds `size` live bytes and raises the high-water mark to match.
 fn grow(size: usize) {
+    ALLOCATED.fetch_add(size, Ordering::Relaxed);
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -246,4 +252,43 @@ fn a_popcount_explore_allocates_only_what_it_writes() {
     );
     assert!(!outcome.pairs.is_empty());
     assert!(peak < bound, "{peak} B peak, bound {bound} B");
+}
+
+/// `explore event=stability semantics=union extend=new k=1
+/// attrs=publications` with the All-edge selector on DBLP counts one per
+/// distinct (edge, tuple) over scopes of several points. Once a first run
+/// has built the snapshot's group ids and repeat index, a second allocates
+/// no more than one edge-length bit vector per evaluation in all: the
+/// count reads the keep set against the presence columns and the index,
+/// and keeps no per-evaluation accumulator.
+#[test]
+fn a_distinct_explore_allocates_one_edge_vector_per_evaluation() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = DblpConfig::scaled(1.0).generate().unwrap();
+    let cfg = ExploreConfig {
+        event: Event::Stability,
+        extend: ExtendSide::New,
+        semantics: Semantics::Union,
+        k: 1,
+        attrs: vec![g.schema().id("publications").unwrap()],
+        selector: Selector::AllEdges,
+    };
+    assert!(!GroupTable::cached(&g, &cfg.attrs).is_static());
+    let warm = explore(&g, &cfg).unwrap();
+
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let outcome = explore(&g, &cfg).unwrap();
+    let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
+    let bound = outcome.evaluations * g.n_edges().div_ceil(8);
+    println!(
+        "{allocated} B allocated, bound {bound} B, {} evaluations, {} pairs",
+        outcome.evaluations,
+        outcome.pairs.len()
+    );
+    assert_eq!(outcome.pairs, warm.pairs);
+    assert!(outcome.evaluations > 1 && !outcome.pairs.is_empty());
+    assert!(
+        allocated <= bound,
+        "{allocated} B allocated, bound {bound} B"
+    );
 }
