@@ -396,6 +396,14 @@ impl BitVec {
         self.debug_validate();
     }
 
+    /// Makes room for `nbits` bits without changing the vector's width or
+    /// bits, so that [`set_words`](Self::set_words) up to that width
+    /// reuses one allocation.
+    pub fn reserve(&mut self, nbits: usize) {
+        let n = words_for(nbits);
+        self.words.reserve_exact(n.saturating_sub(self.words.len()));
+    }
+
     /// Drops the trailing zero words: the vector ends at its last non-zero
     /// word (or at `len()`, if that is sooner), and frees what it no
     /// longer stores.
@@ -595,6 +603,19 @@ mod tests {
         v.set_words(200, [1]);
         assert_eq!((v.len(), v.words().len()), (200, 4));
         assert_eq!(v.iter_ones().collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn set_words_within_the_reserve_keeps_the_allocation() {
+        let mut v = BitVec::zeros(0);
+        v.reserve(300);
+        let block = v.words().as_ptr();
+        for nbits in [64, 130, 300, 10, 257] {
+            v.set_words(nbits, [u64::MAX; 5]);
+            assert_eq!(v.check_invariants(), Ok(()));
+            assert_eq!(v.count_ones(), nbits);
+            assert_eq!(v.words().as_ptr(), block, "{nbits} bits");
+        }
     }
 
     #[test]

@@ -24,11 +24,14 @@
 //! ends at its last non-zero word, and each accumulator carries its own
 //! width: a load takes the column's, an OR step the hull of both and an
 //! AND step their intersection, so no step touches a word past its
-//! operands, and nothing is allocated wider than what it holds. The
+//! operands, and no accumulator is allocated wider than what it holds. The
 //! reference column is read in place, and so is the extended side while
 //! it is still its base column: the first step copies it, so a chain that
 //! never steps copies nothing (a sparse column is copied on load). The
-//! keep set and the match vector are allocated on first write.
+//! match vector is allocated on first write, and so is the keep set, once
+//! per run: as wide as the widest column of the selector's side, which no
+//! keep set of that side exceeds, so the chains rewrite it in place
+//! however their widths grow.
 //!
 //! An evaluation hands the two sides to [`event_words`], the one writer of
 //! Definitions 2.4–2.5; for a node selector under a difference event the
@@ -40,7 +43,9 @@
 //! nowhere, except into the cursor's one keep set where it is read: by the
 //! All selectors on a time-varying list over several points, by the §3.5
 //! scan, which takes the min or max of the kept entities' DIST weights,
-//! and by [`ChainCursor::keep_chain_pair`]. Counts and keep sets are
+//! and by [`ChainCursor::keep_chain_pair`]. The scan's sizing step,
+//! `ChainCursor::kept_chain_pair`, counts the keep words with no
+//! selection. Counts and keep sets are
 //! bit-identical to the materializing oracle at every chain coordinate
 //! (property-tested in `tests/kernel_equivalence.rs`).
 //!
@@ -50,9 +55,10 @@
 //! `[i−j, i+1]`, growth 𝒯new, shrinkage 𝒯old), and an appearance at `t` is
 //! the first of its key there unless the entity showed the key at a point
 //! of `[lo, t)`. The snapshot's repeat index of the selector's side
-//! ([`GroupColumns::node_repeats`], [`GroupColumns::edge_repeats`]) lists,
-//! per point, each appearance that repeats a key with the latest earlier
-//! point it showed it at, so with `K` the keep set the count is
+//! ([`GroupColumns::node_repeats`], [`GroupColumns::edge_repeats`], built
+//! by the first such count on the snapshot) lists, per point, each
+//! appearance that repeats a key with the latest earlier point it showed
+//! it at, so with `K` the keep set the count is
 //! `Σ_t |K ∧ P_t|` less the entries of the scope's points whose earlier
 //! point is at least `lo` and whose entity is in `K`.
 //!
@@ -78,10 +84,11 @@ enum FastCount {
     /// selector, whose kept set is intersected with its match vector.
     Pop(Option<Arc<MatchColumns>>),
     /// All selector on a list with a time-varying attribute: an entity
-    /// counts once per distinct tuple it carries within the scope. The
-    /// snapshot's repeat index of the selector's side lists the
-    /// appearances that repeat one.
-    Table(Arc<Repeats>),
+    /// counts once per distinct tuple it carries within the scope. Over
+    /// several points the snapshot's repeat index of the selector's side
+    /// lists the appearances that repeat one; a run that counts none, as
+    /// §3.5's scan of one-point scopes, never fetches it.
+    Table,
 }
 
 impl FastCount {
@@ -98,8 +105,7 @@ impl FastCount {
                 _ => FastCount::Zero,
             },
             Selector::AllNodes | Selector::AllEdges if table.is_static() => FastCount::Pop(None),
-            Selector::AllNodes => FastCount::Table(table.repeats(Nodes(g))),
-            Selector::AllEdges => FastCount::Table(table.repeats(Edges(g))),
+            Selector::AllNodes | Selector::AllEdges => FastCount::Table,
         }
     }
 }
@@ -152,6 +158,9 @@ fn in_place<'a>(col: &'a PresenceColumn, copy: &'a BitVec) -> &'a BitVec {
 /// width.
 struct Side<'g> {
     cols: &'g PresenceColumns,
+    /// The widest stored column: no membership of this side, and so no
+    /// keep set of it, is wider.
+    widest: usize,
     /// The extended side's one time point, while the chain has not stepped
     /// and the side is that point's column.
     base: Option<usize>,
@@ -169,6 +178,10 @@ impl<'g> Side<'g> {
     fn new(cols: &'g PresenceColumns) -> Self {
         Side {
             cols,
+            widest: (0..cols.n_cols())
+                .map(|t| cols.col(t).len())
+                .max()
+                .unwrap_or(0),
             base: None,
             ext: BitVec::zeros(0),
             ref_t: 0,
@@ -247,7 +260,8 @@ pub struct ChainCursor<'g> {
     /// [`MatchColumns::PerPoint`] columns).
     scope_match: BitVec,
     /// The selector's side's keep set of the last stored pair, at its
-    /// stored width, rewritten in place.
+    /// stored width, rewritten in place in one allocation as wide as the
+    /// side's widest column.
     keep: BitVec,
     /// The nodes the kept edges rescue (Definition 2.5).
     incident: BitVec,
@@ -256,9 +270,8 @@ pub struct ChainCursor<'g> {
 impl<'g> ChainCursor<'g> {
     /// Builds the cursor for one exploration run: takes the snapshot's
     /// cached group table for `cfg.attrs`, resolves the selector to group
-    /// ids (building the selector's match columns, or an All selector's
-    /// repeat index on a time-varying list, on first use per snapshot) and
-    /// borrows the graph's presence columns.
+    /// ids (building a tuple selector's match columns on first use per
+    /// snapshot) and borrows the graph's presence columns.
     ///
     /// # Panics
     /// Panics if any attribute id is not from `g`'s schema.
@@ -403,6 +416,7 @@ impl<'g> ChainCursor<'g> {
             _ => None,
         };
         let sink = if store {
+            self.keep.reserve(self.side.widest);
             WordSink::Store(&mut self.keep)
         } else {
             WordSink::Count(sel)
@@ -440,12 +454,18 @@ impl<'g> ChainCursor<'g> {
         self.seek(i, j);
         let _eval_span = metrics::EXPLORE_EVAL_NS.span();
         metrics::EXPLORE_EVALUATIONS.inc();
-        let repeats = match &self.fast {
+        match &self.fast {
             FastCount::Zero => return 0,
-            FastCount::Table(repeats) if self.scope.len() > 1 => Arc::clone(repeats),
+            FastCount::Table if self.scope.len() > 1 => {}
             // every kept entity counts once; over a single point that holds
             // for a time-varying list too
             _ => return self.keep_words(false),
+        }
+        // built on the snapshot's first multi-point count, then shared
+        let repeats = if self.cfg.selector.is_edge() {
+            self.table.repeats(Edges(self.g))
+        } else {
+            self.table.repeats(Nodes(self.g))
         };
         self.keep_words(true);
         distinct_count(self.side.cols, &repeats, &self.scope, &self.keep)
@@ -465,6 +485,26 @@ impl<'g> ChainCursor<'g> {
         metrics::EXPLORE_EVALUATIONS.inc();
         self.keep_words(true);
         (&self.scope, &self.keep)
+    }
+
+    /// The sizing step of an All selector: positions the cursor on chain
+    /// pair `(i, j)` as [`evaluate_chain_pair`](Self::evaluate_chain_pair)
+    /// does and returns `|K|`, the number of entities the selector's side
+    /// keeps there, rescued nodes included. It stores nothing and reads no
+    /// repeat index. No DIST weight of the pair exceeds `|K|`, since each
+    /// kept entity counts at most once per key. Recorded as an evaluation.
+    ///
+    /// # Panics
+    /// Panics if `(i, j)` is outside the domain's chain table.
+    pub(super) fn kept_chain_pair(&mut self, i: usize, j: usize) -> u64 {
+        debug_assert!(
+            matches!(self.cfg.selector, Selector::AllNodes | Selector::AllEdges),
+            "a tuple selector's count is taken within its match vector"
+        );
+        self.seek(i, j);
+        let _eval_span = metrics::EXPLORE_EVAL_NS.span();
+        metrics::EXPLORE_EVALUATIONS.inc();
+        self.keep_words(false)
     }
 }
 

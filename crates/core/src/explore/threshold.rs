@@ -4,9 +4,29 @@
 //! aggregate graphs of consecutive time-point pairs: the minimum entity
 //! weight when the exploration operator is monotonically increasing (then
 //! `k` is tuned upward), the maximum when it is decreasing (tuned downward).
+//!
+//! For a tuple selector a pair's weight is its count, one popcount per
+//! pair. For the All selectors it is every DIST weight of the pair's
+//! aggregate graph, which the cursor keys from the pair's stored keep set
+//! `K_i`, so the scan stops as soon as no remaining pair can move the
+//! statistic. Both stops follow from Definition 2.6 and keep the result
+//! exact:
+//!
+//! - **Min.** Weights are positive integers, so the pairs are keyed in
+//!   index order until the best value is 1.
+//! - **Max.** A DIST weight counts each kept entity at most once per key,
+//!   so no weight of pair `i` exceeds `|K_i|`. Every pair is first sized by
+//!   [`ChainCursor::kept_chain_pair`], a count that stores nothing; the
+//!   pairs are then keyed in descending `|K_i|` (ties in index order) until
+//!   the next one's `|K_i|` is at most the best weight.
+//!
+//! `explore.evaluations` counts one per sized pair and one per keyed pair:
+//! `n − 1` plus the keyed pairs for a max, the keyed pairs for a min, and
+//! `n − 1` for a tuple selector.
 
 use super::cursor::ChainCursor;
 use super::{direction, Direction, ExploreConfig, Selector};
+use std::cmp::Reverse;
 use tempo_graph::{GraphError, TemporalGraph};
 
 /// Which statistic of the consecutive-pair weights to take.
@@ -47,24 +67,41 @@ pub fn initial_threshold(
             (Some(b), ThresholdStat::Max) => b.max(w),
         })
     };
-    let per_pair = (0..n - 1).filter_map(|i| match &cfg.selector {
+    let pairs = 0..n - 1;
+    if let Selector::NodeTuple(_) | Selector::EdgeTuple(..) = cfg.selector {
         // For the per-entity selectors the consecutive-pair result IS the
         // entity weight.
-        Selector::NodeTuple(_) | Selector::EdgeTuple(..) => {
-            Some(cursor.evaluate_chain_pair(i, 0)).filter(|&r| r > 0)
+        let counts = pairs.map(|i| cursor.evaluate_chain_pair(i, 0));
+        return Ok(counts.filter(|&r| r > 0).fold(None, pick));
+    }
+    // For the All selectors, take the stat over the individual entity
+    // weights of the aggregate graph, per §3.5 ("the minimum or maximum
+    // weight of the given type of entity"). With single-point sides the
+    // Any and All membership tests coincide, so the cursor's keep set is
+    // exactly the event's; the weights are read off the dense
+    // accumulators, no aggregate graph is rendered. The pairs are keyed in
+    // the order below, each beside a bound no weight of it exceeds: none
+    // for a min, `|K_i|` for a max (see the module docs).
+    let order: Vec<(u64, usize)> = match stat {
+        ThresholdStat::Min => pairs.map(|i| (u64::MAX, i)).collect(),
+        ThresholdStat::Max => {
+            let mut sized: Vec<_> = pairs.map(|i| (cursor.kept_chain_pair(i, 0), i)).collect();
+            sized.sort_by_key(|&(kept, _)| Reverse(kept));
+            sized
         }
-        // For the All selectors, take the stat over the individual entity
-        // weights of the aggregate graph, per §3.5 ("the minimum or maximum
-        // weight of the given type of entity"). With single-point sides the
-        // Any and All membership tests coincide, so the cursor's keep set is
-        // exactly the event's; the weights are read off the dense
-        // accumulators, no aggregate graph is rendered.
-        Selector::AllNodes | Selector::AllEdges => {
-            cursor.keep_chain_pair(i, 0);
-            cursor.fold_weights(None, pick)
+    };
+    let mut best = None;
+    for (bound, i) in order {
+        let settled = match stat {
+            ThresholdStat::Min => best == Some(1),
+            ThresholdStat::Max => bound <= best.unwrap_or(0),
+        };
+        if settled {
+            break;
         }
-    });
-    let best = per_pair.fold(None, pick);
+        cursor.keep_chain_pair(i, 0);
+        best = cursor.fold_weights(best, pick);
+    }
     Ok(best)
 }
 

@@ -5,12 +5,15 @@
 //! counter deltas.
 
 use graphtempo::aggregate::GroupTable;
-use graphtempo::explore::{explore, ExploreConfig, ExtendSide, Selector, Semantics};
+use graphtempo::explore::{
+    explore, initial_threshold, ExploreConfig, ExtendSide, Selector, Semantics, ThresholdStat,
+};
 use graphtempo::materialize::TimepointStore;
 use graphtempo::ops::Event;
 use tempo_columnar::Value;
 use tempo_datagen::RandomGraphConfig;
 use tempo_graph::{GraphStats, GraphVersions, TemporalGraph, TimepointPatch};
+use tempo_testkit::kept_per_pair;
 
 fn graph() -> TemporalGraph {
     RandomGraphConfig {
@@ -158,6 +161,60 @@ fn registry_matches_reported_outcomes() {
                 .map_or(0, |h| h.count),
         1
     );
+
+    // -- §3.5's scan: one evaluation per sized pair and one per keyed pair.
+    // The max sizes all five pairs, then keys pair 2 (|K| 6, weight 1) and
+    // pair 3 (|K| 4, weight 4) and stops at pair 4 (|K| 4); the min keys
+    // pairs 0 to 2 and stops at pair 2's weight 1; a tuple selector counts
+    // every pair --
+    let max_graph = kept_per_pair(&[
+        &[(0, 0)],
+        &[(1, 1)],
+        &[(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)],
+        &[(0, 0); 4],
+        &[(1, 1), (1, 1), (2, 2), (2, 2)],
+    ]);
+    let min_graph = kept_per_pair(&[
+        &[(0, 0), (0, 0)],
+        &[(1, 1); 3],
+        &[(0, 0), (0, 0), (2, 2)],
+        &[(1, 2)],
+    ]);
+    for (g, selector, stat, w_th, evaluations) in [
+        (&max_graph, Selector::AllEdges, ThresholdStat::Max, 4, 7),
+        (&min_graph, Selector::AllEdges, ThresholdStat::Min, 1, 3),
+        (&max_graph, Selector::AllNodes, ThresholdStat::Max, 8, 7),
+        (&min_graph, Selector::AllNodes, ThresholdStat::Min, 1, 4),
+        (
+            &max_graph,
+            Selector::EdgeTuple(vec![Value::Cat(0)], vec![Value::Cat(0)]),
+            ThresholdStat::Max,
+            4,
+            5,
+        ),
+    ] {
+        let cfg = ExploreConfig {
+            event: Event::Stability,
+            extend: ExtendSide::New,
+            semantics: Semantics::Union,
+            k: 0,
+            attrs: vec![g
+                .schema()
+                .id("kind")
+                .expect("hand-built graphs have `kind`")],
+            selector,
+        };
+        let before = ins.snapshot();
+        let got = initial_threshold(g, &cfg, stat).expect("two points or more");
+        let after = ins.snapshot();
+        assert_eq!(got, Some(w_th), "{stat:?} {:?}", cfg.selector);
+        assert_eq!(
+            after.counter("explore.evaluations") - before.counter("explore.evaluations"),
+            evaluations,
+            "{stat:?} {:?}",
+            cfg.selector
+        );
+    }
 
     // -- the global gate suppresses all recording --
     let before = ins.snapshot();

@@ -13,7 +13,8 @@
 //!   row, selector shape, group-table layout and column layout;
 //! * `explore` vs `explore_naive`, and budget cancellation;
 //! * `initial_threshold` (what `suggest` runs) vs a naive scan of the
-//!   consecutive pairs' materialized aggregates;
+//!   consecutive pairs' materialized aggregates, and its two early stops
+//!   on hand-built graphs whose answer sits where a wrong stop misses it;
 //! * the DIST walk across 64-entity words and 64-point chunks of a scope,
 //!   through `aggregate_masked` and `evolution_aggregate`, the last also
 //!   with its two sides overlapping, reversed, equal and interleaved;
@@ -48,8 +49,9 @@ use tempo_graph::{
     TemporalGraph, Temporality, TimeDomain, TimePoint, TimeSet, TimepointPatch,
 };
 use tempo_testkit::{
-    both_layouts, chain_len, chain_pair, event_mask_rowwise, graph_strategy, interval, kind_attr,
-    level_attr, naive_measure, naive_threshold, render_tuple, returning_tuple, Reduce,
+    both_layouts, by_hand, chain_len, chain_pair, event_mask_rowwise, graph_strategy, interval,
+    kept_per_pair, kind_attr, level_attr, naive_measure, naive_threshold, render_tuple,
+    returning_tuple, Reduce,
 };
 
 /// The attribute sets exercised everywhere below: all-static,
@@ -417,6 +419,119 @@ proptest! {
                 prop_assert!(suggested == min || suggested == max);
             }
         }
+    }
+}
+
+/// Checks `initial_threshold` for `stat` on `g` against `want` and the
+/// naive scan, under both column layouts and each of the three attribute
+/// lists, and on `g` appended one point where two fresh nodes meet against
+/// the naive scan alone.
+fn assert_threshold(
+    g: &TemporalGraph,
+    event: Event,
+    selector: Selector,
+    stat: ThresholdStat,
+    want: Option<u64>,
+) {
+    let mut patch = TimepointPatch::new("appended");
+    for fresh in ["fresh0", "fresh1"] {
+        patch.set_time_varying(fresh, level_attr(g), Value::Int(1));
+    }
+    patch.add_edge("fresh0", "fresh1");
+    let appended = GraphVersions::new(g.clone())
+        .append_timepoint(&patch)
+        .unwrap();
+    for (graphs, want) in [
+        (both_layouts(g), Some(want)),
+        (both_layouts(&appended), None),
+    ] {
+        for g in &graphs {
+            for attrs in attr_sets(g) {
+                let cfg = ExploreConfig {
+                    event,
+                    extend: ExtendSide::New,
+                    semantics: Semantics::Union,
+                    k: 0,
+                    attrs,
+                    selector: selector.clone(),
+                };
+                let got = initial_threshold(g, &cfg, stat).unwrap();
+                let at = format!(
+                    "{stat:?} {event:?} {selector:?} attrs={:?} {:?} {} points",
+                    cfg.attrs,
+                    g.sparse_mode(),
+                    g.domain().len()
+                );
+                assert_eq!(got, naive_threshold(g, &cfg, stat), "{at}");
+                if let Some(want) = want {
+                    assert_eq!(got, want, "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// The max scan keys pairs in descending `|K_i|` and stops at the first
+/// whose `|K_i|` is at most the best weight. The largest keep set (pair 2,
+/// six edges of six keys) holds weight 1; the max, 4, sits in pair 3; pair
+/// 4 ties it with `|K_4| = 4` and need not be keyed. Pairs 0 and 1 keep one
+/// edge each, so a scan in ascending `|K_i|` would stop at pair 1 with 1.
+/// On the nodes, two per edge, pair 2 keeps 12 of weight 4 and pairs 3 and
+/// 4 keep 8 each, the max 8 in pair 3.
+#[test]
+fn max_threshold_stops_at_a_keep_set_no_larger_than_the_best() {
+    let g = kept_per_pair(&[
+        &[(0, 0)],
+        &[(1, 1)],
+        &[(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)],
+        &[(0, 0); 4],
+        &[(1, 1), (1, 1), (2, 2), (2, 2)],
+    ]);
+    let max = ThresholdStat::Max;
+    assert_threshold(&g, Event::Stability, Selector::AllEdges, max, Some(4));
+    assert_threshold(&g, Event::Stability, Selector::AllNodes, max, Some(8));
+}
+
+/// The min scan keys pairs in index order and stops once the best weight
+/// is 1. Pairs 0 and 1 hold minima 2 and 3, so a scan that stopped at 2
+/// would answer 2; the first weight 1 is in pair 2 on the edges and in
+/// pair 3 on the nodes.
+#[test]
+fn min_threshold_stops_at_weight_one_only() {
+    let g = kept_per_pair(&[
+        &[(0, 0), (0, 0)],
+        &[(1, 1); 3],
+        &[(0, 0), (0, 0), (2, 2)],
+        &[(1, 2)],
+    ]);
+    let min = ThresholdStat::Min;
+    assert_threshold(&g, Event::Stability, Selector::AllEdges, min, Some(1));
+    assert_threshold(&g, Event::Stability, Selector::AllNodes, min, Some(1));
+}
+
+/// Under a difference event the node keep set holds the endpoints of the
+/// kept edges (Definition 2.5), so `|K_i|` must count them. Four `k0`
+/// nodes exist at two points, and the two edges between them at only one:
+/// the pair where those edges appear (growth) or vanish (shrinkage) keeps
+/// the four nodes by rescue alone, weight 4, while the other pair keeps
+/// three `k1` nodes that appear or vanish themselves, weight 3. A sizing
+/// step that left the rescue out would take 3 for the max.
+#[test]
+fn max_threshold_sizes_the_rescued_nodes() {
+    let nodes = |x: std::ops::Range<u32>, y: std::ops::Range<u32>| {
+        let xs = ["x1", "x2", "x3", "x4"].map(|n| (n, 0, x.clone()));
+        let ys = ["y1", "y2", "y3"].map(|n| (n, 1, y.clone()));
+        xs.into_iter().chain(ys).collect::<Vec<_>>()
+    };
+    let edges = [("x1", "x2", 1..2), ("x3", "x4", 1..2)];
+    let growth = by_hand(3, &nodes(0..2, 2..3), &edges);
+    let shrinkage = by_hand(3, &nodes(1..3, 0..1), &edges);
+    for (g, event) in [(growth, Event::Growth), (shrinkage, Event::Shrinkage)] {
+        let (nodes, edges) = (Selector::AllNodes, Selector::AllEdges);
+        assert_threshold(&g, event, nodes.clone(), ThresholdStat::Max, Some(4));
+        assert_threshold(&g, event, nodes, ThresholdStat::Min, Some(3));
+        assert_threshold(&g, event, edges.clone(), ThresholdStat::Max, Some(2));
+        assert_threshold(&g, event, edges, ThresholdStat::Min, Some(2));
     }
 }
 

@@ -178,6 +178,65 @@ pub fn returning_tuple() -> TemporalGraph {
     b.build().expect("well-formed")
 }
 
+/// A graph built by hand on the random graphs' schema over `points`
+/// points: node `(name, k, at)` carries `kind` `k{k}` and exists at the
+/// points of `at`, with `level` `k + 1` at each, and edge `(u, v, at)`
+/// exists at the points of `at`. So `kind`, `level` and both key the same
+/// aggregate.
+pub fn by_hand(
+    points: usize,
+    nodes: &[(&str, u32, Range<u32>)],
+    edges: &[(&str, &str, Range<u32>)],
+) -> TemporalGraph {
+    let mut schema = AttributeSchema::new();
+    let kind = schema.declare("kind", Temporality::Static).expect("fresh");
+    let level = schema
+        .declare("level", Temporality::TimeVarying)
+        .expect("fresh");
+    let mut b = GraphBuilder::new(TimeDomain::indexed(points), schema);
+    for (name, k, at) in nodes {
+        let n = b.get_or_add_node(name);
+        let category = b.intern_category(kind, &format!("k{k}"));
+        b.set_static(n, kind, category).expect("static");
+        for t in at.clone().map(TimePoint) {
+            b.set_presence(n, t).expect("in the domain");
+            let x = Value::Int(i64::from(*k) + 1);
+            b.set_time_varying(n, level, t, x).expect("in the domain");
+        }
+    }
+    for (u, v, at) in edges {
+        let (u, v) = (b.get_or_add_node(u), b.get_or_add_node(v));
+        for t in at.clone().map(TimePoint) {
+            b.add_edge_at(u, v, t).expect("in the domain");
+        }
+    }
+    b.build().expect("well-formed")
+}
+
+/// A [`by_hand`] graph whose consecutive pair `(i, i + 1)` keeps, under
+/// stability, the edges `pairs[i]` lists: each `(s, d)` is an edge
+/// `p{i}e{j}s → p{i}e{j}d` between two nodes of its own, of kinds `s` and
+/// `d`, that exist at points `i` and `i + 1` only. The pair's DIST edge
+/// weights are the multiplicities of its `(s, d)`, and `|K_i|` is
+/// `pairs[i].len()`.
+pub fn kept_per_pair(pairs: &[&[(u32, u32)]]) -> TemporalGraph {
+    let names: Vec<_> = (0..pairs.len())
+        .flat_map(|i| (0..pairs[i].len()).map(move |j| (i, j)))
+        .map(|(i, j)| (i, j, format!("p{i}e{j}s"), format!("p{i}e{j}d")))
+        .collect();
+    let at = |i: usize| i as u32..i as u32 + 2;
+    let nodes: Vec<_> = (names.iter())
+        .flat_map(|(i, j, s, d)| {
+            let (ks, kd) = pairs[*i][*j];
+            [(s.as_str(), ks, at(*i)), (d.as_str(), kd, at(*i))]
+        })
+        .collect();
+    let edges: Vec<_> = (names.iter())
+        .map(|(i, _, s, d)| (s.as_str(), d.as_str(), at(*i)))
+        .collect();
+    by_hand(pairs.len() + 1, &nodes, &edges)
+}
+
 /// The graph under each forced column layout, dense first: the one caller
 /// of `TemporalGraph::set_sparse_mode` outside `tempo-graph`.
 pub fn both_layouts(g: &TemporalGraph) -> [TemporalGraph; 2] {
