@@ -400,12 +400,14 @@ impl Session {
         let level_names = level_ids.iter().map(|&a| g.schema().def(a).name());
         let level = Level::new(level_names.collect());
         let cube = GraphCube::build(g, &attrs, 1);
-        let agg = match (args.get("t"), args.get("scope")) {
+        let domain = g.domain();
+        let scope = match (args.get("t"), args.get("scope")) {
             (Some(_), Some(_)) => return Err(args.usage()),
-            (Some(t), None) => cube.slice(&level, TimePoint(parse_point(g.domain(), t)? as u32))?,
-            (None, Some(iv)) => cube.query(&level, &parse_interval(g.domain(), iv)?)?,
-            (None, None) => cube.query(&level, &g.domain().all())?,
+            (Some(t), None) => TimeSet::from_indices(domain.len(), [parse_point(domain, t)?]),
+            (None, Some(iv)) => parse_interval(domain, iv)?,
+            (None, None) => domain.all(),
         };
+        let agg = cube.query(&level, &scope)?;
         let mut reply = Reply::line(format!(
             "cube query at level ({}): {} nodes, {} edges",
             level.names().join(","),

@@ -364,17 +364,6 @@ impl BitVec {
         self.words.fill(0);
     }
 
-    /// Overwrites `self` with a copy of `other`'s bits (no reallocation).
-    ///
-    /// # Panics
-    /// Panics on width mismatch.
-    pub fn copy_from(&mut self, other: &BitVec) {
-        self.check_width(other);
-        self.words.copy_from_slice(&other.words);
-        self.clear_tail();
-        self.debug_validate();
-    }
-
     /// Makes the vector `nbits` wide and fills it with `words`, one item
     /// per word in order (extra items are ignored, and a word without an
     /// item reads zero), then clears every bit past `nbits` the items set:
@@ -581,11 +570,8 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_clear_all_reuse_the_buffer() {
-        let a = BitVec::from_indices(130, [0, 5, 64, 100, 129]);
-        let mut buf = BitVec::zeros(130);
-        buf.copy_from(&a);
-        assert_eq!(buf, a);
+    fn clear_all_keeps_the_width() {
+        let mut buf = BitVec::from_indices(130, [0, 5, 64, 100, 129]);
         buf.clear_all();
         assert!(buf.is_zero());
         assert_eq!(buf.len(), 130);

@@ -9,15 +9,13 @@
 //! A matrix holds one dictionary of its distinct non-`Null` values and, per
 //! column, one `Arc`-shared chunk of `u32` codes into it — 4 bytes a cell
 //! whatever the value, [`NULL_CODE`] for `Null` — truncated at its last
-//! non-`Null` row: rows past `col.len()` are implicitly `Null`. Cloning,
-//! [`widen`](ValueMatrix::widen)ing and
-//! [`restrict_columns`](ValueMatrix::restrict_columns) copy the column spine
-//! and share the dictionary, so an appended snapshot shares every untouched
-//! column with its predecessor (copy-on-write via `Arc::make_mut`) and
-//! appending a time point adds one fresh code column without rewriting
-//! history. The dictionary only grows, so a code keeps its meaning in every
-//! matrix derived from one source; only a write that interns a value the
-//! dictionary lacks un-shares it.
+//! non-`Null` row: rows past `col.len()` are implicitly `Null`. Cloning
+//! copies the column spine and shares the dictionary, so an appended
+//! snapshot shares every untouched column with its predecessor
+//! (copy-on-write via `Arc::make_mut`) and appending a time point adds one
+//! fresh code column without rewriting history. The dictionary only grows,
+//! so a code keeps its meaning in every matrix derived from one source;
+//! only a write that interns a value the dictionary lacks un-shares it.
 //!
 //! The layout pays off when values repeat (domains of 3–18 values in the
 //! paper's datasets). An attribute whose cells are all distinct costs a
@@ -210,51 +208,6 @@ impl ValueMatrix {
         col[r] = code;
     }
 
-    /// Copies row `r` out, gathering one cell per column.
-    ///
-    /// # Panics
-    /// Panics if out of range.
-    pub fn row(&self, r: usize) -> Vec<Value> {
-        (0..self.ncols).map(|c| self.get(r, c).clone()).collect()
-    }
-
-    /// Builds a new matrix keeping only the listed columns, in that order.
-    /// Cheap: the kept column chunks and the dictionary are `Arc`-shared,
-    /// not copied.
-    ///
-    /// # Panics
-    /// Panics if any column is out of range.
-    pub fn restrict_columns(&self, cols: &[usize]) -> ValueMatrix {
-        for &c in cols {
-            assert!(c < self.ncols, "column {c} out of range {}", self.ncols);
-        }
-        ValueMatrix {
-            ncols: cols.len(),
-            nrows: self.nrows,
-            dict: Arc::clone(&self.dict),
-            cols: cols.iter().map(|&c| Arc::clone(&self.cols[c])).collect(),
-        }
-    }
-
-    /// Builds a copy with `new_ncols >= ncols` columns; existing cells keep
-    /// their positions, new columns are `Null`. Cheap copy-on-write: the
-    /// existing column chunks are `Arc`-shared and the new columns are
-    /// implicit-`Null`.
-    ///
-    /// # Panics
-    /// Panics if `new_ncols < ncols`.
-    pub fn widen(&self, new_ncols: usize) -> ValueMatrix {
-        assert!(
-            new_ncols >= self.ncols,
-            "widen cannot shrink: {} -> {new_ncols}",
-            self.ncols
-        );
-        let mut wide = self.clone();
-        wide.cols.resize_with(new_ncols, Arc::default);
-        wide.ncols = new_ncols;
-        wide
-    }
-
     /// Builds a new matrix keeping only the listed rows, in that order; it
     /// shares the dictionary, so only codes are gathered.
     ///
@@ -326,33 +279,14 @@ mod tests {
     }
 
     #[test]
-    fn restrict_and_select() {
+    fn select_rows_gathers_codes() {
         let mut m = ValueMatrix::new(3);
         m.push_row(vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
         m.push_row(vec![Value::Int(10), Value::Int(11), Value::Int(12)]);
-        let r = m.restrict_columns(&[2, 0]);
-        assert_eq!(r.row(1), &[Value::Int(12), Value::Int(10)]);
         let s = m.select_rows(&[1]);
         assert_eq!(s.nrows(), 1);
-        assert_eq!(s.row(0)[0], Value::Int(10));
-    }
-
-    #[test]
-    fn widen_preserves_and_pads() {
-        let mut m = ValueMatrix::new(2);
-        m.push_row(vec![Value::Int(1), Value::Int(2)]);
-        let w = m.widen(4);
-        assert_eq!(w.ncols(), 4);
-        assert_eq!(w.get(0, 1), &Value::Int(2));
-        assert!(w.get(0, 3).is_null());
-        // widening shares every existing chunk with the source
-        assert_eq!(w.shared_cols(&m), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn widen_shrink_panics() {
-        ValueMatrix::new(3).widen(2);
+        assert_eq!(s.get(0, 0), &Value::Int(10));
+        assert_eq!(s.get(0, 2), &Value::Int(12));
     }
 
     #[test]
@@ -396,7 +330,7 @@ mod tests {
         b.push_row(vec![Value::Int(1), Value::Null]);
         b.push_row(vec![Value::Null, Value::Null]);
         assert_eq!(a, b);
-        assert_eq!(a.row(1), vec![Value::Null, Value::Null]);
+        assert!(a.get(1, 0).is_null() && a.get(1, 1).is_null());
     }
 
     #[test]

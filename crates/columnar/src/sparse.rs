@@ -202,7 +202,7 @@ impl PresenceColumn {
 
     /// Validates the representation invariants: a dense column satisfies
     /// [`BitVec::check_invariants`]; a sparse column's IDs are strictly
-    /// increasing and all below `len()` (the galloping intersection and
+    /// increasing and all below `len()` (the binary search of `get` and
     /// every word-walk kernel assume sorted unique in-range IDs). Either
     /// column ends at the word of its last set bit: a dense one whose last
     /// stored word is zero, or a sparse one whose width runs past its last
@@ -324,18 +324,15 @@ impl PresenceColumn {
 
     /// `popcount(col & other)` between two columns: word-parallel for
     /// dense×dense, a bitmap probe per ID when exactly one side is sparse,
-    /// and a galloping sorted-list intersection for sparse×sparse.
+    /// and a [`get`](Self::get) of the other column per ID for
+    /// sparse×sparse.
     ///
     /// The columns may differ in stored width (zero-extension): the
     /// intersection lives entirely in the common prefix.
     pub fn count_ones_and(&self, other: &PresenceColumn) -> usize {
         match (self, other) {
-            (PresenceColumn::Sparse(a), PresenceColumn::Sparse(b)) => {
-                if a.ids.len() <= b.ids.len() {
-                    galloping_intersect_count(&a.ids, &b.ids)
-                } else {
-                    galloping_intersect_count(&b.ids, &a.ids)
-                }
+            (PresenceColumn::Sparse(a), PresenceColumn::Sparse(_)) => {
+                a.ids.iter().filter(|&&id| other.get(id as usize)).count()
             }
             (PresenceColumn::Sparse(a), PresenceColumn::Dense(bv))
             | (PresenceColumn::Dense(bv), PresenceColumn::Sparse(a)) => {
@@ -588,35 +585,6 @@ impl SparseIds {
     }
 }
 
-/// Counts common elements of two sorted strictly-increasing ID lists,
-/// iterating the smaller list and galloping (exponential probe + binary
-/// search) through the remaining suffix of the larger — O(s·log(l/s)),
-/// which beats a linear merge whenever the sizes are lopsided.
-fn galloping_intersect_count(small: &[u32], mut large: &[u32]) -> usize {
-    let mut count = 0usize;
-    for &x in small {
-        if large.is_empty() {
-            break;
-        }
-        let mut step = 1usize;
-        while step < large.len() && large[step - 1] < x {
-            step <<= 1;
-        }
-        let lo = step >> 1;
-        let hi = step.min(large.len());
-        match large[lo..hi].binary_search(&x) {
-            Ok(i) => {
-                count += 1;
-                large = &large[lo + i + 1..];
-            }
-            Err(i) => {
-                large = &large[lo + i..];
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,18 +714,6 @@ mod tests {
                 assert_eq!(a.count_ones_and(&b), expect, "{a:?} x {b:?}");
             }
         }
-    }
-
-    #[test]
-    fn galloping_handles_lopsided_and_disjoint_lists() {
-        let small: Vec<u32> = vec![0, 500, 999];
-        let large: Vec<u32> = (0..1000).collect();
-        assert_eq!(galloping_intersect_count(&small, &large), 3);
-        let odd: Vec<u32> = (0..1000).filter(|x| x % 2 == 1).collect();
-        let even: Vec<u32> = (0..1000).filter(|x| x % 2 == 0).collect();
-        assert_eq!(galloping_intersect_count(&small, &odd), 1); // 999
-        assert_eq!(galloping_intersect_count(&[], &even), 0);
-        assert_eq!(galloping_intersect_count(&small, &[]), 0);
     }
 
     #[test]

@@ -123,23 +123,10 @@ fn matrix_step(m: &mut ValueMatrix, model: &mut Vec<Vec<Value>>, step: MatrixSte
                 model[r][ncols] = v;
             }
         }
-        5 => {
-            *m = m.widen(ncols + a % 3);
-            model
-                .iter_mut()
-                .for_each(|row| row.resize(ncols + a % 3, Value::Null));
-        }
-        6 if nrows > 0 => {
+        5 if nrows > 0 => {
             let rows: Vec<usize> = draws.iter().map(|d| d % nrows).collect();
             *m = m.select_rows(&rows);
             *model = rows.iter().map(|&r| model[r].clone()).collect();
-        }
-        7 if ncols > 0 => {
-            let keep: Vec<usize> = draws.iter().take(4).map(|d| d % ncols).collect();
-            *m = m.restrict_columns(&keep);
-            for row in model.iter_mut() {
-                *row = keep.iter().map(|&c| row[c].clone()).collect();
-            }
         }
         _ => {}
     }
@@ -148,7 +135,7 @@ fn matrix_step(m: &mut ValueMatrix, model: &mut Vec<Vec<Value>>, step: MatrixSte
 /// A random history of matrix steps, starting from `ncols` empty columns.
 fn matrix_history() -> impl Strategy<Value = (usize, Vec<MatrixStep>)> {
     let step = (
-        0usize..8,
+        0usize..6,
         0usize..64,
         0usize..64,
         proptest::collection::vec(0usize..1000, 1..6),
@@ -176,7 +163,6 @@ proptest! {
             prop_assert_eq!(m.nrows(), model.len());
             for (r, row) in model.iter().enumerate() {
                 prop_assert_eq!(m.ncols(), row.len());
-                prop_assert_eq!(&m.row(r), row);
                 for (c, want) in row.iter().enumerate() {
                     prop_assert_eq!(m.get(r, c), want);
                     let code = m.code(r, c);
@@ -244,7 +230,9 @@ proptest! {
             prop_assert!(copy.shared_cols(&m) >= m.ncols() - 1);
             prop_assert_eq!(std::ptr::eq(copy.dict(), m.dict()), known);
             for (r, row) in model.iter().enumerate() {
-                prop_assert_eq!(&m.row(r), row);
+                for (c, want) in row.iter().enumerate() {
+                    prop_assert_eq!(m.get(r, c), want);
+                }
             }
         }
     }
@@ -423,8 +411,6 @@ proptest! {
         c.and_assign(&b);
         prop_assert_eq!(c.check_invariants(), Ok(()));
         c.or_assign(&b);
-        prop_assert_eq!(c.check_invariants(), Ok(()));
-        c.copy_from(&b);
         prop_assert_eq!(c.check_invariants(), Ok(()));
 
         // a word writer that sets the bits past `len()` leaves them clear

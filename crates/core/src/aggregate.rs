@@ -274,21 +274,6 @@ fn tuple_at(
 /// # Panics
 /// Panics if any id is not from `g`'s schema.
 pub fn aggregate(g: &TemporalGraph, attrs: &[AttrId], mode: AggMode) -> AggregateGraph {
-    aggregate_filtered(g, attrs, mode, None)
-}
-
-/// [`aggregate`] with an optional per-(node, time) filter; a filtered-out
-/// node contributes no appearances, and an edge appearance requires both
-/// endpoints to pass. Like [`aggregate`], an oracle no served verb calls.
-///
-/// # Panics
-/// Panics if any id is not from `g`'s schema.
-pub fn aggregate_filtered(
-    g: &TemporalGraph,
-    attrs: &[AttrId],
-    mode: AggMode,
-    filter: Option<&NodeTimeFilter<'_>>,
-) -> AggregateGraph {
     let names: Vec<String> = attrs
         .iter()
         .map(|&a| g.schema().def(a).name().to_owned())
@@ -305,19 +290,12 @@ pub fn aggregate_filtered(
                 .expect("invariant: every time-varying id has a table")
         })
         .collect();
-
-    let passes = |n: usize, t: usize| -> bool {
-        filter.is_none_or(|f| f(g, NodeId(n as u32), TimePoint(t as u32)))
-    };
     // DIST counts an (entity, tuple) the first time it is seen
     let distinct = mode == AggMode::Distinct;
     let mut seen: HashSet<(usize, ValueTuple)> = HashSet::new();
     for n in 0..g.n_nodes() {
         let points = g.node_timestamp(NodeId(n as u32));
         for t in points.iter().map(TimePoint::index) {
-            if !passes(n, t) {
-                continue;
-            }
             let tuple = tuple_at(g, &resolved, &tv_tables, n, t);
             if !distinct || seen.insert((n, tuple.clone())) {
                 agg.add_node_weight(tuple, 1);
@@ -329,9 +307,6 @@ pub fn aggregate_filtered(
         let (u, v) = g.edge_endpoints(EdgeId(e as u32));
         let points = g.edge_timestamp(EdgeId(e as u32));
         for t in points.iter().map(TimePoint::index) {
-            if !passes(u.index(), t) || !passes(v.index(), t) {
-                continue;
-            }
             let tu = tuple_at(g, &resolved, &tv_tables, u.index(), t);
             let tv = tuple_at(g, &resolved, &tv_tables, v.index(), t);
             if !distinct || seen.insert((e, (tu.clone(), tv.clone()))) {
@@ -1011,25 +986,6 @@ mod tests {
             2
         );
         assert_eq!(agg.edge_weight(&[f], &[m]), 0);
-    }
-
-    #[test]
-    fn filtered_aggregation() {
-        let g = fig1();
-        let pubs = g.schema().id("publications").unwrap();
-        let ga = attrs(&g, &["gender"]);
-        // keep only appearances with publications >= 2
-        let filter = move |gr: &TemporalGraph, n: NodeId, t: TimePoint| {
-            gr.attr_value(n, pubs, t).as_int().unwrap_or(0) >= 2
-        };
-        let agg = aggregate_filtered(&g, &ga, AggMode::All, Some(&filter));
-        let m = cat(&g, "gender", "m");
-        let f = cat(&g, "gender", "f");
-        // appearances with pubs>=2: u1@t0 (m,3), u4@t0 (f,2), u5@t2 (m,3)
-        assert_eq!(agg.node_weight(&[m]), 2);
-        assert_eq!(agg.node_weight(&[f]), 1);
-        // no edge has both endpoints passing at the same time
-        assert_eq!(agg.n_edges(), 0);
     }
 
     #[test]

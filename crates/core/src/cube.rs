@@ -8,8 +8,9 @@
 //!   ([`crate::aggregate::rollup`]);
 //! * coarser time via T-distributive union ([`crate::materialize`]).
 //!
-//! [`GraphCube`] is the navigation over those levels — roll-up, drill-down,
-//! the attribute lattice — and answers any (subset, scope) OLAP query.
+//! [`GraphCube`] answers any (subset, scope) OLAP query: a slice is a
+//! one-point scope, and a roll-up or drill-down a query at a coarser or
+//! finer [`Level`].
 //! Distributivity says the finest-level store could answer it; the cube
 //! evaluates the answer directly instead, as one ALL walk of the scope's
 //! union graph ([`GroupTable::aggregate_union`]) at the *requested* level
@@ -18,7 +19,7 @@
 //! EXPERIMENTS.md, Fig. 10/11).
 
 use crate::aggregate::{AggMode, AggregateGraph, GroupTable};
-use tempo_graph::{require_non_empty, AttrId, GraphError, TemporalGraph, TimePoint, TimeSet};
+use tempo_graph::{require_non_empty, AttrId, GraphError, TemporalGraph, TimeSet};
 
 /// A cuboid address: which attribute dimensions are kept, by name.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -41,7 +42,7 @@ impl Level {
 ///
 /// ```
 /// use graphtempo::cube::{GraphCube, Level};
-/// use tempo_graph::{fixtures::fig1, TimePoint};
+/// use tempo_graph::{fixtures::fig1, TimePoint, TimeSet};
 ///
 /// let g = fig1();
 /// let attrs = vec![
@@ -50,7 +51,8 @@ impl Level {
 /// ];
 /// let cube = GraphCube::build(&g, &attrs, 1);
 /// // slice t0 at the coarser (gender) level
-/// let by_gender = cube.slice(&Level::new(vec!["gender"]), TimePoint(0)).unwrap();
+/// let t0 = TimeSet::point(g.domain().len(), TimePoint(0));
+/// let by_gender = cube.query(&Level::new(vec!["gender"]), &t0).unwrap();
 /// assert_eq!(by_gender.total_node_weight(), 4); // four authors at t0
 /// ```
 pub struct GraphCube<'g> {
@@ -74,22 +76,6 @@ impl<'g> GraphCube<'g> {
         GraphCube { g, dimensions }
     }
 
-    /// The full dimension set (the cube's base level).
-    pub fn base_level(&self) -> Level {
-        Level(self.dimensions.clone())
-    }
-
-    /// The apex aggregate at one time point and one level.
-    ///
-    /// # Errors
-    /// Returns an error if the level is not a subset of the dimensions.
-    ///
-    /// # Panics
-    /// Panics if `t` is outside the graph's time domain.
-    pub fn slice(&self, level: &Level, t: TimePoint) -> Result<AggregateGraph, GraphError> {
-        self.query(level, &TimeSet::point(self.domain_len(), t))
-    }
-
     /// The aggregate over a time scope at a level (union semantics, ALL
     /// weights).
     ///
@@ -98,68 +84,14 @@ impl<'g> GraphCube<'g> {
     pub fn query(&self, level: &Level, scope: &TimeSet) -> Result<AggregateGraph, GraphError> {
         let ids = self.level_ids(level)?;
         require_non_empty(scope, "scope")?;
-        if scope.domain_len() != self.domain_len() {
+        if scope.domain_len() != self.g.domain().len() {
             return Err(GraphError::UnknownTimePoint(format!(
                 "scope over domain of {} in cube of {}",
                 scope.domain_len(),
-                self.domain_len()
+                self.g.domain().len()
             )));
         }
         Ok(GroupTable::cached(self.g, &ids).aggregate_union(self.g, scope, AggMode::All))
-    }
-
-    /// Rolls up one dimension (removes it), returning the coarser level.
-    ///
-    /// # Errors
-    /// Returns an error if the dimension is not part of the level.
-    pub fn roll_up(&self, level: &Level, drop: &str) -> Result<Level, GraphError> {
-        if !level.names().iter().any(|n| n == drop) {
-            return Err(GraphError::UnknownAttribute(drop.to_owned()));
-        }
-        Ok(Level(
-            level
-                .names()
-                .iter()
-                .filter(|n| n.as_str() != drop)
-                .cloned()
-                .collect(),
-        ))
-    }
-
-    /// Drills down by adding one dimension back, returning the finer level.
-    ///
-    /// # Errors
-    /// Returns an error if the dimension is unknown or already present.
-    pub fn drill_down(&self, level: &Level, add: &str) -> Result<Level, GraphError> {
-        if !self.dimensions.iter().any(|n| n == add) {
-            return Err(GraphError::UnknownAttribute(add.to_owned()));
-        }
-        if level.names().iter().any(|n| n == add) {
-            return Err(GraphError::DuplicateAttribute(add.to_owned()));
-        }
-        let mut names = level.names().to_vec();
-        names.push(add.to_owned());
-        Ok(Level(names))
-    }
-
-    /// Every level of the attribute lattice (all non-empty subsets of the
-    /// dimensions, in declaration order within each subset).
-    pub fn all_levels(&self) -> Vec<Level> {
-        let k = self.dimensions.len();
-        let mut out = Vec::new();
-        for mask in 1u32..(1 << k) {
-            let names: Vec<String> = (0..k)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| self.dimensions[i].clone())
-                .collect();
-            out.push(Level(names));
-        }
-        out
-    }
-
-    /// Size of the underlying time domain.
-    pub fn domain_len(&self) -> usize {
-        self.g.domain().len()
     }
 
     /// The attribute ids of `level`, in its order.
@@ -193,22 +125,23 @@ mod tests {
         GraphCube::build(g, &attrs, 1)
     }
 
-    #[test]
-    fn levels_and_lattice() {
-        let g = fig1();
-        let cube = cube(&g);
-        assert_eq!(cube.base_level().names(), &["gender", "publications"]);
-        let levels = cube.all_levels();
-        assert_eq!(levels.len(), 3); // {G}, {P}, {G,P}
+    /// Every non-empty subset of the cube's dimensions.
+    fn levels() -> [Level; 3] {
+        [
+            Level::new(vec!["gender"]),
+            Level::new(vec!["publications"]),
+            Level::new(vec!["gender", "publications"]),
+        ]
     }
 
     #[test]
-    fn slice_matches_direct_aggregation() {
+    fn one_point_query_matches_direct_aggregation() {
         let g = fig1();
         let cube = cube(&g);
         for t in g.domain().iter() {
-            for level in cube.all_levels() {
-                let from_cube = cube.slice(&level, t).unwrap();
+            for level in levels() {
+                let scope = TimeSet::point(g.domain().len(), t);
+                let from_cube = cube.query(&level, &scope).unwrap();
                 let p = project_point(&g, t).unwrap();
                 let ids: Vec<AttrId> = level
                     .names()
@@ -236,25 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn rollup_drilldown_navigation() {
-        let g = fig1();
-        let cube = cube(&g);
-        let base = cube.base_level();
-        let coarse = cube.roll_up(&base, "publications").unwrap();
-        assert_eq!(coarse.names(), &["gender"]);
-        let fine = cube.drill_down(&coarse, "publications").unwrap();
-        assert_eq!(fine.names(), &["gender", "publications"]);
-        assert!(cube.roll_up(&coarse, "publications").is_err());
-        assert!(cube.drill_down(&base, "publications").is_err());
-        assert!(cube.drill_down(&base, "nope").is_err());
-    }
-
-    #[test]
     fn unknown_level_rejected() {
         let g = fig1();
         let cube = cube(&g);
         let bad = Level::new(vec!["age"]);
-        assert!(cube.slice(&bad, TimePoint(0)).is_err());
         assert!(cube.query(&bad, &TimeSet::from_indices(3, [0])).is_err());
     }
 
@@ -262,6 +180,7 @@ mod tests {
     fn empty_scope_rejected() {
         let g = fig1();
         let cube = cube(&g);
-        assert!(cube.query(&cube.base_level(), &TimeSet::empty(3)).is_err());
+        let base = Level::new(vec!["gender", "publications"]);
+        assert!(cube.query(&base, &TimeSet::empty(3)).is_err());
     }
 }

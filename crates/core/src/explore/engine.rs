@@ -102,8 +102,8 @@ pub fn explore(g: &TemporalGraph, cfg: &ExploreConfig) -> Result<ExploreOutcome,
 }
 
 /// [`explore`] under a request-scoped [`Budget`]: the engine polls the
-/// budget before every pair evaluation, so a deadline or cancel flag stops
-/// the run within one evaluation. With [`Budget::unlimited`] the outcome is
+/// budget before every pair evaluation, so a passed deadline stops the run
+/// within one evaluation. With [`Budget::unlimited`] the outcome is
 /// identical to [`explore`].
 ///
 /// # Errors

@@ -79,7 +79,7 @@ impl TimepointStore {
 
     /// Incrementally appends the aggregates of the time points the graph
     /// gained since the store was built (the maintenance path when a new
-    /// snapshot arrives via `GraphBuilder::from_graph`).
+    /// snapshot arrives via `GraphVersions::append_timepoint`).
     ///
     /// # Errors
     /// Returns an error if the graph has fewer time points than the store
@@ -186,25 +186,18 @@ mod tests {
 
     #[test]
     fn append_new_points_matches_rebuild() {
-        use tempo_graph::GraphBuilder;
+        use tempo_graph::{GraphVersions, TimepointPatch};
         let g = fig1();
         let ga = attrs(&g, &["gender", "publications"]);
         let mut store = TimepointStore::build(&g, &ga);
 
         // extend the graph with a new year and a new appearance
-        let mut b = GraphBuilder::from_graph(g, &["t3"]).unwrap();
-        let u2 = b.get_or_add_node("u2");
-        let u4 = b.get_or_add_node("u4");
-        let pubs = b.schema().id("publications").unwrap();
-        b.set_time_varying(
-            u2,
-            pubs,
-            tempo_graph::TimePoint(3),
-            tempo_columnar::Value::Int(2),
-        )
-        .unwrap();
-        b.add_edge_at(u4, u2, tempo_graph::TimePoint(3)).unwrap();
-        let g2 = b.build().unwrap();
+        let pubs = g.schema().id("publications").unwrap();
+        let mut patch = TimepointPatch::new("t3");
+        patch
+            .set_time_varying("u2", pubs, tempo_columnar::Value::Int(2))
+            .add_edge("u4", "u2");
+        let g2 = GraphVersions::new(g).append_timepoint(&patch).unwrap();
 
         let added = store.append_new_points(&g2).unwrap();
         assert_eq!(added, 1);

@@ -103,16 +103,6 @@ impl EventMask {
     pub fn n_edges(&self) -> usize {
         self.keep_edges.count_ones()
     }
-
-    /// Source row indices of kept nodes, ascending.
-    pub fn node_rows(&self) -> Vec<usize> {
-        self.keep_nodes.iter_ones().collect()
-    }
-
-    /// Source row indices of kept edges, ascending.
-    pub fn edge_rows(&self) -> Vec<usize> {
-        self.keep_edges.iter_ones().collect()
-    }
 }
 
 /// The entities that are members of `side` under `test`, over the presence
@@ -578,7 +568,7 @@ mod tests {
                             assert_eq!(mask.n_nodes(), graph.n_nodes());
                             assert_eq!(mask.n_edges(), graph.n_edges());
                             // same rows: every kept node's name resolves in the graph
-                            for r in mask.node_rows() {
+                            for r in mask.keep_nodes().iter_ones() {
                                 assert!(
                                     graph.node_id(g.node_name(NodeId(r as u32))).is_some(),
                                     "{event:?} kept node row {r} missing from event graph"

@@ -32,7 +32,7 @@
 //!   the count's `prev ≥ lo` rule on a tuple that comes back.
 
 use graphtempo::aggregate::{aggregate, rollup, AggMode, GroupTable, NodeTimeFilter};
-use graphtempo::cube::GraphCube;
+use graphtempo::cube::{GraphCube, Level};
 use graphtempo::evolution::{evolution_aggregate, evolution_aggregate_naive, EvolutionWeights};
 use graphtempo::explore::{
     evaluate_pair_materialized, explore, explore_budgeted, explore_naive, initial_threshold,
@@ -201,7 +201,7 @@ proptest! {
                     let graph = event_graph(&g, event, &told, &tnew, old_test, new_test).unwrap();
                     prop_assert_eq!(mask.n_nodes(), graph.n_nodes());
                     prop_assert_eq!(mask.n_edges(), graph.n_edges());
-                    for r in mask.node_rows() {
+                    for r in mask.keep_nodes().iter_ones() {
                         prop_assert!(
                             graph.node_id(g.node_name(NodeId(r as u32))).is_some(),
                             "{:?} kept node row {} missing from event graph", event, r
@@ -365,12 +365,10 @@ proptest! {
         }
     }
 
-    /// An already-expired deadline and a pre-raised cancel flag both stop
-    /// the run at its first checkpoint; an unlimited budget changes nothing.
+    /// An already-expired deadline stops the run at its first checkpoint;
+    /// an unlimited budget changes nothing.
     #[test]
     fn budget_cancels_exploration(g in graph_strategy()) {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
         let cfg = ExploreConfig {
             event: Event::Stability,
             extend: ExtendSide::New,
@@ -382,11 +380,6 @@ proptest! {
         let expired = Budget::unlimited().with_deadline_ms(0);
         prop_assert!(matches!(
             explore_budgeted(&g, &cfg, &expired),
-            Err(GraphError::Cancelled(_))
-        ));
-        let raised = Budget::unlimited().with_cancel_flag(Arc::new(AtomicBool::new(true)));
-        prop_assert!(matches!(
-            explore_budgeted(&g, &cfg, &raised),
             Err(GraphError::Cancelled(_))
         ));
         let free = explore_budgeted(&g, &cfg, &Budget::unlimited()).unwrap();
@@ -964,8 +957,9 @@ fn all_walk_crosses_words_and_chunks() {
         let scope = t1.union(&t2);
         let union_all = aggregate(&union(&g, &t1, &t2).unwrap(), &base, all);
         let cube = GraphCube::build(&g, &base, 1);
-        for level in cube.all_levels() {
-            let names: Vec<&str> = level.names().iter().map(String::as_str).collect();
+        for attrs in attr_sets(&g) {
+            let names: Vec<&str> = attrs.iter().map(|&a| g.schema().def(a).name()).collect();
+            let level = Level::new(names.clone());
             let want = rollup(&union_all, &names).unwrap();
             assert_eq!(cube.query(&level, &scope).unwrap(), want, "{level:?}");
         }

@@ -21,20 +21,41 @@ fn names(g: &TemporalGraph) -> Vec<String> {
     v
 }
 
-/// `g` with a value on the edge cells where `(e + t) % 3 != 0`, so a
-/// window's latest non-null value is not always its last point's.
+/// `g` rebuilt cell by cell in a fresh builder, with a value on the edge
+/// cells where `(e + t) % 3 != 0`, so a window's latest non-null value is
+/// not always its last point's.
 fn with_edge_values(g: &TemporalGraph) -> TemporalGraph {
-    let mut b = GraphBuilder::from_graph(g.clone(), &[]).unwrap();
+    let mut b = GraphBuilder::new(g.domain().clone(), g.schema().clone());
+    for n in g.node_ids() {
+        let id = b.add_node(g.node_name(n)).unwrap();
+        for a in g.schema().static_ids() {
+            b.set_static(id, a, g.static_value(n, a).unwrap()).unwrap();
+        }
+        for t in g.node_timestamp(n).iter() {
+            b.set_presence(id, t).unwrap();
+            for a in g.schema().time_varying_ids() {
+                b.set_time_varying(id, a, t, g.attr_value(n, a, t)).unwrap();
+            }
+        }
+    }
     for e in g.edge_ids() {
         let (u, v) = g.edge_endpoints(e);
         for t in g.edge_timestamp(e).iter() {
+            b.add_edge_at(u, v, t).unwrap();
             if (e.index() + t.index()) % 3 != 0 {
                 let value = Value::Int(((e.index() * 7 + t.index()) % 5) as i64);
                 b.set_edge_value(u, v, t, value).unwrap();
             }
         }
     }
-    b.build().unwrap()
+    let valued = b.build().unwrap();
+    assert_eq!(valued.node_presence_columns(), g.node_presence_columns());
+    assert_eq!(valued.edge_presence_columns(), g.edge_presence_columns());
+    assert_eq!(valued.static_table(), g.static_table());
+    for a in g.schema().time_varying_ids() {
+        assert_eq!(valued.tv_table(a).unwrap(), g.tv_table(a).unwrap());
+    }
+    valued
 }
 
 /// The first non-null of `values`, `Null` if there is none.
@@ -298,13 +319,13 @@ proptest! {
     /// aggregation of the union graph would.
     #[test]
     fn cube_query_equals_direct(g in graph_strategy(), s1 in any::<u64>(), s2 in any::<u64>()) {
-        use graphtempo::cube::GraphCube;
+        use graphtempo::cube::{GraphCube, Level};
         let n = g.domain().len();
         let (t1, t2) = (interval(n, s1), interval(n, s2));
         let attrs = vec![kind_attr(&g), level_attr(&g)];
         let cube = GraphCube::build(&g, &attrs, 1);
         let scope = t1.union(&t2);
-        for level in cube.all_levels() {
+        for level in [vec!["kind"], vec!["level"], vec!["kind", "level"]].map(Level::new) {
             let from_cube = cube.query(&level, &scope).unwrap();
             let u = union(&g, &t1, &t2).unwrap();
             let ids: Vec<AttrId> = level

@@ -55,49 +55,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Resumes construction from an existing graph with `new_labels`
-    /// appended to its time domain — the incremental-update path for an
-    /// evolving graph: all existing presence, attributes and edges carry
-    /// over, and the new time points start as empty columns.
-    ///
-    /// # Errors
-    /// Returns an error if a new label duplicates an existing one.
-    pub fn from_graph(g: TemporalGraph, new_labels: &[&str]) -> Result<Self, GraphError> {
-        let mut labels: Vec<String> = g.domain().labels().to_vec();
-        labels.extend(new_labels.iter().map(|s| (*s).to_owned()));
-        let domain = TimeDomain::new(labels)?;
-        let nt = domain.len();
-        let bitmaps = |cols: &PresenceColumns| {
-            let mut v: Vec<BitVec> = (0..cols.n_cols())
-                .map(|t| cols.col(t).to_bitvec())
-                .collect();
-            v.resize(nt, BitVec::zeros(0));
-            v
-        };
-        Ok(GraphBuilder {
-            domain,
-            node_presence: bitmaps(&g.node_presence),
-            edge_presence: bitmaps(&g.edge_presence),
-            tv_tables: g.tv_tables.iter().map(|t| t.widen(nt)).collect(),
-            schema: g.schema,
-            node_names: g.node_names,
-            static_table: g.static_table,
-            edge_values: match &g.edge_values {
-                Some(ev) => ev.widen(nt),
-                None => {
-                    let mut m = ValueMatrix::new(nt);
-                    for _ in 0..g.edges.len() {
-                        m.push_null_row();
-                    }
-                    m
-                }
-            },
-            edge_values_used: g.edge_values.is_some(),
-            edges: g.edges,
-            edge_index: g.edge_index,
-        })
-    }
-
     /// The time domain being built against.
     pub fn domain(&self) -> &TimeDomain {
         &self.domain
@@ -478,63 +435,5 @@ mod tests {
         assert!(!g.has_edge_values());
         let e = g.edge_between(u, v).unwrap();
         assert_eq!(g.edge_value(e, TimePoint(0)), Value::Null);
-    }
-
-    #[test]
-    fn from_graph_preserves_edge_values() {
-        let mut b = GraphBuilder::new(TimeDomain::indexed(2), schema());
-        let u = b.add_node("u").unwrap();
-        let v = b.add_node("v").unwrap();
-        b.set_edge_value(u, v, TimePoint(1), Value::Int(7)).unwrap();
-        let g = b.build().unwrap();
-        let mut b2 = GraphBuilder::from_graph(g, &["t2"]).unwrap();
-        b2.set_edge_value(u, v, TimePoint(2), Value::Int(9))
-            .unwrap();
-        let g2 = b2.build().unwrap();
-        let e = g2.edge_between(u, v).unwrap();
-        assert_eq!(g2.edge_value(e, TimePoint(1)), Value::Int(7));
-        assert_eq!(g2.edge_value(e, TimePoint(2)), Value::Int(9));
-    }
-
-    #[test]
-    fn from_graph_extends_domain_incrementally() {
-        // build a 2-point graph, then append a third snapshot
-        let mut b = GraphBuilder::new(TimeDomain::indexed(2), schema());
-        let u = b.add_node("u").unwrap();
-        let v = b.add_node("v").unwrap();
-        b.add_edge_at(u, v, TimePoint(0)).unwrap();
-        let pubs = b.schema().id("pubs").unwrap();
-        b.set_time_varying(u, pubs, TimePoint(1), Value::Int(2))
-            .unwrap();
-        let g = b.build().unwrap();
-
-        let mut b2 = GraphBuilder::from_graph(g, &["t2"]).unwrap();
-        assert_eq!(b2.domain().len(), 3);
-        // old data survives
-        assert_eq!(b2.n_nodes(), 2);
-        assert_eq!(b2.n_edges(), 1);
-        // append the new snapshot
-        let w = b2.add_node("w").unwrap();
-        b2.add_edge_at(u, w, TimePoint(2)).unwrap();
-        b2.set_time_varying(u, pubs, TimePoint(2), Value::Int(5))
-            .unwrap();
-        let g2 = b2.build().unwrap();
-        assert_eq!(g2.domain().labels(), &["t0", "t1", "t2"]);
-        assert!(g2.edge_alive_at(g2.edge_between(u, v).unwrap(), TimePoint(0)));
-        assert!(g2.node_alive_at(w, TimePoint(2)));
-        assert_eq!(g2.attr_value(u, pubs, TimePoint(1)), Value::Int(2));
-        assert_eq!(g2.attr_value(u, pubs, TimePoint(2)), Value::Int(5));
-    }
-
-    #[test]
-    fn from_graph_rejects_duplicate_label() {
-        let mut b = GraphBuilder::new(TimeDomain::indexed(2), schema());
-        let u = b.add_node("u").unwrap();
-        b.set_presence(u, TimePoint(0)).unwrap();
-        let g = b.build().unwrap();
-        assert!(matches!(
-            GraphBuilder::from_graph(g, &["t1"]),
-            Err(GraphError::DuplicateTimeLabel(_))
-        ));
     }
 }

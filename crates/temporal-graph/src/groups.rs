@@ -8,9 +8,9 @@
 //! appearance. The columns are derived from the attribute tables only, so
 //! they stay valid for as long as the snapshot is immutable. The tables are
 //! `pub(crate)` and nothing mutates them in place on a built graph, so
-//! changed cells are published at two seams only: the builder (`from_graph`
-//! consumes the graph, `build` assembles a new one with empty caches) and
-//! `append_timepoint`, which hands the next epoch the previous epoch's
+//! changed cells are published at two seams only: a fresh `build`, which
+//! assembles a new graph with empty caches, and `append_timepoint`, the one
+//! way a built graph grows, which hands the next epoch the previous epoch's
 //! columns as bases to extend — and an *empty* [`GroupColumnsCache`] when
 //! the patch rewrote a static cell of a node the previous epoch already had.
 //!

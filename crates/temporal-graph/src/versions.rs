@@ -401,7 +401,7 @@ fn column(rows: usize, present: &BTreeSet<u32>, mode: SparseMode) -> PresenceCol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::TimePoint;
+    use crate::time::{TimeDomain, TimePoint};
     use crate::{fixtures, GraphBuilder};
 
     fn pubs_patch() -> TimepointPatch {
@@ -432,13 +432,40 @@ mod tests {
         assert_eq!(a.edge_values, b.edge_values);
     }
 
+    /// `g`'s cells written cell by cell into a fresh builder whose domain
+    /// is `g`'s labels followed by `label`.
+    fn from_scratch(g: &TemporalGraph, label: &str) -> GraphBuilder {
+        let mut labels = g.domain().labels().to_vec();
+        labels.push(label.to_owned());
+        let mut b = GraphBuilder::new(TimeDomain::new(labels).unwrap(), g.schema().clone());
+        for n in g.node_ids() {
+            let id = b.add_node(g.node_name(n)).unwrap();
+            for a in g.schema().static_ids() {
+                b.set_static(id, a, g.static_value(n, a).unwrap()).unwrap();
+            }
+            for t in g.node_timestamp(n).iter() {
+                b.set_presence(id, t).unwrap();
+                for a in g.schema().time_varying_ids() {
+                    b.set_time_varying(id, a, t, g.attr_value(n, a, t)).unwrap();
+                }
+            }
+        }
+        for e in g.edge_ids() {
+            let (u, v) = g.edge_endpoints(e);
+            for t in g.edge_timestamp(e).iter() {
+                b.add_edge_at(u, v, t).unwrap();
+            }
+        }
+        b
+    }
+
     #[test]
     fn append_matches_builder_rebuild() {
         let patch = pubs_patch();
         let mut v = GraphVersions::new(fixtures::fig1());
         let appended = v.append_timepoint(&patch).unwrap();
 
-        let mut b = GraphBuilder::from_graph(fixtures::fig1(), &["t3"]).unwrap();
+        let mut b = from_scratch(&fixtures::fig1(), "t3");
         patch.apply_to_builder(&mut b, TimePoint(3)).unwrap();
         let rebuilt = b.build().unwrap();
 

@@ -1,7 +1,8 @@
 //! OLAP-style analysis of the MovieLens co-rating graph: a cube over all
-//! four attributes answers roll-up / drill-down / slice queries at any
-//! time granularity (§4.3), each one masked aggregation at the requested
-//! level; then the whole graph is zoomed to a coarser time domain.
+//! four attributes answers every (level, scope) query (§4.3) — a slice is
+//! a one-point scope, a drill-down a finer level — each one ALL walk at
+//! the requested level; then the whole graph is zoomed to a coarser time
+//! domain.
 //!
 //! Run with `cargo run --example olap_cube`.
 
@@ -13,25 +14,20 @@ fn main() {
     let g = MovieLensConfig::scaled(0.2).generate().unwrap();
     println!("{}", GraphStats::compute(&g).render_table());
 
-    let attrs: Vec<AttrId> = ["gender", "age", "occupation", "rating"]
-        .iter()
-        .map(|n| g.schema().id(n).unwrap())
-        .collect();
+    let dims = ["gender", "age", "occupation", "rating"];
+    let attrs: Vec<AttrId> = dims.iter().map(|n| g.schema().id(n).unwrap()).collect();
     let cube = GraphCube::build(&g, &attrs, 1);
-    println!(
-        "cube on {:?} — {} attribute levels",
-        cube.base_level().names(),
-        cube.all_levels().len()
-    );
+    let levels = (1 << dims.len()) - 1; // the non-empty subsets
+    println!("cube on {dims:?} — {levels} attribute levels");
 
-    // Slice: who rated in August, by gender?
-    let aug = TimePoint(3);
-    let by_gender = cube.slice(&Level::new(vec!["gender"]), aug).unwrap();
+    // Slice: who rated in August, by gender? A one-point scope.
+    let aug = TimeSet::point(g.domain().len(), TimePoint(3));
+    let by_gender = cube.query(&Level::new(vec!["gender"]), &aug).unwrap();
     println!("\nAugust by gender:\n{}", by_gender.render(&g));
 
-    // Drill down to (gender, age) for the same slice.
-    let ga = cube.drill_down(&Level::new(vec!["gender"]), "age").unwrap();
-    let detailed = cube.slice(&ga, aug).unwrap();
+    // Drill down to (gender, age) for the same slice: a finer level.
+    let ga = Level::new(vec!["gender", "age"]);
+    let detailed = cube.query(&ga, &aug).unwrap();
     println!(
         "drill-down to (gender, age): {} aggregate nodes, {} aggregate edges",
         detailed.n_nodes(),

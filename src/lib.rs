@@ -24,7 +24,7 @@ pub use tempo_graph;
 /// Convenience prelude used by the examples and integration tests.
 pub mod prelude {
     pub use graphtempo::{
-        aggregate::{aggregate, aggregate_filtered, rollup, AggMode, AggregateGraph},
+        aggregate::{aggregate, rollup, AggMode, AggregateGraph},
         cube::{GraphCube, Level},
         evolution::{evolution_aggregate, EvolutionClass, EvolutionGraph},
         explore::{

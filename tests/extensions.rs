@@ -15,20 +15,17 @@ fn incremental_snapshot_pipeline() {
     let mut store = TimepointStore::build(&g, &[gender]);
     let old_len = g.domain().len();
 
-    let mut b = GraphBuilder::from_graph(g, &["2021"]).unwrap();
     let t_new = TimePoint(old_len as u32);
     // a returning author and a brand-new one collaborate in 2021
-    let veteran = b.get_or_add_node("a0");
-    let rookie = b.get_or_add_node("rookie-2021");
-    let f = b.schema().category(gender, "f");
+    let f = g.schema().category(gender, "f");
     let val = f.unwrap_or(Value::Cat(0));
-    b.set_static(rookie, gender, val).unwrap();
-    b.set_time_varying(veteran, pubs, t_new, Value::Int(2))
-        .unwrap();
-    b.set_time_varying(rookie, pubs, t_new, Value::Int(1))
-        .unwrap();
-    b.add_edge_at(veteran, rookie, t_new).unwrap();
-    let g2 = b.build().unwrap();
+    let mut patch = TimepointPatch::new("2021");
+    patch
+        .set_static("rookie-2021", gender, val)
+        .set_time_varying("a0", pubs, Value::Int(2))
+        .set_time_varying("rookie-2021", pubs, Value::Int(1))
+        .add_edge("a0", "rookie-2021");
+    let g2 = GraphVersions::new(g).append_timepoint(&patch).unwrap();
     assert_eq!(g2.domain().len(), old_len + 1);
 
     assert_eq!(store.append_new_points(&g2).unwrap(), 1);
@@ -55,9 +52,21 @@ fn cube_levels_consistent_with_rollup_chain() {
         .map(|n| g.schema().id(n).unwrap())
         .collect();
     let cube = GraphCube::build(&g, &attrs, 1);
-    assert_eq!(cube.all_levels().len(), 7);
-    // rolling up twice equals querying the coarse level directly
+    // every non-empty subset of the dimensions, rolled up from the base
+    // level, equals querying that level directly
     let scope = g.domain().all();
+    let names = ["gender", "age", "rating"];
+    let base = cube.query(&Level::new(names.to_vec()), &scope).unwrap();
+    for mask in 1..(1 << names.len()) {
+        let level: Vec<&str> = (0..names.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| names[i])
+            .collect();
+        let via_rollup = rollup(&base, &level).unwrap();
+        let direct = cube.query(&Level::new(level.clone()), &scope).unwrap();
+        assert_eq!(via_rollup, direct, "{level:?}");
+    }
+    // rolling up twice equals querying the coarse level directly
     let fine = cube
         .query(&Level::new(vec!["gender", "age"]), &scope)
         .unwrap();
